@@ -54,15 +54,24 @@ def _fnum(x: float):
     return None if (isinstance(x, float) and math.isnan(x)) else x
 
 
+def _finite_arg(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return v
+
+
 def _vec_arg(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"expected three comma-separated numbers, got {text!r}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return np.array([_finite_arg(p) for p in parts])
 
 
 def _j_cut_arg(text: str):
@@ -156,6 +165,9 @@ def cmd_sphere(args) -> int:
     ex = expect_X(state)
     rx = relative_X(state, point)
     unc = uncertainty_J(state)
+    residual = eigen_residual(state, zl)
+    # the Hermitian size sqrt(sum |z_i|^2) of the label, at least 1 on z.z = 1
+    label_size = math.sqrt(float(np.sum(np.abs(zl.z) ** 2)))
     payload = {
         "command": "sphere",
         "version": __version__,
@@ -170,7 +182,9 @@ def cmd_sphere(args) -> int:
         "expect_X": list(ex),
         "relative_X": [_fnum(v) for v in rx],
         "uncertainty": {"var_J": unc.var_j, "bound": unc.bound},
-        "eigen_residual": eigen_residual(state, zl),
+        "eigen_residual": residual,
+        "eigen_residual_rel": residual / label_size,
+        "label_size": label_size,
         "amplitudes": [
             {"j": int(k.j), "m": int(k.m),
              "log_mag": state.amplitudes[k].log_mag,
@@ -267,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("circle", help="circle coherent-state report")
     common(pc)
-    pc.add_argument("--phi", type=float, required=True, help="angle label")
-    pc.add_argument("--l", type=float, required=True,
+    pc.add_argument("--phi", type=_finite_arg, required=True,
+                    help="angle label")
+    pc.add_argument("--l", type=_finite_arg, required=True,
                     help="angular-momentum label")
     pc.set_defaults(func=cmd_circle)
 
@@ -278,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="position as x1,x2,x3")
     ps.add_argument("--l", type=_vec_arg, required=True,
                     help="angular momentum as l1,l2,l3")
-    ps.add_argument("--r", type=float, default=1.0, help="sphere radius")
+    ps.add_argument("--r", type=_finite_arg, default=1.0, help="sphere radius")
     ps.add_argument("--project-tangent", action="store_true",
                     help="repair l by projecting out its radial component")
     ps.add_argument("--check-paths", action="store_true",
@@ -290,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(pr)
     pr.add_argument("--x", type=_vec_arg, required=True)
     pr.add_argument("--l", type=_vec_arg, required=True)
-    pr.add_argument("--r", type=float, default=1.0)
+    pr.add_argument("--r", type=_finite_arg, default=1.0)
     pr.add_argument("--project-tangent", action="store_true")
     pr.add_argument("--fix-m", type=int, nargs="*", default=[0],
                     help="report argmax over j at these m values")

@@ -18,7 +18,6 @@ __all__ = [
     "LogComplex",
     "ZERO",
     "ONE",
-    "log_complex_mul",
     "log_complex_sum",
     "wrap_phase",
 ]
@@ -147,10 +146,6 @@ class LogComplex:
 
 ZERO = LogComplex(-math.inf, 0.0)
 ONE = LogComplex(0.0, 0.0)
-
-
-def log_complex_mul(a: LogComplex, b: LogComplex) -> LogComplex:
-    return a * b
 
 
 def log_complex_sum(terms) -> LogComplex:

@@ -5,7 +5,9 @@ and |m| <= j (the twist, i.e. the J.X/r Casimir, is fixed at zero, which
 forces the minimal j to be 0 and all labels integer).  States are sparse maps
 from (j, m) to log-domain amplitudes; operators act exactly through their
 known matrix elements, and anything raised past the truncation level j_cut is
-dropped into a loss counter instead of vanishing silently.
+dropped into a loss counter instead of vanishing silently.  Expectation
+values and eigen-residuals are evaluated on a dense view of the state instead
+(see the section on dense evaluation below).
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .logdomain import LogComplex, ONE, log_complex_sum, log_sum_exp
 
 __all__ = [
     "BasisIndex",
     "RepParams",
     "StateVector",
-    "OPERATOR_LABELS",
     "basis_state",
     "apply_operator",
     "apply_J",
@@ -33,6 +36,7 @@ __all__ = [
     "inner",
     "expectation",
     "relative_residual",
+    "residual_norm",
 ]
 
 
@@ -127,13 +131,6 @@ def basis_state(j: int, m: int, j_cut: int,
 # ---------------------------------------------------------------------------
 # operator actions
 # ---------------------------------------------------------------------------
-
-OPERATOR_LABELS = frozenset({
-    "J3", "Jplus", "Jminus", "Jsq",
-    "X1", "X2", "X3", "Xplus", "Xminus",
-    "Z1", "Z2", "Z3",
-})
-
 
 def _emit(contribs: list, key: BasisIndex, amp: LogComplex):
     if not amp.is_zero:
@@ -415,13 +412,143 @@ def inner(a: StateVector, b: StateVector) -> complex:
     return inner_log(a, b).to_complex()
 
 
+# ---------------------------------------------------------------------------
+# dense evaluation of expectation values and eigen-residuals
+# ---------------------------------------------------------------------------
+#
+# A bilinear form <s|O|s> needs O|s> only as an intermediate, so it is
+# evaluated on a dense view of s instead of through a sparse StateVector of
+# LogComplex values: log-magnitude and phase arrays over the flat index
+# j*j + j + m.  Every operator is a few branches |j, m> -> |j + dj, m + dm>
+# whose coefficients are computed per call from the (j, m) grid.  The largest
+# log-magnitude is subtracted before exponentiating, so nothing overflows and
+# terms below e^-745 of the largest underflow to zero, as in log_complex_sum.
+
+def _dense_view(s: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """(log-magnitude, phase) of s over the flat index j*j + j + m."""
+    n = (s.j_cut + 1) ** 2
+    lm = np.full(n, -math.inf)
+    ph = np.zeros(n)
+    for (j, m), a in s.amplitudes.items():
+        k = j * j + j + m
+        lm[k] = a.log_mag
+        ph[k] = a.phase
+    return lm, ph
+
+
+def _rect_array(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """exp(lm) e^{i ph}; quadrant phases stay exact, as in logdomain._rect."""
+    mag = np.exp(lm)
+    re = mag * np.cos(ph)
+    im = mag * np.sin(ph)
+    re[np.abs(ph) == 0.5 * math.pi] = 0.0
+    im[ph == math.pi] = 0.0
+    return re + 1j * im
+
+
+def _grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """j and m at every flat index up to j_cut."""
+    j = np.repeat(np.arange(j_cut + 1), 2 * np.arange(j_cut + 1) + 1)
+    return j, np.arange(j.size) - j * (j + 1)
+
+
+def _dense_branches(which: str, j: np.ndarray, m: np.ndarray,
+                    r: float) -> list:
+    """Branches (dj, dm, coef, log_weight) of an operator over the (j, m) grid.
+
+    O|j, m> = sum over branches of coef e^{log_weight} |j + dj, m + dm>, and
+    each coefficient vanishes wherever its target is not a basis index.
+    These are vectorised copies of _jplus_coef, _jminus_coef, _x_terms and
+    _z_terms (the tests hold them equal); the Z weights e^{-j-1} and e^{j}
+    stay in log form.
+    """
+    if which in _Z_LABELS:
+        weight = {1: -(j + 1.0), -1: j.astype(float)}
+        return [(dj, dm, c, weight[dj])
+                for dj, dm, c, _ in _dense_branches("X" + which[1], j, m, 1.0)]
+    w0 = np.zeros(j.size)    # no log weight
+    if which == "J3":
+        return [(0, 0, m.astype(float), w0)]
+    if which == "Jsq":
+        return [(0, 0, (j * (j + 1)).astype(float), w0)]
+    if which == "Jplus":
+        return [(0, 1, np.sqrt((j - m) * (j + m + 1)), w0)]
+    if which == "Jminus":
+        return [(0, -1, np.sqrt((j + m) * (j - m + 1)), w0)]
+    if which in ("X1", "X2"):
+        fp, fm = (0.5, 0.5) if which == "X1" else (-0.5j, 0.5j)
+        return ([(dj, dm, fp * c, w)
+                 for dj, dm, c, w in _dense_branches("Xplus", j, m, r)]
+                + [(dj, dm, fm * c, w)
+                   for dj, dm, c, w in _dense_branches("Xminus", j, m, r)])
+    up = np.sqrt((2 * j + 1) * (2 * j + 3))
+    # j = 0 has no lowering branch: its numerators below vanish there
+    dn = np.sqrt(np.maximum((2 * j - 1) * (2 * j + 1), 1))
+    if which == "X3":
+        return [(1, 0, r * np.sqrt((j - m + 1) * (j + m + 1)) / up, w0),
+                (-1, 0, r * np.sqrt((j - m) * (j + m)) / dn, w0)]
+    if which == "Xplus":
+        return [(1, 1, -r * np.sqrt((j + m + 1) * (j + m + 2)) / up, w0),
+                (-1, 1, r * np.sqrt((j - m - 1) * (j - m)) / dn, w0)]
+    if which == "Xminus":
+        return [(1, -1, r * np.sqrt((j - m + 1) * (j - m + 2)) / up, w0),
+                (-1, -1, -r * np.sqrt((j + m - 1) * (j + m)) / dn, w0)]
+    raise ValueError(f"unknown operator label {which!r}")
+
+
+def _dense_apply(which: str, s: StateVector, lm: np.ndarray, ph: np.ndarray,
+                 floor: float = -math.inf) -> tuple[float, np.ndarray]:
+    """O|s> = e^top v on the flat grid, from the dense view (lm, ph) of s.
+
+    top is the largest source log-magnitude plus branch weight, or `floor`
+    if that is larger; raising past j_cut drops the term.
+    """
+    j, m = _grid(s.j_cut)
+    terms = []
+    for dj, dm, coef, weight in _dense_branches(which, j, m, s.rep.r):
+        src = np.flatnonzero((coef != 0) & (lm > -math.inf)
+                             & (j + dj <= s.j_cut))
+        jt = j[src] + dj
+        terms.append((jt * (jt + 1) + m[src] + dm, coef[src],
+                      lm[src] + weight[src], ph[src]))
+    top = max([floor] + [lg.max() for _, _, lg, _ in terms if lg.size])
+    v = np.zeros(lm.size, dtype=complex)
+    for tgt, coef, lg, phase in terms:
+        # each branch maps distinct sources to distinct targets
+        v[tgt] += coef * _rect_array(lg - top, phase)
+    return top, v
+
+
 def expectation(which: str, s: StateVector) -> complex:
-    """<s|O|s> / <s|s>, evaluated entirely in the log domain."""
-    ln2 = s.log_norm_sq()
-    if ln2 == -math.inf:
+    """<s|O|s> / <s|s> for any label apply_operator accepts.
+
+    Evaluated on the dense view with the largest amplitude scaled to 1.
+    """
+    lm, ph = _dense_view(s)
+    peak = lm.max()
+    if peak == -math.inf:
         raise ValueError("expectation value in a zero-norm state")
-    num = inner_log(s, apply_operator(which, s))
-    return num.scaled_log(-ln2).to_complex()
+    top, v = _dense_apply(which, s, lm, ph)
+    a = _rect_array(lm - peak, ph)
+    return complex(np.vdot(a, v) / np.vdot(a, a).real) * math.exp(top - peak)
+
+
+def residual_norm(which: str, s: StateVector, value: complex,
+                  j_max: int) -> float:
+    """||(O - value)|s>|| / ||s||, counting only the levels j <= j_max."""
+    lm, ph = _dense_view(s)
+    peak = lm.max()
+    if peak == -math.inf:
+        raise ValueError("cannot normalize the zero state")
+    lm = lm - peak - 0.5 * math.log(float(np.sum(np.exp(2 * (lm - peak)))))
+    value = complex(value)
+    lv = math.log(abs(value)) if value != 0 else -math.inf
+    top, v = _dense_apply(which, s, lm, ph, floor=lm.max() + lv)
+    if top == -math.inf:
+        return 0.0
+    d = (v - value * _rect_array(lm - top, ph))[:max(j_max + 1, 0) ** 2]
+    sq = float(np.vdot(d, d).real)
+    return math.exp(top + 0.5 * math.log(sq)) if sq > 0 else 0.0
 
 
 def relative_residual(lhs: StateVector, rhs: StateVector,

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .logdomain import LogComplex, ONE, ZERO, log_complex_sum
-from .repspace import (BasisIndex, RepParams, StateVector, apply_J, apply_Z,
-                       expectation, state_scale, state_sum)
+from .repspace import (BasisIndex, RepParams, StateVector, apply_J,
+                       expectation, residual_norm, state_scale, state_sum)
 from .specfun import gegenbauer_column, log_factorial
 
 __all__ = [
@@ -371,14 +371,8 @@ def coherent_state(p: SpherePhasePoint, j_cut: int | str = "auto",
 
 def eigen_residual(s: StateVector, zl: ZLabel) -> float:
     """max_i ||(Z_i - z_i)|s>|| on the truncation interior, |s> normalized."""
-    sn = s.normalized()
-    interior = s.j_cut - 2
-    worst = 0.0
-    for which, zi in zip(("Z1", "Z2", "Z3"), zl.z):
-        t = apply_Z(which, sn)
-        diff = state_sum([t, state_scale(sn, -complex(zi))]).restricted(interior)
-        worst = max(worst, diff.norm())
-    return worst
+    return max(residual_norm(which, s, complex(zi), s.j_cut - 2)
+               for which, zi in zip(("Z1", "Z2", "Z3"), zl.z))
 
 
 def _expect_pair(plus: str, minus: str, s: StateVector) -> tuple[float, float]:

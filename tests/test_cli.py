@@ -61,6 +61,21 @@ class TestSphereCommand:
         ratio = d["expect_J"][0] / 8.124
         assert 0.94 < ratio < 1.0
 
+    def test_residual_relative_to_label_size(self, run):
+        d = run_json(run, ["sphere", "--x", "0.412,0.412,0.812",
+                           "--l", "8.124,-8.124,0"])
+        size = math.sqrt(sum(re * re + im * im for re, im in d["z_label"]))
+        assert d["label_size"] == pytest.approx(size, rel=1e-15)
+        assert d["eigen_residual_rel"] == pytest.approx(
+            d["eigen_residual"] / size, rel=1e-15)
+        assert d["eigen_residual_rel"] <= 1e-13
+
+    def test_csv_columns_unchanged(self, run):
+        out = run(["sphere", "--x", "0,0,1", "--l", "1,0,0", "--format",
+                   "csv"])
+        assert next(csv.reader(io.StringIO(out))) == ["j", "m", "log_mag",
+                                                      "phase"]
+
 
 class TestRotatorCommand:
     def test_figure1_peak(self, run):
@@ -118,6 +133,22 @@ class TestExitCodes:
         code = main(["sphere", "--x", "2,0,0", "--l", "0,0,0"])
         assert code == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["circle", "--phi", "nan", "--l", "1"],
+        ["circle", "--phi", "0", "--l", "inf"],
+        ["sphere", "--x", "0,0,1", "--l", "inf,0,0"],
+        ["sphere", "--x", "0,0,1", "--l", "nan,0,0"],
+        ["sphere", "--x", "0,0,1", "--l", "0,0,0", "--r", "nan"],
+    ])
+    def test_non_finite_number_is_a_flag_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            line for line in err.splitlines() if "finite number" in line]
 
     def test_tail_tol_out_of_range(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,38 @@
 import math
 
+import numpy as np
 import pytest
 
 from cohstates.logdomain import LogComplex
 from cohstates.repspace import (BasisIndex, RepParams, StateVector, apply_J,
                                 apply_X, apply_Z, apply_Z_vector_form,
-                                basis_state, expectation, inner, inner_log,
-                                relative_residual, state_scale, state_sum)
+                                apply_operator, basis_state, expectation,
+                                inner, inner_log, relative_residual,
+                                residual_norm, state_scale, state_sum)
+
+LABELS = ("J3", "Jplus", "Jminus", "Jsq", "X1", "X2", "X3", "Xplus",
+          "Xminus", "Z1", "Z2", "Z3")
+
+
+def sparse_expectation(which, s):
+    """Oracle: <s|O|s> / <s|s> through the sparse operator action."""
+    num = inner_log(s, apply_operator(which, s))
+    return num.scaled_log(-s.log_norm_sq()).to_complex()
+
+
+def random_sparse_state(seed, j_cut=12, n=25, rep=None):
+    """Random amplitudes on random indices, the top level included, with
+    some exactly real or imaginary phases."""
+    rng = np.random.default_rng(seed)
+    amps = {}
+    for _ in range(n):
+        j = int(rng.integers(0, j_cut + 1))
+        m = int(rng.integers(-j, j + 1))
+        phase = rng.choice([0.0, math.pi, math.pi / 2, -math.pi / 2,
+                            rng.uniform(-math.pi, math.pi)])
+        amps[BasisIndex(j, m)] = LogComplex(rng.uniform(-30.0, 5.0), phase)
+    amps[BasisIndex(j_cut, 0)] = LogComplex(0.0, 0.0)
+    return StateVector(amps, j_cut=j_cut, rep=rep or RepParams())
 
 
 def amp(s, j, m):
@@ -149,8 +175,114 @@ class TestInnerAndExpectation:
 
     def test_zero_norm_expectation_rejected(self):
         empty = state_scale(basis_state(0, 0, 8), 0j)
-        with pytest.raises(ValueError):
-            expectation("J3", empty)
+        for evaluate in (expectation,
+                         lambda which, s: residual_norm(which, s, 1.0, 6)):
+            with pytest.raises(ValueError):
+                evaluate("J3", empty)
+            # and so is a label that apply_operator does not accept
+            with pytest.raises(ValueError):
+                evaluate("J1", basis_state(1, 0, 8))
+
+
+def _assert_close(got, want, rel):
+    assert abs(got - want) <= rel * max(1.0, abs(want)), (got, want)
+
+
+class TestDenseMatchesSparse:
+    """The dense bilinear forms against the sparse operator actions."""
+
+    @pytest.mark.parametrize("which", LABELS)
+    def test_expectation_on_basis_states(self, which):
+        for j, m in [(0, 0), (1, -1), (3, 2), (7, 0), (8, 8), (8, -5)]:
+            s = basis_state(j, m, 8)
+            _assert_close(expectation(which, s), sparse_expectation(which, s),
+                          1e-12)
+
+    @pytest.mark.parametrize("which", LABELS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_expectation_on_random_states(self, which, seed):
+        s = random_sparse_state(seed, rep=RepParams(r=1.0 + seed))
+        _assert_close(expectation(which, s), sparse_expectation(which, s),
+                      1e-12)
+
+    def test_real_amplitudes_give_exactly_real_forms(self):
+        # phases of exactly 0 and pi must leave no sin(pi) dust behind
+        rng = np.random.default_rng(3)
+        amps = {BasisIndex(j, m): LogComplex(rng.uniform(-5.0, 0.0),
+                                             rng.choice([0.0, math.pi]))
+                for j in range(9) for m in range(-j, j + 1)}
+        s = StateVector(amps, j_cut=8)
+        for which in ("Jplus", "Xplus", "Z1", "Z3"):
+            assert expectation(which, s).imag == 0.0
+            assert sparse_expectation(which, s).imag == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residual_norm_on_random_states(self, seed):
+        s = random_sparse_state(seed)
+        sn = s.normalized()
+        for which, value in [("Z1", 0.3 - 2j), ("Z3", 1.5), ("J3", 0.0),
+                             ("X2", 1j)]:
+            diff = state_sum([apply_operator(which, sn),
+                              state_scale(sn, -complex(value))])
+            want = diff.restricted(s.j_cut - 2).norm()
+            _assert_close(residual_norm(which, s, value, s.j_cut - 2), want,
+                          1e-13)
+
+
+def _dense_terms(which, j_cut, r):
+    """{(source, target): coefficient} of every nonzero dense branch."""
+    from cohstates.repspace import _dense_branches, _grid
+    j, m = _grid(j_cut)
+    out = {}
+    for dj, dm, coef, weight in _dense_branches(which, j, m, r):
+        for k in np.flatnonzero(coef != 0):
+            key = ((j[k], m[k]), (j[k] + dj, m[k] + dm))
+            out[key] = out.get(key, 0) + coef[k] * math.exp(weight[k])
+    return out
+
+
+def _scalar_terms(which, j_cut, r):
+    """The same table from the scalar matrix elements of the sparse path."""
+    from cohstates.repspace import (_jminus_coef, _jplus_coef, _x_terms,
+                                    _z_terms)
+    cart = {"X1": (("Xplus", 0.5), ("Xminus", 0.5)),
+            "X2": (("Xplus", -0.5j), ("Xminus", 0.5j))}
+    out = {}
+    for j in range(j_cut + 1):
+        for m in range(-j, j + 1):
+            if which == "J3":
+                terms = [((j, m), m)]
+            elif which == "Jsq":
+                terms = [((j, m), j * (j + 1))]
+            elif which == "Jplus":
+                terms = [((j, m + 1), _jplus_coef(j, m))] if m < j else []
+            elif which == "Jminus":
+                terms = [((j, m - 1), _jminus_coef(j, m))] if m > -j else []
+            elif which in cart:
+                terms = [(key, f * c) for ladder, f in cart[which]
+                         for key, c in _x_terms(ladder, j, m, r)]
+            elif which.startswith("X"):
+                terms = list(_x_terms(which, j, m, r))
+            else:
+                terms = [(key, c.to_complex())
+                         for key, c in _z_terms(which, j, m)]
+            for key, c in terms:
+                if c != 0:
+                    out[((j, m), tuple(key))] = c
+    return out
+
+
+@pytest.mark.parametrize("j_cut", [10, 40])
+@pytest.mark.parametrize("which", LABELS)
+def test_dense_branches_match_scalar_matrix_elements(which, j_cut):
+    dense = _dense_terms(which, j_cut, 2.5)
+    scalar = _scalar_terms(which, j_cut, 2.5)
+    assert dense.keys() == scalar.keys()
+    # the Z elements are assembled in log form on the scalar side
+    rel = 1e-13 if which.startswith("Z") else 0.0
+    for key, want in scalar.items():
+        assert abs(dense[key] - want) <= rel * abs(want), (key, dense[key],
+                                                          want)
 
 
 class TestTruncationAccounting:

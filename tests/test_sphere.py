@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cohstates.repspace import BasisIndex, RepParams, basis_state, inner_log
+from cohstates.repspace import (BasisIndex, RepParams, apply_operator,
+                                apply_Z, basis_state, expectation, inner_log,
+                                state_scale, state_sum)
 from cohstates.sphere import (ConstraintError, SpherePhasePoint, ZLabel,
                               apply_rotation, axis_reference_label,
                               coherent_closed_form, coherent_ladder_generated,
@@ -212,6 +214,54 @@ class TestEigenResidual:
     def test_basis_state_is_not_coherent(self):
         s = basis_state(5, 2, 20, REP)
         assert eigen_residual(s, ZLabel([0, 0, 1])) > 0.1
+
+
+def _tangent_point(seed, l_norm):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=3)
+    x /= np.linalg.norm(x)
+    v = rng.normal(size=3)
+    v -= (v @ x) * x
+    return SpherePhasePoint(x, l_norm * v / np.linalg.norm(v))
+
+
+@pytest.fixture(scope="module", params=[0.0, 5.0, 12.0, 21.5])
+def sampled_coherent(request):
+    p = _tangent_point(11, request.param)
+    return coherent_state(p), phase_to_z(p)
+
+
+def _sparse_eigen_residual(s, zl):
+    """Oracle: the operator-action formula on sparse states."""
+    sn = s.normalized()
+    worst = 0.0
+    for which, zi in zip(("Z1", "Z2", "Z3"), zl.z):
+        diff = state_sum([apply_Z(which, sn), state_scale(sn, -complex(zi))])
+        worst = max(worst, diff.restricted(s.j_cut - 2).norm())
+    return worst
+
+
+class TestDenseMatchesSparse:
+    def test_expectation_for_every_label(self, sampled_coherent):
+        s, _ = sampled_coherent
+        for which in ("J3", "Jplus", "Jminus", "Jsq", "X1", "X2", "X3",
+                      "Xplus", "Xminus", "Z1", "Z2", "Z3"):
+            want = (inner_log(s, apply_operator(which, s))
+                    .scaled_log(-s.log_norm_sq()).to_complex())
+            got = expectation(which, s)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), which
+
+    def test_eigen_residual(self, sampled_coherent):
+        s, zl = sampled_coherent
+        want = _sparse_eigen_residual(s, zl)
+        size = max(1.0, float(np.linalg.norm(zl.z)))
+        assert abs(eigen_residual(s, zl) - want) <= 1e-13 * size
+
+    def test_eigen_residual_off_the_family(self):
+        s = basis_state(5, 2, 20, REP)
+        zl = ZLabel([0, 0, 1])
+        assert eigen_residual(s, zl) == pytest.approx(
+            _sparse_eigen_residual(s, zl), rel=1e-13)
 
 
 class TestExpectations:
