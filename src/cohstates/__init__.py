@@ -7,14 +7,13 @@ rotator's energy distribution, with a CLI for reports and verification.
 
 from .logdomain import LogComplex, log_complex_sum, wrap_phase
 from .specfun import gegenbauer, gegenbauer_column, hyp2f1_terminating, log_factorial
-from .repspace import (BasisIndex, RepParams, StateVector, apply_J, apply_X,
-                       apply_Z, apply_Z_vector_form, apply_operator,
+from .repspace import (BandTable, BasisIndex, RepParams, StateVector,
+                       apply_J, apply_X, apply_Z, apply_table,
                        basis_state, expectation, inner, inner_log,
-                       relative_residual, residual_norm, state_scale,
-                       state_sum)
-from .spinor import (SpinorState, apply_exp_minus_K, apply_K, apply_V,
-                     apply_Z_from_matrix, apply_Z_matrix, apply_sigma_dot_J,
-                     spinor_basis)
+                       operator_table, relative_residual, residual_norm,
+                       state_scale, state_sum)
+from .spinor import (SpinorState, exp_minus_k_table, k_table, spinor_basis,
+                     v_table)
 from .circle import (CirclePhasePoint, CircleState, CircleUncertainty,
                      circle_coherent, circle_eigen_residual, circle_expect_J,
                      circle_expect_U, circle_relative_U,

@@ -1,11 +1,12 @@
 """Named verification checks behind the `verify` command.
 
-Each check returns the worst measured residual over its sweep together with
-the tolerance it is held to.  Identity residuals are normalized by the
-largest operator scale participating in the identity: the generator weights
-grow like e^{j}, so "equal to 1e-12" is a statement about the forward
-stability of each composition, not about absolute amplitudes that no finite
-arithmetic could resolve.
+Each check returns the worst residual over its sweep, the tolerance it is
+held to, the number of cases and where the worst one was.  Identity
+residuals, one per basis vector, are normalized by the largest operator
+scale participating in the identity: the generator weights grow like e^{j},
+so "equal to 1e-12" is a statement about the forward stability of each
+composition, not about absolute amplitudes that no finite arithmetic could
+resolve.
 """
 
 from __future__ import annotations
@@ -21,20 +22,16 @@ from .circle import (CirclePhasePoint, circle_coherent, circle_eigen_residual,
                      circle_expect_J, circle_expect_U,
                      circle_uncertainty_report)
 from .logdomain import LogComplex
-from .repspace import (RepParams, apply_J, apply_X, apply_Z,
-                       apply_Z_vector_form, basis_state, relative_residual,
-                       state_scale, state_sum)
-from .repspace import _diag_mul_logs, _jsq_scalar_logs
+from .repspace import (BandTable, RepParams, identity_table, jsq_tables,
+                       operator_table, z_vector_form_table)
 from .specfun import gegenbauer, hyp2f1_terminating, log_factorial
-from .spinor import (SpinorState, apply_K, apply_V, apply_Z_from_matrix,
-                     apply_Z_matrix, spinor_basis, spinor_relative_residual,
-                     spinor_scale, spinor_sum)
+from .spinor import k_table, v_table, z_from_matrix_table, z_matrix_entries
 from .sphere import (SpherePhasePoint, coherent_closed_form,
                      coherent_ladder_generated, coherent_state,
                      coherent_triple_sum, eigen_residual,
                      max_amplitude_rel_diff, phase_to_z, uncertainty_J)
 
-__all__ = ["CheckResult", "run_all", "ALL_CHECKS"]
+__all__ = ["CheckResult", "run_all"]
 
 IDENTITY_TOL = 1e-12
 SERIES_TOL = 1e-10
@@ -50,9 +47,18 @@ _ZN = ("Z1", "Z2", "Z3")
 
 @dataclass(frozen=True, slots=True)
 class CheckResult:
+    """Worst residual of a check's sweep, against its tolerance.
+
+    n_cases counts the residuals the worst was taken over; worst_at says
+    where it occurred: a basis index [j, m] for the operator identities, a
+    phase point {"x", "l"} or a grid value for the other sweeps.
+    """
+
     name: str
     measured: float
     tolerance: float
+    n_cases: int = 0
+    worst_at: object = None
 
     def __post_init__(self):
         object.__setattr__(self, "measured", float(self.measured))
@@ -63,154 +69,143 @@ class CheckResult:
         return self.measured <= self.tolerance
 
 
-def _cart_J(which: str, s):
-    if which == "J3":
-        return apply_J("J3", s)
-    p, m = apply_J("Jplus", s), apply_J("Jminus", s)
-    if which == "J1":
-        return state_sum([state_scale(p, 0.5 + 0j), state_scale(m, 0.5 + 0j)])
-    return state_sum([state_scale(p, -0.5j), state_scale(m, 0.5j)])
+class _Worst:
+    """Largest residual of a sweep, where it occurred, and the case count;
+    as with max() from 0, a NaN residual is never the largest."""
+
+    def __init__(self):
+        self.value, self.at, self.n = -math.inf, None, 0
+
+    def add(self, value: float, at) -> None:
+        self.n += 1
+        if value > self.value:
+            self.value, self.at = value, at
+
+    def result(self, name: str, tolerance: float) -> CheckResult:
+        return CheckResult(name, max(self.value, 0.0), tolerance, self.n,
+                           self.at)
 
 
-def _cart(which: str, s):
-    return _cart_J(which, s) if which.startswith("J") else apply_X(which, s)
+def _point(p: SpherePhasePoint) -> dict:
+    return {"x": p.x.tolist(), "l": p.l.tolist()}
 
 
-def _interior_vectors(j_cut: int, j_step: int = 1):
-    rep = RepParams()
-    for j in range(0, j_cut - 1, j_step):
-        for m in range(-j, j + 1):
-            yield j, m, basis_state(j, m, j_cut, rep)
+class _Sweep:
+    """Table identities on every interior basis vector (j <= j_cut - 2).
+
+    Each column's residual is ||lhs - rhs|| over the interior, relative to
+    the largest participating norm: the interior parts of lhs and rhs and
+    the full scale operands, the basis vector itself (`one`) included.
+    """
+
+    def __init__(self, j_cut: int, components: int = 1):
+        self.one = identity_table(j_cut, components)
+        _, self.j, self.m = self.one.columns()
+        self.interior = j_cut - 2
+        self.inside = self.j <= self.interior
+        self.worst = np.zeros(self.j.size)
+        self.identities = 0
+
+    def add(self, lhs: BandTable, rhs: BandTable | None,
+            *scales: BandTable) -> None:
+        """lhs = rhs on every column; rhs None stands for zero."""
+        sides = [lhs] if rhs is None else [lhs, rhs]
+        diff = lhs if rhs is None else lhs - rhs
+        d = diff.column_log_norms(self.interior)
+        ref = np.max([t.column_log_norms(self.interior) for t in sides]
+                     + [t.column_log_norms() for t in scales], axis=0)
+        with np.errstate(invalid="ignore"):
+            r = np.where(d == -math.inf, 0.0,
+                         np.where(ref == -math.inf, math.inf, np.exp(d - ref)))
+        self.worst = np.fmax(self.worst, np.where(self.inside, r, 0.0))
+        self.identities += 1
+
+    def result(self, name: str) -> CheckResult:
+        k = int(np.argmax(self.worst))
+        return CheckResult(name, self.worst[k], IDENTITY_TOL,
+                           self.identities * int(self.inside.sum()),
+                           [int(self.j[k]), int(self.m[k])])
+
+
+def _tables(labels: tuple, j_cut: int) -> list:
+    return [operator_table(w, j_cut) for w in labels]
 
 
 def check_e3_commutators(j_cut: int = 30) -> CheckResult:
     """[J,J], [J,X] close on the structure constants; [X,X] vanishes."""
-    interior = j_cut - 2
-    worst = 0.0
-    for j, m, s in _interior_vectors(j_cut):
-        for i, k in itertools.combinations(range(3), 2):
-            for fam_a, fam_b, fam_rhs in (( _JN, _JN, _JN), (_JN, _XN, _XN)):
-                ab = _cart(fam_a[i], _cart(fam_b[k], s))
-                ba = _cart(fam_b[k], _cart(fam_a[i], s))
-                lhs = state_sum([ab, state_scale(ba, -1 + 0j)])
-                l = 3 - i - k
-                rhs = state_scale(_cart(fam_rhs[l], s),
-                                  complex(0, _EPS[(i, k, l)]))
-                worst = max(worst, relative_residual(
-                    lhs.restricted(interior), rhs.restricted(interior), s, ab))
-            ab = _cart(_XN[i], _cart(_XN[k], s))
-            ba = _cart(_XN[k], _cart(_XN[i], s))
-            lhs = state_sum([ab, state_scale(ba, -1 + 0j)])
-            worst = max(worst, relative_residual(
-                lhs.restricted(interior), state_scale(s, 0j), s, ab))
-        # mixed commutators with equal indices must vanish: [J_i, X_i] = 0
-        for i in range(3):
-            ab = _cart(_JN[i], _cart(_XN[i], s))
-            ba = _cart(_XN[i], _cart(_JN[i], s))
-            lhs = state_sum([ab, state_scale(ba, -1 + 0j)])
-            worst = max(worst, relative_residual(
-                lhs.restricted(interior), state_scale(s, 0j), s, ab))
-    return CheckResult("e3_commutators", worst, IDENTITY_TOL)
+    js, xs = _tables(_JN, j_cut), _tables(_XN, j_cut)
+    sweep = _Sweep(j_cut)
+    for i, k in itertools.combinations(range(3), 2):
+        l = 3 - i - k
+        for fam_a, fam_b in ((js, js), (js, xs)):
+            ab = fam_a[i] @ fam_b[k]
+            sweep.add(ab - fam_b[k] @ fam_a[i],
+                      _EPS[(i, k, l)] * 1j * fam_b[l], sweep.one, ab)
+        ab = xs[i] @ xs[k]
+        sweep.add(ab - xs[k] @ xs[i], None, sweep.one, ab)
+    # mixed commutators with equal indices must vanish: [J_i, X_i] = 0
+    for i in range(3):
+        ab = js[i] @ xs[i]
+        sweep.add(ab - xs[i] @ js[i], None, sweep.one, ab)
+    return sweep.result("e3_commutators")
 
 
 def check_casimirs(j_cut: int = 30) -> CheckResult:
-    """X.X = r^2 and J.X = 0 on interior basis vectors."""
-    interior = j_cut - 2
-    worst = 0.0
-    for j, m, s in _interior_vectors(j_cut):
-        r2 = s.rep.r ** 2
-        parts = [_cart(x, _cart(x, s)) for x in _XN]
-        xsq = state_sum(parts)
-        worst = max(worst, relative_residual(
-            xsq.restricted(interior), state_scale(s, complex(r2)), s, *parts))
-        parts = [_cart(_JN[i], _cart(_XN[i], s)) for i in range(3)]
-        jx = state_sum(parts)
-        worst = max(worst, relative_residual(
-            jx.restricted(interior), state_scale(s, 0j), s, *parts))
-    return CheckResult("casimirs", worst, IDENTITY_TOL)
-
-
-def _spinor_vectors(j_cut: int):
-    rep = RepParams()
-    for j in range(0, j_cut - 1):
-        for m in range(-j, j + 1):
-            for comp in ("up", "down"):
-                yield spinor_basis(j, m, j_cut, comp, rep)
-
-
-def _spinor_restrict(sp: SpinorState, j_max: int) -> SpinorState:
-    return SpinorState(sp.up.restricted(j_max), sp.down.restricted(j_max))
+    """X.X = r^2 (r = 1) and J.X = 0 on interior basis vectors."""
+    js, xs = _tables(_JN, j_cut), _tables(_XN, j_cut)
+    sweep = _Sweep(j_cut)
+    parts = [x @ x for x in xs]
+    sweep.add(sum(parts[1:], parts[0]), sweep.one, sweep.one, *parts)
+    parts = [js[i] @ xs[i] for i in range(3)]
+    sweep.add(sum(parts[1:], parts[0]), None, sweep.one, *parts)
+    return sweep.result("casimirs")
 
 
 def check_v_squared(j_cut: int = 30) -> CheckResult:
     """V^2 = I blockwise (V Hermitian and unitary on the interior)."""
-    interior = j_cut - 2
-    worst = 0.0
-    for sp in _spinor_vectors(j_cut):
-        v2 = apply_V(apply_V(sp))
-        worst = max(worst, spinor_relative_residual(
-            _spinor_restrict(v2, interior), _spinor_restrict(sp, interior), sp))
-    return CheckResult("v_squared", worst, IDENTITY_TOL)
+    v = v_table(j_cut)
+    sweep = _Sweep(j_cut, components=2)
+    sweep.add(v @ v, sweep.one, sweep.one)
+    return sweep.result("v_squared")
 
 
 def check_kv_anticommutator(j_cut: int = 30) -> CheckResult:
     """K V + V K = 0 at zero twist."""
-    interior = j_cut - 2
-    worst = 0.0
-    for sp in _spinor_vectors(j_cut):
-        kv = apply_K(apply_V(sp))
-        vk = apply_V(apply_K(sp))
-        acom = spinor_sum([kv, vk])
-        worst = max(worst, spinor_relative_residual(
-            _spinor_restrict(acom, interior), spinor_scale(sp, 0j), sp, kv))
-    return CheckResult("kv_anticommutator", worst, IDENTITY_TOL)
+    v, k = v_table(j_cut), k_table(j_cut)
+    sweep = _Sweep(j_cut, components=2)
+    kv = k @ v
+    sweep.add(kv + v @ k, None, sweep.one, kv)
+    return sweep.result("kv_anticommutator")
 
 
 def check_z_commutativity(j_cut: int = 30) -> CheckResult:
-    worst = 0.0
-    interior = j_cut - 2
-    for j, m, s in _interior_vectors(j_cut):
-        for i, k in itertools.combinations(range(3), 2):
-            ab = apply_Z(_ZN[i], apply_Z(_ZN[k], s))
-            ba = apply_Z(_ZN[k], apply_Z(_ZN[i], s))
-            lhs = state_sum([ab, state_scale(ba, -1 + 0j)])
-            worst = max(worst, relative_residual(
-                lhs.restricted(interior), state_scale(s, 0j), s, ab))
-    return CheckResult("z_commutativity", worst, IDENTITY_TOL)
+    zs = _tables(_ZN, j_cut)
+    sweep = _Sweep(j_cut)
+    for i, k in itertools.combinations(range(3), 2):
+        ab = zs[i] @ zs[k]
+        sweep.add(ab - zs[k] @ zs[i], None, sweep.one, ab)
+    return sweep.result("z_commutativity")
 
 
 def check_z_normalization(j_cut: int = 30) -> CheckResult:
     """Z1^2 + Z2^2 + Z3^2 = I on interior basis vectors."""
-    worst = 0.0
-    interior = j_cut - 2
-    for j, m, s in _interior_vectors(j_cut):
-        parts = [apply_Z(z, apply_Z(z, s)) for z in _ZN]
-        zsq = state_sum(parts)
-        worst = max(worst, relative_residual(
-            zsq.restricted(interior), s, s, *parts))
-    return CheckResult("z_normalization", worst, IDENTITY_TOL)
+    parts = [z @ z for z in _tables(_ZN, j_cut)]
+    sweep = _Sweep(j_cut)
+    sweep.add(sum(parts[1:], parts[0]), sweep.one, sweep.one, *parts)
+    return sweep.result("z_normalization")
 
 
 def check_z_routes(j_cut: int = 30) -> CheckResult:
     """Ladder-form Z equals the J^2-function route and the matrix route."""
-    worst = 0.0
-    interior = j_cut - 2
-    for j, m, s in _interior_vectors(j_cut):
-        empty = replace(s, amplitudes={})
-        col_u = apply_Z_matrix(SpinorState(s, empty))
-        col_d = apply_Z_matrix(SpinorState(empty, s))
-        for idx, z in enumerate(_ZN):
-            a = apply_Z(z, s)
-            b = apply_Z_vector_form(z, s)
-            t1 = _diag_mul_logs(apply_X(_XN[idx], s),
-                                lambda jj: _jsq_scalar_logs(jj)[0])
-            worst = max(worst, relative_residual(
-                a.restricted(interior), b.restricted(interior), s, t1))
-            c = apply_Z_from_matrix(z, s)
-            worst = max(worst, relative_residual(
-                a.restricted(interior), c.restricted(interior), s,
-                col_u.up, col_u.down, col_d.up, col_d.down))
-    return CheckResult("z_route_equality", worst, IDENTITY_TOL)
+    xs = _tables(_XN, j_cut)
+    f, _ = jsq_tables(j_cut)
+    entries = z_matrix_entries(j_cut)
+    sweep = _Sweep(j_cut)
+    for idx, z in enumerate(_ZN):
+        a = operator_table(z, j_cut)
+        sweep.add(a, z_vector_form_table(z, j_cut), sweep.one, f @ xs[idx])
+        sweep.add(a, z_from_matrix_table(z, entries), sweep.one, *entries)
+    return sweep.result("z_route_equality")
 
 
 class _QC:
@@ -254,7 +249,7 @@ def check_hyp2f1_identity() -> CheckResult:
     term of the defining sum because the sum itself vanishes identically at
     scattered grid points.
     """
-    worst = 0.0
+    worst = _Worst()
     for n in range(0, 9):
         for k in range(0, 9):
             for m in range(0, 9):
@@ -278,8 +273,10 @@ def check_hyp2f1_identity() -> CheckResult:
                            ).to_complex()
                     lhs_c = lhs.to_complex()
                     scale = max(abs(lhs_c), abs(rhs), term_scale)
-                    worst = max(worst, abs(lhs_c - rhs) / scale)
-    return CheckResult("hyp2f1_identity_grid", worst, IDENTITY_TOL)
+                    worst.add(abs(lhs_c - rhs) / scale,
+                              {"n": n, "k": k, "m": m,
+                               "z": [complex(z).real, complex(z).imag]})
+    return worst.result("hyp2f1_identity_grid", IDENTITY_TOL)
 
 
 def check_gegenbauer_recurrence() -> CheckResult:
@@ -290,7 +287,7 @@ def check_gegenbauer_recurrence() -> CheckResult:
     side summed exactly (2a is an integer on this grid, so every coefficient
     is rational).
     """
-    worst = 0.0
+    worst = _Worst()
     for n in range(0, 21):
         for alpha in (0.5, 1.5, 4.5):
             two_a = int(round(2 * alpha))
@@ -308,8 +305,10 @@ def check_gegenbauer_recurrence() -> CheckResult:
                                      (c_int + s_) * (s_ + 1))
                     term = term * _QC(ratio) * wq
                 ser = acc.to_complex()
-                worst = max(worst, abs(rec - ser) / abs(ser))
-    return CheckResult("gegenbauer_recurrence_vs_series", worst, SERIES_TOL)
+                worst.add(abs(rec - ser) / abs(ser),
+                          {"n": n, "alpha": alpha,
+                           "x": [complex(x).real, complex(x).imag]})
+    return worst.result("gegenbauer_recurrence_vs_series", SERIES_TOL)
 
 
 def _random_tangent_point(rng: np.random.Generator,
@@ -329,13 +328,14 @@ def _random_tangent_point(rng: np.random.Generator,
 def check_three_paths(seed: int = 0) -> CheckResult:
     """Closed form vs triple sum vs ladder generation, amplitude-wise.
 
-    Ten phase points: two generic orientations at each momentum magnitude in
-    {0, 1, 5, 10, 12}.
+    Fourteen phase points: two generic orientations at each momentum
+    magnitude in {0, 1, 5, 10, 12, 18, 25}, each at the default cut for its
+    |l| (up to 70 at |l| = 25).
     """
     rng = np.random.default_rng(seed)
     rep = RepParams()
-    worst = 0.0
-    for l_norm in (0.0, 1.0, 5.0, 10.0, 12.0):
+    worst = _Worst()
+    for l_norm in (0.0, 1.0, 5.0, 10.0, 12.0, 18.0, 25.0):
         for _ in range(2):
             p = _random_tangent_point(rng, l_norm)
             zl = phase_to_z(p)
@@ -343,76 +343,74 @@ def check_three_paths(seed: int = 0) -> CheckResult:
             a = coherent_closed_form(zl, rep, cut)
             b = coherent_triple_sum(zl, rep, cut)
             c = coherent_ladder_generated(zl, rep, cut)
-            worst = max(worst, max_amplitude_rel_diff(a, b),
-                        max_amplitude_rel_diff(a, c))
-    return CheckResult("three_path_equality", worst, PATH_TOL)
+            worst.add(max(max_amplitude_rel_diff(a, b),
+                          max_amplitude_rel_diff(a, c)), _point(p))
+    return worst.result("three_path_equality", PATH_TOL)
 
 
 def check_eigen_residuals(seed: int = 0) -> CheckResult:
     """Generator eigenvalue equation on adaptively truncated states."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = _Worst()
     for l_norm in (0.0, 5.0, 10.0, 12.0):
         p = _random_tangent_point(rng, l_norm)
-        s = coherent_state(p)
-        worst = max(worst, eigen_residual(s, phase_to_z(p)))
-    return CheckResult("eigen_residuals", worst, RESIDUAL_TOL)
+        worst.add(eigen_residual(coherent_state(p), phase_to_z(p)), _point(p))
+    return worst.result("eigen_residuals", RESIDUAL_TOL)
 
 
 def check_label_constraint(seed: int = 0) -> CheckResult:
     """z.z = 1 (relative to label size) for 100 random tangent points."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = _Worst()
     for _ in range(100):
         l_norm = rng.uniform(0.0, 12.0)
         p = _random_tangent_point(rng, l_norm)
         z = phase_to_z(p).z
         scale = max(1.0, float(np.sum(np.abs(z) ** 2)))
-        worst = max(worst, abs(z @ z - 1.0) / scale)
-    return CheckResult("label_constraint", worst, IDENTITY_TOL)
+        worst.add(abs(z @ z - 1.0) / scale, _point(p))
+    return worst.result("label_constraint", IDENTITY_TOL)
 
 
 def check_circle_expectations() -> CheckResult:
     """|<J> - l| on the 0.05-spaced grid over [0, 3] (claimed < 1e-3)."""
-    worst = 0.0
+    worst = _Worst()
     for i in range(61):
         l = 0.05 * i
-        worst = max(worst, abs(circle_expect_J(CirclePhasePoint(0.0, l)) - l))
-    return CheckResult("circle_expect_J_grid", worst, 1e-3)
+        worst.add(abs(circle_expect_J(CirclePhasePoint(0.0, l)) - l), {"l": l})
+    return worst.result("circle_expect_J_grid", 1e-3)
 
 
 def check_circle_u_modulus() -> CheckResult:
     """| |<U>| - e^{-1/4} | on the same grid (claimed < 5e-3)."""
-    worst = 0.0
+    worst = _Worst()
     target = math.exp(-0.25)
     for i in range(61):
         l = 0.05 * i
         u = circle_expect_U(CirclePhasePoint(0.0, l))
-        worst = max(worst, abs(abs(u) - target))
-    return CheckResult("circle_u_modulus_grid", worst, 5e-3)
+        worst.add(abs(abs(u) - target), {"l": l})
+    return worst.result("circle_u_modulus_grid", 5e-3)
 
 
 def check_circle_eigen() -> CheckResult:
-    worst = 0.0
+    worst = _Worst()
     for phi, l in ((0.0, 0.0), (1.0, 2.5), (2.1, 3.7), (-2.0, 1.2)):
-        worst = max(worst,
-                    circle_eigen_residual(circle_coherent(
-                        CirclePhasePoint(phi, l))))
-    return CheckResult("circle_eigen_residual", worst, 1e-12)
+        worst.add(circle_eigen_residual(circle_coherent(
+            CirclePhasePoint(phi, l))), {"phi": phi, "l": l})
+    return worst.result("circle_eigen_residual", 1e-12)
 
 
 def check_uncertainty(seed: int = 0) -> CheckResult:
     """Variance bounds on circle and sphere states; measured = worst deficit."""
-    worst = 0.0
+    worst = _Worst()
     for l in (0.0, 0.25, 0.5, 1.0, 2.0):
         rep = circle_uncertainty_report(CirclePhasePoint(0.3, l))
-        worst = max(worst, rep.bound - rep.var_j)
+        worst.add(rep.bound - rep.var_j, {"phi": 0.3, "l": l})
     rng = np.random.default_rng(seed)
     for l_norm in (0.0, 5.0, 11.0):
         p = _random_tangent_point(rng, l_norm)
         u = uncertainty_J(coherent_state(p))
-        worst = max(worst, u.bound - u.var_j)
-    return CheckResult("uncertainty_inequalities", max(worst, 0.0), 0.0)
+        worst.add(u.bound - u.var_j, _point(p))
+    return worst.result("uncertainty_inequalities", 0.0)
 
 
 def check_truncation_tail(j_cut="auto", tail_tol: float = 1e-24) -> CheckResult:
@@ -422,28 +420,8 @@ def check_truncation_tail(j_cut="auto", tail_tol: float = 1e-24) -> CheckResult:
         s = coherent_state(p, tail_tol=tail_tol)
     else:
         s = coherent_state(p, j_cut=int(j_cut))
-    return CheckResult("truncation_tail", s.tail_fraction(bands=2), tail_tol)
-
-
-ALL_CHECKS = (
-    "e3_commutators",
-    "casimirs",
-    "v_squared",
-    "kv_anticommutator",
-    "z_commutativity",
-    "z_normalization",
-    "z_route_equality",
-    "hyp2f1_identity_grid",
-    "gegenbauer_recurrence_vs_series",
-    "three_path_equality",
-    "eigen_residuals",
-    "label_constraint",
-    "circle_expect_J_grid",
-    "circle_u_modulus_grid",
-    "circle_eigen_residual",
-    "uncertainty_inequalities",
-    "truncation_tail",
-)
+    return CheckResult("truncation_tail", s.tail_fraction(bands=2), tail_tol,
+                       1, _point(p))
 
 
 def run_all(seed: int = 0, j_cut: int = 30, tail_j_cut="auto",
@@ -475,7 +453,6 @@ def run_all(seed: int = 0, j_cut: int = 30, tail_j_cut="auto",
         check_truncation_tail(tail_j_cut, tail_tol),
     ]
     if tolerances:
-        results = [CheckResult(r.name, r.measured,
-                               tolerances.get(r.name, r.tolerance))
+        results = [replace(r, tolerance=tolerances.get(r.name, r.tolerance))
                    for r in results]
     return results

@@ -8,6 +8,7 @@ emitted with sorted keys and CSV follows RFC 4180.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -85,6 +86,22 @@ def _j_cut_arg(text: str):
     if v < 10:
         raise argparse.ArgumentTypeError("--j-cut must be at least 10")
     return v
+
+
+# The identity sweeps need an interior level j <= j_cut - 2 above the ground
+# multiplet, and hold each operator as a table of at most 15 bands over
+# (j_cut + 1)^2 complex coefficients per component: under 20 MB per table at
+# the upper bound, where the seven identity checks take 1.5 s and 70 MB.
+IDENTITY_J_CUT_RANGE = (3, 200)
+
+
+def _identity_j_cut_arg(text: str) -> int:
+    lo, hi = IDENTITY_J_CUT_RANGE
+    with contextlib.suppress(ValueError):
+        if lo <= int(text) <= hi:
+            return int(text)
+    raise argparse.ArgumentTypeError(
+        f"--identity-j-cut must be an integer in [{lo}, {hi}], got {text!r}")
 
 
 def _tail_tol_arg(text: str) -> float:
@@ -247,7 +264,8 @@ def cmd_verify(args) -> int:
         "all_passed": ok,
         "checks": [
             {"check": r.name, "measured": r.measured,
-             "tolerance": r.tolerance, "pass": r.passed}
+             "tolerance": r.tolerance, "pass": r.passed,
+             "n_cases": r.n_cases, "worst_at": r.worst_at}
             for r in results
         ],
     }
@@ -315,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the full invariant suite")
     common(pv)
-    pv.add_argument("--identity-j-cut", type=int, default=30,
-                    help="truncation level for the operator-identity sweeps")
+    pv.add_argument("--identity-j-cut", type=_identity_j_cut_arg, default=30,
+                    help="truncation level for the operator-identity sweeps "
+                         "(3 to 200)")
     pv.set_defaults(func=cmd_verify)
     return parser
 

@@ -6,15 +6,15 @@ forces the minimal j to be 0 and all labels integer).  States are sparse maps
 from (j, m) to log-domain amplitudes; operators act exactly through their
 known matrix elements, and anything raised past the truncation level j_cut is
 dropped into a loss counter instead of vanishing silently.  Expectation
-values and eigen-residuals are evaluated on a dense view of the state instead
-(see the section on dense evaluation below).
+values and eigen-residuals are evaluated on a dense view of the state, and
+operators are held as tables of their action on every basis vector at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,11 +25,15 @@ __all__ = [
     "RepParams",
     "StateVector",
     "basis_state",
-    "apply_operator",
     "apply_J",
     "apply_X",
     "apply_Z",
-    "apply_Z_vector_form",
+    "apply_table",
+    "BandTable",
+    "operator_table",
+    "identity_table",
+    "jsq_tables",
+    "z_vector_form_table",
     "state_sum",
     "state_scale",
     "inner_log",
@@ -121,6 +125,30 @@ class StateVector:
         amps = {k: a for k, a in self.amplitudes.items() if k.j <= j_max}
         return replace(self, amplitudes=amps)
 
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log-magnitude, phase) arrays over the flat index j*j + j + m."""
+        n = (self.j_cut + 1) ** 2
+        lm = np.full(n, -math.inf)
+        ph = np.zeros(n)
+        for (j, m), a in self.amplitudes.items():
+            k = j * j + j + m
+            lm[k] = a.log_mag
+            ph[k] = a.phase
+        return lm, ph
+
+    @classmethod
+    def from_dense(cls, lm: np.ndarray, ph: np.ndarray, j_cut: int,
+                   rep: RepParams, lost_log: float = -math.inf
+                   ) -> "StateVector":
+        """The state with the amplitudes exp(lm) e^{i ph} on the flat grid;
+        entries with lm = -inf are left out."""
+        j, m = _grid(j_cut)
+        k = np.flatnonzero(lm > -math.inf)
+        amps = {BasisIndex(jj, mm): LogComplex.from_polar(lg, p)
+                for jj, mm, lg, p in zip(j[k].tolist(), m[k].tolist(),
+                                         lm[k].tolist(), ph[k].tolist())}
+        return cls(amps, j_cut=j_cut, rep=rep, lost_log=lost_log)
+
 
 def basis_state(j: int, m: int, j_cut: int,
                 rep: RepParams | None = None) -> StateVector:
@@ -132,233 +160,36 @@ def basis_state(j: int, m: int, j_cut: int,
 # operator actions
 # ---------------------------------------------------------------------------
 
-def _emit(contribs: list, key: BasisIndex, amp: LogComplex):
-    if not amp.is_zero:
-        contribs.append((key, amp))
+_J_LABELS = {"J3", "Jplus", "Jminus", "Jsq"}
+_X_LABELS = {"X1", "X2", "X3", "Xplus", "Xminus"}
+_Z_LABELS = {"Z1", "Z2", "Z3"}
 
 
-def _collect(contribs: Iterable, s: StateVector) -> StateVector:
-    """Combine per-index contributions, dropping (and counting) j > j_cut."""
-    buckets: dict = {}
-    lost = [s.lost_log]
-    for key, amp in contribs:
-        if key.j > s.j_cut:
-            lost.append(amp.abs_sq_log())
-            continue
-        buckets.setdefault(key, []).append(amp)
-    amps = {}
-    for key, terms in buckets.items():
-        total = terms[0] if len(terms) == 1 else log_complex_sum(terms)
-        if not total.is_zero:
-            amps[key] = total
-    return replace(s, amplitudes=amps, lost_log=log_sum_exp(lost))
-
-
-def _jplus_coef(j: int, m: int) -> float:
-    return math.sqrt((j - m) * (j + m + 1))
-
-
-def _jminus_coef(j: int, m: int) -> float:
-    return math.sqrt((j + m) * (j - m + 1))
+def _apply_label(which: str, labels: set, s: StateVector) -> StateVector:
+    if which not in labels:
+        raise ValueError(f"unknown operator label {which!r}")
+    return apply_table(operator_table(which, s.j_cut, s.rep.r), s)[0]
 
 
 def apply_J(which: str, s: StateVector) -> StateVector:
     """Exact action of J3, J+/-, or J^2 (ladder shifts never change j)."""
-    contribs: list = []
-    for (j, m), a in s.amplitudes.items():
-        if which == "J3":
-            _emit(contribs, BasisIndex(j, m), a * LogComplex.from_real(m))
-        elif which == "Jsq":
-            _emit(contribs, BasisIndex(j, m),
-                  a * LogComplex.from_real(j * (j + 1)))
-        elif which == "Jplus":
-            if m < j:
-                _emit(contribs, BasisIndex(j, m + 1),
-                      a * LogComplex.from_real(_jplus_coef(j, m)))
-        elif which == "Jminus":
-            if m > -j:
-                _emit(contribs, BasisIndex(j, m - 1),
-                      a * LogComplex.from_real(_jminus_coef(j, m)))
-        else:
-            raise ValueError(f"unknown J operator {which!r}")
-    return _collect(contribs, s)
-
-
-def _x_terms(which: str, j: int, m: int, r: float):
-    """Matrix elements of the position operators at zero twist.
-
-    Each is tridiagonal in j with no diagonal term (the twist-proportional
-    middle term vanishes identically), so the action strictly changes j.
-    The j -> j-1 coefficients vanish for every state they could act on at
-    j = 0, hence the plain j >= 1 guard.
-    """
-    up = math.sqrt((2 * j + 1) * (2 * j + 3))
-    if which == "X3":
-        yield BasisIndex(j + 1, m), r * math.sqrt((j - m + 1) * (j + m + 1)) / up
-        if j >= 1:
-            dn = math.sqrt((2 * j - 1) * (2 * j + 1))
-            yield BasisIndex(j - 1, m), r * math.sqrt((j - m) * (j + m)) / dn
-    elif which == "Xplus":
-        yield BasisIndex(j + 1, m + 1), -r * math.sqrt((j + m + 1) * (j + m + 2)) / up
-        if j >= 1:
-            dn = math.sqrt((2 * j - 1) * (2 * j + 1))
-            yield BasisIndex(j - 1, m + 1), r * math.sqrt((j - m - 1) * (j - m)) / dn
-    elif which == "Xminus":
-        yield BasisIndex(j + 1, m - 1), r * math.sqrt((j - m + 1) * (j - m + 2)) / up
-        if j >= 1:
-            dn = math.sqrt((2 * j - 1) * (2 * j + 1))
-            yield BasisIndex(j - 1, m - 1), -r * math.sqrt((j + m - 1) * (j + m)) / dn
-    else:
-        raise ValueError(f"unknown X operator {which!r}")
+    return _apply_label(which, _J_LABELS, s)
 
 
 def apply_X(which: str, s: StateVector) -> StateVector:
     """Position-operator action; X1, X2 are the Hermitian ladder combinations."""
-    r = s.rep.r
     if which == "X1":
         return state_sum([state_scale(apply_X("Xplus", s), complex(0.5)),
                           state_scale(apply_X("Xminus", s), complex(0.5))])
     if which == "X2":
         return state_sum([state_scale(apply_X("Xplus", s), complex(0, -0.5)),
                           state_scale(apply_X("Xminus", s), complex(0, 0.5))])
-    contribs: list = []
-    for (j, m), a in s.amplitudes.items():
-        for key, coef in _x_terms(which, j, m, r):
-            if coef != 0.0:
-                _emit(contribs, key, a * LogComplex.from_real(coef))
-    return _collect(contribs, s)
-
-
-def _z_terms(which: str, j: int, m: int):
-    """Coherent-state generator matrix elements.
-
-    Same selection rules as X/r but with the raising branch weighted by
-    e^{-j-1} and the lowering branch by e^{j}; the weights are carried in
-    log form so arbitrarily large j never overflows.
-    """
-    up = -(j + 1.0)          # log weight of the j -> j+1 branch
-    dn = float(j)            # log weight of the j -> j-1 branch
-    lup = math.log((2 * j + 1) * (2 * j + 3)) / 2
-    ldn = math.log((2 * j - 1) * (2 * j + 1)) / 2 if j >= 1 else 0.0
-
-    def branch(sq: float, sign: float, phase_i: bool, lw: float, key):
-        if sq <= 0:
-            return None
-        lm = 0.5 * math.log(sq) + lw
-        ph = math.pi / 2 if phase_i else 0.0
-        if sign < 0:
-            ph += math.pi
-        return key, LogComplex.from_polar(lm, ph)
-
-    if which == "Z3":
-        t = branch((j - m + 1) * (j + m + 1), +1, False, up - lup,
-                   BasisIndex(j + 1, m))
-        if t:
-            yield t
-        if j >= 1:
-            t = branch((j - m) * (j + m), +1, False, dn - ldn,
-                       BasisIndex(j - 1, m))
-            if t:
-                yield t
-        return
-    half = math.log(0.5)
-    if which == "Z1":
-        plan = [((j + m + 1) * (j + m + 2), -1, False, up - lup + half, (j + 1, m + 1)),
-                ((j - m - 1) * (j - m),     +1, False, dn - ldn + half, (j - 1, m + 1)),
-                ((j - m + 1) * (j - m + 2), +1, False, up - lup + half, (j + 1, m - 1)),
-                ((j + m - 1) * (j + m),     -1, False, dn - ldn + half, (j - 1, m - 1))]
-    elif which == "Z2":
-        plan = [((j + m + 1) * (j + m + 2), +1, True, up - lup + half, (j + 1, m + 1)),
-                ((j - m - 1) * (j - m),     -1, True, dn - ldn + half, (j - 1, m + 1)),
-                ((j - m + 1) * (j - m + 2), +1, True, up - lup + half, (j + 1, m - 1)),
-                ((j + m - 1) * (j + m),     -1, True, dn - ldn + half, (j - 1, m - 1))]
-    else:
-        raise ValueError(f"unknown Z operator {which!r}")
-    for sq, sign, phase_i, lw, (jj, mm) in plan:
-        if jj < 0 or abs(mm) > jj:
-            continue
-        t = branch(sq, sign, phase_i, lw, BasisIndex(jj, mm))
-        if t:
-            yield t
+    return _apply_label(which, _X_LABELS, s)
 
 
 def apply_Z(which: str, s: StateVector) -> StateVector:
     """Coherent-state generator action from its explicit matrix elements."""
-    contribs: list = []
-    for (j, m), a in s.amplitudes.items():
-        for key, coef in _z_terms(which, j, m):
-            _emit(contribs, key, a * coef)
-    return _collect(contribs, s)
-
-
-def _jsq_scalar_logs(j: int) -> tuple[float, float]:
-    """Log values of the two scalar J^2 functions entering the generator.
-
-    With s = sqrt(1 + 4 j(j+1)) = 2j + 1:
-        f(j) = e^{1/2} (sinh(s/2)/s + cosh(s/2))
-        g(j) = 2 e^{1/2} sinh(s/2)/s
-    Rewritten around e^{s/2} so they stay finite in log form for any j.
-    """
-    sv = 2.0 * j + 1.0
-    es = math.exp(-sv)
-    logf = 0.5 + sv / 2 - math.log(2.0) + math.log((1 - es) / sv + 1 + es)
-    logg = 0.5 + sv / 2 + math.log1p(-es) - math.log(sv)
-    return logf, logg
-
-
-def _diag_mul_logs(s: StateVector, log_by_j) -> StateVector:
-    amps = {k: a.scaled_log(log_by_j(k.j)) for k, a in s.amplitudes.items()}
-    return replace(s, amplitudes=amps)
-
-
-def apply_Z_vector_form(which: str, s: StateVector) -> StateVector:
-    """Generator built from scalar functions of J^2, X and the J x X product.
-
-    Independent route to the same operators: f(J^2) X_i / r plus
-    i g(J^2) (J x X)_i / r with J kept to the left of X and both scalar
-    functions applied after the vector part (they are diagonal in j).
-    Serves as a cross-check oracle for apply_Z.
-    """
-    idx = {"Z1": 0, "Z2": 1, "Z3": 2}[which]
-    xs = ("X1", "X2", "X3")
-    js = ("J1", "J2", "J3")
-    r = s.rep.r
-
-    def apply_j_cart(k: str, st: StateVector) -> StateVector:
-        if k == "J3":
-            return apply_J("J3", st)
-        if k == "J1":
-            return state_sum([state_scale(apply_J("Jplus", st), complex(0.5)),
-                              state_scale(apply_J("Jminus", st), complex(0.5))])
-        return state_sum([state_scale(apply_J("Jplus", st), complex(0, -0.5)),
-                          state_scale(apply_J("Jminus", st), complex(0, 0.5))])
-
-    t1 = _diag_mul_logs(apply_X(xs[idx], s), lambda j: _jsq_scalar_logs(j)[0])
-
-    jn, kn = (idx + 1) % 3, (idx + 2) % 3
-    cross = state_sum([
-        apply_j_cart(js[jn], apply_X(xs[kn], s)),
-        state_scale(apply_j_cart(js[kn], apply_X(xs[jn], s)), complex(-1.0)),
-    ])
-    t2 = state_scale(
-        _diag_mul_logs(cross, lambda j: _jsq_scalar_logs(j)[1]), complex(0, 1))
-
-    return state_scale(state_sum([t1, t2]), complex(1.0 / r))
-
-
-_J_LABELS = {"J3", "Jplus", "Jminus", "Jsq"}
-_X_LABELS = {"X1", "X2", "X3", "Xplus", "Xminus"}
-_Z_LABELS = {"Z1", "Z2", "Z3"}
-
-
-def apply_operator(which: str, s: StateVector) -> StateVector:
-    if which in _J_LABELS:
-        return apply_J(which, s)
-    if which in _X_LABELS:
-        return apply_X(which, s)
-    if which in _Z_LABELS:
-        return apply_Z(which, s)
-    raise ValueError(f"unknown operator label {which!r}")
+    return _apply_label(which, _Z_LABELS, s)
 
 
 # ---------------------------------------------------------------------------
@@ -424,18 +255,6 @@ def inner(a: StateVector, b: StateVector) -> complex:
 # log-magnitude is subtracted before exponentiating, so nothing overflows and
 # terms below e^-745 of the largest underflow to zero, as in log_complex_sum.
 
-def _dense_view(s: StateVector) -> tuple[np.ndarray, np.ndarray]:
-    """(log-magnitude, phase) of s over the flat index j*j + j + m."""
-    n = (s.j_cut + 1) ** 2
-    lm = np.full(n, -math.inf)
-    ph = np.zeros(n)
-    for (j, m), a in s.amplitudes.items():
-        k = j * j + j + m
-        lm[k] = a.log_mag
-        ph[k] = a.phase
-    return lm, ph
-
-
 def _rect_array(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
     """exp(lm) e^{i ph}; quadrant phases stay exact, as in logdomain._rect."""
     mag = np.exp(lm)
@@ -458,9 +277,11 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray,
 
     O|j, m> = sum over branches of coef e^{log_weight} |j + dj, m + dm>, and
     each coefficient vanishes wherever its target is not a basis index.
-    These are vectorised copies of _jplus_coef, _jminus_coef, _x_terms and
-    _z_terms (the tests hold them equal); the Z weights e^{-j-1} and e^{j}
-    stay in log form.
+    This is the one place the matrix elements are written down (the tests
+    hold them equal to the scalar formulas).  The position operators at zero
+    twist are tridiagonal in j with no diagonal term, so X strictly changes
+    j.  Z has the selection rules of X/r with the raising branch weighted by
+    e^{-j-1} and the lowering branch by e^{j}, kept in log form.
     """
     if which in _Z_LABELS:
         weight = {1: -(j + 1.0), -1: j.astype(float)}
@@ -475,12 +296,12 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray,
         return [(0, 1, np.sqrt((j - m) * (j + m + 1)), w0)]
     if which == "Jminus":
         return [(0, -1, np.sqrt((j + m) * (j - m + 1)), w0)]
-    if which in ("X1", "X2"):
-        fp, fm = (0.5, 0.5) if which == "X1" else (-0.5j, 0.5j)
-        return ([(dj, dm, fp * c, w)
-                 for dj, dm, c, w in _dense_branches("Xplus", j, m, r)]
-                + [(dj, dm, fm * c, w)
-                   for dj, dm, c, w in _dense_branches("Xminus", j, m, r)])
+    if which in ("J1", "J2", "X1", "X2"):
+        # the Hermitian combinations of a ladder pair, for J and X alike
+        factors = (0.5, 0.5) if which[1] == "1" else (-0.5j, 0.5j)
+        return [(dj, dm, f * c, w)
+                for f, side in zip(factors, ("plus", "minus"))
+                for dj, dm, c, w in _dense_branches(which[0] + side, j, m, r)]
     up = np.sqrt((2 * j + 1) * (2 * j + 3))
     # j = 0 has no lowering branch: its numerators below vanish there
     dn = np.sqrt(np.maximum((2 * j - 1) * (2 * j + 1), 1))
@@ -503,6 +324,8 @@ def _dense_apply(which: str, s: StateVector, lm: np.ndarray, ph: np.ndarray,
     top is the largest source log-magnitude plus branch weight, or `floor`
     if that is larger; raising past j_cut drops the term.
     """
+    if which not in _J_LABELS | _X_LABELS | _Z_LABELS:
+        raise ValueError(f"unknown operator label {which!r}")
     j, m = _grid(s.j_cut)
     terms = []
     for dj, dm, coef, weight in _dense_branches(which, j, m, s.rep.r):
@@ -520,11 +343,11 @@ def _dense_apply(which: str, s: StateVector, lm: np.ndarray, ph: np.ndarray,
 
 
 def expectation(which: str, s: StateVector) -> complex:
-    """<s|O|s> / <s|s> for any label apply_operator accepts.
+    """<s|O|s> / <s|s> for any label apply_J, apply_X or apply_Z accepts.
 
     Evaluated on the dense view with the largest amplitude scaled to 1.
     """
-    lm, ph = _dense_view(s)
+    lm, ph = s.dense()
     peak = lm.max()
     if peak == -math.inf:
         raise ValueError("expectation value in a zero-norm state")
@@ -536,7 +359,7 @@ def expectation(which: str, s: StateVector) -> complex:
 def residual_norm(which: str, s: StateVector, value: complex,
                   j_max: int) -> float:
     """||(O - value)|s>|| / ||s||, counting only the levels j <= j_max."""
-    lm, ph = _dense_view(s)
+    lm, ph = s.dense()
     peak = lm.max()
     if peak == -math.inf:
         raise ValueError("cannot normalize the zero state")
@@ -568,3 +391,187 @@ def relative_residual(lhs: StateVector, rhs: StateVector,
     if ref == -math.inf:
         return math.inf
     return math.exp(0.5 * (d - ref))
+
+
+# ---------------------------------------------------------------------------
+# operators on every basis vector at once: banded coefficient tables
+# ---------------------------------------------------------------------------
+#
+# An operator identity that holds on every basis vector is one identity
+# between tables.  A table stores the image of every basis vector in diagonal
+# form: a few bands (dj, dm, dc), each a coefficient array over the source
+# columns.  Column c*n + j*j + j + m, with n = (j_cut + 1)^2, is |j, m> in
+# component c: one-component tables act on the representation space,
+# two-component ones on spinors.  Every column carries its own log scale, so
+# the e^{j} weights of Z and e^{-K} cannot overflow.  A product gathers one
+# table at the other's targets, O(bands^2 n), and drops targets past j_cut
+# between the factors, as the sparse operator actions do.
+
+@dataclass(frozen=True)
+class BandTable:
+    """Operator on every column at once.
+
+    Column k is sent to sum over bands (dj, dm, dc) of
+    e^{log_scale[k]} bands[(dj, dm, dc)][k] |j + dj, m + dm> in component
+    c + dc, where (c, j, m) is the column's basis index.  Targets past j_cut
+    may carry coefficients; products, norms and applications drop them.
+    """
+
+    bands: dict
+    log_scale: np.ndarray
+    j_cut: int
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Component, j and m of every column."""
+        n = (self.j_cut + 1) ** 2
+        comps = self.log_scale.size // n
+        j, m = _grid(self.j_cut)
+        return (np.repeat(np.arange(comps), n), np.tile(j, comps),
+                np.tile(m, comps))
+
+    def _targets(self, key: tuple, j_max: int) -> tuple:
+        """Target column of every column under band `key`, and whether it
+        is a basis index with j <= j_max (the target is 0 where it is not)."""
+        n = (self.j_cut + 1) ** 2
+        c, j, m = self.columns()
+        ct, jt, mt = c + key[2], j + key[0], m + key[1]
+        ok = ((jt >= 0) & (jt <= j_max) & (np.abs(mt) <= jt)
+              & (ct >= 0) & (ct * n < self.log_scale.size))
+        return np.where(ok, ct * n + jt * (jt + 1) + mt, 0), ok
+
+    def _check_shape(self, other: "BandTable") -> None:
+        if other.log_scale.shape != self.log_scale.shape:
+            raise ValueError("tables must share j_cut and components")
+
+    def __matmul__(self, other: "BandTable") -> "BandTable":
+        """The product self other, in which other acts first."""
+        self._check_shape(other)
+        gathered = []
+        for key, coef in other.bands.items():
+            tgt, ok = other._targets(key, self.j_cut)
+            scale = np.where(ok & (coef != 0), self.log_scale[tgt], -math.inf)
+            gathered.append((key, coef, tgt, scale))
+        top = np.nan_to_num(np.max([g[3] for g in gathered], axis=0,
+                                   initial=-math.inf), neginf=0.0)
+        bands: dict = {}
+        for kb, cb, tgt, scale in gathered:
+            w = cb * np.exp(scale - top)
+            for ka, ca in self.bands.items():
+                key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
+                bands[key] = bands.get(key, 0) + ca[tgt] * w
+        return BandTable(bands, other.log_scale + top, self.j_cut)
+
+    def __add__(self, other: "BandTable") -> "BandTable":
+        self._check_shape(other)
+        top = np.maximum(self.log_scale, other.log_scale)
+        bands: dict = {}
+        for t in (self, other):
+            f = np.exp(t.log_scale - top)
+            for key, coef in t.bands.items():
+                bands[key] = bands.get(key, 0) + coef * f
+        return BandTable(bands, top, self.j_cut)
+
+    def __rmul__(self, c: complex) -> "BandTable":
+        return BandTable({k: c * v for k, v in self.bands.items()},
+                         self.log_scale, self.j_cut)
+
+    def __sub__(self, other: "BandTable") -> "BandTable":
+        return self + (-1.0) * other
+
+    def column_log_norms(self, j_max: int | None = None) -> np.ndarray:
+        """log of the norm of every column's image over the targets with
+        j <= j_max (default j_cut); -inf where that image is zero."""
+        j_max = self.j_cut if j_max is None else j_max
+        sq = np.zeros(self.log_scale.size)
+        for key, coef in self.bands.items():
+            sq += np.abs(coef) ** 2 * self._targets(key, j_max)[1]
+        with np.errstate(divide="ignore"):
+            return self.log_scale + 0.5 * np.log(sq)
+
+
+def operator_table(which: str, j_cut: int, r: float = 1.0) -> BandTable:
+    """Table of J1, J2 or any label apply_J, apply_X or apply_Z accepts: the
+    sum of its dense branches."""
+    j, m = _grid(j_cut)
+    parts = [BandTable({(dj, dm, 0): c}, w, j_cut)
+             for dj, dm, c, w in _dense_branches(which, j, m, r)]
+    return sum(parts[1:], parts[0])
+
+
+def identity_table(j_cut: int, components: int = 1) -> BandTable:
+    n = components * (j_cut + 1) ** 2
+    return BandTable({(0, 0, 0): np.ones(n)}, np.zeros(n), j_cut)
+
+
+def _jsq_scalar_logs(j):
+    """Log values of the two scalar J^2 functions entering the generator.
+
+    With s = sqrt(1 + 4 j(j+1)) = 2j + 1:
+        f(j) = e^{1/2} (sinh(s/2)/s + cosh(s/2))
+        g(j) = 2 e^{1/2} sinh(s/2)/s
+    Rewritten around e^{s/2} so they stay finite in log form for any j.
+    """
+    sv = 2.0 * j + 1.0
+    es = np.exp(-sv)
+    logf = 0.5 + sv / 2 - math.log(2.0) + np.log((1 - es) / sv + 1 + es)
+    logg = 0.5 + sv / 2 + np.log1p(-es) - np.log(sv)
+    return logf, logg
+
+
+def jsq_tables(j_cut: int) -> tuple[BandTable, BandTable]:
+    """The diagonal tables of f(J^2) and g(J^2)."""
+    j, _ = _grid(j_cut)
+    return tuple(BandTable({(0, 0, 0): np.ones(j.size)}, logs, j_cut)
+                 for logs in _jsq_scalar_logs(j))
+
+
+def z_vector_form_table(which: str, j_cut: int, r: float = 1.0) -> BandTable:
+    """Generator built from scalar functions of J^2, X and the J x X product.
+
+    Independent route to the same operators: f(J^2) X_i / r plus
+    i g(J^2) (J x X)_i / r with J kept to the left of X and both scalar
+    functions applied after the vector part (they are diagonal in j).
+    """
+    idx = ("Z1", "Z2", "Z3").index(which)
+    js = [operator_table(f"J{i}", j_cut) for i in (1, 2, 3)]
+    xs = [operator_table(f"X{i}", j_cut, r) for i in (1, 2, 3)]
+    f, g = jsq_tables(j_cut)
+    jn, kn = (idx + 1) % 3, (idx + 2) % 3
+    cross = js[jn] @ xs[kn] - js[kn] @ xs[jn]
+    return (1.0 / r) * (f @ xs[idx] + 1j * (g @ cross))
+
+
+def apply_table(t: BandTable, *components: StateVector) -> tuple:
+    """The table's operator applied to a state given by its components.
+
+    Each amplitude is summed around its largest contribution, as in
+    log_complex_sum.  Terms raised past j_cut are dropped, and their squared
+    magnitude is added to the lost_log of the component they would reach.
+    """
+    n = (t.j_cut + 1) ** 2
+    lm, ph = map(np.concatenate, zip(*(s.dense() for s in components)))
+    lm = lm + t.log_scale
+    top = np.full(lm.size, -math.inf)
+    lost = [[s.lost_log] for s in components]
+    terms = []
+    for key, coef in t.bands.items():
+        tgt, ok = t._targets(key, t.j_cut)
+        live = (coef != 0) & (lm > -math.inf)
+        src = np.flatnonzero(live & ok)
+        lg = lm[src] + np.log(np.abs(coef[src]))
+        terms.append((tgt[src], lg, ph[src], coef[src] / np.abs(coef[src])))
+        np.maximum.at(top, tgt[src], lg)
+        for k in np.flatnonzero(live & ~ok):
+            lost[k // n + key[2]].append(2 * (lm[k] + math.log(abs(coef[k]))))
+    acc = np.zeros(lm.size, dtype=complex)
+    for tgt, lg, phase, unit in terms:
+        # each band maps distinct sources to distinct targets
+        acc[tgt] += unit * _rect_array(lg - top[tgt], phase)
+    with np.errstate(divide="ignore"):
+        out_lm = top + np.log(np.abs(acc))
+    out_ph = np.angle(acc)
+    return tuple(
+        StateVector.from_dense(out_lm[c * n:(c + 1) * n],
+                               out_ph[c * n:(c + 1) * n], t.j_cut, s.rep,
+                               log_sum_exp(lost[c]))
+        for c, s in enumerate(components))

@@ -25,9 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .logdomain import LogComplex, ONE, ZERO, log_complex_sum
-from .repspace import (BasisIndex, RepParams, StateVector, apply_J,
-                       expectation, residual_norm, state_scale, state_sum)
+from .logdomain import LogComplex, ONE
+from .repspace import (BasisIndex, RepParams, StateVector, _dense_branches,
+                       _grid, _rect_array, expectation, residual_norm)
 from .specfun import gegenbauer_column, log_factorial
 
 __all__ = [
@@ -243,92 +243,103 @@ def coherent_triple_sum(zl: ZLabel, rep: RepParams, j_cut: int) -> StateVector:
     """Raw expansion over (j, m, k); agrees with the closed form.
 
     Kept as an independent verification path: it shares no code with the
-    Gegenbauer route beyond the log-domain carrier.
+    Gegenbauer route beyond the log-domain carrier.  For each j the (m, k)
+    terms form an array with one column per target m - k, each column summed
+    around its largest term.
     """
     mu, nu, gamma = generation_params(zl)
-    mu_l = LogComplex.from_complex(mu)
-    nu_l = LogComplex.from_complex(nu)
-    contribs: dict = {}
+    lf = np.array([log_factorial(n) for n in range(2 * j_cut + 1)])
+    lm = np.full((j_cut + 1) ** 2, -math.inf)
+    ph = np.zeros(lm.size)
     for j in range(j_cut + 1):
-        base = LogComplex.from_polar(-0.5 * j * (j + 1)
-                                     + 0.5 * math.log(2 * j + 1))
-        for m in range(0, j + 1):
-            fm = (base * (nu_l ** m)
-                  * LogComplex.from_polar(-log_factorial(m)
-                                          + log_factorial(j + m)
-                                          - log_factorial(j - m))
-                  * LogComplex.from_polar(m * gamma.real, m * gamma.imag))
-            if fm.is_zero:
-                continue
-            for k in range(0, j + m + 1):
-                mk = m - k
-                if abs(mk) > j:
-                    continue
-                term = (fm * (mu_l ** k)
-                        * LogComplex.from_polar(
-                            -log_factorial(k)
-                            + 0.5 * (log_factorial(j - m + k)
-                                     - log_factorial(j + m - k))))
-                if not term.is_zero:
-                    contribs.setdefault(BasisIndex(j, mk), []).append(term)
-    amps = {}
-    for key, terms in contribs.items():
-        t = log_complex_sum(terms)
-        if not t.is_zero:
-            amps[key] = t
-    return StateVector(amps, j_cut=j_cut, rep=rep)
+        m = np.arange(j + 1)[:, None]
+        k = m - np.arange(-j, j + 1)[None, :]
+        ok = k >= 0
+        k = np.where(ok, k, 0)
+        lg = (-0.5 * j * (j + 1) + 0.5 * math.log(2 * j + 1)
+              + _log_power(nu, m) + m * gamma.real
+              - lf[m] + lf[j + m] - lf[j - m]
+              + _log_power(mu, k) - lf[k]
+              + 0.5 * (lf[j - m + k] - lf[j + m - k]))
+        lg = np.where(ok, lg, -math.inf)
+        phase = m * (cmath.phase(nu) + gamma.imag) + k * cmath.phase(mu)
+        top = np.nan_to_num(lg.max(axis=0), neginf=0.0)
+        acc = _rect_array(lg - top, phase).sum(axis=0)
+        with np.errstate(divide="ignore"):
+            lm[j * j:(j + 1) ** 2] = top + np.log(np.abs(acc))
+        ph[j * j:(j + 1) ** 2] = np.angle(acc)
+    return StateVector.from_dense(lm, ph, j_cut, rep)
 
 
-def _exp_ladder(which: str, coef: complex, s: StateVector) -> StateVector:
-    """exp(coef * Jpm) as the ladder series.
+def _log_power(w: complex, n: np.ndarray) -> np.ndarray:
+    """n log|w|, with w^0 = 1 also for w = 0."""
+    if w == 0:
+        return np.where(n == 0, 0.0, -math.inf)
+    return n * math.log(abs(w))
+
+
+def _exp_ladder(which: str, coef: complex, lm: np.ndarray, ph: np.ndarray,
+                j_cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(coef * Jpm) as the ladder series, on the dense view (lm, ph).
 
     Jpm is nilpotent inside each multiplet, so the series is an exact finite
     sum that terminates on its own by 2 j_cut + 1 applications.  No
     norm-based early cut is applied: a later diagonal stage can reweight
     amplitudes by factors as large as e^{|Re gamma| j_cut}, which would turn
-    any "negligible now" judgement into a real error downstream.
+    any "negligible now" judgement into a real error downstream.  Each term
+    shifts the previous one by one step in m; the terms are added into a
+    running sum rescaled to its largest log-magnitude per amplitude.
     """
     if coef == 0:
-        return s
-    terms = [s]
-    term = s
-    k = 0
-    while True:
-        k += 1
-        term = state_scale(apply_J(which, term), coef / k)
-        if term.is_zero():
+        return lm, ph
+    ((_, dm, c, _),) = _dense_branches(which, *_grid(j_cut), 1.0)
+    with np.errstate(divide="ignore"):
+        lc = np.log(c) + math.log(abs(coef))
+    top, t_lm, t_ph = lm, lm, ph
+    acc = np.where(lm > -math.inf, _rect_array(np.zeros(lm.size), ph), 0)
+    for k in range(1, 2 * j_cut + 3):
+        # the flat index moves with m; the coefficient is 0 at m = +-j, so
+        # nothing crosses into the next multiplet or wraps around
+        t_lm = np.roll(t_lm + lc, dm) - math.log(k)
+        if t_lm.max() == -math.inf:
             break
-        terms.append(term)
-        if k > 2 * s.j_cut + 2:
-            raise RuntimeError("ladder series failed to terminate")
-    return state_sum(terms)
+        t_ph = np.roll(t_ph, dm) + cmath.phase(coef)
+        new_top = np.maximum(top, t_lm)
+        shift = np.nan_to_num(new_top, neginf=0.0)
+        acc = acc * np.exp(top - shift) + _rect_array(t_lm - shift, t_ph)
+        top = new_top
+    else:
+        raise RuntimeError("ladder series failed to terminate")
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.abs(acc)), np.angle(acc)
 
 
-def _diag_exp_J3(gamma: complex, s: StateVector) -> StateVector:
-    amps = {k: (a * LogComplex.from_polar(k.m * gamma.real, k.m * gamma.imag))
-            for k, a in s.amplitudes.items()}
-    return replace(s, amplitudes=amps)
+def _ladder_product(s: StateVector, lower: complex, diag: complex,
+                    upper: complex) -> StateVector:
+    """exp(lower J-) exp(diag J3) exp(upper J+) |s>."""
+    lm, ph = _exp_ladder("Jplus", upper, *s.dense(), s.j_cut)
+    _, m = _grid(s.j_cut)
+    lm, ph = _exp_ladder("Jminus", lower, lm + m * diag.real,
+                         ph + m * diag.imag, s.j_cut)
+    return StateVector.from_dense(lm, ph, s.j_cut, s.rep, s.lost_log)
 
 
 def coherent_ladder_generated(zl: ZLabel, rep: RepParams,
                               j_cut: int) -> StateVector:
     """Generate from the north-pole rest state by ladder exponentials."""
     mu, nu, gamma = generation_params(zl)
-    s = north_pole_state(rep, j_cut)
-    s = _exp_ladder("Jplus", nu, s)
-    s = _diag_exp_J3(gamma, s)
-    s = _exp_ladder("Jminus", mu, s)
-    return s
+    return _ladder_product(north_pole_state(rep, j_cut), mu, gamma, nu)
 
 
 def apply_rotation(s: StateVector, axis, angle: float) -> StateVector:
     """Unitary rotation exp(-i angle axis.J) via its Gauss decomposition.
 
-    The 2x2 spin matrix of the rotation factors as
-    exp(a J-) exp(b J3) exp(c J+), and the same parameters implement the
-    rotation in every multiplet, which lets the ladder-series machinery be
-    reused verbatim.  Fails when the matrix corner alpha vanishes (rotation
-    by pi about an equatorial axis); tests avoid that measure-zero set.
+    The 2x2 spin matrix [[alpha, beta], [gamma, .]] of the rotation factors
+    as exp(a J-) exp(b J3) exp(c J+) with a = gamma/alpha, b = 2 log alpha
+    and c = beta/alpha, and the same parameters implement the rotation in
+    every multiplet, which lets the ladder-series machinery be reused
+    verbatim.  Fails when the matrix corner alpha vanishes (rotation by pi
+    about an equatorial axis); tests avoid that measure-zero set.
     """
     n = _vec(axis)
     n = n / math.sqrt(n @ n)
@@ -338,13 +349,8 @@ def apply_rotation(s: StateVector, axis, angle: float) -> StateVector:
     gamma_e = complex(n[1] * sh, -n[0] * sh)
     if abs(alpha) < 1e-12:
         raise ValueError("rotation is singular for this decomposition")
-    a = gamma_e / alpha
-    b = 2.0 * cmath.log(alpha)
-    c = beta / alpha
-    out = _exp_ladder("Jplus", c, s)
-    out = _diag_exp_J3(b, out)
-    out = _exp_ladder("Jminus", a, out)
-    return out
+    return _ladder_product(s, gamma_e / alpha, 2.0 * cmath.log(alpha),
+                           beta / alpha)
 
 
 def coherent_state(p: SpherePhasePoint, j_cut: int | str = "auto",
@@ -456,18 +462,20 @@ def max_amplitude_rel_diff(a: StateVector, b: StateVector) -> float:
 
     The scale is taken from `a` (the reference construction); a global
     normalization mismatch between the two states shows up rather than
-    cancelling.
+    cancelling.  Each difference is taken around the larger of its two
+    amplitudes, on the dense views of both states.
     """
     if not a.amplitudes:
         raise ValueError("reference state has no amplitudes")
-    ref = max(v.log_mag for v in a.amplitudes.values())
-    worst = -math.inf
-    for key in set(a.amplitudes) | set(b.amplitudes):
-        va = a.amplitudes.get(key, ZERO)
-        vb = b.amplitudes.get(key, ZERO)
-        d = log_complex_sum([va, -vb])
-        if d.log_mag > worst:
-            worst = d.log_mag
+    cut = max(a.j_cut, b.j_cut)
+    (la, pa), (lb, pb) = (replace(s, j_cut=cut).dense() for s in (a, b))
+    top = np.maximum(la, lb)
+    live = top > -math.inf
+    top = top[live]
+    d = (_rect_array(la[live] - top, pa[live])
+         - _rect_array(lb[live] - top, pb[live]))
+    with np.errstate(divide="ignore"):
+        worst = np.max(top + np.log(np.abs(d)), initial=-math.inf)
     if worst == -math.inf:
         return 0.0
-    return math.exp(worst - ref)
+    return math.exp(worst - la.max())

@@ -7,7 +7,8 @@ generators: the i-th generator is recovered as (1/2) Tr(sigma_i e^{-K} V).
 
 sigma.J leaves each (j, total-m) pair of basis vectors invariant, so e^{-K}
 is evaluated block by block from the two exact eigenvalues j and -(j+1); no
-series truncation is involved anywhere in this module.
+series truncation is involved anywhere in this module.  Each operator is a
+two-component BandTable; apply_table(t, s.up, s.down) applies it to s.
 """
 
 from __future__ import annotations
@@ -15,20 +16,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .logdomain import LogComplex, log_complex_sum, log_sum_exp
-from .repspace import (BasisIndex, RepParams, StateVector, apply_J,
-                       apply_X, basis_state, inner_log, state_scale,
+import numpy as np
+
+from .logdomain import log_complex_sum, log_sum_exp
+from .repspace import (BandTable, RepParams, _grid, basis_state,
+                       identity_table, inner_log, operator_table, state_scale,
                        state_sum)
 
 __all__ = [
     "SpinorState",
     "spinor_basis",
-    "apply_V",
-    "apply_K",
-    "apply_sigma_dot_J",
-    "apply_exp_minus_K",
-    "apply_Z_matrix",
-    "apply_Z_from_matrix",
+    "v_table",
+    "sigma_dot_table",
+    "k_table",
+    "exp_minus_k_table",
+    "z_matrix_entries",
+    "z_from_matrix_table",
     "spinor_inner",
     "spinor_sum",
     "spinor_scale",
@@ -61,113 +64,97 @@ def spinor_basis(j: int, m: int, j_cut: int, component: str = "up",
     return SpinorState(empty, full)
 
 
-def apply_V(s: SpinorState) -> SpinorState:
-    """(1/r) [[X3, X-], [X+, -X3]] acting blockwise."""
-    r = s.up.rep.r
-    inv = complex(1.0 / r)
-    up = state_scale(state_sum([apply_X("X3", s.up),
-                                apply_X("Xminus", s.down)]), inv)
-    down = state_scale(state_sum([apply_X("Xplus", s.up),
-                                  state_scale(apply_X("X3", s.down), -1 + 0j)]),
-                       inv)
-    return SpinorState(up, down)
+def _spinor_table(j_cut: int, blocks: dict) -> BandTable:
+    """Spinor table from unscaled one-component tables {(row, col): table}
+    (log_scale 0, as for J and X)."""
+    n = (j_cut + 1) ** 2
+    bands: dict = {}
+    for (row, col), t in blocks.items():
+        for (dj, dm, _), c in t.bands.items():
+            band = bands.setdefault((dj, dm, row - col), np.zeros(2 * n))
+            band[col * n:(col + 1) * n] += c
+    return BandTable(bands, np.zeros(2 * n), j_cut)
 
 
-def apply_sigma_dot_J(s: SpinorState) -> SpinorState:
-    """[[J3, J-], [J+, -J3]] acting blockwise."""
-    up = state_sum([apply_J("J3", s.up), apply_J("Jminus", s.down)])
-    down = state_sum([apply_J("Jplus", s.up),
-                      state_scale(apply_J("J3", s.down), -1 + 0j)])
-    return SpinorState(up, down)
+def _entry(t: BandTable, row: int, col: int) -> BandTable:
+    """Block (row, col) of a spinor table as a one-component table."""
+    n = t.log_scale.size // 2
+    cols = slice(col * n, (col + 1) * n)
+    return BandTable({(dj, dm, 0): c[cols]
+                      for (dj, dm, dc), c in t.bands.items()
+                      if dc == row - col},
+                     t.log_scale[cols], t.j_cut)
 
 
-def apply_K(s: SpinorState) -> SpinorState:
-    """-(sigma.J + 1)."""
-    sj = apply_sigma_dot_J(s)
-    up = state_scale(state_sum([sj.up, s.up]), -1 + 0j)
-    down = state_scale(state_sum([sj.down, s.down]), -1 + 0j)
-    return SpinorState(up, down)
+def sigma_dot_table(vector: str, j_cut: int, r: float = 1.0) -> BandTable:
+    """sigma.A = [[A3, A-], [A+, -A3]] for the vector operator A = J or X."""
+    a3 = operator_table(vector + "3", j_cut, r)
+    return _spinor_table(j_cut, {
+        (0, 0): a3, (0, 1): operator_table(vector + "minus", j_cut, r),
+        (1, 0): operator_table(vector + "plus", j_cut, r), (1, 1): -1.0 * a3})
 
 
-def _expk_entries(j: int, mu: int) -> tuple:
+def v_table(j_cut: int, r: float = 1.0) -> BandTable:
+    """V = sigma.X / r."""
+    return (1.0 / r) * sigma_dot_table("X", j_cut, r)
+
+
+def k_table(j_cut: int) -> BandTable:
+    """K = -(sigma.J + 1)."""
+    return -1.0 * (sigma_dot_table("J", j_cut) + identity_table(j_cut, 2))
+
+
+def _expk_entries(j: np.ndarray, mu: np.ndarray) -> tuple:
     """2x2 block of e^{-K} = e * e^{sigma.J} on span{|j,mu> up, |j,mu+1> down}.
 
     The block of sigma.J is [[mu, c], [c, -(mu+1)]] with
     c = sqrt((j-mu)(j+mu+1)); its eigenvalues are j and -(j+1), so the
     exponential follows from the two spectral projectors.  Every entry is a
-    two-term sum of e^{j+1} and e^{-j} weights, assembled in log form.
+    two-term sum of e^{j+1} and e^{-j} weights.  Returns the log weight
+    j + 1 and the entries (uu, ud, dd) divided by e^{j+1}.
     """
-    den = 2 * j + 1
-
-    def entry(w_plus: float, w_minus: float) -> LogComplex:
-        terms = []
-        if w_plus != 0.0:
-            terms.append(LogComplex.from_real(w_plus / den).scaled_log(j + 1.0))
-        if w_minus != 0.0:
-            terms.append(LogComplex.from_real(w_minus / den).scaled_log(-float(j)))
-        return log_complex_sum(terms)
-
-    c = math.sqrt((j - mu) * (j + mu + 1))
-    e_uu = entry(j + 1 + mu, j - mu)
-    e_ud = entry(c, -c)
-    e_dd = entry(j - mu, j + 1 + mu)
-    return e_uu, e_ud, e_dd
+    den = 2.0 * j + 1.0
+    rest = np.exp(-den)      # e^{-j} / e^{j+1}
+    c = np.sqrt(np.maximum((j - mu) * (j + mu + 1), 0))
+    e_uu = ((j + 1 + mu) + rest * (j - mu)) / den
+    e_ud = -c * np.expm1(-den) / den
+    e_dd = ((j - mu) + rest * (j + 1 + mu)) / den
+    return j + 1.0, e_uu, e_ud, e_dd
 
 
-def apply_exp_minus_K(s: SpinorState) -> SpinorState:
-    """Exact e^{-K} via the invariant 2x2 blocks of sigma.J."""
-    up_contribs: list = []
-    down_contribs: list = []
-    for (j, m), a in s.up.amplitudes.items():
-        e_uu, e_ud, _ = _expk_entries(j, m)
-        up_contribs.append((BasisIndex(j, m), a * e_uu))
-        if m + 1 <= j:
-            down_contribs.append((BasisIndex(j, m + 1), a * e_ud))
-    for (j, m), a in s.down.amplitudes.items():
-        mu = m - 1
-        _, e_ud, e_dd = _expk_entries(j, mu)
-        down_contribs.append((BasisIndex(j, m), a * e_dd))
-        if mu >= -j:
-            up_contribs.append((BasisIndex(j, mu), a * e_ud))
+def exp_minus_k_table(j_cut: int) -> BandTable:
+    """Exact e^{-K} from the invariant 2x2 blocks of sigma.J.
 
-    def build(contribs, template: StateVector) -> StateVector:
-        buckets: dict = {}
-        for key, amp in contribs:
-            if not amp.is_zero:
-                buckets.setdefault(key, []).append(amp)
-        amps = {k: (v[0] if len(v) == 1 else log_complex_sum(v))
-                for k, v in buckets.items()}
-        amps = {k: v for k, v in amps.items() if not v.is_zero}
-        return replace(template, amplitudes=amps)
-
-    return SpinorState(build(up_contribs, s.up), build(down_contribs, s.down))
-
-
-def apply_Z_matrix(s: SpinorState) -> SpinorState:
-    """The polar-decomposed generator matrix e^{-K} V."""
-    return apply_exp_minus_K(apply_V(s))
-
-
-def apply_Z_from_matrix(which: str, phi: StateVector) -> StateVector:
-    """Extract the component generator (1/2) Tr(sigma_i e^{-K} V) action.
-
-    Feeding (phi, 0) and (0, phi) through the matrix route exposes the four
-    operator-valued entries A, B, C, D of e^{-K} V; the Pauli traces then
-    give Z1 = (B + C)/2, Z2 = i(B - C)/2, Z3 = (A - D)/2.
+    An up column |j, m> is the first vector of the block with mu = m, a down
+    column |j, m> the second vector of the block with mu = m - 1.
     """
-    empty = replace(phi, amplitudes={})
-    col_up = apply_Z_matrix(SpinorState(phi, empty))
-    col_down = apply_Z_matrix(SpinorState(empty, phi))
-    a, c = col_up.up, col_up.down
-    b, d = col_down.up, col_down.down
+    j, m = _grid(j_cut)
+    scale, e_uu, e_ud, _ = _expk_entries(j, m)
+    _, _, e_du, e_dd = _expk_entries(j, m - 1)
+    zero = np.zeros(j.size)
+    return BandTable({(0, 0, 0): np.concatenate([e_uu, e_dd]),
+                      (0, 1, 1): np.concatenate([e_ud, zero]),
+                      (0, -1, -1): np.concatenate([zero, e_du])},
+                     np.concatenate([scale, scale]), j_cut)
+
+
+def z_matrix_entries(j_cut: int, r: float = 1.0) -> tuple:
+    """The operator-valued entries (A, B, C, D) of the polar-decomposed
+    generator matrix e^{-K} V = [[A, B], [C, D]]."""
+    t = exp_minus_k_table(j_cut) @ v_table(j_cut, r)
+    return _entry(t, 0, 0), _entry(t, 0, 1), _entry(t, 1, 0), _entry(t, 1, 1)
+
+
+def z_from_matrix_table(which: str, entries: tuple) -> BandTable:
+    """The component generator (1/2) Tr(sigma_i e^{-K} V) from the entries
+    of z_matrix_entries: Z1 = (B + C)/2, Z2 = i(B - C)/2, Z3 = (A - D)/2."""
+    a, b, c, d = entries
     if which == "Z1":
-        return state_scale(state_sum([b, c]), complex(0.5))
+        return 0.5 * (b + c)
     if which == "Z2":
-        return state_scale(state_sum([b, state_scale(c, -1 + 0j)]),
-                           complex(0, 0.5))
+        return 0.5j * (b - c)
     if which == "Z3":
-        return state_scale(state_sum([a, state_scale(d, -1 + 0j)]),
-                           complex(0.5))
+        return 0.5 * (a - d)
     raise ValueError(f"unknown Z component {which!r}")
 
 

@@ -1,0 +1,538 @@
+"""Reference implementations kept for the tests.
+
+The library applies operators through banded coefficient tables, evaluates
+operator identities on those tables, and builds the triple-sum and ladder
+states on dense arrays.  The loops below are the earlier per-amplitude
+versions, written on the sparse LogComplex carrier from the scalar matrix
+elements: the J, X and Z actions, every spinor operator, the J^2-function
+generator route, the per-basis-vector identity sweeps of `cohstates verify`,
+and the two sphere construction routes.  The tests hold the production code
+equal to them.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import replace
+from typing import Iterable
+
+from cohstates.logdomain import LogComplex, log_complex_sum, log_sum_exp
+from cohstates.repspace import (BasisIndex, RepParams, StateVector,
+                                basis_state, relative_residual, state_scale,
+                                state_sum)
+from cohstates.specfun import log_factorial
+from cohstates.sphere import generation_params, north_pole_state
+from cohstates.spinor import (SpinorState, spinor_basis,
+                              spinor_relative_residual, spinor_scale,
+                              spinor_sum)
+
+_EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+        (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
+_JN = ("J1", "J2", "J3")
+_XN = ("X1", "X2", "X3")
+_ZN = ("Z1", "Z2", "Z3")
+
+
+# -- the sparse operator actions, one amplitude at a time -------------------
+
+def _emit(contribs: list, key: BasisIndex, amp: LogComplex):
+    if not amp.is_zero:
+        contribs.append((key, amp))
+
+
+def _collect(contribs: Iterable, s: StateVector) -> StateVector:
+    """Combine per-index contributions, dropping (and counting) j > j_cut."""
+    buckets: dict = {}
+    lost = [s.lost_log]
+    for key, amp in contribs:
+        if key.j > s.j_cut:
+            lost.append(amp.abs_sq_log())
+            continue
+        buckets.setdefault(key, []).append(amp)
+    amps = {}
+    for key, terms in buckets.items():
+        total = terms[0] if len(terms) == 1 else log_complex_sum(terms)
+        if not total.is_zero:
+            amps[key] = total
+    return replace(s, amplitudes=amps, lost_log=log_sum_exp(lost))
+
+
+def jplus_coef(j: int, m: int) -> float:
+    return math.sqrt((j - m) * (j + m + 1))
+
+
+def jminus_coef(j: int, m: int) -> float:
+    return math.sqrt((j + m) * (j - m + 1))
+
+
+def apply_J(which: str, s: StateVector) -> StateVector:
+    """Exact action of J3, J+/-, or J^2 (ladder shifts never change j)."""
+    contribs: list = []
+    for (j, m), a in s.amplitudes.items():
+        if which == "J3":
+            _emit(contribs, BasisIndex(j, m), a * LogComplex.from_real(m))
+        elif which == "Jsq":
+            _emit(contribs, BasisIndex(j, m),
+                  a * LogComplex.from_real(j * (j + 1)))
+        elif which == "Jplus":
+            if m < j:
+                _emit(contribs, BasisIndex(j, m + 1),
+                      a * LogComplex.from_real(jplus_coef(j, m)))
+        elif which == "Jminus":
+            if m > -j:
+                _emit(contribs, BasisIndex(j, m - 1),
+                      a * LogComplex.from_real(jminus_coef(j, m)))
+        else:
+            raise ValueError(f"unknown J operator {which!r}")
+    return _collect(contribs, s)
+
+
+def x_terms(which: str, j: int, m: int, r: float):
+    """Matrix elements of the position operators at zero twist.
+
+    Each is tridiagonal in j with no diagonal term (the twist-proportional
+    middle term vanishes identically), so the action strictly changes j.
+    The j -> j-1 coefficients vanish for every state they could act on at
+    j = 0, hence the plain j >= 1 guard.
+    """
+    up = math.sqrt((2 * j + 1) * (2 * j + 3))
+    if which == "X3":
+        yield BasisIndex(j + 1, m), r * math.sqrt((j - m + 1) * (j + m + 1)) / up
+        if j >= 1:
+            dn = math.sqrt((2 * j - 1) * (2 * j + 1))
+            yield BasisIndex(j - 1, m), r * math.sqrt((j - m) * (j + m)) / dn
+    elif which == "Xplus":
+        yield BasisIndex(j + 1, m + 1), -r * math.sqrt((j + m + 1) * (j + m + 2)) / up
+        if j >= 1:
+            dn = math.sqrt((2 * j - 1) * (2 * j + 1))
+            yield BasisIndex(j - 1, m + 1), r * math.sqrt((j - m - 1) * (j - m)) / dn
+    elif which == "Xminus":
+        yield BasisIndex(j + 1, m - 1), r * math.sqrt((j - m + 1) * (j - m + 2)) / up
+        if j >= 1:
+            dn = math.sqrt((2 * j - 1) * (2 * j + 1))
+            yield BasisIndex(j - 1, m - 1), -r * math.sqrt((j + m - 1) * (j + m)) / dn
+    else:
+        raise ValueError(f"unknown X operator {which!r}")
+
+
+def apply_X(which: str, s: StateVector) -> StateVector:
+    """Position-operator action; X1, X2 are the Hermitian ladder combinations."""
+    r = s.rep.r
+    if which == "X1":
+        return state_sum([state_scale(apply_X("Xplus", s), complex(0.5)),
+                          state_scale(apply_X("Xminus", s), complex(0.5))])
+    if which == "X2":
+        return state_sum([state_scale(apply_X("Xplus", s), complex(0, -0.5)),
+                          state_scale(apply_X("Xminus", s), complex(0, 0.5))])
+    contribs: list = []
+    for (j, m), a in s.amplitudes.items():
+        for key, coef in x_terms(which, j, m, r):
+            if coef != 0.0:
+                _emit(contribs, key, a * LogComplex.from_real(coef))
+    return _collect(contribs, s)
+
+
+def z_terms(which: str, j: int, m: int):
+    """Coherent-state generator matrix elements.
+
+    Same selection rules as X/r but with the raising branch weighted by
+    e^{-j-1} and the lowering branch by e^{j}; the weights are carried in
+    log form so arbitrarily large j never overflows.
+    """
+    up = -(j + 1.0)          # log weight of the j -> j+1 branch
+    dn = float(j)            # log weight of the j -> j-1 branch
+    lup = math.log((2 * j + 1) * (2 * j + 3)) / 2
+    ldn = math.log((2 * j - 1) * (2 * j + 1)) / 2 if j >= 1 else 0.0
+
+    def branch(sq: float, sign: float, phase_i: bool, lw: float, key):
+        if sq <= 0:
+            return None
+        lm = 0.5 * math.log(sq) + lw
+        ph = math.pi / 2 if phase_i else 0.0
+        if sign < 0:
+            ph += math.pi
+        return key, LogComplex.from_polar(lm, ph)
+
+    if which == "Z3":
+        t = branch((j - m + 1) * (j + m + 1), +1, False, up - lup,
+                   BasisIndex(j + 1, m))
+        if t:
+            yield t
+        if j >= 1:
+            t = branch((j - m) * (j + m), +1, False, dn - ldn,
+                       BasisIndex(j - 1, m))
+            if t:
+                yield t
+        return
+    half = math.log(0.5)
+    if which == "Z1":
+        plan = [((j + m + 1) * (j + m + 2), -1, False, up - lup + half, (j + 1, m + 1)),
+                ((j - m - 1) * (j - m),     +1, False, dn - ldn + half, (j - 1, m + 1)),
+                ((j - m + 1) * (j - m + 2), +1, False, up - lup + half, (j + 1, m - 1)),
+                ((j + m - 1) * (j + m),     -1, False, dn - ldn + half, (j - 1, m - 1))]
+    elif which == "Z2":
+        plan = [((j + m + 1) * (j + m + 2), +1, True, up - lup + half, (j + 1, m + 1)),
+                ((j - m - 1) * (j - m),     -1, True, dn - ldn + half, (j - 1, m + 1)),
+                ((j - m + 1) * (j - m + 2), +1, True, up - lup + half, (j + 1, m - 1)),
+                ((j + m - 1) * (j + m),     -1, True, dn - ldn + half, (j - 1, m - 1))]
+    else:
+        raise ValueError(f"unknown Z operator {which!r}")
+    for sq, sign, phase_i, lw, (jj, mm) in plan:
+        if jj < 0 or abs(mm) > jj:
+            continue
+        t = branch(sq, sign, phase_i, lw, BasisIndex(jj, mm))
+        if t:
+            yield t
+
+
+def apply_Z(which: str, s: StateVector) -> StateVector:
+    """Coherent-state generator action from its explicit matrix elements."""
+    contribs: list = []
+    for (j, m), a in s.amplitudes.items():
+        for key, coef in z_terms(which, j, m):
+            _emit(contribs, key, a * coef)
+    return _collect(contribs, s)
+
+
+_J_LABELS = {"J3", "Jplus", "Jminus", "Jsq"}
+_X_LABELS = {"X1", "X2", "X3", "Xplus", "Xminus"}
+
+
+def apply_operator(which: str, s: StateVector) -> StateVector:
+    if which in _J_LABELS:
+        return apply_J(which, s)
+    if which in _X_LABELS:
+        return apply_X(which, s)
+    return apply_Z(which, s)
+
+
+# -- Cartesian components and the J^2-function route ------------------------
+
+def cart(which: str, s: StateVector) -> StateVector:
+    if not which.startswith("J"):
+        return apply_X(which, s)
+    if which == "J3":
+        return apply_J("J3", s)
+    p, m = apply_J("Jplus", s), apply_J("Jminus", s)
+    if which == "J1":
+        return state_sum([state_scale(p, 0.5 + 0j), state_scale(m, 0.5 + 0j)])
+    return state_sum([state_scale(p, -0.5j), state_scale(m, 0.5j)])
+
+
+def jsq_scalar_logs(j: int) -> tuple[float, float]:
+    sv = 2.0 * j + 1.0
+    es = math.exp(-sv)
+    logf = 0.5 + sv / 2 - math.log(2.0) + math.log((1 - es) / sv + 1 + es)
+    logg = 0.5 + sv / 2 + math.log1p(-es) - math.log(sv)
+    return logf, logg
+
+
+def diag_mul_logs(s: StateVector, log_by_j) -> StateVector:
+    amps = {k: a.scaled_log(log_by_j(k.j)) for k, a in s.amplitudes.items()}
+    return replace(s, amplitudes=amps)
+
+
+def apply_Z_vector_form(which: str, s: StateVector) -> StateVector:
+    idx = _ZN.index(which)
+    t1 = diag_mul_logs(apply_X(_XN[idx], s), lambda j: jsq_scalar_logs(j)[0])
+    jn, kn = (idx + 1) % 3, (idx + 2) % 3
+    cross = state_sum([
+        cart(_JN[jn], apply_X(_XN[kn], s)),
+        state_scale(cart(_JN[kn], apply_X(_XN[jn], s)), complex(-1.0)),
+    ])
+    t2 = state_scale(diag_mul_logs(cross, lambda j: jsq_scalar_logs(j)[1]),
+                     complex(0, 1))
+    return state_scale(state_sum([t1, t2]), complex(1.0 / s.rep.r))
+
+
+# -- spinor operators --------------------------------------------------------
+
+def apply_V(s: SpinorState) -> SpinorState:
+    inv = complex(1.0 / s.up.rep.r)
+    up = state_scale(state_sum([apply_X("X3", s.up),
+                                apply_X("Xminus", s.down)]), inv)
+    down = state_scale(state_sum([apply_X("Xplus", s.up),
+                                  state_scale(apply_X("X3", s.down), -1 + 0j)]),
+                       inv)
+    return SpinorState(up, down)
+
+
+def apply_sigma_dot_J(s: SpinorState) -> SpinorState:
+    up = state_sum([apply_J("J3", s.up), apply_J("Jminus", s.down)])
+    down = state_sum([apply_J("Jplus", s.up),
+                      state_scale(apply_J("J3", s.down), -1 + 0j)])
+    return SpinorState(up, down)
+
+
+def apply_K(s: SpinorState) -> SpinorState:
+    sj = apply_sigma_dot_J(s)
+    up = state_scale(state_sum([sj.up, s.up]), -1 + 0j)
+    down = state_scale(state_sum([sj.down, s.down]), -1 + 0j)
+    return SpinorState(up, down)
+
+
+def expk_entries(j: int, mu: int) -> tuple:
+    den = 2 * j + 1
+
+    def entry(w_plus: float, w_minus: float) -> LogComplex:
+        terms = []
+        if w_plus != 0.0:
+            terms.append(LogComplex.from_real(w_plus / den).scaled_log(j + 1.0))
+        if w_minus != 0.0:
+            terms.append(LogComplex.from_real(w_minus / den).scaled_log(-float(j)))
+        return log_complex_sum(terms)
+
+    c = math.sqrt((j - mu) * (j + mu + 1))
+    return entry(j + 1 + mu, j - mu), entry(c, -c), entry(j - mu, j + 1 + mu)
+
+
+def apply_exp_minus_K(s: SpinorState) -> SpinorState:
+    up_contribs: list = []
+    down_contribs: list = []
+    for (j, m), a in s.up.amplitudes.items():
+        e_uu, e_ud, _ = expk_entries(j, m)
+        up_contribs.append((BasisIndex(j, m), a * e_uu))
+        if m + 1 <= j:
+            down_contribs.append((BasisIndex(j, m + 1), a * e_ud))
+    for (j, m), a in s.down.amplitudes.items():
+        mu = m - 1
+        _, e_ud, e_dd = expk_entries(j, mu)
+        down_contribs.append((BasisIndex(j, m), a * e_dd))
+        if mu >= -j:
+            up_contribs.append((BasisIndex(j, mu), a * e_ud))
+
+    def build(contribs, template: StateVector) -> StateVector:
+        buckets: dict = {}
+        for key, amp in contribs:
+            if not amp.is_zero:
+                buckets.setdefault(key, []).append(amp)
+        amps = {k: (v[0] if len(v) == 1 else log_complex_sum(v))
+                for k, v in buckets.items()}
+        amps = {k: v for k, v in amps.items() if not v.is_zero}
+        return replace(template, amplitudes=amps)
+
+    return SpinorState(build(up_contribs, s.up), build(down_contribs, s.down))
+
+
+def apply_Z_matrix(s: SpinorState) -> SpinorState:
+    return apply_exp_minus_K(apply_V(s))
+
+
+def apply_Z_from_matrix(which: str, phi: StateVector) -> StateVector:
+    empty = replace(phi, amplitudes={})
+    col_up = apply_Z_matrix(SpinorState(phi, empty))
+    col_down = apply_Z_matrix(SpinorState(empty, phi))
+    a, c = col_up.up, col_up.down
+    b, d = col_down.up, col_down.down
+    if which == "Z1":
+        return state_scale(state_sum([b, c]), complex(0.5))
+    if which == "Z2":
+        return state_scale(state_sum([b, state_scale(c, -1 + 0j)]),
+                           complex(0, 0.5))
+    return state_scale(state_sum([a, state_scale(d, -1 + 0j)]), complex(0.5))
+
+
+# -- the identity sweeps, one basis vector at a time -------------------------
+
+def _interior_vectors(j_cut: int):
+    rep = RepParams()
+    for j in range(0, j_cut - 1):
+        for m in range(-j, j + 1):
+            yield basis_state(j, m, j_cut, rep)
+
+
+def _spinor_vectors(j_cut: int):
+    rep = RepParams()
+    for j in range(0, j_cut - 1):
+        for m in range(-j, j + 1):
+            for comp in ("up", "down"):
+                yield spinor_basis(j, m, j_cut, comp, rep)
+
+
+def _spinor_restrict(sp: SpinorState, j_max: int) -> SpinorState:
+    return SpinorState(sp.up.restricted(j_max), sp.down.restricted(j_max))
+
+
+def _commutator(a: StateVector, b: StateVector) -> StateVector:
+    return state_sum([a, state_scale(b, -1 + 0j)])
+
+
+def e3_commutators(j_cut: int) -> float:
+    interior = j_cut - 2
+    worst = 0.0
+    for s in _interior_vectors(j_cut):
+        for i, k in itertools.combinations(range(3), 2):
+            for fam_a, fam_b, fam_rhs in ((_JN, _JN, _JN), (_JN, _XN, _XN)):
+                ab = cart(fam_a[i], cart(fam_b[k], s))
+                lhs = _commutator(ab, cart(fam_b[k], cart(fam_a[i], s)))
+                l = 3 - i - k
+                rhs = state_scale(cart(fam_rhs[l], s),
+                                  complex(0, _EPS[(i, k, l)]))
+                worst = max(worst, relative_residual(
+                    lhs.restricted(interior), rhs.restricted(interior), s, ab))
+            ab = cart(_XN[i], cart(_XN[k], s))
+            lhs = _commutator(ab, cart(_XN[k], cart(_XN[i], s)))
+            worst = max(worst, relative_residual(
+                lhs.restricted(interior), state_scale(s, 0j), s, ab))
+        for i in range(3):
+            ab = cart(_JN[i], cart(_XN[i], s))
+            lhs = _commutator(ab, cart(_XN[i], cart(_JN[i], s)))
+            worst = max(worst, relative_residual(
+                lhs.restricted(interior), state_scale(s, 0j), s, ab))
+    return worst
+
+
+def casimirs(j_cut: int) -> float:
+    interior = j_cut - 2
+    worst = 0.0
+    for s in _interior_vectors(j_cut):
+        parts = [cart(x, cart(x, s)) for x in _XN]
+        worst = max(worst, relative_residual(
+            state_sum(parts).restricted(interior), s, s, *parts))
+        parts = [cart(_JN[i], cart(_XN[i], s)) for i in range(3)]
+        worst = max(worst, relative_residual(
+            state_sum(parts).restricted(interior), state_scale(s, 0j), s,
+            *parts))
+    return worst
+
+
+def v_squared(j_cut: int) -> float:
+    interior = j_cut - 2
+    worst = 0.0
+    for sp in _spinor_vectors(j_cut):
+        v2 = apply_V(apply_V(sp))
+        worst = max(worst, spinor_relative_residual(
+            _spinor_restrict(v2, interior), _spinor_restrict(sp, interior), sp))
+    return worst
+
+
+def kv_anticommutator(j_cut: int) -> float:
+    interior = j_cut - 2
+    worst = 0.0
+    for sp in _spinor_vectors(j_cut):
+        kv = apply_K(apply_V(sp))
+        acom = spinor_sum([kv, apply_V(apply_K(sp))])
+        worst = max(worst, spinor_relative_residual(
+            _spinor_restrict(acom, interior), spinor_scale(sp, 0j), sp, kv))
+    return worst
+
+
+def z_commutativity(j_cut: int) -> float:
+    interior = j_cut - 2
+    worst = 0.0
+    for s in _interior_vectors(j_cut):
+        for i, k in itertools.combinations(range(3), 2):
+            ab = apply_Z(_ZN[i], apply_Z(_ZN[k], s))
+            lhs = _commutator(ab, apply_Z(_ZN[k], apply_Z(_ZN[i], s)))
+            worst = max(worst, relative_residual(
+                lhs.restricted(interior), state_scale(s, 0j), s, ab))
+    return worst
+
+
+def z_normalization(j_cut: int) -> float:
+    interior = j_cut - 2
+    worst = 0.0
+    for s in _interior_vectors(j_cut):
+        parts = [apply_Z(z, apply_Z(z, s)) for z in _ZN]
+        worst = max(worst, relative_residual(
+            state_sum(parts).restricted(interior), s, s, *parts))
+    return worst
+
+
+def z_route_equality(j_cut: int) -> float:
+    interior = j_cut - 2
+    worst = 0.0
+    for s in _interior_vectors(j_cut):
+        empty = replace(s, amplitudes={})
+        col_u = apply_Z_matrix(SpinorState(s, empty))
+        col_d = apply_Z_matrix(SpinorState(empty, s))
+        for idx, z in enumerate(_ZN):
+            a = apply_Z(z, s)
+            b = apply_Z_vector_form(z, s)
+            t1 = diag_mul_logs(apply_X(_XN[idx], s),
+                               lambda jj: jsq_scalar_logs(jj)[0])
+            worst = max(worst, relative_residual(
+                a.restricted(interior), b.restricted(interior), s, t1))
+            c = apply_Z_from_matrix(z, s)
+            worst = max(worst, relative_residual(
+                a.restricted(interior), c.restricted(interior), s,
+                col_u.up, col_u.down, col_d.up, col_d.down))
+    return worst
+
+
+IDENTITY_SWEEPS = {
+    "e3_commutators": e3_commutators,
+    "casimirs": casimirs,
+    "v_squared": v_squared,
+    "kv_anticommutator": kv_anticommutator,
+    "z_commutativity": z_commutativity,
+    "z_normalization": z_normalization,
+    "z_route_equality": z_route_equality,
+}
+
+
+# -- the triple-sum and ladder constructions ---------------------------------
+
+def coherent_triple_sum(zl, rep: RepParams, j_cut: int) -> StateVector:
+    mu, nu, gamma = generation_params(zl)
+    mu_l = LogComplex.from_complex(mu)
+    nu_l = LogComplex.from_complex(nu)
+    contribs: dict = {}
+    for j in range(j_cut + 1):
+        base = LogComplex.from_polar(-0.5 * j * (j + 1)
+                                     + 0.5 * math.log(2 * j + 1))
+        for m in range(0, j + 1):
+            fm = (base * (nu_l ** m)
+                  * LogComplex.from_polar(-log_factorial(m)
+                                          + log_factorial(j + m)
+                                          - log_factorial(j - m))
+                  * LogComplex.from_polar(m * gamma.real, m * gamma.imag))
+            if fm.is_zero:
+                continue
+            for k in range(0, j + m + 1):
+                mk = m - k
+                if abs(mk) > j:
+                    continue
+                term = (fm * (mu_l ** k)
+                        * LogComplex.from_polar(
+                            -log_factorial(k)
+                            + 0.5 * (log_factorial(j - m + k)
+                                     - log_factorial(j + m - k))))
+                if not term.is_zero:
+                    contribs.setdefault(BasisIndex(j, mk), []).append(term)
+    amps = {}
+    for key, terms in contribs.items():
+        t = log_complex_sum(terms)
+        if not t.is_zero:
+            amps[key] = t
+    return StateVector(amps, j_cut=j_cut, rep=rep)
+
+
+def exp_ladder(which: str, coef: complex, s: StateVector) -> StateVector:
+    if coef == 0:
+        return s
+    terms = [s]
+    term = s
+    k = 0
+    while True:
+        k += 1
+        term = state_scale(apply_J(which, term), coef / k)
+        if term.is_zero():
+            break
+        terms.append(term)
+    return state_sum(terms)
+
+
+def diag_exp_J3(gamma: complex, s: StateVector) -> StateVector:
+    amps = {k: (a * LogComplex.from_polar(k.m * gamma.real, k.m * gamma.imag))
+            for k, a in s.amplitudes.items()}
+    return replace(s, amplitudes=amps)
+
+
+def coherent_ladder_generated(zl, rep: RepParams, j_cut: int) -> StateVector:
+    mu, nu, gamma = generation_params(zl)
+    s = north_pole_state(rep, j_cut)
+    s = exp_ladder("Jplus", nu, s)
+    s = diag_exp_J3(gamma, s)
+    return exp_ladder("Jminus", mu, s)

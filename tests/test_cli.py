@@ -177,6 +177,33 @@ class TestVerifyCommand:
         assert rows[0] == ["check", "measured", "tolerance", "pass"]
         assert all(row[3] in ("true", "false") for row in rows[1:])
 
+    def test_checks_report_case_counts_and_worst_cases(self, run):
+        d = run_json(run, ["verify", "--identity-j-cut", "12", "--seed", "7"])
+        by = {c["check"]: c for c in d["checks"]}
+        assert all(c["n_cases"] >= 1 and c["worst_at"] is not None
+                   for c in d["checks"])
+        # identity sweeps: a basis index of the interior j <= 10
+        j, m = by["e3_commutators"]["worst_at"]
+        assert 0 <= j <= 10 and abs(m) <= j
+        assert by["e3_commutators"]["n_cases"] == 12 * 11 ** 2
+        # seeded sweeps: the phase point, one of 14
+        paths = by["three_path_equality"]
+        assert paths["n_cases"] == 14
+        l_norm = math.sqrt(sum(c * c for c in paths["worst_at"]["l"]))
+        assert min(abs(l_norm - n) for n in (0, 1, 5, 10, 12, 18, 25)) < 1e-9
+        assert by["circle_expect_J_grid"]["n_cases"] == 61
+        assert set(by["circle_expect_J_grid"]["worst_at"]) == {"l"}
+
+    @pytest.mark.parametrize("value", ["0", "1", "-3", "2", "201", "x"])
+    def test_identity_cut_out_of_range_is_a_flag_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--identity-j-cut", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines()
+                    if "error:" in line and "--identity-j-cut" in line]) == 1
+
     def test_starved_truncation_is_flagged(self, run):
         out = run(["verify", "--identity-j-cut", "12", "--j-cut", "12"],
                   expect_code=1)
@@ -194,3 +221,6 @@ def test_per_check_tolerance_overrides():
     assert by["casimirs"].tolerance == 0.0
     assert not by["casimirs"].passed
     assert by["v_squared"].passed
+    # the override keeps where the worst case was and how many were measured
+    assert by["casimirs"].n_cases == 2 * 11 ** 2
+    assert len(by["casimirs"].worst_at) == 2

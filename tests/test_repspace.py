@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from cohstates.logdomain import LogComplex
 from cohstates.repspace import (BasisIndex, RepParams, StateVector, apply_J,
-                                apply_X, apply_Z, apply_Z_vector_form,
-                                apply_operator, basis_state, expectation,
-                                inner, inner_log, relative_residual,
-                                residual_norm, state_scale, state_sum)
+                                apply_X, apply_Z, apply_table, basis_state,
+                                expectation, inner, inner_log, operator_table,
+                                relative_residual, residual_norm, state_scale,
+                                state_sum, z_vector_form_table)
 
 LABELS = ("J3", "Jplus", "Jminus", "Jsq", "X1", "X2", "X3", "Xplus",
           "Xminus", "Z1", "Z2", "Z3")
@@ -16,7 +17,7 @@ LABELS = ("J3", "Jplus", "Jminus", "Jsq", "X1", "X2", "X3", "Xplus",
 
 def sparse_expectation(which, s):
     """Oracle: <s|O|s> / <s|s> through the sparse operator action."""
-    num = inner_log(s, apply_operator(which, s))
+    num = inner_log(s, oracles.apply_operator(which, s))
     return num.scaled_log(-s.log_norm_sq()).to_complex()
 
 
@@ -33,6 +34,11 @@ def random_sparse_state(seed, j_cut=12, n=25, rep=None):
         amps[BasisIndex(j, m)] = LogComplex(rng.uniform(-30.0, 5.0), phase)
     amps[BasisIndex(j_cut, 0)] = LogComplex(0.0, 0.0)
     return StateVector(amps, j_cut=j_cut, rep=rep or RepParams())
+
+
+def apply_Z_vector_form(which, s):
+    """The J^2-function route to Z_i applied to s."""
+    return apply_table(z_vector_form_table(which, s.j_cut, s.rep.r), s)[0]
 
 
 def amp(s, j, m):
@@ -179,7 +185,7 @@ class TestInnerAndExpectation:
                          lambda which, s: residual_norm(which, s, 1.0, 6)):
             with pytest.raises(ValueError):
                 evaluate("J3", empty)
-            # and so is a label that apply_operator does not accept
+            # and so is a label apply_J, apply_X and apply_Z do not accept
             with pytest.raises(ValueError):
                 evaluate("J1", basis_state(1, 0, 8))
 
@@ -222,7 +228,7 @@ class TestDenseMatchesSparse:
         sn = s.normalized()
         for which, value in [("Z1", 0.3 - 2j), ("Z3", 1.5), ("J3", 0.0),
                              ("X2", 1j)]:
-            diff = state_sum([apply_operator(which, sn),
+            diff = state_sum([oracles.apply_operator(which, sn),
                               state_scale(sn, -complex(value))])
             want = diff.restricted(s.j_cut - 2).norm()
             _assert_close(residual_norm(which, s, value, s.j_cut - 2), want,
@@ -243,11 +249,17 @@ def _dense_terms(which, j_cut, r):
 
 def _scalar_terms(which, j_cut, r):
     """The same table from the scalar matrix elements of the sparse path."""
-    from cohstates.repspace import (_jminus_coef, _jplus_coef, _x_terms,
-                                    _z_terms)
+    from oracles import jminus_coef, jplus_coef, x_terms, z_terms
     cart = {"X1": (("Xplus", 0.5), ("Xminus", 0.5)),
-            "X2": (("Xplus", -0.5j), ("Xminus", 0.5j))}
+            "X2": (("Xplus", -0.5j), ("Xminus", 0.5j)),
+            "J1": (("Jplus", 0.5), ("Jminus", 0.5)),
+            "J2": (("Jplus", -0.5j), ("Jminus", 0.5j))}
     out = {}
+    if which in cart:
+        for ladder, f in cart[which]:
+            for key, c in _scalar_terms(ladder, j_cut, r).items():
+                out[key] = out.get(key, 0) + f * c
+        return out
     for j in range(j_cut + 1):
         for m in range(-j, j + 1):
             if which == "J3":
@@ -255,17 +267,14 @@ def _scalar_terms(which, j_cut, r):
             elif which == "Jsq":
                 terms = [((j, m), j * (j + 1))]
             elif which == "Jplus":
-                terms = [((j, m + 1), _jplus_coef(j, m))] if m < j else []
+                terms = [((j, m + 1), jplus_coef(j, m))] if m < j else []
             elif which == "Jminus":
-                terms = [((j, m - 1), _jminus_coef(j, m))] if m > -j else []
-            elif which in cart:
-                terms = [(key, f * c) for ladder, f in cart[which]
-                         for key, c in _x_terms(ladder, j, m, r)]
+                terms = [((j, m - 1), jminus_coef(j, m))] if m > -j else []
             elif which.startswith("X"):
-                terms = list(_x_terms(which, j, m, r))
+                terms = list(x_terms(which, j, m, r))
             else:
                 terms = [(key, c.to_complex())
-                         for key, c in _z_terms(which, j, m)]
+                         for key, c in z_terms(which, j, m)]
             for key, c in terms:
                 if c != 0:
                     out[((j, m), tuple(key))] = c
@@ -273,7 +282,7 @@ def _scalar_terms(which, j_cut, r):
 
 
 @pytest.mark.parametrize("j_cut", [10, 40])
-@pytest.mark.parametrize("which", LABELS)
+@pytest.mark.parametrize("which", LABELS + ("J1", "J2"))
 def test_dense_branches_match_scalar_matrix_elements(which, j_cut):
     dense = _dense_terms(which, j_cut, 2.5)
     scalar = _scalar_terms(which, j_cut, 2.5)
@@ -283,6 +292,45 @@ def test_dense_branches_match_scalar_matrix_elements(which, j_cut):
     for key, want in scalar.items():
         assert abs(dense[key] - want) <= rel * abs(want), (key, dense[key],
                                                           want)
+
+
+class TestBandTables:
+    """Operators held as tables against the sparse operator actions."""
+
+    @pytest.mark.parametrize("which", LABELS)
+    def test_application_matches_sparse_action(self, which):
+        # amplitudes spanning e^-30..e^5, the top level j_cut included
+        s = random_sparse_state(1, rep=RepParams(r=2.5))
+        got, = apply_table(operator_table(which, s.j_cut, 2.5), s)
+        want = oracles.apply_operator(which, s)
+        assert got.amplitudes.keys() == want.amplitudes.keys()
+        assert relative_residual(got, want, s) <= 1e-14
+        assert got.lost_log == pytest.approx(want.lost_log, rel=1e-13)
+
+    @pytest.mark.parametrize("a,b", [("Z1", "Z3"), ("X1", "Jplus"),
+                                     ("Xplus", "Z2"), ("Jsq", "Xminus")])
+    def test_product_matches_composition(self, a, b):
+        s = random_sparse_state(2)
+        got, = apply_table(operator_table(a, 12) @ operator_table(b, 12), s)
+        want = oracles.apply_operator(a, oracles.apply_operator(b, s))
+        assert relative_residual(got, want, s, want) <= 1e-14
+
+    def test_tables_must_share_cut_and_components(self):
+        from cohstates.repspace import identity_table
+        with pytest.raises(ValueError):
+            operator_table("J3", 6) @ operator_table("J3", 7)
+        with pytest.raises(ValueError):
+            identity_table(6, 2) + identity_table(6)
+
+    def test_column_norms_are_the_images_norms(self):
+        t = operator_table("Z2", 8) @ operator_table("X1", 8)
+        norms = t.column_log_norms(6)
+        _, j, m = t.columns()
+        for k in (0, 7, 30, 80):
+            image = oracles.apply_operator("Z2", oracles.apply_operator(
+                "X1", basis_state(int(j[k]), int(m[k]), 8)))
+            assert norms[k] == pytest.approx(
+                0.5 * image.restricted(6).log_norm_sq(), abs=1e-14)
 
 
 class TestTruncationAccounting:

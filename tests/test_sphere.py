@@ -1,11 +1,13 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from cohstates.repspace import (BasisIndex, RepParams, apply_operator,
-                                apply_Z, basis_state, expectation, inner_log,
-                                state_scale, state_sum)
+import oracles
+from cohstates.repspace import (BasisIndex, RepParams, basis_state,
+                                expectation, inner_log, state_scale,
+                                state_sum)
 from cohstates.sphere import (ConstraintError, SpherePhasePoint, ZLabel,
                               apply_rotation, axis_reference_label,
                               coherent_closed_form, coherent_ladder_generated,
@@ -160,6 +162,46 @@ class TestTripleSum:
             coherent_triple_sum(ZLabel([0, 0, -1]), REP, 15)
 
 
+class TestDenseRoutesMatchOldLoops:
+    """The array triple sum and ladder against the per-amplitude loops."""
+
+    @pytest.mark.parametrize("l_norm", [0.0, 1.0, 5.0, 12.0])
+    def test_triple_sum_and_ladder(self, l_norm):
+        zl = phase_to_z(_tangent_point(23, l_norm))
+        cut = default_j_cut(l_norm)
+        for new, old in ((coherent_triple_sum, oracles.coherent_triple_sum),
+                         (coherent_ladder_generated,
+                          oracles.coherent_ladder_generated)):
+            a, b = old(zl, REP, cut), new(zl, REP, cut)
+            assert a.amplitudes.keys() == b.amplitudes.keys()
+            assert max_amplitude_rel_diff(a, b) <= 1e-13
+
+    def test_north_pole_has_zero_generation_parameters(self):
+        # mu = nu = 0: only the k = m = 0 terms survive, with 0^0 = 1
+        zl = ZLabel([0, 0, 1])
+        assert generation_params(zl)[:2] == (0, 0)
+        want = north_pole_state(REP, 20)
+        got = coherent_triple_sum(zl, REP, 20)
+        assert got.amplitudes.keys() == want.amplitudes.keys()
+        assert max_amplitude_rel_diff(want, got) <= 1e-15
+
+    def test_rotation_matches_old_ladder(self):
+        p = SpherePhasePoint([0.36, 0.48, 0.8], [4.8, -3.6, 0.0])
+        s = coherent_closed_form(phase_to_z(p), REP, 35)
+        axis, angle = np.array([0.6, 0.0, 0.8]), 0.7
+        got = apply_rotation(s, axis, angle)
+        # the Gauss factors of exp(-i angle n.J), as apply_rotation takes them
+        ch, sh = math.cos(angle / 2), math.sin(angle / 2)
+        alpha = complex(ch, -axis[2] * sh)
+        want = oracles.exp_ladder("Jplus", complex(-axis[1] * sh,
+                                                   -axis[0] * sh) / alpha, s)
+        want = oracles.diag_exp_J3(2 * cmath.log(alpha), want)
+        want = oracles.exp_ladder("Jminus", complex(axis[1] * sh,
+                                                    -axis[0] * sh) / alpha,
+                                  want)
+        assert max_amplitude_rel_diff(want, got) <= 1e-13
+
+
 class TestLadderGeneration:
     def test_rest_label_is_exactly_the_north_pole_state(self):
         s = coherent_ladder_generated(ZLabel([0, 0, 1]), REP, 20)
@@ -236,7 +278,8 @@ def _sparse_eigen_residual(s, zl):
     sn = s.normalized()
     worst = 0.0
     for which, zi in zip(("Z1", "Z2", "Z3"), zl.z):
-        diff = state_sum([apply_Z(which, sn), state_scale(sn, -complex(zi))])
+        diff = state_sum([oracles.apply_Z(which, sn),
+                          state_scale(sn, -complex(zi))])
         worst = max(worst, diff.restricted(s.j_cut - 2).norm())
     return worst
 
@@ -246,7 +289,7 @@ class TestDenseMatchesSparse:
         s, _ = sampled_coherent
         for which in ("J3", "Jplus", "Jminus", "Jsq", "X1", "X2", "X3",
                       "Xplus", "Xminus", "Z1", "Z2", "Z3"):
-            want = (inner_log(s, apply_operator(which, s))
+            want = (inner_log(s, oracles.apply_operator(which, s))
                     .scaled_log(-s.log_norm_sq()).to_complex())
             got = expectation(which, s)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), which

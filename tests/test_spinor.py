@@ -2,16 +2,48 @@ import math
 
 import pytest
 
-from cohstates.repspace import (BasisIndex, apply_Z, basis_state,
-                                relative_residual, state_scale, state_sum)
-from cohstates.spinor import (SpinorState, apply_exp_minus_K, apply_K,
-                              apply_V, apply_Z_from_matrix, apply_Z_matrix,
-                              apply_sigma_dot_J, spinor_basis,
+import oracles
+from cohstates.repspace import (BasisIndex, apply_table, apply_Z,
+                                basis_state, relative_residual, state_scale,
+                                state_sum)
+from cohstates.spinor import (SpinorState, exp_minus_k_table, k_table,
+                              sigma_dot_table, spinor_basis,
                               spinor_relative_residual, spinor_scale,
-                              spinor_sum)
+                              spinor_sum, v_table, z_from_matrix_table,
+                              z_matrix_entries)
 
 JC = 12
 INTERIOR = JC - 2
+
+
+def _apply(table, sp):
+    """A spinor table applied to a spinor state."""
+    return SpinorState(*apply_table(table, sp.up, sp.down))
+
+
+def apply_V(sp):
+    return _apply(v_table(sp.up.j_cut), sp)
+
+
+def apply_K(sp):
+    return _apply(k_table(sp.up.j_cut), sp)
+
+
+def apply_sigma_dot_J(sp):
+    return _apply(sigma_dot_table("J", sp.up.j_cut), sp)
+
+
+def apply_exp_minus_K(sp):
+    return _apply(exp_minus_k_table(sp.up.j_cut), sp)
+
+
+def apply_Z_matrix(sp):
+    return apply_exp_minus_K(apply_V(sp))
+
+
+def apply_Z_from_matrix(which, phi):
+    table = z_from_matrix_table(which, z_matrix_entries(phi.j_cut))
+    return apply_table(table, phi)[0]
 
 
 def up_amp(sp, j, m):
@@ -189,3 +221,50 @@ def test_matrix_extraction_ground_value():
     got = apply_Z_from_matrix("Z3", basis_state(0, 0, JC))
     assert got.amplitudes[BasisIndex(1, 0)].to_complex() == pytest.approx(
         math.exp(-1) / math.sqrt(3), rel=1e-13)
+
+
+def _wide_spinor(j_cut=JC):
+    """Amplitudes over e^-25..e^3 in both components, top level included."""
+    import numpy as np
+    from cohstates.logdomain import LogComplex
+    from cohstates.repspace import StateVector
+    rng = np.random.default_rng(17)
+    comps = []
+    for _ in range(2):
+        amps = {BasisIndex(j, m): LogComplex(rng.uniform(-25.0, 3.0),
+                                             rng.uniform(-math.pi, math.pi))
+                for j in range(j_cut + 1) for m in range(-j, j + 1)
+                if rng.random() < 0.3}
+        comps.append(StateVector(amps, j_cut=j_cut))
+    return SpinorState(*comps)
+
+
+@pytest.mark.parametrize("name", ["apply_V", "apply_sigma_dot_J", "apply_K",
+                                  "apply_exp_minus_K", "apply_Z_matrix"])
+def test_table_operators_match_sparse_loops(name):
+    sp = _wide_spinor()
+    got = globals()[name](sp)
+    want = getattr(oracles, name)(sp)
+    assert spinor_relative_residual(got, want, sp) < 1e-14
+    for g, w in ((got.up, want.up), (got.down, want.down)):
+        assert g.lost_log == pytest.approx(w.lost_log, rel=1e-13)
+
+
+@pytest.mark.parametrize("which", ["Z1", "Z2", "Z3"])
+def test_table_routes_to_z_match_sparse_loops(which):
+    # relative to the operands z_route_equality scales by: the blocks of
+    # e^{-K} V and f(J^2) X_i applied to phi
+    from cohstates.repspace import apply_X, z_vector_form_table
+    phi = _wide_spinor().up
+    empty = state_scale(phi, 0j)
+    col_u = oracles.apply_Z_matrix(SpinorState(phi, empty))
+    col_d = oracles.apply_Z_matrix(SpinorState(empty, phi))
+    got = apply_Z_from_matrix(which, phi)
+    assert relative_residual(got, oracles.apply_Z_from_matrix(which, phi),
+                             phi, col_u.up, col_u.down, col_d.up,
+                             col_d.down) < 1e-14
+    t1 = oracles.diag_mul_logs(apply_X("X" + which[1], phi),
+                               lambda j: oracles.jsq_scalar_logs(j)[0])
+    got, = apply_table(z_vector_form_table(which, phi.j_cut), phi)
+    assert relative_residual(got, oracles.apply_Z_vector_form(which, phi),
+                             phi, t1) < 1e-14
