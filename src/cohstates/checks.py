@@ -100,7 +100,7 @@ class _Sweep:
 
     def __init__(self, j_cut: int, components: int = 1):
         self.one = identity_table(j_cut, components)
-        _, self.j, self.m = self.one.columns()
+        _, self.j, self.m = self.one.columns
         self.interior = j_cut - 2
         self.inside = self.j <= self.interior
         self.worst = np.zeros(self.j.size)

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 # lets "--l -17.49,7.49,10" parse as a value rather than an unknown flag
-_NEGATIVE_TOKEN = re.compile(r"^-\d+(\.\d+)?([,eE][-+\d.,]+)?$")
+_NEGATIVE_TOKEN = re.compile(r"^-\d+(\.\d+)?([,eE][-+\d.,eE]+)?$")
 
 from . import __version__
 from .checks import run_all

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +42,8 @@ __all__ = [
     "expectation",
     "relative_residual",
     "residual_norm",
+    "grid",
+    "rect_array",
 ]
 
 
@@ -125,8 +128,10 @@ class StateVector:
         amps = {k: a for k, a in self.amplitudes.items() if k.j <= j_max}
         return replace(self, amplitudes=amps)
 
+    @cached_property
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log-magnitude, phase) arrays over the flat index j*j + j + m."""
+        """(log-magnitude, phase) arrays over the flat index j*j + j + m,
+        built once per state and read-only."""
         n = (self.j_cut + 1) ** 2
         lm = np.full(n, -math.inf)
         ph = np.zeros(n)
@@ -134,6 +139,7 @@ class StateVector:
             k = j * j + j + m
             lm[k] = a.log_mag
             ph[k] = a.phase
+        lm.flags.writeable = ph.flags.writeable = False
         return lm, ph
 
     @classmethod
@@ -142,7 +148,7 @@ class StateVector:
                    ) -> "StateVector":
         """The state with the amplitudes exp(lm) e^{i ph} on the flat grid;
         entries with lm = -inf are left out."""
-        j, m = _grid(j_cut)
+        j, m = grid(j_cut)
         k = np.flatnonzero(lm > -math.inf)
         amps = {BasisIndex(jj, mm): LogComplex.from_polar(lg, p)
                 for jj, mm, lg, p in zip(j[k].tolist(), m[k].tolist(),
@@ -165,15 +171,16 @@ _X_LABELS = {"X1", "X2", "X3", "Xplus", "Xminus"}
 _Z_LABELS = {"Z1", "Z2", "Z3"}
 
 
-def _apply_label(which: str, labels: set, s: StateVector) -> StateVector:
+def _label_table(which: str, s: StateVector,
+                 labels: set = _J_LABELS | _X_LABELS | _Z_LABELS) -> BandTable:
     if which not in labels:
         raise ValueError(f"unknown operator label {which!r}")
-    return apply_table(operator_table(which, s.j_cut, s.rep.r), s)[0]
+    return operator_table(which, s.j_cut, s.rep.r)
 
 
 def apply_J(which: str, s: StateVector) -> StateVector:
     """Exact action of J3, J+/-, or J^2 (ladder shifts never change j)."""
-    return _apply_label(which, _J_LABELS, s)
+    return apply_table(_label_table(which, s, _J_LABELS), s)[0]
 
 
 def apply_X(which: str, s: StateVector) -> StateVector:
@@ -184,12 +191,12 @@ def apply_X(which: str, s: StateVector) -> StateVector:
     if which == "X2":
         return state_sum([state_scale(apply_X("Xplus", s), complex(0, -0.5)),
                           state_scale(apply_X("Xminus", s), complex(0, 0.5))])
-    return _apply_label(which, _X_LABELS, s)
+    return apply_table(_label_table(which, s, _X_LABELS), s)[0]
 
 
 def apply_Z(which: str, s: StateVector) -> StateVector:
     """Coherent-state generator action from its explicit matrix elements."""
-    return _apply_label(which, _Z_LABELS, s)
+    return apply_table(_label_table(which, s, _Z_LABELS), s)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +257,14 @@ def inner(a: StateVector, b: StateVector) -> complex:
 # A bilinear form <s|O|s> needs O|s> only as an intermediate, so it is
 # evaluated on a dense view of s instead of through a sparse StateVector of
 # LogComplex values: log-magnitude and phase arrays over the flat index
-# j*j + j + m.  Every operator is a few branches |j, m> -> |j + dj, m + dm>
-# whose coefficients are computed per call from the (j, m) grid.  The largest
-# log-magnitude is subtracted before exponentiating, so nothing overflows and
-# terms below e^-745 of the largest underflow to zero, as in log_complex_sum.
+# j*j + j + m (laid out by grid(), turned into values by rect_array()).
+# O|s> comes from the operator's table (below).  The largest log-magnitude
+# is subtracted before exponentiating, so nothing overflows and terms below
+# e^-745 of the largest underflow to zero, as in log_complex_sum.
 
-def _rect_array(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
-    """exp(lm) e^{i ph}; quadrant phases stay exact, as in logdomain._rect."""
+def rect_array(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """exp(lm) e^{i ph} of a dense view; quadrant phases stay exact, as in
+    logdomain._rect."""
     mag = np.exp(lm)
     re = mag * np.cos(ph)
     im = mag * np.sin(ph)
@@ -265,8 +273,8 @@ def _rect_array(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def _grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """j and m at every flat index up to j_cut."""
+def grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """j and m at every flat index j*j + j + m up to j_cut."""
     j = np.repeat(np.arange(j_cut + 1), 2 * np.arange(j_cut + 1) + 1)
     return j, np.arange(j.size) - j * (j + 1)
 
@@ -317,61 +325,41 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray,
     raise ValueError(f"unknown operator label {which!r}")
 
 
-def _dense_apply(which: str, s: StateVector, lm: np.ndarray, ph: np.ndarray,
-                 floor: float = -math.inf) -> tuple[float, np.ndarray]:
-    """O|s> = e^top v on the flat grid, from the dense view (lm, ph) of s.
-
-    top is the largest source log-magnitude plus branch weight, or `floor`
-    if that is larger; raising past j_cut drops the term.
-    """
-    if which not in _J_LABELS | _X_LABELS | _Z_LABELS:
-        raise ValueError(f"unknown operator label {which!r}")
-    j, m = _grid(s.j_cut)
-    terms = []
-    for dj, dm, coef, weight in _dense_branches(which, j, m, s.rep.r):
-        src = np.flatnonzero((coef != 0) & (lm > -math.inf)
-                             & (j + dj <= s.j_cut))
-        jt = j[src] + dj
-        terms.append((jt * (jt + 1) + m[src] + dm, coef[src],
-                      lm[src] + weight[src], ph[src]))
-    top = max([floor] + [lg.max() for _, _, lg, _ in terms if lg.size])
-    v = np.zeros(lm.size, dtype=complex)
-    for tgt, coef, lg, phase in terms:
-        # each branch maps distinct sources to distinct targets
-        v[tgt] += coef * _rect_array(lg - top, phase)
-    return top, v
-
-
 def expectation(which: str, s: StateVector) -> complex:
     """<s|O|s> / <s|s> for any label apply_J, apply_X or apply_Z accepts.
 
     Evaluated on the dense view with the largest amplitude scaled to 1.
     """
-    lm, ph = s.dense()
+    lm, ph = s.dense
     peak = lm.max()
     if peak == -math.inf:
         raise ValueError("expectation value in a zero-norm state")
-    top, v = _dense_apply(which, s, lm, ph)
-    a = _rect_array(lm - peak, ph)
-    return complex(np.vdot(a, v) / np.vdot(a, a).real) * math.exp(top - peak)
+    lm = lm - peak
+    top, acc, _ = _table_image(_label_table(which, s), lm, ph)
+    t = max(top.max(), 0.0)    # at least the state's own peak, so finite
+    a = rect_array(lm, ph)
+    v = acc * np.exp(top - t)
+    return complex(np.vdot(a, v) / np.vdot(a, a).real) * math.exp(t)
 
 
 def residual_norm(which: str, s: StateVector, value: complex,
                   j_max: int) -> float:
     """||(O - value)|s>|| / ||s||, counting only the levels j <= j_max."""
-    lm, ph = s.dense()
+    lm, ph = s.dense
     peak = lm.max()
     if peak == -math.inf:
         raise ValueError("cannot normalize the zero state")
     lm = lm - peak - 0.5 * math.log(float(np.sum(np.exp(2 * (lm - peak)))))
     value = complex(value)
     lv = math.log(abs(value)) if value != 0 else -math.inf
-    top, v = _dense_apply(which, s, lm, ph, floor=lm.max() + lv)
-    if top == -math.inf:
+    top, acc, _ = _table_image(_label_table(which, s), lm, ph)
+    t = max(top.max(), lm.max() + lv)
+    if t == -math.inf:
         return 0.0
-    d = (v - value * _rect_array(lm - top, ph))[:max(j_max + 1, 0) ** 2]
+    d = (acc * np.exp(top - t)
+         - value * rect_array(lm - t, ph))[:max(j_max + 1, 0) ** 2]
     sq = float(np.vdot(d, d).real)
-    return math.exp(top + 0.5 * math.log(sq)) if sq > 0 else 0.0
+    return math.exp(t + 0.5 * math.log(sq)) if sq > 0 else 0.0
 
 
 def relative_residual(lhs: StateVector, rhs: StateVector,
@@ -421,11 +409,12 @@ class BandTable:
     log_scale: np.ndarray
     j_cut: int
 
+    @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Component, j and m of every column."""
         n = (self.j_cut + 1) ** 2
         comps = self.log_scale.size // n
-        j, m = _grid(self.j_cut)
+        j, m = grid(self.j_cut)
         return (np.repeat(np.arange(comps), n), np.tile(j, comps),
                 np.tile(m, comps))
 
@@ -433,7 +422,7 @@ class BandTable:
         """Target column of every column under band `key`, and whether it
         is a basis index with j <= j_max (the target is 0 where it is not)."""
         n = (self.j_cut + 1) ** 2
-        c, j, m = self.columns()
+        c, j, m = self.columns
         ct, jt, mt = c + key[2], j + key[0], m + key[1]
         ok = ((jt >= 0) & (jt <= j_max) & (np.abs(mt) <= jt)
               & (ct >= 0) & (ct * n < self.log_scale.size))
@@ -490,12 +479,12 @@ class BandTable:
 
 
 def operator_table(which: str, j_cut: int, r: float = 1.0) -> BandTable:
-    """Table of J1, J2 or any label apply_J, apply_X or apply_Z accepts: the
-    sum of its dense branches."""
-    j, m = _grid(j_cut)
-    parts = [BandTable({(dj, dm, 0): c}, w, j_cut)
-             for dj, dm, c, w in _dense_branches(which, j, m, r)]
-    return sum(parts[1:], parts[0])
+    """Table of J1, J2 or any label apply_J, apply_X or apply_Z accepts: one
+    band per dense branch, each column scaled to its largest branch weight."""
+    branches = _dense_branches(which, *grid(j_cut), r)
+    top = np.max([w for *_, w in branches], axis=0)
+    return BandTable({(dj, dm, 0): c * np.exp(w - top)
+                      for dj, dm, c, w in branches}, top, j_cut)
 
 
 def identity_table(j_cut: int, components: int = 1) -> BandTable:
@@ -520,25 +509,56 @@ def _jsq_scalar_logs(j):
 
 def jsq_tables(j_cut: int) -> tuple[BandTable, BandTable]:
     """The diagonal tables of f(J^2) and g(J^2)."""
-    j, _ = _grid(j_cut)
+    j, _ = grid(j_cut)
     return tuple(BandTable({(0, 0, 0): np.ones(j.size)}, logs, j_cut)
                  for logs in _jsq_scalar_logs(j))
 
 
-def z_vector_form_table(which: str, j_cut: int, r: float = 1.0) -> BandTable:
-    """Generator built from scalar functions of J^2, X and the J x X product.
+def z_vector_form_table(which: str, j_cut: int) -> BandTable:
+    """Generator built from scalar functions of J^2, X/r and the J x X product.
 
     Independent route to the same operators: f(J^2) X_i / r plus
     i g(J^2) (J x X)_i / r with J kept to the left of X and both scalar
-    functions applied after the vector part (they are diagonal in j).
+    functions applied after the vector part (they are diagonal in j).  X/r
+    is the position operator at r = 1, so the route does not depend on r.
     """
     idx = ("Z1", "Z2", "Z3").index(which)
     js = [operator_table(f"J{i}", j_cut) for i in (1, 2, 3)]
-    xs = [operator_table(f"X{i}", j_cut, r) for i in (1, 2, 3)]
+    xs = [operator_table(f"X{i}", j_cut) for i in (1, 2, 3)]
     f, g = jsq_tables(j_cut)
     jn, kn = (idx + 1) % 3, (idx + 2) % 3
     cross = js[jn] @ xs[kn] - js[kn] @ xs[jn]
-    return (1.0 / r) * (f @ xs[idx] + 1j * (g @ cross))
+    return f @ xs[idx] + 1j * (g @ cross)
+
+
+def _table_image(t: BandTable, lm: np.ndarray, ph: np.ndarray) -> tuple:
+    """The table's image of the dense view (lm, ph) over its columns.
+
+    Returns (top, acc, lost): the image is e^{top} acc, each amplitude
+    summed around its largest term as in log_complex_sum, and lost holds,
+    per component, the log of the squared magnitude raised past j_cut.
+    """
+    n = (t.j_cut + 1) ** 2
+    lm = lm + t.log_scale
+    top = np.full(lm.size, -math.inf)
+    lost = np.full(lm.size // n, -math.inf)
+    terms = []
+    for key, coef in t.bands.items():
+        tgt, ok = t._targets(key, t.j_cut)
+        live = (coef != 0) & (lm > -math.inf)
+        with np.errstate(divide="ignore"):
+            lg = lm + np.log(np.abs(coef))
+        src = np.flatnonzero(live & ok)
+        # each band maps distinct sources to distinct targets
+        top[tgt[src]] = np.maximum(top[tgt[src]], lg[src])
+        terms.append((tgt[src], lg[src], ph[src],
+                      coef[src] / np.abs(coef[src])))
+        gone = np.flatnonzero(live & ~ok)
+        np.logaddexp.at(lost, gone // n + key[2], 2 * lg[gone])
+    acc = np.zeros(lm.size, dtype=complex)
+    for tgt, lg, phase, unit in terms:
+        acc[tgt] += unit * rect_array(lg - top[tgt], phase)
+    return top, acc, lost
 
 
 def apply_table(t: BandTable, *components: StateVector) -> tuple:
@@ -549,29 +569,16 @@ def apply_table(t: BandTable, *components: StateVector) -> tuple:
     magnitude is added to the lost_log of the component they would reach.
     """
     n = (t.j_cut + 1) ** 2
-    lm, ph = map(np.concatenate, zip(*(s.dense() for s in components)))
-    lm = lm + t.log_scale
-    top = np.full(lm.size, -math.inf)
-    lost = [[s.lost_log] for s in components]
-    terms = []
-    for key, coef in t.bands.items():
-        tgt, ok = t._targets(key, t.j_cut)
-        live = (coef != 0) & (lm > -math.inf)
-        src = np.flatnonzero(live & ok)
-        lg = lm[src] + np.log(np.abs(coef[src]))
-        terms.append((tgt[src], lg, ph[src], coef[src] / np.abs(coef[src])))
-        np.maximum.at(top, tgt[src], lg)
-        for k in np.flatnonzero(live & ~ok):
-            lost[k // n + key[2]].append(2 * (lm[k] + math.log(abs(coef[k]))))
-    acc = np.zeros(lm.size, dtype=complex)
-    for tgt, lg, phase, unit in terms:
-        # each band maps distinct sources to distinct targets
-        acc[tgt] += unit * _rect_array(lg - top[tgt], phase)
+    if (any(s.j_cut != t.j_cut for s in components)
+            or len(components) * n != t.log_scale.size):
+        raise ValueError("states must match the table's j_cut and components")
+    lm, ph = map(np.concatenate, zip(*(s.dense for s in components)))
+    top, acc, lost = _table_image(t, lm, ph)
     with np.errstate(divide="ignore"):
         out_lm = top + np.log(np.abs(acc))
     out_ph = np.angle(acc)
     return tuple(
         StateVector.from_dense(out_lm[c * n:(c + 1) * n],
                                out_ph[c * n:(c + 1) * n], t.j_cut, s.rep,
-                               log_sum_exp(lost[c]))
+                               float(np.logaddexp(s.lost_log, lost[c])))
         for c, s in enumerate(components))

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .logdomain import LogComplex, ONE
-from .repspace import (BasisIndex, RepParams, StateVector, _dense_branches,
-                       _grid, _rect_array, expectation, residual_norm)
+from .repspace import (BasisIndex, RepParams, StateVector, expectation, grid,
+                       operator_table, rect_array, residual_norm)
 from .specfun import gegenbauer_column, log_factorial
 
 __all__ = [
@@ -264,7 +264,7 @@ def coherent_triple_sum(zl: ZLabel, rep: RepParams, j_cut: int) -> StateVector:
         lg = np.where(ok, lg, -math.inf)
         phase = m * (cmath.phase(nu) + gamma.imag) + k * cmath.phase(mu)
         top = np.nan_to_num(lg.max(axis=0), neginf=0.0)
-        acc = _rect_array(lg - top, phase).sum(axis=0)
+        acc = rect_array(lg - top, phase).sum(axis=0)
         with np.errstate(divide="ignore"):
             lm[j * j:(j + 1) ** 2] = top + np.log(np.abs(acc))
         ph[j * j:(j + 1) ** 2] = np.angle(acc)
@@ -292,11 +292,11 @@ def _exp_ladder(which: str, coef: complex, lm: np.ndarray, ph: np.ndarray,
     """
     if coef == 0:
         return lm, ph
-    ((_, dm, c, _),) = _dense_branches(which, *_grid(j_cut), 1.0)
+    (((_, dm, _), c),) = operator_table(which, j_cut).bands.items()
     with np.errstate(divide="ignore"):
         lc = np.log(c) + math.log(abs(coef))
     top, t_lm, t_ph = lm, lm, ph
-    acc = np.where(lm > -math.inf, _rect_array(np.zeros(lm.size), ph), 0)
+    acc = np.where(lm > -math.inf, rect_array(np.zeros(lm.size), ph), 0)
     for k in range(1, 2 * j_cut + 3):
         # the flat index moves with m; the coefficient is 0 at m = +-j, so
         # nothing crosses into the next multiplet or wraps around
@@ -306,7 +306,7 @@ def _exp_ladder(which: str, coef: complex, lm: np.ndarray, ph: np.ndarray,
         t_ph = np.roll(t_ph, dm) + cmath.phase(coef)
         new_top = np.maximum(top, t_lm)
         shift = np.nan_to_num(new_top, neginf=0.0)
-        acc = acc * np.exp(top - shift) + _rect_array(t_lm - shift, t_ph)
+        acc = acc * np.exp(top - shift) + rect_array(t_lm - shift, t_ph)
         top = new_top
     else:
         raise RuntimeError("ladder series failed to terminate")
@@ -317,8 +317,8 @@ def _exp_ladder(which: str, coef: complex, lm: np.ndarray, ph: np.ndarray,
 def _ladder_product(s: StateVector, lower: complex, diag: complex,
                     upper: complex) -> StateVector:
     """exp(lower J-) exp(diag J3) exp(upper J+) |s>."""
-    lm, ph = _exp_ladder("Jplus", upper, *s.dense(), s.j_cut)
-    _, m = _grid(s.j_cut)
+    lm, ph = _exp_ladder("Jplus", upper, *s.dense, s.j_cut)
+    _, m = grid(s.j_cut)
     lm, ph = _exp_ladder("Jminus", lower, lm + m * diag.real,
                          ph + m * diag.imag, s.j_cut)
     return StateVector.from_dense(lm, ph, s.j_cut, s.rep, s.lost_log)
@@ -468,12 +468,12 @@ def max_amplitude_rel_diff(a: StateVector, b: StateVector) -> float:
     if not a.amplitudes:
         raise ValueError("reference state has no amplitudes")
     cut = max(a.j_cut, b.j_cut)
-    (la, pa), (lb, pb) = (replace(s, j_cut=cut).dense() for s in (a, b))
+    (la, pa), (lb, pb) = (replace(s, j_cut=cut).dense for s in (a, b))
     top = np.maximum(la, lb)
     live = top > -math.inf
     top = top[live]
-    d = (_rect_array(la[live] - top, pa[live])
-         - _rect_array(lb[live] - top, pb[live]))
+    d = (rect_array(la[live] - top, pa[live])
+         - rect_array(lb[live] - top, pb[live]))
     with np.errstate(divide="ignore"):
         worst = np.max(top + np.log(np.abs(d)), initial=-math.inf)
     if worst == -math.inf:

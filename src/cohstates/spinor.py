@@ -19,9 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .logdomain import log_complex_sum, log_sum_exp
-from .repspace import (BandTable, RepParams, _grid, basis_state,
-                       identity_table, inner_log, operator_table, state_scale,
-                       state_sum)
+from .repspace import (BandTable, RepParams, basis_state, grid, identity_table,
+                       inner_log, operator_table, state_scale, state_sum)
 
 __all__ = [
     "SpinorState",
@@ -64,18 +63,6 @@ def spinor_basis(j: int, m: int, j_cut: int, component: str = "up",
     return SpinorState(empty, full)
 
 
-def _spinor_table(j_cut: int, blocks: dict) -> BandTable:
-    """Spinor table from unscaled one-component tables {(row, col): table}
-    (log_scale 0, as for J and X)."""
-    n = (j_cut + 1) ** 2
-    bands: dict = {}
-    for (row, col), t in blocks.items():
-        for (dj, dm, _), c in t.bands.items():
-            band = bands.setdefault((dj, dm, row - col), np.zeros(2 * n))
-            band[col * n:(col + 1) * n] += c
-    return BandTable(bands, np.zeros(2 * n), j_cut)
-
-
 def _entry(t: BandTable, row: int, col: int) -> BandTable:
     """Block (row, col) of a spinor table as a one-component table."""
     n = t.log_scale.size // 2
@@ -86,17 +73,24 @@ def _entry(t: BandTable, row: int, col: int) -> BandTable:
                      t.log_scale[cols], t.j_cut)
 
 
-def sigma_dot_table(vector: str, j_cut: int, r: float = 1.0) -> BandTable:
-    """sigma.A = [[A3, A-], [A+, -A3]] for the vector operator A = J or X."""
-    a3 = operator_table(vector + "3", j_cut, r)
-    return _spinor_table(j_cut, {
-        (0, 0): a3, (0, 1): operator_table(vector + "minus", j_cut, r),
-        (1, 0): operator_table(vector + "plus", j_cut, r), (1, 1): -1.0 * a3})
+def sigma_dot_table(vector: str, j_cut: int) -> BandTable:
+    """sigma.A = [[A3, A-], [A+, -A3]] for A = J or the position operator X
+    at r = 1; block (row, col) acts on the columns of component col."""
+    a3 = operator_table(vector + "3", j_cut)
+    blocks = {(0, 0): a3, (0, 1): operator_table(vector + "minus", j_cut),
+              (1, 0): operator_table(vector + "plus", j_cut), (1, 1): -1.0 * a3}
+    n = (j_cut + 1) ** 2
+    parts = [BandTable({(dj, dm, row - col):
+                        np.pad(c, (col * n, n - col * n))
+                        for (dj, dm, _), c in t.bands.items()},
+                       np.pad(t.log_scale, (col * n, n - col * n)), j_cut)
+             for (row, col), t in blocks.items()]
+    return sum(parts[1:], parts[0])
 
 
-def v_table(j_cut: int, r: float = 1.0) -> BandTable:
-    """V = sigma.X / r."""
-    return (1.0 / r) * sigma_dot_table("X", j_cut, r)
+def v_table(j_cut: int) -> BandTable:
+    """V = sigma.X / r, which does not depend on r."""
+    return sigma_dot_table("X", j_cut)
 
 
 def k_table(j_cut: int) -> BandTable:
@@ -128,7 +122,7 @@ def exp_minus_k_table(j_cut: int) -> BandTable:
     An up column |j, m> is the first vector of the block with mu = m, a down
     column |j, m> the second vector of the block with mu = m - 1.
     """
-    j, m = _grid(j_cut)
+    j, m = grid(j_cut)
     scale, e_uu, e_ud, _ = _expk_entries(j, m)
     _, _, e_du, e_dd = _expk_entries(j, m - 1)
     zero = np.zeros(j.size)
@@ -138,10 +132,10 @@ def exp_minus_k_table(j_cut: int) -> BandTable:
                      np.concatenate([scale, scale]), j_cut)
 
 
-def z_matrix_entries(j_cut: int, r: float = 1.0) -> tuple:
+def z_matrix_entries(j_cut: int) -> tuple:
     """The operator-valued entries (A, B, C, D) of the polar-decomposed
     generator matrix e^{-K} V = [[A, B], [C, D]]."""
-    t = exp_minus_k_table(j_cut) @ v_table(j_cut, r)
+    t = exp_minus_k_table(j_cut) @ v_table(j_cut)
     return _entry(t, 0, 0), _entry(t, 0, 1), _entry(t, 1, 0), _entry(t, 1, 1)
 
 

@@ -38,7 +38,7 @@ def test_flipped_table_coefficient_fails_e3(monkeypatch):
     """One wrong X3 matrix element breaks [J, X] = i eps X at its column."""
     original = repspace._dense_branches
     j_cut = 12
-    j, m = repspace._grid(j_cut)
+    j, m = repspace.grid(j_cut)
     col = int(j.size // 2)       # |9, -6>, inside the interior j <= 10
 
     def flipped(which, jj, mm, r):

@@ -47,6 +47,11 @@ class TestSphereCommand:
         assert by_index[(1, 0)]["log_mag"] == pytest.approx(want, rel=1e-13)
         assert all(a["m"] == 0 for a in d["amplitudes"])
 
+    def test_negative_vector_with_an_exponent_parses(self, run):
+        # a leading minus made any later exponent read as an unknown flag
+        d = run_json(run, ["sphere", "--x", "-0.6,0,8e-01", "--l", "0,5,0"])
+        assert d["eigen_residual"] <= 1e-8
+
     def test_path_agreement_flag(self, run):
         d = run_json(run, ["sphere", "--x", "0,0,1", "--l", "1,0,0",
                            "--check-paths"])

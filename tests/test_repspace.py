@@ -38,7 +38,7 @@ def random_sparse_state(seed, j_cut=12, n=25, rep=None):
 
 def apply_Z_vector_form(which, s):
     """The J^2-function route to Z_i applied to s."""
-    return apply_table(z_vector_form_table(which, s.j_cut, s.rep.r), s)[0]
+    return apply_table(z_vector_form_table(which, s.j_cut), s)[0]
 
 
 def amp(s, j, m):
@@ -194,6 +194,16 @@ def _assert_close(got, want, rel):
     assert abs(got - want) <= rel * max(1.0, abs(want)), (got, want)
 
 
+def test_dense_view_is_built_once_and_read_only():
+    s = random_sparse_state(3)
+    lm, ph = s.dense
+    assert s.dense[0] is lm
+    with pytest.raises(ValueError):
+        lm[0] = 0.0
+    with pytest.raises(ValueError):
+        ph[0] = 0.0
+
+
 class TestDenseMatchesSparse:
     """The dense bilinear forms against the sparse operator actions."""
 
@@ -237,8 +247,8 @@ class TestDenseMatchesSparse:
 
 def _dense_terms(which, j_cut, r):
     """{(source, target): coefficient} of every nonzero dense branch."""
-    from cohstates.repspace import _dense_branches, _grid
-    j, m = _grid(j_cut)
+    from cohstates.repspace import _dense_branches, grid
+    j, m = grid(j_cut)
     out = {}
     for dj, dm, coef, weight in _dense_branches(which, j, m, r):
         for k in np.flatnonzero(coef != 0):
@@ -322,10 +332,23 @@ class TestBandTables:
         with pytest.raises(ValueError):
             identity_table(6, 2) + identity_table(6)
 
+    def test_states_must_match_the_tables_cut_and_components(self):
+        from cohstates.repspace import identity_table
+        s4, s0, s6 = (basis_state(0, 0, j_cut) for j_cut in (4, 0, 6))
+        with pytest.raises(ValueError):
+            apply_table(operator_table("J3", 4), basis_state(0, 0, 5))
+        with pytest.raises(ValueError):
+            apply_table(identity_table(4, 2), s4)
+        with pytest.raises(ValueError):
+            apply_table(operator_table("J3", 4), s4, s4)
+        # 1 + 49 flat entries line up with two components at j_cut 4
+        with pytest.raises(ValueError):
+            apply_table(identity_table(4, 2), s0, s6)
+
     def test_column_norms_are_the_images_norms(self):
         t = operator_table("Z2", 8) @ operator_table("X1", 8)
         norms = t.column_log_norms(6)
-        _, j, m = t.columns()
+        _, j, m = t.columns
         for k in (0, 7, 30, 80):
             image = oracles.apply_operator("Z2", oracles.apply_operator(
                 "X1", basis_state(int(j[k]), int(m[k]), 8)))
