@@ -416,10 +416,7 @@ def check_uncertainty(seed: int = 0) -> CheckResult:
 def check_truncation_tail(j_cut="auto", tail_tol: float = 1e-24) -> CheckResult:
     """Tail mass of the reference figure state under the configured cut."""
     p = SpherePhasePoint([0.412, 0.412, 0.812], [8.124, -8.124, 0.0])
-    if j_cut == "auto":
-        s = coherent_state(p, tail_tol=tail_tol)
-    else:
-        s = coherent_state(p, j_cut=int(j_cut))
+    s = coherent_state(p, j_cut=j_cut, tail_tol=tail_tol)
     return CheckResult("truncation_tail", s.tail_fraction(bands=2), tail_tol,
                        1, _point(p))
 

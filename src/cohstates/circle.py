@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .logdomain import (LogComplex, ZERO, log_complex_sum,
                         log_sum_exp, wrap_phase)
+from .sphere import ConstraintError
 
 __all__ = [
     "CirclePhasePoint",
@@ -31,16 +32,22 @@ __all__ = [
 
 MIN_MARGIN = 15
 DEFAULT_MARGIN = 25
+L_MIN = -709.0
 
 
 @dataclass(frozen=True, slots=True)
 class CirclePhasePoint:
-    """Classical label (phi, l); phi is wrapped into (-pi, pi]."""
+    """Classical label (phi, l); phi is wrapped into (-pi, pi], and l below
+    L_MIN is rejected."""
 
     phi: float
     l: float
 
     def __post_init__(self):
+        if not self.l >= L_MIN:
+            raise ConstraintError(
+                f"l = {self.l:.6g} is below the supported {L_MIN:g}, where "
+                "the eigenvalue xi = e^(-l + i phi) overflows a double")
         object.__setattr__(self, "phi", wrap_phase(self.phi))
 
     @property

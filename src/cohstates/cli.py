@@ -29,11 +29,11 @@ from .circle import (CirclePhasePoint, circle_coherent, circle_eigen_residual,
 from .repspace import RepParams
 from .rotator import (argmax_j, argmax_m, classical_peak_j, distribution_from_state,
                       rotator_energy)
-from .sphere import (ConstraintError, SpherePhasePoint,
+from .sphere import (L_NORM_MAX, ConstraintError, SpherePhasePoint,
                      coherent_ladder_generated, coherent_state,
-                     coherent_triple_sum, eigen_residual, expect_J, expect_X,
-                     max_amplitude_rel_diff, phase_to_z, relative_X,
-                     uncertainty_J)
+                     coherent_triple_sum, default_j_cut, eigen_residual,
+                     expect_J, expect_X, max_amplitude_rel_diff, phase_to_z,
+                     relative_X, uncertainty_J)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -75,33 +75,32 @@ def _vec_arg(text: str) -> np.ndarray:
     return np.array([_finite_arg(p) for p in parts])
 
 
-def _j_cut_arg(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        v = int(text)
-    except ValueError:
+def _int_arg(flag: str, lo: int, hi: float, auto: bool = False):
+    """argparse type: an integer in [lo, hi], or 'auto' where allowed."""
+    def parse(text: str):
+        if auto and text == "auto":
+            return text
+        with contextlib.suppress(ValueError):
+            if lo <= int(text) <= hi:
+                return int(text)
+        what = "'auto' or an integer" if auto else "an integer"
         raise argparse.ArgumentTypeError(
-            f"--j-cut must be an integer or 'auto', got {text!r}") from None
-    if v < 10:
-        raise argparse.ArgumentTypeError("--j-cut must be at least 10")
-    return v
+            f"{flag} must be {what} in [{lo}, {hi:g}], got {text!r}")
+    return parse
 
+
+# A sphere state at cut n holds (n + 1)^2 amplitudes, and a report prints
+# every nonzero one.  The upper bound is the automatic cut at the largest
+# supported |l| (355), 730: there a sphere report at --l 355,0,0 (534,361
+# nonzero amplitudes) peaks at 950 MB RSS as JSON and 460 MB as CSV, most of
+# it the printed amplitude list, and takes 12 s (one Xeon core, numpy 2.4).
+SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))
 
 # The identity sweeps need an interior level j <= j_cut - 2 above the ground
 # multiplet, and hold each operator as a table of at most 15 bands over
 # (j_cut + 1)^2 complex coefficients per component: under 20 MB per table at
 # the upper bound, where the seven identity checks take 1.5 s and 70 MB.
 IDENTITY_J_CUT_RANGE = (3, 200)
-
-
-def _identity_j_cut_arg(text: str) -> int:
-    lo, hi = IDENTITY_J_CUT_RANGE
-    with contextlib.suppress(ValueError):
-        if lo <= int(text) <= hi:
-            return int(text)
-    raise argparse.ArgumentTypeError(
-        f"--identity-j-cut must be an integer in [{lo}, {hi}], got {text!r}")
 
 
 def _tail_tol_arg(text: str) -> float:
@@ -185,6 +184,7 @@ def cmd_sphere(args) -> int:
     residual = eigen_residual(state, zl)
     # the Hermitian size sqrt(sum |z_i|^2) of the label, at least 1 on z.z = 1
     label_size = math.sqrt(float(np.sum(np.abs(zl.z) ** 2)))
+    js, ms, logs, phases = state.nonzero()
     payload = {
         "command": "sphere",
         "version": __version__,
@@ -202,19 +202,21 @@ def cmd_sphere(args) -> int:
         "eigen_residual": residual,
         "eigen_residual_rel": residual / label_size,
         "label_size": label_size,
-        "amplitudes": [
-            {"j": int(k.j), "m": int(k.m),
-             "log_mag": state.amplitudes[k].log_mag,
-             "phase": state.amplitudes[k].phase}
-            for k in sorted(state.amplitudes)
-        ],
+        "amplitude_log_range": max(logs) - min(logs),
+        "amplitudes": [{"j": j, "m": m, "log_mag": lg, "phase": ph}
+                       for j, m, lg, ph in zip(js, ms, logs, phases)],
     }
     if args.check_paths:
         rep = RepParams(r=point.r)
-        b = coherent_triple_sum(zl, rep, state.j_cut)
-        c = coherent_ladder_generated(zl, rep, state.j_cut)
-        payload["path_disagreement"] = max(max_amplitude_rel_diff(state, b),
-                                           max_amplitude_rel_diff(state, c))
+        try:
+            others = [route(zl, rep, state.j_cut) for route in
+                      (coherent_triple_sum, coherent_ladder_generated)]
+        except ConstraintError as exc:
+            # the routes' parametrization, not the phase point, is singular
+            payload["path_disagreement_reason"] = str(exc)
+            others = []
+        payload["path_disagreement"] = max(
+            (max_amplitude_rel_diff(state, o) for o in others), default=None)
     rows = [{"j": a["j"], "m": a["m"], "log_mag": repr(a["log_mag"]),
              "phase": repr(a["phase"])} for a in payload["amplitudes"]]
     _emit(args, payload, rows, ["j", "m", "log_mag", "phase"])
@@ -225,12 +227,9 @@ def cmd_rotator(args) -> int:
     point, state = _build_sphere_state(args)
     table = distribution_from_state(state, point)
     ln2 = state.log_norm_sq()
-    rows = []
-    for k in sorted(state.amplitudes):
-        ln_p = state.amplitudes[k].abs_sq_log() - ln2
-        rows.append({"j": int(k.j), "m": int(k.m),
-                     "p": repr(table.probability(k.j, k.m)),
-                     "ln_p": repr(ln_p)})
+    rows = [{"j": j, "m": m, "p": repr(table.probability(j, m)),
+             "ln_p": repr(2.0 * lg - ln2)}
+            for j, m, lg, _ in zip(*state.nonzero())]
     lsq = float(point.l @ point.l)
     root = classical_peak_j(lsq)
     payload = {
@@ -286,11 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_SubParser)
 
-    def common(p):
+    def common(p, j_cut_max=SPHERE_J_CUT_RANGE[1]):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the report here "
                        "instead of stdout")
-        p.add_argument("--j-cut", type=_j_cut_arg, default="auto",
+        p.add_argument("--j-cut", default="auto",
+                       type=_int_arg("--j-cut", SPHERE_J_CUT_RANGE[0],
+                                     j_cut_max, auto=True),
                        help="truncation level or 'auto' (adaptive)")
         p.add_argument("--tail-tol", type=_tail_tol_arg, default=1e-24,
                        help="adaptive truncation target for the top bands")
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for randomized sweeps")
 
     pc = sub.add_parser("circle", help="circle coherent-state report")
-    common(pc)
+    common(pc, j_cut_max=math.inf)
     pc.add_argument("--phi", type=_finite_arg, required=True,
                     help="angle label")
     pc.add_argument("--l", type=_finite_arg, required=True,
@@ -333,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the full invariant suite")
     common(pv)
-    pv.add_argument("--identity-j-cut", type=_identity_j_cut_arg, default=30,
+    pv.add_argument("--identity-j-cut", default=30,
+                    type=_int_arg("--identity-j-cut", *IDENTITY_J_CUT_RANGE),
                     help="truncation level for the operator-identity sweeps "
                          "(3 to 200)")
     pv.set_defaults(func=cmd_verify)

@@ -2,12 +2,11 @@
 
 Basis vectors |j, m> are joint eigenvectors of J^2 and J3 with integer j >= 0
 and |m| <= j (the twist, i.e. the J.X/r Casimir, is fixed at zero, which
-forces the minimal j to be 0 and all labels integer).  States are sparse maps
-from (j, m) to log-domain amplitudes; operators act exactly through their
-known matrix elements, and anything raised past the truncation level j_cut is
-dropped into a loss counter instead of vanishing silently.  Expectation
-values and eigen-residuals are evaluated on a dense view of the state, and
-operators are held as tables of their action on every basis vector at once.
+forces the minimal j to be 0 and all labels integer).  A state is a pair of
+log-magnitude and phase arrays over every (j, m) up to the truncation level
+j_cut.  Operators are tables of their action on every basis vector at once,
+built from their known matrix elements; anything raised past j_cut is
+dropped into a loss counter instead of vanishing silently.
 """
 
 from __future__ import annotations
@@ -15,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .logdomain import LogComplex, ONE, log_complex_sum, log_sum_exp
+from .logdomain import LogComplex, log_sum_exp
 
 __all__ = [
     "BasisIndex",
@@ -44,6 +44,7 @@ __all__ = [
     "residual_norm",
     "grid",
     "rect_array",
+    "polar_array",
 ]
 
 
@@ -68,98 +69,110 @@ class RepParams:
             raise ValueError("only the zero-twist representation is supported")
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Sparse expansion over |j, m> with LogComplex amplitudes.
+def _wrap(ph: np.ndarray) -> np.ndarray:
+    """Phases wrapped into (-pi, pi] exactly, as logdomain.wrap_phase does."""
+    ph = np.fmod(ph, 2 * math.pi)
+    ph = np.where(ph > math.pi, ph - 2 * math.pi, ph)
+    return np.where(ph <= -math.pi, ph + 2 * math.pi, ph)
 
+
+def _log_sq_sum(lm: np.ndarray) -> float:
+    """log sum_k exp(2 lm_k); -inf when every entry is an exact zero."""
+    top = lm.max(initial=-math.inf)
+    if top == -math.inf:
+        return -math.inf
+    return 2 * top + math.log(float(np.sum(np.exp(2 * (lm - top)))))
+
+
+@dataclass(frozen=True, eq=False)
+class StateVector:
+    """Amplitudes exp(log_mag) e^{i phase} over the flat index j*j + j + m.
+
+    Both arrays hold (j_cut + 1)^2 entries and are read-only: operations
+    return fresh instances.  log_mag = -inf is an exact zero (stored with
+    phase 0), and phases are kept in (-pi, pi] so quadrant phases stay exact.
     lost_log tracks the log of the total squared magnitude dropped by
     operators that tried to raise past j_cut, so truncation adequacy is
-    always auditable.  Treated as an immutable value: operations return
-    fresh instances.
+    always auditable.
     """
 
-    amplitudes: dict
+    log_mag: np.ndarray
+    phase: np.ndarray
     j_cut: int
     rep: RepParams = field(default_factory=RepParams)
     lost_log: float = -math.inf
 
     def __post_init__(self):
-        for (j, m) in self.amplitudes:
-            if j < 0 or abs(m) > j:
-                raise ValueError(f"invalid basis index (j={j}, m={m})")
-            if j > self.j_cut:
-                raise ValueError(f"index j={j} above truncation {self.j_cut}")
+        n = (self.j_cut + 1) ** 2
+        lm = np.array(self.log_mag, dtype=float)
+        ph = np.asarray(self.phase, dtype=float)
+        if lm.shape != (n,) or ph.shape != (n,):
+            raise ValueError(f"j_cut={self.j_cut} needs {n} log-magnitudes "
+                             f"and phases, got {lm.shape} and {ph.shape}")
+        ph = np.where(lm > -math.inf, _wrap(ph), 0.0)
+        lm.flags.writeable = ph.flags.writeable = False
+        object.__setattr__(self, "log_mag", lm)
+        object.__setattr__(self, "phase", ph)
+
+    def nonzero(self) -> tuple[list, list, list, list]:
+        """j, m, log-magnitude and phase of every nonzero amplitude, as
+        lists in (j, m) order; j is read off the flat index."""
+        k = np.flatnonzero(self.log_mag > -math.inf)
+        j = np.sqrt(k).astype(int)      # j*j <= k = j*j + j + m < (j + 1)^2
+        return tuple(x.tolist() for x in (j, k - j * (j + 1), self.log_mag[k],
+                                          self.phase[k]))
+
+    @cached_property
+    def amplitudes(self) -> MappingProxyType:
+        """Read-only {BasisIndex: LogComplex} view of the nonzero amplitudes,
+        built on first use for tests and tracing; the library reads the
+        arrays."""
+        j, m, lm, ph = self.nonzero()
+        return MappingProxyType({BasisIndex(*k): LogComplex(a, p)
+                                 for k, a, p in zip(zip(j, m), lm, ph)})
 
     def log_norm_sq(self) -> float:
-        return log_sum_exp(a.abs_sq_log() for a in self.amplitudes.values())
-
-    def norm(self) -> float:
-        return math.exp(0.5 * self.log_norm_sq())
+        return _log_sq_sum(self.log_mag)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero for a in self.amplitudes.values())
+        return self.log_mag.max() == -math.inf
 
     def normalized(self) -> "StateVector":
         ln2 = self.log_norm_sq()
         if ln2 == -math.inf:
             raise ValueError("cannot normalize the zero state")
-        amps = {k: a.scaled_log(-0.5 * ln2) for k, a in self.amplitudes.items()}
-        return replace(self, amplitudes=amps, lost_log=self.lost_log - ln2)
+        return replace(self, log_mag=self.log_mag - 0.5 * ln2,
+                       lost_log=self.lost_log - ln2)
 
     def tail_fraction(self, bands: int = 2) -> float:
         """Fraction of squared norm carried by the top `bands` j levels."""
         total = self.log_norm_sq()
         if total == -math.inf:
             return 0.0
-        tail = log_sum_exp(a.abs_sq_log()
-                           for (j, _), a in self.amplitudes.items()
-                           if j > self.j_cut - bands)
-        return math.exp(tail - total) if tail != -math.inf else 0.0
+        top = self.log_mag[max(self.j_cut - bands + 1, 0) ** 2:]
+        return math.exp(_log_sq_sum(top) - total)
 
     def lost_fraction(self) -> float:
         """Dropped squared magnitude relative to the current squared norm."""
-        total = self.log_norm_sq()
         if self.lost_log == -math.inf:
             return 0.0
-        return math.exp(self.lost_log - total)
+        return math.exp(self.lost_log - self.log_norm_sq())
 
     def restricted(self, j_max: int) -> "StateVector":
         """Drop every amplitude with j above j_max (a plain projection)."""
-        amps = {k: a for k, a in self.amplitudes.items() if k.j <= j_max}
-        return replace(self, amplitudes=amps)
-
-    @cached_property
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log-magnitude, phase) arrays over the flat index j*j + j + m,
-        built once per state and read-only."""
-        n = (self.j_cut + 1) ** 2
-        lm = np.full(n, -math.inf)
-        ph = np.zeros(n)
-        for (j, m), a in self.amplitudes.items():
-            k = j * j + j + m
-            lm[k] = a.log_mag
-            ph[k] = a.phase
-        lm.flags.writeable = ph.flags.writeable = False
-        return lm, ph
-
-    @classmethod
-    def from_dense(cls, lm: np.ndarray, ph: np.ndarray, j_cut: int,
-                   rep: RepParams, lost_log: float = -math.inf
-                   ) -> "StateVector":
-        """The state with the amplitudes exp(lm) e^{i ph} on the flat grid;
-        entries with lm = -inf are left out."""
-        j, m = grid(j_cut)
-        k = np.flatnonzero(lm > -math.inf)
-        amps = {BasisIndex(jj, mm): LogComplex.from_polar(lg, p)
-                for jj, mm, lg, p in zip(j[k].tolist(), m[k].tolist(),
-                                         lm[k].tolist(), ph[k].tolist())}
-        return cls(amps, j_cut=j_cut, rep=rep, lost_log=lost_log)
+        lm = self.log_mag.copy()
+        lm[max(j_max + 1, 0) ** 2:] = -math.inf
+        return replace(self, log_mag=lm)
 
 
 def basis_state(j: int, m: int, j_cut: int,
                 rep: RepParams | None = None) -> StateVector:
-    return StateVector({BasisIndex(j, m): ONE}, j_cut=j_cut,
-                       rep=rep or RepParams())
+    if not (0 <= j <= j_cut and abs(m) <= j):
+        raise ValueError(
+            f"invalid basis index (j={j}, m={m}) at j_cut={j_cut}")
+    lm = np.full((j_cut + 1) ** 2, -math.inf)
+    lm[j * j + j + m] = 0.0
+    return StateVector(lm, np.zeros(lm.size), j_cut, rep or RepParams())
 
 
 # ---------------------------------------------------------------------------
@@ -204,46 +217,37 @@ def apply_Z(which: str, s: StateVector) -> StateVector:
 # ---------------------------------------------------------------------------
 
 def state_scale(s: StateVector, c: complex) -> StateVector:
-    cl = LogComplex.from_complex(c)
-    if cl.is_zero:
-        return replace(s, amplitudes={})
-    amps = {k: a * cl for k, a in s.amplitudes.items()}
-    return replace(s, amplitudes=amps,
-                   lost_log=s.lost_log + cl.abs_sq_log())
+    c = complex(c)
+    lc = math.log(abs(c)) if c else -math.inf
+    return replace(s, log_mag=s.log_mag + lc,
+                   phase=s.phase + math.atan2(c.imag, c.real),
+                   lost_log=s.lost_log + 2 * lc)
 
 
 def state_sum(states: list[StateVector]) -> StateVector:
-    """Sum of states sharing rep and j_cut, amplitude-wise in log domain."""
+    """Sum of states sharing rep and j_cut, each amplitude summed around its
+    largest term."""
     first = states[0]
     for st in states[1:]:
         if st.rep != first.rep or st.j_cut != first.j_cut:
             raise ValueError("states to sum must share rep params and j_cut")
-    buckets: dict = {}
-    for st in states:
-        for k, a in st.amplitudes.items():
-            buckets.setdefault(k, []).append(a)
-    amps = {}
-    for k, terms in buckets.items():
-        t = terms[0] if len(terms) == 1 else log_complex_sum(terms)
-        if not t.is_zero:
-            amps[k] = t
-    return replace(first, amplitudes=amps,
-                   lost_log=log_sum_exp(st.lost_log for st in states))
+    top = np.max([st.log_mag for st in states], axis=0)
+    shift = np.where(top > -math.inf, top, 0.0)
+    acc = sum(rect_array(st.log_mag - shift, st.phase) for st in states)
+    lm, ph = polar_array(shift, acc)
+    return StateVector(lm, ph, first.j_cut, first.rep,
+                       log_sum_exp(st.lost_log for st in states))
 
 
 def inner_log(a: StateVector, b: StateVector) -> LogComplex:
     """<a|b> (conjugation on a) as a LogComplex."""
     if a.rep != b.rep:
         raise ValueError("inner product across different rep params")
-    small, other, conj_small = ((a, b, True) if len(a.amplitudes) <= len(b.amplitudes)
-                                else (b, a, False))
-    terms = []
-    for k, va in small.amplitudes.items():
-        vb = other.amplitudes.get(k)
-        if vb is None:
-            continue
-        terms.append((va.conj() * vb) if conj_small else (vb.conj() * va))
-    return log_complex_sum(terms)
+    n = min(a.log_mag.size, b.log_mag.size)
+    lg = a.log_mag[:n] + b.log_mag[:n]
+    top = float(np.nan_to_num(lg.max(), neginf=0.0))
+    acc = np.sum(rect_array(lg - top, _wrap(b.phase[:n] - a.phase[:n])))
+    return LogComplex.from_complex(acc).scaled_log(top)
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -251,19 +255,18 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# dense evaluation of expectation values and eigen-residuals
+# expectation values and eigen-residuals on the state's arrays
 # ---------------------------------------------------------------------------
 #
-# A bilinear form <s|O|s> needs O|s> only as an intermediate, so it is
-# evaluated on a dense view of s instead of through a sparse StateVector of
-# LogComplex values: log-magnitude and phase arrays over the flat index
-# j*j + j + m (laid out by grid(), turned into values by rect_array()).
-# O|s> comes from the operator's table (below).  The largest log-magnitude
-# is subtracted before exponentiating, so nothing overflows and terms below
-# e^-745 of the largest underflow to zero, as in log_complex_sum.
+# The flat index j*j + j + m is laid out by grid(); rect_array() turns
+# (log-magnitude, phase) arrays into values and polar_array() back.  A
+# bilinear form <s|O|s> takes O|s> from the operator's table (below) as an
+# intermediate.  The largest log-magnitude is subtracted before
+# exponentiating, so nothing overflows and terms below e^-745 of the largest
+# underflow to zero, as in log_complex_sum.
 
 def rect_array(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
-    """exp(lm) e^{i ph} of a dense view; quadrant phases stay exact, as in
+    """exp(lm) e^{i ph} elementwise; quadrant phases stay exact, as in
     logdomain._rect."""
     mag = np.exp(lm)
     re = mag * np.cos(ph)
@@ -271,6 +274,13 @@ def rect_array(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
     re[np.abs(ph) == 0.5 * math.pi] = 0.0
     im[ph == math.pi] = 0.0
     return re + 1j * im
+
+
+def polar_array(shift: np.ndarray, acc: np.ndarray) -> tuple:
+    """(log-magnitude, phase) arrays of e^{shift} acc; exact zeros of acc
+    become log-magnitude -inf."""
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.abs(acc)), np.angle(acc)
 
 
 def grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
@@ -325,19 +335,21 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray,
     raise ValueError(f"unknown operator label {which!r}")
 
 
-def expectation(which: str, s: StateVector) -> complex:
-    """<s|O|s> / <s|s> for any label apply_J, apply_X or apply_Z accepts.
+def _unit_image(which: str, s: StateVector) -> tuple:
+    """The log-magnitudes lm of s scaled to unit norm, and the operator's
+    image e^{top} acc of (lm, s.phase), as (lm, top, acc)."""
+    ln2 = s.log_norm_sq()
+    if ln2 == -math.inf:
+        raise ValueError("expectation value or residual of the zero state")
+    lm = s.log_mag - 0.5 * ln2
+    return (lm, *_table_image(_label_table(which, s), lm, s.phase)[:2])
 
-    Evaluated on the dense view with the largest amplitude scaled to 1.
-    """
-    lm, ph = s.dense
-    peak = lm.max()
-    if peak == -math.inf:
-        raise ValueError("expectation value in a zero-norm state")
-    lm = lm - peak
-    top, acc, _ = _table_image(_label_table(which, s), lm, ph)
-    t = max(top.max(), 0.0)    # at least the state's own peak, so finite
-    a = rect_array(lm, ph)
+
+def expectation(which: str, s: StateVector) -> complex:
+    """<s|O|s> / <s|s> for any label apply_J, apply_X or apply_Z accepts."""
+    lm, top, acc = _unit_image(which, s)
+    t = max(top.max(), 0.0)    # at least the state's own scale, so finite
+    a = rect_array(lm, s.phase)
     v = acc * np.exp(top - t)
     return complex(np.vdot(a, v) / np.vdot(a, a).real) * math.exp(t)
 
@@ -345,21 +357,16 @@ def expectation(which: str, s: StateVector) -> complex:
 def residual_norm(which: str, s: StateVector, value: complex,
                   j_max: int) -> float:
     """||(O - value)|s>|| / ||s||, counting only the levels j <= j_max."""
-    lm, ph = s.dense
-    peak = lm.max()
-    if peak == -math.inf:
-        raise ValueError("cannot normalize the zero state")
-    lm = lm - peak - 0.5 * math.log(float(np.sum(np.exp(2 * (lm - peak)))))
+    lm, top, acc = _unit_image(which, s)
     value = complex(value)
     lv = math.log(abs(value)) if value != 0 else -math.inf
-    top, acc, _ = _table_image(_label_table(which, s), lm, ph)
     t = max(top.max(), lm.max() + lv)
     if t == -math.inf:
         return 0.0
     d = (acc * np.exp(top - t)
-         - value * rect_array(lm - t, ph))[:max(j_max + 1, 0) ** 2]
+         - value * rect_array(lm - t, s.phase))[:max(j_max + 1, 0) ** 2]
     sq = float(np.vdot(d, d).real)
-    return math.exp(t + 0.5 * math.log(sq)) if sq > 0 else 0.0
+    return 0.0 if sq == 0 else math.exp(t + 0.5 * math.log(sq))
 
 
 def relative_residual(lhs: StateVector, rhs: StateVector,
@@ -374,11 +381,7 @@ def relative_residual(lhs: StateVector, rhs: StateVector,
     ref = max([lhs.log_norm_sq(), rhs.log_norm_sq()]
               + [x.log_norm_sq() for x in scales])
     d = diff.log_norm_sq()
-    if d == -math.inf:
-        return 0.0
-    if ref == -math.inf:
-        return math.inf
-    return math.exp(0.5 * (d - ref))
+    return 0.0 if d == -math.inf else math.exp(0.5 * (d - ref))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +396,7 @@ def relative_residual(lhs: StateVector, rhs: StateVector,
 # two-component ones on spinors.  Every column carries its own log scale, so
 # the e^{j} weights of Z and e^{-K} cannot overflow.  A product gathers one
 # table at the other's targets, O(bands^2 n), and drops targets past j_cut
-# between the factors, as the sparse operator actions do.
+# between the factors, as an application of one table does.
 
 @dataclass(frozen=True)
 class BandTable:
@@ -532,7 +535,7 @@ def z_vector_form_table(which: str, j_cut: int) -> BandTable:
 
 
 def _table_image(t: BandTable, lm: np.ndarray, ph: np.ndarray) -> tuple:
-    """The table's image of the dense view (lm, ph) over its columns.
+    """The table's image of the arrays (lm, ph) over its columns.
 
     Returns (top, acc, lost): the image is e^{top} acc, each amplitude
     summed around its largest term as in log_complex_sum, and lost holds,
@@ -551,8 +554,11 @@ def _table_image(t: BandTable, lm: np.ndarray, ph: np.ndarray) -> tuple:
         src = np.flatnonzero(live & ok)
         # each band maps distinct sources to distinct targets
         top[tgt[src]] = np.maximum(top[tgt[src]], lg[src])
+        # unit phases by real division: a complex division by a subnormal
+        # magnitude overflows
+        c, mag = coef[src], np.abs(coef[src])
         terms.append((tgt[src], lg[src], ph[src],
-                      coef[src] / np.abs(coef[src])))
+                      c.real / mag + 1j * (c.imag / mag)))
         gone = np.flatnonzero(live & ~ok)
         np.logaddexp.at(lost, gone // n + key[2], 2 * lg[gone])
     acc = np.zeros(lm.size, dtype=complex)
@@ -572,13 +578,11 @@ def apply_table(t: BandTable, *components: StateVector) -> tuple:
     if (any(s.j_cut != t.j_cut for s in components)
             or len(components) * n != t.log_scale.size):
         raise ValueError("states must match the table's j_cut and components")
-    lm, ph = map(np.concatenate, zip(*(s.dense for s in components)))
-    top, acc, lost = _table_image(t, lm, ph)
-    with np.errstate(divide="ignore"):
-        out_lm = top + np.log(np.abs(acc))
-    out_ph = np.angle(acc)
+    top, acc, lost = _table_image(
+        t, np.concatenate([s.log_mag for s in components]),
+        np.concatenate([s.phase for s in components]))
+    out_lm, out_ph = polar_array(top, acc)
     return tuple(
-        StateVector.from_dense(out_lm[c * n:(c + 1) * n],
-                               out_ph[c * n:(c + 1) * n], t.j_cut, s.rep,
-                               float(np.logaddexp(s.lost_log, lost[c])))
+        StateVector(out_lm[c * n:(c + 1) * n], out_ph[c * n:(c + 1) * n],
+                    t.j_cut, s.rep, float(np.logaddexp(s.lost_log, lost[c])))
         for c, s in enumerate(components))

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .repspace import StateVector
 from .sphere import SpherePhasePoint, coherent_state
 
@@ -62,12 +64,10 @@ class DistributionTable:
 
 def distribution_from_state(s: StateVector,
                             p: SpherePhasePoint) -> DistributionTable:
-    ln2 = s.log_norm_sq()
-    entries = {}
-    for (j, m), a in s.amplitudes.items():
-        lp = a.abs_sq_log() - ln2
-        entries[(j, m)] = math.exp(lp) if lp > -745.0 else 0.0
-    return DistributionTable(entries, p, s.j_cut)
+    j, m, lm, _ = s.nonzero()
+    lp = 2 * np.array(lm) - s.log_norm_sq()
+    prob = np.where(lp > -745.0, np.exp(lp), 0.0)
+    return DistributionTable(dict(zip(zip(j, m), prob.tolist())), p, s.j_cut)
 
 
 def distribution(p: SpherePhasePoint, j_cut: int | str = "auto",

@@ -1,12 +1,14 @@
 """Special functions feeding the coherent-state amplitudes.
 
-Everything returns LogComplex (or a plain log for log_factorial) so callers
-can keep composing without ever leaving the log domain.
+Values come in the log domain: LogComplex scalars, a plain log for
+log_factorial, and (log-magnitude, phase) arrays for gegenbauer_column.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .logdomain import LogComplex, ONE, log_complex_sum
 
@@ -50,29 +52,37 @@ def hyp2f1_terminating(n: int, b: float, c: float, z: complex) -> LogComplex:
 
 
 def gegenbauer(n: int, alpha: float, x: complex) -> LogComplex:
-    """Gegenbauer polynomial C_n^alpha(x) for complex x.
+    """Gegenbauer polynomial C_n^alpha(x) for complex x, the last entry of
+    its gegenbauer_column."""
+    lm, ph = gegenbauer_column(n, alpha, x)
+    return LogComplex.from_polar(float(lm[n]), float(ph[n]))
 
-    Computed by the ascending three-term recurrence
+
+def gegenbauer_column(n_max: int, alpha, x: complex) -> tuple:
+    """(log-magnitude, phase) arrays of C_0^alpha(x) .. C_{n_max}^alpha(x).
+
+    alpha may be an array; row n then holds degree n for every alpha.  One
+    sweep of the ascending three-term recurrence
         n C_n = 2x(n + alpha - 1) C_{n-1} - (n + 2 alpha - 2) C_{n-2}
-    with every value carried as LogComplex, so arguments with |x| far beyond
-    the overflow threshold of plain doubles are fine.  Ascending recursion is
-    benign here because the dominant solution grows monotonically.
+    runs in complex doubles with the last two values rescaled to magnitude
+    at most 1 after every step and the scale kept as a log, so the values
+    may lie far beyond the range of doubles as long as 2|x|(n_max + alpha)
+    is a finite double.  Ascending recursion is benign here because the
+    dominant solution grows monotonically.
     """
-    return gegenbauer_column(n, alpha, x)[n]
-
-
-def gegenbauer_column(n_max: int, alpha: float, x: complex) -> list[LogComplex]:
-    """All of C_0^alpha(x) .. C_{n_max}^alpha(x) in one recurrence sweep."""
-    if alpha <= 0:
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha <= 0):
         raise ValueError(f"alpha must be positive, got {alpha}")
     if n_max < 0:
         raise ValueError(f"degree must be nonnegative, got {n_max}")
-    xl = LogComplex.from_complex(x)
-    col = [ONE]
-    if n_max >= 1:
-        col.append(LogComplex.from_real(2.0 * alpha) * xl)
-    for n in range(2, n_max + 1):
-        t1 = LogComplex.from_real(2.0 * (n + alpha - 1) / n) * xl * col[n - 1]
-        t2 = LogComplex.from_real(-(n + 2.0 * alpha - 2.0) / n) * col[n - 2]
-        col.append(log_complex_sum([t1, t2]))
-    return col
+    vals = np.ones((n_max + 1,) + alpha.shape, dtype=complex)
+    scale = np.zeros(vals.shape)    # C_n = e^{scale[n]} vals[n]
+    prev = np.zeros(alpha.shape, dtype=complex)
+    for n in range(1, n_max + 1):
+        cur = (2 * x * (n + alpha - 1) * vals[n - 1]
+               - (n + 2 * alpha - 2) * prev) / n
+        big = np.maximum(np.abs(cur), np.abs(vals[n - 1]))
+        prev, vals[n] = vals[n - 1] / big, cur / big
+        scale[n] = scale[n - 1] + np.log(big)
+    with np.errstate(divide="ignore"):
+        return scale + np.log(np.abs(vals)), np.angle(vals)

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import LogComplex, ONE
-from .repspace import (BasisIndex, RepParams, StateVector, expectation, grid,
-                       operator_table, rect_array, residual_norm)
+from .repspace import (RepParams, StateVector, expectation, grid,
+                       operator_table, polar_array, rect_array, residual_norm,
+                       state_scale, state_sum)
 from .specfun import gegenbauer_column, log_factorial
 
 __all__ = [
@@ -57,6 +57,10 @@ TANGENCY_TOL = 1e-9
 RADIUS_REPAIR_LIMIT = 1e-2
 LABEL_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-24
+# The label's squared Hermitian size sum |z_i|^2 is cosh(2|l|), and the
+# bilinear check squares components of size cosh|l|: both are finite doubles
+# only up to |l| of about 355.2.
+L_NORM_MAX = 355.0
 
 
 class ConstraintError(ValueError):
@@ -78,7 +82,7 @@ class SpherePhasePoint:
     decimals) are rescaled onto it at construction, so the stored x always
     satisfies the radius constraint to machine precision.  Tangency is only
     repaired on request via project_tangent, since projecting l genuinely
-    changes the label.
+    changes the label.  |l| above L_NORM_MAX is rejected.
     """
 
     x: np.ndarray
@@ -106,6 +110,10 @@ class SpherePhasePoint:
                         "pass project_tangent=True to project l onto the "
                         "tangent plane")
                 l = l - (l @ x) / (r * r) * x
+        if not math.sqrt(l @ l) <= L_NORM_MAX:
+            raise ConstraintError(
+                f"|l| = {math.sqrt(l @ l):.6g} is above the supported "
+                f"{L_NORM_MAX:g}, where cosh(2|l|) overflows a double")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "r", float(r))
@@ -133,9 +141,10 @@ class ZLabel:
         if z.shape != (3,):
             raise ValueError(f"expected a complex 3-vector, got {z.shape}")
         if check:
-            scale = max(1.0, float(np.sum(np.abs(z) ** 2)))
-            dev = abs(z @ z - 1.0) / scale
-            if dev > LABEL_TOL:
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale = max(1.0, float(np.sum(np.abs(z) ** 2)))
+                dev = abs(z @ z - 1.0) / scale
+            if not dev <= LABEL_TOL:    # an overflow leaves a NaN: reject
                 raise ConstraintError(
                     f"|z.z - 1| = {dev:.3g} of the label size exceeds {LABEL_TOL}")
         object.__setattr__(self, "z", z)
@@ -185,12 +194,10 @@ def north_pole_state(rep: RepParams, j_cut: int) -> StateVector:
     """Rest state at the north pole: sum_j e^{-j(j+1)/2} sqrt(2j+1) |j, 0>."""
     if j_cut < 10:
         raise ValueError(f"j_cut={j_cut} too small for a faithful rest state")
-    amps = {
-        BasisIndex(j, 0): LogComplex.from_polar(
-            -0.5 * j * (j + 1) + 0.5 * math.log(2 * j + 1))
-        for j in range(j_cut + 1)
-    }
-    return StateVector(amps, j_cut=j_cut, rep=rep)
+    j, m = grid(j_cut)
+    lm = np.where(m == 0, -0.5 * j * (j + 1) + 0.5 * np.log(2 * j + 1),
+                  -math.inf)
+    return StateVector(lm, np.zeros(lm.size), j_cut, rep)
 
 
 def coherent_closed_form(zl: ZLabel, rep: RepParams, j_cut: int) -> StateVector:
@@ -198,29 +205,23 @@ def coherent_closed_form(zl: ZLabel, rep: RepParams, j_cut: int) -> StateVector:
 
     <j, m| state> combines e^{-j(j+1)/2} sqrt(2j+1), a factorial weight in
     |m|, the |m|-th power of (-sign(m) z1 + i z2)/2, and the Gegenbauer
-    polynomial of degree j - |m| with parameter |m| + 1/2 at z3.  Everything
-    is assembled in the log domain; one recurrence sweep per |m| yields the
-    whole column of polynomial values.
+    polynomial of degree j - |m| with parameter |m| + 1/2 at z3.  The whole
+    (j, m) grid is assembled at once in the log domain, its polynomial
+    values from one recurrence sweep over every parameter |m| + 1/2.
     """
     z1, z2, z3 = zl.z
-    cols = {}
-    amps = {}
-    for am in range(j_cut + 1):
-        cols[am] = gegenbauer_column(j_cut - am, am + 0.5, z3)
-    w_pos = LogComplex.from_complex((-z1 + 1j * z2) / 2.0)
-    w_neg = LogComplex.from_complex((z1 + 1j * z2) / 2.0)
-    for j in range(j_cut + 1):
-        for m in range(-j, j + 1):
-            am = abs(m)
-            lmag = (-0.5 * j * (j + 1) + 0.5 * math.log(2 * j + 1)
-                    + log_factorial(2 * am) - log_factorial(am)
-                    + 0.5 * (log_factorial(j - am) - log_factorial(j + am)))
-            base = LogComplex.from_polar(lmag)
-            w = w_pos if m > 0 else w_neg
-            val = base * (w ** am if m != 0 else ONE) * cols[am][j - am]
-            if not val.is_zero:
-                amps[BasisIndex(j, m)] = val
-    return StateVector(amps, j_cut=j_cut, rep=rep)
+    j, m = grid(j_cut)
+    am = np.abs(m)
+    lf = np.array([log_factorial(n) for n in range(2 * j_cut + 1)])
+    g_lm, g_ph = gegenbauer_column(j_cut, np.arange(j_cut + 1) + 0.5, z3)
+    lm = (-0.5 * j * (j + 1) + 0.5 * np.log(2 * j + 1) + lf[2 * am] - lf[am]
+          + 0.5 * (lf[j - am] - lf[j + am]) + g_lm[j - am, am])
+    ph = g_ph[j - am, am]
+    for w, side in (((-z1 + 1j * z2) / 2.0, m > 0),
+                    ((z1 + 1j * z2) / 2.0, m < 0)):
+        lm = lm + np.where(side, _log_power(w, am), 0.0)
+        ph = ph + np.where(side, am * cmath.phase(w), 0.0)
+    return StateVector(lm, ph, j_cut, rep)
 
 
 def generation_params(zl: ZLabel) -> tuple[complex, complex, complex]:
@@ -265,10 +266,8 @@ def coherent_triple_sum(zl: ZLabel, rep: RepParams, j_cut: int) -> StateVector:
         phase = m * (cmath.phase(nu) + gamma.imag) + k * cmath.phase(mu)
         top = np.nan_to_num(lg.max(axis=0), neginf=0.0)
         acc = rect_array(lg - top, phase).sum(axis=0)
-        with np.errstate(divide="ignore"):
-            lm[j * j:(j + 1) ** 2] = top + np.log(np.abs(acc))
-        ph[j * j:(j + 1) ** 2] = np.angle(acc)
-    return StateVector.from_dense(lm, ph, j_cut, rep)
+        lm[j * j:(j + 1) ** 2], ph[j * j:(j + 1) ** 2] = polar_array(top, acc)
+    return StateVector(lm, ph, j_cut, rep)
 
 
 def _log_power(w: complex, n: np.ndarray) -> np.ndarray:
@@ -280,7 +279,7 @@ def _log_power(w: complex, n: np.ndarray) -> np.ndarray:
 
 def _exp_ladder(which: str, coef: complex, lm: np.ndarray, ph: np.ndarray,
                 j_cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """exp(coef * Jpm) as the ladder series, on the dense view (lm, ph).
+    """exp(coef * Jpm) as the ladder series, on the state arrays (lm, ph).
 
     Jpm is nilpotent inside each multiplet, so the series is an exact finite
     sum that terminates on its own by 2 j_cut + 1 applications.  No
@@ -310,18 +309,17 @@ def _exp_ladder(which: str, coef: complex, lm: np.ndarray, ph: np.ndarray,
         top = new_top
     else:
         raise RuntimeError("ladder series failed to terminate")
-    with np.errstate(divide="ignore"):
-        return top + np.log(np.abs(acc)), np.angle(acc)
+    return polar_array(top, acc)
 
 
 def _ladder_product(s: StateVector, lower: complex, diag: complex,
                     upper: complex) -> StateVector:
     """exp(lower J-) exp(diag J3) exp(upper J+) |s>."""
-    lm, ph = _exp_ladder("Jplus", upper, *s.dense, s.j_cut)
+    lm, ph = _exp_ladder("Jplus", upper, s.log_mag, s.phase, s.j_cut)
     _, m = grid(s.j_cut)
     lm, ph = _exp_ladder("Jminus", lower, lm + m * diag.real,
                          ph + m * diag.imag, s.j_cut)
-    return StateVector.from_dense(lm, ph, s.j_cut, s.rep, s.lost_log)
+    return StateVector(lm, ph, s.j_cut, s.rep, s.lost_log)
 
 
 def coherent_ladder_generated(zl: ZLabel, rep: RepParams,
@@ -354,15 +352,14 @@ def apply_rotation(s: StateVector, axis, angle: float) -> StateVector:
 
 
 def coherent_state(p: SpherePhasePoint, j_cut: int | str = "auto",
-                   tail_tol: float = DEFAULT_TAIL_TOL,
-                   rep: RepParams | None = None) -> StateVector:
+                   tail_tol: float = DEFAULT_TAIL_TOL) -> StateVector:
     """Closed-form coherent state with adaptive truncation.
 
     With j_cut='auto' the level starts at the default for |l| and doubles
     until the squared-norm fraction in the top two j bands drops below
     tail_tol.  An explicit integer disables the adaptive loop.
     """
-    rep = rep or RepParams(r=p.r)
+    rep = RepParams(r=p.r)
     zl = phase_to_z(p)
     if j_cut != "auto":
         return coherent_closed_form(zl, rep, int(j_cut))
@@ -377,8 +374,8 @@ def coherent_state(p: SpherePhasePoint, j_cut: int | str = "auto",
 
 def eigen_residual(s: StateVector, zl: ZLabel) -> float:
     """max_i ||(Z_i - z_i)|s>|| on the truncation interior, |s> normalized."""
-    return max(residual_norm(which, s, complex(zi), s.j_cut - 2)
-               for which, zi in zip(("Z1", "Z2", "Z3"), zl.z))
+    return float(np.max([residual_norm(which, s, complex(zi), s.j_cut - 2)
+                         for which, zi in zip(("Z1", "Z2", "Z3"), zl.z)]))
 
 
 def _expect_pair(plus: str, minus: str, s: StateVector) -> tuple[float, float]:
@@ -414,20 +411,18 @@ def expect_X(s: StateVector) -> np.ndarray:
     return np.array([x1, x2, x3])
 
 
-def relative_X(s: StateVector, p: SpherePhasePoint,
-               j_cut: int | None = None) -> np.ndarray:
+def relative_X(s: StateVector, p: SpherePhasePoint) -> np.ndarray:
     """<X_k> normalized by the same average in the k-axis reference state.
 
     The ratio cancels the universal e^{-1/4} contraction and lands near the
     classical x.  Components whose reference average is below 1e-6 r are
     reported as NaN (undefined), never as a huge ratio.
     """
-    cut = j_cut if j_cut is not None else s.j_cut
     num = expect_X(s)
     out = np.empty(3)
     for k in range(3):
         ref_label = axis_reference_label(p.l, k)
-        ref_state = coherent_closed_form(ref_label, s.rep, cut)
+        ref_state = coherent_closed_form(ref_label, s.rep, s.j_cut)
         den = expect_X(ref_state)[k]
         out[k] = num[k] / den if abs(den) >= 1e-6 * p.r else math.nan
     return out
@@ -463,19 +458,9 @@ def max_amplitude_rel_diff(a: StateVector, b: StateVector) -> float:
     The scale is taken from `a` (the reference construction); a global
     normalization mismatch between the two states shows up rather than
     cancelling.  Each difference is taken around the larger of its two
-    amplitudes, on the dense views of both states.
+    amplitudes, as state_sum does.
     """
-    if not a.amplitudes:
+    if a.is_zero():
         raise ValueError("reference state has no amplitudes")
-    cut = max(a.j_cut, b.j_cut)
-    (la, pa), (lb, pb) = (replace(s, j_cut=cut).dense for s in (a, b))
-    top = np.maximum(la, lb)
-    live = top > -math.inf
-    top = top[live]
-    d = (rect_array(la[live] - top, pa[live])
-         - rect_array(lb[live] - top, pb[live]))
-    with np.errstate(divide="ignore"):
-        worst = np.max(top + np.log(np.abs(d)), initial=-math.inf)
-    if worst == -math.inf:
-        return 0.0
-    return math.exp(worst - la.max())
+    d = state_sum([a, state_scale(b, -1.0)])
+    return math.exp(d.log_mag.max() - a.log_mag.max())

@@ -14,7 +14,7 @@ two-component BandTable; apply_table(t, s.up, s.down) applies it to s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,7 @@ def spinor_basis(j: int, m: int, j_cut: int, component: str = "up",
                  rep=None) -> SpinorState:
     rep = rep or RepParams()
     full = basis_state(j, m, j_cut, rep)
-    empty = replace(full, amplitudes={})
+    empty = state_scale(full, 0)
     if component == "up":
         return SpinorState(full, empty)
     return SpinorState(empty, full)
@@ -169,12 +169,6 @@ def spinor_scale(s: SpinorState, c: complex) -> SpinorState:
 def spinor_relative_residual(lhs: SpinorState, rhs: SpinorState,
                              *scales: SpinorState) -> float:
     """Norm of (lhs - rhs) over the largest participating spinor norm."""
-    diff_up = state_sum([lhs.up, state_scale(rhs.up, -1 + 0j)])
-    diff_down = state_sum([lhs.down, state_scale(rhs.down, -1 + 0j)])
-    d = log_sum_exp([diff_up.log_norm_sq(), diff_down.log_norm_sq()])
+    d = spinor_sum([lhs, spinor_scale(rhs, -1.0)]).log_norm_sq()
     ref = max(x.log_norm_sq() for x in (lhs, rhs, *scales))
-    if d == -math.inf:
-        return 0.0
-    if ref == -math.inf:
-        return math.inf
-    return math.exp(0.5 * (d - ref))
+    return 0.0 if d == -math.inf else math.exp(0.5 * (d - ref))

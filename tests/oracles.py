@@ -7,15 +7,17 @@ versions, written on the sparse LogComplex carrier from the scalar matrix
 elements: the J, X and Z actions, every spinor operator, the J^2-function
 generator route, the per-basis-vector identity sweeps of `cohstates verify`,
 and the two sphere construction routes.  The tests hold the production code
-equal to them.
+equal to them.  They read states through the `amplitudes` view and build
+them back with `state_from_amplitudes`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 from typing import Iterable
+
+import numpy as np
 
 from cohstates.logdomain import LogComplex, log_complex_sum, log_sum_exp
 from cohstates.repspace import (BasisIndex, RepParams, StateVector,
@@ -32,6 +34,25 @@ _EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
 _JN = ("J1", "J2", "J3")
 _XN = ("X1", "X2", "X3")
 _ZN = ("Z1", "Z2", "Z3")
+
+
+def state_from_amplitudes(amps: dict, j_cut: int, rep: RepParams | None = None,
+                          lost_log: float = -math.inf) -> StateVector:
+    """The state with the {(j, m): LogComplex} amplitudes `amps`."""
+    lm = np.full((j_cut + 1) ** 2, -math.inf)
+    ph = np.zeros(lm.size)
+    for (j, m), a in amps.items():
+        if not (0 <= j <= j_cut and abs(m) <= j):
+            raise ValueError(f"invalid basis index (j={j}, m={m})")
+        lm[j * j + j + m], ph[j * j + j + m] = a.log_mag, a.phase
+    return StateVector(lm, ph, j_cut, rep or RepParams(), lost_log)
+
+
+def with_amplitudes(s: StateVector, amps: dict,
+                    lost_log: float | None = None) -> StateVector:
+    """s with its amplitudes (and optionally lost_log) replaced."""
+    return state_from_amplitudes(
+        amps, s.j_cut, s.rep, s.lost_log if lost_log is None else lost_log)
 
 
 # -- the sparse operator actions, one amplitude at a time -------------------
@@ -55,7 +76,7 @@ def _collect(contribs: Iterable, s: StateVector) -> StateVector:
         total = terms[0] if len(terms) == 1 else log_complex_sum(terms)
         if not total.is_zero:
             amps[key] = total
-    return replace(s, amplitudes=amps, lost_log=log_sum_exp(lost))
+    return with_amplitudes(s, amps, log_sum_exp(lost))
 
 
 def jplus_coef(j: int, m: int) -> float:
@@ -230,7 +251,7 @@ def jsq_scalar_logs(j: int) -> tuple[float, float]:
 
 def diag_mul_logs(s: StateVector, log_by_j) -> StateVector:
     amps = {k: a.scaled_log(log_by_j(k.j)) for k, a in s.amplitudes.items()}
-    return replace(s, amplitudes=amps)
+    return with_amplitudes(s, amps)
 
 
 def apply_Z_vector_form(which: str, s: StateVector) -> StateVector:
@@ -310,7 +331,7 @@ def apply_exp_minus_K(s: SpinorState) -> SpinorState:
         amps = {k: (v[0] if len(v) == 1 else log_complex_sum(v))
                 for k, v in buckets.items()}
         amps = {k: v for k, v in amps.items() if not v.is_zero}
-        return replace(template, amplitudes=amps)
+        return with_amplitudes(template, amps)
 
     return SpinorState(build(up_contribs, s.up), build(down_contribs, s.down))
 
@@ -320,7 +341,7 @@ def apply_Z_matrix(s: SpinorState) -> SpinorState:
 
 
 def apply_Z_from_matrix(which: str, phi: StateVector) -> StateVector:
-    empty = replace(phi, amplitudes={})
+    empty = with_amplitudes(phi, {})
     col_up = apply_Z_matrix(SpinorState(phi, empty))
     col_down = apply_Z_matrix(SpinorState(empty, phi))
     a, c = col_up.up, col_up.down
@@ -444,7 +465,7 @@ def z_route_equality(j_cut: int) -> float:
     interior = j_cut - 2
     worst = 0.0
     for s in _interior_vectors(j_cut):
-        empty = replace(s, amplitudes={})
+        empty = with_amplitudes(s, {})
         col_u = apply_Z_matrix(SpinorState(s, empty))
         col_d = apply_Z_matrix(SpinorState(empty, s))
         for idx, z in enumerate(_ZN):
@@ -506,7 +527,7 @@ def coherent_triple_sum(zl, rep: RepParams, j_cut: int) -> StateVector:
         t = log_complex_sum(terms)
         if not t.is_zero:
             amps[key] = t
-    return StateVector(amps, j_cut=j_cut, rep=rep)
+    return state_from_amplitudes(amps, j_cut, rep)
 
 
 def exp_ladder(which: str, coef: complex, s: StateVector) -> StateVector:
@@ -527,7 +548,7 @@ def exp_ladder(which: str, coef: complex, s: StateVector) -> StateVector:
 def diag_exp_J3(gamma: complex, s: StateVector) -> StateVector:
     amps = {k: (a * LogComplex.from_polar(k.m * gamma.real, k.m * gamma.imag))
             for k, a in s.amplitudes.items()}
-    return replace(s, amplitudes=amps)
+    return with_amplitudes(s, amps)
 
 
 def coherent_ladder_generated(zl, rep: RepParams, j_cut: int) -> StateVector:
@@ -536,3 +557,40 @@ def coherent_ladder_generated(zl, rep: RepParams, j_cut: int) -> StateVector:
     s = exp_ladder("Jplus", nu, s)
     s = diag_exp_J3(gamma, s)
     return exp_ladder("Jminus", mu, s)
+
+
+# -- the closed form, one amplitude at a time --------------------------------
+
+def gegenbauer_column(n_max: int, alpha: float, x: complex) -> list:
+    """C_0^alpha(x) .. C_{n_max}^alpha(x) by the ascending recurrence, every
+    value a LogComplex."""
+    xl = LogComplex.from_complex(x)
+    col = [LogComplex(0.0)]
+    if n_max >= 1:
+        col.append(LogComplex.from_real(2.0 * alpha) * xl)
+    for n in range(2, n_max + 1):
+        t1 = LogComplex.from_real(2.0 * (n + alpha - 1) / n) * xl * col[n - 1]
+        t2 = LogComplex.from_real(-(n + 2.0 * alpha - 2.0) / n) * col[n - 2]
+        col.append(log_complex_sum([t1, t2]))
+    return col
+
+
+def coherent_closed_form(zl, rep: RepParams, j_cut: int) -> StateVector:
+    z1, z2, z3 = zl.z
+    cols = [gegenbauer_column(j_cut - am, am + 0.5, z3)
+            for am in range(j_cut + 1)]
+    w_pos = LogComplex.from_complex((-z1 + 1j * z2) / 2.0)
+    w_neg = LogComplex.from_complex((z1 + 1j * z2) / 2.0)
+    amps = {}
+    for j in range(j_cut + 1):
+        for m in range(-j, j + 1):
+            am = abs(m)
+            lmag = (-0.5 * j * (j + 1) + 0.5 * math.log(2 * j + 1)
+                    + log_factorial(2 * am) - log_factorial(am)
+                    + 0.5 * (log_factorial(j - am) - log_factorial(j + am)))
+            w = w_pos if m > 0 else w_neg
+            val = (LogComplex.from_polar(lmag) * (w ** am)
+                   * cols[am][j - am])
+            if not val.is_zero:
+                amps[BasisIndex(j, m)] = val
+    return state_from_amplitudes(amps, j_cut, rep)

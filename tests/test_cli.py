@@ -75,6 +75,32 @@ class TestSphereCommand:
             d["eigen_residual"] / size, rel=1e-15)
         assert d["eigen_residual_rel"] <= 1e-13
 
+    def test_amplitude_log_range(self, run):
+        d = run_json(run, ["sphere", "--x", "0.412,0.412,0.812",
+                           "--l", "8.124,-8.124,0"])
+        logs = [a["log_mag"] for a in d["amplitudes"]]
+        assert d["amplitude_log_range"] == max(logs) - min(logs)
+        assert d["amplitude_log_range"] > 100
+
+    def test_check_paths_at_the_south_pole(self, run):
+        # a valid phase point where the generation routes are singular
+        d = run_json(run, ["sphere", "--x", "0,0,-1", "--l", "0,0,0",
+                           "--check-paths"])
+        assert d["path_disagreement"] is None
+        assert "z3 = -1" in d["path_disagreement_reason"]
+        assert d["eigen_residual"] <= 1e-12
+
+    def test_equator_at_rest_keeps_exact_zeros(self, run):
+        # C_n(0) = 0 for odd n: the rows are exactly the j - |m| even ones
+        argv = ["--x", "1,0,0", "--l", "0,0,0", "--j-cut", "20"]
+        want = {(j, m) for j in range(21) for m in range(-j, j + 1)
+                if (j - m) % 2 == 0}
+        d = run_json(run, ["sphere", *argv])
+        assert {(a["j"], a["m"]) for a in d["amplitudes"]} == want
+        rows = list(csv.DictReader(io.StringIO(run(["rotator", *argv,
+                                                    "--format", "csv"]))))
+        assert {(int(r["j"]), int(r["m"])) for r in rows} == want
+
     def test_csv_columns_unchanged(self, run):
         out = run(["sphere", "--x", "0,0,1", "--l", "1,0,0", "--format",
                    "csv"])
@@ -154,6 +180,39 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert [line for line in err.splitlines() if "error:" in line] == [
             line for line in err.splitlines() if "finite number" in line]
+
+    @pytest.mark.parametrize("argv", [
+        ["sphere", "--x", "0,0,1", "--l", "800,0,0"],
+        ["rotator", "--x", "0,0,1", "--l", "0,-356,0"],
+        ["circle", "--phi", "0.5", "--l", "-710"],
+    ])
+    def test_label_past_overflow_is_a_constraint_violation(self, argv,
+                                                           capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("constraint violation: ")
+
+    @pytest.mark.parametrize("command", ["sphere", "rotator", "verify"])
+    @pytest.mark.parametrize("value", ["731", "100000000"])
+    def test_j_cut_past_the_bound_is_a_flag_error(self, command, value,
+                                                  capsys):
+        # rejected while parsing, before any state is allocated
+        argv = [command, "--j-cut", value]
+        if command != "verify":
+            argv += ["--x", "0,0,1", "--l", "0,0,0"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if "error:" in line]
+        assert len(err) == 1 and "--j-cut" in err[0] and "730" in err[0]
+
+    def test_circle_j_cut_has_no_upper_bound(self, run):
+        d = run_json(run, ["circle", "--phi", "0", "--l", "1",
+                           "--j-cut", "731"])
+        assert d["j_cut"] == 731
 
     def test_tail_tol_out_of_range(self):
         with pytest.raises(SystemExit) as exc:

@@ -33,7 +33,7 @@ def random_sparse_state(seed, j_cut=12, n=25, rep=None):
                             rng.uniform(-math.pi, math.pi)])
         amps[BasisIndex(j, m)] = LogComplex(rng.uniform(-30.0, 5.0), phase)
     amps[BasisIndex(j_cut, 0)] = LogComplex(0.0, 0.0)
-    return StateVector(amps, j_cut=j_cut, rep=rep or RepParams())
+    return oracles.state_from_amplitudes(amps, j_cut, rep)
 
 
 def apply_Z_vector_form(which, s):
@@ -47,9 +47,14 @@ def amp(s, j, m):
 
 def test_basis_index_validation():
     with pytest.raises(ValueError):
-        StateVector({BasisIndex(1, 2): LogComplex(0.0)}, j_cut=5)
+        basis_state(1, 2, 5)
     with pytest.raises(ValueError):
-        StateVector({BasisIndex(9, 0): LogComplex(0.0)}, j_cut=5)
+        basis_state(9, 0, 5)
+    # the arrays must cover every basis index up to j_cut, and no more
+    with pytest.raises(ValueError):
+        StateVector(np.zeros(35), np.zeros(36), j_cut=5)
+    with pytest.raises(ValueError):
+        StateVector(np.zeros(36), np.zeros(37), j_cut=5)
 
 
 def test_rep_params_validation():
@@ -194,14 +199,22 @@ def _assert_close(got, want, rel):
     assert abs(got - want) <= rel * max(1.0, abs(want)), (got, want)
 
 
-def test_dense_view_is_built_once_and_read_only():
-    s = random_sparse_state(3)
-    lm, ph = s.dense
-    assert s.dense[0] is lm
-    with pytest.raises(ValueError):
-        lm[0] = 0.0
-    with pytest.raises(ValueError):
-        ph[0] = 0.0
+def test_state_arrays_are_read_only_and_canonical():
+    lm = np.full(16, -math.inf)
+    lm[:3] = 0.0
+    ph = np.array([0.5, -math.pi, 3 * math.pi] + [7.0] * 13)
+    s = StateVector(lm, ph, j_cut=3)
+    lm[0] = 5.0     # the state holds its own copy
+    assert s.log_mag[0] == 0.0
+    for arr in (s.log_mag, s.phase):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # phases wrapped into (-pi, pi], and 0 at the exact zeros
+    assert s.phase[:3].tolist() == [0.5, math.pi, math.pi]
+    assert not s.phase[3:].any()
+    assert dict(s.amplitudes) == {BasisIndex(0, 0): LogComplex(0.0, 0.5),
+                                  BasisIndex(1, -1): LogComplex(0.0, math.pi),
+                                  BasisIndex(1, 0): LogComplex(0.0, math.pi)}
 
 
 class TestDenseMatchesSparse:
@@ -227,7 +240,7 @@ class TestDenseMatchesSparse:
         amps = {BasisIndex(j, m): LogComplex(rng.uniform(-5.0, 0.0),
                                              rng.choice([0.0, math.pi]))
                 for j in range(9) for m in range(-j, j + 1)}
-        s = StateVector(amps, j_cut=8)
+        s = oracles.state_from_amplitudes(amps, 8)
         for which in ("Jplus", "Xplus", "Z1", "Z3"):
             assert expectation(which, s).imag == 0.0
             assert sparse_expectation(which, s).imag == 0.0
@@ -240,7 +253,7 @@ class TestDenseMatchesSparse:
                              ("X2", 1j)]:
             diff = state_sum([oracles.apply_operator(which, sn),
                               state_scale(sn, -complex(value))])
-            want = diff.restricted(s.j_cut - 2).norm()
+            want = math.exp(0.5 * diff.restricted(s.j_cut - 2).log_norm_sq())
             _assert_close(residual_norm(which, s, value, s.j_cut - 2), want,
                           1e-13)
 
@@ -378,7 +391,7 @@ class TestTruncationAccounting:
 def test_normalized_state_has_unit_norm():
     s = state_sum([basis_state(0, 0, 8),
                    state_scale(basis_state(3, 2, 8), 100.0 + 0j)])
-    assert s.normalized().norm() == pytest.approx(1.0, rel=1e-14)
+    assert s.normalized().log_norm_sq() == pytest.approx(0.0, abs=1e-14)
 
 
 def test_commutator_spot_check():
@@ -389,3 +402,14 @@ def test_commutator_spot_check():
     lhs = state_sum([pm, state_scale(mp_, -1 + 0j)])
     rhs = state_scale(apply_J("J3", s), 2 + 0j)
     assert relative_residual(lhs, rhs, s) < 1e-14
+
+
+@pytest.mark.parametrize("which", ["Z1", "Z2", "Z3"])
+def test_subnormal_table_coefficients_stay_finite(which):
+    # Z's raising branch is scaled by e^-(2j+1) against its lowering branch
+    # in the table, a subnormal coefficient at j = 360
+    s = basis_state(360, 2, 400)
+    assert expectation(which, s) == 0
+    want = oracles.apply_operator(which, s).restricted(398)
+    assert residual_norm(which, s, 0, 398) == pytest.approx(
+        math.exp(0.5 * want.log_norm_sq()), rel=1e-13)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cohstates.specfun import (gegenbauer, gegenbauer_column,
@@ -114,11 +115,19 @@ def test_gegenbauer_rejects_nonpositive_alpha():
 
 
 def test_gegenbauer_column_consistent():
-    col = gegenbauer_column(12, 2.5, 0.8 - 0.3j)
-    for n in (0, 4, 12):
-        single = gegenbauer(n, 2.5, 0.8 - 0.3j)
-        assert col[n].log_mag == single.log_mag
-        assert col[n].phase == single.phase
+    # one sweep over several parameters gives each parameter's own column
+    # (vector and scalar arithmetic may differ in the last bit), and
+    # gegenbauer reads its value from the column
+    alphas = np.array([0.5, 2.5, 7.5])
+    lm, ph = gegenbauer_column(12, alphas, 0.8 - 0.3j)
+    assert lm.shape == ph.shape == (13, 3)
+    for k, alpha in enumerate(alphas):
+        one_lm, one_ph = gegenbauer_column(12, alpha, 0.8 - 0.3j)
+        assert np.allclose(lm[:, k], one_lm, rtol=1e-15, atol=1e-15)
+        assert np.allclose(ph[:, k], one_ph, rtol=1e-15, atol=1e-15)
+        for n in (0, 4, 12):
+            single = gegenbauer(n, alpha, 0.8 - 0.3j)
+            assert (single.log_mag, single.phase) == (one_lm[n], one_ph[n])
 
 
 def test_gegenbauer_huge_argument_stays_finite():

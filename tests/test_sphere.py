@@ -8,8 +8,8 @@ import oracles
 from cohstates.repspace import (BasisIndex, RepParams, basis_state,
                                 expectation, inner_log, state_scale,
                                 state_sum)
-from cohstates.sphere import (ConstraintError, SpherePhasePoint, ZLabel,
-                              apply_rotation, axis_reference_label,
+from cohstates.sphere import (L_NORM_MAX, ConstraintError, SpherePhasePoint,
+                              ZLabel, apply_rotation, axis_reference_label,
                               coherent_closed_form, coherent_ladder_generated,
                               coherent_state, coherent_triple_sum,
                               default_j_cut, eigen_residual, expect_J,
@@ -102,6 +102,18 @@ class TestLabel:
             ZLabel(bad)
         assert not ZLabel.unchecked(bad).checked
 
+    def test_label_past_cosh_overflow_is_rejected(self):
+        # at |l| = 356 the squares in z.z overflow, and the NaN deviation
+        # must fail the check rather than pass it
+        ln = 356.0
+        with pytest.raises(ConstraintError):
+            ZLabel([0.0, -1j * math.sinh(ln), math.cosh(ln)])
+        with pytest.raises(ConstraintError):
+            SpherePhasePoint([0.0, 0.0, 1.0], [ln, 0.0, 0.0])
+        # the largest supported |l| still gives a checked label
+        p = SpherePhasePoint([0.0, 0.0, 1.0], [L_NORM_MAX, 0.0, 0.0])
+        assert phase_to_z(p).checked
+
     def test_axis_reference_label_off_quadric(self):
         # the axis references genuinely violate the bilinear constraint when
         # the momentum is not orthogonal to the axis; they must still build
@@ -142,6 +154,15 @@ class TestClosedForm:
             want_up, rel=1e-13)
         assert s.amplitudes[BasisIndex(1, -1)].to_complex() == pytest.approx(
             want_down, rel=1e-13)
+
+    @pytest.mark.parametrize("l_norm", [0.0, 1.0, 5.0, 12.0, 18.0, 21.5, 25.0])
+    def test_matches_per_amplitude_kernel(self, l_norm):
+        zl = phase_to_z(_tangent_point(29, l_norm))
+        cut = default_j_cut(l_norm)
+        want = oracles.coherent_closed_form(zl, REP, cut)
+        got = coherent_closed_form(zl, REP, cut)
+        assert got.amplitudes.keys() == want.amplitudes.keys()
+        assert max_amplitude_rel_diff(want, got) <= 1e-12
 
 
 class TestTripleSum:
@@ -280,7 +301,8 @@ def _sparse_eigen_residual(s, zl):
     for which, zi in zip(("Z1", "Z2", "Z3"), zl.z):
         diff = state_sum([oracles.apply_Z(which, sn),
                           state_scale(sn, -complex(zi))])
-        worst = max(worst, diff.restricted(s.j_cut - 2).norm())
+        worst = max(worst,
+                    math.exp(0.5 * diff.restricted(s.j_cut - 2).log_norm_sq()))
     return worst
 
 

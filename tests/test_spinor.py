@@ -227,7 +227,6 @@ def _wide_spinor(j_cut=JC):
     """Amplitudes over e^-25..e^3 in both components, top level included."""
     import numpy as np
     from cohstates.logdomain import LogComplex
-    from cohstates.repspace import StateVector
     rng = np.random.default_rng(17)
     comps = []
     for _ in range(2):
@@ -235,7 +234,7 @@ def _wide_spinor(j_cut=JC):
                                              rng.uniform(-math.pi, math.pi))
                 for j in range(j_cut + 1) for m in range(-j, j + 1)
                 if rng.random() < 0.3}
-        comps.append(StateVector(amps, j_cut=j_cut))
+        comps.append(oracles.state_from_amplitudes(amps, j_cut))
     return SpinorState(*comps)
 
 
