@@ -5,7 +5,7 @@ coherent-state constructions, phase-space expectation values, and the free
 rotator's energy distribution, with a CLI for reports and verification.
 """
 
-from .logdomain import LogComplex, log_complex_sum, wrap_phase
+from .logdomain import wrap_phase
 from .specfun import gegenbauer, gegenbauer_column, hyp2f1_terminating, log_factorial
 from .repspace import (BandTable, BasisIndex, RepParams, StateVector,
                        apply_J, apply_X, apply_Z, apply_table,

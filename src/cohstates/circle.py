@@ -10,12 +10,13 @@ lattice corrections, which is the quantitative content this module exposes.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-from .logdomain import (LogComplex, ZERO, log_complex_sum,
-                        log_sum_exp, wrap_phase)
+import numpy as np
+
+from .logdomain import wrap_phase
+from .repspace import rect_array
 from .sphere import ConstraintError
 
 __all__ = [
@@ -33,6 +34,11 @@ __all__ = [
 MIN_MARGIN = 15
 DEFAULT_MARGIN = 25
 L_MIN = -709.0
+# Half-width of the window of sites kept about j0 = round(l), set by double
+# underflow: a site k steps away carries at most e^{-(|k| - 1/2)^2 / 2} of
+# the peak amplitude, below e^-800 for every dropped one, so dropping them
+# changes no double.
+WINDOW = 40
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,28 +56,43 @@ class CirclePhasePoint:
                 "the eigenvalue xi = e^(-l + i phi) overflows a double")
         object.__setattr__(self, "phi", wrap_phase(self.phi))
 
-    @property
-    def xi(self) -> complex:
-        return cmath.exp(complex(-self.l, self.phi))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircleState:
-    """Truncated coefficient lattice j in [-j_cut, j_cut]."""
+    """Coefficients on the lattice j in [-j_cut, j_cut], kept on the sites
+    j0 + k with |k| <= WINDOW about j0 = round(l).
 
-    coeffs: dict
+    c_{j0+k} = e^{l^2/2 - i phi j0} e^{log_mag + i phase} elementwise over
+    the offsets k, with log_mag = -(k - d)^2 / 2 for d = l - j0 (exact) and
+    phase = -phi k.  The common factor cancels in every reported ratio, so
+    it is never formed.
+    """
+
+    point: CirclePhasePoint
     j_cut: int
-    point: CirclePhasePoint | None = None
+    j0: int
+    k: np.ndarray
+    log_mag: np.ndarray
+    phase: np.ndarray
 
-    def log_norm_sq(self) -> float:
-        return log_sum_exp(c.abs_sq_log() for c in self.coeffs.values())
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The coefficients without the common factor, as complex values,
+        for tests and tracing; the module reads log_mag and phase."""
+        return np.exp(self.log_mag + 1j * self.phase)
+
+    def weights(self) -> np.ndarray:
+        """|c_j|^2 without the common factor; the largest is about 1."""
+        return np.exp(2.0 * self.log_mag)
 
     def tail_fraction(self) -> float:
-        total = self.log_norm_sq()
-        edge = log_sum_exp(self.coeffs[j].abs_sq_log()
-                           for j in (-self.j_cut, self.j_cut)
-                           if j in self.coeffs)
-        return math.exp(edge - total) if edge != -math.inf else 0.0
+        """Fraction of the squared norm on the lattice edges j = +-j_cut;
+        an edge outside the window holds none that a double can show."""
+        w = self.weights()
+        lo, hi = self.j0 + int(self.k[0]), self.j0 + int(self.k[-1])
+        edge = (w[0] if lo == -self.j_cut else 0.0) + (
+            w[-1] if hi == self.j_cut else 0.0)
+        return float(edge / w.sum())
 
 
 def _required_cut(l: float) -> int:
@@ -91,41 +112,44 @@ def circle_coherent(p: CirclePhasePoint, j_cut: int | None = None) -> CircleStat
         raise ValueError(
             f"j_cut={j_cut} below the safe minimum {_required_cut(p.l)} "
             f"for l={p.l}")
-    coeffs = {}
-    for j in range(-j_cut, j_cut + 1):
-        coeffs[j] = LogComplex.from_polar(p.l * j - 0.5 * j * j, -p.phi * j)
-    return CircleState(coeffs, j_cut, p)
+    j0 = round(p.l)
+    k = np.arange(max(-WINDOW, -j_cut - j0), min(WINDOW, j_cut - j0) + 1)
+    return CircleState(p, j_cut, j0, k, -0.5 * (k - (p.l - j0)) ** 2,
+                       -p.phi * k)
 
 
-def _shift_weight(state: CircleState) -> CircleState:
-    """Action of Z = e^{-J + 1/2} U: out_j = e^{-j + 1/2} c_{j-1}."""
-    out = {}
-    for j, c in state.coeffs.items():
-        if j + 1 <= state.j_cut:
-            out[j + 1] = c.scaled_log(-(j + 1) + 0.5)
-    return CircleState(out, state.j_cut, state.point)
+def circle_eigen_residual(state: CircleState, relative: bool = False) -> float:
+    """|| Z|xi> - xi|xi> || / || |xi> || over the truncated lattice, with
+    Z = e^{-J + 1/2} U: (Z c)_j = e^{-j + 1/2} c_{j-1}.
+
+    With relative=True it is divided by |xi| = e^{-l}.  That ratio is
+    formed first, from (Z c / xi)_{j0+k} = e^{d - k + 1/2 - i phi}
+    c_{j0+k-1}, so it stays meaningful where the absolute residual
+    underflows or overflows.
+    """
+    p = state.point
+    c = rect_array(state.log_mag, state.phase)
+    k = state.k[:-1]
+    image = rect_array(state.log_mag[:-1] + (p.l - state.j0) - k - 0.5,
+                       state.phase[:-1] - p.phi)
+    diff = np.append(-c[:1], image - c[1:])
+    rel = math.sqrt(float(np.vdot(diff, diff).real / state.weights().sum()))
+    return rel if relative else rel * math.exp(-p.l)
 
 
-def circle_eigen_residual(state: CircleState) -> float:
-    """|| Z|xi> - xi|xi> || / || |xi> || over the truncated lattice."""
-    z = _shift_weight(state)
-    xi = LogComplex.from_complex(state.point.xi)
-    diff_logs = []
-    for j in set(z.coeffs) | set(state.coeffs):
-        d = log_complex_sum([z.coeffs.get(j, ZERO),
-                             -(xi * state.coeffs.get(j, ZERO))])
-        diff_logs.append(d.abs_sq_log())
-    num = log_sum_exp(diff_logs)
-    if num == -math.inf:
-        return 0.0
-    return math.exp(0.5 * (num - state.log_norm_sq()))
+def _k_moments(state: CircleState) -> tuple[float, float]:
+    """Mean and variance of the site offset k under the weights |c_j|^2."""
+    w = state.weights()
+    k = state.k
+    mean = float(np.dot(k, w) / w.sum())
+    return mean, float(np.dot((k - mean) ** 2, w) / w.sum())
 
 
-def _moment_logs(state: CircleState):
-    """Weights |c_j|^2 rescaled by the peak, as (j, w_j) pairs."""
-    logs = {j: c.abs_sq_log() for j, c in state.coeffs.items()}
-    m = max(logs.values())
-    return [(j, math.exp(v - m)) for j, v in logs.items()]
+def _shift_overlap(state: CircleState, n: int) -> complex:
+    """<U^n> = sum_j conj(c_{j+n}) c_j / sum_j |c_j|^2."""
+    lm, ph = state.log_mag, state.phase
+    terms = rect_array(lm[:-n] + lm[n:], ph[:-n] - ph[n:])
+    return complex(terms.sum() / state.weights().sum())
 
 
 def circle_expect_J(p: CirclePhasePoint, j_cut: int | None = None) -> float:
@@ -134,22 +158,13 @@ def circle_expect_J(p: CirclePhasePoint, j_cut: int | None = None) -> float:
     Equals l exactly (up to roundoff) when 2l is an integer; otherwise it
     oscillates around l with unit period and amplitude a few parts in 1e4.
     """
-    w = _moment_logs(circle_coherent(p, j_cut))
-    den = math.fsum(v for _, v in w)
-    num = math.fsum(j * v for j, v in w)
-    return num / den
+    state = circle_coherent(p, j_cut)
+    return state.j0 + _k_moments(state)[0]
 
 
 def circle_expect_U(p: CirclePhasePoint, j_cut: int | None = None) -> complex:
     """<U>: argument is exactly phi, modulus close to e^{-1/4}."""
-    state = circle_coherent(p, j_cut)
-    logs = []
-    for j, c in state.coeffs.items():
-        nxt = state.coeffs.get(j + 1)
-        if nxt is not None:
-            logs.append(nxt.conj() * c)
-    num = log_complex_sum(logs)
-    return num.scaled_log(-state.log_norm_sq()).to_complex()
+    return _shift_overlap(circle_coherent(p, j_cut), 1)
 
 
 def circle_relative_U(p: CirclePhasePoint, reference: CirclePhasePoint,
@@ -190,17 +205,6 @@ def circle_uncertainty_report(p: CirclePhasePoint,
     in l to better than a percent.
     """
     state = circle_coherent(p, j_cut)
-    w = _moment_logs(state)
-    den = math.fsum(v for _, v in w)
-    m1 = math.fsum(j * v for j, v in w) / den
-    m2 = math.fsum(j * j * v for j, v in w) / den
-    var_j = m2 - m1 * m1
     exp_u = circle_expect_U(p, j_cut)
-    logs = []
-    for j, c in state.coeffs.items():
-        nxt = state.coeffs.get(j + 2)
-        if nxt is not None:
-            logs.append(nxt.conj() * c)
-    exp_u2 = log_complex_sum(logs).scaled_log(-state.log_norm_sq()).to_complex()
-    ratio = exp_u2 / exp_u ** 2
-    return uncertainty_from_moments(var_j, exp_u, ratio)
+    ratio = _shift_overlap(state, 2) / exp_u ** 2
+    return uncertainty_from_moments(_k_moments(state)[1], exp_u, ratio)

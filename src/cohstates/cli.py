@@ -157,6 +157,7 @@ def cmd_circle(args) -> int:
         "uncertainty": {"var_J": unc.var_j, "bound": unc.bound,
                         "ratio_U2": _cnum(unc.ratio_u2)},
         "eigen_residual": circle_eigen_residual(state),
+        "eigen_residual_rel": circle_eigen_residual(state, relative=True),
     }
     rows = [{"quantity": "expect_J", "value": repr(exp_j)},
             {"quantity": "expect_U_re", "value": repr(exp_u.real)},
@@ -170,7 +171,7 @@ def cmd_circle(args) -> int:
 def _build_sphere_state(args):
     point = SpherePhasePoint(args.x, args.l, r=args.r,
                              project_tangent=args.project_tangent)
-    state = coherent_state(point, j_cut=args.j_cut, tail_tol=args.tail_tol)
+    state = coherent_state(point, j_cut=args.j_cut)
     return point, state
 
 
@@ -292,11 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--j-cut", default="auto",
                        type=_int_arg("--j-cut", SPHERE_J_CUT_RANGE[0],
                                      j_cut_max, auto=True),
-                       help="truncation level or 'auto' (adaptive)")
-        p.add_argument("--tail-tol", type=_tail_tol_arg, default=1e-24,
-                       help="adaptive truncation target for the top bands")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized sweeps")
+                       help="truncation level or 'auto' (the label's default)")
 
     pc = sub.add_parser("circle", help="circle coherent-state report")
     common(pc, j_cut_max=math.inf)
@@ -334,6 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the full invariant suite")
     common(pv)
+    pv.add_argument("--tail-tol", type=_tail_tol_arg, default=1e-24,
+                    help="tolerance of the truncation_tail check")
+    pv.add_argument("--seed", type=int, default=0,
+                    help="seed for randomized sweeps")
     pv.add_argument("--identity-j-cut", default=30,
                     type=_int_arg("--identity-j-cut", *IDENTITY_J_CUT_RANGE),
                     help="truncation level for the operator-identity sweeps "

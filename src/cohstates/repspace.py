@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .logdomain import LogComplex, log_sum_exp
+from .logdomain import log_sum_exp
 
 __all__ = [
     "BasisIndex",
@@ -124,12 +124,11 @@ class StateVector:
 
     @cached_property
     def amplitudes(self) -> MappingProxyType:
-        """Read-only {BasisIndex: LogComplex} view of the nonzero amplitudes,
-        built on first use for tests and tracing; the library reads the
-        arrays."""
+        """Read-only {BasisIndex: (log_mag, phase)} view of the nonzero
+        amplitudes, built on first use for tests and tracing; the library
+        reads the arrays."""
         j, m, lm, ph = self.nonzero()
-        return MappingProxyType({BasisIndex(*k): LogComplex(a, p)
-                                 for k, a, p in zip(zip(j, m), lm, ph)})
+        return MappingProxyType(dict(zip(map(BasisIndex, j, m), zip(lm, ph))))
 
     def log_norm_sq(self) -> float:
         return _log_sq_sum(self.log_mag)
@@ -239,19 +238,20 @@ def state_sum(states: list[StateVector]) -> StateVector:
                        log_sum_exp(st.lost_log for st in states))
 
 
-def inner_log(a: StateVector, b: StateVector) -> LogComplex:
-    """<a|b> (conjugation on a) as a LogComplex."""
+def inner_log(a: StateVector, b: StateVector) -> tuple[float, float]:
+    """<a|b> (conjugation on a) as a (log-magnitude, phase) pair."""
     if a.rep != b.rep:
         raise ValueError("inner product across different rep params")
     n = min(a.log_mag.size, b.log_mag.size)
     lg = a.log_mag[:n] + b.log_mag[:n]
     top = float(np.nan_to_num(lg.max(), neginf=0.0))
     acc = np.sum(rect_array(lg - top, _wrap(b.phase[:n] - a.phase[:n])))
-    return LogComplex.from_complex(acc).scaled_log(top)
+    lm, ph = polar_array(top, acc)
+    return float(lm), float(ph)
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
-    return inner_log(a, b).to_complex()
+    return complex(rect_array(*inner_log(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +263,15 @@ def inner(a: StateVector, b: StateVector) -> complex:
 # bilinear form <s|O|s> takes O|s> from the operator's table (below) as an
 # intermediate.  The largest log-magnitude is subtracted before
 # exponentiating, so nothing overflows and terms below e^-745 of the largest
-# underflow to zero, as in log_complex_sum.
+# underflow to zero.
 
-def rect_array(lm: np.ndarray, ph: np.ndarray) -> np.ndarray:
-    """exp(lm) e^{i ph} elementwise; quadrant phases stay exact, as in
-    logdomain._rect."""
+def rect_array(lm, ph) -> np.ndarray:
+    """exp(lm) e^{i ph} elementwise, for arrays or scalars.  The quadrant
+    phases 0, pi and +-pi/2 leave no cos/sin dust, so opposite real
+    amplitudes cancel to exactly zero."""
     mag = np.exp(lm)
-    re = mag * np.cos(ph)
-    im = mag * np.sin(ph)
+    re = np.asarray(mag * np.cos(ph))
+    im = np.asarray(mag * np.sin(ph))
     re[np.abs(ph) == 0.5 * math.pi] = 0.0
     im[ph == math.pi] = 0.0
     return re + 1j * im
@@ -538,8 +539,8 @@ def _table_image(t: BandTable, lm: np.ndarray, ph: np.ndarray) -> tuple:
     """The table's image of the arrays (lm, ph) over its columns.
 
     Returns (top, acc, lost): the image is e^{top} acc, each amplitude
-    summed around its largest term as in log_complex_sum, and lost holds,
-    per component, the log of the squared magnitude raised past j_cut.
+    summed around its largest term, and lost holds, per component, the log
+    of the squared magnitude raised past j_cut.
     """
     n = (t.j_cut + 1) ** 2
     lm = lm + t.log_scale
@@ -570,9 +571,9 @@ def _table_image(t: BandTable, lm: np.ndarray, ph: np.ndarray) -> tuple:
 def apply_table(t: BandTable, *components: StateVector) -> tuple:
     """The table's operator applied to a state given by its components.
 
-    Each amplitude is summed around its largest contribution, as in
-    log_complex_sum.  Terms raised past j_cut are dropped, and their squared
-    magnitude is added to the lost_log of the component they would reach.
+    Each amplitude is summed around its largest contribution.  Terms raised
+    past j_cut are dropped, and their squared magnitude is added to the
+    lost_log of the component they would reach.
     """
     n = (t.j_cut + 1) ** 2
     if (any(s.j_cut != t.j_cut for s in components)

@@ -70,10 +70,10 @@ def distribution_from_state(s: StateVector,
     return DistributionTable(dict(zip(zip(j, m), prob.tolist())), p, s.j_cut)
 
 
-def distribution(p: SpherePhasePoint, j_cut: int | str = "auto",
-                 tail_tol: float = 1e-24) -> DistributionTable:
+def distribution(p: SpherePhasePoint,
+                 j_cut: int | str = "auto") -> DistributionTable:
     """Energy-level distribution of the coherent state at phase point p."""
-    s = coherent_state(p, j_cut=j_cut, tail_tol=tail_tol)
+    s = coherent_state(p, j_cut=j_cut)
     return distribution_from_state(s, p)
 
 

@@ -1,16 +1,17 @@
 """Special functions feeding the coherent-state amplitudes.
 
-Values come in the log domain: LogComplex scalars, a plain log for
-log_factorial, and (log-magnitude, phase) arrays for gegenbauer_column.
+Values come in the log domain: a plain log for log_factorial, a
+(log-magnitude, phase) pair for hyp2f1_terminating and gegenbauer, and
+(log-magnitude, phase) arrays for gegenbauer_column.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from .logdomain import LogComplex, ONE, log_complex_sum
 
 __all__ = [
     "log_factorial",
@@ -27,12 +28,14 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def hyp2f1_terminating(n: int, b: float, c: float, z: complex) -> LogComplex:
-    """2F1(-n, b, c; z) as the exact finite sum of n + 1 terms.
+def hyp2f1_terminating(n: int, b: float, c: float,
+                       z: complex) -> tuple[float, float]:
+    """2F1(-n, b, c; z) as the exact finite sum of n + 1 terms, returned as
+    a (log-magnitude, phase) pair.
 
-    The first parameter -n makes the series terminate.  Terms are built by
-    the ratio recurrence and accumulated with log_complex_sum, so mixed-sign
-    parameters and complex z are handled uniformly.
+    The first parameter -n makes the series terminate.  The terms are built
+    in the log domain by the ratio recurrence and summed around the largest,
+    so mixed-sign parameters and complex z are handled uniformly.
 
     Raises ValueError when c is a nonpositive integer hit by the Pochhammer
     denominator before the series terminates (c = 0, -1, ..., -(n-1)).
@@ -41,21 +44,25 @@ def hyp2f1_terminating(n: int, b: float, c: float, z: complex) -> LogComplex:
         raise ValueError(f"series order must be nonnegative, got {n}")
     if c <= 0 and c == int(c) and -int(c) < n:
         raise ValueError(f"c={c} makes 2F1(-{n}, {b}, {c}; z) undefined")
-    terms = [ONE]
-    term = ONE
-    zl = LogComplex.from_complex(z)
+    logs, phases = [0.0], [0.0]
     for s in range(n):
-        ratio = (-n + s) * (b + s) / ((c + s) * (s + 1))
-        term = term * LogComplex.from_real(ratio) * zl
-        terms.append(term)
-    return log_complex_sum(terms)
+        ratio = (-n + s) * (b + s) / ((c + s) * (s + 1)) * complex(z)
+        if ratio == 0:
+            break    # every later term vanishes too
+        logs.append(logs[-1] + math.log(abs(ratio)))
+        phases.append(phases[-1] + cmath.phase(ratio))
+    top = max(logs)
+    acc = sum(cmath.rect(math.exp(lg - top), ph)
+              for lg, ph in zip(logs, phases))
+    return (top + math.log(abs(acc)), cmath.phase(acc)) if acc else (
+        -math.inf, 0.0)
 
 
-def gegenbauer(n: int, alpha: float, x: complex) -> LogComplex:
-    """Gegenbauer polynomial C_n^alpha(x) for complex x, the last entry of
-    its gegenbauer_column."""
+def gegenbauer(n: int, alpha: float, x: complex) -> tuple[float, float]:
+    """Gegenbauer polynomial C_n^alpha(x) for complex x, as the
+    (log-magnitude, phase) pair of the last entry of its gegenbauer_column."""
     lm, ph = gegenbauer_column(n, alpha, x)
-    return LogComplex.from_polar(float(lm[n]), float(ph[n]))
+    return float(lm[n]), float(ph[n])
 
 
 def gegenbauer_column(n_max: int, alpha, x: complex) -> tuple:

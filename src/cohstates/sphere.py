@@ -56,7 +56,6 @@ __all__ = [
 TANGENCY_TOL = 1e-9
 RADIUS_REPAIR_LIMIT = 1e-2
 LABEL_TOL = 1e-9
-DEFAULT_TAIL_TOL = 1e-24
 # The label's squared Hermitian size sum |z_i|^2 is cosh(2|l|), and the
 # bilinear check squares components of size cosh|l|: both are finite doubles
 # only up to |l| of about 355.2.
@@ -219,8 +218,13 @@ def coherent_closed_form(zl: ZLabel, rep: RepParams, j_cut: int) -> StateVector:
     ph = g_ph[j - am, am]
     for w, side in (((-z1 + 1j * z2) / 2.0, m > 0),
                     ((z1 + 1j * z2) / 2.0, m < 0)):
+        # |m| arg(w) for a quadrant angle arg(w) is reduced mod 2 pi first,
+        # so that real and imaginary amplitudes keep exact quadrant phases
+        q = cmath.phase(w) / (0.5 * math.pi)
+        w_ph = (am * q % 4 * (0.5 * math.pi) if q == round(q)
+                else am * cmath.phase(w))
         lm = lm + np.where(side, _log_power(w, am), 0.0)
-        ph = ph + np.where(side, am * cmath.phase(w), 0.0)
+        ph = ph + np.where(side, w_ph, 0.0)
     return StateVector(lm, ph, j_cut, rep)
 
 
@@ -351,25 +355,19 @@ def apply_rotation(s: StateVector, axis, angle: float) -> StateVector:
                            beta / alpha)
 
 
-def coherent_state(p: SpherePhasePoint, j_cut: int | str = "auto",
-                   tail_tol: float = DEFAULT_TAIL_TOL) -> StateVector:
-    """Closed-form coherent state with adaptive truncation.
+def coherent_state(p: SpherePhasePoint,
+                   j_cut: int | str = "auto") -> StateVector:
+    """Closed-form coherent state, truncated at j_cut or, for 'auto', at
+    default_j_cut(|l|).
 
-    With j_cut='auto' the level starts at the default for |l| and doubles
-    until the squared-norm fraction in the top two j bands drops below
-    tail_tol.  An explicit integer disables the adaptive loop.
+    The squared norm in level j is e^{-j(j+1)} sinh((2j+1)|l|) up to a
+    factor growing like sqrt(j): a Gaussian e^{-(j + 1/2 - |l|)^2} about its
+    peak.  At the default cut the top two levels therefore hold about
+    e^{-(j_cut - 1/2 - |l|)^2} <= e^{-870} (the least at |l| = 10) of it,
+    below the e^-745 underflow of a double, so tail_fraction is exactly 0.
     """
-    rep = RepParams(r=p.r)
-    zl = phase_to_z(p)
-    if j_cut != "auto":
-        return coherent_closed_form(zl, rep, int(j_cut))
-    cut = default_j_cut(p.l_norm)
-    for _ in range(5):
-        s = coherent_closed_form(zl, rep, cut)
-        if s.tail_fraction(bands=2) <= tail_tol:
-            return s
-        cut *= 2
-    raise RuntimeError(f"truncation did not converge below {tail_tol}")
+    cut = default_j_cut(p.l_norm) if j_cut == "auto" else int(j_cut)
+    return coherent_closed_form(phase_to_z(p), RepParams(r=p.r), cut)
 
 
 def eigen_residual(s: StateVector, zl: ZLabel) -> float:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import log_complex_sum, log_sum_exp
+from .logdomain import log_sum_exp
 from .repspace import (BandTable, RepParams, basis_state, grid, identity_table,
-                       inner_log, operator_table, state_scale, state_sum)
+                       inner, operator_table, state_scale, state_sum)
 
 __all__ = [
     "SpinorState",
@@ -153,8 +153,7 @@ def z_from_matrix_table(which: str, entries: tuple) -> BandTable:
 
 
 def spinor_inner(a: SpinorState, b: SpinorState) -> complex:
-    terms = [inner_log(a.up, b.up), inner_log(a.down, b.down)]
-    return log_complex_sum(terms).to_complex()
+    return inner(a.up, b.up) + inner(a.down, b.down)
 
 
 def spinor_sum(states: list[SpinorState]) -> SpinorState:

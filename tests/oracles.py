@@ -2,24 +2,28 @@
 
 The library applies operators through banded coefficient tables, evaluates
 operator identities on those tables, and builds the triple-sum and ladder
-states on dense arrays.  The loops below are the earlier per-amplitude
-versions, written on the sparse LogComplex carrier from the scalar matrix
-elements: the J, X and Z actions, every spinor operator, the J^2-function
-generator route, the per-basis-vector identity sweeps of `cohstates verify`,
-and the two sphere construction routes.  The tests hold the production code
-equal to them.  They read states through the `amplitudes` view and build
-them back with `state_from_amplitudes`.
+states on dense arrays.  `LogComplex` below is the scalar log-domain carrier
+the library was first written on, kept here as the reference.  The loops
+after it are the earlier per-amplitude versions, written on that sparse
+carrier from the scalar matrix elements: the J, X and Z actions, every
+spinor operator, the J^2-function generator route, the per-basis-vector
+identity sweeps of `cohstates verify`, and the two sphere construction
+routes.  The tests hold the production code equal to them.  They read
+states through `amplitudes` and build them back with
+`state_from_amplitudes`.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from cohstates.logdomain import LogComplex, log_complex_sum, log_sum_exp
+from cohstates.logdomain import log_sum_exp, wrap_phase
 from cohstates.repspace import (BasisIndex, RepParams, StateVector,
                                 basis_state, relative_residual, state_scale,
                                 state_sum)
@@ -34,6 +38,153 @@ _EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
 _JN = ("J1", "J2", "J3")
 _XN = ("X1", "X2", "X3")
 _ZN = ("Z1", "Z2", "Z3")
+
+
+# -- the scalar reference carrier ---------------------------------------------
+
+def _rect(mag: float, phase: float) -> complex:
+    """cmath.rect with the four quadrant phases kept exact.
+
+    Real and imaginary coefficients carry phases that are exactly 0, pi or
+    +-pi/2; evaluating sin/cos there would leave 1e-16-sized dust that stops
+    exact cancellations (opposite real amplitudes must sum to exactly zero).
+    """
+    if phase == 0.0:
+        return complex(mag, 0.0)
+    if phase == math.pi:
+        return complex(-mag, 0.0)
+    if phase == 0.5 * math.pi:
+        return complex(0.0, mag)
+    if phase == -0.5 * math.pi:
+        return complex(0.0, -mag)
+    return cmath.rect(mag, phase)
+
+
+@dataclass(frozen=True, slots=True)
+class LogComplex:
+    """A complex scalar stored as (log of magnitude, phase in (-pi, pi]).
+
+    log_mag = -inf encodes the exact zero, which is absorbing under
+    multiplication.  Instances are immutable values; all arithmetic returns
+    fresh objects.
+    """
+
+    log_mag: float
+    phase: float = 0.0
+
+    @classmethod
+    def from_complex(cls, w: complex) -> "LogComplex":
+        w = complex(w)
+        if w == 0:
+            return ZERO
+        return cls(math.log(abs(w)), math.atan2(w.imag, w.real))
+
+    @classmethod
+    def from_real(cls, x: float) -> "LogComplex":
+        if x == 0:
+            return ZERO
+        if x > 0:
+            return cls(math.log(x), 0.0)
+        return cls(math.log(-x), math.pi)
+
+    @classmethod
+    def from_polar(cls, log_mag: float, phase: float = 0.0) -> "LogComplex":
+        """Build directly from a log-magnitude and an (unwrapped) phase."""
+        if log_mag == -math.inf:
+            return ZERO
+        return cls(log_mag, wrap_phase(phase))
+
+    @property
+    def is_zero(self) -> bool:
+        return self.log_mag == -math.inf
+
+    def to_complex(self) -> complex:
+        """Convert to an ordinary complex.
+
+        Exact whenever log_mag stays below the log of the largest finite
+        float (about 709.78); overflows to inf beyond that.
+        """
+        if self.is_zero:
+            return 0j
+        return _rect(math.exp(self.log_mag), self.phase)
+
+    def conj(self) -> "LogComplex":
+        if self.is_zero:
+            return ZERO
+        return LogComplex(self.log_mag, wrap_phase(-self.phase))
+
+    def scaled_log(self, dlog: float) -> "LogComplex":
+        """Multiply by exp(dlog) for a real dlog (no phase change)."""
+        if self.is_zero:
+            return ZERO
+        return LogComplex(self.log_mag + dlog, self.phase)
+
+    def __mul__(self, other: "LogComplex") -> "LogComplex":
+        if self.is_zero or other.is_zero:
+            return ZERO
+        return LogComplex(self.log_mag + other.log_mag,
+                          wrap_phase(self.phase + other.phase))
+
+    def __truediv__(self, other: "LogComplex") -> "LogComplex":
+        if other.is_zero:
+            raise ZeroDivisionError("division by log-domain zero")
+        if self.is_zero:
+            return ZERO
+        return LogComplex(self.log_mag - other.log_mag,
+                          wrap_phase(self.phase - other.phase))
+
+    def __neg__(self) -> "LogComplex":
+        if self.is_zero:
+            return ZERO
+        return LogComplex(self.log_mag, wrap_phase(self.phase + math.pi))
+
+    def __pow__(self, n: int) -> "LogComplex":
+        if self.is_zero:
+            if n == 0:
+                return ONE
+            if n < 0:
+                raise ZeroDivisionError("zero to a negative power")
+            return ZERO
+        return LogComplex(n * self.log_mag, wrap_phase(n * self.phase))
+
+    def abs_sq_log(self) -> float:
+        """log(|value|^2); -inf for zero."""
+        return 2.0 * self.log_mag
+
+
+ZERO = LogComplex(-math.inf, 0.0)
+ONE = LogComplex(0.0, 0.0)
+
+
+def value(pair) -> complex:
+    """The complex value of a (log-magnitude, phase) pair."""
+    return LogComplex(*pair).to_complex()
+
+
+def amplitudes(s: StateVector) -> dict:
+    """{BasisIndex: LogComplex} of the nonzero amplitudes of s."""
+    return {k: LogComplex(*v) for k, v in s.amplitudes.items()}
+
+
+def log_complex_sum(terms) -> LogComplex:
+    """Sum of LogComplex terms, accurate across huge dynamic range.
+
+    The largest log-magnitude is factored out and the residuals are summed
+    as ordinary complex numbers, so relative accuracy follows the usual
+    floating-point conditioning of the sum regardless of overall scale.
+    Total cancellation returns the zero element.
+    """
+    terms = [t for t in terms if not t.is_zero]
+    if not terms:
+        return ZERO
+    m = max(t.log_mag for t in terms)
+    acc = 0j
+    for t in terms:
+        acc += _rect(math.exp(t.log_mag - m), t.phase)
+    if acc == 0:
+        return ZERO
+    return LogComplex(m + math.log(abs(acc)),
+                      math.atan2(acc.imag, acc.real))
 
 
 def state_from_amplitudes(amps: dict, j_cut: int, rep: RepParams | None = None,
@@ -90,7 +241,7 @@ def jminus_coef(j: int, m: int) -> float:
 def apply_J(which: str, s: StateVector) -> StateVector:
     """Exact action of J3, J+/-, or J^2 (ladder shifts never change j)."""
     contribs: list = []
-    for (j, m), a in s.amplitudes.items():
+    for (j, m), a in amplitudes(s).items():
         if which == "J3":
             _emit(contribs, BasisIndex(j, m), a * LogComplex.from_real(m))
         elif which == "Jsq":
@@ -147,7 +298,7 @@ def apply_X(which: str, s: StateVector) -> StateVector:
         return state_sum([state_scale(apply_X("Xplus", s), complex(0, -0.5)),
                           state_scale(apply_X("Xminus", s), complex(0, 0.5))])
     contribs: list = []
-    for (j, m), a in s.amplitudes.items():
+    for (j, m), a in amplitudes(s).items():
         for key, coef in x_terms(which, j, m, r):
             if coef != 0.0:
                 _emit(contribs, key, a * LogComplex.from_real(coef))
@@ -210,7 +361,7 @@ def z_terms(which: str, j: int, m: int):
 def apply_Z(which: str, s: StateVector) -> StateVector:
     """Coherent-state generator action from its explicit matrix elements."""
     contribs: list = []
-    for (j, m), a in s.amplitudes.items():
+    for (j, m), a in amplitudes(s).items():
         for key, coef in z_terms(which, j, m):
             _emit(contribs, key, a * coef)
     return _collect(contribs, s)
@@ -250,7 +401,7 @@ def jsq_scalar_logs(j: int) -> tuple[float, float]:
 
 
 def diag_mul_logs(s: StateVector, log_by_j) -> StateVector:
-    amps = {k: a.scaled_log(log_by_j(k.j)) for k, a in s.amplitudes.items()}
+    amps = {k: a.scaled_log(log_by_j(k.j)) for k, a in amplitudes(s).items()}
     return with_amplitudes(s, amps)
 
 
@@ -311,12 +462,12 @@ def expk_entries(j: int, mu: int) -> tuple:
 def apply_exp_minus_K(s: SpinorState) -> SpinorState:
     up_contribs: list = []
     down_contribs: list = []
-    for (j, m), a in s.up.amplitudes.items():
+    for (j, m), a in amplitudes(s.up).items():
         e_uu, e_ud, _ = expk_entries(j, m)
         up_contribs.append((BasisIndex(j, m), a * e_uu))
         if m + 1 <= j:
             down_contribs.append((BasisIndex(j, m + 1), a * e_ud))
-    for (j, m), a in s.down.amplitudes.items():
+    for (j, m), a in amplitudes(s.down).items():
         mu = m - 1
         _, e_ud, e_dd = expk_entries(j, mu)
         down_contribs.append((BasisIndex(j, m), a * e_dd))
@@ -547,7 +698,7 @@ def exp_ladder(which: str, coef: complex, s: StateVector) -> StateVector:
 
 def diag_exp_J3(gamma: complex, s: StateVector) -> StateVector:
     amps = {k: (a * LogComplex.from_polar(k.m * gamma.real, k.m * gamma.imag))
-            for k, a in s.amplitudes.items()}
+            for k, a in amplitudes(s).items()}
     return with_amplitudes(s, amps)
 
 

@@ -1,9 +1,10 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
-from cohstates.circle import (CirclePhasePoint, circle_coherent,
+from cohstates.circle import (WINDOW, CirclePhasePoint, circle_coherent,
                               circle_eigen_residual, circle_expect_J,
                               circle_expect_U, circle_relative_U,
                               circle_uncertainty_report,
@@ -18,16 +19,24 @@ RATIO_U2_AT_REST = 0.606781685231311
 
 
 def test_rest_coefficients_are_gaussian():
+    # at l = phi = 0 the common factor e^{l^2/2 - i phi j0} is 1
     state = circle_coherent(CirclePhasePoint(0.0, 0.0))
     for j in (-3, 0, 2, 7):
-        assert state.coeffs[j].to_complex() == pytest.approx(
+        assert state.coeffs[j - state.j0 - state.k[0]] == pytest.approx(
             math.exp(-j * j / 2), rel=1e-14)
 
 
 def test_rest_coefficients_symmetric():
     state = circle_coherent(CirclePhasePoint(0.0, 0.0))
-    for j in range(1, state.j_cut + 1):
-        assert state.coeffs[-j].log_mag == state.coeffs[j].log_mag
+    assert (state.j0 + state.k).tolist() == list(range(-state.j_cut,
+                                                       state.j_cut + 1))
+    assert np.array_equal(state.log_mag, state.log_mag[::-1])
+
+
+def test_window_size_does_not_grow_with_l():
+    state = circle_coherent(CirclePhasePoint(0.5, 1e5))
+    assert len(state.coeffs) <= 2 * WINDOW + 1
+    assert state.j0 == 100000
 
 
 def test_j_cut_below_safe_minimum_rejected():
@@ -116,6 +125,33 @@ class TestUncertainty:
                 for phi, l in ((0.0, 0.0), (1.2, 0.5), (0.0, 1.0), (2.5, 2.0))]
         mags = [abs(v) for v in vals]
         assert (max(mags) - min(mags)) / min(mags) < 0.01
+
+
+@pytest.mark.parametrize("l", [1000.268, 9301.268])
+def test_reports_periodic_in_l(l):
+    # on the lattice every ratio depends on l only through l mod 1
+    phi = -2.947
+    p, q = CirclePhasePoint(phi, l), CirclePhasePoint(phi, math.fmod(l, 1.0))
+    pairs = [(circle_expect_U(p), circle_expect_U(q)),
+             (circle_relative_U(p, CirclePhasePoint(0.0, p.l)),
+              circle_relative_U(q, CirclePhasePoint(0.0, q.l)))]
+    up, uq = circle_uncertainty_report(p), circle_uncertainty_report(q)
+    pairs += [(up.var_j, uq.var_j), (up.ratio_u2, uq.ratio_u2)]
+    for a, b in pairs:
+        assert abs(a - b) <= 1e-14, (a, b)
+    # rounding <J> near l alone costs up to half an ulp of l
+    assert abs((circle_expect_J(p) - p.l) - (circle_expect_J(q) - q.l)) <= (
+        4 * math.ulp(l))
+
+
+def test_argument_exact_at_large_l():
+    u = circle_expect_U(CirclePhasePoint(-2.947, 9301.268))
+    assert abs(cmath.phase(u) - (-2.947)) <= 1e-15
+
+
+def test_relative_residual_at_negative_l():
+    state = circle_coherent(CirclePhasePoint(-2.73, -512.86))
+    assert circle_eigen_residual(state, relative=True) <= 1e-15
 
 
 def test_phi_wraps_into_principal_interval():

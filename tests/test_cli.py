@@ -36,6 +36,14 @@ class TestCircleCommand:
         d = run_json(run, ["circle", "--phi", "1.5", "--l", "0"])
         assert abs(d["expect_U_arg"] - 1.5) <= 1e-12
 
+    def test_residual_relative_to_the_eigenvalue(self, run):
+        # |xi| = e^{-l} is 1e222 here: the absolute residual is 4e206, and
+        # the one relative to |xi| must still be at roundoff
+        d = run_json(run, ["circle", "--phi", "-2.73", "--l", "-512.86"])
+        assert d["eigen_residual_rel"] <= 1e-15
+        assert d["eigen_residual"] == pytest.approx(
+            d["eigen_residual_rel"] * math.exp(512.86), rel=1e-12)
+
 
 class TestSphereCommand:
     def test_rest_amplitudes_match_generating_state(self, run):
@@ -216,8 +224,7 @@ class TestExitCodes:
 
     def test_tail_tol_out_of_range(self):
         with pytest.raises(SystemExit) as exc:
-            main(["sphere", "--x", "0,0,1", "--l", "0,0,0",
-                  "--tail-tol", "0.5"])
+            main(["verify", "--tail-tol", "0.5"])
         assert exc.value.code == 2
 
 

@@ -124,8 +124,8 @@ class TestLabel:
 class TestNorthPoleState:
     def test_coefficients(self):
         s = north_pole_state(REP, 20)
-        assert s.amplitudes[BasisIndex(0, 0)].to_complex() == 1.0
-        assert s.amplitudes[BasisIndex(1, 0)].to_complex() == pytest.approx(
+        assert oracles.value(s.amplitudes[BasisIndex(0, 0)]) == 1.0
+        assert oracles.value(s.amplitudes[BasisIndex(1, 0)]) == pytest.approx(
             math.exp(-1) * math.sqrt(3), rel=1e-14)
 
     def test_eigen_residual(self):
@@ -150,9 +150,9 @@ class TestClosedForm:
         pref = math.exp(-1) * math.sqrt(1.5)
         want_up = pref * (-z1 + 1j * z2)
         want_down = pref * (z1 + 1j * z2)
-        assert s.amplitudes[BasisIndex(1, 1)].to_complex() == pytest.approx(
+        assert oracles.value(s.amplitudes[BasisIndex(1, 1)]) == pytest.approx(
             want_up, rel=1e-13)
-        assert s.amplitudes[BasisIndex(1, -1)].to_complex() == pytest.approx(
+        assert oracles.value(s.amplitudes[BasisIndex(1, -1)]) == pytest.approx(
             want_down, rel=1e-13)
 
     @pytest.mark.parametrize("l_norm", [0.0, 1.0, 5.0, 12.0, 18.0, 21.5, 25.0])
@@ -163,6 +163,14 @@ class TestClosedForm:
         got = coherent_closed_form(zl, REP, cut)
         assert got.amplitudes.keys() == want.amplitudes.keys()
         assert max_amplitude_rel_diff(want, got) <= 1e-12
+
+    @pytest.mark.parametrize("x", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    def test_axis_labels_keep_exact_quadrant_phases(self, x):
+        # at rest on an axis every amplitude is real or imaginary, so each
+        # phase must be exactly a quadrant angle, however large |m| is
+        s = coherent_state(SpherePhasePoint(x, [0, 0, 0]))
+        phases = set(s.phase[s.log_mag > -math.inf].tolist())
+        assert phases <= {0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi}
 
 
 class TestTripleSum:
@@ -264,9 +272,9 @@ def test_rotation_equivariance():
     direct = coherent_closed_form(phase_to_z(rotated_point), REP, 35)
     via_op = apply_rotation(coherent_closed_form(phase_to_z(p), REP, 35),
                             axis, angle)
-    ov = inner_log(direct, via_op)
+    ov_log_mag, _ = inner_log(direct, via_op)
     norms = 0.5 * (direct.log_norm_sq() + via_op.log_norm_sq())
-    assert math.exp(ov.log_mag - norms) == pytest.approx(1.0, abs=1e-10)
+    assert math.exp(ov_log_mag - norms) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestEigenResidual:
@@ -311,8 +319,9 @@ class TestDenseMatchesSparse:
         s, _ = sampled_coherent
         for which in ("J3", "Jplus", "Jminus", "Jsq", "X1", "X2", "X3",
                       "Xplus", "Xminus", "Z1", "Z2", "Z3"):
-            want = (inner_log(s, oracles.apply_operator(which, s))
-                    .scaled_log(-s.log_norm_sq()).to_complex())
+            want = (oracles.LogComplex(
+                *inner_log(s, oracles.apply_operator(which, s)))
+                .scaled_log(-s.log_norm_sq()).to_complex())
             got = expectation(which, s)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), which
 
@@ -379,9 +388,20 @@ class TestUncertainty:
 
 
 def test_adaptive_truncation_reaches_tail_target(fig1_point):
-    s = coherent_state(fig1_point, tail_tol=1e-24)
+    s = coherent_state(fig1_point)
     assert s.tail_fraction(bands=2) <= 1e-24
     assert s.j_cut >= default_j_cut(fig1_point.l_norm)
+
+
+def test_default_cut_tail_underflows_over_the_range():
+    # the top two levels hold about e^{-(j_cut - 1/2 - |l|)^2} <= e^{-870}
+    # of the squared norm at the default cut, the least at |l| = 10
+    rng = np.random.default_rng(5)
+    norms = [0.0, 10.0, L_NORM_MAX - 0.01, *rng.uniform(0.0, 354.99, 13)]
+    for seed, l_norm in enumerate(norms):
+        s = coherent_state(_tangent_point(seed, l_norm))
+        assert s.j_cut == default_j_cut(l_norm)
+        assert s.tail_fraction(bands=2) == 0.0, l_norm
 
 
 def test_three_paths_at_moderate_momentum():

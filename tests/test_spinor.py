@@ -47,11 +47,11 @@ def apply_Z_from_matrix(which, phi):
 
 
 def up_amp(sp, j, m):
-    return sp.up.amplitudes[BasisIndex(j, m)].to_complex()
+    return oracles.value(sp.up.amplitudes[BasisIndex(j, m)])
 
 
 def down_amp(sp, j, m):
-    return sp.down.amplitudes[BasisIndex(j, m)].to_complex()
+    return oracles.value(sp.down.amplitudes[BasisIndex(j, m)])
 
 
 def restrict(sp, j_max):
@@ -219,14 +219,14 @@ def test_matrix_extraction_matches_generator(which, j, m):
 
 def test_matrix_extraction_ground_value():
     got = apply_Z_from_matrix("Z3", basis_state(0, 0, JC))
-    assert got.amplitudes[BasisIndex(1, 0)].to_complex() == pytest.approx(
+    assert oracles.value(got.amplitudes[BasisIndex(1, 0)]) == pytest.approx(
         math.exp(-1) / math.sqrt(3), rel=1e-13)
 
 
 def _wide_spinor(j_cut=JC):
     """Amplitudes over e^-25..e^3 in both components, top level included."""
     import numpy as np
-    from cohstates.logdomain import LogComplex
+    from oracles import LogComplex
     rng = np.random.default_rng(17)
     comps = []
     for _ in range(2):
