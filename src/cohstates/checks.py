@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,13 +22,13 @@ import numpy as np
 from .circle import (CirclePhasePoint, circle_coherent, circle_eigen_residual,
                      circle_expect_J, circle_expect_U,
                      circle_uncertainty_report)
-from .repspace import (BandTable, RepParams, identity_table, jsq_tables,
-                       operator_table, z_vector_form_table)
+from .repspace import (BandTable, identity_table, jsq_tables, operator_table,
+                       z_vector_form_table)
 from .specfun import gegenbauer, hyp2f1_terminating, log_factorial
 from .spinor import k_table, v_table, z_from_matrix_table, z_matrix_entries
 from .sphere import (SpherePhasePoint, coherent_closed_form,
                      coherent_ladder_generated, coherent_state,
-                     coherent_triple_sum, eigen_residual,
+                     coherent_triple_sum, default_j_cut, eigen_residual,
                      max_amplitude_rel_diff, phase_to_z, uncertainty_J)
 
 __all__ = ["CheckResult", "run_all"]
@@ -334,16 +334,15 @@ def check_three_paths(seed: int = 0) -> CheckResult:
     |l| (up to 70 at |l| = 25).
     """
     rng = np.random.default_rng(seed)
-    rep = RepParams()
     worst = _Worst()
     for l_norm in (0.0, 1.0, 5.0, 10.0, 12.0, 18.0, 25.0):
         for _ in range(2):
             p = _random_tangent_point(rng, l_norm)
             zl = phase_to_z(p)
-            cut = max(math.ceil(2 * l_norm) + 20, 40)
-            a = coherent_closed_form(zl, rep, cut)
-            b = coherent_triple_sum(zl, rep, cut)
-            c = coherent_ladder_generated(zl, rep, cut)
+            cut = default_j_cut(l_norm)
+            a = coherent_closed_form(zl, cut)
+            b = coherent_triple_sum(zl, cut)
+            c = coherent_ladder_generated(zl, cut)
             worst.add(max(max_amplitude_rel_diff(a, b),
                           max_amplitude_rel_diff(a, c)), _point(p))
     return worst.result("three_path_equality", PATH_TOL)
@@ -423,15 +422,9 @@ def check_truncation_tail(j_cut="auto", tail_tol: float = 1e-24) -> CheckResult:
 
 
 def run_all(seed: int = 0, j_cut: int = 30, tail_j_cut="auto",
-            tail_tol: float = 1e-24,
-            tolerances: dict | None = None) -> list[CheckResult]:
-    """Every check at its pinned tolerance; deterministic for a fixed seed.
-
-    `tolerances` maps check names to override values for callers that want
-    to tighten (or, for exploratory runs, relax) individual checks; unnamed
-    checks keep their defaults.
-    """
-    results = [
+            tail_tol: float = 1e-24) -> list[CheckResult]:
+    """Every check at its pinned tolerance; deterministic for a fixed seed."""
+    return [
         check_e3_commutators(j_cut),
         check_casimirs(j_cut),
         check_v_squared(j_cut),
@@ -450,7 +443,3 @@ def run_all(seed: int = 0, j_cut: int = 30, tail_j_cut="auto",
         check_uncertainty(seed),
         check_truncation_tail(tail_j_cut, tail_tol),
     ]
-    if tolerances:
-        results = [replace(r, tolerance=tolerances.get(r.name, r.tolerance))
-                   for r in results]
-    return results

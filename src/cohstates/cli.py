@@ -26,7 +26,6 @@ from .checks import run_all
 from .circle import (CirclePhasePoint, circle_coherent, circle_eigen_residual,
                      circle_expect_J, circle_expect_U, circle_relative_U,
                      circle_uncertainty_report)
-from .repspace import RepParams
 from .rotator import (argmax_j, argmax_m, classical_peak_j, distribution_from_state,
                       rotator_energy)
 from .sphere import (L_NORM_MAX, ConstraintError, SpherePhasePoint,
@@ -179,7 +178,7 @@ def cmd_sphere(args) -> int:
     point, state = _build_sphere_state(args)
     zl = phase_to_z(point)
     ej = expect_J(state)
-    ex = expect_X(state)
+    ex = point.r * expect_X(state)
     rx = relative_X(state, point)
     unc = uncertainty_J(state)
     residual = eigen_residual(state, zl)
@@ -208,9 +207,8 @@ def cmd_sphere(args) -> int:
                        for j, m, lg, ph in zip(js, ms, logs, phases)],
     }
     if args.check_paths:
-        rep = RepParams(r=point.r)
         try:
-            others = [route(zl, rep, state.j_cut) for route in
+            others = [route(zl, state.j_cut) for route in
                       (coherent_triple_sum, coherent_ladder_generated)]
         except ConstraintError as exc:
             # the routes' parametrization, not the phase point, is singular

@@ -1,16 +1,18 @@
-"""Scalar helpers of the log domain.
+"""Helpers of the log domain.
 
 Coherent-state amplitudes on the sphere mix factors like exp(-j(j+1)/2)
 (underflows double precision near j = 27) with polynomial values powered by
 cosh|l| (overflows near |l| = 18 for j around 40), so the library keeps
 every amplitude as a log-magnitude and a phase, in arrays.  This module
-holds the two scalar operations on that representation: wrapping a phase
-into its principal interval and summing real logs.
+holds the two operations on that representation, for a scalar or an array:
+wrapping phases into their principal interval and summing real logs.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "log_sum_exp",
@@ -20,20 +22,27 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def wrap_phase(phase: float) -> float:
-    """Wrap an angle into (-pi, pi]; ties at -pi map to +pi."""
+def wrap_phase(phase):
+    """Wrap angles into (-pi, pi]; ties at -pi map to +pi.
+
+    Exact: the remainder by 2 pi and the one correction by 2 pi round
+    nothing, so quadrant phases stay exact.  An array gives an array; a
+    float gives a float through math, many times faster than numpy on one
+    value.
+    """
+    if isinstance(phase, np.ndarray):
+        p = np.fmod(phase, _TWO_PI)
+        p = np.where(p > math.pi, p - _TWO_PI, p)
+        return np.where(p <= -math.pi, p + _TWO_PI, p)
     p = math.remainder(phase, _TWO_PI)
-    if p <= -math.pi:
-        p += _TWO_PI
-    return p
+    return p + _TWO_PI if p <= -math.pi else p
 
 
 def log_sum_exp(logs) -> float:
-    """log(sum(exp(x))) for an iterable of real logs; -inf for empty input."""
-    logs = [x for x in logs if x != -math.inf]
-    if not logs:
-        return -math.inf
-    m = max(logs)
-    if m == math.inf:
-        return math.inf
-    return m + math.log(math.fsum(math.exp(x - m) for x in logs))
+    """log(sum(exp(x))) over an array or a list of real logs, summed around
+    the largest; -inf for empty input."""
+    x = np.asarray(logs, dtype=float)
+    top = x.max(initial=-math.inf)
+    if math.isinf(top):
+        return float(top)
+    return float(top + math.log(np.sum(np.exp(x - top))))

@@ -12,18 +12,17 @@ dropped into a loss counter instead of vanishing silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .logdomain import log_sum_exp
+from .logdomain import log_sum_exp, wrap_phase
 
 __all__ = [
     "BasisIndex",
-    "RepParams",
     "StateVector",
     "basis_state",
     "apply_J",
@@ -55,35 +54,6 @@ class BasisIndex(NamedTuple):
     m: int
 
 
-@dataclass(frozen=True, slots=True)
-class RepParams:
-    """Representation labels: sphere radius r (X^2 = r^2) and twist 0."""
-
-    r: float = 1.0
-    zeta: float = 0.0
-
-    def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError(f"radius must be positive, got {self.r}")
-        if self.zeta != 0.0:
-            raise ValueError("only the zero-twist representation is supported")
-
-
-def _wrap(ph: np.ndarray) -> np.ndarray:
-    """Phases wrapped into (-pi, pi] exactly, as logdomain.wrap_phase does."""
-    ph = np.fmod(ph, 2 * math.pi)
-    ph = np.where(ph > math.pi, ph - 2 * math.pi, ph)
-    return np.where(ph <= -math.pi, ph + 2 * math.pi, ph)
-
-
-def _log_sq_sum(lm: np.ndarray) -> float:
-    """log sum_k exp(2 lm_k); -inf when every entry is an exact zero."""
-    top = lm.max(initial=-math.inf)
-    if top == -math.inf:
-        return -math.inf
-    return 2 * top + math.log(float(np.sum(np.exp(2 * (lm - top)))))
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Amplitudes exp(log_mag) e^{i phase} over the flat index j*j + j + m.
@@ -99,7 +69,6 @@ class StateVector:
     log_mag: np.ndarray
     phase: np.ndarray
     j_cut: int
-    rep: RepParams = field(default_factory=RepParams)
     lost_log: float = -math.inf
 
     def __post_init__(self):
@@ -109,7 +78,7 @@ class StateVector:
         if lm.shape != (n,) or ph.shape != (n,):
             raise ValueError(f"j_cut={self.j_cut} needs {n} log-magnitudes "
                              f"and phases, got {lm.shape} and {ph.shape}")
-        ph = np.where(lm > -math.inf, _wrap(ph), 0.0)
+        ph = np.where(lm > -math.inf, wrap_phase(ph), 0.0)
         lm.flags.writeable = ph.flags.writeable = False
         object.__setattr__(self, "log_mag", lm)
         object.__setattr__(self, "phase", ph)
@@ -131,7 +100,7 @@ class StateVector:
         return MappingProxyType(dict(zip(map(BasisIndex, j, m), zip(lm, ph))))
 
     def log_norm_sq(self) -> float:
-        return _log_sq_sum(self.log_mag)
+        return log_sum_exp(2 * self.log_mag)
 
     def is_zero(self) -> bool:
         return self.log_mag.max() == -math.inf
@@ -149,7 +118,7 @@ class StateVector:
         if total == -math.inf:
             return 0.0
         top = self.log_mag[max(self.j_cut - bands + 1, 0) ** 2:]
-        return math.exp(_log_sq_sum(top) - total)
+        return math.exp(log_sum_exp(2 * top) - total)
 
     def lost_fraction(self) -> float:
         """Dropped squared magnitude relative to the current squared norm."""
@@ -164,14 +133,13 @@ class StateVector:
         return replace(self, log_mag=lm)
 
 
-def basis_state(j: int, m: int, j_cut: int,
-                rep: RepParams | None = None) -> StateVector:
+def basis_state(j: int, m: int, j_cut: int) -> StateVector:
     if not (0 <= j <= j_cut and abs(m) <= j):
         raise ValueError(
             f"invalid basis index (j={j}, m={m}) at j_cut={j_cut}")
     lm = np.full((j_cut + 1) ** 2, -math.inf)
     lm[j * j + j + m] = 0.0
-    return StateVector(lm, np.zeros(lm.size), j_cut, rep or RepParams())
+    return StateVector(lm, np.zeros(lm.size), j_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +155,7 @@ def _label_table(which: str, s: StateVector,
                  labels: set = _J_LABELS | _X_LABELS | _Z_LABELS) -> BandTable:
     if which not in labels:
         raise ValueError(f"unknown operator label {which!r}")
-    return operator_table(which, s.j_cut, s.rep.r)
+    return operator_table(which, s.j_cut)
 
 
 def apply_J(which: str, s: StateVector) -> StateVector:
@@ -224,28 +192,25 @@ def state_scale(s: StateVector, c: complex) -> StateVector:
 
 
 def state_sum(states: list[StateVector]) -> StateVector:
-    """Sum of states sharing rep and j_cut, each amplitude summed around its
-    largest term."""
+    """Sum of states sharing j_cut, each amplitude summed around its largest
+    term."""
     first = states[0]
-    for st in states[1:]:
-        if st.rep != first.rep or st.j_cut != first.j_cut:
-            raise ValueError("states to sum must share rep params and j_cut")
+    if any(st.j_cut != first.j_cut for st in states):
+        raise ValueError("states to sum must share j_cut")
     top = np.max([st.log_mag for st in states], axis=0)
     shift = np.where(top > -math.inf, top, 0.0)
     acc = sum(rect_array(st.log_mag - shift, st.phase) for st in states)
     lm, ph = polar_array(shift, acc)
-    return StateVector(lm, ph, first.j_cut, first.rep,
-                       log_sum_exp(st.lost_log for st in states))
+    return StateVector(lm, ph, first.j_cut,
+                       log_sum_exp([st.lost_log for st in states]))
 
 
 def inner_log(a: StateVector, b: StateVector) -> tuple[float, float]:
     """<a|b> (conjugation on a) as a (log-magnitude, phase) pair."""
-    if a.rep != b.rep:
-        raise ValueError("inner product across different rep params")
     n = min(a.log_mag.size, b.log_mag.size)
     lg = a.log_mag[:n] + b.log_mag[:n]
     top = float(np.nan_to_num(lg.max(), neginf=0.0))
-    acc = np.sum(rect_array(lg - top, _wrap(b.phase[:n] - a.phase[:n])))
+    acc = np.sum(rect_array(lg - top, wrap_phase(b.phase[:n] - a.phase[:n])))
     lm, ph = polar_array(top, acc)
     return float(lm), float(ph)
 
@@ -290,8 +255,7 @@ def grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
     return j, np.arange(j.size) - j * (j + 1)
 
 
-def _dense_branches(which: str, j: np.ndarray, m: np.ndarray,
-                    r: float) -> list:
+def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
     """Branches (dj, dm, coef, log_weight) of an operator over the (j, m) grid.
 
     O|j, m> = sum over branches of coef e^{log_weight} |j + dj, m + dm>, and
@@ -299,13 +263,15 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray,
     This is the one place the matrix elements are written down (the tests
     hold them equal to the scalar formulas).  The position operators at zero
     twist are tridiagonal in j with no diagonal term, so X strictly changes
-    j.  Z has the selection rules of X/r with the raising branch weighted by
+    j.  X is the position operator at unit radius: the radius r only scales
+    <X>, which the sphere reports multiply by r.  Z has the selection rules
+    of X with the raising branch weighted by
     e^{-j-1} and the lowering branch by e^{j}, kept in log form.
     """
     if which in _Z_LABELS:
         weight = {1: -(j + 1.0), -1: j.astype(float)}
         return [(dj, dm, c, weight[dj])
-                for dj, dm, c, _ in _dense_branches("X" + which[1], j, m, 1.0)]
+                for dj, dm, c, _ in _dense_branches("X" + which[1], j, m)]
     w0 = np.zeros(j.size)    # no log weight
     if which == "J3":
         return [(0, 0, m.astype(float), w0)]
@@ -320,19 +286,19 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray,
         factors = (0.5, 0.5) if which[1] == "1" else (-0.5j, 0.5j)
         return [(dj, dm, f * c, w)
                 for f, side in zip(factors, ("plus", "minus"))
-                for dj, dm, c, w in _dense_branches(which[0] + side, j, m, r)]
+                for dj, dm, c, w in _dense_branches(which[0] + side, j, m)]
     up = np.sqrt((2 * j + 1) * (2 * j + 3))
     # j = 0 has no lowering branch: its numerators below vanish there
     dn = np.sqrt(np.maximum((2 * j - 1) * (2 * j + 1), 1))
     if which == "X3":
-        return [(1, 0, r * np.sqrt((j - m + 1) * (j + m + 1)) / up, w0),
-                (-1, 0, r * np.sqrt((j - m) * (j + m)) / dn, w0)]
+        return [(1, 0, np.sqrt((j - m + 1) * (j + m + 1)) / up, w0),
+                (-1, 0, np.sqrt((j - m) * (j + m)) / dn, w0)]
     if which == "Xplus":
-        return [(1, 1, -r * np.sqrt((j + m + 1) * (j + m + 2)) / up, w0),
-                (-1, 1, r * np.sqrt((j - m - 1) * (j - m)) / dn, w0)]
+        return [(1, 1, -np.sqrt((j + m + 1) * (j + m + 2)) / up, w0),
+                (-1, 1, np.sqrt((j - m - 1) * (j - m)) / dn, w0)]
     if which == "Xminus":
-        return [(1, -1, r * np.sqrt((j - m + 1) * (j - m + 2)) / up, w0),
-                (-1, -1, -r * np.sqrt((j + m - 1) * (j + m)) / dn, w0)]
+        return [(1, -1, np.sqrt((j - m + 1) * (j - m + 2)) / up, w0),
+                (-1, -1, -np.sqrt((j + m - 1) * (j + m)) / dn, w0)]
     raise ValueError(f"unknown operator label {which!r}")
 
 
@@ -482,10 +448,10 @@ class BandTable:
             return self.log_scale + 0.5 * np.log(sq)
 
 
-def operator_table(which: str, j_cut: int, r: float = 1.0) -> BandTable:
+def operator_table(which: str, j_cut: int) -> BandTable:
     """Table of J1, J2 or any label apply_J, apply_X or apply_Z accepts: one
     band per dense branch, each column scaled to its largest branch weight."""
-    branches = _dense_branches(which, *grid(j_cut), r)
+    branches = _dense_branches(which, *grid(j_cut))
     top = np.max([w for *_, w in branches], axis=0)
     return BandTable({(dj, dm, 0): c * np.exp(w - top)
                       for dj, dm, c, w in branches}, top, j_cut)
@@ -524,7 +490,7 @@ def z_vector_form_table(which: str, j_cut: int) -> BandTable:
     Independent route to the same operators: f(J^2) X_i / r plus
     i g(J^2) (J x X)_i / r with J kept to the left of X and both scalar
     functions applied after the vector part (they are diagonal in j).  X/r
-    is the position operator at r = 1, so the route does not depend on r.
+    is the position operator table, at unit radius.
     """
     idx = ("Z1", "Z2", "Z3").index(which)
     js = [operator_table(f"J{i}", j_cut) for i in (1, 2, 3)]
@@ -585,5 +551,5 @@ def apply_table(t: BandTable, *components: StateVector) -> tuple:
     out_lm, out_ph = polar_array(top, acc)
     return tuple(
         StateVector(out_lm[c * n:(c + 1) * n], out_ph[c * n:(c + 1) * n],
-                    t.j_cut, s.rep, float(np.logaddexp(s.lost_log, lost[c])))
+                    t.j_cut, float(np.logaddexp(s.lost_log, lost[c])))
         for c, s in enumerate(components))

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .repspace import (RepParams, StateVector, expectation, grid,
-                       operator_table, polar_array, rect_array, residual_norm,
-                       state_scale, state_sum)
+from .repspace import (StateVector, expectation, grid, operator_table,
+                       polar_array, rect_array, residual_norm, state_scale,
+                       state_sum)
 from .specfun import gegenbauer_column, log_factorial
 
 __all__ = [
@@ -189,17 +189,17 @@ def default_j_cut(l_norm: float) -> int:
     return max(math.ceil(2.0 * l_norm) + 20, 40)
 
 
-def north_pole_state(rep: RepParams, j_cut: int) -> StateVector:
+def north_pole_state(j_cut: int) -> StateVector:
     """Rest state at the north pole: sum_j e^{-j(j+1)/2} sqrt(2j+1) |j, 0>."""
     if j_cut < 10:
         raise ValueError(f"j_cut={j_cut} too small for a faithful rest state")
     j, m = grid(j_cut)
     lm = np.where(m == 0, -0.5 * j * (j + 1) + 0.5 * np.log(2 * j + 1),
                   -math.inf)
-    return StateVector(lm, np.zeros(lm.size), j_cut, rep)
+    return StateVector(lm, np.zeros(lm.size), j_cut)
 
 
-def coherent_closed_form(zl: ZLabel, rep: RepParams, j_cut: int) -> StateVector:
+def coherent_closed_form(zl: ZLabel, j_cut: int) -> StateVector:
     """Amplitudes from the single-sum Gegenbauer expression.
 
     <j, m| state> combines e^{-j(j+1)/2} sqrt(2j+1), a factorial weight in
@@ -225,7 +225,7 @@ def coherent_closed_form(zl: ZLabel, rep: RepParams, j_cut: int) -> StateVector:
                 else am * cmath.phase(w))
         lm = lm + np.where(side, _log_power(w, am), 0.0)
         ph = ph + np.where(side, w_ph, 0.0)
-    return StateVector(lm, ph, j_cut, rep)
+    return StateVector(lm, ph, j_cut)
 
 
 def generation_params(zl: ZLabel) -> tuple[complex, complex, complex]:
@@ -244,7 +244,7 @@ def generation_params(zl: ZLabel) -> tuple[complex, complex, complex]:
     return mu, nu, gamma
 
 
-def coherent_triple_sum(zl: ZLabel, rep: RepParams, j_cut: int) -> StateVector:
+def coherent_triple_sum(zl: ZLabel, j_cut: int) -> StateVector:
     """Raw expansion over (j, m, k); agrees with the closed form.
 
     Kept as an independent verification path: it shares no code with the
@@ -271,7 +271,7 @@ def coherent_triple_sum(zl: ZLabel, rep: RepParams, j_cut: int) -> StateVector:
         top = np.nan_to_num(lg.max(axis=0), neginf=0.0)
         acc = rect_array(lg - top, phase).sum(axis=0)
         lm[j * j:(j + 1) ** 2], ph[j * j:(j + 1) ** 2] = polar_array(top, acc)
-    return StateVector(lm, ph, j_cut, rep)
+    return StateVector(lm, ph, j_cut)
 
 
 def _log_power(w: complex, n: np.ndarray) -> np.ndarray:
@@ -323,14 +323,13 @@ def _ladder_product(s: StateVector, lower: complex, diag: complex,
     _, m = grid(s.j_cut)
     lm, ph = _exp_ladder("Jminus", lower, lm + m * diag.real,
                          ph + m * diag.imag, s.j_cut)
-    return StateVector(lm, ph, s.j_cut, s.rep, s.lost_log)
+    return StateVector(lm, ph, s.j_cut, s.lost_log)
 
 
-def coherent_ladder_generated(zl: ZLabel, rep: RepParams,
-                              j_cut: int) -> StateVector:
+def coherent_ladder_generated(zl: ZLabel, j_cut: int) -> StateVector:
     """Generate from the north-pole rest state by ladder exponentials."""
     mu, nu, gamma = generation_params(zl)
-    return _ladder_product(north_pole_state(rep, j_cut), mu, gamma, nu)
+    return _ladder_product(north_pole_state(j_cut), mu, gamma, nu)
 
 
 def apply_rotation(s: StateVector, axis, angle: float) -> StateVector:
@@ -367,7 +366,7 @@ def coherent_state(p: SpherePhasePoint,
     below the e^-745 underflow of a double, so tail_fraction is exactly 0.
     """
     cut = default_j_cut(p.l_norm) if j_cut == "auto" else int(j_cut)
-    return coherent_closed_form(phase_to_z(p), RepParams(r=p.r), cut)
+    return coherent_closed_form(phase_to_z(p), cut)
 
 
 def eigen_residual(s: StateVector, zl: ZLabel) -> float:
@@ -403,7 +402,8 @@ def expect_J(s: StateVector) -> np.ndarray:
 
 
 def expect_X(s: StateVector) -> np.ndarray:
-    """Componentwise <X>; tracks e^{-1/4} x at large |l|."""
+    """Componentwise <X>/r, the position average on the unit sphere; tracks
+    e^{-1/4} x/r at large |l|.  No amplitude depends on r."""
     x1, x2 = _expect_pair("Xplus", "Xminus", s)
     x3 = _assert_real(expectation("X3", s))
     return np.array([x1, x2, x3])
@@ -413,16 +413,16 @@ def relative_X(s: StateVector, p: SpherePhasePoint) -> np.ndarray:
     """<X_k> normalized by the same average in the k-axis reference state.
 
     The ratio cancels the universal e^{-1/4} contraction and lands near the
-    classical x.  Components whose reference average is below 1e-6 r are
-    reported as NaN (undefined), never as a huge ratio.
+    classical x.  Components whose reference average is below 1e-6 of the
+    radius are reported as NaN (undefined), never as a huge ratio.
     """
     num = expect_X(s)
     out = np.empty(3)
     for k in range(3):
         ref_label = axis_reference_label(p.l, k)
-        ref_state = coherent_closed_form(ref_label, s.rep, s.j_cut)
+        ref_state = coherent_closed_form(ref_label, s.j_cut)
         den = expect_X(ref_state)[k]
-        out[k] = num[k] / den if abs(den) >= 1e-6 * p.r else math.nan
+        out[k] = num[k] / den if abs(den) >= 1e-6 else math.nan
     return out
 
 
@@ -435,14 +435,14 @@ class SphereUncertainty:
 def uncertainty_J(s: StateVector) -> SphereUncertainty:
     """(Delta J)^2 against its position-controlled lower bound.
 
-    The bound is T/2 / (1 - T) with T = |<X>|^2 / r^2, the spinor-trace form
+    The bound is T/2 / (1 - T) with T = |<X>/r|^2, the spinor-trace form
     of the position average; it degenerates to 0 >= 0 on basis states.
     """
     ej = expect_J(s)
     jsq = _assert_real(expectation("Jsq", s))
     var_j = jsq - float(ej @ ej)
     ex = expect_X(s)
-    t = float(ex @ ex) / (s.rep.r ** 2)
+    t = float(ex @ ex)
     bound = 0.5 * t / (1.0 - t) if t < 1.0 else math.inf
     if not var_j >= bound - 1e-9 * max(1.0, abs(bound)):
         raise AssertionError(

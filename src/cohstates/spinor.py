@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logdomain import log_sum_exp
-from .repspace import (BandTable, RepParams, basis_state, grid, identity_table,
-                       inner, operator_table, state_scale, state_sum)
+from .repspace import (BandTable, basis_state, grid, identity_table, inner,
+                       operator_table, state_scale, state_sum)
 
 __all__ = [
     "SpinorState",
@@ -46,17 +46,16 @@ class SpinorState:
     down: StateVector
 
     def __post_init__(self):
-        if self.up.rep != self.down.rep or self.up.j_cut != self.down.j_cut:
-            raise ValueError("spinor components must share rep params and j_cut")
+        if self.up.j_cut != self.down.j_cut:
+            raise ValueError("spinor components must share j_cut")
 
     def log_norm_sq(self) -> float:
         return log_sum_exp([self.up.log_norm_sq(), self.down.log_norm_sq()])
 
 
-def spinor_basis(j: int, m: int, j_cut: int, component: str = "up",
-                 rep=None) -> SpinorState:
-    rep = rep or RepParams()
-    full = basis_state(j, m, j_cut, rep)
+def spinor_basis(j: int, m: int, j_cut: int,
+                 component: str = "up") -> SpinorState:
+    full = basis_state(j, m, j_cut)
     empty = state_scale(full, 0)
     if component == "up":
         return SpinorState(full, empty)

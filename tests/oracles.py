@@ -24,9 +24,8 @@ from typing import Iterable
 import numpy as np
 
 from cohstates.logdomain import log_sum_exp, wrap_phase
-from cohstates.repspace import (BasisIndex, RepParams, StateVector,
-                                basis_state, relative_residual, state_scale,
-                                state_sum)
+from cohstates.repspace import (BasisIndex, StateVector, basis_state,
+                                relative_residual, state_scale, state_sum)
 from cohstates.specfun import log_factorial
 from cohstates.sphere import generation_params, north_pole_state
 from cohstates.spinor import (SpinorState, spinor_basis,
@@ -187,7 +186,7 @@ def log_complex_sum(terms) -> LogComplex:
                       math.atan2(acc.imag, acc.real))
 
 
-def state_from_amplitudes(amps: dict, j_cut: int, rep: RepParams | None = None,
+def state_from_amplitudes(amps: dict, j_cut: int,
                           lost_log: float = -math.inf) -> StateVector:
     """The state with the {(j, m): LogComplex} amplitudes `amps`."""
     lm = np.full((j_cut + 1) ** 2, -math.inf)
@@ -196,14 +195,14 @@ def state_from_amplitudes(amps: dict, j_cut: int, rep: RepParams | None = None,
         if not (0 <= j <= j_cut and abs(m) <= j):
             raise ValueError(f"invalid basis index (j={j}, m={m})")
         lm[j * j + j + m], ph[j * j + j + m] = a.log_mag, a.phase
-    return StateVector(lm, ph, j_cut, rep or RepParams(), lost_log)
+    return StateVector(lm, ph, j_cut, lost_log)
 
 
 def with_amplitudes(s: StateVector, amps: dict,
                     lost_log: float | None = None) -> StateVector:
     """s with its amplitudes (and optionally lost_log) replaced."""
     return state_from_amplitudes(
-        amps, s.j_cut, s.rep, s.lost_log if lost_log is None else lost_log)
+        amps, s.j_cut, s.lost_log if lost_log is None else lost_log)
 
 
 # -- the sparse operator actions, one amplitude at a time -------------------
@@ -289,8 +288,8 @@ def x_terms(which: str, j: int, m: int, r: float):
 
 
 def apply_X(which: str, s: StateVector) -> StateVector:
-    """Position-operator action; X1, X2 are the Hermitian ladder combinations."""
-    r = s.rep.r
+    """Position-operator action at unit radius; X1, X2 are the Hermitian
+    ladder combinations."""
     if which == "X1":
         return state_sum([state_scale(apply_X("Xplus", s), complex(0.5)),
                           state_scale(apply_X("Xminus", s), complex(0.5))])
@@ -299,7 +298,7 @@ def apply_X(which: str, s: StateVector) -> StateVector:
                           state_scale(apply_X("Xminus", s), complex(0, 0.5))])
     contribs: list = []
     for (j, m), a in amplitudes(s).items():
-        for key, coef in x_terms(which, j, m, r):
+        for key, coef in x_terms(which, j, m, 1.0):
             if coef != 0.0:
                 _emit(contribs, key, a * LogComplex.from_real(coef))
     return _collect(contribs, s)
@@ -415,18 +414,16 @@ def apply_Z_vector_form(which: str, s: StateVector) -> StateVector:
     ])
     t2 = state_scale(diag_mul_logs(cross, lambda j: jsq_scalar_logs(j)[1]),
                      complex(0, 1))
-    return state_scale(state_sum([t1, t2]), complex(1.0 / s.rep.r))
+    return state_sum([t1, t2])
 
 
 # -- spinor operators --------------------------------------------------------
 
 def apply_V(s: SpinorState) -> SpinorState:
-    inv = complex(1.0 / s.up.rep.r)
-    up = state_scale(state_sum([apply_X("X3", s.up),
-                                apply_X("Xminus", s.down)]), inv)
-    down = state_scale(state_sum([apply_X("Xplus", s.up),
-                                  state_scale(apply_X("X3", s.down), -1 + 0j)]),
-                       inv)
+    """V = sigma.X / r, with X at unit radius."""
+    up = state_sum([apply_X("X3", s.up), apply_X("Xminus", s.down)])
+    down = state_sum([apply_X("Xplus", s.up),
+                      state_scale(apply_X("X3", s.down), -1 + 0j)])
     return SpinorState(up, down)
 
 
@@ -508,18 +505,16 @@ def apply_Z_from_matrix(which: str, phi: StateVector) -> StateVector:
 # -- the identity sweeps, one basis vector at a time -------------------------
 
 def _interior_vectors(j_cut: int):
-    rep = RepParams()
     for j in range(0, j_cut - 1):
         for m in range(-j, j + 1):
-            yield basis_state(j, m, j_cut, rep)
+            yield basis_state(j, m, j_cut)
 
 
 def _spinor_vectors(j_cut: int):
-    rep = RepParams()
     for j in range(0, j_cut - 1):
         for m in range(-j, j + 1):
             for comp in ("up", "down"):
-                yield spinor_basis(j, m, j_cut, comp, rep)
+                yield spinor_basis(j, m, j_cut, comp)
 
 
 def _spinor_restrict(sp: SpinorState, j_max: int) -> SpinorState:
@@ -646,7 +641,7 @@ IDENTITY_SWEEPS = {
 
 # -- the triple-sum and ladder constructions ---------------------------------
 
-def coherent_triple_sum(zl, rep: RepParams, j_cut: int) -> StateVector:
+def coherent_triple_sum(zl, j_cut: int) -> StateVector:
     mu, nu, gamma = generation_params(zl)
     mu_l = LogComplex.from_complex(mu)
     nu_l = LogComplex.from_complex(nu)
@@ -678,7 +673,7 @@ def coherent_triple_sum(zl, rep: RepParams, j_cut: int) -> StateVector:
         t = log_complex_sum(terms)
         if not t.is_zero:
             amps[key] = t
-    return state_from_amplitudes(amps, j_cut, rep)
+    return state_from_amplitudes(amps, j_cut)
 
 
 def exp_ladder(which: str, coef: complex, s: StateVector) -> StateVector:
@@ -702,9 +697,9 @@ def diag_exp_J3(gamma: complex, s: StateVector) -> StateVector:
     return with_amplitudes(s, amps)
 
 
-def coherent_ladder_generated(zl, rep: RepParams, j_cut: int) -> StateVector:
+def coherent_ladder_generated(zl, j_cut: int) -> StateVector:
     mu, nu, gamma = generation_params(zl)
-    s = north_pole_state(rep, j_cut)
+    s = north_pole_state(j_cut)
     s = exp_ladder("Jplus", nu, s)
     s = diag_exp_J3(gamma, s)
     return exp_ladder("Jminus", mu, s)
@@ -726,7 +721,7 @@ def gegenbauer_column(n_max: int, alpha: float, x: complex) -> list:
     return col
 
 
-def coherent_closed_form(zl, rep: RepParams, j_cut: int) -> StateVector:
+def coherent_closed_form(zl, j_cut: int) -> StateVector:
     z1, z2, z3 = zl.z
     cols = [gegenbauer_column(j_cut - am, am + 0.5, z3)
             for am in range(j_cut + 1)]
@@ -744,4 +739,4 @@ def coherent_closed_form(zl, rep: RepParams, j_cut: int) -> StateVector:
                    * cols[am][j - am])
             if not val.is_zero:
                 amps[BasisIndex(j, m)] = val
-    return state_from_amplitudes(amps, j_cut, rep)
+    return state_from_amplitudes(amps, j_cut)

@@ -26,7 +26,7 @@ from cohstates.checks import (check_casimirs, check_e3_commutators,
 from cohstates.circle import (CirclePhasePoint, circle_expect_J,
                               circle_expect_U, circle_uncertainty_report,
                               uncertainty_from_moments)
-from cohstates.repspace import RepParams, basis_state
+from cohstates.repspace import basis_state
 from cohstates.rotator import argmax_j, argmax_m, distribution
 from cohstates.sphere import (SpherePhasePoint, ZLabel, coherent_state,
                               eigen_residual, expect_J, expect_X,
@@ -146,8 +146,7 @@ def test_criterion_5_sphere_expectation_claims(sphere_sample):
 
 
 def test_criterion_6_eigenvalue_property(sphere_sample):
-    worst = eigen_residual(north_pole_state(RepParams(), 40),
-                           ZLabel([0, 0, 1]))
+    worst = eigen_residual(north_pole_state(40), ZLabel([0, 0, 1]))
     for p, s in sphere_sample:
         worst = max(worst, eigen_residual(s, phase_to_z(p)))
     ok = worst <= 1e-8
@@ -198,7 +197,7 @@ def test_criterion_10_uncertainty_inequalities(sphere_sample):
         worst_deficit = max(worst_deficit, u.bound - u.var_j)
     # eigenstate degenerate case: both sides identically zero
     degenerate = uncertainty_from_moments(0.0, 0j, 0j)
-    basis_case = uncertainty_J(basis_state(3, 1, 20, RepParams()))
+    basis_case = uncertainty_J(basis_state(3, 1, 20))
     ok = (worst_deficit <= 0.0 and degenerate.var_j == degenerate.bound == 0.0
           and basis_case.bound == 0.0)
     report(10, "uncertainty inequalities", ok,

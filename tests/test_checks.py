@@ -41,8 +41,8 @@ def test_flipped_table_coefficient_fails_e3(monkeypatch):
     j, m = repspace.grid(j_cut)
     col = int(j.size // 2)       # |9, -6>, inside the interior j <= 10
 
-    def flipped(which, jj, mm, r):
-        out = original(which, jj, mm, r)
+    def flipped(which, jj, mm):
+        out = original(which, jj, mm)
         if which == "X3":
             dj, dm, coef, weight = out[0]
             coef = coef.copy()

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -20,6 +21,18 @@ def run(capsys):
 
 def run_json(run, argv):
     return json.loads(run(argv))
+
+
+VERIFY_ARGV = ["verify", "--identity-j-cut", "12", "--seed", "7"]
+
+
+@pytest.fixture(scope="module")
+def verify_report():
+    """The stdout of one VERIFY_ARGV run, shared by the module's tests."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(VERIFY_ARGV) == 0
+    return buf.getvalue()
 
 
 class TestCircleCommand:
@@ -108,6 +121,16 @@ class TestSphereCommand:
         rows = list(csv.DictReader(io.StringIO(run(["rotator", *argv,
                                                     "--format", "csv"]))))
         assert {(int(r["j"]), int(r["m"])) for r in rows} == want
+
+    def test_radius_scales_expect_X_only(self, run):
+        # the same unit-sphere point at r = 2.5 and at r = 1
+        at = ["sphere", "--l", "0,1.5,0"]
+        big = run_json(run, [*at, "--x", "1.5,0,2", "--r", "2.5"])
+        unit = run_json(run, [*at, "--x", "0.6,0,0.8"])
+        assert big["expect_X"] == pytest.approx(
+            [2.5 * v for v in unit["expect_X"]], rel=1e-15, abs=1e-15)
+        for key in ("relative_X", "uncertainty"):
+            assert big[key] == pytest.approx(unit[key], rel=1e-15, abs=1e-15)
 
     def test_csv_columns_unchanged(self, run):
         out = run(["sphere", "--x", "0,0,1", "--l", "1,0,0", "--format",
@@ -229,10 +252,9 @@ class TestExitCodes:
 
 
 class TestVerifyCommand:
-    def test_small_run_passes_and_is_deterministic(self, run):
-        argv = ["verify", "--identity-j-cut", "12", "--seed", "7"]
-        first = run(argv)
-        second = run(argv)
+    def test_small_run_passes_and_is_deterministic(self, run, verify_report):
+        first = verify_report
+        second = run(VERIFY_ARGV)
         assert first == second
         d = json.loads(first)
         assert d["all_passed"] is True
@@ -248,8 +270,8 @@ class TestVerifyCommand:
         assert rows[0] == ["check", "measured", "tolerance", "pass"]
         assert all(row[3] in ("true", "false") for row in rows[1:])
 
-    def test_checks_report_case_counts_and_worst_cases(self, run):
-        d = run_json(run, ["verify", "--identity-j-cut", "12", "--seed", "7"])
+    def test_checks_report_case_counts_and_worst_cases(self, verify_report):
+        d = json.loads(verify_report)
         by = {c["check"]: c for c in d["checks"]}
         assert all(c["n_cases"] >= 1 and c["worst_at"] is not None
                    for c in d["checks"])
@@ -257,6 +279,7 @@ class TestVerifyCommand:
         j, m = by["e3_commutators"]["worst_at"]
         assert 0 <= j <= 10 and abs(m) <= j
         assert by["e3_commutators"]["n_cases"] == 12 * 11 ** 2
+        assert by["casimirs"]["n_cases"] == 2 * 11 ** 2
         # seeded sweeps: the phase point, one of 14
         paths = by["three_path_equality"]
         assert paths["n_cases"] == 14
@@ -283,15 +306,3 @@ class TestVerifyCommand:
         tail = next(c for c in d["checks"] if c["check"] == "truncation_tail")
         assert tail["pass"] is False
         assert tail["measured"] > tail["tolerance"]
-
-
-def test_per_check_tolerance_overrides():
-    from cohstates.checks import run_all
-    res = run_all(seed=0, j_cut=12, tolerances={"casimirs": 0.0})
-    by = {r.name: r for r in res}
-    assert by["casimirs"].tolerance == 0.0
-    assert not by["casimirs"].passed
-    assert by["v_squared"].passed
-    # the override keeps where the worst case was and how many were measured
-    assert by["casimirs"].n_cases == 2 * 11 ** 2
-    assert len(by["casimirs"].worst_at) == 2

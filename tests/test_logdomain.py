@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +53,18 @@ def test_wrap_ties_at_minus_pi_go_positive():
     assert wrap_phase(-math.pi) == pytest.approx(math.pi)
     assert wrap_phase(math.pi) == pytest.approx(math.pi)
     assert wrap_phase(3 * math.pi) == pytest.approx(math.pi)
+
+
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                min_size=1, max_size=12))
+def test_wrap_of_an_array_is_the_elementwise_wrap(phases):
+    # the array and the scalar route agree bit for bit, signed zeros included
+    phases += [-math.pi, -0.0, 4 * math.pi]
+    got = wrap_phase(np.array(phases)).tolist()
+    want = [wrap_phase(p) for p in phases]
+    assert [(g, math.copysign(1, g)) for g in got] == [
+        (w, math.copysign(1, w)) for w in want]
+    assert all(-math.pi < g <= math.pi for g in got)
 
 
 def test_pow_and_division():
@@ -115,3 +128,7 @@ def test_log_sum_exp_empty_and_peak():
     assert log_sum_exp([]) == -math.inf
     assert log_sum_exp([-math.inf, 3.0]) == pytest.approx(3.0)
     assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2))
+    # arrays too, with -inf entries as exact zeros
+    assert log_sum_exp(np.full(4, -math.inf)) == -math.inf
+    assert log_sum_exp(np.array([-math.inf, 1.0, 1.0])) == pytest.approx(
+        1.0 + math.log(2), rel=1e-15)

@@ -7,7 +7,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from cohstates.repspace import RepParams
 from cohstates.specfun import gegenbauer_column
 from cohstates.sphere import (SpherePhasePoint, coherent_closed_form,
                               default_j_cut, phase_to_z)
@@ -48,7 +47,7 @@ def _mp_value(log_mag, phase):
 def test_closed_form_amplitudes_at_50_digits(l_norm):
     p = _point(l_norm)
     cut = default_j_cut(l_norm)
-    s = coherent_closed_form(phase_to_z(p), RepParams(), cut)
+    s = coherent_closed_form(phase_to_z(p), cut)
     k = int(np.argmax(s.log_mag))
     j_peak = math.isqrt(k)
     peak = (j_peak, k - j_peak * (j_peak + 1))

@@ -5,9 +5,9 @@ import pytest
 
 import oracles
 from oracles import LogComplex
-from cohstates.repspace import (BasisIndex, RepParams, StateVector, apply_J,
-                                apply_X, apply_Z, apply_table, basis_state,
-                                expectation, inner, inner_log, operator_table,
+from cohstates.repspace import (BasisIndex, StateVector, apply_J, apply_X,
+                                apply_Z, apply_table, basis_state, expectation,
+                                inner, inner_log, operator_table,
                                 relative_residual, residual_norm, state_scale,
                                 state_sum, z_vector_form_table)
 
@@ -21,7 +21,7 @@ def sparse_expectation(which, s):
     return num.scaled_log(-s.log_norm_sq()).to_complex()
 
 
-def random_sparse_state(seed, j_cut=12, n=25, rep=None):
+def random_sparse_state(seed, j_cut=12, n=25):
     """Random amplitudes on random indices, the top level included, with
     some exactly real or imaginary phases."""
     rng = np.random.default_rng(seed)
@@ -33,7 +33,7 @@ def random_sparse_state(seed, j_cut=12, n=25, rep=None):
                             rng.uniform(-math.pi, math.pi)])
         amps[BasisIndex(j, m)] = LogComplex(rng.uniform(-30.0, 5.0), phase)
     amps[BasisIndex(j_cut, 0)] = LogComplex(0.0, 0.0)
-    return oracles.state_from_amplitudes(amps, j_cut, rep)
+    return oracles.state_from_amplitudes(amps, j_cut)
 
 
 def apply_Z_vector_form(which, s):
@@ -55,13 +55,6 @@ def test_basis_index_validation():
         StateVector(np.zeros(35), np.zeros(36), j_cut=5)
     with pytest.raises(ValueError):
         StateVector(np.zeros(36), np.zeros(37), j_cut=5)
-
-
-def test_rep_params_validation():
-    with pytest.raises(ValueError):
-        RepParams(r=-1.0)
-    with pytest.raises(ValueError):
-        RepParams(zeta=0.5)
 
 
 class TestAngularMomentum:
@@ -103,11 +96,6 @@ class TestPosition:
         lowered = inner(basis_state(0, 0, 10), apply_X("X3", basis_state(1, 0, 10)))
         assert raised == pytest.approx(lowered)
         assert raised == pytest.approx(1 / math.sqrt(3))
-
-    def test_radius_scales_action(self):
-        rep = RepParams(r=2.5)
-        out = apply_X("X3", basis_state(0, 0, 10, rep))
-        assert amp(out, 1, 0) == pytest.approx(2.5 / math.sqrt(3), rel=1e-15)
 
 
 class TestGenerators:
@@ -173,11 +161,6 @@ class TestInnerAndExpectation:
         assert n.real > 0
         assert inner(a, b) == pytest.approx(inner(b, a).conjugate(), rel=1e-14)
 
-    def test_mismatched_rep_params_rejected(self):
-        with pytest.raises(ValueError):
-            inner_log(basis_state(0, 0, 8, RepParams(r=1.0)),
-                      basis_state(0, 0, 8, RepParams(r=2.0)))
-
     def test_expectation_examples(self):
         assert expectation("J3", basis_state(4, -3, 8)) == pytest.approx(-3.0)
         assert expectation("X3", basis_state(0, 0, 8)) == pytest.approx(0.0, abs=1e-16)
@@ -230,7 +213,7 @@ class TestDenseMatchesSparse:
     @pytest.mark.parametrize("which", LABELS)
     @pytest.mark.parametrize("seed", range(4))
     def test_expectation_on_random_states(self, which, seed):
-        s = random_sparse_state(seed, rep=RepParams(r=1.0 + seed))
+        s = random_sparse_state(seed)
         _assert_close(expectation(which, s), sparse_expectation(which, s),
                       1e-12)
 
@@ -258,20 +241,21 @@ class TestDenseMatchesSparse:
                           1e-13)
 
 
-def _dense_terms(which, j_cut, r):
+def _dense_terms(which, j_cut):
     """{(source, target): coefficient} of every nonzero dense branch."""
     from cohstates.repspace import _dense_branches, grid
     j, m = grid(j_cut)
     out = {}
-    for dj, dm, coef, weight in _dense_branches(which, j, m, r):
+    for dj, dm, coef, weight in _dense_branches(which, j, m):
         for k in np.flatnonzero(coef != 0):
             key = ((j[k], m[k]), (j[k] + dj, m[k] + dm))
             out[key] = out.get(key, 0) + coef[k] * math.exp(weight[k])
     return out
 
 
-def _scalar_terms(which, j_cut, r):
-    """The same table from the scalar matrix elements of the sparse path."""
+def _scalar_terms(which, j_cut):
+    """The same table from the scalar matrix elements of the sparse path, at
+    unit radius."""
     from oracles import jminus_coef, jplus_coef, x_terms, z_terms
     cart = {"X1": (("Xplus", 0.5), ("Xminus", 0.5)),
             "X2": (("Xplus", -0.5j), ("Xminus", 0.5j)),
@@ -280,7 +264,7 @@ def _scalar_terms(which, j_cut, r):
     out = {}
     if which in cart:
         for ladder, f in cart[which]:
-            for key, c in _scalar_terms(ladder, j_cut, r).items():
+            for key, c in _scalar_terms(ladder, j_cut).items():
                 out[key] = out.get(key, 0) + f * c
         return out
     for j in range(j_cut + 1):
@@ -294,7 +278,7 @@ def _scalar_terms(which, j_cut, r):
             elif which == "Jminus":
                 terms = [((j, m - 1), jminus_coef(j, m))] if m > -j else []
             elif which.startswith("X"):
-                terms = list(x_terms(which, j, m, r))
+                terms = list(x_terms(which, j, m, 1.0))
             else:
                 terms = [(key, c.to_complex())
                          for key, c in z_terms(which, j, m)]
@@ -307,8 +291,8 @@ def _scalar_terms(which, j_cut, r):
 @pytest.mark.parametrize("j_cut", [10, 40])
 @pytest.mark.parametrize("which", LABELS + ("J1", "J2"))
 def test_dense_branches_match_scalar_matrix_elements(which, j_cut):
-    dense = _dense_terms(which, j_cut, 2.5)
-    scalar = _scalar_terms(which, j_cut, 2.5)
+    dense = _dense_terms(which, j_cut)
+    scalar = _scalar_terms(which, j_cut)
     assert dense.keys() == scalar.keys()
     # the Z elements are assembled in log form on the scalar side
     rel = 1e-13 if which.startswith("Z") else 0.0
@@ -323,8 +307,8 @@ class TestBandTables:
     @pytest.mark.parametrize("which", LABELS)
     def test_application_matches_sparse_action(self, which):
         # amplitudes spanning e^-30..e^5, the top level j_cut included
-        s = random_sparse_state(1, rep=RepParams(r=2.5))
-        got, = apply_table(operator_table(which, s.j_cut, 2.5), s)
+        s = random_sparse_state(1)
+        got, = apply_table(operator_table(which, s.j_cut), s)
         want = oracles.apply_operator(which, s)
         assert got.amplitudes.keys() == want.amplitudes.keys()
         assert relative_residual(got, want, s) <= 1e-14

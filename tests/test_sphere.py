@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from cohstates.repspace import (BasisIndex, RepParams, basis_state,
-                                expectation, inner_log, state_scale,
-                                state_sum)
+from cohstates.repspace import (BasisIndex, basis_state, expectation,
+                                inner_log, state_scale, state_sum)
 from cohstates.sphere import (L_NORM_MAX, ConstraintError, SpherePhasePoint,
                               ZLabel, apply_rotation, axis_reference_label,
                               coherent_closed_form, coherent_ladder_generated,
@@ -16,8 +15,6 @@ from cohstates.sphere import (L_NORM_MAX, ConstraintError, SpherePhasePoint,
                               expect_X, generation_params,
                               max_amplitude_rel_diff, north_pole_state,
                               phase_to_z, relative_X, uncertainty_J)
-
-REP = RepParams()
 
 # Figure-1 phase point of the energy-distribution study: position quoted to
 # three decimals (rescaled onto the unit sphere at construction), momentum
@@ -123,29 +120,29 @@ class TestLabel:
 
 class TestNorthPoleState:
     def test_coefficients(self):
-        s = north_pole_state(REP, 20)
+        s = north_pole_state(20)
         assert oracles.value(s.amplitudes[BasisIndex(0, 0)]) == 1.0
         assert oracles.value(s.amplitudes[BasisIndex(1, 0)]) == pytest.approx(
             math.exp(-1) * math.sqrt(3), rel=1e-14)
 
     def test_eigen_residual(self):
-        s = north_pole_state(REP, 20)
+        s = north_pole_state(20)
         assert eigen_residual(s, ZLabel([0, 0, 1])) <= 1e-12
 
     def test_small_cut_rejected(self):
         with pytest.raises(ValueError):
-            north_pole_state(REP, 5)
+            north_pole_state(5)
 
 
 class TestClosedForm:
     def test_reduces_to_north_pole_at_rest(self):
-        s = coherent_closed_form(ZLabel([0, 0, 1]), REP, 20)
-        np_state = north_pole_state(REP, 20)
+        s = coherent_closed_form(ZLabel([0, 0, 1]), 20)
+        np_state = north_pole_state(20)
         assert max_amplitude_rel_diff(np_state, s) < 1e-14
 
     def test_first_multiplet_amplitudes_symbolic(self, fig1_point):
         zl = phase_to_z(fig1_point)
-        s = coherent_closed_form(zl, REP, 15)
+        s = coherent_closed_form(zl, 15)
         z1, z2, _ = zl.z
         pref = math.exp(-1) * math.sqrt(1.5)
         want_up = pref * (-z1 + 1j * z2)
@@ -159,8 +156,8 @@ class TestClosedForm:
     def test_matches_per_amplitude_kernel(self, l_norm):
         zl = phase_to_z(_tangent_point(29, l_norm))
         cut = default_j_cut(l_norm)
-        want = oracles.coherent_closed_form(zl, REP, cut)
-        got = coherent_closed_form(zl, REP, cut)
+        want = oracles.coherent_closed_form(zl, cut)
+        got = coherent_closed_form(zl, cut)
         assert got.amplitudes.keys() == want.amplitudes.keys()
         assert max_amplitude_rel_diff(want, got) <= 1e-12
 
@@ -175,20 +172,20 @@ class TestClosedForm:
 
 class TestTripleSum:
     def test_reduces_to_north_pole_at_rest(self):
-        s = coherent_triple_sum(ZLabel([0, 0, 1]), REP, 20)
-        assert max_amplitude_rel_diff(north_pole_state(REP, 20), s) < 1e-14
+        s = coherent_triple_sum(ZLabel([0, 0, 1]), 20)
+        assert max_amplitude_rel_diff(north_pole_state(20), s) < 1e-14
 
     def test_matches_closed_form_at_fig1(self, fig1_point):
         zl = phase_to_z(fig1_point)
-        a = coherent_closed_form(zl, REP, 25)
-        b = coherent_triple_sum(zl, REP, 25)
+        a = coherent_closed_form(zl, 25)
+        b = coherent_triple_sum(zl, 25)
         assert max_amplitude_rel_diff(a, b) < 1e-10
 
     def test_generation_params_singular_at_south_pole(self):
         with pytest.raises(ConstraintError):
             generation_params(ZLabel([0, 0, -1]))
         with pytest.raises(ConstraintError):
-            coherent_triple_sum(ZLabel([0, 0, -1]), REP, 15)
+            coherent_triple_sum(ZLabel([0, 0, -1]), 15)
 
 
 class TestDenseRoutesMatchOldLoops:
@@ -201,7 +198,7 @@ class TestDenseRoutesMatchOldLoops:
         for new, old in ((coherent_triple_sum, oracles.coherent_triple_sum),
                          (coherent_ladder_generated,
                           oracles.coherent_ladder_generated)):
-            a, b = old(zl, REP, cut), new(zl, REP, cut)
+            a, b = old(zl, cut), new(zl, cut)
             assert a.amplitudes.keys() == b.amplitudes.keys()
             assert max_amplitude_rel_diff(a, b) <= 1e-13
 
@@ -209,14 +206,14 @@ class TestDenseRoutesMatchOldLoops:
         # mu = nu = 0: only the k = m = 0 terms survive, with 0^0 = 1
         zl = ZLabel([0, 0, 1])
         assert generation_params(zl)[:2] == (0, 0)
-        want = north_pole_state(REP, 20)
-        got = coherent_triple_sum(zl, REP, 20)
+        want = north_pole_state(20)
+        got = coherent_triple_sum(zl, 20)
         assert got.amplitudes.keys() == want.amplitudes.keys()
         assert max_amplitude_rel_diff(want, got) <= 1e-15
 
     def test_rotation_matches_old_ladder(self):
         p = SpherePhasePoint([0.36, 0.48, 0.8], [4.8, -3.6, 0.0])
-        s = coherent_closed_form(phase_to_z(p), REP, 35)
+        s = coherent_closed_form(phase_to_z(p), 35)
         axis, angle = np.array([0.6, 0.0, 0.8]), 0.7
         got = apply_rotation(s, axis, angle)
         # the Gauss factors of exp(-i angle n.J), as apply_rotation takes them
@@ -233,28 +230,28 @@ class TestDenseRoutesMatchOldLoops:
 
 class TestLadderGeneration:
     def test_rest_label_is_exactly_the_north_pole_state(self):
-        s = coherent_ladder_generated(ZLabel([0, 0, 1]), REP, 20)
-        np_state = north_pole_state(REP, 20)
+        s = coherent_ladder_generated(ZLabel([0, 0, 1]), 20)
+        np_state = north_pole_state(20)
         assert s.amplitudes.keys() == np_state.amplitudes.keys()
         assert max_amplitude_rel_diff(np_state, s) == 0.0
 
     def test_matches_closed_form(self):
         p = SpherePhasePoint([1.0, 0.0, 0.0], [0.0, 0.0, 2.0])
         zl = phase_to_z(p)
-        a = coherent_closed_form(zl, REP, 30)
-        c = coherent_ladder_generated(zl, REP, 30)
+        a = coherent_closed_form(zl, 30)
+        c = coherent_ladder_generated(zl, 30)
         assert max_amplitude_rel_diff(a, c) < 1e-10
 
     def test_rotation_preserves_norm(self):
         p = SpherePhasePoint([1.0, 0.0, 0.0], [0.0, 0.0, 3.0])
-        s = coherent_closed_form(phase_to_z(p), REP, 30)
+        s = coherent_closed_form(phase_to_z(p), 30)
         rotated = apply_rotation(s, [0.36, 0.48, 0.8], 0.9)
         assert rotated.log_norm_sq() == pytest.approx(s.log_norm_sq(),
                                                       abs=1e-12)
 
     def test_south_pole_rejected(self):
         with pytest.raises(ConstraintError):
-            coherent_ladder_generated(ZLabel([0, 0, -1]), REP, 15)
+            coherent_ladder_generated(ZLabel([0, 0, -1]), 15)
 
 
 def _rotation_matrix(axis, angle):
@@ -269,8 +266,8 @@ def test_rotation_equivariance():
     axis, angle = [0.6, 0.0, 0.8], 0.7
     r = _rotation_matrix(axis, angle)
     rotated_point = SpherePhasePoint(r @ p.x, r @ p.l)
-    direct = coherent_closed_form(phase_to_z(rotated_point), REP, 35)
-    via_op = apply_rotation(coherent_closed_form(phase_to_z(p), REP, 35),
+    direct = coherent_closed_form(phase_to_z(rotated_point), 35)
+    via_op = apply_rotation(coherent_closed_form(phase_to_z(p), 35),
                             axis, angle)
     ov_log_mag, _ = inner_log(direct, via_op)
     norms = 0.5 * (direct.log_norm_sq() + via_op.log_norm_sq())
@@ -283,7 +280,7 @@ class TestEigenResidual:
         assert eigen_residual(s, phase_to_z(fig1_point)) <= 1e-8
 
     def test_basis_state_is_not_coherent(self):
-        s = basis_state(5, 2, 20, REP)
+        s = basis_state(5, 2, 20)
         assert eigen_residual(s, ZLabel([0, 0, 1])) > 0.1
 
 
@@ -332,7 +329,7 @@ class TestDenseMatchesSparse:
         assert abs(eigen_residual(s, zl) - want) <= 1e-13 * size
 
     def test_eigen_residual_off_the_family(self):
-        s = basis_state(5, 2, 20, REP)
+        s = basis_state(5, 2, 20)
         zl = ZLabel([0, 0, 1])
         assert eigen_residual(s, zl) == pytest.approx(
             _sparse_eigen_residual(s, zl), rel=1e-13)
@@ -340,7 +337,7 @@ class TestDenseMatchesSparse:
 
 class TestExpectations:
     def test_north_pole_momentum_vanishes(self):
-        s = north_pole_state(REP, 20)
+        s = north_pole_state(20)
         assert np.allclose(expect_J(s), 0.0, atol=1e-15)
 
     def test_fig1_expect_J(self, fig1_state):
@@ -370,12 +367,12 @@ class TestExpectations:
 
 class TestUncertainty:
     def test_basis_state_degenerate_bound(self):
-        u = uncertainty_J(basis_state(3, 1, 20, REP))
+        u = uncertainty_J(basis_state(3, 1, 20))
         assert u.bound == 0.0
         assert u.var_j >= 0.0
 
     def test_north_pole(self):
-        u = uncertainty_J(north_pole_state(REP, 20))
+        u = uncertainty_J(north_pole_state(20))
         assert u.var_j > 0.0
         assert u.bound > 0.0
         assert u.var_j >= u.bound
@@ -413,7 +410,7 @@ def test_three_paths_at_moderate_momentum():
     p = SpherePhasePoint(x, 5.0 * v / np.linalg.norm(v))
     zl = phase_to_z(p)
     cut = default_j_cut(5.0)
-    a = coherent_closed_form(zl, REP, cut)
-    assert max_amplitude_rel_diff(a, coherent_triple_sum(zl, REP, cut)) < 1e-10
+    a = coherent_closed_form(zl, cut)
+    assert max_amplitude_rel_diff(a, coherent_triple_sum(zl, cut)) < 1e-10
     assert max_amplitude_rel_diff(
-        a, coherent_ladder_generated(zl, REP, cut)) < 1e-10
+        a, coherent_ladder_generated(zl, cut)) < 1e-10
