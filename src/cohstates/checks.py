@@ -37,6 +37,7 @@ IDENTITY_TOL = 1e-12
 SERIES_TOL = 1e-10
 PATH_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
+TAIL_TOL = 1e-24
 
 _EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
         (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
@@ -413,16 +414,16 @@ def check_uncertainty(seed: int = 0) -> CheckResult:
     return worst.result("uncertainty_inequalities", 0.0)
 
 
-def check_truncation_tail(j_cut="auto", tail_tol: float = 1e-24) -> CheckResult:
+def check_truncation_tail(j_cut="auto") -> CheckResult:
     """Tail mass of the reference figure state under the configured cut."""
     p = SpherePhasePoint([0.412, 0.412, 0.812], [8.124, -8.124, 0.0])
     s = coherent_state(p, j_cut=j_cut)
-    return CheckResult("truncation_tail", s.tail_fraction(bands=2), tail_tol,
+    return CheckResult("truncation_tail", s.tail_fraction(bands=2), TAIL_TOL,
                        1, _point(p))
 
 
-def run_all(seed: int = 0, j_cut: int = 30, tail_j_cut="auto",
-            tail_tol: float = 1e-24) -> list[CheckResult]:
+def run_all(seed: int = 0, j_cut: int = 30,
+            tail_j_cut="auto") -> list[CheckResult]:
     """Every check at its pinned tolerance; deterministic for a fixed seed."""
     return [
         check_e3_commutators(j_cut),
@@ -441,5 +442,5 @@ def run_all(seed: int = 0, j_cut: int = 30, tail_j_cut="auto",
         check_circle_u_modulus(),
         check_circle_eigen(),
         check_uncertainty(seed),
-        check_truncation_tail(tail_j_cut, tail_tol),
+        check_truncation_tail(tail_j_cut),
     ]

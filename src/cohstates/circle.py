@@ -43,14 +43,17 @@ WINDOW = 40
 
 @dataclass(frozen=True, slots=True)
 class CirclePhasePoint:
-    """Classical label (phi, l); phi is wrapped into (-pi, pi], and l below
-    L_MIN is rejected."""
+    """Classical label (phi, l); phi is wrapped into (-pi, pi], and a
+    non-finite label or l below L_MIN is rejected."""
 
     phi: float
     l: float
 
     def __post_init__(self):
-        if not self.l >= L_MIN:
+        for name, v in (("phi", self.phi), ("l", self.l)):
+            if not math.isfinite(v):
+                raise ConstraintError(f"{name} must be finite, got {v}")
+        if self.l < L_MIN:
             raise ConstraintError(
                 f"l = {self.l:.6g} is below the supported {L_MIN:g}, where "
                 "the eigenvalue xi = e^(-l + i phi) overflows a double")

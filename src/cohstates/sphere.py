@@ -81,7 +81,8 @@ class SpherePhasePoint:
     decimals) are rescaled onto it at construction, so the stored x always
     satisfies the radius constraint to machine precision.  Tangency is only
     repaired on request via project_tangent, since projecting l genuinely
-    changes the label.  |l| above L_NORM_MAX is rejected.
+    changes the label.  Non-finite input, a radius below the smallest
+    normal double and |l| above L_NORM_MAX are rejected.
     """
 
     x: np.ndarray
@@ -91,28 +92,37 @@ class SpherePhasePoint:
     def __init__(self, x, l, r: float = 1.0, project_tangent: bool = False):
         x = _vec(x)
         l = _vec(l)
-        if not r > 0:
-            raise ConstraintError(f"radius must be positive, got {r}")
-        dev = abs(x @ x - r * r) / (r * r)
-        if dev > RADIUS_REPAIR_LIMIT:
+        for name, v in (("x", x), ("l", l), ("r", r)):
+            if not np.isfinite(v).all():
+                raise ConstraintError(f"{name} must be finite, got {v}")
+        if not r >= np.finfo(float).tiny:
             raise ConstraintError(
-                f"|x|^2 = {x @ x:.6g} is too far from r^2 = {r * r:.6g}")
-        if dev > 0:
-            x = x * (r / math.sqrt(x @ x))
-        lnorm = math.sqrt(l @ l)
-        if lnorm > 0:
-            tang = abs(l @ x) / (lnorm * r)
-            if tang > TANGENCY_TOL:
-                if not project_tangent:
-                    raise ConstraintError(
-                        f"l.x/(|l| r) = {tang:.3g} exceeds {TANGENCY_TOL}; "
-                        "pass project_tangent=True to project l onto the "
-                        "tangent plane")
-                l = l - (l @ x) / (r * r) * x
-        if not math.sqrt(l @ l) <= L_NORM_MAX:
-            raise ConstraintError(
-                f"|l| = {math.sqrt(l @ l):.6g} is above the supported "
-                f"{L_NORM_MAX:g}, where cosh(2|l|) overflows a double")
+                f"radius must be a positive normal double, got {r}")
+        # in units of r, u = x/r, no square over- or underflows for a point
+        # near the sphere; far off it one leaves an inf or a NaN: reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = x / r
+            dev = abs(u @ u - 1.0)
+            if not dev <= RADIUS_REPAIR_LIMIT:
+                raise ConstraintError(
+                    f"|x|/r = {math.sqrt(u @ u):.6g} is too far from 1")
+            if dev > 0:
+                x = x * (1.0 / math.sqrt(u @ u))
+                u = x / r
+            lnorm = math.sqrt(l @ l)
+            if lnorm > 0:
+                tang = abs(l @ u) / lnorm
+                if tang > TANGENCY_TOL:
+                    if not project_tangent:
+                        raise ConstraintError(
+                            f"l.x/(|l| r) = {tang:.3g} exceeds "
+                            f"{TANGENCY_TOL}; pass project_tangent=True to "
+                            "project l onto the tangent plane")
+                    l = l - (l @ u) * u
+            if not math.sqrt(l @ l) <= L_NORM_MAX:
+                raise ConstraintError(
+                    f"|l| = {math.sqrt(l @ l):.6g} is above the supported "
+                    f"{L_NORM_MAX:g}, where cosh(2|l|) overflows a double")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "r", float(r))

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohstates.circle import (WINDOW, CirclePhasePoint, circle_coherent,
                               circle_eigen_residual, circle_expect_J,
                               circle_expect_U, circle_relative_U,
                               circle_uncertainty_report,
                               uncertainty_from_moments)
+from cohstates.sphere import ConstraintError
 
 # lattice-sum oracles evaluated with mpmath at 40 digits
 EXPECT_U_AT_REST = 0.77863967150613793959
@@ -158,3 +161,26 @@ def test_phi_wraps_into_principal_interval():
     p = CirclePhasePoint(3 * math.pi, 0.0)
     assert p.phi == pytest.approx(math.pi)
     assert CirclePhasePoint(-math.pi, 0.0).phi == pytest.approx(math.pi)
+
+
+@pytest.mark.parametrize("phi, l, reason", [
+    (math.inf, 0.0, "phi must be finite"),
+    (math.nan, 1.0, "phi must be finite"),
+    (0.0, math.inf, "l must be finite"),
+    (0.0, math.nan, "l must be finite"),
+    (0.0, -710.0, "below the supported"),
+])
+def test_non_finite_or_unsupported_label_is_named(phi, l, reason):
+    with pytest.raises(ConstraintError, match=reason):
+        CirclePhasePoint(phi, l)
+
+
+@given(st.floats(), st.floats())
+@settings(max_examples=300, deadline=None)
+def test_phase_point_is_valid_or_a_constraint_error(phi, l):
+    try:
+        p = CirclePhasePoint(phi, l)
+    except ConstraintError:
+        return
+    assert math.isfinite(p.phi) and math.isfinite(p.l)
+    assert -math.pi < p.phi <= math.pi

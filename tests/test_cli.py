@@ -57,6 +57,17 @@ class TestCircleCommand:
         assert d["eigen_residual"] == pytest.approx(
             d["eigen_residual_rel"] * math.exp(512.86), rel=1e-12)
 
+    def test_csv_cells_carry_the_json_numbers(self, run):
+        argv = ["circle", "--phi", "0.7", "--l", "-3.3"]
+        d = run_json(run, argv)
+        rows = list(csv.reader(io.StringIO(run([*argv, "--format", "csv"]))))
+        want = [d["expect_J"], *d["expect_U"], d["uncertainty"]["var_J"],
+                d["uncertainty"]["bound"]]
+        assert rows == [["quantity", "value"]] + [
+            [q, repr(v)] for q, v in zip(
+                ("expect_J", "expect_U_re", "expect_U_im", "var_J", "bound"),
+                want)]
+
 
 class TestSphereCommand:
     def test_rest_amplitudes_match_generating_state(self, run):
@@ -131,6 +142,13 @@ class TestSphereCommand:
             [2.5 * v for v in unit["expect_X"]], rel=1e-15, abs=1e-15)
         for key in ("relative_X", "uncertainty"):
             assert big[key] == pytest.approx(unit[key], rel=1e-15, abs=1e-15)
+
+    def test_csv_cells_carry_the_json_numbers(self, run):
+        argv = ["sphere", "--x", "0.412,0.412,0.812", "--l", "8.124,-8.124,0"]
+        amps = run_json(run, argv)["amplitudes"]
+        rows = list(csv.reader(io.StringIO(run([*argv, "--format", "csv"]))))
+        assert rows[1:] == [[str(a["j"]), str(a["m"]), repr(a["log_mag"]),
+                             repr(a["phase"])] for a in amps]
 
     def test_csv_columns_unchanged(self, run):
         out = run(["sphere", "--x", "0,0,1", "--l", "1,0,0", "--format",
@@ -245,11 +263,6 @@ class TestExitCodes:
                            "--j-cut", "731"])
         assert d["j_cut"] == 731
 
-    def test_tail_tol_out_of_range(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--tail-tol", "0.5"])
-        assert exc.value.code == 2
-
 
 class TestVerifyCommand:
     def test_small_run_passes_and_is_deterministic(self, run, verify_report):
@@ -264,11 +277,16 @@ class TestVerifyCommand:
             "hyp2f1_identity_grid", "gegenbauer_recurrence_vs_series",
             "three_path_equality", "eigen_residuals", "truncation_tail"}
 
-    def test_csv_schema(self, run):
-        out = run(["verify", "--identity-j-cut", "12", "--format", "csv"])
+    def test_csv_schema(self, run, verify_report):
+        out = run([*VERIFY_ARGV, "--format", "csv"])
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["check", "measured", "tolerance", "pass"]
         assert all(row[3] in ("true", "false") for row in rows[1:])
+        # the same text as the JSON numbers of the same run
+        checks = json.loads(verify_report)["checks"]
+        assert [row[:3] for row in rows[1:]] == [
+            [c["check"], repr(c["measured"]), repr(c["tolerance"])]
+            for c in checks]
 
     def test_checks_report_case_counts_and_worst_cases(self, verify_report):
         d = json.loads(verify_report)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cohstates.repspace import (BasisIndex, basis_state, expectation,
@@ -68,6 +70,51 @@ class TestPhasePoint:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ConstraintError):
             SpherePhasePoint([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], r=0.0)
+
+    @pytest.mark.parametrize("x, l, r, reason", [
+        ([0.0, 0.0, math.nan], [0.0, 0.0, 0.0], 1.0, "x must be finite"),
+        ([0.0, 0.0, 1.0], [math.nan, 0.0, 0.0], 1.0, "l must be finite"),
+        ([0.0, 0.0, 1.0], [0.0, math.inf, 0.0], 1.0, "l must be finite"),
+        ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], math.inf, "r must be finite"),
+        # r*r overflows a double: a NaN deviation must fail the check
+        ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 1.35e154, "too far from"),
+        ([0.0, 0.0, 5e-324], [0.0, 0.0, 0.0], 5e-324, "normal double"),
+    ])
+    def test_non_finite_or_unrepresentable_input_is_named(self, x, l, r,
+                                                          reason):
+        with pytest.raises(ConstraintError, match=reason):
+            SpherePhasePoint(x, l, r=r)
+
+    def test_radius_far_from_one_is_exact(self):
+        # no square is formed outside units of r, so neither end overflows
+        for r in (1e300, 1e-300):
+            p = SpherePhasePoint([0.0, 0.6 * r, 0.8 * r], [0.0, 0.0, 0.0],
+                                 r=r)
+            assert math.hypot(*p.x) == pytest.approx(r, rel=1e-15)
+
+
+# any doubles, or a point on the unit sphere and a bounded l
+_any3 = st.lists(st.floats(), min_size=3, max_size=3)
+_x = st.one_of(_any3, st.permutations([0.0, 0.6, -0.8]))
+_l = st.one_of(_any3, st.lists(st.floats(-400.0, 400.0), min_size=3,
+                               max_size=3))
+
+
+@given(_x, _l, st.one_of(st.just(1.0), st.floats()), st.booleans(),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_phase_point_is_valid_or_a_constraint_error(x, l, r, x_in_units_of_r,
+                                                    project):
+    if x_in_units_of_r:
+        x = [c * r for c in x]
+    try:
+        p = SpherePhasePoint(x, l, r=r, project_tangent=project)
+    except ConstraintError:
+        return
+    assert np.isfinite(p.x).all() and np.isfinite(p.l).all()
+    assert math.isfinite(p.r) and p.r > 0
+    assert math.hypot(*p.x) == pytest.approx(p.r, rel=1e-12)
+    assert p.l_norm <= L_NORM_MAX
 
 
 class TestLabel:
