@@ -14,8 +14,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .circle import (CirclePhasePoint, circle_coherent, circle_eigen_residual,
                      circle_uncertainty_report)
 from .repspace import (BandTable, identity_table, jsq_tables, operator_table,
                        z_vector_form_table)
-from .specfun import gegenbauer, hyp2f1_terminating, log_factorial
+from .specfun import gegenbauer_column, hyp2f1_terminating, log_factorial
 from .spinor import k_table, v_table, z_from_matrix_table, z_matrix_entries
 from .sphere import (SpherePhasePoint, coherent_closed_form,
                      coherent_ladder_generated, coherent_state,
@@ -52,7 +52,8 @@ class CheckResult:
 
     n_cases counts the residuals the worst was taken over; worst_at says
     where it occurred: a basis index [j, m] for the operator identities, a
-    phase point {"x", "l"} or a grid value for the other sweeps.
+    phase point {"x", "l"} or a grid value for the other sweeps.  run_all
+    sets elapsed_s, the seconds the check took, which equality ignores.
     """
 
     name: str
@@ -60,6 +61,7 @@ class CheckResult:
     tolerance: float
     n_cases: int = 0
     worst_at: object = None
+    elapsed_s: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "measured", float(self.measured))
@@ -209,36 +211,25 @@ def check_z_routes(j_cut: int = 30) -> CheckResult:
     return sweep.result("z_route_equality")
 
 
-class _QC:
-    """Gaussian-rational complex: exact add/mul over Fractions.
+def _dyadic_terms(coefs: list[int], w: complex) -> tuple[list, int]:
+    """The Gaussian integers c_s w^s 2^(e n), s = 0..n, and 2^(e n), where
+    w = (a + b i) / 2^e exactly, as every double is dyadic."""
+    (ra, rd), (ia, id_) = (float(v).as_integer_ratio()
+                           for v in (w.real, w.imag))
+    e = max(rd, id_).bit_length() - 1
+    a, b = ra * ((1 << e) // rd), ia * ((1 << e) // id_)
+    n = len(coefs) - 1
+    p, q, terms = 1, 0, []                  # p + q i = (a + b i)^s
+    for s, c in enumerate(coefs):
+        terms.append(((c * p) << (e * (n - s)), (c * q) << (e * (n - s))))
+        p, q = p * a - q * b, p * b + q * a
+    return terms, 1 << (e * n)
 
-    The series oracles below have rational coefficients (the parameters are
-    half-integers, so every Pochhammer symbol is an integer) and exact binary
-    inputs, so the "independent side" of each identity can be summed with no
-    rounding at all.  That keeps the checks measuring the production code
-    rather than the oracle's own cancellation.
-    """
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "_QC":
-        z = complex(z)
-        return cls(Fraction(z.real), Fraction(z.imag))
-
-    def __add__(self, o: "_QC") -> "_QC":
-        return _QC(self.re + o.re, self.im + o.im)
-
-    def __mul__(self, o: "_QC") -> "_QC":
-        return _QC(self.re * o.re - self.im * o.im,
-                   self.re * o.im + self.im * o.re)
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+def _exact_sum(terms: list, den: int) -> complex:
+    """sum(terms) / den, correctly rounded, as float(Fraction) is."""
+    return complex(sum(t[0] for t in terms) / den,
+                   sum(t[1] for t in terms) / den)
 
 
 def check_hyp2f1_identity() -> CheckResult:
@@ -246,33 +237,29 @@ def check_hyp2f1_identity() -> CheckResult:
 
     sum_s (s+k)!/((s+m)! s! (n-s)!) z^s  ==  k!/(m! n!) 2F1(-n, k+1, m+1; -z)
     for n, k, m <= 8 and z in {-0.5, 0.7, 1+1j}.  The left side is summed in
-    exact rational arithmetic; the residual is normalized by the largest
-    term of the defining sum because the sum itself vanishes identically at
-    scattered grid points.
+    exact integer arithmetic, times (n+m)! n! over the dyadic common
+    denominator; the residual is normalized by the largest term of the
+    defining sum because the sum itself vanishes identically at scattered
+    grid points.
     """
+    f = [math.factorial(i) for i in range(17)]
     worst = _Worst()
     for n in range(0, 9):
         for k in range(0, 9):
             for m in range(0, 9):
+                # the coefficients times (n+m)! n! are integers for s <= n
+                coefs = [f[s + k] * (f[n + m] // f[s + m]) * math.comb(n, s)
+                         for s in range(n + 1)]
                 for z in (-0.5, 0.7, 1 + 1j):
-                    zq = _QC.from_complex(z)
-                    lhs = _QC(0)
-                    zpow = _QC(1)
-                    term_scale = 0.0
-                    for s_ in range(n + 1):
-                        coef = Fraction(
-                            math.factorial(s_ + k),
-                            math.factorial(s_ + m) * math.factorial(s_)
-                            * math.factorial(n - s_))
-                        t = _QC(coef) * zpow
-                        term_scale = max(term_scale, abs(t.to_complex()))
-                        lhs = lhs + t
-                        zpow = zpow * zq
+                    terms, pow2 = _dyadic_terms(coefs, complex(z))
+                    den = f[n + m] * f[n] * pow2
+                    term_scale = max(abs(complex(re / den, im / den))
+                                     for re, im in terms)
                     lm, ph = hyp2f1_terminating(n, k + 1.0, m + 1.0, -z)
                     rhs = cmath.rect(math.exp(
                         lm + log_factorial(k) - log_factorial(m)
                         - log_factorial(n)), ph)
-                    lhs_c = lhs.to_complex()
+                    lhs_c = _exact_sum(terms, den)
                     scale = max(abs(lhs_c), abs(rhs), term_scale)
                     worst.add(abs(lhs_c - rhs) / scale,
                               {"n": n, "k": k, "m": m,
@@ -284,29 +271,32 @@ def check_gegenbauer_recurrence() -> CheckResult:
     """Recurrence values against the terminating-series form of the polynomial.
 
     C_n^a(x) = Gamma(n+2a) / (Gamma(n+1) Gamma(2a)) 2F1(-n, n+2a, a+1/2; (1-x)/2)
-    over n <= 20, a in {1/2, 3/2, 9/2}, x in {0.3, 1, 2+5j}, with the series
-    side summed exactly (2a is an integer on this grid, so every coefficient
-    is rational).
+    over n <= 20, a in {1/2, 3/2, 9/2}, x in {0.3, 1, 2+5j}.  2a and
+    c = a + 1/2 are integers on this grid, so the series times (c)_n n! has
+    integer coefficients and is summed exactly over the dyadic common
+    denominator.  The recurrence values are the rows of one column per
+    (a, x).
     """
+    alphas, xs = (0.5, 1.5, 4.5), (0.3, 1.0, 2 + 5j)
+    cols = {(alpha, x): gegenbauer_column(20, alpha, x)
+            for alpha in alphas for x in xs}
     worst = _Worst()
     for n in range(0, 21):
-        for alpha in (0.5, 1.5, 4.5):
+        for alpha in alphas:
             two_a = int(round(2 * alpha))
-            c_int = (two_a + 1) // 2  # alpha + 1/2 is an integer on this grid
-            for x in (0.3, 1.0, 2 + 5j):
-                lm, ph = gegenbauer(n, alpha, x)
-                rec = cmath.rect(math.exp(lm), ph)
-                wq = _QC.from_complex((1 - complex(x)) / 2)
-                acc = _QC(0)
-                term = _QC(Fraction(
-                    math.factorial(n + two_a - 1),
-                    math.factorial(n) * math.factorial(two_a - 1)))
-                for s_ in range(n + 1):
-                    acc = acc + term
-                    ratio = Fraction((-n + s_) * (n + two_a + s_),
-                                     (c_int + s_) * (s_ + 1))
-                    term = term * _QC(ratio) * wq
-                ser = acc.to_complex()
+            c_int = (two_a + 1) // 2
+            # term s is C(n+2a-1, n) (-n)_s (n+2a)_s / ((c)_s s!) w^s; times
+            # (c)_n n! each coefficient is an integer, so each ratio divides
+            mult = math.prod(range(c_int, c_int + n)) * math.factorial(n)
+            coefs = list(itertools.accumulate(
+                range(n), lambda c, s: c * (s - n) * (n + two_a + s)
+                // ((c_int + s) * (s + 1)),
+                initial=math.comb(n + two_a - 1, n) * mult))
+            for x in xs:
+                lm, ph = cols[alpha, x]
+                rec = cmath.rect(math.exp(lm[n]), ph[n])
+                terms, pow2 = _dyadic_terms(coefs, (1 - complex(x)) / 2)
+                ser = _exact_sum(terms, mult * pow2)
                 worst.add(abs(rec - ser) / abs(ser),
                           {"n": n, "alpha": alpha,
                            "x": [complex(x).real, complex(x).imag]})
@@ -422,25 +412,33 @@ def check_truncation_tail(j_cut="auto") -> CheckResult:
                        1, _point(p))
 
 
+def _timed(check, *args) -> CheckResult:
+    start = time.perf_counter()
+    result = check(*args)
+    return replace(result, elapsed_s=time.perf_counter() - start)
+
+
 def run_all(seed: int = 0, j_cut: int = 30,
             tail_j_cut="auto") -> list[CheckResult]:
-    """Every check at its pinned tolerance; deterministic for a fixed seed."""
+    """Every check at its pinned tolerance, each with the time.perf_counter
+    seconds it took as elapsed_s; deterministic for a fixed seed, but for
+    elapsed_s."""
     return [
-        check_e3_commutators(j_cut),
-        check_casimirs(j_cut),
-        check_v_squared(j_cut),
-        check_kv_anticommutator(j_cut),
-        check_z_commutativity(j_cut),
-        check_z_normalization(j_cut),
-        check_z_routes(j_cut),
-        check_hyp2f1_identity(),
-        check_gegenbauer_recurrence(),
-        check_three_paths(seed),
-        check_eigen_residuals(seed),
-        check_label_constraint(seed),
-        check_circle_expectations(),
-        check_circle_u_modulus(),
-        check_circle_eigen(),
-        check_uncertainty(seed),
-        check_truncation_tail(tail_j_cut),
+        _timed(check_e3_commutators, j_cut),
+        _timed(check_casimirs, j_cut),
+        _timed(check_v_squared, j_cut),
+        _timed(check_kv_anticommutator, j_cut),
+        _timed(check_z_commutativity, j_cut),
+        _timed(check_z_normalization, j_cut),
+        _timed(check_z_routes, j_cut),
+        _timed(check_hyp2f1_identity),
+        _timed(check_gegenbauer_recurrence),
+        _timed(check_three_paths, seed),
+        _timed(check_eigen_residuals, seed),
+        _timed(check_label_constraint, seed),
+        _timed(check_circle_expectations),
+        _timed(check_circle_u_modulus),
+        _timed(check_circle_eigen),
+        _timed(check_uncertainty, seed),
+        _timed(check_truncation_tail, tail_j_cut),
     ]

@@ -1,8 +1,9 @@
 """Command-line reports: circle, sphere, rotator, verify.
 
-All reports are deterministic for a fixed seed and configuration; JSON is
-emitted with sorted keys and CSV follows RFC 4180.  Exit codes: 0 success,
-1 verification failure, 2 flag error, 3 phase-space constraint violation.
+All reports are deterministic for a fixed seed and configuration (but for
+the times of `verify --timings`); JSON is emitted with sorted keys and CSV
+follows RFC 4180.  Exit codes: 0 success, 1 verification failure, 2 flag
+error, 3 phase-space constraint violation, 4 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_FLAG_ERROR = 2
 EXIT_CONSTRAINT = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,6 +228,7 @@ def cmd_verify(args) -> int:
     results = run_all(seed=args.seed, j_cut=args.identity_j_cut,
                       tail_j_cut=args.j_cut)
     ok = all(r.passed for r in results)
+    timed = ["elapsed_s"] if args.timings else []
     payload = {
         "seed": args.seed,
         "identity_j_cut": args.identity_j_cut,
@@ -233,14 +236,17 @@ def cmd_verify(args) -> int:
         "checks": [
             {"check": r.name, "measured": r.measured,
              "tolerance": r.tolerance, "pass": r.passed,
-             "n_cases": r.n_cases, "worst_at": r.worst_at}
+             "n_cases": r.n_cases, "worst_at": r.worst_at,
+             **{k: r.elapsed_s for k in timed}}
             for r in results
         ],
     }
     rows = ({"check": r.name, "measured": r.measured,
-             "tolerance": r.tolerance, "pass": str(r.passed).lower()}
+             "tolerance": r.tolerance, "pass": str(r.passed).lower(),
+             **{k: r.elapsed_s for k in timed}}
             for r in results)
-    _emit(args, payload, ["check", "measured", "tolerance", "pass"], rows)
+    _emit(args, payload, ["check", "measured", "tolerance", "pass", *timed],
+          rows)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -305,6 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
                     type=_int_arg("--identity-j-cut", *IDENTITY_J_CUT_RANGE),
                     help="truncation level for the operator-identity sweeps "
                          "(3 to 200)")
+    pv.add_argument("--timings", action="store_true",
+                    help="add each check's elapsed seconds, elapsed_s")
     pv.set_defaults(func=cmd_verify)
     return parser
 
@@ -320,6 +328,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FLAG_ERROR
+    except AssertionError as exc:
+        # an invariant of the computation (hermiticity, a real expectation,
+        # an uncertainty bound) failed: a defect, not a verdict on the input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -300,29 +300,34 @@ def _exp_ladder(which: str, coef: complex, lm: np.ndarray, ph: np.ndarray,
     norm-based early cut is applied: a later diagonal stage can reweight
     amplitudes by factors as large as e^{|Re gamma| j_cut}, which would turn
     any "negligible now" judgement into a real error downstream.  Each term
-    shifts the previous one by one step in m; the terms are added into a
-    running sum rescaled to its largest log-magnitude per amplitude.
+    shifts the previous one by one step in m; it is carried as a log scale
+    and a complex unit mantissa, which each step multiplies by
+    e^{i arg coef}, exactly 1, i, -1 or -i for a quadrant coef, so quadrant
+    phases stay exact.  The terms are added into a running sum rescaled to
+    its largest log-magnitude per amplitude.
     """
     if coef == 0:
         return lm, ph
     (((_, dm, _), c),) = operator_table(which, j_cut).bands.items()
     with np.errstate(divide="ignore"):
         lc = np.log(c) + math.log(abs(coef))
-    top, t_lm, t_ph = lm, lm, ph
-    acc = np.where(lm > -math.inf, rect_array(np.zeros(lm.size), ph), 0)
-    for k in range(1, 2 * j_cut + 3):
-        # the flat index moves with m; the coefficient is 0 at m = +-j, so
-        # nothing crosses into the next multiplet or wraps around
-        t_lm = np.roll(t_lm + lc, dm) - math.log(k)
-        if t_lm.max() == -math.inf:
-            break
-        t_ph = np.roll(t_ph, dm) + cmath.phase(coef)
+    turn = complex(coef) / abs(coef)    # exact on the axes, unlike numpy's
+    j, m = grid(j_cut)
+    # the term from |j, m> reaches m = dm j after j - dm m steps and then
+    # vanishes: the coefficient is 0 at m = +-j
+    steps = int(np.max(j - dm * m, where=lm > -math.inf, initial=0))
+    lc = np.roll(lc, dm)    # the coefficient of the step into each index
+    top, t_lm, t_u = lm, lm, rect_array(0.0, ph)
+    acc = np.where(lm > -math.inf, t_u, 0)
+    for k in range(1, steps + 1):
+        # np.roll by dm: the flat index moves with m; the coefficient is 0
+        # at m = +-j, so nothing crosses into the next multiplet or wraps
+        t_lm = np.concatenate((t_lm[-dm:], t_lm[:-dm])) + lc - math.log(k)
+        t_u = np.concatenate((t_u[-dm:], t_u[:-dm])) * turn
         new_top = np.maximum(top, t_lm)
-        shift = np.nan_to_num(new_top, neginf=0.0)
-        acc = acc * np.exp(top - shift) + rect_array(t_lm - shift, t_ph)
+        shift = np.where(new_top > -math.inf, new_top, 0.0)
+        acc = acc * np.exp(top - shift) + np.exp(t_lm - shift) * t_u
         top = new_top
-    else:
-        raise RuntimeError("ladder series failed to terminate")
     return polar_array(top, acc)
 
 

@@ -13,14 +13,13 @@ two-component BandTable; apply_table(t, s.up, s.down) applies it to s.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .logdomain import log_sum_exp
-from .repspace import (BandTable, basis_state, grid, identity_table, inner,
-                       operator_table, state_scale, state_sum)
+from .repspace import (BandTable, basis_state, grid, identity_table,
+                       operator_table, state_scale)
 
 __all__ = [
     "SpinorState",
@@ -31,10 +30,6 @@ __all__ = [
     "exp_minus_k_table",
     "z_matrix_entries",
     "z_from_matrix_table",
-    "spinor_inner",
-    "spinor_sum",
-    "spinor_scale",
-    "spinor_relative_residual",
 ]
 
 
@@ -149,24 +144,3 @@ def z_from_matrix_table(which: str, entries: tuple) -> BandTable:
     if which == "Z3":
         return 0.5 * (a - d)
     raise ValueError(f"unknown Z component {which!r}")
-
-
-def spinor_inner(a: SpinorState, b: SpinorState) -> complex:
-    return inner(a.up, b.up) + inner(a.down, b.down)
-
-
-def spinor_sum(states: list[SpinorState]) -> SpinorState:
-    return SpinorState(state_sum([s.up for s in states]),
-                       state_sum([s.down for s in states]))
-
-
-def spinor_scale(s: SpinorState, c: complex) -> SpinorState:
-    return SpinorState(state_scale(s.up, c), state_scale(s.down, c))
-
-
-def spinor_relative_residual(lhs: SpinorState, rhs: SpinorState,
-                             *scales: SpinorState) -> float:
-    """Norm of (lhs - rhs) over the largest participating spinor norm."""
-    d = spinor_sum([lhs, spinor_scale(rhs, -1.0)]).log_norm_sq()
-    ref = max(x.log_norm_sq() for x in (lhs, rhs, *scales))
-    return 0.0 if d == -math.inf else math.exp(0.5 * (d - ref))

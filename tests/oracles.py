@@ -10,7 +10,10 @@ spinor operator, the J^2-function generator route, the per-basis-vector
 identity sweeps of `cohstates verify`, and the two sphere construction
 routes.  The tests hold the production code equal to them.  They read
 states through `amplitudes` and build them back with
-`state_from_amplitudes`.
+`state_from_amplitudes`.  Spinor sums, scalings, inner products and
+residuals serve the spinor tests.  Last come the Fraction-sum series
+oracles of `cohstates verify`, which the integer sums must match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -19,18 +22,19 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
+from cohstates import checks, specfun
+from cohstates.checks import CheckResult, _Worst
 from cohstates.logdomain import log_sum_exp, wrap_phase
-from cohstates.repspace import (BasisIndex, StateVector, basis_state,
+from cohstates.repspace import (BasisIndex, StateVector, basis_state, inner,
                                 relative_residual, state_scale, state_sum)
 from cohstates.specfun import log_factorial
 from cohstates.sphere import generation_params, north_pole_state
-from cohstates.spinor import (SpinorState, spinor_basis,
-                              spinor_relative_residual, spinor_scale,
-                              spinor_sum)
+from cohstates.spinor import SpinorState, spinor_basis
 
 _EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
         (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
@@ -203,6 +207,29 @@ def with_amplitudes(s: StateVector, amps: dict,
     """s with its amplitudes (and optionally lost_log) replaced."""
     return state_from_amplitudes(
         amps, s.j_cut, s.lost_log if lost_log is None else lost_log)
+
+
+# -- spinor arithmetic ------------------------------------------------------
+
+def spinor_inner(a: SpinorState, b: SpinorState) -> complex:
+    return inner(a.up, b.up) + inner(a.down, b.down)
+
+
+def spinor_sum(states: list[SpinorState]) -> SpinorState:
+    return SpinorState(state_sum([s.up for s in states]),
+                       state_sum([s.down for s in states]))
+
+
+def spinor_scale(s: SpinorState, c: complex) -> SpinorState:
+    return SpinorState(state_scale(s.up, c), state_scale(s.down, c))
+
+
+def spinor_relative_residual(lhs: SpinorState, rhs: SpinorState,
+                             *scales: SpinorState) -> float:
+    """Norm of (lhs - rhs) over the largest participating spinor norm."""
+    d = spinor_sum([lhs, spinor_scale(rhs, -1.0)]).log_norm_sq()
+    ref = max(x.log_norm_sq() for x in (lhs, rhs, *scales))
+    return 0.0 if d == -math.inf else math.exp(0.5 * (d - ref))
 
 
 # -- the sparse operator actions, one amplitude at a time -------------------
@@ -740,3 +767,92 @@ def coherent_closed_form(zl, j_cut: int) -> StateVector:
             if not val.is_zero:
                 amps[BasisIndex(j, m)] = val
     return state_from_amplitudes(amps, j_cut)
+
+
+# -- the exact-rational series oracles of `cohstates verify` -----------------
+
+class _QC:
+    """Gaussian-rational complex: exact add/mul over Fractions."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    @classmethod
+    def from_complex(cls, z: complex) -> "_QC":
+        z = complex(z)
+        return cls(Fraction(z.real), Fraction(z.imag))
+
+    def __add__(self, o: "_QC") -> "_QC":
+        return _QC(self.re + o.re, self.im + o.im)
+
+    def __mul__(self, o: "_QC") -> "_QC":
+        return _QC(self.re * o.re - self.im * o.im,
+                   self.re * o.im + self.im * o.re)
+
+    def to_complex(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+
+def hyp2f1_identity() -> CheckResult:
+    """check_hyp2f1_identity with the factorial sum summed term by term in
+    Fractions."""
+    worst = _Worst()
+    for n in range(0, 9):
+        for k in range(0, 9):
+            for m in range(0, 9):
+                for z in (-0.5, 0.7, 1 + 1j):
+                    zq = _QC.from_complex(z)
+                    lhs = _QC(0)
+                    zpow = _QC(1)
+                    term_scale = 0.0
+                    for s_ in range(n + 1):
+                        coef = Fraction(
+                            math.factorial(s_ + k),
+                            math.factorial(s_ + m) * math.factorial(s_)
+                            * math.factorial(n - s_))
+                        t = _QC(coef) * zpow
+                        term_scale = max(term_scale, abs(t.to_complex()))
+                        lhs = lhs + t
+                        zpow = zpow * zq
+                    lm, ph = specfun.hyp2f1_terminating(n, k + 1.0, m + 1.0,
+                                                        -z)
+                    rhs = cmath.rect(math.exp(
+                        lm + log_factorial(k) - log_factorial(m)
+                        - log_factorial(n)), ph)
+                    lhs_c = lhs.to_complex()
+                    scale = max(abs(lhs_c), abs(rhs), term_scale)
+                    worst.add(abs(lhs_c - rhs) / scale,
+                              {"n": n, "k": k, "m": m,
+                               "z": [complex(z).real, complex(z).imag]})
+    return worst.result("hyp2f1_identity_grid", checks.IDENTITY_TOL)
+
+
+def gegenbauer_recurrence() -> CheckResult:
+    """check_gegenbauer_recurrence with one recurrence per degree and the
+    series summed term by term in Fractions."""
+    worst = _Worst()
+    for n in range(0, 21):
+        for alpha in (0.5, 1.5, 4.5):
+            two_a = int(round(2 * alpha))
+            c_int = (two_a + 1) // 2  # alpha + 1/2 is an integer on this grid
+            for x in (0.3, 1.0, 2 + 5j):
+                lm, ph = specfun.gegenbauer(n, alpha, x)
+                rec = cmath.rect(math.exp(lm), ph)
+                wq = _QC.from_complex((1 - complex(x)) / 2)
+                acc = _QC(0)
+                term = _QC(Fraction(
+                    math.factorial(n + two_a - 1),
+                    math.factorial(n) * math.factorial(two_a - 1)))
+                for s_ in range(n + 1):
+                    acc = acc + term
+                    ratio = Fraction((-n + s_) * (n + two_a + s_),
+                                     (c_int + s_) * (s_ + 1))
+                    term = term * _QC(ratio) * wq
+                ser = acc.to_complex()
+                worst.add(abs(rec - ser) / abs(ser),
+                          {"n": n, "alpha": alpha,
+                           "x": [complex(x).real, complex(x).imag]})
+    return worst.result("gegenbauer_recurrence_vs_series", checks.SERIES_TOL)

@@ -1,4 +1,7 @@
-"""The verify checks: table identities against the per-vector sparse loops."""
+"""The verify checks: table identities against the per-vector sparse loops,
+and the integer series oracles against the Fraction sums."""
+
+import math
 
 import pytest
 
@@ -63,3 +66,29 @@ def test_identity_case_counts():
     assert checks.check_e3_commutators(30).n_cases == 12 * 29 ** 2
     assert checks.check_v_squared(30).n_cases == 2 * 29 ** 2
     assert checks.check_z_routes(12).n_cases == 6 * 11 ** 2
+
+
+@pytest.mark.parametrize("new, reference", [
+    (checks.check_hyp2f1_identity, oracles.hyp2f1_identity),
+    (checks.check_gegenbauer_recurrence, oracles.gegenbauer_recurrence),
+])
+def test_integer_series_oracle_matches_fractions(new, reference):
+    """The integer sums give the Fraction sums' results, field for field
+    and bit for bit."""
+    got, want = new(), reference()
+    assert got == want
+    assert got.measured.hex() == want.measured.hex()
+
+
+def test_perturbed_hyp2f1_fails_the_identity(monkeypatch):
+    """A 1e-10 relative error in the 2F1 values is caught."""
+    original = checks.hyp2f1_terminating
+
+    def scaled(*args):
+        lm, ph = original(*args)
+        return lm + math.log1p(1e-10), ph
+
+    monkeypatch.setattr(checks, "hyp2f1_terminating", scaled)
+    r = checks.check_hyp2f1_identity()
+    assert not r.passed
+    assert r.measured > 1e-11

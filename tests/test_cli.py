@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from cohstates import sphere
 from cohstates.cli import main
 
 
@@ -258,6 +259,21 @@ class TestExitCodes:
                if "error:" in line]
         assert len(err) == 1 and "--j-cut" in err[0] and "730" in err[0]
 
+    def test_internal_invariant_failure_exits_4(self, monkeypatch, capsys):
+        original = sphere.expectation
+
+        def skewed(which, s):
+            # <J-> no longer the conjugate of <J+>: not Hermitian
+            return original(which, s) + (1.0 if which == "Jminus" else 0.0)
+
+        monkeypatch.setattr(sphere, "expectation", skewed)
+        assert main(["sphere", "--x", "0,0,1", "--l", "1,0,0"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("internal error: hermiticity residue")
+
     def test_circle_j_cut_has_no_upper_bound(self, run):
         d = run_json(run, ["circle", "--phi", "0", "--l", "1",
                            "--j-cut", "731"])
@@ -287,6 +303,22 @@ class TestVerifyCommand:
         assert [row[:3] for row in rows[1:]] == [
             [c["check"], repr(c["measured"]), repr(c["tolerance"])]
             for c in checks]
+
+    def test_timings_add_elapsed_seconds_only(self, run, verify_report):
+        assert "elapsed_s" not in verify_report
+        plain = json.loads(verify_report)
+        timed = json.loads(run([*VERIFY_ARGV, "--timings"]))
+        elapsed = [c.pop("elapsed_s") for c in timed["checks"]]
+        assert timed == plain
+        assert all(t > 0 for t in elapsed)
+        rows = list(csv.reader(io.StringIO(
+            run([*VERIFY_ARGV, "--timings", "--format", "csv"]))))
+        assert rows[0] == ["check", "measured", "tolerance", "pass",
+                           "elapsed_s"]
+        assert [row[:4] for row in rows[1:]] == [
+            [c["check"], repr(c["measured"]), repr(c["tolerance"]),
+             str(c["pass"]).lower()] for c in plain["checks"]]
+        assert all(float(row[4]) > 0 for row in rows[1:])
 
     def test_checks_report_case_counts_and_worst_cases(self, verify_report):
         d = json.loads(verify_report)

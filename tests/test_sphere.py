@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cohstates.repspace import (BasisIndex, basis_state, expectation,
+from cohstates import sphere
+from cohstates.repspace import (BasisIndex, basis_state, expectation, grid,
                                 inner_log, state_scale, state_sum)
 from cohstates.sphere import (L_NORM_MAX, ConstraintError, SpherePhasePoint,
                               ZLabel, apply_rotation, axis_reference_label,
@@ -235,6 +238,32 @@ class TestTripleSum:
             coherent_triple_sum(ZLabel([0, 0, -1]), 15)
 
 
+@functools.cache
+def _reference_ladder(l_norm):
+    """The per-amplitude ladder state at the seed-23 point of |l| = l_norm,
+    at its default cut."""
+    zl = phase_to_z(_tangent_point(23, l_norm))
+    return oracles.coherent_ladder_generated(zl, default_j_cut(l_norm))
+
+
+def _gauss_factors(axis, angle):
+    """(lower, diag, upper) of exp(-i angle n.J), as apply_rotation takes
+    them."""
+    n = np.asarray(axis, dtype=float)
+    n = n / math.sqrt(n @ n)
+    ch, sh = math.cos(angle / 2), math.sin(angle / 2)
+    alpha = complex(ch, -n[2] * sh)
+    return (complex(n[1] * sh, -n[0] * sh) / alpha, 2 * cmath.log(alpha),
+            complex(-n[1] * sh, -n[0] * sh) / alpha)
+
+
+def _reference_rotation(s, axis, angle):
+    """exp(-i angle n.J) |s> by the per-amplitude ladder."""
+    lower, diag, upper = _gauss_factors(axis, angle)
+    return oracles.exp_ladder("Jminus", lower, oracles.diag_exp_J3(
+        diag, oracles.exp_ladder("Jplus", upper, s)))
+
+
 class TestDenseRoutesMatchOldLoops:
     """The array triple sum and ladder against the per-amplitude loops."""
 
@@ -244,7 +273,7 @@ class TestDenseRoutesMatchOldLoops:
         cut = default_j_cut(l_norm)
         for new, old in ((coherent_triple_sum, oracles.coherent_triple_sum),
                          (coherent_ladder_generated,
-                          oracles.coherent_ladder_generated)):
+                          lambda zl, cut: _reference_ladder(l_norm))):
             a, b = old(zl, cut), new(zl, cut)
             assert a.amplitudes.keys() == b.amplitudes.keys()
             assert max_amplitude_rel_diff(a, b) <= 1e-13
@@ -263,16 +292,86 @@ class TestDenseRoutesMatchOldLoops:
         s = coherent_closed_form(phase_to_z(p), 35)
         axis, angle = np.array([0.6, 0.0, 0.8]), 0.7
         got = apply_rotation(s, axis, angle)
-        # the Gauss factors of exp(-i angle n.J), as apply_rotation takes them
-        ch, sh = math.cos(angle / 2), math.sin(angle / 2)
-        alpha = complex(ch, -axis[2] * sh)
-        want = oracles.exp_ladder("Jplus", complex(-axis[1] * sh,
-                                                   -axis[0] * sh) / alpha, s)
-        want = oracles.diag_exp_J3(2 * cmath.log(alpha), want)
-        want = oracles.exp_ladder("Jminus", complex(axis[1] * sh,
-                                                    -axis[0] * sh) / alpha,
-                                  want)
-        assert max_amplitude_rel_diff(want, got) <= 1e-13
+        assert max_amplitude_rel_diff(
+            _reference_rotation(s, axis, angle), got) <= 1e-13
+
+
+def _ladder_tolerance(s, lower, diag, upper):
+    """First-order rounding bound on a ladder product, relative to its
+    largest amplitude.
+
+    Each of the 2 j_cut + 2 steps rounds every term's log-magnitude, about
+    L in size, so each term is off by at most (2 j_cut + 2) u (1 + L) of
+    itself, u = 2^-53; the terms add up, in modulus, to `growth` times the
+    largest amplitude.  Their modulus sum is the same product on moduli.
+    """
+    mags = sphere._ladder_product(
+        replace(s, phase=np.zeros(s.phase.size)), abs(lower),
+        complex(diag.real), abs(upper))
+    out = sphere._ladder_product(s, lower, diag, upper)
+    peak = mags.log_mag.max()
+    growth = math.exp(peak - out.log_mag.max())
+    return (2 * s.j_cut + 2) * 2.0 ** -53 * (1 + abs(peak)) * growth
+
+
+class TestLadderMatchesReference:
+    """The unit-mantissa ladder against the per-amplitude reference ladder.
+
+    At |l| = 25 neither this ladder nor the phase-carrier one before it
+    stays within 1e-13 of the reference (1.7e-13 for the generation, 1.8e-11
+    for the rotation, whose Gauss factors grow the terms 2,600-fold there),
+    so each is held to its first-order rounding bound.
+    """
+
+    @pytest.mark.parametrize("l_norm", [0.0, 1.0, 5.0, 12.0, 25.0])
+    def test_generation_and_rotation(self, l_norm):
+        zl = phase_to_z(_tangent_point(23, l_norm))
+        cut = default_j_cut(l_norm)
+        mu, nu, gamma = generation_params(zl)
+        want = _reference_ladder(l_norm)
+        got = coherent_ladder_generated(zl, cut)
+        assert want.amplitudes.keys() == got.amplitudes.keys()
+        assert max_amplitude_rel_diff(want, got) <= _ladder_tolerance(
+            north_pole_state(cut), mu, gamma, nu)
+
+        s = coherent_closed_form(zl, cut)
+        axis, angle = [0.6, 0.0, 0.8], 0.7
+        want = _reference_rotation(s, axis, angle)
+        got = apply_rotation(s, axis, angle)
+        assert want.amplitudes.keys() == got.amplitudes.keys()
+        assert max_amplitude_rel_diff(want, got) <= _ladder_tolerance(
+            s, *_gauss_factors(axis, angle))
+
+    def test_real_label_keeps_exact_real_phases(self):
+        # z real: mu, nu and gamma are real, every mantissa is exactly +-1,
+        # and mirroring z1 flips the sign of exactly the odd-m amplitudes
+        cut = 40
+        _, m = grid(cut)
+        a = coherent_ladder_generated(ZLabel([0.6, 0.0, 0.8]), cut)
+        b = coherent_ladder_generated(ZLabel([-0.6, 0.0, 0.8]), cut)
+        nonzero = a.log_mag > -math.inf
+        assert np.isin(a.phase[nonzero], [0.0, math.pi]).all()
+        total = state_sum([a, b])
+        odd = m % 2 == 1
+        assert (total.log_mag[odd] == -math.inf).all()
+        assert (total.log_mag[~odd & nonzero] > -math.inf).all()
+
+    def test_imaginary_coefficient_keeps_exact_quadrant_phases(self):
+        # about the x axis the ladder coefficients are -i tan(angle/2): the
+        # odd-m amplitudes of the rotated rest state are imaginary, and
+        # opposite for opposite angles
+        cut = 40
+        _, m = grid(cut)
+        rest = north_pole_state(cut)
+        a = apply_rotation(rest, [1.0, 0.0, 0.0], 0.9)
+        b = apply_rotation(rest, [1.0, 0.0, 0.0], -0.9)
+        nonzero = a.log_mag > -math.inf
+        assert np.isin(a.phase[nonzero],
+                       [0.0, math.pi, 0.5 * math.pi, -0.5 * math.pi]).all()
+        total = state_sum([a, b])
+        odd = m % 2 == 1
+        assert (total.log_mag[odd] == -math.inf).all()
+        assert (total.log_mag[~odd & nonzero] > -math.inf).all()
 
 
 class TestLadderGeneration:

@@ -7,10 +7,10 @@ from cohstates.repspace import (BasisIndex, apply_table, apply_Z,
                                 basis_state, relative_residual, state_scale,
                                 state_sum)
 from cohstates.spinor import (SpinorState, exp_minus_k_table, k_table,
-                              sigma_dot_table, spinor_basis,
-                              spinor_relative_residual, spinor_scale,
-                              spinor_sum, v_table, z_from_matrix_table,
-                              z_matrix_entries)
+                              sigma_dot_table, spinor_basis, v_table,
+                              z_from_matrix_table, z_matrix_entries)
+from oracles import (spinor_inner, spinor_relative_residual, spinor_scale,
+                     spinor_sum)
 
 JC = 12
 INTERIOR = JC - 2
@@ -161,7 +161,6 @@ def _generic_spinor_pair():
 @pytest.mark.parametrize("op", [apply_V, apply_K])
 def test_operators_hermitian_on_interior_states(op):
     # <a|O b> = <O a|b> for interior states (images stay below the cutoff)
-    from cohstates.spinor import spinor_inner
     a, b = _generic_spinor_pair()
     lhs = spinor_inner(a, op(b))
     rhs = spinor_inner(op(a), b)
@@ -169,7 +168,6 @@ def test_operators_hermitian_on_interior_states(op):
 
 
 def test_v_preserves_inner_products():
-    from cohstates.spinor import spinor_inner
     a, b = _generic_spinor_pair()
     assert spinor_inner(apply_V(a), apply_V(b)) == pytest.approx(
         spinor_inner(a, b), rel=1e-13, abs=1e-13)
