@@ -5,6 +5,7 @@ coherent-state constructions, phase-space expectation values, and the free
 rotator's energy distribution, with a CLI for reports and verification.
 """
 
+from .errors import ConstraintError
 from .logdomain import wrap_phase
 from .specfun import gegenbauer, gegenbauer_column, hyp2f1_terminating, log_factorial
 from .repspace import (BandTable, BasisIndex, StateVector, apply_J, apply_X,
@@ -17,8 +18,8 @@ from .circle import (CirclePhasePoint, CircleState, CircleUncertainty,
                      circle_coherent, circle_eigen_residual, circle_expect_J,
                      circle_expect_U, circle_relative_U,
                      circle_uncertainty_report)
-from .sphere import (ConstraintError, SpherePhasePoint, SphereUncertainty,
-                     ZLabel, apply_rotation, axis_reference_label,
+from .sphere import (SpherePhasePoint, SphereUncertainty, ZLabel,
+                     apply_rotation, axis_reference_label,
                      coherent_closed_form, coherent_ladder_generated,
                      coherent_state, coherent_triple_sum, eigen_residual,
                      expect_J, expect_X, generation_params,

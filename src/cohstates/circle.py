@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConstraintError
 from .logdomain import wrap_phase
 from .repspace import rect_array
-from .sphere import ConstraintError
 
 __all__ = [
     "CirclePhasePoint",

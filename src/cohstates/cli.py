@@ -3,15 +3,16 @@
 All reports are deterministic for a fixed seed and configuration (but for
 the times of `verify --timings`); JSON is emitted with sorted keys and CSV
 follows RFC 4180.  Exit codes: 0 success, 1 verification failure, 2 flag
-error, 3 phase-space constraint violation, 4 internal invariant failure.
+error (or an unwritable --out path), 3 phase-space constraint violation,
+4 internal invariant failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
+import functools
+import itertools
 import json
 import math
 import re
@@ -29,7 +30,8 @@ from .circle import (CirclePhasePoint, circle_coherent, circle_eigen_residual,
                      circle_uncertainty_report)
 from .rotator import (argmax_j, argmax_m, classical_peak_j, distribution_from_state,
                       rotator_energy)
-from .sphere import (L_NORM_MAX, ConstraintError, SpherePhasePoint,
+from .errors import ConstraintError
+from .sphere import (L_NORM_MAX, SpherePhasePoint,
                      coherent_ladder_generated, coherent_state,
                      coherent_triple_sum, default_j_cut, eigen_residual,
                      expect_J, expect_X, max_amplitude_rel_diff, phase_to_z,
@@ -89,8 +91,9 @@ def _int_arg(flag: str, lo: int, hi: float, auto: bool = False):
 # A sphere state at cut n holds (n + 1)^2 amplitudes, and a report prints
 # every nonzero one.  The upper bound is the automatic cut at the largest
 # supported |l| (355), 730: there a sphere report at --l 355,0,0 (534,361
-# nonzero amplitudes) peaks at 950 MB RSS as JSON and 460 MB as CSV, most of
-# it the printed amplitude list, and takes 12 s (one Xeon core, numpy 2.4).
+# nonzero amplitudes) takes 9 s, 8 s of it computing the numbers, and peaks
+# at 224 MB RSS as JSON and as CSV, the peak of the numbers alone, since the
+# amplitudes are printed a chunk at a time (one Xeon core, numpy 2.4).
 SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))
 
 # The identity sweeps need an interior level j <= j_cut - 2 above the ground
@@ -100,25 +103,72 @@ SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))
 IDENTITY_J_CUT_RANGE = (3, 200)
 
 
-def _emit(args, payload: dict, fields: list[str], rows) -> None:
+# Rows are formatted and written this many at a time, so that a report never
+# holds its whole text, or a Python object per printed number.
+_CHUNK = 4096
+
+# One entry of the sphere report's JSON amplitude list, as json.dumps(indent=2,
+# sort_keys=True) writes it, for a row (j, log_mag, m, phase): keys in sorted
+# order, %d for an int and %r, float.__repr__, for a float, as json does.  The
+# leading comma separates entries; the first entry drops it.
+_JSON_AMPLITUDE = (',\n    {\n      "j": %d,\n      "log_mag": %r,\n'
+                   '      "m": %d,\n      "phase": %r\n    }')
+
+
+def _array_rows(*columns):
+    """Rows of equal-length arrays, as tuples of Python numbers, converted
+    from the arrays a chunk at a time."""
+    for i in range(0, len(columns[0]), _CHUNK):
+        yield from zip(*(c[i:i + _CHUNK].tolist() for c in columns))
+
+
+def _formatted(template: str, rows):
+    """The rows, tuples, formatted with template and joined, a chunk of
+    _CHUNK rows to a string."""
+    rows = iter(rows)
+    while chunk := "".join(map(template.__mod__,
+                               itertools.islice(rows, _CHUNK))):
+        yield chunk
+
+
+def _emit(args, payload: dict, fields: list[str], csv_row: str, rows,
+          amplitudes=None) -> None:
     """Write a report: the payload, tagged with its command and version, as
-    JSON, or for --format csv only the rows, dicts over fields.  The csv
-    module writes a float as its repr, which is the text json gives it."""
-    if args.format == "json":
+    JSON, or for --format csv only the rows, tuples over fields formatted
+    with csv_row.  Where csv_row has %r it writes a float's repr, the text
+    json gives it; where %s, a name that RFC 4180 leaves unquoted.
+
+    `amplitudes`, rows (j, log_mag, m, phase), are the JSON payload's
+    "amplitudes" list.  They are written in chunks, spliced into the JSON
+    text of the rest, which json.dumps writes whole.  Every check is made
+    before the first byte is written."""
+    if args.format == "csv":
+        parts = itertools.chain([",".join(fields) + "\r\n"],
+                                _formatted(csv_row, rows))
+    else:
         payload = {"command": args.command, "version": __version__, **payload}
-        text = json.dumps(payload, indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\r\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buf.getvalue()
-    if args.out:
+        if amplitudes is not None:
+            payload["amplitudes"] = []
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        entries = _formatted(_JSON_AMPLITUDE, amplitudes or ())
+        first = next(entries, None)
+        if first is None:
+            parts = [text, "\n"]
+        else:
+            # json escapes control characters inside strings, so a newline
+            # and two spaces only ever start a member of the top-level object
+            head, key, tail = text.partition('\n  "amplitudes": []')
+            parts = itertools.chain([head, key[:-1], first[1:]], entries,
+                                    ["\n  ]", tail, "\n"])
+    if not args.out:
+        sys.stdout.writelines(parts)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.writelines(parts)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot write {args.out}: {exc.strerror or exc}") from None
 
 
 def cmd_circle(args) -> int:
@@ -144,10 +194,10 @@ def cmd_circle(args) -> int:
         "eigen_residual": circle_eigen_residual(state),
         "eigen_residual_rel": circle_eigen_residual(state, relative=True),
     }
-    rows = [{"quantity": q, "value": v} for q, v in zip(
-        ("expect_J", "expect_U_re", "expect_U_im", "var_J", "bound"),
-        [exp_j, exp_u.real, exp_u.imag, unc.var_j, unc.bound])]
-    _emit(args, payload, ["quantity", "value"], rows)
+    rows = zip(("expect_J", "expect_U_re", "expect_U_im", "var_J", "bound"),
+               map(float, (exp_j, exp_u.real, exp_u.imag, unc.var_j,
+                           unc.bound)))
+    _emit(args, payload, ["quantity", "value"], "%s,%r\r\n", rows)
     return EXIT_OK
 
 
@@ -170,6 +220,8 @@ def cmd_sphere(args) -> int:
     # the Hermitian size sqrt(sum |z_i|^2) of the label, at least 1 on z.z = 1
     label_size = math.sqrt(float(np.sum(np.abs(zl.z) ** 2)))
     js, ms, logs, phases = state.nonzero()
+    if not (np.isfinite(logs).all() and np.isfinite(phases).all()):
+        raise ValueError("the state has a non-finite amplitude")
     payload = {
         **_point_fields(point, state),
         "z_label": [_cnum(complex(v)) for v in zl.z],
@@ -183,9 +235,7 @@ def cmd_sphere(args) -> int:
         "eigen_residual": residual,
         "eigen_residual_rel": residual / label_size,
         "label_size": label_size,
-        "amplitude_log_range": max(logs) - min(logs),
-        "amplitudes": [{"j": j, "m": m, "log_mag": lg, "phase": ph}
-                       for j, m, lg, ph in zip(js, ms, logs, phases)],
+        "amplitude_log_range": float(logs.max() - logs.min()),
     }
     if args.check_paths:
         try:
@@ -197,17 +247,18 @@ def cmd_sphere(args) -> int:
             others = []
         payload["path_disagreement"] = max(
             (max_amplitude_rel_diff(state, o) for o in others), default=None)
-    _emit(args, payload, ["j", "m", "log_mag", "phase"], payload["amplitudes"])
+    _emit(args, payload, ["j", "m", "log_mag", "phase"], "%d,%d,%r,%r\r\n",
+          _array_rows(js, ms, logs, phases),
+          amplitudes=_array_rows(js, logs, ms, phases))
     return EXIT_OK
 
 
 def cmd_rotator(args) -> int:
     point, state = _build_sphere_state(args)
     table = distribution_from_state(state, point)
-    ln2 = state.log_norm_sq()
-    rows = ({"j": j, "m": m, "p": table.probability(j, m),
-             "ln_p": 2.0 * lg - ln2}
-            for j, m, lg, _ in zip(*state.nonzero()))
+    js, ms, logs, _ = state.nonzero()
+    rows = ((j, m, table.probability(j, m), ln_p) for j, m, ln_p in
+            _array_rows(js, ms, 2.0 * logs - state.log_norm_sq()))
     lsq = float(point.l @ point.l)
     root = classical_peak_j(lsq)
     payload = {
@@ -220,7 +271,7 @@ def cmd_rotator(args) -> int:
         "argmax_m": {str(j): argmax_m(table, j) for j in args.fix_j},
         "peak_energy": rotator_energy(math.ceil(root - 0.5)),
     }
-    _emit(args, payload, ["j", "m", "p", "ln_p"], rows)
+    _emit(args, payload, ["j", "m", "p", "ln_p"], "%d,%d,%r,%r\r\n", rows)
     return EXIT_OK
 
 
@@ -241,12 +292,10 @@ def cmd_verify(args) -> int:
             for r in results
         ],
     }
-    rows = ({"check": r.name, "measured": r.measured,
-             "tolerance": r.tolerance, "pass": str(r.passed).lower(),
-             **{k: r.elapsed_s for k in timed}}
-            for r in results)
+    rows = ((r.name, r.measured, r.tolerance, str(r.passed).lower(),
+             *(r.elapsed_s for _ in timed)) for r in results)
     _emit(args, payload, ["check", "measured", "tolerance", "pass", *timed],
-          rows)
+          "%s,%r,%r,%s" + ",%r" * len(timed) + "\r\n", rows)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -317,9 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call of main and reused: building it is most of the
+# cost of a small request made in-process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConstraintError as exc:

@@ -83,20 +83,19 @@ class StateVector:
         object.__setattr__(self, "log_mag", lm)
         object.__setattr__(self, "phase", ph)
 
-    def nonzero(self) -> tuple[list, list, list, list]:
+    def nonzero(self) -> tuple[np.ndarray, ...]:
         """j, m, log-magnitude and phase of every nonzero amplitude, as
-        lists in (j, m) order; j is read off the flat index."""
+        arrays in (j, m) order; j is read off the flat index."""
         k = np.flatnonzero(self.log_mag > -math.inf)
         j = np.sqrt(k).astype(int)      # j*j <= k = j*j + j + m < (j + 1)^2
-        return tuple(x.tolist() for x in (j, k - j * (j + 1), self.log_mag[k],
-                                          self.phase[k]))
+        return j, k - j * (j + 1), self.log_mag[k], self.phase[k]
 
     @cached_property
     def amplitudes(self) -> MappingProxyType:
         """Read-only {BasisIndex: (log_mag, phase)} view of the nonzero
         amplitudes, built on first use for tests and tracing; the library
         reads the arrays."""
-        j, m, lm, ph = self.nonzero()
+        j, m, lm, ph = (x.tolist() for x in self.nonzero())
         return MappingProxyType(dict(zip(map(BasisIndex, j, m), zip(lm, ph))))
 
     def log_norm_sq(self) -> float:

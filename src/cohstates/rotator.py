@@ -65,9 +65,10 @@ class DistributionTable:
 def distribution_from_state(s: StateVector,
                             p: SpherePhasePoint) -> DistributionTable:
     j, m, lm, _ = s.nonzero()
-    lp = 2 * np.array(lm) - s.log_norm_sq()
+    lp = 2 * lm - s.log_norm_sq()
     prob = np.where(lp > -745.0, np.exp(lp), 0.0)
-    return DistributionTable(dict(zip(zip(j, m), prob.tolist())), p, s.j_cut)
+    return DistributionTable(dict(zip(zip(j.tolist(), m.tolist()),
+                                      prob.tolist())), p, s.j_cut)
 
 
 def distribution(p: SpherePhasePoint,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConstraintError
 from .repspace import (StateVector, expectation, grid, operator_table,
                        polar_array, rect_array, residual_norm, state_scale,
                        state_sum)
@@ -60,10 +61,6 @@ LABEL_TOL = 1e-9
 # bilinear check squares components of size cosh|l|: both are finite doubles
 # only up to |l| of about 355.2.
 L_NORM_MAX = 355.0
-
-
-class ConstraintError(ValueError):
-    """A phase point violates the sphere or tangency constraints."""
 
 
 def _vec(v) -> np.ndarray:

@@ -11,23 +11,29 @@ identity sweeps of `cohstates verify`, and the two sphere construction
 routes.  The tests hold the production code equal to them.  They read
 states through `amplitudes` and build them back with
 `state_from_amplitudes`.  Spinor sums, scalings, inner products and
-residuals serve the spinor tests.  Last come the Fraction-sum series
+residuals serve the spinor tests.  Then come the Fraction-sum series
 oracles of `cohstates verify`, which the integer sums must match bit for
-bit.
+bit.  Last is the CLI's first report writer, one dict per row through
+`json.dumps` and `csv.DictWriter`, which the chunked writer must match
+byte for byte.
 """
 
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import itertools
+import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from cohstates import checks, specfun
+from cohstates import __version__, checks, specfun
 from cohstates.checks import CheckResult, _Worst
 from cohstates.logdomain import log_sum_exp, wrap_phase
 from cohstates.repspace import (BasisIndex, StateVector, basis_state, inner,
@@ -856,3 +862,32 @@ def gegenbauer_recurrence() -> CheckResult:
                           {"n": n, "alpha": alpha,
                            "x": [complex(x).real, complex(x).imag]})
     return worst.result("gegenbauer_recurrence_vs_series", checks.SERIES_TOL)
+
+
+# -- the CLI's first report writer ---------------------------------------------
+
+def emit(args, payload: dict, fields: list[str], csv_row: str, rows,
+         amplitudes=None) -> None:
+    """`cli._emit` as first written, a drop-in for it: the amplitudes as one
+    dict each in the payload and the whole text from `json.dumps`, or the
+    rows as dicts through `csv.DictWriter`, which writes a float as its
+    repr.  `csv_row` is not used."""
+    if args.format == "json":
+        payload = {"command": args.command, "version": __version__, **payload}
+        if amplitudes is not None:
+            payload["amplitudes"] = [
+                {"j": j, "m": m, "log_mag": lg, "phase": ph}
+                for j, lg, m, ph in amplitudes]
+        text = json.dumps(payload, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\r\n")
+        writer.writeheader()
+        writer.writerows(dict(zip(fields, row)) for row in rows)
+        text = buf.getvalue()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)

@@ -11,7 +11,7 @@ from cohstates.circle import (WINDOW, CirclePhasePoint, circle_coherent,
                               circle_expect_U, circle_relative_U,
                               circle_uncertainty_report,
                               uncertainty_from_moments)
-from cohstates.sphere import ConstraintError
+from cohstates.errors import ConstraintError
 
 # lattice-sum oracles evaluated with mpmath at 40 digits
 EXPECT_U_AT_REST = 0.77863967150613793959
@@ -184,3 +184,12 @@ def test_phase_point_is_valid_or_a_constraint_error(phi, l):
         return
     assert math.isfinite(p.phi) and math.isfinite(p.l)
     assert -math.pi < p.phi <= math.pi
+
+
+def test_constraint_error_is_one_class_under_every_name():
+    # the circle raises it from a module of its own; the package and sphere
+    # names of earlier versions still refer to it
+    import cohstates
+    from cohstates import sphere
+    assert cohstates.ConstraintError is sphere.ConstraintError
+    assert sphere.ConstraintError is ConstraintError

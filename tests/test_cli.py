@@ -3,11 +3,15 @@ import csv
 import io
 import json
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from cohstates import sphere
+import oracles
+from cohstates import cli, sphere
 from cohstates.cli import main
+from cohstates.repspace import StateVector
 
 
 @pytest.fixture
@@ -22,6 +26,22 @@ def run(capsys):
 
 def run_json(run, argv):
     return json.loads(run(argv))
+
+
+def output(argv):
+    """Exit code, stdout and stderr of one main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+README_SPHERE = ["sphere", "--x", "0,0,1", "--l", "1,0,0", "--check-paths"]
+README_FIGURE1 = ["rotator", "--x", "0.412,0.412,0.812",
+                  "--l", "8.124,-8.124,0"]
+README_FIGURE2 = ["rotator", "--x", "0.411,0.911,0.036",
+                  "--l", "-17.490,7.490,10", "--fix-j", "21",
+                  "--project-tangent"]
 
 
 VERIFY_ARGV = ["verify", "--identity-j-cut", "12", "--seed", "7"]
@@ -356,3 +376,97 @@ class TestVerifyCommand:
         tail = next(c for c in d["checks"] if c["check"] == "truncation_tail")
         assert tail["pass"] is False
         assert tail["measured"] > tail["tolerance"]
+
+
+class TestReportWriter:
+    # the README sphere and rotator examples, a report that carries
+    # path_disagreement_reason, one at |l| = 100 (over 4,096 amplitudes, so
+    # several chunks), and a circle report
+    REQUESTS = [
+        README_SPHERE,
+        [*README_FIGURE1, "--fix-m", "0"],
+        README_FIGURE2,
+        ["sphere", "--x", "0,0,-1", "--l", "0,0,0", "--check-paths"],
+        ["sphere", "--x", "0,0,1", "--l", "100,0,0"],
+        ["circle", "--phi", "0", "--l", "2"],
+    ]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", REQUESTS, ids=" ".join)
+    def test_byte_identical_to_the_first_writer(self, argv, fmt,
+                                                monkeypatch):
+        argv = [*argv, "--format", fmt]
+        got = output(argv)
+        assert got[0] == 0 and got[1]
+        monkeypatch.setattr(cli, "_emit", oracles.emit)
+        assert got == output(argv)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_boundaries_leave_no_trace(self, chunk, monkeypatch):
+        want = [output([*README_SPHERE, "--format", f]) for f in ("json",
+                                                                 "csv")]
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert [output([*README_SPHERE, "--format", f])
+                for f in ("json", "csv")] == want
+
+    def test_splice_ignores_a_string_that_looks_like_the_list(self, capsys):
+        # a payload string holding the list's own text, and an empty list
+        args = SimpleNamespace(format="json", command="sphere", out=None)
+        payload = {"a": '\n  "amplitudes": []', "b": '"amplitudes": [', "z": 1}
+        rows = [(0, -0.5, 0, 0.0), (1, -1.25, -1, 3.141592653589793)]
+        for amplitudes in (rows, []):
+            cli._emit(args, payload, [], "", [], amplitudes=amplitudes)
+            got = capsys.readouterr().out
+            oracles.emit(args, payload, [], "", [], amplitudes=amplitudes)
+            assert got == capsys.readouterr().out
+            assert len(json.loads(got)["amplitudes"]) == len(amplitudes)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_amplitude_writes_nothing(self, fmt, monkeypatch,
+                                                 tmp_path):
+        nonzero = StateVector.nonzero
+
+        def spoiled(self):
+            j, m, lm, ph = nonzero(self)
+            return j, m, lm, np.where(j == 1, math.nan, ph)
+
+        monkeypatch.setattr(StateVector, "nonzero", spoiled)
+        argv = ["sphere", "--x", "0,0,1", "--l", "1,0,0", "--format", fmt]
+        code, out, err = output(argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: the state has a non-finite amplitude"]
+        target = tmp_path / "report"
+        assert output([*argv, "--out", str(target)])[:2] == (2, "")
+        assert not target.exists()
+
+    def test_one_parser_serves_every_call(self):
+        # flags given in one call (--fix-j 21, --fix-m 10) must not become
+        # the defaults of the next
+        calls = [README_SPHERE, [*README_FIGURE2, "--fix-m", "10"],
+                 ["circle", "--phi", "0", "--l", "2"], README_SPHERE,
+                 README_FIGURE1]
+        cli._parser.cache_clear()
+        reused = [output(argv) for argv in calls]
+        assert cli._parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(output(argv))
+        assert reused == fresh
+        last = json.loads(reused[-1][1])
+        assert (last["argmax_j"], last["argmax_m"]) == ({"0": 11}, {})
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("where", ["no/such/dir/report.json", ""])
+    def test_unwritable_path_is_a_flag_error(self, where, tmp_path):
+        # a missing directory, and a directory itself
+        target = tmp_path / where
+        code, out, err = output(["sphere", "--x", "0,0,1", "--l", "1,0,0",
+                                 "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        reason = ("No such file or directory" if where else "Is a directory")
+        assert err.splitlines() == [f"error: cannot write {target}: {reason}"]
+        assert not (tmp_path / "no").exists()
