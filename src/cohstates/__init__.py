@@ -7,7 +7,7 @@ rotator's energy distribution, with a CLI for reports and verification.
 
 from .errors import ConstraintError
 from .logdomain import wrap_phase
-from .specfun import gegenbauer, gegenbauer_column, hyp2f1_terminating, log_factorial
+from .specfun import gegenbauer_column, hyp2f1_terminating, log_factorial
 from .repspace import (BandTable, BasisIndex, StateVector, apply_J, apply_X,
                        apply_Z, apply_table, basis_state, expectation, inner,
                        inner_log, operator_table, relative_residual,
@@ -19,13 +19,13 @@ from .circle import (CirclePhasePoint, CircleState, CircleUncertainty,
                      circle_expect_U, circle_relative_U,
                      circle_uncertainty_report)
 from .sphere import (SpherePhasePoint, SphereUncertainty, ZLabel,
-                     apply_rotation, axis_reference_label,
+                     axis_reference_label,
                      coherent_closed_form, coherent_ladder_generated,
                      coherent_state, coherent_triple_sum, eigen_residual,
                      expect_J, expect_X, generation_params,
                      max_amplitude_rel_diff, north_pole_state, phase_to_z,
                      relative_X, uncertainty_J)
 from .rotator import (DistributionTable, argmax_j, argmax_m, classical_peak_j,
-                      distribution, distribution_from_state, rotator_energy)
+                      distribution_from_state, rotator_energy)
 
 __version__ = "0.1.0"

@@ -28,8 +28,8 @@ from .checks import run_all
 from .circle import (CirclePhasePoint, circle_coherent, circle_eigen_residual,
                      circle_expect_J, circle_expect_U, circle_relative_U,
                      circle_uncertainty_report)
-from .rotator import (argmax_j, argmax_m, classical_peak_j, distribution_from_state,
-                      rotator_energy)
+from .rotator import (argmax_j, argmax_m, classical_peak_j,
+                      distribution_from_state, rotator_energy)
 from .errors import ConstraintError
 from .sphere import (L_NORM_MAX, SpherePhasePoint,
                      coherent_ladder_generated, coherent_state,
@@ -255,10 +255,7 @@ def cmd_sphere(args) -> int:
 
 def cmd_rotator(args) -> int:
     point, state = _build_sphere_state(args)
-    table = distribution_from_state(state, point)
-    js, ms, logs, _ = state.nonzero()
-    rows = ((j, m, table.probability(j, m), ln_p) for j, m, ln_p in
-            _array_rows(js, ms, 2.0 * logs - state.log_norm_sq()))
+    table = distribution_from_state(state)
     lsq = float(point.l @ point.l)
     root = classical_peak_j(lsq)
     payload = {
@@ -271,7 +268,8 @@ def cmd_rotator(args) -> int:
         "argmax_m": {str(j): argmax_m(table, j) for j in args.fix_j},
         "peak_energy": rotator_energy(math.ceil(root - 0.5)),
     }
-    _emit(args, payload, ["j", "m", "p", "ln_p"], "%d,%d,%r,%r\r\n", rows)
+    _emit(args, payload, ["j", "m", "p", "ln_p"], "%d,%d,%r,%r\r\n",
+          _array_rows(table.j, table.m, table.p, table.ln_p))
     return EXIT_OK
 
 

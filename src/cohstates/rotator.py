@@ -15,13 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .repspace import StateVector
-from .sphere import SpherePhasePoint, coherent_state
 
 __all__ = [
     "rotator_energy",
     "classical_peak_j",
     "DistributionTable",
-    "distribution",
     "distribution_from_state",
     "argmax_j",
     "argmax_m",
@@ -42,61 +40,48 @@ def classical_peak_j(lsq: float) -> float:
     return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * lsq))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributionTable:
-    """Normalized probabilities p_{j,m} for one phase point.
+    """Normalized probabilities p_{j,m} of the nonzero amplitudes of one
+    state, as arrays in (j, m) order, with ln p alongside.
 
-    Probabilities that underflow double precision (below about 1e-300 after
-    normalization) are stored as exact zeros; upstream amplitudes stay in
-    the log domain so nothing is lost before this presentation step.
+    Probabilities below e^-745, where exp underflows, are stored as exact
+    zeros; ln_p keeps their logs, since upstream amplitudes stay in the log
+    domain.
     """
 
-    entries: dict
-    phase_point: SpherePhasePoint
-    j_cut: int
+    j: np.ndarray
+    m: np.ndarray
+    p: np.ndarray
+    ln_p: np.ndarray
 
     def total(self) -> float:
-        return math.fsum(self.entries.values())
-
-    def probability(self, j: int, m: int) -> float:
-        return self.entries.get((j, m), 0.0)
+        return math.fsum(self.p.tolist())
 
 
-def distribution_from_state(s: StateVector,
-                            p: SpherePhasePoint) -> DistributionTable:
+def distribution_from_state(s: StateVector) -> DistributionTable:
+    """Energy-level distribution of the state s."""
     j, m, lm, _ = s.nonzero()
-    lp = 2 * lm - s.log_norm_sq()
-    prob = np.where(lp > -745.0, np.exp(lp), 0.0)
-    return DistributionTable(dict(zip(zip(j.tolist(), m.tolist()),
-                                      prob.tolist())), p, s.j_cut)
-
-
-def distribution(p: SpherePhasePoint,
-                 j_cut: int | str = "auto") -> DistributionTable:
-    """Energy-level distribution of the coherent state at phase point p."""
-    s = coherent_state(p, j_cut=j_cut)
-    return distribution_from_state(s, p)
+    ln_p = 2 * lm - s.log_norm_sq()
+    return DistributionTable(j, m, np.where(ln_p > -745.0, np.exp(ln_p), 0.0),
+                             ln_p)
 
 
 def argmax_j(t: DistributionTable, m_fixed: int) -> int:
     """The j maximizing p_{j, m_fixed}; ties break toward smaller j."""
-    best_j, best_p = None, -1.0
-    for j in range(abs(m_fixed), t.j_cut + 1):
-        p = t.entries.get((j, m_fixed))
-        if p is not None and p > best_p:
-            best_j, best_p = j, p
-    if best_j is None:
+    sel = t.m == m_fixed
+    if not sel.any():
         raise ValueError(f"no entries with m = {m_fixed}")
-    return best_j
+    # the entries run in ascending j, and argmax takes the first maximum
+    return int(t.j[sel][np.argmax(t.p[sel])])
 
 
 def argmax_m(t: DistributionTable, j_fixed: int) -> int:
-    """The m maximizing p_{j_fixed, m}; ties break toward smaller |m|."""
-    best_m, best_p = None, -1.0
-    for m in sorted(range(-j_fixed, j_fixed + 1), key=lambda v: (abs(v), v)):
-        p = t.entries.get((j_fixed, m))
-        if p is not None and p > best_p:
-            best_m, best_p = m, p
-    if best_m is None:
+    """The m maximizing p_{j_fixed, m}; ties break toward smaller |m|, then
+    toward negative m."""
+    sel = t.j == j_fixed
+    if not sel.any():
         raise ValueError(f"no entries with j = {j_fixed}")
-    return best_m
+    m, p = t.m[sel], t.p[sel]
+    order = np.lexsort((m, np.abs(m)))    # by |m|, then by m
+    return int(m[order][np.argmax(p[order])])

@@ -1,8 +1,8 @@
 """Special functions feeding the coherent-state amplitudes.
 
 Values come in the log domain: a plain log for log_factorial, a
-(log-magnitude, phase) pair for hyp2f1_terminating and gegenbauer, and
-(log-magnitude, phase) arrays for gegenbauer_column.
+(log-magnitude, phase) pair for hyp2f1_terminating, and (log-magnitude,
+phase) arrays for gegenbauer_column.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "log_factorial",
     "hyp2f1_terminating",
-    "gegenbauer",
     "gegenbauer_column",
 ]
 
@@ -56,13 +55,6 @@ def hyp2f1_terminating(n: int, b: float, c: float,
               for lg, ph in zip(logs, phases))
     return (top + math.log(abs(acc)), cmath.phase(acc)) if acc else (
         -math.inf, 0.0)
-
-
-def gegenbauer(n: int, alpha: float, x: complex) -> tuple[float, float]:
-    """Gegenbauer polynomial C_n^alpha(x) for complex x, as the
-    (log-magnitude, phase) pair of the last entry of its gegenbauer_column."""
-    lm, ph = gegenbauer_column(n, alpha, x)
-    return float(lm[n]), float(ph[n])
 
 
 def gegenbauer_column(n_max: int, alpha, x: complex) -> tuple:

@@ -50,7 +50,6 @@ __all__ = [
     "relative_X",
     "uncertainty_J",
     "SphereUncertainty",
-    "apply_rotation",
     "max_amplitude_rel_diff",
 ]
 
@@ -342,28 +341,6 @@ def coherent_ladder_generated(zl: ZLabel, j_cut: int) -> StateVector:
     """Generate from the north-pole rest state by ladder exponentials."""
     mu, nu, gamma = generation_params(zl)
     return _ladder_product(north_pole_state(j_cut), mu, gamma, nu)
-
-
-def apply_rotation(s: StateVector, axis, angle: float) -> StateVector:
-    """Unitary rotation exp(-i angle axis.J) via its Gauss decomposition.
-
-    The 2x2 spin matrix [[alpha, beta], [gamma, .]] of the rotation factors
-    as exp(a J-) exp(b J3) exp(c J+) with a = gamma/alpha, b = 2 log alpha
-    and c = beta/alpha, and the same parameters implement the rotation in
-    every multiplet, which lets the ladder-series machinery be reused
-    verbatim.  Fails when the matrix corner alpha vanishes (rotation by pi
-    about an equatorial axis); tests avoid that measure-zero set.
-    """
-    n = _vec(axis)
-    n = n / math.sqrt(n @ n)
-    ch, sh = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    alpha = complex(ch, -n[2] * sh)
-    beta = complex(-n[1] * sh, -n[0] * sh)
-    gamma_e = complex(n[1] * sh, -n[0] * sh)
-    if abs(alpha) < 1e-12:
-        raise ValueError("rotation is singular for this decomposition")
-    return _ladder_product(s, gamma_e / alpha, 2.0 * cmath.log(alpha),
-                           beta / alpha)
 
 
 def coherent_state(p: SpherePhasePoint,

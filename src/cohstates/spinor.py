@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logdomain import log_sum_exp
-from .repspace import (BandTable, basis_state, grid, identity_table,
-                       operator_table, state_scale)
+from .repspace import (BandTable, StateVector, basis_state, grid,
+                       identity_table, operator_table, state_scale)
 
 __all__ = [
     "SpinorState",

@@ -845,8 +845,8 @@ def gegenbauer_recurrence() -> CheckResult:
             two_a = int(round(2 * alpha))
             c_int = (two_a + 1) // 2  # alpha + 1/2 is an integer on this grid
             for x in (0.3, 1.0, 2 + 5j):
-                lm, ph = specfun.gegenbauer(n, alpha, x)
-                rec = cmath.rect(math.exp(lm), ph)
+                lm, ph = specfun.gegenbauer_column(n, alpha, x)
+                rec = cmath.rect(math.exp(lm[n]), ph[n])
                 wq = _QC.from_complex((1 - complex(x)) / 2)
                 acc = _QC(0)
                 term = _QC(Fraction(

@@ -27,7 +27,7 @@ from cohstates.circle import (CirclePhasePoint, circle_expect_J,
                               circle_expect_U, circle_uncertainty_report,
                               uncertainty_from_moments)
 from cohstates.repspace import basis_state
-from cohstates.rotator import argmax_j, argmax_m, distribution
+from cohstates.rotator import argmax_j, argmax_m, distribution_from_state
 from cohstates.sphere import (SpherePhasePoint, ZLabel, coherent_state,
                               eigen_residual, expect_J, expect_X,
                               north_pole_state, phase_to_z, uncertainty_J)
@@ -63,7 +63,7 @@ def sphere_sample():
 
 def test_criterion_1_figure1_peak_level():
     t0 = time.perf_counter()
-    table = distribution(SpherePhasePoint(**FIG1))
+    table = distribution_from_state(coherent_state(SpherePhasePoint(**FIG1)))
     got = argmax_j(table, 0)
     elapsed = time.perf_counter() - t0
     ok = got == 11 and elapsed < 5.0
@@ -74,7 +74,8 @@ def test_criterion_1_figure1_peak_level():
 
 def test_criterion_2_figure2_peak_projection():
     t0 = time.perf_counter()
-    table = distribution(SpherePhasePoint(**FIG2, project_tangent=True))
+    table = distribution_from_state(coherent_state(
+        SpherePhasePoint(**FIG2, project_tangent=True)))
     got = argmax_m(table, 21)
     elapsed = time.perf_counter() - t0
     ok = got == 10 and elapsed < 10.0

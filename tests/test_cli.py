@@ -264,6 +264,14 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("constraint violation: ")
 
+    @pytest.mark.parametrize("value", ["4611686018427387904", "-1"])
+    def test_fix_j_without_entries_is_a_flag_error(self, value):
+        # no level j has a nonzero amplitude: one line, nothing on stdout
+        code, out, err = output(["rotator", "--x", "0,0,1", "--l", "0,0,0",
+                                 "--fix-j", value])
+        assert (code, out) == (2, "")
+        assert err == f"error: no entries with j = {value}\n"
+
     @pytest.mark.parametrize("command", ["sphere", "rotator", "verify"])
     @pytest.mark.parametrize("value", ["731", "100000000"])
     def test_j_cut_past_the_bound_is_a_flag_error(self, command, value,
