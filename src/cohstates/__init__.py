@@ -9,9 +9,8 @@ from .errors import ConstraintError
 from .logdomain import wrap_phase
 from .specfun import gegenbauer_column, hyp2f1_terminating, log_factorial
 from .repspace import (BandTable, BasisIndex, StateVector, apply_J, apply_X,
-                       apply_Z, apply_table, basis_state, expectation, inner,
-                       inner_log, operator_table, relative_residual,
-                       residual_norm, state_scale, state_sum)
+                       apply_Z, apply_table, basis_state, expectation,
+                       operator_table, residual_norm, state_scale, state_sum)
 from .spinor import (SpinorState, exp_minus_k_table, k_table, spinor_basis,
                      v_table)
 from .circle import (CirclePhasePoint, CircleState, CircleUncertainty,

@@ -91,7 +91,7 @@ def _int_arg(flag: str, lo: int, hi: float, auto: bool = False):
 # A sphere state at cut n holds (n + 1)^2 amplitudes, and a report prints
 # every nonzero one.  The upper bound is the automatic cut at the largest
 # supported |l| (355), 730: there a sphere report at --l 355,0,0 (534,361
-# nonzero amplitudes) takes 9 s, 8 s of it computing the numbers, and peaks
+# nonzero amplitudes) takes 5.4-6.3 s, 1.1-1.2 s of it printing, and peaks
 # at 224 MB RSS as JSON and as CSV, the peak of the numbers alone, since the
 # amplitudes are printed a chunk at a time (one Xeon core, numpy 2.4).
 SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))

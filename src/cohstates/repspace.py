@@ -36,10 +36,7 @@ __all__ = [
     "z_vector_form_table",
     "state_sum",
     "state_scale",
-    "inner_log",
-    "inner",
     "expectation",
-    "relative_residual",
     "residual_norm",
     "grid",
     "rect_array",
@@ -98,8 +95,29 @@ class StateVector:
         j, m, lm, ph = (x.tolist() for x in self.nonzero())
         return MappingProxyType(dict(zip(map(BasisIndex, j, m), zip(lm, ph))))
 
-    def log_norm_sq(self) -> float:
+    # The memo, numbers read off the read-only arrays on first use and kept
+    # as long as the state: like `amplitudes`, it lives in the instance's own
+    # dict, so every new state, replace() included, starts without it.
+
+    @cached_property
+    def _log_norm_sq(self) -> float:
         return log_sum_exp(2 * self.log_mag)
+
+    @cached_property
+    def _unit_log_mag(self) -> np.ndarray:
+        """log_mag scaled to unit norm, read-only; callers check first
+        that the state is nonzero."""
+        lm = self.log_mag - 0.5 * self._log_norm_sq
+        lm.flags.writeable = False
+        return lm
+
+    @cached_property
+    def _expectations(self) -> dict:
+        """{operator label: expectation value}, filled by expectation()."""
+        return {}
+
+    def log_norm_sq(self) -> float:
+        return self._log_norm_sq
 
     def is_zero(self) -> bool:
         return self.log_mag.max() == -math.inf
@@ -108,7 +126,7 @@ class StateVector:
         ln2 = self.log_norm_sq()
         if ln2 == -math.inf:
             raise ValueError("cannot normalize the zero state")
-        return replace(self, log_mag=self.log_mag - 0.5 * ln2,
+        return replace(self, log_mag=self._unit_log_mag,
                        lost_log=self.lost_log - ln2)
 
     def tail_fraction(self, bands: int = 2) -> float:
@@ -124,12 +142,6 @@ class StateVector:
         if self.lost_log == -math.inf:
             return 0.0
         return math.exp(self.lost_log - self.log_norm_sq())
-
-    def restricted(self, j_max: int) -> "StateVector":
-        """Drop every amplitude with j above j_max (a plain projection)."""
-        lm = self.log_mag.copy()
-        lm[max(j_max + 1, 0) ** 2:] = -math.inf
-        return replace(self, log_mag=lm)
 
 
 def basis_state(j: int, m: int, j_cut: int) -> StateVector:
@@ -179,7 +191,7 @@ def apply_Z(which: str, s: StateVector) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# linear structure and brackets
+# linear structure
 # ---------------------------------------------------------------------------
 
 def state_scale(s: StateVector, c: complex) -> StateVector:
@@ -202,20 +214,6 @@ def state_sum(states: list[StateVector]) -> StateVector:
     lm, ph = polar_array(shift, acc)
     return StateVector(lm, ph, first.j_cut,
                        log_sum_exp([st.lost_log for st in states]))
-
-
-def inner_log(a: StateVector, b: StateVector) -> tuple[float, float]:
-    """<a|b> (conjugation on a) as a (log-magnitude, phase) pair."""
-    n = min(a.log_mag.size, b.log_mag.size)
-    lg = a.log_mag[:n] + b.log_mag[:n]
-    top = float(np.nan_to_num(lg.max(), neginf=0.0))
-    acc = np.sum(rect_array(lg - top, wrap_phase(b.phase[:n] - a.phase[:n])))
-    lm, ph = polar_array(top, acc)
-    return float(lm), float(ph)
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    return complex(rect_array(*inner_log(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +302,25 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
 def _unit_image(which: str, s: StateVector) -> tuple:
     """The log-magnitudes lm of s scaled to unit norm, and the operator's
     image e^{top} acc of (lm, s.phase), as (lm, top, acc)."""
-    ln2 = s.log_norm_sq()
-    if ln2 == -math.inf:
+    if s.log_norm_sq() == -math.inf:
         raise ValueError("expectation value or residual of the zero state")
-    lm = s.log_mag - 0.5 * ln2
+    lm = s._unit_log_mag
     return (lm, *_table_image(_label_table(which, s), lm, s.phase)[:2])
 
 
 def expectation(which: str, s: StateVector) -> complex:
-    """<s|O|s> / <s|s> for any label apply_J, apply_X or apply_Z accepts."""
-    lm, top, acc = _unit_image(which, s)
-    t = max(top.max(), 0.0)    # at least the state's own scale, so finite
-    a = rect_array(lm, s.phase)
-    v = acc * np.exp(top - t)
-    return complex(np.vdot(a, v) / np.vdot(a, a).real) * math.exp(t)
+    """<s|O|s> / <s|s> for any label apply_J, apply_X or apply_Z accepts.
+
+    A state computes each expectation value once: the value is kept in its
+    memo, and a later call with the same label reads it back."""
+    memo = s._expectations
+    if which not in memo:
+        lm, top, acc = _unit_image(which, s)
+        t = max(top.max(), 0.0)    # at least the state's own scale, so finite
+        a = rect_array(lm, s.phase)
+        v = acc * np.exp(top - t)
+        memo[which] = complex(np.vdot(a, v) / np.vdot(a, a).real) * math.exp(t)
+    return memo[which]
 
 
 def residual_norm(which: str, s: StateVector, value: complex,
@@ -333,21 +336,6 @@ def residual_norm(which: str, s: StateVector, value: complex,
          - value * rect_array(lm - t, s.phase))[:max(j_max + 1, 0) ** 2]
     sq = float(np.vdot(d, d).real)
     return 0.0 if sq == 0 else math.exp(t + 0.5 * math.log(sq))
-
-
-def relative_residual(lhs: StateVector, rhs: StateVector,
-                      *scales: StateVector) -> float:
-    """Norm of (lhs - rhs) relative to the largest participating scale.
-
-    Identities built from exponentially weighted operators can have
-    intermediate norms as large as e^{2 j_cut}; the honest error measure for
-    "lhs equals rhs" is the difference normalized by the biggest operand.
-    """
-    diff = state_sum([lhs, state_scale(rhs, complex(-1.0))])
-    ref = max([lhs.log_norm_sq(), rhs.log_norm_sq()]
-              + [x.log_norm_sq() for x in scales])
-    d = diff.log_norm_sq()
-    return 0.0 if d == -math.inf else math.exp(0.5 * (d - ref))
 
 
 # ---------------------------------------------------------------------------

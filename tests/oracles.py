@@ -10,12 +10,13 @@ spinor operator, the J^2-function generator route, the per-basis-vector
 identity sweeps of `cohstates verify`, and the two sphere construction
 routes.  The tests hold the production code equal to them.  They read
 states through `amplitudes` and build them back with
-`state_from_amplitudes`.  Spinor sums, scalings, inner products and
-residuals serve the spinor tests.  Then come the Fraction-sum series
-oracles of `cohstates verify`, which the integer sums must match bit for
-bit.  Last is the CLI's first report writer, one dict per row through
-`json.dumps` and `csv.DictWriter`, which the chunked writer must match
-byte for byte.
+`state_from_amplitudes`.  Inner products, the projection onto the levels
+j <= j_max and the relative residual of an identity act on the array
+states; spinor sums, scalings, inner products and residuals serve the
+spinor tests.  Then come the Fraction-sum series oracles of `cohstates
+verify`, which the integer sums must match bit for bit.  Last is the CLI's
+first report writer, one dict per row through `json.dumps` and
+`csv.DictWriter`, which the chunked writer must match byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -36,8 +37,9 @@ import numpy as np
 from cohstates import __version__, checks, specfun
 from cohstates.checks import CheckResult, _Worst
 from cohstates.logdomain import log_sum_exp, wrap_phase
-from cohstates.repspace import (BasisIndex, StateVector, basis_state, inner,
-                                relative_residual, state_scale, state_sum)
+from cohstates.repspace import (BasisIndex, StateVector, basis_state,
+                                polar_array, rect_array, state_scale,
+                                state_sum)
 from cohstates.specfun import log_factorial
 from cohstates.sphere import generation_params, north_pole_state
 from cohstates.spinor import SpinorState, spinor_basis
@@ -213,6 +215,44 @@ def with_amplitudes(s: StateVector, amps: dict,
     """s with its amplitudes (and optionally lost_log) replaced."""
     return state_from_amplitudes(
         amps, s.j_cut, s.lost_log if lost_log is None else lost_log)
+
+
+# -- inner products, projections and residuals on the array states -----------
+
+def inner_log(a: StateVector, b: StateVector) -> tuple[float, float]:
+    """<a|b> (conjugation on a) as a (log-magnitude, phase) pair."""
+    n = min(a.log_mag.size, b.log_mag.size)
+    lg = a.log_mag[:n] + b.log_mag[:n]
+    top = float(np.nan_to_num(lg.max(), neginf=0.0))
+    acc = np.sum(rect_array(lg - top, wrap_phase(b.phase[:n] - a.phase[:n])))
+    lm, ph = polar_array(top, acc)
+    return float(lm), float(ph)
+
+
+def inner(a: StateVector, b: StateVector) -> complex:
+    return complex(rect_array(*inner_log(a, b)))
+
+
+def restricted(s: StateVector, j_max: int) -> StateVector:
+    """s with every amplitude above j = j_max dropped (a plain projection)."""
+    lm = s.log_mag.copy()
+    lm[max(j_max + 1, 0) ** 2:] = -math.inf
+    return replace(s, log_mag=lm)
+
+
+def relative_residual(lhs: StateVector, rhs: StateVector,
+                      *scales: StateVector) -> float:
+    """Norm of (lhs - rhs) relative to the largest participating scale.
+
+    Identities built from exponentially weighted operators can have
+    intermediate norms as large as e^{2 j_cut}; the honest error measure for
+    "lhs equals rhs" is the difference normalized by the biggest operand.
+    """
+    diff = state_sum([lhs, state_scale(rhs, complex(-1.0))])
+    ref = max([lhs.log_norm_sq(), rhs.log_norm_sq()]
+              + [x.log_norm_sq() for x in scales])
+    d = diff.log_norm_sq()
+    return 0.0 if d == -math.inf else math.exp(0.5 * (d - ref))
 
 
 # -- spinor arithmetic ------------------------------------------------------
@@ -551,7 +591,7 @@ def _spinor_vectors(j_cut: int):
 
 
 def _spinor_restrict(sp: SpinorState, j_max: int) -> SpinorState:
-    return SpinorState(sp.up.restricted(j_max), sp.down.restricted(j_max))
+    return SpinorState(restricted(sp.up, j_max), restricted(sp.down, j_max))
 
 
 def _commutator(a: StateVector, b: StateVector) -> StateVector:
@@ -570,16 +610,17 @@ def e3_commutators(j_cut: int) -> float:
                 rhs = state_scale(cart(fam_rhs[l], s),
                                   complex(0, _EPS[(i, k, l)]))
                 worst = max(worst, relative_residual(
-                    lhs.restricted(interior), rhs.restricted(interior), s, ab))
+                    restricted(lhs, interior), restricted(rhs, interior), s,
+                    ab))
             ab = cart(_XN[i], cart(_XN[k], s))
             lhs = _commutator(ab, cart(_XN[k], cart(_XN[i], s)))
             worst = max(worst, relative_residual(
-                lhs.restricted(interior), state_scale(s, 0j), s, ab))
+                restricted(lhs, interior), state_scale(s, 0j), s, ab))
         for i in range(3):
             ab = cart(_JN[i], cart(_XN[i], s))
             lhs = _commutator(ab, cart(_XN[i], cart(_JN[i], s)))
             worst = max(worst, relative_residual(
-                lhs.restricted(interior), state_scale(s, 0j), s, ab))
+                restricted(lhs, interior), state_scale(s, 0j), s, ab))
     return worst
 
 
@@ -589,10 +630,10 @@ def casimirs(j_cut: int) -> float:
     for s in _interior_vectors(j_cut):
         parts = [cart(x, cart(x, s)) for x in _XN]
         worst = max(worst, relative_residual(
-            state_sum(parts).restricted(interior), s, s, *parts))
+            restricted(state_sum(parts), interior), s, s, *parts))
         parts = [cart(_JN[i], cart(_XN[i], s)) for i in range(3)]
         worst = max(worst, relative_residual(
-            state_sum(parts).restricted(interior), state_scale(s, 0j), s,
+            restricted(state_sum(parts), interior), state_scale(s, 0j), s,
             *parts))
     return worst
 
@@ -626,7 +667,7 @@ def z_commutativity(j_cut: int) -> float:
             ab = apply_Z(_ZN[i], apply_Z(_ZN[k], s))
             lhs = _commutator(ab, apply_Z(_ZN[k], apply_Z(_ZN[i], s)))
             worst = max(worst, relative_residual(
-                lhs.restricted(interior), state_scale(s, 0j), s, ab))
+                restricted(lhs, interior), state_scale(s, 0j), s, ab))
     return worst
 
 
@@ -636,7 +677,7 @@ def z_normalization(j_cut: int) -> float:
     for s in _interior_vectors(j_cut):
         parts = [apply_Z(z, apply_Z(z, s)) for z in _ZN]
         worst = max(worst, relative_residual(
-            state_sum(parts).restricted(interior), s, s, *parts))
+            restricted(state_sum(parts), interior), s, s, *parts))
     return worst
 
 
@@ -653,10 +694,10 @@ def z_route_equality(j_cut: int) -> float:
             t1 = diag_mul_logs(apply_X(_XN[idx], s),
                                lambda jj: jsq_scalar_logs(jj)[0])
             worst = max(worst, relative_residual(
-                a.restricted(interior), b.restricted(interior), s, t1))
+                restricted(a, interior), restricted(b, interior), s, t1))
             c = apply_Z_from_matrix(z, s)
             worst = max(worst, relative_residual(
-                a.restricted(interior), c.restricted(interior), s,
+                restricted(a, interior), restricted(c, interior), s,
                 col_u.up, col_u.down, col_d.up, col_d.down))
     return worst
 

@@ -3,12 +3,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
+import cohstates
 from cohstates import cli, sphere
 from cohstates.cli import main
 from cohstates.repspace import StateVector
@@ -464,6 +469,29 @@ class TestReportWriter:
         assert reused == fresh
         last = json.loads(reused[-1][1])
         assert (last["argmax_j"], last["argmax_m"]) == ({"0": 11}, {})
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_requests_share_no_state(self, fmt):
+        # A, B, A in one process, each as a fresh process prints it: nothing
+        # a state keeps, its memo included, outlives its request
+        a = ["sphere", "--x", "0,0.6,0.8", "--l", "3,0,0", "--j-cut", "30",
+             "--check-paths", "--format", fmt]
+        b = ["sphere", "--x", "0.6,0,0.8", "--l", "0,4,0", "--j-cut", "45",
+             "--format", fmt]
+        in_process = [output(argv) for argv in (a, b, a)]
+        env = {**os.environ, "PYTHONPATH": str(
+            Path(cohstates.__file__).resolve().parents[1])}
+        fresh = {}
+        for name, argv in (("a", a), ("b", b)):
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from cohstates.cli "
+                 "import main; sys.exit(main(sys.argv[1:]))", *argv],
+                capture_output=True, env=env, timeout=120)
+            # decoded as is: text mode would turn CSV's \r\n into \n
+            fresh[name] = (proc.returncode, proc.stdout.decode(),
+                           proc.stderr.decode())
+        assert fresh["a"][0] == 0 and fresh["a"] != fresh["b"]
+        assert in_process == [fresh["a"], fresh["b"], fresh["a"]]
 
 
 class TestOutFile:

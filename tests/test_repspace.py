@@ -1,15 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
-from oracles import LogComplex
+from oracles import (LogComplex, inner, inner_log, relative_residual,
+                     restricted)
+from cohstates import repspace
 from cohstates.repspace import (BasisIndex, StateVector, apply_J, apply_X,
                                 apply_Z, apply_table, basis_state, expectation,
-                                inner, inner_log, operator_table,
-                                relative_residual, residual_norm, state_scale,
+                                operator_table, residual_norm, state_scale,
                                 state_sum, z_vector_form_table)
+from cohstates.sphere import SpherePhasePoint, coherent_state
 
 LABELS = ("J3", "Jplus", "Jminus", "Jsq", "X1", "X2", "X3", "Xplus",
           "Xminus", "Z1", "Z2", "Z3")
@@ -140,7 +143,8 @@ class TestGenerators:
         s = basis_state(5, 2, 12)
         a = apply_Z(which, s)
         b = apply_Z_vector_form(which, s)
-        assert relative_residual(a.restricted(10), b.restricted(10), s) < 1e-12
+        assert relative_residual(restricted(a, 10), restricted(b, 10),
+                                 s) < 1e-12
 
 
 class TestInnerAndExpectation:
@@ -176,6 +180,80 @@ class TestInnerAndExpectation:
             # and so is a label apply_J, apply_X and apply_Z do not accept
             with pytest.raises(ValueError):
                 evaluate("J1", basis_state(1, 0, 8))
+
+
+class TestMemo:
+    """A state computes its norm, its unit-norm log-magnitudes and each
+    expectation value once, and keeps them for as long as it lives."""
+
+    MEMO = ("_log_norm_sq", "_unit_log_mag", "_expectations")
+    ALL_LABELS = sorted(repspace._J_LABELS | repspace._X_LABELS
+                        | repspace._Z_LABELS)
+
+    def memo(self, s):
+        return {k: v for k, v in vars(s).items() if k in self.MEMO}
+
+    @staticmethod
+    def fresh(s):
+        return StateVector(s.log_mag.copy(), s.phase.copy(), s.j_cut,
+                           s.lost_log)
+
+    @staticmethod
+    def bits(v) -> tuple:
+        v = complex(v)
+        return v.real.hex(), v.imag.hex()
+
+    def test_derived_states_start_empty(self):
+        s = random_sparse_state(0)
+        for which in ("J3", "Xplus", "Z2"):
+            expectation(which, s)
+        residual_norm("Z1", s, 1.0, s.j_cut - 2)
+        assert self.memo(s).keys() == set(self.MEMO)
+        assert self.memo(s)["_expectations"].keys() == {"J3", "Xplus", "Z2"}
+        other = replace(s, log_mag=s.log_mag[::-1])
+        derived = [replace(s), other, s.normalized(), state_scale(s, 2j),
+                   state_sum([s, s]), apply_table(operator_table("J3", 12),
+                                                  s)[0]]
+        for d in derived:
+            assert self.memo(d) == {}
+        # a state made by replace() answers from its own arrays
+        assert self.bits(expectation("J3", other)) == self.bits(
+            expectation("J3", self.fresh(other)))
+        assert expectation("J3", other) != expectation("J3", s)
+
+    @pytest.mark.parametrize("l_norm", [0.0, 5.0, 21.5])
+    def test_memoised_values_are_bit_identical(self, l_norm):
+        s = coherent_state(SpherePhasePoint([0.6, 0.0, 0.8],
+                                            [0.0, l_norm, 0.0]))
+        for which in self.ALL_LABELS:
+            first = expectation(which, s)
+            assert expectation(which, s) is first
+            res = residual_norm(which, s, first, s.j_cut - 2)
+            assert res == residual_norm(which, s, first, s.j_cut - 2)
+            t = self.fresh(s)
+            assert np.array_equal(t.phase, s.phase)
+            assert self.bits(first) == self.bits(expectation(which, t))
+            assert res.hex() == residual_norm(which, self.fresh(s), first,
+                                              s.j_cut - 2).hex()
+        assert self.memo(s)["_expectations"].keys() == set(self.ALL_LABELS)
+
+    def test_zero_state_and_unknown_labels_raise_every_time(self):
+        empty = state_scale(basis_state(0, 0, 8), 0j)
+        s = basis_state(1, 0, 8)
+        expectation("J3", s)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                expectation("J3", empty)
+            with pytest.raises(ValueError):
+                residual_norm("J3", empty, 1.0, 6)
+            with pytest.raises(ValueError):
+                empty.normalized()
+            for evaluate in (expectation,
+                             lambda which, s: residual_norm(which, s, 1.0, 6)):
+                with pytest.raises(ValueError):
+                    evaluate("J1", s)
+        assert self.memo(empty)["_expectations"] == {}
+        assert self.memo(s)["_expectations"].keys() == {"J3"}
 
 
 def _assert_close(got, want, rel):
@@ -236,7 +314,7 @@ class TestDenseMatchesSparse:
                              ("X2", 1j)]:
             diff = state_sum([oracles.apply_operator(which, sn),
                               state_scale(sn, -complex(value))])
-            want = math.exp(0.5 * diff.restricted(s.j_cut - 2).log_norm_sq())
+            want = math.exp(0.5 * restricted(diff, s.j_cut - 2).log_norm_sq())
             _assert_close(residual_norm(which, s, value, s.j_cut - 2), want,
                           1e-13)
 
@@ -350,7 +428,7 @@ class TestBandTables:
             image = oracles.apply_operator("Z2", oracles.apply_operator(
                 "X1", basis_state(int(j[k]), int(m[k]), 8)))
             assert norms[k] == pytest.approx(
-                0.5 * image.restricted(6).log_norm_sq(), abs=1e-14)
+                0.5 * restricted(image, 6).log_norm_sq(), abs=1e-14)
 
 
 class TestTruncationAccounting:
@@ -394,6 +472,6 @@ def test_subnormal_table_coefficients_stay_finite(which):
     # in the table, a subnormal coefficient at j = 360
     s = basis_state(360, 2, 400)
     assert expectation(which, s) == 0
-    want = oracles.apply_operator(which, s).restricted(398)
+    want = restricted(oracles.apply_operator(which, s), 398)
     assert residual_norm(which, s, 0, 398) == pytest.approx(
         math.exp(0.5 * want.log_norm_sq()), rel=1e-13)

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import inner_log, restricted
 from cohstates import sphere
 from cohstates.repspace import (BasisIndex, basis_state, expectation, grid,
-                                inner_log, state_scale, state_sum)
+                                state_scale, state_sum)
 from cohstates.sphere import (L_NORM_MAX, ConstraintError, SpherePhasePoint,
                               ZLabel, axis_reference_label,
                               coherent_closed_form, coherent_ladder_generated,
@@ -428,8 +429,8 @@ def _sparse_eigen_residual(s, zl):
     for which, zi in zip(("Z1", "Z2", "Z3"), zl.z):
         diff = state_sum([oracles.apply_Z(which, sn),
                           state_scale(sn, -complex(zi))])
-        worst = max(worst,
-                    math.exp(0.5 * diff.restricted(s.j_cut - 2).log_norm_sq()))
+        worst = max(worst, math.exp(
+            0.5 * restricted(diff, s.j_cut - 2).log_norm_sq()))
     return worst
 
 
