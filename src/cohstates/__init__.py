@@ -8,11 +8,10 @@ rotator's energy distribution, with a CLI for reports and verification.
 from .errors import ConstraintError
 from .logdomain import wrap_phase
 from .specfun import gegenbauer_column, hyp2f1_terminating, log_factorial
-from .repspace import (BandTable, BasisIndex, StateVector, apply_J, apply_X,
-                       apply_Z, apply_table, basis_state, expectation,
-                       operator_table, residual_norm, state_scale, state_sum)
-from .spinor import (SpinorState, exp_minus_k_table, k_table, spinor_basis,
-                     v_table)
+from .repspace import (BandTable, StateVector, apply_J, apply_X, apply_Z,
+                       apply_table, basis_state, expectation, operator_table,
+                       residual_norm, state_scale, state_sum)
+from .spinor import exp_minus_k_table, k_table, v_table
 from .circle import (CirclePhasePoint, CircleState, CircleUncertainty,
                      circle_coherent, circle_eigen_residual, circle_expect_J,
                      circle_expect_U, circle_relative_U,

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError
-from .logdomain import wrap_phase
-from .repspace import rect_array
+from .logdomain import rect_array, wrap_phase
 
 __all__ = [
     "CirclePhasePoint",

@@ -352,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the full invariant suite")
     common(pv)
-    pv.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized sweeps")
+    pv.add_argument("--seed", type=_int_arg("--seed", 0, math.inf),
+                    default=0, help="seed for randomized sweeps")
     pv.add_argument("--identity-j-cut", default=30,
                     type=_int_arg("--identity-j-cut", *IDENTITY_J_CUT_RANGE),
                     help="truncation level for the operator-identity sweeps "

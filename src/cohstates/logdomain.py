@@ -4,8 +4,11 @@ Coherent-state amplitudes on the sphere mix factors like exp(-j(j+1)/2)
 (underflows double precision near j = 27) with polynomial values powered by
 cosh|l| (overflows near |l| = 18 for j around 40), so the library keeps
 every amplitude as a log-magnitude and a phase, in arrays.  This module
-holds the two operations on that representation, for a scalar or an array:
-wrapping phases into their principal interval and summing real logs.
+holds the rules of that representation: wrapping phases into their
+principal interval, summing real logs, and converting between the
+(log-magnitude, phase) form and complex values.  The conversions rely on
+the wrap: rect_array keeps quadrant phases exact by testing for +pi only,
+since wrap_phase maps -pi to +pi.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import numpy as np
 __all__ = [
     "log_sum_exp",
     "wrap_phase",
+    "rect_array",
+    "polar_array",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -46,3 +51,22 @@ def log_sum_exp(logs) -> float:
     if math.isinf(top):
         return float(top)
     return float(top + math.log(np.sum(np.exp(x - top))))
+
+
+def rect_array(lm, ph) -> np.ndarray:
+    """exp(lm) e^{i ph} elementwise, for arrays or scalars.  The quadrant
+    phases 0, pi and +-pi/2 of (-pi, pi], wrap_phase's interval, leave no
+    cos/sin dust, so opposite real amplitudes cancel to exactly zero."""
+    mag = np.exp(lm)
+    re = np.asarray(mag * np.cos(ph))
+    im = np.asarray(mag * np.sin(ph))
+    re[np.abs(ph) == 0.5 * math.pi] = 0.0
+    im[ph == math.pi] = 0.0
+    return re + 1j * im
+
+
+def polar_array(shift: np.ndarray, acc: np.ndarray) -> tuple:
+    """(log-magnitude, phase) arrays of e^{shift} acc; exact zeros of acc
+    become log-magnitude -inf."""
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.abs(acc)), np.angle(acc)

@@ -5,8 +5,8 @@ and |m| <= j (the twist, i.e. the J.X/r Casimir, is fixed at zero, which
 forces the minimal j to be 0 and all labels integer).  A state is a pair of
 log-magnitude and phase arrays over every (j, m) up to the truncation level
 j_cut.  Operators are tables of their action on every basis vector at once,
-built from their known matrix elements; anything raised past j_cut is
-dropped into a loss counter instead of vanishing silently.
+built from their known matrix elements.  apply_* counts what it raises past
+j_cut in lost_log; expectations drop it, and tail_fraction guards them.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
-from .logdomain import log_sum_exp, wrap_phase
+from .logdomain import log_sum_exp, polar_array, rect_array, wrap_phase
 
 __all__ = [
-    "BasisIndex",
     "StateVector",
     "basis_state",
     "apply_J",
@@ -39,16 +37,7 @@ __all__ = [
     "expectation",
     "residual_norm",
     "grid",
-    "rect_array",
-    "polar_array",
 ]
-
-
-class BasisIndex(NamedTuple):
-    """Angular-momentum basis label (j, m)."""
-
-    j: int
-    m: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,9 +47,8 @@ class StateVector:
     Both arrays hold (j_cut + 1)^2 entries and are read-only: operations
     return fresh instances.  log_mag = -inf is an exact zero (stored with
     phase 0), and phases are kept in (-pi, pi] so quadrant phases stay exact.
-    lost_log tracks the log of the total squared magnitude dropped by
-    operators that tried to raise past j_cut, so truncation adequacy is
-    always auditable.
+    lost_log is the log of the squared magnitude that apply_* calls raised
+    past j_cut and dropped; states built in closed form carry -inf.
     """
 
     log_mag: np.ndarray
@@ -89,11 +77,11 @@ class StateVector:
 
     @cached_property
     def amplitudes(self) -> MappingProxyType:
-        """Read-only {BasisIndex: (log_mag, phase)} view of the nonzero
+        """Read-only {(j, m): (log_mag, phase)} view of the nonzero
         amplitudes, built on first use for tests and tracing; the library
         reads the arrays."""
         j, m, lm, ph = (x.tolist() for x in self.nonzero())
-        return MappingProxyType(dict(zip(map(BasisIndex, j, m), zip(lm, ph))))
+        return MappingProxyType(dict(zip(zip(j, m), zip(lm, ph))))
 
     # The memo, numbers read off the read-only arrays on first use and kept
     # as long as the state: like `amplitudes`, it lives in the instance's own
@@ -138,7 +126,7 @@ class StateVector:
         return math.exp(log_sum_exp(2 * top) - total)
 
     def lost_fraction(self) -> float:
-        """Dropped squared magnitude relative to the current squared norm."""
+        """Mass apply_* calls pushed past j_cut over the squared norm."""
         if self.lost_log == -math.inf:
             return 0.0
         return math.exp(self.lost_log - self.log_norm_sq())
@@ -171,7 +159,7 @@ def _label_table(which: str, s: StateVector,
 
 def apply_J(which: str, s: StateVector) -> StateVector:
     """Exact action of J3, J+/-, or J^2 (ladder shifts never change j)."""
-    return apply_table(_label_table(which, s, _J_LABELS), s)[0]
+    return apply_table(_label_table(which, s, _J_LABELS), s)
 
 
 def apply_X(which: str, s: StateVector) -> StateVector:
@@ -182,12 +170,12 @@ def apply_X(which: str, s: StateVector) -> StateVector:
     if which == "X2":
         return state_sum([state_scale(apply_X("Xplus", s), complex(0, -0.5)),
                           state_scale(apply_X("Xminus", s), complex(0, 0.5))])
-    return apply_table(_label_table(which, s, _X_LABELS), s)[0]
+    return apply_table(_label_table(which, s, _X_LABELS), s)
 
 
 def apply_Z(which: str, s: StateVector) -> StateVector:
     """Coherent-state generator action from its explicit matrix elements."""
-    return apply_table(_label_table(which, s, _Z_LABELS), s)[0]
+    return apply_table(_label_table(which, s, _Z_LABELS), s)
 
 
 # ---------------------------------------------------------------------------
@@ -220,31 +208,12 @@ def state_sum(states: list[StateVector]) -> StateVector:
 # expectation values and eigen-residuals on the state's arrays
 # ---------------------------------------------------------------------------
 #
-# The flat index j*j + j + m is laid out by grid(); rect_array() turns
-# (log-magnitude, phase) arrays into values and polar_array() back.  A
+# The flat index j*j + j + m is laid out by grid(); logdomain's rect_array()
+# turns (log-magnitude, phase) arrays into values and polar_array() back.  A
 # bilinear form <s|O|s> takes O|s> from the operator's table (below) as an
 # intermediate.  The largest log-magnitude is subtracted before
 # exponentiating, so nothing overflows and terms below e^-745 of the largest
 # underflow to zero.
-
-def rect_array(lm, ph) -> np.ndarray:
-    """exp(lm) e^{i ph} elementwise, for arrays or scalars.  The quadrant
-    phases 0, pi and +-pi/2 leave no cos/sin dust, so opposite real
-    amplitudes cancel to exactly zero."""
-    mag = np.exp(lm)
-    re = np.asarray(mag * np.cos(ph))
-    im = np.asarray(mag * np.sin(ph))
-    re[np.abs(ph) == 0.5 * math.pi] = 0.0
-    im[ph == math.pi] = 0.0
-    return re + 1j * im
-
-
-def polar_array(shift: np.ndarray, acc: np.ndarray) -> tuple:
-    """(log-magnitude, phase) arrays of e^{shift} acc; exact zeros of acc
-    become log-magnitude -inf."""
-    with np.errstate(divide="ignore"):
-        return shift + np.log(np.abs(acc)), np.angle(acc)
-
 
 def grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
     """j and m at every flat index j*j + j + m up to j_cut."""
@@ -301,7 +270,8 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
 
 def _unit_image(which: str, s: StateVector) -> tuple:
     """The log-magnitudes lm of s scaled to unit norm, and the operator's
-    image e^{top} acc of (lm, s.phase), as (lm, top, acc)."""
+    image e^{top} acc of (lm, s.phase), as (lm, top, acc); what the image
+    raises past j_cut is dropped uncounted."""
     if s.log_norm_sq() == -math.inf:
         raise ValueError("expectation value or residual of the zero state")
     lm = s._unit_log_mag
@@ -346,8 +316,9 @@ def residual_norm(which: str, s: StateVector, value: complex,
 # between tables.  A table stores the image of every basis vector in diagonal
 # form: a few bands (dj, dm, dc), each a coefficient array over the source
 # columns.  Column c*n + j*j + j + m, with n = (j_cut + 1)^2, is |j, m> in
-# component c: one-component tables act on the representation space,
-# two-component ones on spinors.  Every column carries its own log scale, so
+# component c: one-component tables act on states, two-component ones are
+# the spinor operators, which verify multiplies, adds and norms but never
+# applies to a state.  Every column carries its own log scale, so
 # the e^{j} weights of Z and e^{-K} cannot overflow.  A product gathers one
 # table at the other's targets, O(bands^2 n), and drops targets past j_cut
 # between the factors, as an application of one table does.
@@ -492,14 +463,12 @@ def _table_image(t: BandTable, lm: np.ndarray, ph: np.ndarray) -> tuple:
     """The table's image of the arrays (lm, ph) over its columns.
 
     Returns (top, acc, lost): the image is e^{top} acc, each amplitude
-    summed around its largest term, and lost holds, per component, the log
-    of the squared magnitude raised past j_cut.
+    summed around its largest term, and lost is the log of the squared
+    magnitude raised past j_cut.
     """
-    n = (t.j_cut + 1) ** 2
     lm = lm + t.log_scale
     top = np.full(lm.size, -math.inf)
-    lost = np.full(lm.size // n, -math.inf)
-    terms = []
+    terms, lost = [], -math.inf
     for key, coef in t.bands.items():
         tgt, ok = t._targets(key, t.j_cut)
         live = (coef != 0) & (lm > -math.inf)
@@ -513,30 +482,23 @@ def _table_image(t: BandTable, lm: np.ndarray, ph: np.ndarray) -> tuple:
         c, mag = coef[src], np.abs(coef[src])
         terms.append((tgt[src], lg[src], ph[src],
                       c.real / mag + 1j * (c.imag / mag)))
-        gone = np.flatnonzero(live & ~ok)
-        np.logaddexp.at(lost, gone // n + key[2], 2 * lg[gone])
+        lost = np.logaddexp.reduce(2 * lg[live & ~ok], initial=lost)
     acc = np.zeros(lm.size, dtype=complex)
     for tgt, lg, phase, unit in terms:
         acc[tgt] += unit * rect_array(lg - top[tgt], phase)
-    return top, acc, lost
+    return top, acc, float(lost)
 
 
-def apply_table(t: BandTable, *components: StateVector) -> tuple:
-    """The table's operator applied to a state given by its components.
+def apply_table(t: BandTable, s: StateVector) -> StateVector:
+    """The one-component table's operator applied to the state s.
 
     Each amplitude is summed around its largest contribution.  Terms raised
-    past j_cut are dropped, and their squared magnitude is added to the
-    lost_log of the component they would reach.
+    past j_cut are dropped, and their squared magnitude is added to
+    s.lost_log.
     """
-    n = (t.j_cut + 1) ** 2
-    if (any(s.j_cut != t.j_cut for s in components)
-            or len(components) * n != t.log_scale.size):
-        raise ValueError("states must match the table's j_cut and components")
-    top, acc, lost = _table_image(
-        t, np.concatenate([s.log_mag for s in components]),
-        np.concatenate([s.phase for s in components]))
-    out_lm, out_ph = polar_array(top, acc)
-    return tuple(
-        StateVector(out_lm[c * n:(c + 1) * n], out_ph[c * n:(c + 1) * n],
-                    t.j_cut, float(np.logaddexp(s.lost_log, lost[c])))
-        for c, s in enumerate(components))
+    if s.j_cut != t.j_cut or s.log_mag.size != t.log_scale.size:
+        raise ValueError("the state must match the table's j_cut and its "
+                         "one component")
+    top, acc, lost = _table_image(t, s.log_mag, s.phase)
+    return StateVector(*polar_array(top, acc), t.j_cut,
+                       float(np.logaddexp(s.lost_log, lost)))

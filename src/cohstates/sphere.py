@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError
+from .logdomain import polar_array, rect_array
 from .repspace import (StateVector, expectation, grid, operator_table,
-                       polar_array, rect_array, residual_norm, state_scale,
-                       state_sum)
+                       residual_norm, state_scale, state_sum)
 from .specfun import gegenbauer_column, log_factorial
 
 __all__ = [
@@ -364,38 +364,33 @@ def eigen_residual(s: StateVector, zl: ZLabel) -> float:
                          for which, zi in zip(("Z1", "Z2", "Z3"), zl.z)]))
 
 
-def _expect_pair(plus: str, minus: str, s: StateVector) -> tuple[float, float]:
-    """Real (1st, 2nd) Cartesian components from a ladder pair of operators."""
-    ep = expectation(plus, s)
-    em = expectation(minus, s)
-    herm = abs(em - ep.conjugate())
-    scale = max(1.0, abs(ep))
-    if herm > 1e-9 * scale:
-        raise AssertionError(f"hermiticity residue {herm} too large")
-    c1 = (ep + em) / 2.0
-    c2 = (ep - em) / 2j
-    return c1.real, c2.real
-
-
 def _assert_real(v: complex) -> float:
     if abs(v.imag) > 1e-9 * max(1.0, abs(v)):
         raise AssertionError(f"expected a real expectation, got {v}")
     return v.real
 
 
+def _expect_vector(name: str, s: StateVector) -> np.ndarray:
+    """Real Cartesian <A> of the vector operator A = J or X: A1 and A2 from
+    the ladder pair A+, A-, which must be each other's adjoint, and A3."""
+    ep = expectation(name + "plus", s)
+    em = expectation(name + "minus", s)
+    herm = abs(em - ep.conjugate())
+    if herm > 1e-9 * max(1.0, abs(ep)):
+        raise AssertionError(f"hermiticity residue {herm} too large")
+    a3 = _assert_real(expectation(name + "3", s))
+    return np.array([((ep + em) / 2.0).real, ((ep - em) / 2j).real, a3])
+
+
 def expect_J(s: StateVector) -> np.ndarray:
     """Componentwise <J>; tracks the classical l up to a 1/(2|l|) deficit."""
-    j1, j2 = _expect_pair("Jplus", "Jminus", s)
-    j3 = _assert_real(expectation("J3", s))
-    return np.array([j1, j2, j3])
+    return _expect_vector("J", s)
 
 
 def expect_X(s: StateVector) -> np.ndarray:
     """Componentwise <X>/r, the position average on the unit sphere; tracks
     e^{-1/4} x/r at large |l|.  No amplitude depends on r."""
-    x1, x2 = _expect_pair("Xplus", "Xminus", s)
-    x3 = _assert_real(expectation("X3", s))
-    return np.array([x1, x2, x3])
+    return _expect_vector("X", s)
 
 
 def relative_X(s: StateVector, p: SpherePhasePoint) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Two-component spinor layer over the representation space.
+"""Two-component spinor operators over the representation space.
 
 The position matrix V = sigma.X / r, the Dirac-type operator
 K = -(sigma.J + 1), the exact exponential e^{-K}, and their composition
@@ -8,22 +8,16 @@ generators: the i-th generator is recovered as (1/2) Tr(sigma_i e^{-K} V).
 sigma.J leaves each (j, total-m) pair of basis vectors invariant, so e^{-K}
 is evaluated block by block from the two exact eigenvalues j and -(j+1); no
 series truncation is involved anywhere in this module.  Each operator is a
-two-component BandTable; apply_table(t, s.up, s.down) applies it to s.
+two-component BandTable; no two-component state is ever built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .logdomain import log_sum_exp
-from .repspace import (BandTable, StateVector, basis_state, grid,
-                       identity_table, operator_table, state_scale)
+from .repspace import BandTable, grid, identity_table, operator_table
 
 __all__ = [
-    "SpinorState",
-    "spinor_basis",
     "v_table",
     "sigma_dot_table",
     "k_table",
@@ -31,30 +25,6 @@ __all__ = [
     "z_matrix_entries",
     "z_from_matrix_table",
 ]
-
-
-@dataclass(frozen=True)
-class SpinorState:
-    """Pair of representation-space components against auxiliary spin up/down."""
-
-    up: StateVector
-    down: StateVector
-
-    def __post_init__(self):
-        if self.up.j_cut != self.down.j_cut:
-            raise ValueError("spinor components must share j_cut")
-
-    def log_norm_sq(self) -> float:
-        return log_sum_exp([self.up.log_norm_sq(), self.down.log_norm_sq()])
-
-
-def spinor_basis(j: int, m: int, j_cut: int,
-                 component: str = "up") -> SpinorState:
-    full = basis_state(j, m, j_cut)
-    empty = state_scale(full, 0)
-    if component == "up":
-        return SpinorState(full, empty)
-    return SpinorState(empty, full)
 
 
 def _entry(t: BandTable, row: int, col: int) -> BandTable:

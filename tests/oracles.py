@@ -3,20 +3,22 @@
 The library applies operators through banded coefficient tables, evaluates
 operator identities on those tables, and builds the triple-sum and ladder
 states on dense arrays.  `LogComplex` below is the scalar log-domain carrier
-the library was first written on, kept here as the reference.  The loops
-after it are the earlier per-amplitude versions, written on that sparse
-carrier from the scalar matrix elements: the J, X and Z actions, every
-spinor operator, the J^2-function generator route, the per-basis-vector
-identity sweeps of `cohstates verify`, and the two sphere construction
-routes.  The tests hold the production code equal to them.  They read
+the library was first written on, kept here as the reference, with its
+(j, m) label `BasisIndex`.  The loops after it are the earlier
+per-amplitude versions, written on that sparse carrier from the scalar
+matrix elements: the J, X and Z actions, every spinor operator, the
+J^2-function generator route, the per-basis-vector identity sweeps of
+`cohstates verify`, and the two sphere construction routes.  The tests hold the production code equal to them.  They read
 states through `amplitudes` and build them back with
 `state_from_amplitudes`.  Inner products, the projection onto the levels
 j <= j_max and the relative residual of an identity act on the array
-states; spinor sums, scalings, inner products and residuals serve the
-spinor tests.  Then come the Fraction-sum series oracles of `cohstates
-verify`, which the integer sums must match bit for bit.  Last is the CLI's
-first report writer, one dict per row through `json.dumps` and
-`csv.DictWriter`, which the chunked writer must match byte for byte.
+states.  The spinor tests get their two-component states here:
+`SpinorState`, `spinor_basis`, the application of a spinor table block by
+block, and spinor sums, scalings, inner products and residuals.  Then come
+the Fraction-sum series oracles of `cohstates verify`, which the integer
+sums must match bit for bit.  Last is the CLI's first report writer, one
+dict per row through `json.dumps` and `csv.DictWriter`, which the chunked
+writer must match byte for byte.
 """
 
 from __future__ import annotations
@@ -30,19 +32,19 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from cohstates import __version__, checks, specfun
 from cohstates.checks import CheckResult, _Worst
-from cohstates.logdomain import log_sum_exp, wrap_phase
-from cohstates.repspace import (BasisIndex, StateVector, basis_state,
-                                polar_array, rect_array, state_scale,
-                                state_sum)
+from cohstates.logdomain import (log_sum_exp, polar_array, rect_array,
+                                 wrap_phase)
+from cohstates.repspace import (BandTable, StateVector, apply_table,
+                                basis_state, state_scale, state_sum)
 from cohstates.specfun import log_factorial
 from cohstates.sphere import generation_params, north_pole_state
-from cohstates.spinor import SpinorState, spinor_basis
+from cohstates.spinor import _entry
 
 _EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
         (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
@@ -52,6 +54,14 @@ _ZN = ("Z1", "Z2", "Z3")
 
 
 # -- the scalar reference carrier ---------------------------------------------
+
+class BasisIndex(NamedTuple):
+    """Angular-momentum basis label (j, m); equal to, and hashed like, the
+    plain (j, m) keys of StateVector.amplitudes."""
+
+    j: int
+    m: int
+
 
 def _rect(mag: float, phase: float) -> complex:
     """cmath.rect with the four quadrant phases kept exact.
@@ -174,7 +184,7 @@ def value(pair) -> complex:
 
 def amplitudes(s: StateVector) -> dict:
     """{BasisIndex: LogComplex} of the nonzero amplitudes of s."""
-    return {k: LogComplex(*v) for k, v in s.amplitudes.items()}
+    return {BasisIndex(*k): LogComplex(*v) for k, v in s.amplitudes.items()}
 
 
 def log_complex_sum(terms) -> LogComplex:
@@ -255,7 +265,46 @@ def relative_residual(lhs: StateVector, rhs: StateVector,
     return 0.0 if d == -math.inf else math.exp(0.5 * (d - ref))
 
 
-# -- spinor arithmetic ------------------------------------------------------
+# -- spinor states and their arithmetic --------------------------------------
+
+@dataclass(frozen=True)
+class SpinorState:
+    """Pair of representation-space components against auxiliary spin
+    up/down."""
+
+    up: StateVector
+    down: StateVector
+
+    def __post_init__(self):
+        if self.up.j_cut != self.down.j_cut:
+            raise ValueError("spinor components must share j_cut")
+
+    def log_norm_sq(self) -> float:
+        return log_sum_exp([self.up.log_norm_sq(), self.down.log_norm_sq()])
+
+
+def spinor_basis(j: int, m: int, j_cut: int,
+                 component: str = "up") -> SpinorState:
+    full = basis_state(j, m, j_cut)
+    empty = state_scale(full, 0)
+    if component == "up":
+        return SpinorState(full, empty)
+    return SpinorState(empty, full)
+
+
+def apply_spinor_table(t: BandTable, s: SpinorState) -> SpinorState:
+    """A two-component table applied to s, one block at a time.
+
+    Output component `row` is the sum over `col` of block (row, col) applied
+    to component `col`.  Each component keeps its own lost_log and gains what
+    its blocks raise past j_cut: the off-diagonal block starts from no loss.
+    """
+    comps = (s.up, s.down)
+    return SpinorState(*(state_sum([
+        apply_table(_entry(t, row, col), comps[col] if col == row
+                    else replace(comps[col], lost_log=-math.inf))
+        for col in (0, 1)]) for row in (0, 1)))
+
 
 def spinor_inner(a: SpinorState, b: SpinorState) -> complex:
     return inner(a.up, b.up) + inner(a.down, b.down)

@@ -381,6 +381,19 @@ class TestVerifyCommand:
         assert len([line for line in err.splitlines()
                     if "error:" in line and "--identity-j-cut" in line]) == 1
 
+    @pytest.mark.parametrize("value", ["-1", "1e3"])
+    def test_seed_out_of_range_is_a_flag_error(self, value, capsys,
+                                               monkeypatch):
+        # rejected while parsing, before any check runs
+        monkeypatch.setattr(cli, "run_all",
+                            lambda **kw: pytest.fail("a check ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", value])
+        assert exc.value.code == 2
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if "error:" in line]
+        assert len(err) == 1 and "--seed" in err[0]
+
     def test_starved_truncation_is_flagged(self, run):
         out = run(["verify", "--identity-j-cut", "12", "--j-cut", "12"],
                   expect_code=1)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import (LogComplex, inner, inner_log, relative_residual,
-                     restricted)
+from oracles import (BasisIndex, LogComplex, inner, inner_log,
+                     relative_residual, restricted)
 from cohstates import repspace
-from cohstates.repspace import (BasisIndex, StateVector, apply_J, apply_X,
+from cohstates.repspace import (StateVector, apply_J, apply_X,
                                 apply_Z, apply_table, basis_state, expectation,
                                 operator_table, residual_norm, state_scale,
                                 state_sum, z_vector_form_table)
@@ -41,7 +41,7 @@ def random_sparse_state(seed, j_cut=12, n=25):
 
 def apply_Z_vector_form(which, s):
     """The J^2-function route to Z_i applied to s."""
-    return apply_table(z_vector_form_table(which, s.j_cut), s)[0]
+    return apply_table(z_vector_form_table(which, s.j_cut), s)
 
 
 def amp(s, j, m):
@@ -212,8 +212,7 @@ class TestMemo:
         assert self.memo(s)["_expectations"].keys() == {"J3", "Xplus", "Z2"}
         other = replace(s, log_mag=s.log_mag[::-1])
         derived = [replace(s), other, s.normalized(), state_scale(s, 2j),
-                   state_sum([s, s]), apply_table(operator_table("J3", 12),
-                                                  s)[0]]
+                   state_sum([s, s]), apply_table(operator_table("J3", 12), s)]
         for d in derived:
             assert self.memo(d) == {}
         # a state made by replace() answers from its own arrays
@@ -386,7 +385,7 @@ class TestBandTables:
     def test_application_matches_sparse_action(self, which):
         # amplitudes spanning e^-30..e^5, the top level j_cut included
         s = random_sparse_state(1)
-        got, = apply_table(operator_table(which, s.j_cut), s)
+        got = apply_table(operator_table(which, s.j_cut), s)
         want = oracles.apply_operator(which, s)
         assert got.amplitudes.keys() == want.amplitudes.keys()
         assert relative_residual(got, want, s) <= 1e-14
@@ -396,7 +395,7 @@ class TestBandTables:
                                      ("Xplus", "Z2"), ("Jsq", "Xminus")])
     def test_product_matches_composition(self, a, b):
         s = random_sparse_state(2)
-        got, = apply_table(operator_table(a, 12) @ operator_table(b, 12), s)
+        got = apply_table(operator_table(a, 12) @ operator_table(b, 12), s)
         want = oracles.apply_operator(a, oracles.apply_operator(b, s))
         assert relative_residual(got, want, s, want) <= 1e-14
 
@@ -414,10 +413,11 @@ class TestBandTables:
             apply_table(operator_table("J3", 4), basis_state(0, 0, 5))
         with pytest.raises(ValueError):
             apply_table(identity_table(4, 2), s4)
-        with pytest.raises(ValueError):
+        # a table applies to one state, never to a list of components
+        with pytest.raises(TypeError):
             apply_table(operator_table("J3", 4), s4, s4)
         # 1 + 49 flat entries line up with two components at j_cut 4
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             apply_table(identity_table(4, 2), s0, s6)
 
     def test_column_norms_are_the_images_norms(self):

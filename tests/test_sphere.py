@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import inner_log, restricted
+from oracles import BasisIndex, inner_log, restricted
 from cohstates import sphere
-from cohstates.repspace import (BasisIndex, basis_state, expectation, grid,
+from cohstates.repspace import (basis_state, expectation, grid,
                                 state_scale, state_sum)
 from cohstates.sphere import (L_NORM_MAX, ConstraintError, SpherePhasePoint,
                               ZLabel, axis_reference_label,

@@ -3,37 +3,33 @@ import math
 import pytest
 
 import oracles
-from cohstates.repspace import (BasisIndex, apply_table, apply_Z,
-                                basis_state, state_scale, state_sum)
-from cohstates.spinor import (SpinorState, exp_minus_k_table, k_table,
-                              sigma_dot_table, spinor_basis, v_table,
-                              z_from_matrix_table, z_matrix_entries)
-from oracles import (relative_residual, restricted, spinor_inner,
-                     spinor_relative_residual, spinor_scale, spinor_sum)
+from cohstates.repspace import (apply_table, apply_Z, basis_state,
+                                state_scale, state_sum)
+from cohstates.spinor import (exp_minus_k_table, k_table, sigma_dot_table,
+                              v_table, z_from_matrix_table, z_matrix_entries)
+from oracles import (BasisIndex, SpinorState, apply_spinor_table,
+                     relative_residual, restricted, spinor_basis,
+                     spinor_inner, spinor_relative_residual, spinor_scale,
+                     spinor_sum)
 
 JC = 12
 INTERIOR = JC - 2
 
 
-def _apply(table, sp):
-    """A spinor table applied to a spinor state."""
-    return SpinorState(*apply_table(table, sp.up, sp.down))
-
-
 def apply_V(sp):
-    return _apply(v_table(sp.up.j_cut), sp)
+    return apply_spinor_table(v_table(sp.up.j_cut), sp)
 
 
 def apply_K(sp):
-    return _apply(k_table(sp.up.j_cut), sp)
+    return apply_spinor_table(k_table(sp.up.j_cut), sp)
 
 
 def apply_sigma_dot_J(sp):
-    return _apply(sigma_dot_table("J", sp.up.j_cut), sp)
+    return apply_spinor_table(sigma_dot_table("J", sp.up.j_cut), sp)
 
 
 def apply_exp_minus_K(sp):
-    return _apply(exp_minus_k_table(sp.up.j_cut), sp)
+    return apply_spinor_table(exp_minus_k_table(sp.up.j_cut), sp)
 
 
 def apply_Z_matrix(sp):
@@ -42,7 +38,7 @@ def apply_Z_matrix(sp):
 
 def apply_Z_from_matrix(which, phi):
     table = z_from_matrix_table(which, z_matrix_entries(phi.j_cut))
-    return apply_table(table, phi)[0]
+    return apply_table(table, phi)
 
 
 def up_amp(sp, j, m):
@@ -261,6 +257,6 @@ def test_table_routes_to_z_match_sparse_loops(which):
                              col_d.down) < 1e-14
     t1 = oracles.diag_mul_logs(apply_X("X" + which[1], phi),
                                lambda j: oracles.jsq_scalar_logs(j)[0])
-    got, = apply_table(z_vector_form_table(which, phi.j_cut), phi)
+    got = apply_table(z_vector_form_table(which, phi.j_cut), phi)
     assert relative_residual(got, oracles.apply_Z_vector_form(which, phi),
                              phi, t1) < 1e-14
