@@ -245,8 +245,14 @@ def cmd_sphere(args) -> int:
             # the routes' parametrization, not the phase point, is singular
             payload["path_disagreement_reason"] = str(exc)
             others = []
-        payload["path_disagreement"] = max(
-            (max_amplitude_rel_diff(state, o) for o in others), default=None)
+        worst = max((max_amplitude_rel_diff(state, o) for o in others),
+                    default=None)
+        if worst == math.inf:
+            payload["path_disagreement_reason"] = (
+                "the generation routes' disagreement overflows a double: "
+                "their sums cancel catastrophically near z3 = -1")
+            worst = None
+        payload["path_disagreement"] = worst
     _emit(args, payload, ["j", "m", "log_mag", "phase"], "%d,%d,%r,%r\r\n",
           _array_rows(js, ms, logs, phases),
           amplitudes=_array_rows(js, logs, ms, phases))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError
-from .logdomain import polar_array, rect_array
+from .logdomain import polar_array, rect_array, wrap_phase
 from .repspace import (StateVector, expectation, grid, operator_table,
                        residual_norm, state_scale, state_sum)
 from .specfun import gegenbauer_column, log_factorial
@@ -254,30 +254,41 @@ def coherent_triple_sum(zl: ZLabel, j_cut: int) -> StateVector:
     """Raw expansion over (j, m, k); agrees with the closed form.
 
     Kept as an independent verification path: it shares no code with the
-    Gegenbauer route beyond the log-domain carrier.  For each j the (m, k)
-    terms form an array with one column per target m - k, each column summed
-    around its largest term.
+    Gegenbauer route beyond the log-domain carrier.  Term (j, m, k) lands on
+    the target t = m - k, and its factor (j - t)!/(j + t)! depends on t
+    only, while mu^k / k! and its phase depend on k = m - t only.  So two
+    tables over m in [0, j_cut] and t in [-j_cut, j_cut] are built once:
+    the log of mu^k / k! (-inf for k < 0) and the unit phase factor of
+    nu^m e^{m gamma} mu^k.  Level j reads the slice m <= j, |t| <= j of
+    both, adds its m- and t-dependent logs, and sums each column t around
+    its largest term.
     """
     mu, nu, gamma = generation_params(zl)
     lf = np.array([log_factorial(n) for n in range(2 * j_cut + 1)])
-    lm = np.full((j_cut + 1) ** 2, -math.inf)
-    ph = np.zeros(lm.size)
+    top = np.empty((j_cut + 1) ** 2)
+    acc = np.empty(top.size, dtype=complex)
+    m = np.arange(j_cut + 1)
+    k = m[:, None] - np.arange(-j_cut, j_cut + 1)[None, :]
+    ok = k >= 0
+    k = np.where(ok, k, 0)
+    log_mu = np.where(ok, _log_power(mu, k) - lf[k], -math.inf)
+    unit_m = rect_array(0.0, wrap_phase(m * (cmath.phase(nu) + gamma.imag)))
+    unit_k = rect_array(0.0, wrap_phase(np.arange(2 * j_cut + 1)
+                                        * cmath.phase(mu)))
+    unit = unit_m[:, None] * unit_k[k]
+    log_nu = _log_power(nu, m) + m * gamma.real - lf[m]
     for j in range(j_cut + 1):
-        m = np.arange(j + 1)[:, None]
-        k = m - np.arange(-j, j + 1)[None, :]
-        ok = k >= 0
-        k = np.where(ok, k, 0)
-        lg = (-0.5 * j * (j + 1) + 0.5 * math.log(2 * j + 1)
-              + _log_power(nu, m) + m * gamma.real
-              - lf[m] + lf[j + m] - lf[j - m]
-              + _log_power(mu, k) - lf[k]
-              + 0.5 * (lf[j - m + k] - lf[j + m - k]))
-        lg = np.where(ok, lg, -math.inf)
-        phase = m * (cmath.phase(nu) + gamma.imag) + k * cmath.phase(mu)
-        top = np.nan_to_num(lg.max(axis=0), neginf=0.0)
-        acc = rect_array(lg - top, phase).sum(axis=0)
-        lm[j * j:(j + 1) ** 2], ph[j * j:(j + 1) ** 2] = polar_array(top, acc)
-    return StateVector(lm, ph, j_cut)
+        rows, cols = slice(j + 1), slice(j_cut - j, j_cut + j + 1)
+        t = np.arange(-j, j + 1)
+        m_part = (-0.5 * j * (j + 1) + 0.5 * math.log(2 * j + 1)
+                  + log_nu[rows] + lf[j + m[rows]] - lf[j - m[rows]])
+        t_part = 0.5 * (lf[j - t] - lf[j + t])
+        lg = log_mu[rows, cols] + m_part[:, None] + t_part
+        level = slice(j * j, (j + 1) ** 2)
+        peak = lg.max(axis=0)
+        top[level] = peak = np.where(peak > -math.inf, peak, 0.0)
+        acc[level] = (np.exp(lg - peak) * unit[rows, cols]).sum(axis=0)
+    return StateVector(*polar_array(top, acc), j_cut)
 
 
 def _log_power(w: complex, n: np.ndarray) -> np.ndarray:
@@ -300,7 +311,12 @@ def _exp_ladder(which: str, coef: complex, lm: np.ndarray, ph: np.ndarray,
     and a complex unit mantissa, which each step multiplies by
     e^{i arg coef}, exactly 1, i, -1 or -i for a quadrant coef, so quadrant
     phases stay exact.  The terms are added into a running sum rescaled to
-    its largest log-magnitude per amplitude.
+    its largest log-magnitude per amplitude.  Only the live terms are
+    carried, by flat index: the term from |j, m> reaches m = dm j after
+    j - dm m steps and then meets a zero coefficient, so nothing crosses
+    into the next multiplet.  With the terms sorted by that life, longest
+    first, the live ones at every step are a prefix, and the loop ends with
+    the longest life.
     """
     if coef == 0:
         return lm, ph
@@ -308,22 +324,26 @@ def _exp_ladder(which: str, coef: complex, lm: np.ndarray, ph: np.ndarray,
     with np.errstate(divide="ignore"):
         lc = np.log(c) + math.log(abs(coef))
     turn = complex(coef) / abs(coef)    # exact on the axes, unlike numpy's
+    top, unit = lm.copy(), rect_array(0.0, ph)
+    acc = np.where(lm > -math.inf, unit, 0)
     j, m = grid(j_cut)
-    # the term from |j, m> reaches m = dm j after j - dm m steps and then
-    # vanishes: the coefficient is 0 at m = +-j
-    steps = int(np.max(j - dm * m, where=lm > -math.inf, initial=0))
-    lc = np.roll(lc, dm)    # the coefficient of the step into each index
-    top, t_lm, t_u = lm, lm, rect_array(0.0, ph)
-    acc = np.where(lm > -math.inf, t_u, 0)
-    for k in range(1, steps + 1):
-        # np.roll by dm: the flat index moves with m; the coefficient is 0
-        # at m = +-j, so nothing crosses into the next multiplet or wraps
-        t_lm = np.concatenate((t_lm[-dm:], t_lm[:-dm])) + lc - math.log(k)
-        t_u = np.concatenate((t_u[-dm:], t_u[:-dm])) * turn
-        new_top = np.maximum(top, t_lm)
-        shift = np.where(new_top > -math.inf, new_top, 0.0)
-        acc = acc * np.exp(top - shift) + np.exp(t_lm - shift) * t_u
-        top = new_top
+    idx = np.flatnonzero(lm > -math.inf)
+    life = (j - dm * m)[idx]
+    idx = idx[np.argsort(-life)]
+    # live[k]: the number of terms that take a k-th step
+    live = np.cumsum(np.bincount(life)[::-1])[::-1]
+    t_lm, t_u = lm[idx], unit[idx]
+    for k in range(1, live.size):
+        n = live[k]
+        t_lm = t_lm[:n] + lc[idx[:n]] - math.log(k)
+        t_u = t_u[:n] * turn
+        idx = idx[:n] + dm
+        # every live term is finite, so its target's new top is too
+        old = top[idx]
+        new_top = np.maximum(old, t_lm)
+        acc[idx] = (acc[idx] * np.exp(old - new_top)
+                    + np.exp(t_lm - new_top) * t_u)
+        top[idx] = new_top
     return polar_array(top, acc)
 
 
@@ -440,9 +460,12 @@ def max_amplitude_rel_diff(a: StateVector, b: StateVector) -> float:
     The scale is taken from `a` (the reference construction); a global
     normalization mismatch between the two states shows up rather than
     cancelling.  Each difference is taken around the larger of its two
-    amplitudes, as state_sum does.
+    amplitudes, as state_sum does.  A ratio past the double range is inf.
     """
     if a.is_zero():
         raise ValueError("reference state has no amplitudes")
     d = state_sum([a, state_scale(b, -1.0)])
-    return math.exp(d.log_mag.max() - a.log_mag.max())
+    try:
+        return math.exp(d.log_mag.max() - a.log_mag.max())
+    except OverflowError:
+        return math.inf

@@ -8,7 +8,9 @@ the library was first written on, kept here as the reference, with its
 per-amplitude versions, written on that sparse carrier from the scalar
 matrix elements: the J, X and Z actions, every spinor operator, the
 J^2-function generator route, the per-basis-vector identity sweeps of
-`cohstates verify`, and the two sphere construction routes.  The tests hold the production code equal to them.  They read
+`cohstates verify`, and the two sphere construction routes, followed by
+the ladder's earlier loop over every array entry at every step.  The
+tests hold the production code equal to them.  They read
 states through `amplitudes` and build them back with
 `state_from_amplitudes`.  Inner products, the projection onto the levels
 j <= j_max and the relative residual of an identity act on the array
@@ -41,7 +43,8 @@ from cohstates.checks import CheckResult, _Worst
 from cohstates.logdomain import (log_sum_exp, polar_array, rect_array,
                                  wrap_phase)
 from cohstates.repspace import (BandTable, StateVector, apply_table,
-                                basis_state, state_scale, state_sum)
+                                basis_state, grid, operator_table,
+                                state_scale, state_sum)
 from cohstates.specfun import log_factorial
 from cohstates.sphere import generation_params, north_pole_state
 from cohstates.spinor import _entry
@@ -826,6 +829,34 @@ def coherent_ladder_generated(zl, j_cut: int) -> StateVector:
     s = exp_ladder("Jplus", nu, s)
     s = diag_exp_J3(gamma, s)
     return exp_ladder("Jminus", mu, s)
+
+
+def exp_ladder_dense(which: str, coef: complex, lm: np.ndarray,
+                     ph: np.ndarray, j_cut: int) -> tuple:
+    """The ladder series on every entry of the state arrays at every step,
+    live or not, for a fixed number of steps: the loop that
+    sphere._exp_ladder must match bit for bit."""
+    if coef == 0:
+        return lm, ph
+    (((_, dm, _), c),) = operator_table(which, j_cut).bands.items()
+    with np.errstate(divide="ignore"):
+        lc = np.log(c) + math.log(abs(coef))
+    turn = complex(coef) / abs(coef)
+    j, m = grid(j_cut)
+    # the term from |j, m> reaches m = dm j after j - dm m steps and then
+    # vanishes: the coefficient is 0 at m = +-j
+    steps = int(np.max(j - dm * m, where=lm > -math.inf, initial=0))
+    lc = np.roll(lc, dm)    # the coefficient of the step into each index
+    top, t_lm, t_u = lm, lm, rect_array(0.0, ph)
+    acc = np.where(lm > -math.inf, t_u, 0)
+    for k in range(1, steps + 1):
+        t_lm = np.concatenate((t_lm[-dm:], t_lm[:-dm])) + lc - math.log(k)
+        t_u = np.concatenate((t_u[-dm:], t_u[:-dm])) * turn
+        new_top = np.maximum(top, t_lm)
+        shift = np.where(new_top > -math.inf, new_top, 0.0)
+        acc = acc * np.exp(top - shift) + np.exp(t_lm - shift) * t_u
+        top = new_top
+    return polar_array(top, acc)
 
 
 # -- the closed form, one amplitude at a time --------------------------------

@@ -148,6 +148,16 @@ class TestSphereCommand:
         assert "z3 = -1" in d["path_disagreement_reason"]
         assert d["eigen_residual"] <= 1e-12
 
+    def test_check_paths_beside_z3_minus_one(self, run):
+        # x3 = -1/cosh|l|: z3 is -1 to 4e-8, and the routes' sums cancel
+        # past the double range, which is reported, not raised
+        d = run_json(run, ["sphere", "--x", "1.0,0,-8.496708510583178e-18",
+                           "--l", "-3.3986834076319546e-16,0,-40.00000004",
+                           "--check-paths"])
+        assert d["path_disagreement"] is None
+        assert "overflows" in d["path_disagreement_reason"]
+        assert d["eigen_residual_rel"] <= 1e-13
+
     def test_equator_at_rest_keeps_exact_zeros(self, run):
         # C_n(0) = 0 for odd n: the rows are exactly the j - |m| even ones
         argv = ["--x", "1,0,0", "--l", "0,0,0", "--j-cut", "20"]

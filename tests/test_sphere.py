@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import BasisIndex, inner_log, restricted
 from cohstates import sphere
+from cohstates.checks import PATH_TOL
 from cohstates.repspace import (basis_state, expectation, grid,
                                 state_scale, state_sum)
 from cohstates.sphere import (L_NORM_MAX, ConstraintError, SpherePhasePoint,
@@ -289,6 +290,47 @@ class TestDenseRoutesMatchOldLoops:
         assert max_amplitude_rel_diff(want, got) <= 1e-15
 
 
+class TestLadderLiveTermsMatchDenseLoop:
+    """The ladder on its live terms against the loop over every entry at
+    every step: the same float operations at every target a term reaches,
+    so the states are equal bit for bit."""
+
+    @staticmethod
+    def _assert_bit_identical(s, factors, monkeypatch):
+        got = sphere._ladder_product(s, *factors)
+        monkeypatch.setattr(sphere, "_exp_ladder", oracles.exp_ladder_dense)
+        want = sphere._ladder_product(s, *factors)
+        assert np.array_equal(got.log_mag, want.log_mag)
+        assert np.array_equal(got.phase, want.phase)
+
+    @pytest.mark.parametrize("l_norm", [0.0, 5.0, 25.0])
+    def test_generation(self, l_norm, monkeypatch):
+        zl = phase_to_z(_tangent_point(23, l_norm))
+        mu, nu, gamma = generation_params(zl)
+        self._assert_bit_identical(north_pole_state(default_j_cut(l_norm)),
+                                   (mu, gamma, nu), monkeypatch)
+
+    @pytest.mark.parametrize("axis", [[0, 1, 0], [1, 0, 0], [0.3, -0.4, 0.5]],
+                             ids=["real", "imaginary", "generic"])
+    def test_rotated_closed_form(self, axis, monkeypatch):
+        s = coherent_closed_form(phase_to_z(_tangent_point(23, 5.0)), 30)
+        self._assert_bit_identical(s, _gauss_factors(axis, 0.7), monkeypatch)
+
+    def test_zero_coefficient(self, monkeypatch):
+        s = coherent_closed_form(phase_to_z(_tangent_point(23, 5.0)), 30)
+        self._assert_bit_identical(s, (0j, 0.3 + 0.1j, 0.2 - 0.5j),
+                                   monkeypatch)
+
+
+@pytest.mark.parametrize("l_norm", [100.0, 200.0])
+def test_routes_agree_at_large_momentum(l_norm):
+    zl = phase_to_z(_tangent_point(23, l_norm))
+    cut = default_j_cut(l_norm)
+    a = coherent_closed_form(zl, cut)
+    for route in (coherent_triple_sum, coherent_ladder_generated):
+        assert max_amplitude_rel_diff(a, route(zl, cut)) <= PATH_TOL
+
+
 def _ladder_tolerance(s, lower, diag, upper):
     """First-order rounding bound on a ladder product, relative to its
     largest amplitude.
@@ -537,3 +579,9 @@ def test_three_paths_at_moderate_momentum():
     assert max_amplitude_rel_diff(a, coherent_triple_sum(zl, cut)) < 1e-10
     assert max_amplitude_rel_diff(
         a, coherent_ladder_generated(zl, cut)) < 1e-10
+
+
+def test_rel_diff_past_the_double_range_is_inf():
+    a = basis_state(1, 0, 10)
+    b = replace(a, log_mag=a.log_mag + 800.0)
+    assert max_amplitude_rel_diff(a, b) == math.inf
