@@ -91,8 +91,8 @@ def _int_arg(flag: str, lo: int, hi: float, auto: bool = False):
 # A sphere state at cut n holds (n + 1)^2 amplitudes, and a report prints
 # every nonzero one.  The upper bound is the automatic cut at the largest
 # supported |l| (355), 730: there a sphere report at --l 355,0,0 (534,361
-# nonzero amplitudes) takes 5.4-6.3 s, 1.1-1.2 s of it printing, and peaks
-# at 224 MB RSS as JSON and as CSV, the peak of the numbers alone, since the
+# nonzero amplitudes) takes 2.2-3.4 s, about 1 s of it printing, and peaks
+# at 180 MB RSS as JSON and as CSV, the peak of the numbers alone, since the
 # amplitudes are printed a chunk at a time (one Xeon core, numpy 2.4).
 SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))
 
@@ -226,7 +226,6 @@ def cmd_sphere(args) -> int:
         **_point_fields(point, state),
         "z_label": [_cnum(complex(v)) for v in zl.z],
         "tail_fraction": state.tail_fraction(bands=2),
-        "lost_fraction": state.lost_fraction(),
         "expect_J": list(expect_J(state)),
         "expect_X": list(point.r * expect_X(state)),
         "relative_X": [None if math.isnan(v) else v

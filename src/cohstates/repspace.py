@@ -4,9 +4,13 @@ Basis vectors |j, m> are joint eigenvectors of J^2 and J3 with integer j >= 0
 and |m| <= j (the twist, i.e. the J.X/r Casimir, is fixed at zero, which
 forces the minimal j to be 0 and all labels integer).  A state is a pair of
 log-magnitude and phase arrays over every (j, m) up to the truncation level
-j_cut.  Operators are tables of their action on every basis vector at once,
-built from their known matrix elements.  apply_* counts what it raises past
-j_cut in lost_log; expectations drop it, and tail_fraction guards them.
+j_cut.  Each operator's matrix elements are written down once, as branches
+that shift (j, m) by at most one step in each index.  Expectation values
+and eigen-residuals read every branch as a shifted slice of the state laid
+out on a padded (j, m) array; apply_* and the identity sweeps act through
+banded tables built from the same branches.  apply_* counts what it raises
+past j_cut in lost_log; expectations and residuals drop it, and
+tail_fraction guards them.
 """
 
 from __future__ import annotations
@@ -98,6 +102,26 @@ class StateVector:
         lm = self.log_mag - 0.5 * self._log_norm_sq
         lm.flags.writeable = False
         return lm
+
+    @cached_property
+    def _unit_rows(self) -> tuple:
+        """The unit-norm state on the padded grid [j, m + j_cut], zero where
+        |m| > j, as (top, rows, norm_sq): top[j] is the largest unit-norm
+        log-magnitude of level j (-inf for an empty one), rows[j] the level
+        scaled by e^{-top[j]}, and norm_sq the squared norm they add up to.
+        Callers check first that the state is nonzero."""
+        lm, n = self._unit_log_mag, self.j_cut + 1
+        starts = np.arange(n) ** 2
+        top = np.maximum.reduceat(lm, starts)
+        j, m = grid(self.j_cut)
+        vals = rect_array(lm - np.where(top > -math.inf, top, 0.0)[j],
+                          self.phase)
+        rows = np.zeros((n, 2 * n - 1), dtype=complex)
+        rows[j, m + self.j_cut] = vals
+        v = vals.view(float).reshape(-1, 2)
+        norm_sq = float(np.exp(2 * top) @ np.add.reduceat(
+            np.einsum("ij,ij->i", v, v), starts))
+        return top, rows, norm_sq
 
     @cached_property
     def _expectations(self) -> dict:
@@ -209,11 +233,16 @@ def state_sum(states: list[StateVector]) -> StateVector:
 # ---------------------------------------------------------------------------
 #
 # The flat index j*j + j + m is laid out by grid(); logdomain's rect_array()
-# turns (log-magnitude, phase) arrays into values and polar_array() back.  A
-# bilinear form <s|O|s> takes O|s> from the operator's table (below) as an
-# intermediate.  The largest log-magnitude is subtracted before
-# exponentiating, so nothing overflows and terms below e^-745 of the largest
-# underflow to zero.
+# turns (log-magnitude, phase) arrays into values and polar_array() back.
+# A bilinear form <s|O|s> or a residual (O - value)|s> reads the state on
+# the padded (j_cut + 1) x (2 j_cut + 1) grid [j, m + j_cut], zero where
+# |m| > j.  Every branch of an operator moves (j, m) by at most one step in
+# each index, so on that grid it is a shifted slice: its coefficients times
+# the source slice land on the target slice, and what it would raise past
+# j_cut falls off the edge.  Each row j is held relative to its own largest
+# log-magnitude, and the row scales, the branch weights e^{j} and e^{-j-1}
+# of Z among them, are combined as logs, so nothing overflows; terms below
+# e^-745 of the largest in their row underflow to zero.
 
 def grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
     """j and m at every flat index j*j + j + m up to j_cut."""
@@ -221,32 +250,40 @@ def grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
     return j, np.arange(j.size) - j * (j + 1)
 
 
+def _root(x):
+    """sqrt(x) for a product that is >= 0 at every basis index; 0 off the
+    basis, where the padded grid evaluates it too."""
+    return np.sqrt(np.maximum(x, 0))
+
+
 def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
     """Branches (dj, dm, coef, log_weight) of an operator over the (j, m) grid.
 
     O|j, m> = sum over branches of coef e^{log_weight} |j + dj, m + dm>, and
     each coefficient vanishes wherever its target is not a basis index.
-    This is the one place the matrix elements are written down (the tests
-    hold them equal to the scalar formulas).  The position operators at zero
-    twist are tridiagonal in j with no diagonal term, so X strictly changes
-    j.  X is the position operator at unit radius: the radius r only scales
-    <X>, which the sphere reports multiply by r.  Z has the selection rules
-    of X with the raising branch weighted by
-    e^{-j-1} and the lowering branch by e^{j}, kept in log form.
+    j and m are the flat grid(), or a j column and an m row, which give
+    arrays that broadcast over the padded grid (0 off the basis); a log
+    weight depends on j only.  This is the one place the matrix elements
+    are written down (the tests hold them equal to the scalar formulas).
+    The position operators at zero twist are tridiagonal in j with no
+    diagonal term, so X strictly changes j.  X is the position operator at
+    unit radius: the radius r only scales <X>, which the sphere reports
+    multiply by r.  Z has the selection rules of X with the raising branch
+    weighted by e^{-j-1} and the lowering branch by e^{j}, kept in log form.
     """
     if which in _Z_LABELS:
         weight = {1: -(j + 1.0), -1: j.astype(float)}
         return [(dj, dm, c, weight[dj])
                 for dj, dm, c, _ in _dense_branches("X" + which[1], j, m)]
-    w0 = np.zeros(j.size)    # no log weight
+    w0 = np.zeros(j.shape)    # no log weight
     if which == "J3":
         return [(0, 0, m.astype(float), w0)]
     if which == "Jsq":
         return [(0, 0, (j * (j + 1)).astype(float), w0)]
     if which == "Jplus":
-        return [(0, 1, np.sqrt((j - m) * (j + m + 1)), w0)]
+        return [(0, 1, _root((j - m) * (j + m + 1)), w0)]
     if which == "Jminus":
-        return [(0, -1, np.sqrt((j + m) * (j - m + 1)), w0)]
+        return [(0, -1, _root((j + m) * (j - m + 1)), w0)]
     if which in ("J1", "J2", "X1", "X2"):
         # the Hermitian combinations of a ladder pair, for J and X alike
         factors = (0.5, 0.5) if which[1] == "1" else (-0.5j, 0.5j)
@@ -257,55 +294,91 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
     # j = 0 has no lowering branch: its numerators below vanish there
     dn = np.sqrt(np.maximum((2 * j - 1) * (2 * j + 1), 1))
     if which == "X3":
-        return [(1, 0, np.sqrt((j - m + 1) * (j + m + 1)) / up, w0),
-                (-1, 0, np.sqrt((j - m) * (j + m)) / dn, w0)]
+        return [(1, 0, _root((j - m + 1) * (j + m + 1)) / up, w0),
+                (-1, 0, _root((j - m) * (j + m)) / dn, w0)]
     if which == "Xplus":
-        return [(1, 1, -np.sqrt((j + m + 1) * (j + m + 2)) / up, w0),
-                (-1, 1, np.sqrt((j - m - 1) * (j - m)) / dn, w0)]
+        return [(1, 1, -_root((j + m + 1) * (j + m + 2)) / up, w0),
+                (-1, 1, _root((j - m - 1) * (j - m)) / dn, w0)]
     if which == "Xminus":
-        return [(1, -1, np.sqrt((j - m + 1) * (j - m + 2)) / up, w0),
-                (-1, -1, -np.sqrt((j + m - 1) * (j + m)) / dn, w0)]
+        return [(1, -1, _root((j - m + 1) * (j - m + 2)) / up, w0),
+                (-1, -1, -_root((j + m - 1) * (j + m)) / dn, w0)]
     raise ValueError(f"unknown operator label {which!r}")
 
 
-def _unit_image(which: str, s: StateVector) -> tuple:
-    """The log-magnitudes lm of s scaled to unit norm, and the operator's
-    image e^{top} acc of (lm, s.phase), as (lm, top, acc); what the image
-    raises past j_cut is dropped uncounted."""
+def _shift(d: int, n: int) -> tuple[slice, slice]:
+    """Source and target slices of an axis of length n shifted by d."""
+    return slice(max(-d, 0), n - max(d, 0)), slice(max(d, 0), n + min(d, 0))
+
+
+def _slice_branches(which: str, s: StateVector) -> list:
+    """The operator's branches on the padded grid of s, as (source rows,
+    target rows, source columns, target columns, coefficients on the source
+    slice, log weight of each source row)."""
     if s.log_norm_sq() == -math.inf:
         raise ValueError("expectation value or residual of the zero state")
-    lm = s._unit_log_mag
-    return (lm, *_table_image(_label_table(which, s), lm, s.phase)[:2])
+    if which not in _J_LABELS | _X_LABELS | _Z_LABELS:
+        raise ValueError(f"unknown operator label {which!r}")
+    n = s.j_cut + 1
+    shape = (n, 2 * n - 1)
+    out = []
+    for dj, dm, c, w in _dense_branches(which, np.arange(n)[:, None],
+                                        np.arange(1 - n, n)[None, :]):
+        (sr, tr), (sc, tc) = _shift(dj, n), _shift(dm, shape[1])
+        out.append((sr, tr, sc, tc, np.broadcast_to(c, shape)[sr, sc],
+                    w[sr, 0]))
+    return out
 
 
 def expectation(which: str, s: StateVector) -> complex:
     """<s|O|s> / <s|s> for any label apply_J, apply_X or apply_Z accepts.
 
-    A state computes each expectation value once: the value is kept in its
-    memo, and a later call with the same label reads it back."""
+    Each branch adds, level by level, the sum of the conjugate target slice
+    times the coefficients times the source slice, weighted by
+    e^{target scale + source scale + branch weight - t}, with t the largest
+    such exponent.  A state computes each expectation value once: the
+    value is kept in its memo, and a later call with the same label reads
+    it back."""
     memo = s._expectations
     if which not in memo:
-        lm, top, acc = _unit_image(which, s)
-        t = max(top.max(), 0.0)    # at least the state's own scale, so finite
-        a = rect_array(lm, s.phase)
-        v = acc * np.exp(top - t)
-        memo[which] = complex(np.vdot(a, v) / np.vdot(a, a).real) * math.exp(t)
+        branches = _slice_branches(which, s)
+        top, rows, norm_sq = s._unit_rows
+        logs = [top[tr] + top[sr] + w for sr, tr, _, _, _, w in branches]
+        t = max(lg.max(initial=-math.inf) for lg in logs)
+        if t == -math.inf:
+            memo[which] = 0j
+        else:
+            acc = sum(np.einsum("ij,ij,ij->i", rows[tr, tc].conj(), c,
+                                rows[sr, sc]) @ np.exp(lg - t)
+                      for (sr, tr, sc, tc, c, _), lg in zip(branches, logs))
+            memo[which] = complex(acc / norm_sq) * math.exp(t)
     return memo[which]
 
 
 def residual_norm(which: str, s: StateVector, value: complex,
                   j_max: int) -> float:
-    """||(O - value)|s>|| / ||s||, counting only the levels j <= j_max."""
-    lm, top, acc = _unit_image(which, s)
+    """||(O - value)|s>|| / ||s||, counting only the levels j <= j_max.
+
+    Each target row is summed relative to the largest log scale among its
+    terms: log|value| plus the row's own scale, and each branch's source
+    row scale plus its weight.  The rows' squared norms are then added as
+    logs."""
+    branches = _slice_branches(which, s)
+    top, rows, _ = s._unit_rows
     value = complex(value)
-    lv = math.log(abs(value)) if value != 0 else -math.inf
-    t = max(top.max(), lm.max() + lv)
-    if t == -math.inf:
-        return 0.0
-    d = (acc * np.exp(top - t)
-         - value * rect_array(lm - t, s.phase))[:max(j_max + 1, 0) ** 2]
-    sq = float(np.vdot(d, d).real)
-    return 0.0 if sq == 0 else math.exp(t + 0.5 * math.log(sq))
+    lv, unit = ((math.log(abs(value)), value / abs(value)) if value
+                else (-math.inf, 0j))
+    scale = top + lv
+    for sr, tr, _, _, _, w in branches:
+        scale[tr] = np.maximum(scale[tr], top[sr] + w)
+    shift = np.where(scale > -math.inf, scale, 0.0)
+    d = -unit * np.exp(top + lv - shift)[:, None] * rows
+    for sr, tr, sc, tc, c, w in branches:
+        d[tr, tc] += (c * np.exp(top[sr] + w - shift[tr])[:, None]
+                      * rows[sr, sc])
+    v = d[:max(j_max + 1, 0)].view(float)
+    with np.errstate(divide="ignore"):
+        sq = 2 * shift[:len(v)] + np.log(np.einsum("ij,ij->i", v, v))
+    return math.exp(0.5 * log_sum_exp(sq))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConstraintError
 from .logdomain import polar_array, rect_array, wrap_phase
-from .repspace import (StateVector, expectation, grid, operator_table,
+from .repspace import (StateVector, _dense_branches, expectation, grid,
                        residual_norm, state_scale, state_sum)
 from .specfun import gegenbauer_column, log_factorial
 
@@ -320,7 +320,7 @@ def _exp_ladder(which: str, coef: complex, lm: np.ndarray, ph: np.ndarray,
     """
     if coef == 0:
         return lm, ph
-    (((_, dm, _), c),) = operator_table(which, j_cut).bands.items()
+    ((_, dm, c, _),) = _dense_branches(which, *grid(j_cut))
     with np.errstate(divide="ignore"):
         lc = np.log(c) + math.log(abs(coef))
     turn = complex(coef) / abs(coef)    # exact on the axes, unlike numpy's

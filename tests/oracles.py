@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from cohstates import __version__, checks, specfun
+from cohstates import __version__, checks, repspace, specfun
 from cohstates.checks import CheckResult, _Worst
 from cohstates.logdomain import (log_sum_exp, polar_array, rect_array,
                                  wrap_phase)
@@ -266,6 +266,42 @@ def relative_residual(lhs: StateVector, rhs: StateVector,
               + [x.log_norm_sq() for x in scales])
     d = diff.log_norm_sq()
     return 0.0 if d == -math.inf else math.exp(0.5 * (d - ref))
+
+
+def _table_unit_image(which: str, s: StateVector) -> tuple:
+    """The log-magnitudes lm of s scaled to unit norm, and the operator
+    table's image e^{top} acc of (lm, s.phase), as (lm, top, acc)."""
+    if s.log_norm_sq() == -math.inf:
+        raise ValueError("expectation value or residual of the zero state")
+    lm = s.log_mag - 0.5 * s.log_norm_sq()
+    return (lm, *repspace._table_image(repspace._label_table(which, s), lm,
+                                       s.phase)[:2])
+
+
+def table_expectation(which: str, s: StateVector) -> complex:
+    """<s|O|s> / <s|s> through the operator's banded table: the library's
+    expectation before it read the state as shifted slices."""
+    lm, top, acc = _table_unit_image(which, s)
+    t = max(top.max(), 0.0)    # at least the state's own scale, so finite
+    a = rect_array(lm, s.phase)
+    v = acc * np.exp(top - t)
+    return complex(np.vdot(a, v) / np.vdot(a, a).real) * math.exp(t)
+
+
+def table_residual_norm(which: str, s: StateVector, value: complex,
+                        j_max: int) -> float:
+    """||(O - value)|s>|| / ||s|| over the levels j <= j_max, through the
+    operator's banded table."""
+    lm, top, acc = _table_unit_image(which, s)
+    value = complex(value)
+    lv = math.log(abs(value)) if value != 0 else -math.inf
+    t = max(top.max(), lm.max() + lv)
+    if t == -math.inf:
+        return 0.0
+    d = (acc * np.exp(top - t)
+         - value * rect_array(lm - t, s.phase))[:max(j_max + 1, 0) ** 2]
+    sq = float(np.vdot(d, d).real)
+    return 0.0 if sq == 0 else math.exp(t + 0.5 * math.log(sq))
 
 
 # -- spinor states and their arithmetic --------------------------------------

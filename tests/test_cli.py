@@ -124,6 +124,13 @@ class TestSphereCommand:
         ratio = d["expect_J"][0] / 8.124
         assert 0.94 < ratio < 1.0
 
+    def test_report_has_no_lost_fraction(self, run):
+        # every report state is built in closed form, never by an operator
+        # application that could push mass past the cut
+        d = run_json(run, ["sphere", "--x", "0,0,1", "--l", "0,0,0"])
+        assert "lost_fraction" not in d
+        assert d["tail_fraction"] == 0.0
+
     def test_residual_relative_to_label_size(self, run):
         d = run_json(run, ["sphere", "--x", "0.412,0.412,0.812",
                            "--l", "8.124,-8.124,0"])

@@ -1,4 +1,6 @@
+import functools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +14,7 @@ from cohstates.repspace import (StateVector, apply_J, apply_X,
                                 apply_Z, apply_table, basis_state, expectation,
                                 operator_table, residual_norm, state_scale,
                                 state_sum, z_vector_form_table)
-from cohstates.sphere import SpherePhasePoint, coherent_state
+from cohstates.sphere import SpherePhasePoint, coherent_state, phase_to_z
 
 LABELS = ("J3", "Jplus", "Jminus", "Jsq", "X1", "X2", "X3", "Xplus",
           "Xminus", "Z1", "Z2", "Z3")
@@ -186,7 +188,7 @@ class TestMemo:
     """A state computes its norm, its unit-norm log-magnitudes and each
     expectation value once, and keeps them for as long as it lives."""
 
-    MEMO = ("_log_norm_sq", "_unit_log_mag", "_expectations")
+    MEMO = ("_log_norm_sq", "_unit_log_mag", "_unit_rows", "_expectations")
     ALL_LABELS = sorted(repspace._J_LABELS | repspace._X_LABELS
                         | repspace._Z_LABELS)
 
@@ -316,6 +318,75 @@ class TestDenseMatchesSparse:
             want = math.exp(0.5 * restricted(diff, s.j_cut - 2).log_norm_sq())
             _assert_close(residual_norm(which, s, value, s.j_cut - 2), want,
                           1e-13)
+
+
+@functools.lru_cache(maxsize=None)
+def _seeded_coherent(l_norm, j_cut="auto"):
+    """A coherent state at |l| = l_norm, at a seeded orientation, and its
+    label."""
+    rng = np.random.default_rng(int(10 * l_norm) + 1)
+    x = rng.normal(size=3)
+    x /= np.linalg.norm(x)
+    v = rng.normal(size=3)
+    v -= (v @ x) * x
+    p = SpherePhasePoint(x, l_norm * v / np.linalg.norm(v))
+    return coherent_state(p, j_cut), phase_to_z(p)
+
+
+class TestSlicesMatchTables:
+    """The shifted-slice expectations and residuals against the operator
+    table kernel they replaced, kept in tests/oracles.py."""
+
+    @pytest.mark.parametrize("l_norm", [0.0, 5.0, 12.0, 21.5, 100.0])
+    @pytest.mark.parametrize("which", LABELS)
+    def test_coherent_states(self, which, l_norm):
+        base, zl = _seeded_coherent(l_norm)
+        s = StateVector(base.log_mag, base.phase, base.j_cut)
+        want = oracles.table_expectation(which, s)
+        got = expectation(which, s)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+        # Z_i against its eigenvalue, as the report takes it, relative to
+        # the label size; J and X against their mean, relative to it
+        if which in ("Z1", "Z2", "Z3"):
+            value = complex(zl.z[int(which[1]) - 1])
+            size = float(np.linalg.norm(zl.z))
+        else:
+            value, size = want, max(1.0, abs(want))
+        j_max = s.j_cut - 2
+        got = residual_norm(which, s, value, j_max)
+        want = oracles.table_residual_norm(which, s, value, j_max)
+        assert abs(got - want) <= 1e-13 * size, (got, want)
+
+
+@pytest.mark.parametrize("which", ["Z1", "Z2", "Z3"])
+def test_z_residual_where_its_weight_overflows(which):
+    # past j = 709 the lowering weight e^{j} of Z overflows a double on its
+    # own; the residual combines it with the amplitudes as logs.  The
+    # coherent state has finite, tiny amplitudes up to the cut; its levels
+    # above 40 carry less than e^-1000 of the norm, so the sparse oracle
+    # reads the levels up to 40 only, at cut 42, which keeps their image.
+    base, zl = _seeded_coherent(3.0, 720)
+    s = StateVector(base.log_mag, base.phase, base.j_cut)
+    value = complex(zl.z[int(which[1]) - 1])
+    # an amplitude at j = 715 whose image, e^{685}-sized, is finite
+    lm = np.full(s.log_mag.size, -math.inf)
+    lm[[5 * 6, 715 * 716 + 2]] = [0.0, -30.0]
+    high = StateVector(lm, np.zeros(lm.size), 720)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [residual_norm(which, s, value, 718),
+               residual_norm(which, high, 0.0, 718)]
+    assert all(map(math.isfinite, got))
+    sn = s.normalized()
+    low = restricted(StateVector(sn.log_mag[:43 ** 2], sn.phase[:43 ** 2],
+                                 42), 40)
+    want = []
+    for state, v in ((low, value), (high, 0j)):
+        diff = state_sum([oracles.apply_Z(which, state),
+                          state_scale(state, -v)])
+        want.append(math.exp(0.5 * restricted(diff, 718).log_norm_sq()))
+    assert abs(got[0] - want[0]) <= 1e-13 * float(np.linalg.norm(zl.z))
+    assert got[1] == pytest.approx(want[1], rel=1e-13)
 
 
 def _dense_terms(which, j_cut):
