@@ -9,7 +9,7 @@ from .errors import ConstraintError
 from .logdomain import wrap_phase
 from .specfun import gegenbauer_column, hyp2f1_terminating, log_factorial
 from .repspace import (BandTable, StateVector, apply_J, apply_X, apply_Z,
-                       apply_table, basis_state, expectation, operator_table,
+                       basis_state, expectation, operator_table,
                        residual_norm, state_scale, state_sum)
 from .spinor import exp_minus_k_table, k_table, v_table
 from .circle import (CirclePhasePoint, CircleState, CircleUncertainty,

@@ -7,10 +7,10 @@ log-magnitude and phase arrays over every (j, m) up to the truncation level
 j_cut.  Each operator's matrix elements are written down once, as branches
 that shift (j, m) by at most one step in each index.  Expectation values
 and eigen-residuals read every branch as a shifted slice of the state laid
-out on a padded (j, m) array; apply_* and the identity sweeps act through
-banded tables built from the same branches.  apply_* counts what it raises
-past j_cut in lost_log; expectations and residuals drop it, and
-tail_fraction guards them.
+out on a padded (j, m) array, and apply_* reads its image off the
+residual's; the identity sweeps act through banded tables built from the
+same branches.  What an operator raises past j_cut is dropped, and
+tail_fraction guards against it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "apply_J",
     "apply_X",
     "apply_Z",
-    "apply_table",
     "BandTable",
     "operator_table",
     "identity_table",
@@ -51,14 +50,11 @@ class StateVector:
     Both arrays hold (j_cut + 1)^2 entries and are read-only: operations
     return fresh instances.  log_mag = -inf is an exact zero (stored with
     phase 0), and phases are kept in (-pi, pi] so quadrant phases stay exact.
-    lost_log is the log of the squared magnitude that apply_* calls raised
-    past j_cut and dropped; states built in closed form carry -inf.
     """
 
     log_mag: np.ndarray
     phase: np.ndarray
     j_cut: int
-    lost_log: float = -math.inf
 
     def __post_init__(self):
         n = (self.j_cut + 1) ** 2
@@ -135,11 +131,9 @@ class StateVector:
         return self.log_mag.max() == -math.inf
 
     def normalized(self) -> "StateVector":
-        ln2 = self.log_norm_sq()
-        if ln2 == -math.inf:
+        if self.is_zero():
             raise ValueError("cannot normalize the zero state")
-        return replace(self, log_mag=self._unit_log_mag,
-                       lost_log=self.lost_log - ln2)
+        return replace(self, log_mag=self._unit_log_mag)
 
     def tail_fraction(self, bands: int = 2) -> float:
         """Fraction of squared norm carried by the top `bands` j levels."""
@@ -148,12 +142,6 @@ class StateVector:
             return 0.0
         top = self.log_mag[max(self.j_cut - bands + 1, 0) ** 2:]
         return math.exp(log_sum_exp(2 * top) - total)
-
-    def lost_fraction(self) -> float:
-        """Mass apply_* calls pushed past j_cut over the squared norm."""
-        if self.lost_log == -math.inf:
-            return 0.0
-        return math.exp(self.lost_log - self.log_norm_sq())
 
 
 def basis_state(j: int, m: int, j_cut: int) -> StateVector:
@@ -174,16 +162,22 @@ _X_LABELS = {"X1", "X2", "X3", "Xplus", "Xminus"}
 _Z_LABELS = {"Z1", "Z2", "Z3"}
 
 
-def _label_table(which: str, s: StateVector,
-                 labels: set = _J_LABELS | _X_LABELS | _Z_LABELS) -> BandTable:
+def _apply(which: str, s: StateVector, labels: set) -> StateVector:
+    """O|s>, read off the image of the unit-norm state and scaled back by
+    the norm of s; what O raises past j_cut is dropped."""
     if which not in labels:
         raise ValueError(f"unknown operator label {which!r}")
-    return operator_table(which, s.j_cut)
+    if s.is_zero():
+        return s
+    shift, d = _image(which, s, 0)
+    j, m = grid(s.j_cut)
+    return StateVector(*polar_array(shift[j] + 0.5 * s.log_norm_sq(),
+                                    d[j, m + s.j_cut]), s.j_cut)
 
 
 def apply_J(which: str, s: StateVector) -> StateVector:
     """Exact action of J3, J+/-, or J^2 (ladder shifts never change j)."""
-    return apply_table(_label_table(which, s, _J_LABELS), s)
+    return _apply(which, s, _J_LABELS)
 
 
 def apply_X(which: str, s: StateVector) -> StateVector:
@@ -194,12 +188,12 @@ def apply_X(which: str, s: StateVector) -> StateVector:
     if which == "X2":
         return state_sum([state_scale(apply_X("Xplus", s), complex(0, -0.5)),
                           state_scale(apply_X("Xminus", s), complex(0, 0.5))])
-    return apply_table(_label_table(which, s, _X_LABELS), s)
+    return _apply(which, s, _X_LABELS)
 
 
 def apply_Z(which: str, s: StateVector) -> StateVector:
     """Coherent-state generator action from its explicit matrix elements."""
-    return apply_table(_label_table(which, s, _Z_LABELS), s)
+    return _apply(which, s, _Z_LABELS)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +204,7 @@ def state_scale(s: StateVector, c: complex) -> StateVector:
     c = complex(c)
     lc = math.log(abs(c)) if c else -math.inf
     return replace(s, log_mag=s.log_mag + lc,
-                   phase=s.phase + math.atan2(c.imag, c.real),
-                   lost_log=s.lost_log + 2 * lc)
+                   phase=s.phase + math.atan2(c.imag, c.real))
 
 
 def state_sum(states: list[StateVector]) -> StateVector:
@@ -223,9 +216,7 @@ def state_sum(states: list[StateVector]) -> StateVector:
     top = np.max([st.log_mag for st in states], axis=0)
     shift = np.where(top > -math.inf, top, 0.0)
     acc = sum(rect_array(st.log_mag - shift, st.phase) for st in states)
-    lm, ph = polar_array(shift, acc)
-    return StateVector(lm, ph, first.j_cut,
-                       log_sum_exp([st.lost_log for st in states]))
+    return StateVector(*polar_array(shift, acc), first.j_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +345,13 @@ def expectation(which: str, s: StateVector) -> complex:
     return memo[which]
 
 
-def residual_norm(which: str, s: StateVector, value: complex,
-                  j_max: int) -> float:
-    """||(O - value)|s>|| / ||s||, counting only the levels j <= j_max.
+def _image(which: str, s: StateVector, value: complex) -> tuple:
+    """(O - value)|s> for the unit-norm s on the padded grid, as (shift, d):
+    row j of the image is e^{shift[j]} d[j].
 
     Each target row is summed relative to the largest log scale among its
     terms: log|value| plus the row's own scale, and each branch's source
-    row scale plus its weight.  The rows' squared norms are then added as
-    logs."""
+    row scale plus its weight."""
     branches = _slice_branches(which, s)
     top, rows, _ = s._unit_rows
     value = complex(value)
@@ -375,6 +365,14 @@ def residual_norm(which: str, s: StateVector, value: complex,
     for sr, tr, sc, tc, c, w in branches:
         d[tr, tc] += (c * np.exp(top[sr] + w - shift[tr])[:, None]
                       * rows[sr, sc])
+    return shift, d
+
+
+def residual_norm(which: str, s: StateVector, value: complex,
+                  j_max: int) -> float:
+    """||(O - value)|s>|| / ||s||, counting only the levels j <= j_max: the
+    image's rows' squared norms added as logs."""
+    shift, d = _image(which, s, value)
     v = d[:max(j_max + 1, 0)].view(float)
     with np.errstate(divide="ignore"):
         sq = 2 * shift[:len(v)] + np.log(np.einsum("ij,ij->i", v, v))
@@ -394,7 +392,7 @@ def residual_norm(which: str, s: StateVector, value: complex,
 # applies to a state.  Every column carries its own log scale, so
 # the e^{j} weights of Z and e^{-K} cannot overflow.  A product gathers one
 # table at the other's targets, O(bands^2 n), and drops targets past j_cut
-# between the factors, as an application of one table does.
+# between the factors.
 
 @dataclass(frozen=True)
 class BandTable:
@@ -403,7 +401,7 @@ class BandTable:
     Column k is sent to sum over bands (dj, dm, dc) of
     e^{log_scale[k]} bands[(dj, dm, dc)][k] |j + dj, m + dm> in component
     c + dc, where (c, j, m) is the column's basis index.  Targets past j_cut
-    may carry coefficients; products, norms and applications drop them.
+    may carry coefficients; products and norms drop them.
     """
 
     bands: dict
@@ -531,47 +529,3 @@ def z_vector_form_table(which: str, j_cut: int) -> BandTable:
     cross = js[jn] @ xs[kn] - js[kn] @ xs[jn]
     return f @ xs[idx] + 1j * (g @ cross)
 
-
-def _table_image(t: BandTable, lm: np.ndarray, ph: np.ndarray) -> tuple:
-    """The table's image of the arrays (lm, ph) over its columns.
-
-    Returns (top, acc, lost): the image is e^{top} acc, each amplitude
-    summed around its largest term, and lost is the log of the squared
-    magnitude raised past j_cut.
-    """
-    lm = lm + t.log_scale
-    top = np.full(lm.size, -math.inf)
-    terms, lost = [], -math.inf
-    for key, coef in t.bands.items():
-        tgt, ok = t._targets(key, t.j_cut)
-        live = (coef != 0) & (lm > -math.inf)
-        with np.errstate(divide="ignore"):
-            lg = lm + np.log(np.abs(coef))
-        src = np.flatnonzero(live & ok)
-        # each band maps distinct sources to distinct targets
-        top[tgt[src]] = np.maximum(top[tgt[src]], lg[src])
-        # unit phases by real division: a complex division by a subnormal
-        # magnitude overflows
-        c, mag = coef[src], np.abs(coef[src])
-        terms.append((tgt[src], lg[src], ph[src],
-                      c.real / mag + 1j * (c.imag / mag)))
-        lost = np.logaddexp.reduce(2 * lg[live & ~ok], initial=lost)
-    acc = np.zeros(lm.size, dtype=complex)
-    for tgt, lg, phase, unit in terms:
-        acc[tgt] += unit * rect_array(lg - top[tgt], phase)
-    return top, acc, float(lost)
-
-
-def apply_table(t: BandTable, s: StateVector) -> StateVector:
-    """The one-component table's operator applied to the state s.
-
-    Each amplitude is summed around its largest contribution.  Terms raised
-    past j_cut are dropped, and their squared magnitude is added to
-    s.lost_log.
-    """
-    if s.j_cut != t.j_cut or s.log_mag.size != t.log_scale.size:
-        raise ValueError("the state must match the table's j_cut and its "
-                         "one component")
-    top, acc, lost = _table_image(t, s.log_mag, s.phase)
-    return StateVector(*polar_array(top, acc), t.j_cut,
-                       float(np.logaddexp(s.lost_log, lost)))

@@ -354,7 +354,7 @@ def _ladder_product(s: StateVector, lower: complex, diag: complex,
     _, m = grid(s.j_cut)
     lm, ph = _exp_ladder("Jminus", lower, lm + m * diag.real,
                          ph + m * diag.imag, s.j_cut)
-    return StateVector(lm, ph, s.j_cut, s.lost_log)
+    return StateVector(lm, ph, s.j_cut)
 
 
 def coherent_ladder_generated(zl: ZLabel, j_cut: int) -> StateVector:

@@ -1,20 +1,22 @@
 """Reference implementations kept for the tests.
 
-The library applies operators through banded coefficient tables, evaluates
-operator identities on those tables, and builds the triple-sum and ladder
-states on dense arrays.  `LogComplex` below is the scalar log-domain carrier
-the library was first written on, kept here as the reference, with its
-(j, m) label `BasisIndex`.  The loops after it are the earlier
-per-amplitude versions, written on that sparse carrier from the scalar
-matrix elements: the J, X and Z actions, every spinor operator, the
+The library applies operators as shifted slices of a padded (j, m) array,
+evaluates operator identities on banded coefficient tables, and builds the
+triple-sum and ladder states on dense arrays.  `LogComplex` below is the
+scalar log-domain carrier the library was first written on, kept here as
+the reference, with its (j, m) label `BasisIndex`.  The loops after it are
+the earlier per-amplitude versions, written on that sparse carrier from the
+scalar matrix elements: the J, X and Z actions, every spinor operator, the
 J^2-function generator route, the per-basis-vector identity sweeps of
-`cohstates verify`, and the two sphere construction routes, followed by
-the ladder's earlier loop over every array entry at every step.  The
-tests hold the production code equal to them.  They read
-states through `amplitudes` and build them back with
-`state_from_amplitudes`.  Inner products, the projection onto the levels
-j <= j_max and the relative residual of an identity act on the array
-states.  The spinor tests get their two-component states here:
+`cohstates verify`, and the two sphere construction routes, followed by the
+ladder's earlier loop over every array entry at every step.  The tests hold
+the production code equal to them.  They read states through `amplitudes`
+and build them back with `state_from_amplitudes`.  Inner products, the
+projection onto the levels j <= j_max and the relative residual of an
+identity act on the array states.  `apply_table` applies a one-component
+table to a state, as the library did before it read operator images off the
+padded array, and `table_expectation` and `table_residual_norm` are the
+slices' references.  The spinor tests get their two-component states here:
 `SpinorState`, `spinor_basis`, the application of a spinor table block by
 block, and spinor sums, scalings, inner products and residuals.  Then come
 the Fraction-sum series oracles of `cohstates verify`, which the integer
@@ -38,13 +40,12 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from cohstates import __version__, checks, repspace, specfun
+from cohstates import __version__, checks, specfun
 from cohstates.checks import CheckResult, _Worst
 from cohstates.logdomain import (log_sum_exp, polar_array, rect_array,
                                  wrap_phase)
-from cohstates.repspace import (BandTable, StateVector, apply_table,
-                                basis_state, grid, operator_table,
-                                state_scale, state_sum)
+from cohstates.repspace import (BandTable, StateVector, basis_state, grid,
+                                operator_table, state_scale, state_sum)
 from cohstates.specfun import log_factorial
 from cohstates.sphere import generation_params, north_pole_state
 from cohstates.spinor import _entry
@@ -171,10 +172,6 @@ class LogComplex:
             return ZERO
         return LogComplex(n * self.log_mag, wrap_phase(n * self.phase))
 
-    def abs_sq_log(self) -> float:
-        """log(|value|^2); -inf for zero."""
-        return 2.0 * self.log_mag
-
 
 ZERO = LogComplex(-math.inf, 0.0)
 ONE = LogComplex(0.0, 0.0)
@@ -211,8 +208,7 @@ def log_complex_sum(terms) -> LogComplex:
                       math.atan2(acc.imag, acc.real))
 
 
-def state_from_amplitudes(amps: dict, j_cut: int,
-                          lost_log: float = -math.inf) -> StateVector:
+def state_from_amplitudes(amps: dict, j_cut: int) -> StateVector:
     """The state with the {(j, m): LogComplex} amplitudes `amps`."""
     lm = np.full((j_cut + 1) ** 2, -math.inf)
     ph = np.zeros(lm.size)
@@ -220,14 +216,12 @@ def state_from_amplitudes(amps: dict, j_cut: int,
         if not (0 <= j <= j_cut and abs(m) <= j):
             raise ValueError(f"invalid basis index (j={j}, m={m})")
         lm[j * j + j + m], ph[j * j + j + m] = a.log_mag, a.phase
-    return StateVector(lm, ph, j_cut, lost_log)
+    return StateVector(lm, ph, j_cut)
 
 
-def with_amplitudes(s: StateVector, amps: dict,
-                    lost_log: float | None = None) -> StateVector:
-    """s with its amplitudes (and optionally lost_log) replaced."""
-    return state_from_amplitudes(
-        amps, s.j_cut, s.lost_log if lost_log is None else lost_log)
+def with_amplitudes(s: StateVector, amps: dict) -> StateVector:
+    """s with its amplitudes replaced."""
+    return state_from_amplitudes(amps, s.j_cut)
 
 
 # -- inner products, projections and residuals on the array states -----------
@@ -268,14 +262,42 @@ def relative_residual(lhs: StateVector, rhs: StateVector,
     return 0.0 if d == -math.inf else math.exp(0.5 * (d - ref))
 
 
+def _table_image(t: BandTable, lm: np.ndarray, ph: np.ndarray) -> tuple:
+    """The one-component table's image of the arrays (lm, ph), as (top, acc):
+    the image is e^{top} acc, each amplitude summed around its largest term,
+    and terms raised past j_cut are dropped."""
+    lm = lm + t.log_scale
+    top = np.full(lm.size, -math.inf)
+    terms = []
+    for key, coef in t.bands.items():
+        tgt, ok = t._targets(key, t.j_cut)
+        src = np.flatnonzero(ok & (coef != 0) & (lm > -math.inf))
+        tgt, c, mag = tgt[src], coef[src], np.abs(coef[src])
+        lg = lm[src] + np.log(mag)
+        # each band maps distinct sources to distinct targets
+        top[tgt] = np.maximum(top[tgt], lg)
+        # unit phases by real division: a complex division by a subnormal
+        # magnitude overflows
+        terms.append((tgt, lg, ph[src], c.real / mag + 1j * (c.imag / mag)))
+    acc = np.zeros(lm.size, dtype=complex)
+    for tgt, lg, phase, unit in terms:
+        acc[tgt] += unit * rect_array(lg - top[tgt], phase)
+    return top, acc
+
+
+def apply_table(t: BandTable, s: StateVector) -> StateVector:
+    """The one-component table's operator applied to the state s."""
+    return StateVector(*polar_array(*_table_image(t, s.log_mag, s.phase)),
+                       t.j_cut)
+
+
 def _table_unit_image(which: str, s: StateVector) -> tuple:
     """The log-magnitudes lm of s scaled to unit norm, and the operator
     table's image e^{top} acc of (lm, s.phase), as (lm, top, acc)."""
     if s.log_norm_sq() == -math.inf:
         raise ValueError("expectation value or residual of the zero state")
     lm = s.log_mag - 0.5 * s.log_norm_sq()
-    return (lm, *repspace._table_image(repspace._label_table(which, s), lm,
-                                       s.phase)[:2])
+    return (lm, *_table_image(operator_table(which, s.j_cut), lm, s.phase))
 
 
 def table_expectation(which: str, s: StateVector) -> complex:
@@ -335,14 +357,12 @@ def apply_spinor_table(t: BandTable, s: SpinorState) -> SpinorState:
     """A two-component table applied to s, one block at a time.
 
     Output component `row` is the sum over `col` of block (row, col) applied
-    to component `col`.  Each component keeps its own lost_log and gains what
-    its blocks raise past j_cut: the off-diagonal block starts from no loss.
+    to component `col`.
     """
     comps = (s.up, s.down)
-    return SpinorState(*(state_sum([
-        apply_table(_entry(t, row, col), comps[col] if col == row
-                    else replace(comps[col], lost_log=-math.inf))
-        for col in (0, 1)]) for row in (0, 1)))
+    return SpinorState(*(
+        state_sum([apply_table(_entry(t, row, col), comps[col])
+                   for col in (0, 1)]) for row in (0, 1)))
 
 
 def spinor_inner(a: SpinorState, b: SpinorState) -> complex:
@@ -374,20 +394,17 @@ def _emit(contribs: list, key: BasisIndex, amp: LogComplex):
 
 
 def _collect(contribs: Iterable, s: StateVector) -> StateVector:
-    """Combine per-index contributions, dropping (and counting) j > j_cut."""
+    """Combine per-index contributions, dropping j > j_cut."""
     buckets: dict = {}
-    lost = [s.lost_log]
     for key, amp in contribs:
-        if key.j > s.j_cut:
-            lost.append(amp.abs_sq_log())
-            continue
-        buckets.setdefault(key, []).append(amp)
+        if key.j <= s.j_cut:
+            buckets.setdefault(key, []).append(amp)
     amps = {}
     for key, terms in buckets.items():
         total = terms[0] if len(terms) == 1 else log_complex_sum(terms)
         if not total.is_zero:
             amps[key] = total
-    return with_amplitudes(s, amps, log_sum_exp(lost))
+    return with_amplitudes(s, amps)
 
 
 def jplus_coef(j: int, m: int) -> float:

@@ -54,7 +54,7 @@ def _unreferenced_public_names() -> set:
 
 def test_every_public_name_has_a_caller_in_the_library():
     assert _unreferenced_public_names() == {
-        # thin wrappers on apply_table that the CLI and verify never call;
+        # operator actions on a state that the CLI and verify never call;
         # the benchmark's tracer hooks all three and its self-test calls
         # apply_X, so they leave the library together when the benchmark
         # stops tracing them
