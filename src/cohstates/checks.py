@@ -114,12 +114,11 @@ class _Sweep:
         """lhs = rhs on every column; rhs None stands for zero."""
         sides = [lhs] if rhs is None else [lhs, rhs]
         diff = lhs if rhs is None else lhs - rhs
-        d = diff.column_log_norms(self.interior)
-        ref = np.max([t.column_log_norms(self.interior) for t in sides]
-                     + [t.column_log_norms() for t in scales], axis=0)
-        with np.errstate(invalid="ignore"):
-            r = np.where(d == -math.inf, 0.0,
-                         np.where(ref == -math.inf, math.inf, np.exp(d - ref)))
+        d = diff.column_norms(self.interior)
+        ref = np.max([t.column_norms(self.interior) for t in sides]
+                     + [t.column_norms() for t in scales], axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = d / ref     # 0/0 is NaN, which fmax below passes over
         self.worst = np.fmax(self.worst, np.where(self.inside, r, 0.0))
         self.identities += 1
 

@@ -98,8 +98,8 @@ SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))
 
 # The identity sweeps need an interior level j <= j_cut - 2 above the ground
 # multiplet, and hold each operator as a table of at most 15 bands over
-# (j_cut + 1)^2 complex coefficients per component: under 20 MB per table at
-# the upper bound, where the seven identity checks take 1.5 s and 70 MB.
+# (j_cut + 1)^2 finite complex coefficients per component, under 20 MB per
+# table at 200, where the 7 checks take 1.0-1.2 s and 77 MB on a 2-core Xeon.
 IDENTITY_J_CUT_RANGE = (3, 200)
 
 

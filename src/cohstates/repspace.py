@@ -389,32 +389,36 @@ def residual_norm(which: str, s: StateVector, value: complex,
 # columns.  Column c*n + j*j + j + m, with n = (j_cut + 1)^2, is |j, m> in
 # component c: one-component tables act on states, two-component ones are
 # the spinor operators, which verify multiplies, adds and norms but never
-# applies to a state.  Every column carries its own log scale, so
-# the e^{j} weights of Z and e^{-K} cannot overflow.  A product gathers one
-# table at the other's targets, O(bands^2 n), and drops targets past j_cut
-# between the factors.
+# applies to a state.  A product gathers one table at the other's targets,
+# O(bands^2 n), and drops targets past j_cut between the factors.  Plain
+# doubles hold the coefficients, the e^{j} weights of Z and e^{-K} included:
+# at verify's largest cut, 200, the largest is 4.8e172 (of Z1 Z1).  A table
+# that overflows raises ValueError when it is built (Z from cut 710, e^{-K}
+# from 702, Z Z from 357); the _unchecked arithmetic leaves it to that guard.
+_unchecked = np.errstate(over="ignore", invalid="ignore")
+
 
 @dataclass(frozen=True)
 class BandTable:
-    """Operator on every column at once.
-
-    Column k is sent to sum over bands (dj, dm, dc) of
-    e^{log_scale[k]} bands[(dj, dm, dc)][k] |j + dj, m + dm> in component
-    c + dc, where (c, j, m) is the column's basis index.  Targets past j_cut
-    may carry coefficients; products and norms drop them.
-    """
+    """Operator on every column at once: column k is sent to the sum over
+    bands (dj, dm, dc) of bands[(dj, dm, dc)][k] |j + dj, m + dm> in
+    component c + dc, where (c, j, m) is the column's basis index.  Targets
+    past j_cut may carry coefficients; products and norms drop them.  Every
+    coefficient is finite, or the table is not built."""
 
     bands: dict
-    log_scale: np.ndarray
     j_cut: int
+
+    def __post_init__(self):
+        if not all(np.isfinite(c).all() for c in self.bands.values()):
+            raise ValueError(f"table overflows a double at j_cut={self.j_cut}")
 
     @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Component, j and m of every column."""
-        n = (self.j_cut + 1) ** 2
-        comps = self.log_scale.size // n
         j, m = grid(self.j_cut)
-        return (np.repeat(np.arange(comps), n), np.tile(j, comps),
+        comps = next(iter(self.bands.values())).size // j.size
+        return (np.repeat(np.arange(comps), j.size), np.tile(j, comps),
                 np.tile(m, comps))
 
     def _targets(self, key: tuple, j_max: int) -> tuple:
@@ -424,93 +428,75 @@ class BandTable:
         c, j, m = self.columns
         ct, jt, mt = c + key[2], j + key[0], m + key[1]
         ok = ((jt >= 0) & (jt <= j_max) & (np.abs(mt) <= jt)
-              & (ct >= 0) & (ct * n < self.log_scale.size))
+              & (ct >= 0) & (ct <= c[-1]))
         return np.where(ok, ct * n + jt * (jt + 1) + mt, 0), ok
 
     def _check_shape(self, other: "BandTable") -> None:
-        if other.log_scale.shape != self.log_scale.shape:
+        # at one j_cut, as many columns means as many components
+        if len({(t.j_cut, t.columns[0].size) for t in (self, other)}) > 1:
             raise ValueError("tables must share j_cut and components")
 
+    @_unchecked
     def __matmul__(self, other: "BandTable") -> "BandTable":
         """The product self other, in which other acts first."""
         self._check_shape(other)
-        gathered = []
-        for key, coef in other.bands.items():
-            tgt, ok = other._targets(key, self.j_cut)
-            scale = np.where(ok & (coef != 0), self.log_scale[tgt], -math.inf)
-            gathered.append((key, coef, tgt, scale))
-        top = np.nan_to_num(np.max([g[3] for g in gathered], axis=0,
-                                   initial=-math.inf), neginf=0.0)
         bands: dict = {}
-        for kb, cb, tgt, scale in gathered:
-            w = cb * np.exp(scale - top)
+        for kb, cb in other.bands.items():
+            tgt, ok = other._targets(kb, self.j_cut)
+            w = np.where(ok, cb, 0)
             for ka, ca in self.bands.items():
                 key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
                 bands[key] = bands.get(key, 0) + ca[tgt] * w
-        return BandTable(bands, other.log_scale + top, self.j_cut)
+        return BandTable(bands, self.j_cut)
 
+    @_unchecked
     def __add__(self, other: "BandTable") -> "BandTable":
         self._check_shape(other)
-        top = np.maximum(self.log_scale, other.log_scale)
-        bands: dict = {}
-        for t in (self, other):
-            f = np.exp(t.log_scale - top)
-            for key, coef in t.bands.items():
-                bands[key] = bands.get(key, 0) + coef * f
-        return BandTable(bands, top, self.j_cut)
+        bands = dict(self.bands)
+        for key, coef in other.bands.items():
+            bands[key] = bands.get(key, 0) + coef
+        return BandTable(bands, self.j_cut)
 
+    @_unchecked
     def __rmul__(self, c: complex) -> "BandTable":
-        return BandTable({k: c * v for k, v in self.bands.items()},
-                         self.log_scale, self.j_cut)
+        return BandTable({k: c * v for k, v in self.bands.items()}, self.j_cut)
 
     def __sub__(self, other: "BandTable") -> "BandTable":
         return self + (-1.0) * other
 
-    def column_log_norms(self, j_max: int | None = None) -> np.ndarray:
-        """log of the norm of every column's image over the targets with
-        j <= j_max (default j_cut); -inf where that image is zero."""
+    def column_norms(self, j_max: int | None = None) -> np.ndarray:
+        """Norm of every column's image over the targets with j <= j_max
+        (default j_cut), its squares summed relative to the column's largest
+        coefficient so that they cannot overflow."""
         j_max = self.j_cut if j_max is None else j_max
-        sq = np.zeros(self.log_scale.size)
-        for key, coef in self.bands.items():
-            sq += np.abs(coef) ** 2 * self._targets(key, j_max)[1]
-        with np.errstate(divide="ignore"):
-            return self.log_scale + 0.5 * np.log(sq)
+        mags = [np.abs(c) * self._targets(key, j_max)[1]
+                for key, c in self.bands.items()]
+        top = np.max(mags, axis=0)
+        unit = np.where(top > 0, top, 1.0)
+        return top * np.sqrt(sum((a / unit) ** 2 for a in mags))
 
 
+@_unchecked
 def operator_table(which: str, j_cut: int) -> BandTable:
     """Table of J1, J2 or any label apply_J, apply_X or apply_Z accepts: one
-    band per dense branch, each column scaled to its largest branch weight."""
-    branches = _dense_branches(which, *grid(j_cut))
-    top = np.max([w for *_, w in branches], axis=0)
-    return BandTable({(dj, dm, 0): c * np.exp(w - top)
-                      for dj, dm, c, w in branches}, top, j_cut)
+    band per dense branch."""
+    return BandTable({(dj, dm, 0): c * np.exp(w) for dj, dm, c, w
+                      in _dense_branches(which, *grid(j_cut))}, j_cut)
 
 
 def identity_table(j_cut: int, components: int = 1) -> BandTable:
-    n = components * (j_cut + 1) ** 2
-    return BandTable({(0, 0, 0): np.ones(n)}, np.zeros(n), j_cut)
+    return BandTable({(0, 0, 0): np.ones(components * (j_cut + 1) ** 2)},
+                     j_cut)
 
 
-def _jsq_scalar_logs(j):
-    """Log values of the two scalar J^2 functions entering the generator.
-
-    With s = sqrt(1 + 4 j(j+1)) = 2j + 1:
-        f(j) = e^{1/2} (sinh(s/2)/s + cosh(s/2))
-        g(j) = 2 e^{1/2} sinh(s/2)/s
-    Rewritten around e^{s/2} so they stay finite in log form for any j.
-    """
-    sv = 2.0 * j + 1.0
-    es = np.exp(-sv)
-    logf = 0.5 + sv / 2 - math.log(2.0) + np.log((1 - es) / sv + 1 + es)
-    logg = 0.5 + sv / 2 + np.log1p(-es) - np.log(sv)
-    return logf, logg
-
-
+@_unchecked
 def jsq_tables(j_cut: int) -> tuple[BandTable, BandTable]:
-    """The diagonal tables of f(J^2) and g(J^2)."""
-    j, _ = grid(j_cut)
-    return tuple(BandTable({(0, 0, 0): np.ones(j.size)}, logs, j_cut)
-                 for logs in _jsq_scalar_logs(j))
+    """The diagonal tables of the generator's two scalar J^2 functions,
+    with s = sqrt(1 + 4 j(j+1)) = 2j + 1: f(j) = e^{1/2} (sinh(s/2)/s +
+    cosh(s/2)) and g(j) = 2 e^{1/2} sinh(s/2)/s."""
+    h = grid(j_cut)[0] + 0.5
+    return tuple(BandTable({(0, 0, 0): math.exp(0.5) * v}, j_cut)
+                 for v in (np.sinh(h) / (2 * h) + np.cosh(h), np.sinh(h) / h))
 
 
 def z_vector_form_table(which: str, j_cut: int) -> BandTable:

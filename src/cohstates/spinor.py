@@ -29,12 +29,9 @@ __all__ = [
 
 def _entry(t: BandTable, row: int, col: int) -> BandTable:
     """Block (row, col) of a spinor table as a one-component table."""
-    n = t.log_scale.size // 2
-    cols = slice(col * n, (col + 1) * n)
-    return BandTable({(dj, dm, 0): c[cols]
+    return BandTable({(dj, dm, 0): np.split(c, 2)[col]
                       for (dj, dm, dc), c in t.bands.items()
-                      if dc == row - col},
-                     t.log_scale[cols], t.j_cut)
+                      if dc == row - col}, t.j_cut)
 
 
 def sigma_dot_table(vector: str, j_cut: int) -> BandTable:
@@ -43,11 +40,9 @@ def sigma_dot_table(vector: str, j_cut: int) -> BandTable:
     a3 = operator_table(vector + "3", j_cut)
     blocks = {(0, 0): a3, (0, 1): operator_table(vector + "minus", j_cut),
               (1, 0): operator_table(vector + "plus", j_cut), (1, 1): -1.0 * a3}
-    n = (j_cut + 1) ** 2
     parts = [BandTable({(dj, dm, row - col):
-                        np.pad(c, (col * n, n - col * n))
-                        for (dj, dm, _), c in t.bands.items()},
-                       np.pad(t.log_scale, (col * n, n - col * n)), j_cut)
+                        np.pad(c, (col * c.size, (1 - col) * c.size))
+                        for (dj, dm, _), c in t.bands.items()}, j_cut)
              for (row, col), t in blocks.items()]
     return sum(parts[1:], parts[0])
 
@@ -67,19 +62,21 @@ def _expk_entries(j: np.ndarray, mu: np.ndarray) -> tuple:
 
     The block of sigma.J is [[mu, c], [c, -(mu+1)]] with
     c = sqrt((j-mu)(j+mu+1)); its eigenvalues are j and -(j+1), so the
-    exponential follows from the two spectral projectors.  Every entry is a
-    two-term sum of e^{j+1} and e^{-j} weights.  Returns the log weight
-    j + 1 and the entries (uu, ud, dd) divided by e^{j+1}.
+    exponential follows from the two spectral projectors.  Returns the
+    entries (uu, ud, dd), each a two-term sum of e^{j+1} and e^{-j} weights:
+        uu = ((j+1+mu) e^{j+1} + (j-mu) e^{-j}) / (2j+1)
+        ud = c (e^{j+1} - e^{-j}) / (2j+1)
+        dd = ((j-mu) e^{j+1} + (j+1+mu) e^{-j}) / (2j+1)
     """
     den = 2.0 * j + 1.0
-    rest = np.exp(-den)      # e^{-j} / e^{j+1}
+    up, down = np.exp(j + 1.0), np.exp(-j)
     c = np.sqrt(np.maximum((j - mu) * (j + mu + 1), 0))
-    e_uu = ((j + 1 + mu) + rest * (j - mu)) / den
-    e_ud = -c * np.expm1(-den) / den
-    e_dd = ((j - mu) + rest * (j + 1 + mu)) / den
-    return j + 1.0, e_uu, e_ud, e_dd
+    return (((j + 1 + mu) * up + (j - mu) * down) / den,
+            c * (up - down) / den,
+            ((j - mu) * up + (j + 1 + mu) * down) / den)
 
 
+@np.errstate(over="ignore", invalid="ignore")    # left to the range guard
 def exp_minus_k_table(j_cut: int) -> BandTable:
     """Exact e^{-K} from the invariant 2x2 blocks of sigma.J.
 
@@ -87,13 +84,12 @@ def exp_minus_k_table(j_cut: int) -> BandTable:
     column |j, m> the second vector of the block with mu = m - 1.
     """
     j, m = grid(j_cut)
-    scale, e_uu, e_ud, _ = _expk_entries(j, m)
-    _, _, e_du, e_dd = _expk_entries(j, m - 1)
+    e_uu, e_ud, _ = _expk_entries(j, m)
+    _, e_du, e_dd = _expk_entries(j, m - 1)
     zero = np.zeros(j.size)
     return BandTable({(0, 0, 0): np.concatenate([e_uu, e_dd]),
                       (0, 1, 1): np.concatenate([e_ud, zero]),
-                      (0, -1, -1): np.concatenate([zero, e_du])},
-                     np.concatenate([scale, scale]), j_cut)
+                      (0, -1, -1): np.concatenate([zero, e_du])}, j_cut)
 
 
 def z_matrix_entries(j_cut: int) -> tuple:

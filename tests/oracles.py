@@ -266,7 +266,6 @@ def _table_image(t: BandTable, lm: np.ndarray, ph: np.ndarray) -> tuple:
     """The one-component table's image of the arrays (lm, ph), as (top, acc):
     the image is e^{top} acc, each amplitude summed around its largest term,
     and terms raised past j_cut are dropped."""
-    lm = lm + t.log_scale
     top = np.full(lm.size, -math.inf)
     terms = []
     for key, coef in t.bands.items():

@@ -1,5 +1,6 @@
-"""Closed-form amplitudes and the Gegenbauer kernel against mpmath at 50
-digits, independently of the three construction routes."""
+"""Closed-form amplitudes, the Gegenbauer kernel and the scalar weights of
+the operator tables against mpmath at 50 digits, independently of the three
+construction routes."""
 
 import math
 
@@ -7,9 +8,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from cohstates.repspace import jsq_tables
 from cohstates.specfun import gegenbauer_column
 from cohstates.sphere import (SpherePhasePoint, coherent_closed_form,
                               default_j_cut, phase_to_z)
+from cohstates.spinor import _expk_entries
 
 X = np.array([0.36, 0.48, 0.8])
 DIRECTION = np.cross(X, [1.0, 0.3, -0.2])    # generic tangent direction
@@ -78,3 +81,27 @@ def test_gegenbauer_column_at_50_digits():
                                          mpmath.mpc(complex(z3)))
                 got = _mp_value(lm[n, k], ph[n, k])
                 assert abs(got - want) <= 1e-12 * abs(want), (n, alpha)
+
+
+@pytest.mark.parametrize("j", [0, 1, 30, 200])
+def test_table_scalars_at_50_digits(j):
+    # f(j) and g(j) of the J^2-function route and the entries (uu, ud, dd)
+    # of e^{-K}'s block, held as plain doubles, at block labels mu from
+    # -j - 1 to j
+    with mpmath.workdps(50):
+        e, h = mpmath.exp(mpmath.mpf(1) / 2), j + mpmath.mpf(1) / 2
+        f, g = jsq_tables(j)
+        for table, want in ((f, e * (mpmath.sinh(h) / (2 * h)
+                                     + mpmath.cosh(h))),
+                            (g, e * mpmath.sinh(h) / h)):
+            got = table.bands[(0, 0, 0)][j * j + j]
+            assert abs(got - want) <= 1e-14 * want, (j, float(got / want))
+        up, down, den = mpmath.exp(j + 1), mpmath.exp(-j), 2 * j + 1
+        for mu in sorted({-j - 1, -j, 0, j // 2, j}):
+            c = mpmath.sqrt((j - mu) * (j + mu + 1))
+            wants = (((j + 1 + mu) * up + (j - mu) * down) / den,
+                     c * (up - down) / den,
+                     ((j - mu) * up + (j + 1 + mu) * down) / den)
+            gots = _expk_entries(np.array(float(j)), np.array(float(mu)))
+            for got, want in zip(gots, wants):
+                assert abs(got - want) <= 1e-14 * abs(want), (j, mu)

@@ -131,9 +131,9 @@ class TestGenerators:
     def test_vector_form_scalars_collapse_at_ground(self):
         # sqrt(1 + 4 j(j+1)) = 1 at j = 0, so the first scalar function is
         # e^{1/2}(sinh(1/2) + cosh(1/2)) = e there
-        from cohstates.repspace import _jsq_scalar_logs
-        logf, _ = _jsq_scalar_logs(0)
-        assert math.exp(logf) == pytest.approx(math.e, rel=1e-14)
+        from cohstates.repspace import jsq_tables
+        f, _ = jsq_tables(0)
+        assert f.bands[(0, 0, 0)][0] == pytest.approx(math.e, rel=1e-14)
 
     def test_vector_form_matches_ladder_form_ground(self):
         a = apply_Z("Z3", basis_state(0, 0, 10))
@@ -504,14 +504,31 @@ class TestBandTables:
             identity_table(6, 2) + identity_table(6)
 
     def test_column_norms_are_the_images_norms(self):
-        t = operator_table("Z2", 8) @ operator_table("X1", 8)
-        norms = t.column_log_norms(6)
-        _, j, m = t.columns
-        for k in (0, 7, 30, 80):
-            image = oracles.apply_operator("Z2", oracles.apply_operator(
-                "X1", basis_state(int(j[k]), int(m[k]), 8)))
-            assert norms[k] == pytest.approx(
-                0.5 * restricted(image, 6).log_norm_sq(), abs=1e-14)
+        # at cut 200 the Z1 Z1 norms are about e^392, whose squares
+        # overflow a double
+        for a, b, j_cut, columns, tol in (
+                ("Z2", "X1", 8, (0, 7, 30, 80), dict(abs=1e-14)),
+                ("Z1", "Z1", 200, (197 ** 2, 197 ** 2 + 197, 198 ** 2 + 7,
+                                   198 ** 2 + 2 * 198), dict(rel=1e-14))):
+            t = operator_table(a, j_cut) @ operator_table(b, j_cut)
+            norms = t.column_norms(j_cut - 2)
+            _, j, m = t.columns
+            for k in columns:
+                image = oracles.apply_operator(a, oracles.apply_operator(
+                    b, basis_state(int(j[k]), int(m[k]), j_cut)))
+                assert math.log(norms[k]) == pytest.approx(
+                    0.5 * restricted(image, j_cut - 2).log_norm_sq(), **tol)
+
+    def test_tables_that_overflow_are_refused(self):
+        # the suite turns RuntimeWarnings into errors, so an overflow
+        # warning on the way to the ValueError would fail this test
+        from cohstates.spinor import exp_minus_k_table
+        for build in (lambda: operator_table("Z1", 720),
+                      lambda: exp_minus_k_table(720),
+                      lambda: operator_table("Z1", 400)
+                      @ operator_table("Z1", 400)):
+            with pytest.raises(ValueError, match="j_cut="):
+                build()
 
 
 class TestTruncationAccounting:
@@ -551,8 +568,9 @@ def test_commutator_spot_check():
 
 @pytest.mark.parametrize("which", ["Z1", "Z2", "Z3"])
 def test_subnormal_table_coefficients_stay_finite(which):
-    # Z's raising branch is scaled by e^-(2j+1) against its lowering branch
-    # in the table, a subnormal coefficient at j = 360
+    # from |360, 2> Z's branches carry e^{360} and e^-361, a ratio e^-721
+    # that is subnormal; the state path keeps each weight as a log per
+    # target level, so neither branch is rounded away
     s = basis_state(360, 2, 400)
     assert expectation(which, s) == 0
     want = restricted(oracles.apply_operator(which, s), 398)
