@@ -23,13 +23,12 @@ from .circle import (CirclePhasePoint, circle_coherent, circle_eigen_residual,
                      circle_expect_J, circle_expect_U,
                      circle_uncertainty_report)
 from .repspace import (BandTable, identity_table, jsq_tables, operator_table,
-                       z_vector_form_table)
+                       z_vector_form_tables)
 from .specfun import gegenbauer_column, hyp2f1_terminating, log_factorial
-from .spinor import k_table, v_table, z_from_matrix_table, z_matrix_entries
-from .sphere import (SpherePhasePoint, coherent_closed_form,
-                     coherent_ladder_generated, coherent_state,
-                     coherent_triple_sum, default_j_cut, eigen_residual,
-                     max_amplitude_rel_diff, phase_to_z, uncertainty_J)
+from .spinor import k_table, v_table, z_from_matrix_tables, z_matrix_entries
+from .sphere import (SpherePhasePoint, coherent_closed_form, coherent_state,
+                     default_j_cut, eigen_residual, path_disagreement,
+                     phase_to_z, uncertainty_J)
 
 __all__ = ["CheckResult", "run_all"]
 
@@ -199,14 +198,14 @@ def check_z_normalization(j_cut: int = 30) -> CheckResult:
 
 def check_z_routes(j_cut: int = 30) -> CheckResult:
     """Ladder-form Z equals the J^2-function route and the matrix route."""
-    xs = _tables(_XN, j_cut)
     f, _ = jsq_tables(j_cut)
     entries = z_matrix_entries(j_cut)
     sweep = _Sweep(j_cut)
-    for idx, z in enumerate(_ZN):
-        a = operator_table(z, j_cut)
-        sweep.add(a, z_vector_form_table(z, j_cut), sweep.one, f @ xs[idx])
-        sweep.add(a, z_from_matrix_table(z, entries), sweep.one, *entries)
+    for a, x, vec, mat in zip(_tables(_ZN, j_cut), _tables(_XN, j_cut),
+                              z_vector_form_tables(j_cut),
+                              z_from_matrix_tables(entries)):
+        sweep.add(a, vec, sweep.one, f @ x)
+        sweep.add(a, mat, sweep.one, *entries)
     return sweep.result("z_route_equality")
 
 
@@ -329,12 +328,8 @@ def check_three_paths(seed: int = 0) -> CheckResult:
         for _ in range(2):
             p = _random_tangent_point(rng, l_norm)
             zl = phase_to_z(p)
-            cut = default_j_cut(l_norm)
-            a = coherent_closed_form(zl, cut)
-            b = coherent_triple_sum(zl, cut)
-            c = coherent_ladder_generated(zl, cut)
-            worst.add(max(max_amplitude_rel_diff(a, b),
-                          max_amplitude_rel_diff(a, c)), _point(p))
+            a = coherent_closed_form(zl, default_j_cut(l_norm))
+            worst.add(path_disagreement(a, zl), _point(p))
     return worst.result("three_path_equality", PATH_TOL)
 
 
@@ -355,9 +350,7 @@ def check_label_constraint(seed: int = 0) -> CheckResult:
     for _ in range(100):
         l_norm = rng.uniform(0.0, 12.0)
         p = _random_tangent_point(rng, l_norm)
-        z = phase_to_z(p).z
-        scale = max(1.0, float(np.sum(np.abs(z) ** 2)))
-        worst.add(abs(z @ z - 1.0) / scale, _point(p))
+        worst.add(phase_to_z(p).deviation(), _point(p))
     return worst.result("label_constraint", IDENTITY_TOL)
 
 

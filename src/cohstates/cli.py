@@ -31,11 +31,10 @@ from .circle import (CirclePhasePoint, circle_coherent, circle_eigen_residual,
 from .rotator import (argmax_j, argmax_m, classical_peak_j,
                       distribution_from_state, rotator_energy)
 from .errors import ConstraintError
-from .sphere import (L_NORM_MAX, SpherePhasePoint,
-                     coherent_ladder_generated, coherent_state,
-                     coherent_triple_sum, default_j_cut, eigen_residual,
-                     expect_J, expect_X, max_amplitude_rel_diff, phase_to_z,
-                     relative_X, uncertainty_J)
+from .sphere import (L_NORM_MAX, SpherePhasePoint, coherent_state,
+                     default_j_cut, eigen_residual, expect_J, expect_X,
+                     path_disagreement, phase_to_z, relative_X,
+                     uncertainty_J)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -99,7 +98,7 @@ SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))
 # The identity sweeps need an interior level j <= j_cut - 2 above the ground
 # multiplet, and hold each operator as a table of at most 15 bands over
 # (j_cut + 1)^2 finite complex coefficients per component, under 20 MB per
-# table at 200, where the 7 checks take 1.0-1.2 s and 77 MB on a 2-core Xeon.
+# table at 200, where the 7 checks take 1.0-1.2 s and 84 MB on a 2-core Xeon.
 IDENTITY_J_CUT_RANGE = (3, 200)
 
 
@@ -217,8 +216,6 @@ def cmd_sphere(args) -> int:
     zl = phase_to_z(point)
     unc = uncertainty_J(state)
     residual = eigen_residual(state, zl)
-    # the Hermitian size sqrt(sum |z_i|^2) of the label, at least 1 on z.z = 1
-    label_size = math.sqrt(float(np.sum(np.abs(zl.z) ** 2)))
     js, ms, logs, phases = state.nonzero()
     if not (np.isfinite(logs).all() and np.isfinite(phases).all()):
         raise ValueError("the state has a non-finite amplitude")
@@ -232,20 +229,17 @@ def cmd_sphere(args) -> int:
                        for v in relative_X(state, point)],
         "uncertainty": {"var_J": unc.var_j, "bound": unc.bound},
         "eigen_residual": residual,
-        "eigen_residual_rel": residual / label_size,
-        "label_size": label_size,
+        "eigen_residual_rel": residual / zl.size(),
+        "label_size": zl.size(),
         "amplitude_log_range": float(logs.max() - logs.min()),
     }
     if args.check_paths:
         try:
-            others = [route(zl, state.j_cut) for route in
-                      (coherent_triple_sum, coherent_ladder_generated)]
+            worst = path_disagreement(state, zl)
         except ConstraintError as exc:
             # the routes' parametrization, not the phase point, is singular
             payload["path_disagreement_reason"] = str(exc)
-            others = []
-        worst = max((max_amplitude_rel_diff(state, o) for o in others),
-                    default=None)
+            worst = None
         if worst == math.inf:
             payload["path_disagreement_reason"] = (
                 "the generation routes' disagreement overflows a double: "

@@ -34,7 +34,7 @@ __all__ = [
     "operator_table",
     "identity_table",
     "jsq_tables",
-    "z_vector_form_table",
+    "z_vector_form_tables",
     "state_sum",
     "state_scale",
     "expectation",
@@ -499,19 +499,18 @@ def jsq_tables(j_cut: int) -> tuple[BandTable, BandTable]:
                  for v in (np.sinh(h) / (2 * h) + np.cosh(h), np.sinh(h) / h))
 
 
-def z_vector_form_table(which: str, j_cut: int) -> BandTable:
-    """Generator built from scalar functions of J^2, X/r and the J x X product.
+def z_vector_form_tables(j_cut: int) -> list[BandTable]:
+    """[Z1, Z2, Z3] built from scalar functions of J^2, X/r and J x X.
 
     Independent route to the same operators: f(J^2) X_i / r plus
     i g(J^2) (J x X)_i / r with J kept to the left of X and both scalar
     functions applied after the vector part (they are diagonal in j).  X/r
-    is the position operator table, at unit radius.
+    is the position operator table, at unit radius.  The J, X, f and g
+    tables are built once for all three.
     """
-    idx = ("Z1", "Z2", "Z3").index(which)
     js = [operator_table(f"J{i}", j_cut) for i in (1, 2, 3)]
     xs = [operator_table(f"X{i}", j_cut) for i in (1, 2, 3)]
     f, g = jsq_tables(j_cut)
-    jn, kn = (idx + 1) % 3, (idx + 2) % 3
-    cross = js[jn] @ xs[kn] - js[kn] @ xs[jn]
-    return f @ xs[idx] + 1j * (g @ cross)
-
+    # (J x X)_i = J_j X_k - J_k X_j over the cyclic (i, j, k)
+    return [f @ xs[i] + 1j * (g @ (js[j] @ xs[k] - js[k] @ xs[j]))
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]

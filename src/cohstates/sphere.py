@@ -51,6 +51,7 @@ __all__ = [
     "uncertainty_J",
     "SphereUncertainty",
     "max_amplitude_rel_diff",
+    "path_disagreement",
 ]
 
 TANGENCY_TOL = 1e-9
@@ -132,62 +133,62 @@ class SpherePhasePoint:
 class ZLabel:
     """Complex 3-vector label with the bilinear constraint z.z = 1.
 
-    The constraint check is relative to the Hermitian size sum |z_i|^2: the
-    bilinear sum cancels terms of order cosh^2|l| down to 1, so an absolute
-    comparison would reject exact labels on roundoff alone once |l| exceeds
-    about 8.
+    The constraint is checked on deviation(), relative to the Hermitian size
+    sum |z_i|^2: the bilinear sum cancels terms of order cosh^2|l| down to 1,
+    so an absolute comparison would reject exact labels on roundoff alone
+    once |l| exceeds about 8.  check=False builds a label off the quadric.
     """
 
     z: np.ndarray
-    checked: bool = True
 
     def __init__(self, z, *, check: bool = True):
         z = np.asarray(z, dtype=complex)
         if z.shape != (3,):
             raise ValueError(f"expected a complex 3-vector, got {z.shape}")
-        if check:
-            with np.errstate(over="ignore", invalid="ignore"):
-                scale = max(1.0, float(np.sum(np.abs(z) ** 2)))
-                dev = abs(z @ z - 1.0) / scale
-            if not dev <= LABEL_TOL:    # an overflow leaves a NaN: reject
-                raise ConstraintError(
-                    f"|z.z - 1| = {dev:.3g} of the label size exceeds {LABEL_TOL}")
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "checked", bool(check))
+        # an overflow leaves a NaN deviation, which fails the check
+        if check and not (dev := self.deviation()) <= LABEL_TOL:
+            raise ConstraintError(
+                f"|z.z - 1| = {dev:.3g} of the label size exceeds {LABEL_TOL}")
 
-    @classmethod
-    def unchecked(cls, z) -> "ZLabel":
-        """Bypass the bilinear check (used for axis reference labels only)."""
-        return cls(z, check=False)
+    def _size_sq(self) -> float:
+        return float(np.sum(np.abs(self.z) ** 2))
+
+    def size(self) -> float:
+        """sqrt(sum |z_i|^2), sqrt(cosh 2|l|) for a phase point's label."""
+        return math.sqrt(self._size_sq())
+
+    def deviation(self) -> float:
+        """|z.z - 1| / max(1, sum |z_i|^2); NaN where a square overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return abs(self.z @ self.z - 1.0) / max(1.0, self._size_sq())
 
 
-def _sinhc(t: float) -> float:
-    return math.sinh(t) / t if t != 0.0 else 1.0
+def _label_on(u: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """cosh|l| u + i (sinh|l|/|l|) (l cross u) for a unit vector u."""
+    ln = math.sqrt(l @ l)
+    sinhc = math.sinh(ln) / ln if ln != 0.0 else 1.0
+    return math.cosh(ln) * u + 1j * sinhc * np.cross(l, u)
 
 
 def phase_to_z(p: SpherePhasePoint) -> ZLabel:
-    """z = cosh|l| x/r + i (sinh|l|/|l|) (l cross x)/r; z.z = 1 exactly."""
-    ln = p.l_norm
-    real = math.cosh(ln) * p.x / p.r
-    imag = _sinhc(ln) * np.cross(p.l, p.x) / p.r
-    return ZLabel(real + 1j * imag)
+    """z = cosh|l| x/r + i (sinh|l|/|l|) (l cross x)/r; z.z = 1 exactly.
+
+    _label_on builds it on u = x/r, never forming cosh|l| x, so the label
+    depends on x/r alone, bit for bit, at every radius."""
+    return ZLabel(_label_on(p.x / p.r, p.l))
 
 
 def axis_reference_label(l, k: int) -> ZLabel:
-    """Label built from the k-th coordinate axis with an arbitrary l.
+    """Label built by _label_on from the k-th coordinate axis e_k and an
+    arbitrary l, for relative position averages.
 
-    Used for relative position averages.  Since l is generally not tangent
-    to the axis vector, the bilinear constraint fails by sinh^2|l| (l.n_k)^2
-    / |l|^2; the label is therefore constructed unchecked and the caller is
-    expected to treat the resulting state as a reference, not as a proper
-    coherent state.
+    Since l is generally not tangent to e_k, the bilinear constraint fails
+    by sinh^2|l| (l.e_k)^2 / |l|^2; the label is therefore built with
+    check=False, and the caller is expected to treat the resulting state as
+    a reference, not as a proper coherent state.
     """
-    l = _vec(l)
-    n = np.zeros(3)
-    n[k] = 1.0
-    ln = math.sqrt(l @ l)
-    z = math.cosh(ln) * n + 1j * _sinhc(ln) * np.cross(l, n)
-    return ZLabel.unchecked(z)
+    return ZLabel(_label_on(np.eye(3)[k], _vec(l)), check=False)
 
 
 def default_j_cut(l_norm: float) -> int:
@@ -469,3 +470,11 @@ def max_amplitude_rel_diff(a: StateVector, b: StateVector) -> float:
         return math.exp(d.log_mag.max() - a.log_mag.max())
     except OverflowError:
         return math.inf
+
+
+def path_disagreement(s: StateVector, zl: ZLabel) -> float:
+    """The worst max_amplitude_rel_diff against s of the triple sum and of
+    the ladder route, each built from zl at the cut of s.  Raises
+    ConstraintError where their parametrization is singular (z3 = -1)."""
+    return max(max_amplitude_rel_diff(s, route(zl, s.j_cut))
+               for route in (coherent_triple_sum, coherent_ladder_generated))

@@ -23,7 +23,7 @@ __all__ = [
     "k_table",
     "exp_minus_k_table",
     "z_matrix_entries",
-    "z_from_matrix_table",
+    "z_from_matrix_tables",
 ]
 
 
@@ -99,14 +99,9 @@ def z_matrix_entries(j_cut: int) -> tuple:
     return _entry(t, 0, 0), _entry(t, 0, 1), _entry(t, 1, 0), _entry(t, 1, 1)
 
 
-def z_from_matrix_table(which: str, entries: tuple) -> BandTable:
-    """The component generator (1/2) Tr(sigma_i e^{-K} V) from the entries
-    of z_matrix_entries: Z1 = (B + C)/2, Z2 = i(B - C)/2, Z3 = (A - D)/2."""
+def z_from_matrix_tables(entries: tuple) -> list[BandTable]:
+    """The generators [Z1, Z2, Z3], Z_i = (1/2) Tr(sigma_i e^{-K} V), from
+    the entries of z_matrix_entries: Z1 = (B + C)/2, Z2 = i(B - C)/2,
+    Z3 = (A - D)/2."""
     a, b, c, d = entries
-    if which == "Z1":
-        return 0.5 * (b + c)
-    if which == "Z2":
-        return 0.5j * (b - c)
-    if which == "Z3":
-        return 0.5 * (a - d)
-    raise ValueError(f"unknown Z component {which!r}")
+    return [0.5 * (b + c), 0.5j * (b - c), 0.5 * (a - d)]

@@ -13,7 +13,7 @@ from cohstates import repspace
 from cohstates.repspace import (StateVector, apply_J, apply_X, apply_Z,
                                 basis_state, expectation, operator_table,
                                 residual_norm, state_scale, state_sum,
-                                z_vector_form_table)
+                                z_vector_form_tables)
 from cohstates.sphere import SpherePhasePoint, coherent_state, phase_to_z
 
 LABELS = ("J3", "Jplus", "Jminus", "Jsq", "X1", "X2", "X3", "Xplus",
@@ -43,7 +43,8 @@ def random_sparse_state(seed, j_cut=12, n=25):
 
 def apply_Z_vector_form(which, s):
     """The J^2-function route to Z_i applied to s."""
-    return oracles.apply_table(z_vector_form_table(which, s.j_cut), s)
+    return oracles.apply_table(
+        z_vector_form_tables(s.j_cut)[int(which[1]) - 1], s)
 
 
 def amp(s, j, m):

@@ -14,8 +14,8 @@ from cohstates import sphere
 from cohstates.checks import PATH_TOL
 from cohstates.repspace import (basis_state, expectation, grid,
                                 state_scale, state_sum)
-from cohstates.sphere import (L_NORM_MAX, ConstraintError, SpherePhasePoint,
-                              ZLabel, axis_reference_label,
+from cohstates.sphere import (L_NORM_MAX, LABEL_TOL, ConstraintError,
+                              SpherePhasePoint, ZLabel, axis_reference_label,
                               coherent_closed_form, coherent_ladder_generated,
                               coherent_state, coherent_triple_sum,
                               default_j_cut, eigen_residual, expect_J,
@@ -149,7 +149,7 @@ class TestLabel:
         bad = [1.0, 1.0, 1.0]
         with pytest.raises(ConstraintError):
             ZLabel(bad)
-        assert not ZLabel.unchecked(bad).checked
+        assert ZLabel(bad, check=False).z.tolist() == bad
 
     def test_label_past_cosh_overflow_is_rejected(self):
         # at |l| = 356 the squares in z.z overflow, and the NaN deviation
@@ -159,9 +159,36 @@ class TestLabel:
             ZLabel([0.0, -1j * math.sinh(ln), math.cosh(ln)])
         with pytest.raises(ConstraintError):
             SpherePhasePoint([0.0, 0.0, 1.0], [ln, 0.0, 0.0])
-        # the largest supported |l| still gives a checked label
+        # the largest supported |l| still gives a label on the quadric
         p = SpherePhasePoint([0.0, 0.0, 1.0], [L_NORM_MAX, 0.0, 0.0])
-        assert phase_to_z(p).checked
+        assert phase_to_z(p).deviation() <= LABEL_TOL
+
+    # exact unit directions: x/r is the unit point itself at every radius
+    _DIRECTIONS = [([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]),
+                   ([0.0, 1.0, 0.0], [0.6, 0.0, -0.8]),
+                   ([-1.0, 0.0, 0.0], [0.0, 0.0, 1.0])]
+
+    @pytest.mark.parametrize("r", [1.0, 1e300, 1e-300])
+    @pytest.mark.parametrize("ln", [0.0, 1.0, 20.0, 100.0, L_NORM_MAX])
+    def test_size_and_deviation_at_every_radius(self, ln, r):
+        # sum |z_i|^2 = cosh^2|l| + sinh^2|l| = cosh 2|l|
+        for u, t in self._DIRECTIONS:
+            zl = phase_to_z(SpherePhasePoint([r * c for c in u],
+                                             [ln * c for c in t], r=r))
+            assert zl.size() == pytest.approx(math.sqrt(math.cosh(2 * ln)),
+                                              rel=1e-14)
+            assert zl.deviation() <= LABEL_TOL
+
+    @pytest.mark.parametrize("r", [1e300, 1e-300])
+    @pytest.mark.parametrize("ln", [0.0, 1.0, 20.0, 100.0, L_NORM_MAX])
+    def test_label_depends_on_x_over_r_alone(self, ln, r):
+        # no product of x with cosh|l| is formed, so neither end of the
+        # double range over- or underflows, and the label is the unit one
+        for u, t in self._DIRECTIONS:
+            l = [ln * c for c in t]
+            big = phase_to_z(SpherePhasePoint([r * c for c in u], l, r=r)).z
+            unit = phase_to_z(SpherePhasePoint(u, l)).z
+            assert big.tobytes() == unit.tobytes()
 
     def test_axis_reference_label_off_quadric(self):
         # the axis references genuinely violate the bilinear constraint when

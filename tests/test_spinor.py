@@ -5,7 +5,7 @@ import pytest
 import oracles
 from cohstates.repspace import apply_Z, basis_state, state_scale, state_sum
 from cohstates.spinor import (exp_minus_k_table, k_table, sigma_dot_table,
-                              v_table, z_from_matrix_table, z_matrix_entries)
+                              v_table, z_from_matrix_tables, z_matrix_entries)
 from oracles import (BasisIndex, SpinorState, apply_spinor_table, apply_table,
                      relative_residual, restricted, spinor_basis,
                      spinor_inner, spinor_relative_residual, spinor_scale,
@@ -36,7 +36,8 @@ def apply_Z_matrix(sp):
 
 
 def apply_Z_from_matrix(which, phi):
-    table = z_from_matrix_table(which, z_matrix_entries(phi.j_cut))
+    table = z_from_matrix_tables(z_matrix_entries(phi.j_cut))[
+        int(which[1]) - 1]
     return apply_table(table, phi)
 
 
@@ -243,7 +244,7 @@ def test_table_operators_match_sparse_loops(name):
 def test_table_routes_to_z_match_sparse_loops(which):
     # relative to the operands z_route_equality scales by: the blocks of
     # e^{-K} V and f(J^2) X_i applied to phi
-    from cohstates.repspace import apply_X, z_vector_form_table
+    from cohstates.repspace import apply_X, z_vector_form_tables
     phi = _wide_spinor().up
     empty = state_scale(phi, 0j)
     col_u = oracles.apply_Z_matrix(SpinorState(phi, empty))
@@ -254,6 +255,7 @@ def test_table_routes_to_z_match_sparse_loops(which):
                              col_d.down) < 1e-14
     t1 = oracles.diag_mul_logs(apply_X("X" + which[1], phi),
                                lambda j: oracles.jsq_scalar_logs(j)[0])
-    got = apply_table(z_vector_form_table(which, phi.j_cut), phi)
+    got = apply_table(z_vector_form_tables(phi.j_cut)[int(which[1]) - 1],
+                      phi)
     assert relative_residual(got, oracles.apply_Z_vector_form(which, phi),
                              phi, t1) < 1e-14
