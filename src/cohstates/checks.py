@@ -22,8 +22,8 @@ import numpy as np
 from .circle import (CirclePhasePoint, circle_coherent, circle_eigen_residual,
                      circle_expect_J, circle_expect_U,
                      circle_uncertainty_report)
-from .repspace import (BandTable, identity_table, jsq_tables, operator_table,
-                       z_vector_form_tables)
+from .repspace import (BandTable, grid, identity_table, jsq_tables,
+                       operator_table, z_vector_form_tables)
 from .specfun import gegenbauer_column, hyp2f1_terminating, log_factorial
 from .spinor import k_table, v_table, z_from_matrix_tables, z_matrix_entries
 from .sphere import (SpherePhasePoint, coherent_closed_form, coherent_state,
@@ -102,7 +102,7 @@ class _Sweep:
 
     def __init__(self, j_cut: int, components: int = 1):
         self.one = identity_table(j_cut, components)
-        _, self.j, self.m = self.one.columns
+        self.j, self.m = (np.tile(x, components) for x in grid(j_cut))
         self.interior = j_cut - 2
         self.inside = self.j <= self.interior
         self.worst = np.zeros(self.j.size)
@@ -400,7 +400,7 @@ def check_truncation_tail(j_cut="auto") -> CheckResult:
     """Tail mass of the reference figure state under the configured cut."""
     p = SpherePhasePoint([0.412, 0.412, 0.812], [8.124, -8.124, 0.0])
     s = coherent_state(p, j_cut=j_cut)
-    return CheckResult("truncation_tail", s.tail_fraction(bands=2), TAIL_TOL,
+    return CheckResult("truncation_tail", s.tail_fraction(), TAIL_TOL,
                        1, _point(p))
 
 

@@ -48,6 +48,10 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*a, **kw)
         self._negative_number_matcher = _NEGATIVE_TOKEN
 
+    def error(self, message):
+        """Exit 2 with the one line `<prog>: error: <message>`, no usage."""
+        self.exit(EXIT_FLAG_ERROR, f"{self.prog}: error: {message}\n")
+
 
 def _cnum(z: complex) -> list[float]:
     return [z.real, z.imag]
@@ -96,9 +100,9 @@ def _int_arg(flag: str, lo: int, hi: float, auto: bool = False):
 SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))
 
 # The identity sweeps need an interior level j <= j_cut - 2 above the ground
-# multiplet, and hold each operator as a table of at most 15 bands over
-# (j_cut + 1)^2 finite complex coefficients per component, under 20 MB per
-# table at 200, where the 7 checks take 1.0-1.2 s and 84 MB on a 2-core Xeon.
+# multiplet, and hold each operator as a table of at most 12 bands of
+# (j_cut + 1)^2 finite coefficients each, under 6 MB per table at 200, where
+# the 7 checks take 0.8-1.0 s and 72 MB on a 2-core Xeon.
 IDENTITY_J_CUT_RANGE = (3, 200)
 
 
@@ -222,7 +226,7 @@ def cmd_sphere(args) -> int:
     payload = {
         **_point_fields(point, state),
         "z_label": [_cnum(complex(v)) for v in zl.z],
-        "tail_fraction": state.tail_fraction(bands=2),
+        "tail_fraction": state.tail_fraction(),
         "expect_J": list(expect_J(state)),
         "expect_X": list(point.r * expect_X(state)),
         "relative_X": [None if math.isnan(v) else v

@@ -135,12 +135,12 @@ class StateVector:
             raise ValueError("cannot normalize the zero state")
         return replace(self, log_mag=self._unit_log_mag)
 
-    def tail_fraction(self, bands: int = 2) -> float:
-        """Fraction of squared norm carried by the top `bands` j levels."""
+    def tail_fraction(self) -> float:
+        """Fraction of squared norm carried by the top two j levels."""
         total = self.log_norm_sq()
         if total == -math.inf:
             return 0.0
-        top = self.log_mag[max(self.j_cut - bands + 1, 0) ** 2:]
+        top = self.log_mag[max(self.j_cut - 1, 0) ** 2:]
         return math.exp(log_sum_exp(2 * top) - total)
 
 
@@ -385,12 +385,12 @@ def residual_norm(which: str, s: StateVector, value: complex,
 #
 # An operator identity that holds on every basis vector is one identity
 # between tables.  A table stores the image of every basis vector in diagonal
-# form: a few bands (dj, dm, dc), each a coefficient array over the source
-# columns.  Column c*n + j*j + j + m, with n = (j_cut + 1)^2, is |j, m> in
-# component c: one-component tables act on states, two-component ones are
-# the spinor operators, which verify multiplies, adds and norms but never
-# applies to a state.  A product gathers one table at the other's targets,
-# O(bands^2 n), and drops targets past j_cut between the factors.  Plain
+# form: a few bands (dj, dm, row, col), each a coefficient array over the
+# flat index j*j + j + m of the sources, which it moves from component col
+# to row.  J, X and Z have one component; the spinor operators have two,
+# and verify multiplies, adds and norms them but never applies one to a
+# state.  A product gathers one table at the other's targets, O(bands^2
+# (j_cut+1)^2), and drops targets past j_cut between the factors.  Plain
 # doubles hold the coefficients, the e^{j} weights of Z and e^{-K} included:
 # at verify's largest cut, 200, the largest is 4.8e172 (of Z1 Z1).  A table
 # that overflows raises ValueError when it is built (Z from cut 710, e^{-K}
@@ -400,10 +400,10 @@ _unchecked = np.errstate(over="ignore", invalid="ignore")
 
 @dataclass(frozen=True)
 class BandTable:
-    """Operator on every column at once: column k is sent to the sum over
-    bands (dj, dm, dc) of bands[(dj, dm, dc)][k] |j + dj, m + dm> in
-    component c + dc, where (c, j, m) is the column's basis index.  Targets
-    past j_cut may carry coefficients; products and norms drop them.  Every
+    """Operator on every basis vector of every component at once: band
+    key = (dj, dm, row, col) sends |j, m> in component col to
+    bands[key][j*j + j + m] |j + dj, m + dm> in component row.  Targets past
+    j_cut may carry coefficients; products and norms drop them.  Every
     coefficient is finite, or the table is not built."""
 
     bands: dict
@@ -413,27 +413,20 @@ class BandTable:
         if not all(np.isfinite(c).all() for c in self.bands.values()):
             raise ValueError(f"table overflows a double at j_cut={self.j_cut}")
 
-    @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Component, j and m of every column."""
-        j, m = grid(self.j_cut)
-        comps = next(iter(self.bands.values())).size // j.size
-        return (np.repeat(np.arange(comps), j.size), np.tile(j, comps),
-                np.tile(m, comps))
+    @property
+    def components(self) -> int:
+        return 1 + max(max(key[2:]) for key in self.bands)
 
     def _targets(self, key: tuple, j_max: int) -> tuple:
-        """Target column of every column under band `key`, and whether it
-        is a basis index with j <= j_max (the target is 0 where it is not)."""
-        n = (self.j_cut + 1) ** 2
-        c, j, m = self.columns
-        ct, jt, mt = c + key[2], j + key[0], m + key[1]
-        ok = ((jt >= 0) & (jt <= j_max) & (np.abs(mt) <= jt)
-              & (ct >= 0) & (ct <= c[-1]))
-        return np.where(ok, ct * n + jt * (jt + 1) + mt, 0), ok
+        """Target flat index of every source under band `key`, and whether
+        it is a basis index with j <= j_max (0 where it is not)."""
+        j, m = grid(self.j_cut)
+        jt, mt = j + key[0], m + key[1]
+        ok = (jt >= 0) & (jt <= j_max) & (np.abs(mt) <= jt)
+        return np.where(ok, jt * (jt + 1) + mt, 0), ok
 
     def _check_shape(self, other: "BandTable") -> None:
-        # at one j_cut, as many columns means as many components
-        if len({(t.j_cut, t.columns[0].size) for t in (self, other)}) > 1:
+        if (self.j_cut, self.components) != (other.j_cut, other.components):
             raise ValueError("tables must share j_cut and components")
 
     @_unchecked
@@ -445,8 +438,9 @@ class BandTable:
             tgt, ok = other._targets(kb, self.j_cut)
             w = np.where(ok, cb, 0)
             for ka, ca in self.bands.items():
-                key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
-                bands[key] = bands.get(key, 0) + ca[tgt] * w
+                if ka[3] == kb[2]:
+                    key = (ka[0] + kb[0], ka[1] + kb[1], ka[2], kb[3])
+                    bands[key] = bands.get(key, 0) + ca[tgt] * w
         return BandTable(bands, self.j_cut)
 
     @_unchecked
@@ -465,28 +459,31 @@ class BandTable:
         return self + (-1.0) * other
 
     def column_norms(self, j_max: int | None = None) -> np.ndarray:
-        """Norm of every column's image over the targets with j <= j_max
-        (default j_cut), its squares summed relative to the column's largest
-        coefficient so that they cannot overflow."""
+        """Norm of every source's image over the targets with j <= j_max
+        (default j_cut), component after component, its squares summed
+        relative to its largest coefficient so that they cannot overflow."""
         j_max = self.j_cut if j_max is None else j_max
-        mags = [np.abs(c) * self._targets(key, j_max)[1]
-                for key, c in self.bands.items()]
-        top = np.max(mags, axis=0)
-        unit = np.where(top > 0, top, 1.0)
-        return top * np.sqrt(sum((a / unit) ** 2 for a in mags))
+        norms = []
+        for col in range(self.components):
+            mags = [np.abs(c) * self._targets(key, j_max)[1]
+                    for key, c in self.bands.items() if key[3] == col]
+            top = np.max(mags, axis=0)
+            unit = np.where(top > 0, top, 1.0)
+            norms.append(top * np.sqrt(sum((a / unit) ** 2 for a in mags)))
+        return np.concatenate(norms)
 
 
 @_unchecked
 def operator_table(which: str, j_cut: int) -> BandTable:
     """Table of J1, J2 or any label apply_J, apply_X or apply_Z accepts: one
     band per dense branch."""
-    return BandTable({(dj, dm, 0): c * np.exp(w) for dj, dm, c, w
+    return BandTable({(dj, dm, 0, 0): c * np.exp(w) for dj, dm, c, w
                       in _dense_branches(which, *grid(j_cut))}, j_cut)
 
 
 def identity_table(j_cut: int, components: int = 1) -> BandTable:
-    return BandTable({(0, 0, 0): np.ones(components * (j_cut + 1) ** 2)},
-                     j_cut)
+    return BandTable({(0, 0, c, c): np.ones((j_cut + 1) ** 2)
+                      for c in range(components)}, j_cut)
 
 
 @_unchecked
@@ -495,7 +492,7 @@ def jsq_tables(j_cut: int) -> tuple[BandTable, BandTable]:
     with s = sqrt(1 + 4 j(j+1)) = 2j + 1: f(j) = e^{1/2} (sinh(s/2)/s +
     cosh(s/2)) and g(j) = 2 e^{1/2} sinh(s/2)/s."""
     h = grid(j_cut)[0] + 0.5
-    return tuple(BandTable({(0, 0, 0): math.exp(0.5) * v}, j_cut)
+    return tuple(BandTable({(0, 0, 0, 0): math.exp(0.5) * v}, j_cut)
                  for v in (np.sinh(h) / (2 * h) + np.cosh(h), np.sinh(h) / h))
 
 

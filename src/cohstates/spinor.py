@@ -8,7 +8,9 @@ generators: the i-th generator is recovered as (1/2) Tr(sigma_i e^{-K} V).
 sigma.J leaves each (j, total-m) pair of basis vectors invariant, so e^{-K}
 is evaluated block by block from the two exact eigenvalues j and -(j+1); no
 series truncation is involved anywhere in this module.  Each operator is a
-two-component BandTable; no two-component state is ever built.
+two-component BandTable: block (row, col) of the 2x2 operator matrix is the
+bands keyed (dj, dm, row, col), and _entry reads it back as a one-component
+table.  No two-component state is ever built.
 """
 
 from __future__ import annotations
@@ -29,22 +31,20 @@ __all__ = [
 
 def _entry(t: BandTable, row: int, col: int) -> BandTable:
     """Block (row, col) of a spinor table as a one-component table."""
-    return BandTable({(dj, dm, 0): np.split(c, 2)[col]
-                      for (dj, dm, dc), c in t.bands.items()
-                      if dc == row - col}, t.j_cut)
+    return BandTable({(dj, dm, 0, 0): c
+                      for (dj, dm, r, k), c in t.bands.items()
+                      if (r, k) == (row, col)}, t.j_cut)
 
 
 def sigma_dot_table(vector: str, j_cut: int) -> BandTable:
     """sigma.A = [[A3, A-], [A+, -A3]] for A = J or the position operator X
-    at r = 1; block (row, col) acts on the columns of component col."""
+    at r = 1; block (row, col) sends component col to component row."""
     a3 = operator_table(vector + "3", j_cut)
     blocks = {(0, 0): a3, (0, 1): operator_table(vector + "minus", j_cut),
               (1, 0): operator_table(vector + "plus", j_cut), (1, 1): -1.0 * a3}
-    parts = [BandTable({(dj, dm, row - col):
-                        np.pad(c, (col * c.size, (1 - col) * c.size))
-                        for (dj, dm, _), c in t.bands.items()}, j_cut)
-             for (row, col), t in blocks.items()]
-    return sum(parts[1:], parts[0])
+    return BandTable({(dj, dm, row, col): c
+                      for (row, col), t in blocks.items()
+                      for (dj, dm, _, _), c in t.bands.items()}, j_cut)
 
 
 def v_table(j_cut: int) -> BandTable:
@@ -80,16 +80,14 @@ def _expk_entries(j: np.ndarray, mu: np.ndarray) -> tuple:
 def exp_minus_k_table(j_cut: int) -> BandTable:
     """Exact e^{-K} from the invariant 2x2 blocks of sigma.J.
 
-    An up column |j, m> is the first vector of the block with mu = m, a down
-    column |j, m> the second vector of the block with mu = m - 1.
+    An up vector |j, m> is the first vector of the block with mu = m, a down
+    vector |j, m> the second vector of the block with mu = m - 1.
     """
     j, m = grid(j_cut)
     e_uu, e_ud, _ = _expk_entries(j, m)
     _, e_du, e_dd = _expk_entries(j, m - 1)
-    zero = np.zeros(j.size)
-    return BandTable({(0, 0, 0): np.concatenate([e_uu, e_dd]),
-                      (0, 1, 1): np.concatenate([e_ud, zero]),
-                      (0, -1, -1): np.concatenate([zero, e_du])}, j_cut)
+    return BandTable({(0, 0, 0, 0): e_uu, (0, 0, 1, 1): e_dd,
+                      (0, 1, 1, 0): e_ud, (0, -1, 0, 1): e_du}, j_cut)
 
 
 def z_matrix_entries(j_cut: int) -> tuple:

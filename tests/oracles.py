@@ -890,7 +890,7 @@ def exp_ladder_dense(which: str, coef: complex, lm: np.ndarray,
     sphere._exp_ladder must match bit for bit."""
     if coef == 0:
         return lm, ph
-    (((_, dm, _), c),) = operator_table(which, j_cut).bands.items()
+    (((_, dm, _, _), c),) = operator_table(which, j_cut).bands.items()
     with np.errstate(divide="ignore"):
         lc = np.log(c) + math.log(abs(coef))
     turn = complex(coef) / abs(coef)

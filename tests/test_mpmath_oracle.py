@@ -94,7 +94,7 @@ def test_table_scalars_at_50_digits(j):
         for table, want in ((f, e * (mpmath.sinh(h) / (2 * h)
                                      + mpmath.cosh(h))),
                             (g, e * mpmath.sinh(h) / h)):
-            got = table.bands[(0, 0, 0)][j * j + j]
+            got = table.bands[(0, 0, 0, 0)][j * j + j]
             assert abs(got - want) <= 1e-14 * want, (j, float(got / want))
         up, down, den = mpmath.exp(j + 1), mpmath.exp(-j), 2 * j + 1
         for mu in sorted({-j - 1, -j, 0, j // 2, j}):

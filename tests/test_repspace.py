@@ -11,9 +11,9 @@ from oracles import (BasisIndex, LogComplex, inner, inner_log,
                      relative_residual, restricted)
 from cohstates import repspace
 from cohstates.repspace import (StateVector, apply_J, apply_X, apply_Z,
-                                basis_state, expectation, operator_table,
-                                residual_norm, state_scale, state_sum,
-                                z_vector_form_tables)
+                                basis_state, expectation, grid,
+                                operator_table, residual_norm, state_scale,
+                                state_sum, z_vector_form_tables)
 from cohstates.sphere import SpherePhasePoint, coherent_state, phase_to_z
 
 LABELS = ("J3", "Jplus", "Jminus", "Jsq", "X1", "X2", "X3", "Xplus",
@@ -134,7 +134,7 @@ class TestGenerators:
         # e^{1/2}(sinh(1/2) + cosh(1/2)) = e there
         from cohstates.repspace import jsq_tables
         f, _ = jsq_tables(0)
-        assert f.bands[(0, 0, 0)][0] == pytest.approx(math.e, rel=1e-14)
+        assert f.bands[(0, 0, 0, 0)][0] == pytest.approx(math.e, rel=1e-14)
 
     def test_vector_form_matches_ladder_form_ground(self):
         a = apply_Z("Z3", basis_state(0, 0, 10))
@@ -505,6 +505,7 @@ class TestBandTables:
             identity_table(6, 2) + identity_table(6)
 
     def test_column_norms_are_the_images_norms(self):
+        from cohstates.spinor import exp_minus_k_table, v_table
         # at cut 200 the Z1 Z1 norms are about e^392, whose squares
         # overflow a double
         for a, b, j_cut, columns, tol in (
@@ -513,12 +514,24 @@ class TestBandTables:
                                    198 ** 2 + 2 * 198), dict(rel=1e-14))):
             t = operator_table(a, j_cut) @ operator_table(b, j_cut)
             norms = t.column_norms(j_cut - 2)
-            _, j, m = t.columns
+            j, m = grid(j_cut)
             for k in columns:
                 image = oracles.apply_operator(a, oracles.apply_operator(
                     b, basis_state(int(j[k]), int(m[k]), j_cut)))
                 assert math.log(norms[k]) == pytest.approx(
                     0.5 * restricted(image, j_cut - 2).log_norm_sq(), **tol)
+        # spinor tables: the up columns, then the down ones, m = +-j included
+        j, m = grid(8)
+        for t in (v_table(8), exp_minus_k_table(8) @ v_table(8)):
+            norms = t.column_norms(6)
+            for k in (0, 8, 30, 81 + 9, 81 + 24, 81 + 35):
+                comp, flat = divmod(k, 81)
+                image = oracles.apply_spinor_table(t, oracles.spinor_basis(
+                    int(j[flat]), int(m[flat]), 8, ("up", "down")[comp]))
+                inside = oracles.SpinorState(restricted(image.up, 6),
+                                             restricted(image.down, 6))
+                assert math.log(norms[k]) == pytest.approx(
+                    0.5 * inside.log_norm_sq(), abs=1e-14)
 
     def test_tables_that_overflow_are_refused(self):
         # the suite turns RuntimeWarnings into errors, so an overflow
@@ -547,8 +560,7 @@ class TestTruncationAccounting:
     def test_tail_fraction_reports_top_bands(self):
         s = state_sum([basis_state(0, 0, 6),
                        state_scale(basis_state(6, 0, 6), 1e-8 + 0j)])
-        assert s.tail_fraction(bands=2) == pytest.approx(1e-16, rel=1e-10)
-        assert s.tail_fraction(bands=7) == pytest.approx(1.0)
+        assert s.tail_fraction() == pytest.approx(1e-16, rel=1e-10)
 
 
 def test_normalized_state_has_unit_norm():

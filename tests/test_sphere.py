@@ -578,7 +578,7 @@ class TestUncertainty:
 
 def test_adaptive_truncation_reaches_tail_target(fig1_point):
     s = coherent_state(fig1_point)
-    assert s.tail_fraction(bands=2) <= 1e-24
+    assert s.tail_fraction() <= 1e-24
     assert s.j_cut >= default_j_cut(fig1_point.l_norm)
 
 
@@ -590,7 +590,7 @@ def test_default_cut_tail_underflows_over_the_range():
     for seed, l_norm in enumerate(norms):
         s = coherent_state(_tangent_point(seed, l_norm))
         assert s.j_cut == default_j_cut(l_norm)
-        assert s.tail_fraction(bands=2) == 0.0, l_norm
+        assert s.tail_fraction() == 0.0, l_norm
 
 
 def test_three_paths_at_moderate_momentum():

@@ -259,3 +259,24 @@ def test_table_routes_to_z_match_sparse_loops(which):
                       phi)
     assert relative_residual(got, oracles.apply_Z_vector_form(which, phi),
                              phi, t1) < 1e-14
+
+
+def test_sigma_dot_blocks_are_the_component_operators():
+    from cohstates.repspace import operator_table
+    from cohstates.spinor import _entry
+    t = sigma_dot_table("X", 8)
+    x3 = operator_table("X3", 8)
+    for (row, col), want in (((0, 0), x3),
+                             ((0, 1), operator_table("Xminus", 8)),
+                             ((1, 0), operator_table("Xplus", 8)),
+                             ((1, 1), -1.0 * x3)):
+        got = _entry(t, row, col).bands
+        assert got.keys() == want.bands.keys()
+        assert all(got[k].tobytes() == want.bands[k].tobytes() for k in got)
+
+
+def test_spinor_bands_hold_one_coefficient_per_basis_vector():
+    tables = [v_table(8), k_table(8), exp_minus_k_table(8),
+              exp_minus_k_table(8) @ v_table(8), *z_matrix_entries(8)]
+    for t in tables:
+        assert all(c.shape == (81,) for c in t.bands.values())
