@@ -132,7 +132,7 @@ def _tables(labels: tuple, j_cut: int) -> list:
     return [operator_table(w, j_cut) for w in labels]
 
 
-def check_e3_commutators(j_cut: int = 30) -> CheckResult:
+def check_e3_commutators(j_cut: int) -> CheckResult:
     """[J,J], [J,X] close on the structure constants; [X,X] vanishes."""
     js, xs = _tables(_JN, j_cut), _tables(_XN, j_cut)
     sweep = _Sweep(j_cut)
@@ -151,7 +151,7 @@ def check_e3_commutators(j_cut: int = 30) -> CheckResult:
     return sweep.result("e3_commutators")
 
 
-def check_casimirs(j_cut: int = 30) -> CheckResult:
+def check_casimirs(j_cut: int) -> CheckResult:
     """X.X = r^2 (r = 1) and J.X = 0 on interior basis vectors."""
     js, xs = _tables(_JN, j_cut), _tables(_XN, j_cut)
     sweep = _Sweep(j_cut)
@@ -162,7 +162,7 @@ def check_casimirs(j_cut: int = 30) -> CheckResult:
     return sweep.result("casimirs")
 
 
-def check_v_squared(j_cut: int = 30) -> CheckResult:
+def check_v_squared(j_cut: int) -> CheckResult:
     """V^2 = I blockwise (V Hermitian and unitary on the interior)."""
     v = v_table(j_cut)
     sweep = _Sweep(j_cut, components=2)
@@ -170,7 +170,7 @@ def check_v_squared(j_cut: int = 30) -> CheckResult:
     return sweep.result("v_squared")
 
 
-def check_kv_anticommutator(j_cut: int = 30) -> CheckResult:
+def check_kv_anticommutator(j_cut: int) -> CheckResult:
     """K V + V K = 0 at zero twist."""
     v, k = v_table(j_cut), k_table(j_cut)
     sweep = _Sweep(j_cut, components=2)
@@ -179,7 +179,7 @@ def check_kv_anticommutator(j_cut: int = 30) -> CheckResult:
     return sweep.result("kv_anticommutator")
 
 
-def check_z_commutativity(j_cut: int = 30) -> CheckResult:
+def check_z_commutativity(j_cut: int) -> CheckResult:
     zs = _tables(_ZN, j_cut)
     sweep = _Sweep(j_cut)
     for i, k in itertools.combinations(range(3), 2):
@@ -188,7 +188,7 @@ def check_z_commutativity(j_cut: int = 30) -> CheckResult:
     return sweep.result("z_commutativity")
 
 
-def check_z_normalization(j_cut: int = 30) -> CheckResult:
+def check_z_normalization(j_cut: int) -> CheckResult:
     """Z1^2 + Z2^2 + Z3^2 = I on interior basis vectors."""
     parts = [z @ z for z in _tables(_ZN, j_cut)]
     sweep = _Sweep(j_cut)
@@ -196,7 +196,7 @@ def check_z_normalization(j_cut: int = 30) -> CheckResult:
     return sweep.result("z_normalization")
 
 
-def check_z_routes(j_cut: int = 30) -> CheckResult:
+def check_z_routes(j_cut: int) -> CheckResult:
     """Ladder-form Z equals the J^2-function route and the matrix route."""
     f, _ = jsq_tables(j_cut)
     entries = z_matrix_entries(j_cut)
@@ -315,7 +315,7 @@ def _random_tangent_point(rng: np.random.Generator,
     return SpherePhasePoint(x, l_norm * (v / n))
 
 
-def check_three_paths(seed: int = 0) -> CheckResult:
+def check_three_paths(seed: int) -> CheckResult:
     """Closed form vs triple sum vs ladder generation, amplitude-wise.
 
     Fourteen phase points: two generic orientations at each momentum
@@ -333,7 +333,7 @@ def check_three_paths(seed: int = 0) -> CheckResult:
     return worst.result("three_path_equality", PATH_TOL)
 
 
-def check_eigen_residuals(seed: int = 0) -> CheckResult:
+def check_eigen_residuals(seed: int) -> CheckResult:
     """Generator eigenvalue equation on adaptively truncated states."""
     rng = np.random.default_rng(seed)
     worst = _Worst()
@@ -343,7 +343,7 @@ def check_eigen_residuals(seed: int = 0) -> CheckResult:
     return worst.result("eigen_residuals", RESIDUAL_TOL)
 
 
-def check_label_constraint(seed: int = 0) -> CheckResult:
+def check_label_constraint(seed: int) -> CheckResult:
     """z.z = 1 (relative to label size) for 100 random tangent points."""
     rng = np.random.default_rng(seed)
     worst = _Worst()
@@ -382,7 +382,7 @@ def check_circle_eigen() -> CheckResult:
     return worst.result("circle_eigen_residual", 1e-12)
 
 
-def check_uncertainty(seed: int = 0) -> CheckResult:
+def check_uncertainty(seed: int) -> CheckResult:
     """Variance bounds on circle and sphere states; measured = worst deficit."""
     worst = _Worst()
     for l in (0.0, 0.25, 0.5, 1.0, 2.0):
@@ -396,7 +396,7 @@ def check_uncertainty(seed: int = 0) -> CheckResult:
     return worst.result("uncertainty_inequalities", 0.0)
 
 
-def check_truncation_tail(j_cut="auto") -> CheckResult:
+def check_truncation_tail(j_cut: int | None) -> CheckResult:
     """Tail mass of the reference figure state under the configured cut."""
     p = SpherePhasePoint([0.412, 0.412, 0.812], [8.124, -8.124, 0.0])
     s = coherent_state(p, j_cut=j_cut)
@@ -410,8 +410,8 @@ def _timed(check, *args) -> CheckResult:
     return replace(result, elapsed_s=time.perf_counter() - start)
 
 
-def run_all(seed: int = 0, j_cut: int = 30,
-            tail_j_cut="auto") -> list[CheckResult]:
+def run_all(seed: int, j_cut: int,
+            tail_j_cut: int | None) -> list[CheckResult]:
     """Every check at its pinned tolerance, each with the time.perf_counter
     seconds it took as elapsed_s; deterministic for a fixed seed, but for
     elapsed_s."""

@@ -78,10 +78,11 @@ def _vec_arg(text: str) -> np.ndarray:
 
 
 def _int_arg(flag: str, lo: int, hi: float, auto: bool = False):
-    """argparse type: an integer in [lo, hi], or 'auto' where allowed."""
+    """argparse type: an integer in [lo, hi], or where allowed 'auto', which
+    parses to None, the library's automatic cut."""
     def parse(text: str):
         if auto and text == "auto":
-            return text
+            return None
         with contextlib.suppress(ValueError):
             if lo <= int(text) <= hi:
                 return int(text)
@@ -175,8 +176,7 @@ def _emit(args, payload: dict, fields: list[str], csv_row: str, rows,
 
 
 def cmd_circle(args) -> int:
-    point = CirclePhasePoint(args.phi, args.l)
-    j_cut = None if args.j_cut == "auto" else args.j_cut
+    point, j_cut = CirclePhasePoint(args.phi, args.l), args.j_cut
     state = circle_coherent(point, j_cut)
     exp_j = circle_expect_J(point, j_cut)
     exp_u = circle_expect_U(point, j_cut)

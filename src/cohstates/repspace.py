@@ -83,21 +83,14 @@ class StateVector:
         j, m, lm, ph = (x.tolist() for x in self.nonzero())
         return MappingProxyType(dict(zip(zip(j, m), zip(lm, ph))))
 
-    # The memo, numbers read off the read-only arrays on first use and kept
-    # as long as the state: like `amplitudes`, it lives in the instance's own
-    # dict, so every new state, replace() included, starts without it.
+    # The memo, three entries read off the read-only arrays on first use and
+    # kept as long as the state: the log squared norm, the unit-norm rows and
+    # the expectation values.  Like `amplitudes`, it lives in the instance's
+    # own dict, so every new state, replace() included, starts without it.
 
     @cached_property
     def _log_norm_sq(self) -> float:
         return log_sum_exp(2 * self.log_mag)
-
-    @cached_property
-    def _unit_log_mag(self) -> np.ndarray:
-        """log_mag scaled to unit norm, read-only; callers check first
-        that the state is nonzero."""
-        lm = self.log_mag - 0.5 * self._log_norm_sq
-        lm.flags.writeable = False
-        return lm
 
     @cached_property
     def _unit_rows(self) -> tuple:
@@ -106,7 +99,7 @@ class StateVector:
         log-magnitude of level j (-inf for an empty one), rows[j] the level
         scaled by e^{-top[j]}, and norm_sq the squared norm they add up to.
         Callers check first that the state is nonzero."""
-        lm, n = self._unit_log_mag, self.j_cut + 1
+        lm, n = self.log_mag - 0.5 * self._log_norm_sq, self.j_cut + 1
         starts = np.arange(n) ** 2
         top = np.maximum.reduceat(lm, starts)
         j, m = grid(self.j_cut)
@@ -129,11 +122,6 @@ class StateVector:
 
     def is_zero(self) -> bool:
         return self.log_mag.max() == -math.inf
-
-    def normalized(self) -> "StateVector":
-        if self.is_zero():
-            raise ValueError("cannot normalize the zero state")
-        return replace(self, log_mag=self._unit_log_mag)
 
     def tail_fraction(self) -> float:
         """Fraction of squared norm carried by the top two j levels."""
@@ -160,6 +148,9 @@ def basis_state(j: int, m: int, j_cut: int) -> StateVector:
 _J_LABELS = {"J3", "Jplus", "Jminus", "Jsq"}
 _X_LABELS = {"X1", "X2", "X3", "Xplus", "Xminus"}
 _Z_LABELS = {"Z1", "Z2", "Z3"}
+# A1 = fp A+ + fm A- for the factors (fp, fm) under "1", and A2 under "2":
+# the Hermitian Cartesian components of a ladder pair, for J and X alike
+_LADDER_PAIR = {"1": (0.5, 0.5), "2": (-0.5j, 0.5j)}
 
 
 def _apply(which: str, s: StateVector, labels: set) -> StateVector:
@@ -182,12 +173,10 @@ def apply_J(which: str, s: StateVector) -> StateVector:
 
 def apply_X(which: str, s: StateVector) -> StateVector:
     """Position-operator action; X1, X2 are the Hermitian ladder combinations."""
-    if which == "X1":
-        return state_sum([state_scale(apply_X("Xplus", s), complex(0.5)),
-                          state_scale(apply_X("Xminus", s), complex(0.5))])
-    if which == "X2":
-        return state_sum([state_scale(apply_X("Xplus", s), complex(0, -0.5)),
-                          state_scale(apply_X("Xminus", s), complex(0, 0.5))])
+    if which in ("X1", "X2"):
+        fp, fm = _LADDER_PAIR[which[1]]
+        return state_sum([state_scale(apply_X("Xplus", s), fp),
+                          state_scale(apply_X("Xminus", s), fm)])
     return _apply(which, s, _X_LABELS)
 
 
@@ -276,10 +265,8 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
     if which == "Jminus":
         return [(0, -1, _root((j + m) * (j - m + 1)), w0)]
     if which in ("J1", "J2", "X1", "X2"):
-        # the Hermitian combinations of a ladder pair, for J and X alike
-        factors = (0.5, 0.5) if which[1] == "1" else (-0.5j, 0.5j)
         return [(dj, dm, f * c, w)
-                for f, side in zip(factors, ("plus", "minus"))
+                for f, side in zip(_LADDER_PAIR[which[1]], ("plus", "minus"))
                 for dj, dm, c, w in _dense_branches(which[0] + side, j, m)]
     up = np.sqrt((2 * j + 1) * (2 * j + 3))
     # j = 0 has no lowering branch: its numerators below vanish there
@@ -368,12 +355,11 @@ def _image(which: str, s: StateVector, value: complex) -> tuple:
     return shift, d
 
 
-def residual_norm(which: str, s: StateVector, value: complex,
-                  j_max: int) -> float:
-    """||(O - value)|s>|| / ||s||, counting only the levels j <= j_max: the
-    image's rows' squared norms added as logs."""
+def residual_norm(which: str, s: StateVector, value: complex) -> float:
+    """||(O - value)|s>|| / ||s|| on the truncation interior, the levels
+    j <= j_cut - 2: the image's rows' squared norms added as logs."""
     shift, d = _image(which, s, value)
-    v = d[:max(j_max + 1, 0)].view(float)
+    v = d[:max(s.j_cut - 1, 0)].view(float)
     with np.errstate(divide="ignore"):
         sq = 2 * shift[:len(v)] + np.log(np.einsum("ij,ij->i", v, v))
     return math.exp(0.5 * log_sum_exp(sq))

@@ -27,8 +27,9 @@ import numpy as np
 
 from .errors import ConstraintError
 from .logdomain import polar_array, rect_array, wrap_phase
-from .repspace import (StateVector, _dense_branches, expectation, grid,
-                       residual_norm, state_scale, state_sum)
+from .repspace import (_LADDER_PAIR, StateVector, _dense_branches,
+                       expectation, grid, residual_norm, state_scale,
+                       state_sum)
 from .specfun import gegenbauer_column, log_factorial
 
 __all__ = [
@@ -365,8 +366,8 @@ def coherent_ladder_generated(zl: ZLabel, j_cut: int) -> StateVector:
 
 
 def coherent_state(p: SpherePhasePoint,
-                   j_cut: int | str = "auto") -> StateVector:
-    """Closed-form coherent state, truncated at j_cut or, for 'auto', at
+                   j_cut: int | None = None) -> StateVector:
+    """Closed-form coherent state, truncated at j_cut or, for None, at
     default_j_cut(|l|).
 
     The squared norm in level j is e^{-j(j+1)} sinh((2j+1)|l|) up to a
@@ -375,13 +376,13 @@ def coherent_state(p: SpherePhasePoint,
     e^{-(j_cut - 1/2 - |l|)^2} <= e^{-870} (the least at |l| = 10) of it,
     below the e^-745 underflow of a double, so tail_fraction is exactly 0.
     """
-    cut = default_j_cut(p.l_norm) if j_cut == "auto" else int(j_cut)
+    cut = default_j_cut(p.l_norm) if j_cut is None else int(j_cut)
     return coherent_closed_form(phase_to_z(p), cut)
 
 
 def eigen_residual(s: StateVector, zl: ZLabel) -> float:
-    """max_i ||(Z_i - z_i)|s>|| on the truncation interior, |s> normalized."""
-    return float(np.max([residual_norm(which, s, complex(zi), s.j_cut - 2)
+    """max_i ||(Z_i - z_i)|s>|| over j <= j_cut - 2, for |s> normalized."""
+    return float(np.max([residual_norm(which, s, complex(zi))
                          for which, zi in zip(("Z1", "Z2", "Z3"), zl.z)]))
 
 
@@ -399,8 +400,8 @@ def _expect_vector(name: str, s: StateVector) -> np.ndarray:
     herm = abs(em - ep.conjugate())
     if herm > 1e-9 * max(1.0, abs(ep)):
         raise AssertionError(f"hermiticity residue {herm} too large")
-    a3 = _assert_real(expectation(name + "3", s))
-    return np.array([((ep + em) / 2.0).real, ((ep - em) / 2j).real, a3])
+    a1, a2 = ((fp * ep + fm * em).real for fp, fm in _LADDER_PAIR.values())
+    return np.array([a1, a2, _assert_real(expectation(name + "3", s))])
 
 
 def expect_J(s: StateVector) -> np.ndarray:

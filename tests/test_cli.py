@@ -286,24 +286,31 @@ class TestExitCodes:
         assert code == 3
         capsys.readouterr()
 
-    @pytest.mark.parametrize("argv", [
-        ["circle", "--phi", "nan", "--l", "1"],
-        ["circle", "--phi", "0", "--l", "inf"],
-        ["sphere", "--x", "0,0,1", "--l", "inf,0,0"],
-        ["sphere", "--x", "0,0,1", "--l", "nan,0,0"],
-        ["sphere", "--x", "0,0,1", "--l", "0,0,0", "--r", "nan"],
-    ])
-    def test_non_finite_number_is_a_flag_error(self, argv, capsys):
-        # one line naming the flag and the number, with no usage block
-        flag, text = next((f, v) for f, v in zip(argv, argv[1:])
-                          if "nan" in v or "inf" in v)
-        bad = next(v for v in text.split(",") if v in ("nan", "inf"))
+    @pytest.mark.parametrize("argv, flag, message", [
+        (["circle", "--phi", "nan", "--l", "1"], "--phi",
+         "expected a finite number, got 'nan'"),
+        (["circle", "--phi", "0", "--l", "inf"], "--l",
+         "expected a finite number, got 'inf'"),
+        (["sphere", "--x", "0,0,1", "--l", "inf,0,0"], "--l",
+         "expected a finite number, got 'inf'"),
+        (["sphere", "--x", "0,0,1", "--l", "nan,0,0"], "--l",
+         "expected a finite number, got 'nan'"),
+        (["sphere", "--x", "0,0,1", "--l", "0,0,0", "--r", "nan"], "--r",
+         "expected a finite number, got 'nan'"),
+        (["sphere", "--x", "0,0,1", "--l", "1,x,0"], "--l",
+         "expected a number, got 'x'"),
+        (["circle", "--phi", "abc", "--l", "1"], "--phi",
+         "expected a number, got 'abc'"),
+    ], ids=[f"argv{i}" for i in range(7)])
+    def test_non_finite_number_is_a_flag_error(self, argv, flag, message,
+                                               capsys):
+        # a number that is not finite, or not a number at all: one line
+        # naming the flag and the text, with no usage block
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err == (
-            f"cohstates {argv[0]}: error: argument {flag}: "
-            f"expected a finite number, got {bad!r}\n")
+            f"cohstates {argv[0]}: error: argument {flag}: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ["sphere", "--x", "0,0,1", "--l", "800,0,0"],
@@ -328,18 +335,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["sphere", "rotator", "verify"])
     @pytest.mark.parametrize("value", ["731", "100000000"])
-    def test_j_cut_past_the_bound_is_a_flag_error(self, command, value,
-                                                  capsys):
-        # rejected while parsing, before any state is allocated
+    def test_j_cut_past_the_bound_is_a_flag_error(self, command, value):
+        # rejected while parsing, before any state is allocated, in one
+        # line that names the accepted range
         argv = [command, "--j-cut", value]
         if command != "verify":
             argv += ["--x", "0,0,1", "--l", "0,0,0"]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        err = [line for line in capsys.readouterr().err.splitlines()
-               if "error:" in line]
-        assert len(err) == 1 and "--j-cut" in err[0] and "730" in err[0]
+        assert output(argv) == (
+            2, "", f"cohstates {command}: error: argument --j-cut: --j-cut "
+                   f"must be 'auto' or an integer in [10, 730], got "
+                   f"{value!r}\n")
 
     def test_internal_invariant_failure_exits_4(self, monkeypatch, capsys):
         original = sphere.expectation
@@ -360,6 +365,17 @@ class TestExitCodes:
         d = run_json(run, ["circle", "--phi", "0", "--l", "1",
                            "--j-cut", "731"])
         assert d["j_cut"] == 731
+
+    @pytest.mark.parametrize("argv", [
+        ["circle", "--phi", "0.5", "--l", "2"],
+        ["sphere", "--x", "0,0,1", "--l", "1,0,0"],
+        ["rotator", "--x", "0,0,1", "--l", "1,0,0"],
+        ["verify", "--identity-j-cut", "6"],
+    ], ids=lambda argv: argv[0])
+    def test_auto_j_cut_is_the_default(self, argv):
+        got = output([*argv, "--j-cut", "auto"])
+        assert got[0] == 0
+        assert got == output(argv)
 
 
 class TestVerifyCommand:

@@ -177,7 +177,7 @@ class TestInnerAndExpectation:
     def test_zero_norm_expectation_rejected(self):
         empty = state_scale(basis_state(0, 0, 8), 0j)
         for evaluate in (expectation,
-                         lambda which, s: residual_norm(which, s, 1.0, 6)):
+                         lambda which, s: residual_norm(which, s, 1.0)):
             with pytest.raises(ValueError):
                 evaluate("J3", empty)
             # and so is a label apply_J, apply_X and apply_Z do not accept
@@ -196,10 +196,10 @@ class TestInnerAndExpectation:
 
 
 class TestMemo:
-    """A state computes its norm, its unit-norm log-magnitudes and each
-    expectation value once, and keeps them for as long as it lives."""
+    """A state computes its norm, its unit-norm rows and each expectation
+    value once, and keeps them for as long as it lives."""
 
-    MEMO = ("_log_norm_sq", "_unit_log_mag", "_unit_rows", "_expectations")
+    MEMO = ("_log_norm_sq", "_unit_rows", "_expectations")
     ALL_LABELS = sorted(repspace._J_LABELS | repspace._X_LABELS
                         | repspace._Z_LABELS)
 
@@ -219,11 +219,11 @@ class TestMemo:
         s = random_sparse_state(0)
         for which in ("J3", "Xplus", "Z2"):
             expectation(which, s)
-        residual_norm("Z1", s, 1.0, s.j_cut - 2)
+        residual_norm("Z1", s, 1.0)
         assert self.memo(s).keys() == set(self.MEMO)
         assert self.memo(s)["_expectations"].keys() == {"J3", "Xplus", "Z2"}
         other = replace(s, log_mag=s.log_mag[::-1])
-        derived = [replace(s), other, s.normalized(), state_scale(s, 2j),
+        derived = [replace(s), other, state_scale(s, 2j),
                    state_sum([s, s]), apply_J("J3", s)]
         for d in derived:
             assert self.memo(d) == {}
@@ -239,13 +239,13 @@ class TestMemo:
         for which in self.ALL_LABELS:
             first = expectation(which, s)
             assert expectation(which, s) is first
-            res = residual_norm(which, s, first, s.j_cut - 2)
-            assert res == residual_norm(which, s, first, s.j_cut - 2)
+            res = residual_norm(which, s, first)
+            assert res == residual_norm(which, s, first)
             t = self.fresh(s)
             assert np.array_equal(t.phase, s.phase)
             assert self.bits(first) == self.bits(expectation(which, t))
-            assert res.hex() == residual_norm(which, self.fresh(s), first,
-                                              s.j_cut - 2).hex()
+            assert res.hex() == residual_norm(which, self.fresh(s),
+                                              first).hex()
         assert self.memo(s)["_expectations"].keys() == set(self.ALL_LABELS)
 
     def test_zero_state_and_unknown_labels_raise_every_time(self):
@@ -256,11 +256,9 @@ class TestMemo:
             with pytest.raises(ValueError):
                 expectation("J3", empty)
             with pytest.raises(ValueError):
-                residual_norm("J3", empty, 1.0, 6)
-            with pytest.raises(ValueError):
-                empty.normalized()
+                residual_norm("J3", empty, 1.0)
             for evaluate in (expectation,
-                             lambda which, s: residual_norm(which, s, 1.0, 6)):
+                             lambda which, s: residual_norm(which, s, 1.0)):
                 with pytest.raises(ValueError):
                     evaluate("J1", s)
         assert self.memo(empty)["_expectations"] == {}
@@ -320,18 +318,17 @@ class TestDenseMatchesSparse:
     @pytest.mark.parametrize("seed", range(4))
     def test_residual_norm_on_random_states(self, seed):
         s = random_sparse_state(seed)
-        sn = s.normalized()
+        sn = state_scale(s, math.exp(-0.5 * s.log_norm_sq()))
         for which, value in [("Z1", 0.3 - 2j), ("Z3", 1.5), ("J3", 0.0),
                              ("X2", 1j)]:
             diff = state_sum([oracles.apply_operator(which, sn),
                               state_scale(sn, -complex(value))])
             want = math.exp(0.5 * restricted(diff, s.j_cut - 2).log_norm_sq())
-            _assert_close(residual_norm(which, s, value, s.j_cut - 2), want,
-                          1e-13)
+            _assert_close(residual_norm(which, s, value), want, 1e-13)
 
 
 @functools.lru_cache(maxsize=None)
-def _seeded_coherent(l_norm, j_cut="auto"):
+def _seeded_coherent(l_norm, j_cut=None):
     """A coherent state at |l| = l_norm, at a seeded orientation, and its
     label."""
     rng = np.random.default_rng(int(10 * l_norm) + 1)
@@ -362,9 +359,8 @@ class TestSlicesMatchTables:
             size = float(np.linalg.norm(zl.z))
         else:
             value, size = want, max(1.0, abs(want))
-        j_max = s.j_cut - 2
-        got = residual_norm(which, s, value, j_max)
-        want = oracles.table_residual_norm(which, s, value, j_max)
+        got = residual_norm(which, s, value)
+        want = oracles.table_residual_norm(which, s, value, s.j_cut - 2)
         assert abs(got - want) <= 1e-13 * size, (got, want)
 
 
@@ -384,11 +380,11 @@ def test_z_residual_where_its_weight_overflows(which):
     high = StateVector(lm, np.zeros(lm.size), 720)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = [residual_norm(which, s, value, 718),
-               residual_norm(which, high, 0.0, 718)]
+        got = [residual_norm(which, s, value),
+               residual_norm(which, high, 0.0)]
         image = apply_Z(which, high)
     assert all(map(math.isfinite, got))
-    sn = s.normalized()
+    sn = state_scale(s, math.exp(-0.5 * s.log_norm_sq()))
     low = restricted(StateVector(sn.log_mag[:43 ** 2], sn.phase[:43 ** 2],
                                  42), 40)
     want = []
@@ -477,6 +473,18 @@ class TestBandTables:
     """Operators held as tables, and the library's actions, against the
     sparse operator actions."""
 
+    @pytest.mark.parametrize("which", ["J1", "J2", "X1", "X2"])
+    def test_cartesian_bands_are_the_scaled_ladder_pair(self, which):
+        factors = {"1": (0.5, 0.5), "2": (-0.5j, 0.5j)}[which[1]]
+        want = {}
+        for f, side in zip(factors, ("plus", "minus")):
+            ladder = operator_table(which[0] + side, 12)
+            want.update({key: f * c for key, c in ladder.bands.items()})
+        got = operator_table(which, 12).bands
+        assert got.keys() == want.keys()
+        for key, c in got.items():
+            assert np.array_equal(c, want[key]), key
+
     @pytest.mark.parametrize("which", LABELS)
     def test_application_matches_sparse_action(self, which):
         # amplitudes spanning e^-30..e^5, the top level j_cut included
@@ -563,12 +571,6 @@ class TestTruncationAccounting:
         assert s.tail_fraction() == pytest.approx(1e-16, rel=1e-10)
 
 
-def test_normalized_state_has_unit_norm():
-    s = state_sum([basis_state(0, 0, 8),
-                   state_scale(basis_state(3, 2, 8), 100.0 + 0j)])
-    assert s.normalized().log_norm_sq() == pytest.approx(0.0, abs=1e-14)
-
-
 def test_commutator_spot_check():
     # [Jplus, Jminus] = 2 J3 on an interior vector
     s = basis_state(3, 1, 10)
@@ -587,5 +589,5 @@ def test_subnormal_table_coefficients_stay_finite(which):
     s = basis_state(360, 2, 400)
     assert expectation(which, s) == 0
     want = restricted(oracles.apply_operator(which, s), 398)
-    assert residual_norm(which, s, 0, 398) == pytest.approx(
+    assert residual_norm(which, s, 0) == pytest.approx(
         math.exp(0.5 * want.log_norm_sq()), rel=1e-13)

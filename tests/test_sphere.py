@@ -493,7 +493,7 @@ def sampled_coherent(request):
 
 def _sparse_eigen_residual(s, zl):
     """Oracle: the operator-action formula on sparse states."""
-    sn = s.normalized()
+    sn = state_scale(s, math.exp(-0.5 * s.log_norm_sq()))
     worst = 0.0
     for which, zi in zip(("Z1", "Z2", "Z3"), zl.z):
         diff = state_sum([oracles.apply_Z(which, sn),
@@ -545,6 +545,17 @@ class TestExpectations:
         assert np.allclose(rel, FIG1_RELATIVE_X, rtol=1e-10)
         # the ratio lands within 2 percent of the classical position
         assert np.all(np.abs(rel - fig1_point.x) <= 0.02)
+
+    @pytest.mark.parametrize("l_norm", [0.0, 5.0, 21.5, 100.0])
+    def test_cartesian_components_read_off_the_ladder_pair(self, l_norm):
+        # bit for bit the Hermitian combinations of <A+> and <A->, and <A3>
+        s = coherent_state(_tangent_point(3, l_norm))
+        for name, got in (("J", expect_J(s)), ("X", expect_X(s))):
+            ep = expectation(name + "plus", s)
+            em = expectation(name + "minus", s)
+            want = [((ep + em) / 2).real, ((ep - em) / 2j).real,
+                    expectation(name + "3", s).real]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
     def test_relative_X_reference_at_own_axis(self):
         # the rest state at the north pole coincides with its own third-axis
