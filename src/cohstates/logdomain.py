@@ -5,10 +5,10 @@ Coherent-state amplitudes on the sphere mix factors like exp(-j(j+1)/2)
 cosh|l| (overflows near |l| = 18 for j around 40), so the library keeps
 every amplitude as a log-magnitude and a phase, in arrays.  This module
 holds the rules of that representation: wrapping phases into their
-principal interval, summing real logs, and converting between the
-(log-magnitude, phase) form and complex values.  The conversions rely on
-the wrap: rect_array keeps quadrant phases exact by testing for +pi only,
-since wrap_phase maps -pi to +pi.
+principal interval, the one rule for a sum taken around its largest log,
+and converting between the (log-magnitude, phase) form and complex
+values.  The conversions rely on the wrap: rect_array keeps quadrant
+phases exact by testing for +pi only, since wrap_phase maps -pi to +pi.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "peak_sum",
     "log_sum_exp",
     "wrap_phase",
     "rect_array",
@@ -43,14 +44,20 @@ def wrap_phase(phase):
     return p + _TWO_PI if p <= -math.pi else p
 
 
+def peak_sum(logs: np.ndarray, values=1.0) -> tuple:
+    """(shift, acc) with e^{shift} acc the sum over the leading axis of
+    e^{logs} values, shift the largest log (0 where it is not finite), so no
+    term overflows.  A -inf log adds nothing; an empty sum is (0, 0)."""
+    top = logs.max(axis=0, initial=-math.inf)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    return shift, (np.exp(logs - shift) * values).sum(axis=0)
+
+
 def log_sum_exp(logs) -> float:
-    """log(sum(exp(x))) over an array or a list of real logs, summed around
-    the largest; -inf for empty input."""
-    x = np.asarray(logs, dtype=float)
-    top = x.max(initial=-math.inf)
-    if math.isinf(top):
-        return float(top)
-    return float(top + math.log(np.sum(np.exp(x - top))))
+    """log(sum(exp(x))) over an array or a list of real logs; -inf for
+    empty input."""
+    shift, acc = peak_sum(np.asarray(logs, dtype=float))
+    return float(shift + math.log(acc)) if acc else -math.inf
 
 
 def rect_array(lm, ph) -> np.ndarray:

@@ -5,11 +5,11 @@ and |m| <= j (the twist, i.e. the J.X/r Casimir, is fixed at zero, which
 forces the minimal j to be 0 and all labels integer).  A state is a pair of
 log-magnitude and phase arrays over every (j, m) up to the truncation level
 j_cut.  Each operator's matrix elements are written down once, as branches
-that shift (j, m) by at most one step in each index.  Expectation values
-and eigen-residuals read every branch as a shifted slice of the state laid
-out on a padded (j, m) array, and apply_* reads its image off the
-residual's; the identity sweeps act through banded tables built from the
-same branches.  What an operator raises past j_cut is dropped, and
+that shift (j, m) by at most one step in each index.  The image
+(O - value)|s> reads every branch as a shifted slice of the state laid out
+on a padded (j, m) array; expectation values, eigen-residuals and apply_*
+are read off it.  The identity sweeps act through banded tables built from
+the same branches.  What an operator raises past j_cut is dropped, and
 tail_fraction guards against it.
 """
 
@@ -22,7 +22,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .logdomain import log_sum_exp, polar_array, rect_array, wrap_phase
+from .logdomain import (log_sum_exp, peak_sum, polar_array, rect_array,
+                        wrap_phase)
 
 __all__ = [
     "StateVector",
@@ -200,11 +201,10 @@ def state_sum(states: list[StateVector]) -> StateVector:
     """Sum of states sharing j_cut, each amplitude summed around its largest
     term."""
     first = states[0]
-    if any(st.j_cut != first.j_cut for st in states):
+    if any(s.j_cut != first.j_cut for s in states):
         raise ValueError("states to sum must share j_cut")
-    top = np.max([st.log_mag for st in states], axis=0)
-    shift = np.where(top > -math.inf, top, 0.0)
-    acc = sum(rect_array(st.log_mag - shift, st.phase) for st in states)
+    shift, acc = peak_sum(np.array([s.log_mag for s in states]),
+                          rect_array(0.0, np.array([s.phase for s in states])))
     return StateVector(*polar_array(shift, acc), first.j_cut)
 
 
@@ -214,15 +214,16 @@ def state_sum(states: list[StateVector]) -> StateVector:
 #
 # The flat index j*j + j + m is laid out by grid(); logdomain's rect_array()
 # turns (log-magnitude, phase) arrays into values and polar_array() back.
-# A bilinear form <s|O|s> or a residual (O - value)|s> reads the state on
-# the padded (j_cut + 1) x (2 j_cut + 1) grid [j, m + j_cut], zero where
-# |m| > j.  Every branch of an operator moves (j, m) by at most one step in
-# each index, so on that grid it is a shifted slice: its coefficients times
-# the source slice land on the target slice, and what it would raise past
-# j_cut falls off the edge.  Each row j is held relative to its own largest
-# log-magnitude, and the row scales, the branch weights e^{j} and e^{-j-1}
-# of Z among them, are combined as logs, so nothing overflows; terms below
-# e^-745 of the largest in their row underflow to zero.
+# The image (O - value)|s>, off which <s|O|s> and the residual are read,
+# takes the state on the padded (j_cut + 1) x (2 j_cut + 1) grid
+# [j, m + j_cut], zero where |m| > j.  Every branch of an operator moves
+# (j, m) by at most one step in each index, so on that grid it is a shifted
+# slice: its coefficients times the source slice land on the target slice,
+# and what it would raise past j_cut falls off the edge.  Each row j is
+# held relative to its own largest log-magnitude, and the row scales, the
+# branch weights e^{j} and e^{-j-1} of Z among them, are combined as logs,
+# so nothing overflows; terms below e^-745 of the largest in their row
+# underflow to zero.  The sums over rows are logdomain.peak_sum.
 
 def grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
     """j and m at every flat index j*j + j + m up to j_cut."""
@@ -288,81 +289,59 @@ def _shift(d: int, n: int) -> tuple[slice, slice]:
     return slice(max(-d, 0), n - max(d, 0)), slice(max(d, 0), n + min(d, 0))
 
 
-def _slice_branches(which: str, s: StateVector) -> list:
-    """The operator's branches on the padded grid of s, as (source rows,
-    target rows, source columns, target columns, coefficients on the source
-    slice, log weight of each source row)."""
-    if s.log_norm_sq() == -math.inf:
-        raise ValueError("expectation value or residual of the zero state")
-    if which not in _J_LABELS | _X_LABELS | _Z_LABELS:
-        raise ValueError(f"unknown operator label {which!r}")
-    n = s.j_cut + 1
-    shape = (n, 2 * n - 1)
-    out = []
-    for dj, dm, c, w in _dense_branches(which, np.arange(n)[:, None],
-                                        np.arange(1 - n, n)[None, :]):
-        (sr, tr), (sc, tc) = _shift(dj, n), _shift(dm, shape[1])
-        out.append((sr, tr, sc, tc, np.broadcast_to(c, shape)[sr, sc],
-                    w[sr, 0]))
-    return out
-
-
-def expectation(which: str, s: StateVector) -> complex:
-    """<s|O|s> / <s|s> for any label apply_J, apply_X or apply_Z accepts.
-
-    Each branch adds, level by level, the sum of the conjugate target slice
-    times the coefficients times the source slice, weighted by
-    e^{target scale + source scale + branch weight - t}, with t the largest
-    such exponent.  A state computes each expectation value once: the
-    value is kept in its memo, and a later call with the same label reads
-    it back."""
-    memo = s._expectations
-    if which not in memo:
-        branches = _slice_branches(which, s)
-        top, rows, norm_sq = s._unit_rows
-        logs = [top[tr] + top[sr] + w for sr, tr, _, _, _, w in branches]
-        t = max(lg.max(initial=-math.inf) for lg in logs)
-        if t == -math.inf:
-            memo[which] = 0j
-        else:
-            acc = sum(np.einsum("ij,ij,ij->i", rows[tr, tc].conj(), c,
-                                rows[sr, sc]) @ np.exp(lg - t)
-                      for (sr, tr, sc, tc, c, _), lg in zip(branches, logs))
-            memo[which] = complex(acc / norm_sq) * math.exp(t)
-    return memo[which]
-
-
 def _image(which: str, s: StateVector, value: complex) -> tuple:
     """(O - value)|s> for the unit-norm s on the padded grid, as (shift, d):
     row j of the image is e^{shift[j]} d[j].
 
-    Each target row is summed relative to the largest log scale among its
-    terms: log|value| plus the row's own scale, and each branch's source
-    row scale plus its weight."""
-    branches = _slice_branches(which, s)
+    Each target row is summed, branch by branch, relative to the largest
+    source row scale plus weight among its terms; not by peak_sum, whose
+    stacked form would hold one full array per branch.  A coefficient
+    spans each axis its branch shifts along, so it slices as the source."""
+    if s.log_norm_sq() == -math.inf:
+        raise ValueError("expectation value or residual of the zero state")
+    if which not in _J_LABELS | _X_LABELS | _Z_LABELS:
+        raise ValueError(f"unknown operator label {which!r}")
     top, rows, _ = s._unit_rows
-    value = complex(value)
-    lv, unit = ((math.log(abs(value)), value / abs(value)) if value
-                else (-math.inf, 0j))
-    scale = top + lv
-    for sr, tr, _, _, _, w in branches:
-        scale[tr] = np.maximum(scale[tr], top[sr] + w)
+    n = s.j_cut + 1
+    # -value is one more branch, taken first, and only when it is nonzero
+    lead = [(0, 0, np.full((1, 1), -value / abs(value)),
+             np.full((n, 1), math.log(abs(value))))] if value else []
+    branches = [(*_shift(dj, n), *_shift(dm, 2 * n - 1), c, top + w[:, 0])
+                for dj, dm, c, w
+                in lead + _dense_branches(which, *np.ogrid[:n, 1 - n:n])]
+    scale = np.full(n, -math.inf)
+    for sr, tr, _, _, _, lg in branches:
+        scale[tr] = np.maximum(scale[tr], lg[sr])
     shift = np.where(scale > -math.inf, scale, 0.0)
-    d = -unit * np.exp(top + lv - shift)[:, None] * rows
-    for sr, tr, sc, tc, c, w in branches:
-        d[tr, tc] += (c * np.exp(top[sr] + w - shift[tr])[:, None]
+    d = np.zeros(rows.shape, dtype=complex)
+    for sr, tr, sc, tc, c, lg in branches:
+        d[tr, tc] += (c[sr, sc] * np.exp(lg[sr] - shift[tr])[:, None]
                       * rows[sr, sc])
     return shift, d
 
 
+def expectation(which: str, s: StateVector) -> complex:
+    """<s|O|s> / <s|s> for any label apply_J, apply_X or apply_Z accepts,
+    read off the image: the sum over j of e^{top_j + shift_j} <rows_j|d_j>.
+    A state computes each expectation value once: the value is kept in its
+    memo, and a later call with the same label reads it back."""
+    memo = s._expectations
+    if which not in memo:
+        shift, d = _image(which, s, 0)
+        top, rows, norm_sq = s._unit_rows
+        t, acc = peak_sum(top + shift, np.einsum("ij,ij->i", rows.conj(), d))
+        memo[which] = complex(acc / norm_sq) * math.exp(t)
+    return memo[which]
+
+
 def residual_norm(which: str, s: StateVector, value: complex) -> float:
     """||(O - value)|s>|| / ||s|| on the truncation interior, the levels
-    j <= j_cut - 2: the image's rows' squared norms added as logs."""
+    j <= j_cut - 2: the rows' squared norms by peak_sum, zero rows at -inf."""
     shift, d = _image(which, s, value)
     v = d[:max(s.j_cut - 1, 0)].view(float)
-    with np.errstate(divide="ignore"):
-        sq = 2 * shift[:len(v)] + np.log(np.einsum("ij,ij->i", v, v))
-    return math.exp(0.5 * log_sum_exp(sq))
+    sq = np.einsum("ij,ij->i", v, v)
+    t, acc = peak_sum(np.where(sq > 0, 2 * shift[:len(v)], -math.inf), sq)
+    return math.exp(0.5 * (t + math.log(acc))) if acc else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +382,16 @@ class BandTable:
     def components(self) -> int:
         return 1 + max(max(key[2:]) for key in self.bands)
 
-    def _targets(self, key: tuple, j_max: int) -> tuple:
-        """Target flat index of every source under band `key`, and whether
-        it is a basis index with j <= j_max (0 where it is not)."""
+    def _targets(self, j_max: int) -> dict:
+        """{(dj, dm): (target flat index of every source, 0 off the basis;
+        whether it is a basis index with j <= j_max)} over the band shifts."""
         j, m = grid(self.j_cut)
-        jt, mt = j + key[0], m + key[1]
-        ok = (jt >= 0) & (jt <= j_max) & (np.abs(mt) <= jt)
-        return np.where(ok, jt * (jt + 1) + mt, 0), ok
+        out = {}
+        for dj, dm in {key[:2] for key in self.bands}:
+            jt, mt = j + dj, m + dm
+            ok = (jt >= 0) & (jt <= j_max) & (np.abs(mt) <= jt)
+            out[dj, dm] = np.where(ok, jt * (jt + 1) + mt, 0), ok
+        return out
 
     def _check_shape(self, other: "BandTable") -> None:
         if (self.j_cut, self.components) != (other.j_cut, other.components):
@@ -420,8 +402,9 @@ class BandTable:
         """The product self other, in which other acts first."""
         self._check_shape(other)
         bands: dict = {}
+        targets = other._targets(self.j_cut)
         for kb, cb in other.bands.items():
-            tgt, ok = other._targets(kb, self.j_cut)
+            tgt, ok = targets[kb[:2]]
             w = np.where(ok, cb, 0)
             for ka, ca in self.bands.items():
                 if ka[3] == kb[2]:
@@ -448,10 +431,10 @@ class BandTable:
         """Norm of every source's image over the targets with j <= j_max
         (default j_cut), component after component, its squares summed
         relative to its largest coefficient so that they cannot overflow."""
-        j_max = self.j_cut if j_max is None else j_max
+        targets = self._targets(self.j_cut if j_max is None else j_max)
         norms = []
         for col in range(self.components):
-            mags = [np.abs(c) * self._targets(key, j_max)[1]
+            mags = [np.abs(c) * targets[key[:2]][1]
                     for key, c in self.bands.items() if key[3] == col]
             top = np.max(mags, axis=0)
             unit = np.where(top > 0, top, 1.0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError
-from .logdomain import polar_array, rect_array, wrap_phase
+from .logdomain import peak_sum, polar_array, rect_array, wrap_phase
 from .repspace import (_LADDER_PAIR, StateVector, _dense_branches,
                        expectation, grid, residual_norm, state_scale,
                        state_sum)
@@ -267,8 +267,6 @@ def coherent_triple_sum(zl: ZLabel, j_cut: int) -> StateVector:
     """
     mu, nu, gamma = generation_params(zl)
     lf = np.array([log_factorial(n) for n in range(2 * j_cut + 1)])
-    top = np.empty((j_cut + 1) ** 2)
-    acc = np.empty(top.size, dtype=complex)
     m = np.arange(j_cut + 1)
     k = m[:, None] - np.arange(-j_cut, j_cut + 1)[None, :]
     ok = k >= 0
@@ -279,6 +277,7 @@ def coherent_triple_sum(zl: ZLabel, j_cut: int) -> StateVector:
                                         * cmath.phase(mu)))
     unit = unit_m[:, None] * unit_k[k]
     log_nu = _log_power(nu, m) + m * gamma.real - lf[m]
+    levels = []
     for j in range(j_cut + 1):
         rows, cols = slice(j + 1), slice(j_cut - j, j_cut + j + 1)
         t = np.arange(-j, j + 1)
@@ -286,10 +285,8 @@ def coherent_triple_sum(zl: ZLabel, j_cut: int) -> StateVector:
                   + log_nu[rows] + lf[j + m[rows]] - lf[j - m[rows]])
         t_part = 0.5 * (lf[j - t] - lf[j + t])
         lg = log_mu[rows, cols] + m_part[:, None] + t_part
-        level = slice(j * j, (j + 1) ** 2)
-        peak = lg.max(axis=0)
-        top[level] = peak = np.where(peak > -math.inf, peak, 0.0)
-        acc[level] = (np.exp(lg - peak) * unit[rows, cols]).sum(axis=0)
+        levels.append(peak_sum(lg, unit[rows, cols]))
+    top, acc = map(np.concatenate, zip(*levels))
     return StateVector(*polar_array(top, acc), j_cut)
 
 
@@ -313,12 +310,13 @@ def _exp_ladder(which: str, coef: complex, lm: np.ndarray, ph: np.ndarray,
     and a complex unit mantissa, which each step multiplies by
     e^{i arg coef}, exactly 1, i, -1 or -i for a quadrant coef, so quadrant
     phases stay exact.  The terms are added into a running sum rescaled to
-    its largest log-magnitude per amplitude.  Only the live terms are
-    carried, by flat index: the term from |j, m> reaches m = dm j after
-    j - dm m steps and then meets a zero coefficient, so nothing crosses
-    into the next multiplet.  With the terms sorted by that life, longest
-    first, the live ones at every step are a prefix, and the loop ends with
-    the longest life.
+    its largest log-magnitude per amplitude; it is not peak_sum, so that it
+    stays bit for bit the dense loop of the tests and stacks nothing per
+    step.  Only the live terms are carried, by flat index: the term from
+    |j, m> reaches m = dm j after j - dm m steps and then meets a zero
+    coefficient, so nothing crosses into the next multiplet.  With the terms
+    sorted by that life, longest first, the live ones at every step are a
+    prefix, and the loop ends with the longest life.
     """
     if coef == 0:
         return lm, ph

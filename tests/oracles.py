@@ -268,8 +268,9 @@ def _table_image(t: BandTable, lm: np.ndarray, ph: np.ndarray) -> tuple:
     and terms raised past j_cut are dropped."""
     top = np.full(lm.size, -math.inf)
     terms = []
+    targets = t._targets(t.j_cut)
     for key, coef in t.bands.items():
-        tgt, ok = t._targets(key, t.j_cut)
+        tgt, ok = targets[key[:2]]
         src = np.flatnonzero(ok & (coef != 0) & (lm > -math.inf))
         tgt, c, mag = tgt[src], coef[src], np.abs(coef[src])
         lg = lm[src] + np.log(mag)

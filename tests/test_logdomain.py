@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohstates.logdomain import log_sum_exp, wrap_phase
+from cohstates.logdomain import log_sum_exp, peak_sum, wrap_phase
 from oracles import LogComplex, ONE, ZERO, log_complex_sum
 
 
@@ -132,3 +132,62 @@ def test_log_sum_exp_empty_and_peak():
     assert log_sum_exp(np.full(4, -math.inf)) == -math.inf
     assert log_sum_exp(np.array([-math.inf, 1.0, 1.0])) == pytest.approx(
         1.0 + math.log(2), rel=1e-15)
+
+
+# peak_sum, the one sum taken around its largest log; the suite runs with
+# RuntimeWarnings as errors, so none of these may warn
+
+
+def test_peak_sum_of_nothing_is_exactly_zero():
+    for logs in (np.full(3, -math.inf), np.array([])):
+        shift, acc = peak_sum(logs, np.ones(logs.size))
+        assert shift == 0.0 and acc == 0.0
+    # one all -inf column of a 2-D sum, beside a finite one
+    logs = np.array([[-math.inf, 1.0], [-math.inf, 2.0]])
+    shift, acc = peak_sum(logs, np.full((2, 2), 3.0 - 1j))
+    assert shift[0] == 0.0 and acc[0] == 0.0
+    assert shift[1] == 2.0
+    assert acc[1] == pytest.approx((3.0 - 1j) * (1 + math.exp(-1)),
+                                   rel=1e-15)
+
+
+def test_peak_sum_minus_inf_log_adds_nothing():
+    shift, acc = peak_sum(np.array([0.5, -math.inf]), np.array([2.0, 1e300]))
+    assert (shift, acc) == (0.5, 2.0)
+    shift, acc = peak_sum(np.array([-math.inf, -1.0, -math.inf]),
+                          np.array([-7j, 1j, 5.0]))
+    assert (shift, acc) == (-1.0, 1j)
+
+
+def test_peak_sum_far_past_the_double_range():
+    shift, acc = peak_sum(np.array([1000.0, 1000.0 - math.log(3)]))
+    assert shift == 1000.0
+    assert acc == pytest.approx(4 / 3, rel=1e-15)
+    shift, acc = peak_sum(np.array([-1000.0, -1001.0]), np.array([1.0, -1j]))
+    assert shift == -1000.0
+    assert acc == pytest.approx(1 - 1j * math.exp(-1), rel=1e-15)
+    # columns a 2000 apart in scale, each summed around its own peak
+    shift, acc = peak_sum(np.array([[1000.0, -1000.0], [999.0, -1000.0]]))
+    assert shift.tolist() == [1000.0, -1000.0]
+    assert acc[0] == pytest.approx(1 + math.exp(-1), rel=1e-15)
+    assert acc[1] == 2.0
+
+
+def test_peak_sum_columns_equal_a_loop_over_columns():
+    # each column of a 2-D sum is the column's own sum around its largest
+    # log, its terms added in row order, bit for bit
+    rng = np.random.default_rng(5)
+    logs = rng.uniform(-800.0, 800.0, size=(13, 6))
+    logs[rng.random(logs.shape) < 0.3] = -math.inf
+    logs[:, 2] = -math.inf
+    values = rng.normal(size=logs.shape) + 1j * rng.normal(size=logs.shape)
+    shift, acc = peak_sum(logs, values)
+    for c in range(logs.shape[1]):
+        col = np.ascontiguousarray(logs[:, c])
+        top = col.max()
+        want_shift = top if top > -math.inf else 0.0
+        want = 0j
+        for term in np.exp(col - want_shift) * values[:, c]:
+            want += term
+        assert shift[c] == want_shift
+        assert acc[c] == want

@@ -311,7 +311,8 @@ class TestDenseMatchesSparse:
                                              rng.choice([0.0, math.pi]))
                 for j in range(9) for m in range(-j, j + 1)}
         s = oracles.state_from_amplitudes(amps, 8)
-        for which in ("Jplus", "Xplus", "Z1", "Z3"):
+        for which in ("J3", "Jsq", "Jplus", "Jminus", "X3", "Xplus",
+                      "Xminus", "Z1", "Z3"):
             assert expectation(which, s).imag == 0.0
             assert sparse_expectation(which, s).imag == 0.0
 
