@@ -378,7 +378,7 @@ def check_circle_eigen() -> CheckResult:
     worst = _Worst()
     for phi, l in ((0.0, 0.0), (1.0, 2.5), (2.1, 3.7), (-2.0, 1.2)):
         worst.add(circle_eigen_residual(circle_coherent(
-            CirclePhasePoint(phi, l))), {"phi": phi, "l": l})
+            CirclePhasePoint(phi, l)))[0], {"phi": phi, "l": l})
     return worst.result("circle_eigen_residual", 1e-12)
 
 

@@ -3,9 +3,12 @@
 The states are eigenvectors of Z = e^{-J + 1/2} U labelled by
 xi = e^{-l + i phi}, with Gaussian lattice coefficients
 c_j = xi^{-j} e^{-j^2/2} over integer angular momenta j (boson sector only,
-mirroring the zero-twist sphere representation).  Angular-momentum and
-position expectation values track the classical labels (phi, l) up to small
-lattice corrections, which is the quantitative content this module exposes.
+mirroring the zero-twist sphere representation).  A state is held on the
+2 WINDOW + 1 sites about round(l), outside which no coefficient is a
+double, so there is no cut to choose: every function takes only the phase
+point.  Angular-momentum and position expectation values track the
+classical labels (phi, l) up to small lattice corrections, which is the
+quantitative content this module exposes.
 """
 
 from __future__ import annotations
@@ -30,13 +33,11 @@ __all__ = [
     "CircleUncertainty",
 ]
 
-MIN_MARGIN = 15
-DEFAULT_MARGIN = 25
 L_MIN = -709.0
 # Half-width of the window of sites kept about j0 = round(l), set by double
 # underflow: a site k steps away carries at most e^{-(|k| - 1/2)^2 / 2} of
-# the peak amplitude, below e^-800 for every dropped one, so dropping them
-# changes no double.
+# the peak amplitude, below e^-800 for every dropped one, so the window is
+# the whole lattice to every double.
 WINDOW = 40
 
 
@@ -61,8 +62,8 @@ class CirclePhasePoint:
 
 @dataclass(frozen=True, eq=False)
 class CircleState:
-    """Coefficients on the lattice j in [-j_cut, j_cut], kept on the sites
-    j0 + k with |k| <= WINDOW about j0 = round(l).
+    """Coefficients on the 2 WINDOW + 1 sites j0 + k, |k| <= WINDOW, about
+    j0 = round(l).
 
     c_{j0+k} = e^{l^2/2 - i phi j0} e^{log_mag + i phase} elementwise over
     the offsets k, with log_mag = -(k - d)^2 / 2 for d = l - j0 (exact) and
@@ -71,7 +72,6 @@ class CircleState:
     """
 
     point: CirclePhasePoint
-    j_cut: int
     j0: int
     k: np.ndarray
     log_mag: np.ndarray
@@ -87,47 +87,22 @@ class CircleState:
         """|c_j|^2 without the common factor; the largest is about 1."""
         return np.exp(2.0 * self.log_mag)
 
-    def tail_fraction(self) -> float:
-        """Fraction of the squared norm on the lattice edges j = +-j_cut;
-        an edge outside the window holds none that a double can show."""
-        w = self.weights()
-        lo, hi = self.j0 + int(self.k[0]), self.j0 + int(self.k[-1])
-        edge = (w[0] if lo == -self.j_cut else 0.0) + (
-            w[-1] if hi == self.j_cut else 0.0)
-        return float(edge / w.sum())
 
-
-def _required_cut(l: float) -> int:
-    return math.ceil(abs(l)) + MIN_MARGIN
-
-
-def default_j_cut(l: float) -> int:
-    """Gaussian tail below 1e-130 at this margin, so all digits survive."""
-    return math.ceil(abs(l)) + DEFAULT_MARGIN
-
-
-def circle_coherent(p: CirclePhasePoint, j_cut: int | None = None) -> CircleState:
+def circle_coherent(p: CirclePhasePoint) -> CircleState:
     """Unnormalized coherent state c_j = xi^{-j} e^{-j^2/2}."""
-    if j_cut is None:
-        j_cut = default_j_cut(p.l)
-    if j_cut < _required_cut(p.l):
-        raise ValueError(
-            f"j_cut={j_cut} below the safe minimum {_required_cut(p.l)} "
-            f"for l={p.l}")
     j0 = round(p.l)
-    k = np.arange(max(-WINDOW, -j_cut - j0), min(WINDOW, j_cut - j0) + 1)
-    return CircleState(p, j_cut, j0, k, -0.5 * (k - (p.l - j0)) ** 2,
-                       -p.phi * k)
+    k = np.arange(-WINDOW, WINDOW + 1)
+    return CircleState(p, j0, k, -0.5 * (k - (p.l - j0)) ** 2, -p.phi * k)
 
 
-def circle_eigen_residual(state: CircleState, relative: bool = False) -> float:
-    """|| Z|xi> - xi|xi> || / || |xi> || over the truncated lattice, with
-    Z = e^{-J + 1/2} U: (Z c)_j = e^{-j + 1/2} c_{j-1}.
+def circle_eigen_residual(state: CircleState) -> tuple[float, float]:
+    """|| Z|xi> - xi|xi> || / || |xi> || over the window, with
+    Z = e^{-J + 1/2} U: (Z c)_j = e^{-j + 1/2} c_{j-1}, as (absolute,
+    relative to |xi| = e^{-l}).
 
-    With relative=True it is divided by |xi| = e^{-l}.  That ratio is
-    formed first, from (Z c / xi)_{j0+k} = e^{d - k + 1/2 - i phi}
-    c_{j0+k-1}, so it stays meaningful where the absolute residual
-    underflows or overflows.
+    The relative one is formed first, from (Z c / xi)_{j0+k} =
+    e^{d - k + 1/2 - i phi} c_{j0+k-1}, so it stays meaningful where the
+    absolute one underflows or overflows.
     """
     p = state.point
     c = rect_array(state.log_mag, state.phase)
@@ -136,7 +111,7 @@ def circle_eigen_residual(state: CircleState, relative: bool = False) -> float:
                        state.phase[:-1] - p.phi)
     diff = np.append(-c[:1], image - c[1:])
     rel = math.sqrt(float(np.vdot(diff, diff).real / state.weights().sum()))
-    return rel if relative else rel * math.exp(-p.l)
+    return rel * math.exp(-p.l), rel
 
 
 def _k_moments(state: CircleState) -> tuple[float, float]:
@@ -154,30 +129,27 @@ def _shift_overlap(state: CircleState, n: int) -> complex:
     return complex(terms.sum() / state.weights().sum())
 
 
-def circle_expect_J(p: CirclePhasePoint, j_cut: int | None = None) -> float:
+def circle_expect_J(p: CirclePhasePoint) -> float:
     """<J> in the normalized coherent state.
 
     Equals l exactly (up to roundoff) when 2l is an integer; otherwise it
     oscillates around l with unit period and amplitude a few parts in 1e4.
     """
-    state = circle_coherent(p, j_cut)
+    state = circle_coherent(p)
     return state.j0 + _k_moments(state)[0]
 
 
-def circle_expect_U(p: CirclePhasePoint, j_cut: int | None = None) -> complex:
+def circle_expect_U(p: CirclePhasePoint) -> complex:
     """<U>: argument is exactly phi, modulus close to e^{-1/4}."""
-    return _shift_overlap(circle_coherent(p, j_cut), 1)
+    return _shift_overlap(circle_coherent(p), 1)
 
 
-def circle_relative_U(p: CirclePhasePoint, reference: CirclePhasePoint,
-                      j_cut: int | None = None) -> complex:
-    """<U>_p / <U>_ref; with reference (0, l) this is e^{i phi} to roundoff."""
-    if j_cut is None:
-        j_cut = max(default_j_cut(p.l), default_j_cut(reference.l))
-    ref = circle_expect_U(reference, j_cut)
+def circle_relative_U(p: CirclePhasePoint) -> complex:
+    """<U>_p / <U> at (0, l), which is e^{i phi} to roundoff."""
+    ref = circle_expect_U(CirclePhasePoint(0.0, p.l))
     if ref == 0:
         raise ZeroDivisionError("reference state has vanishing <U>")
-    return circle_expect_U(p, j_cut) / ref
+    return circle_expect_U(p) / ref
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,15 +170,14 @@ def uncertainty_from_moments(var_j: float, exp_u: complex,
     return rep
 
 
-def circle_uncertainty_report(p: CirclePhasePoint,
-                              j_cut: int | None = None) -> CircleUncertainty:
+def circle_uncertainty_report(p: CirclePhasePoint) -> CircleUncertainty:
     """(Delta J)^2, its <U>-controlled lower bound, and <U^2>/<U>^2.
 
     For angular-momentum eigenstates both sides degenerate to 0 = 0; on the
     coherent family the variance sits strictly above the bound and is flat
     in l to better than a percent.
     """
-    state = circle_coherent(p, j_cut)
-    exp_u = circle_expect_U(p, j_cut)
+    state = circle_coherent(p)
+    exp_u = circle_expect_U(p)
     ratio = _shift_overlap(state, 2) / exp_u ** 2
     return uncertainty_from_moments(_k_moments(state)[1], exp_u, ratio)

@@ -176,17 +176,15 @@ def _emit(args, payload: dict, fields: list[str], csv_row: str, rows,
 
 
 def cmd_circle(args) -> int:
-    point, j_cut = CirclePhasePoint(args.phi, args.l), args.j_cut
-    state = circle_coherent(point, j_cut)
-    exp_j = circle_expect_J(point, j_cut)
-    exp_u = circle_expect_U(point, j_cut)
-    rel_u = circle_relative_U(point, CirclePhasePoint(0.0, args.l), j_cut)
-    unc = circle_uncertainty_report(point, j_cut)
+    point = CirclePhasePoint(args.phi, args.l)
+    exp_j = circle_expect_J(point)
+    exp_u = circle_expect_U(point)
+    rel_u = circle_relative_U(point)
+    unc = circle_uncertainty_report(point)
+    residual, residual_rel = circle_eigen_residual(circle_coherent(point))
     payload = {
         "phi": point.phi,
         "l": point.l,
-        "j_cut": state.j_cut,
-        "tail_fraction": state.tail_fraction(),
         "expect_J": exp_j,
         "expect_U": _cnum(exp_u),
         "expect_U_abs": abs(exp_u),
@@ -194,8 +192,8 @@ def cmd_circle(args) -> int:
         "relative_U": _cnum(rel_u),
         "uncertainty": {"var_J": unc.var_j, "bound": unc.bound,
                         "ratio_U2": _cnum(unc.ratio_u2)},
-        "eigen_residual": circle_eigen_residual(state),
-        "eigen_residual_rel": circle_eigen_residual(state, relative=True),
+        "eigen_residual": residual,
+        "eigen_residual_rel": residual_rel,
     }
     rows = zip(("expect_J", "expect_U_re", "expect_U_im", "var_J", "bound"),
                map(float, (exp_j, exp_u.real, exp_u.imag, unc.var_j,
@@ -238,16 +236,11 @@ def cmd_sphere(args) -> int:
         "amplitude_log_range": float(logs.max() - logs.min()),
     }
     if args.check_paths:
-        try:
-            worst = path_disagreement(state, zl)
-        except ConstraintError as exc:
-            # the routes' parametrization, not the phase point, is singular
-            payload["path_disagreement_reason"] = str(exc)
-            worst = None
+        worst = path_disagreement(state, zl)
         if worst == math.inf:
             payload["path_disagreement_reason"] = (
-                "the generation routes' disagreement overflows a double: "
-                "their sums cancel catastrophically near z3 = -1")
+                "the generation routes are singular at z3 = -1, and beside "
+                "it their disagreement overflows a double")
             worst = None
         payload["path_disagreement"] = worst
     _emit(args, payload, ["j", "m", "log_mag", "phase"], "%d,%d,%r,%r\r\n",
@@ -309,17 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
     # subparsers are of the parser's own class, _Parser
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, j_cut_max=SPHERE_J_CUT_RANGE[1]):
+    def common(p, j_cut=True):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the report here "
                        "instead of stdout")
-        p.add_argument("--j-cut", default="auto",
-                       type=_int_arg("--j-cut", SPHERE_J_CUT_RANGE[0],
-                                     j_cut_max, auto=True),
-                       help="truncation level or 'auto' (the label's default)")
+        if j_cut:
+            p.add_argument("--j-cut", default="auto",
+                           type=_int_arg("--j-cut", *SPHERE_J_CUT_RANGE,
+                                         auto=True),
+                           help="truncation level or 'auto' (the label's "
+                                "default)")
 
     pc = sub.add_parser("circle", help="circle coherent-state report")
-    common(pc, j_cut_max=math.inf)
+    common(pc, j_cut=False)
     pc.add_argument("--phi", type=_finite_arg, required=True,
                     help="angle label")
     pc.add_argument("--l", type=_finite_arg, required=True,

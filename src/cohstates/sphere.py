@@ -473,7 +473,10 @@ def max_amplitude_rel_diff(a: StateVector, b: StateVector) -> float:
 
 def path_disagreement(s: StateVector, zl: ZLabel) -> float:
     """The worst max_amplitude_rel_diff against s of the triple sum and of
-    the ladder route, each built from zl at the cut of s.  Raises
-    ConstraintError where their parametrization is singular (z3 = -1)."""
-    return max(max_amplitude_rel_diff(s, route(zl, s.j_cut))
-               for route in (coherent_triple_sum, coherent_ladder_generated))
+    the ladder route, each built from zl at the cut of s; inf where their
+    parametrization is singular (z3 = -1) or their difference overflows."""
+    try:
+        return max(max_amplitude_rel_diff(s, route(zl, s.j_cut)) for route
+                   in (coherent_triple_sum, coherent_ladder_generated))
+    except ConstraintError:
+        return math.inf

@@ -30,9 +30,9 @@ def test_rest_coefficients_are_gaussian():
 
 
 def test_rest_coefficients_symmetric():
+    # at rest the window is symmetric about j = 0
     state = circle_coherent(CirclePhasePoint(0.0, 0.0))
-    assert (state.j0 + state.k).tolist() == list(range(-state.j_cut,
-                                                       state.j_cut + 1))
+    assert (state.j0 + state.k).tolist() == list(range(-WINDOW, WINDOW + 1))
     assert np.array_equal(state.log_mag, state.log_mag[::-1])
 
 
@@ -42,14 +42,18 @@ def test_window_size_does_not_grow_with_l():
     assert state.j0 == 100000
 
 
-def test_j_cut_below_safe_minimum_rejected():
-    with pytest.raises(ValueError):
-        circle_coherent(CirclePhasePoint(0.0, 5.0), j_cut=10)
+@pytest.mark.parametrize("l", [-709.0, -512.86, 0.0, 2.0, 1e5])
+def test_state_holds_the_whole_window(l):
+    state = circle_coherent(CirclePhasePoint(0.3, l))
+    assert len(state.coeffs) == 2 * WINDOW + 1
+    assert state.k.tolist() == list(range(-WINDOW, WINDOW + 1))
 
 
 def test_eigen_residual_small():
-    state = circle_coherent(CirclePhasePoint(1.0, 2.5), j_cut=40)
-    assert circle_eigen_residual(state) <= 1e-12
+    state = circle_coherent(CirclePhasePoint(1.0, 2.5))
+    residual, relative = circle_eigen_residual(state)
+    assert residual <= 1e-12
+    assert relative <= 1e-12
 
 
 class TestExpectJ:
@@ -90,18 +94,16 @@ class TestExpectU:
 
 
 class TestRelativeU:
+    # every <U> is divided by the one at (0, l)
     def test_self_reference_is_one(self):
-        p = CirclePhasePoint(0.7, 1.1)
-        assert circle_relative_U(p, p) == pytest.approx(1.0)
+        assert circle_relative_U(CirclePhasePoint(0.0, 1.1)) == 1.0
 
     def test_pure_phase_for_shared_l(self):
-        got = circle_relative_U(CirclePhasePoint(0.9, 0.0),
-                                CirclePhasePoint(0.0, 0.0))
+        got = circle_relative_U(CirclePhasePoint(0.9, 0.0))
         assert got == pytest.approx(cmath.exp(0.9j), abs=1e-12)
 
     def test_unit_modulus_when_l_matches(self):
-        got = circle_relative_U(CirclePhasePoint(-1.8, 2.2),
-                                CirclePhasePoint(0.4, 2.2))
+        got = circle_relative_U(CirclePhasePoint(-1.8, 2.2))
         assert abs(got) == pytest.approx(1.0, rel=1e-13)
 
 
@@ -136,8 +138,7 @@ def test_reports_periodic_in_l(l):
     phi = -2.947
     p, q = CirclePhasePoint(phi, l), CirclePhasePoint(phi, math.fmod(l, 1.0))
     pairs = [(circle_expect_U(p), circle_expect_U(q)),
-             (circle_relative_U(p, CirclePhasePoint(0.0, p.l)),
-              circle_relative_U(q, CirclePhasePoint(0.0, q.l)))]
+             (circle_relative_U(p), circle_relative_U(q))]
     up, uq = circle_uncertainty_report(p), circle_uncertainty_report(q)
     pairs += [(up.var_j, uq.var_j), (up.ratio_u2, uq.ratio_u2)]
     for a, b in pairs:
@@ -154,7 +155,7 @@ def test_argument_exact_at_large_l():
 
 def test_relative_residual_at_negative_l():
     state = circle_coherent(CirclePhasePoint(-2.73, -512.86))
-    assert circle_eigen_residual(state, relative=True) <= 1e-15
+    assert circle_eigen_residual(state)[1] <= 1e-15
 
 
 def test_phi_wraps_into_principal_interval():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import oracles
 import cohstates
 from cohstates import cli, sphere
+from cohstates.circle import circle_eigen_residual
 from cohstates.cli import main
 from cohstates.repspace import StateVector
 from test_sphere import _l, _x
@@ -89,6 +90,22 @@ class TestCircleCommand:
         assert d["eigen_residual_rel"] <= 1e-15
         assert d["eigen_residual"] == pytest.approx(
             d["eigen_residual_rel"] * math.exp(512.86), rel=1e-12)
+
+    def test_report_has_no_cut(self, run):
+        d = run_json(run, ["circle", "--phi", "0", "--l", "2"])
+        assert "j_cut" not in d and "tail_fraction" not in d
+
+    def test_residual_is_computed_once(self, run, monkeypatch):
+        calls = []
+
+        def counted(state):
+            calls.append(state)
+            return circle_eigen_residual(state)
+
+        monkeypatch.setattr(cli, "circle_eigen_residual", counted)
+        d = run_json(run, ["circle", "--phi", "0.4", "--l", "3.7"])
+        assert len(calls) == 1
+        assert d["eigen_residual"] == d["eigen_residual_rel"] * math.exp(-3.7)
 
     def test_csv_cells_carry_the_json_numbers(self, run):
         argv = ["circle", "--phi", "0.7", "--l", "-3.3"]
@@ -361,13 +378,14 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("internal error: hermiticity residue")
 
-    def test_circle_j_cut_has_no_upper_bound(self, run):
-        d = run_json(run, ["circle", "--phi", "0", "--l", "1",
-                           "--j-cut", "731"])
-        assert d["j_cut"] == 731
+    def test_circle_takes_no_j_cut(self):
+        # the circle state is its whole window: there is no cut to set
+        code, out, err = output(["circle", "--phi", "0", "--l", "2",
+                                 "--j-cut", "50"])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
-        ["circle", "--phi", "0.5", "--l", "2"],
         ["sphere", "--x", "0,0,1", "--l", "1,0,0"],
         ["rotator", "--x", "0,0,1", "--l", "1,0,0"],
         ["verify", "--identity-j-cut", "6"],

@@ -21,7 +21,8 @@ from cohstates.sphere import (L_NORM_MAX, LABEL_TOL, ConstraintError,
                               default_j_cut, eigen_residual, expect_J,
                               expect_X, generation_params,
                               max_amplitude_rel_diff, north_pole_state,
-                              phase_to_z, relative_X, uncertainty_J)
+                              path_disagreement, phase_to_z, relative_X,
+                              uncertainty_J)
 
 # Figure-1 phase point of the energy-distribution study: position quoted to
 # three decimals (rescaled onto the unit sphere at construction), momentum
@@ -265,6 +266,11 @@ class TestTripleSum:
             generation_params(ZLabel([0, 0, -1]))
         with pytest.raises(ConstraintError):
             coherent_triple_sum(ZLabel([0, 0, -1]), 15)
+
+    def test_path_disagreement_infinite_at_south_pole(self):
+        # the routes are singular there, which reads as no agreement at all
+        s = coherent_state(SpherePhasePoint([0, 0, -1], [0, 0, 0]))
+        assert path_disagreement(s, ZLabel([0, 0, -1])) == math.inf
 
 
 @functools.cache
