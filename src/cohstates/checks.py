@@ -96,8 +96,8 @@ class _Sweep:
     """Table identities on every interior basis vector (j <= j_cut - 2).
 
     Each column's residual is ||lhs - rhs|| over the interior, relative to
-    the largest participating norm: the interior parts of lhs and rhs and
-    the full scale operands, the basis vector itself (`one`) included.
+    the largest participating norm: the interior parts of lhs and rhs, the
+    full scale operands and the basis vector's own norm, 1.
     """
 
     def __init__(self, j_cut: int, components: int = 1):
@@ -113,12 +113,10 @@ class _Sweep:
         """lhs = rhs on every column; rhs None stands for zero."""
         sides = [lhs] if rhs is None else [lhs, rhs]
         diff = lhs if rhs is None else lhs - rhs
-        d = diff.column_norms(self.interior)
         ref = np.max([t.column_norms(self.interior) for t in sides]
                      + [t.column_norms() for t in scales], axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = d / ref     # 0/0 is NaN, which fmax below passes over
-        self.worst = np.fmax(self.worst, np.where(self.inside, r, 0.0))
+        r = diff.column_norms(self.interior) / np.maximum(ref, 1.0)
+        self.worst = np.maximum(self.worst, np.where(self.inside, r, 0.0))
         self.identities += 1
 
     def result(self, name: str) -> CheckResult:
@@ -141,13 +139,13 @@ def check_e3_commutators(j_cut: int) -> CheckResult:
         for fam_a, fam_b in ((js, js), (js, xs)):
             ab = fam_a[i] @ fam_b[k]
             sweep.add(ab - fam_b[k] @ fam_a[i],
-                      _EPS[(i, k, l)] * 1j * fam_b[l], sweep.one, ab)
+                      _EPS[(i, k, l)] * 1j * fam_b[l], ab)
         ab = xs[i] @ xs[k]
-        sweep.add(ab - xs[k] @ xs[i], None, sweep.one, ab)
+        sweep.add(ab - xs[k] @ xs[i], None, ab)
     # mixed commutators with equal indices must vanish: [J_i, X_i] = 0
     for i in range(3):
         ab = js[i] @ xs[i]
-        sweep.add(ab - xs[i] @ js[i], None, sweep.one, ab)
+        sweep.add(ab - xs[i] @ js[i], None, ab)
     return sweep.result("e3_commutators")
 
 
@@ -156,9 +154,9 @@ def check_casimirs(j_cut: int) -> CheckResult:
     js, xs = _tables(_JN, j_cut), _tables(_XN, j_cut)
     sweep = _Sweep(j_cut)
     parts = [x @ x for x in xs]
-    sweep.add(sum(parts[1:], parts[0]), sweep.one, sweep.one, *parts)
+    sweep.add(sum(parts[1:], parts[0]), sweep.one, *parts)
     parts = [js[i] @ xs[i] for i in range(3)]
-    sweep.add(sum(parts[1:], parts[0]), None, sweep.one, *parts)
+    sweep.add(sum(parts[1:], parts[0]), None, *parts)
     return sweep.result("casimirs")
 
 
@@ -166,7 +164,7 @@ def check_v_squared(j_cut: int) -> CheckResult:
     """V^2 = I blockwise (V Hermitian and unitary on the interior)."""
     v = v_table(j_cut)
     sweep = _Sweep(j_cut, components=2)
-    sweep.add(v @ v, sweep.one, sweep.one)
+    sweep.add(v @ v, sweep.one)
     return sweep.result("v_squared")
 
 
@@ -175,7 +173,7 @@ def check_kv_anticommutator(j_cut: int) -> CheckResult:
     v, k = v_table(j_cut), k_table(j_cut)
     sweep = _Sweep(j_cut, components=2)
     kv = k @ v
-    sweep.add(kv + v @ k, None, sweep.one, kv)
+    sweep.add(kv + v @ k, None, kv)
     return sweep.result("kv_anticommutator")
 
 
@@ -184,7 +182,7 @@ def check_z_commutativity(j_cut: int) -> CheckResult:
     sweep = _Sweep(j_cut)
     for i, k in itertools.combinations(range(3), 2):
         ab = zs[i] @ zs[k]
-        sweep.add(ab - zs[k] @ zs[i], None, sweep.one, ab)
+        sweep.add(ab - zs[k] @ zs[i], None, ab)
     return sweep.result("z_commutativity")
 
 
@@ -192,7 +190,7 @@ def check_z_normalization(j_cut: int) -> CheckResult:
     """Z1^2 + Z2^2 + Z3^2 = I on interior basis vectors."""
     parts = [z @ z for z in _tables(_ZN, j_cut)]
     sweep = _Sweep(j_cut)
-    sweep.add(sum(parts[1:], parts[0]), sweep.one, sweep.one, *parts)
+    sweep.add(sum(parts[1:], parts[0]), sweep.one, *parts)
     return sweep.result("z_normalization")
 
 
@@ -204,8 +202,8 @@ def check_z_routes(j_cut: int) -> CheckResult:
     for a, x, vec, mat in zip(_tables(_ZN, j_cut), _tables(_XN, j_cut),
                               z_vector_form_tables(j_cut),
                               z_from_matrix_tables(entries)):
-        sweep.add(a, vec, sweep.one, f @ x)
-        sweep.add(a, mat, sweep.one, *entries)
+        sweep.add(a, vec, f @ x)
+        sweep.add(a, mat, *entries)
     return sweep.result("z_route_equality")
 
 

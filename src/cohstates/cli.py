@@ -103,7 +103,7 @@ SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))
 # The identity sweeps need an interior level j <= j_cut - 2 above the ground
 # multiplet, and hold each operator as a table of at most 12 bands of
 # (j_cut + 1)^2 finite coefficients each, under 6 MB per table at 200, where
-# the 7 checks take 0.8-1.0 s and 72 MB on a 2-core Xeon.
+# the 7 checks take 0.5-0.6 s and 72 MB on a 2-core Xeon.
 IDENTITY_J_CUT_RANGE = (3, 200)
 
 

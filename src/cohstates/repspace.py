@@ -330,6 +330,9 @@ def expectation(which: str, s: StateVector) -> complex:
         shift, d = _image(which, s, 0)
         top, rows, norm_sq = s._unit_rows
         t, acc = peak_sum(top + shift, np.einsum("ij,ij->i", rows.conj(), d))
+        # norm_sq is 1 but for rounding: dividing by it cancels the rounding
+        # of the absolute log_norm_sq that scaled the rows, some 1e-12
+        # relative at a log-magnitude of 1e4
         memo[which] = complex(acc / norm_sq) * math.exp(t)
     return memo[which]
 
@@ -367,9 +370,12 @@ _unchecked = np.errstate(over="ignore", invalid="ignore")
 class BandTable:
     """Operator on every basis vector of every component at once: band
     key = (dj, dm, row, col) sends |j, m> in component col to
-    bands[key][j*j + j + m] |j + dj, m + dm> in component row.  Targets past
-    j_cut may carry coefficients; products and norms drop them.  Every
-    coefficient is finite, or the table is not built."""
+    bands[key][j*j + j + m] |j + dj, m + dm> in component row.  Every
+    coefficient is finite, or the table is not built, and 0 wherever its
+    target is not a basis vector (j + dj < 0 or |m + dm| > j + dj): the
+    matrix elements vanish there, and sums and products keep it so.  Targets
+    past j_cut may carry coefficients; products and norms drop them, and
+    need only the target level j + dj to find them."""
 
     bands: dict
     j_cut: int
@@ -382,34 +388,31 @@ class BandTable:
     def components(self) -> int:
         return 1 + max(max(key[2:]) for key in self.bands)
 
-    def _targets(self, j_max: int) -> dict:
-        """{(dj, dm): (target flat index of every source, 0 off the basis;
-        whether it is a basis index with j <= j_max)} over the band shifts."""
-        j, m = grid(self.j_cut)
-        out = {}
-        for dj, dm in {key[:2] for key in self.bands}:
-            jt, mt = j + dj, m + dm
-            ok = (jt >= 0) & (jt <= j_max) & (np.abs(mt) <= jt)
-            out[dj, dm] = np.where(ok, jt * (jt + 1) + mt, 0), ok
-        return out
-
     def _check_shape(self, other: "BandTable") -> None:
         if (self.j_cut, self.components) != (other.j_cut, other.components):
             raise ValueError("tables must share j_cut and components")
 
     @_unchecked
     def __matmul__(self, other: "BandTable") -> "BandTable":
-        """The product self other, in which other acts first."""
+        """The product self other, in which other acts first.  Each band
+        shift of other finds its targets once, as flat indices that take()
+        clips to the table: an index it clips is off the basis, where other's
+        coefficient is 0, or past j_cut, where it is dropped."""
         self._check_shape(other)
+        j, m = grid(self.j_cut)
+        targets = {}
+        for dj, dm in {key[:2] for key in other.bands}:
+            jt = j + dj
+            targets[dj, dm] = jt * (jt + 1) + m + dm, jt <= self.j_cut
         bands: dict = {}
-        targets = other._targets(self.j_cut)
         for kb, cb in other.bands.items():
-            tgt, ok = targets[kb[:2]]
-            w = np.where(ok, cb, 0)
+            tgt, inside = targets[kb[:2]]
+            w = np.where(inside, cb, 0)
             for ka, ca in self.bands.items():
                 if ka[3] == kb[2]:
                     key = (ka[0] + kb[0], ka[1] + kb[1], ka[2], kb[3])
-                    bands[key] = bands.get(key, 0) + ca[tgt] * w
+                    bands[key] = (bands.get(key, 0)
+                                  + ca.take(tgt, mode="clip") * w)
         return BandTable(bands, self.j_cut)
 
     @_unchecked
@@ -431,10 +434,11 @@ class BandTable:
         """Norm of every source's image over the targets with j <= j_max
         (default j_cut), component after component, its squares summed
         relative to its largest coefficient so that they cannot overflow."""
-        targets = self._targets(self.j_cut if j_max is None else j_max)
+        j = grid(self.j_cut)[0]
+        j_max = self.j_cut if j_max is None else j_max
         norms = []
         for col in range(self.components):
-            mags = [np.abs(c) * targets[key[:2]][1]
+            mags = [np.abs(c) * (j + key[0] <= j_max)
                     for key, c in self.bands.items() if key[3] == col]
             top = np.max(mags, axis=0)
             unit = np.where(top > 0, top, 1.0)

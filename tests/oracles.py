@@ -268,11 +268,13 @@ def _table_image(t: BandTable, lm: np.ndarray, ph: np.ndarray) -> tuple:
     and terms raised past j_cut are dropped."""
     top = np.full(lm.size, -math.inf)
     terms = []
-    targets = t._targets(t.j_cut)
-    for key, coef in t.bands.items():
-        tgt, ok = targets[key[:2]]
+    j, m = grid(t.j_cut)
+    for (dj, dm, _, _), coef in t.bands.items():
+        jt, mt = j + dj, m + dm
+        ok = (jt >= 0) & (jt <= t.j_cut) & (np.abs(mt) <= jt)
         src = np.flatnonzero(ok & (coef != 0) & (lm > -math.inf))
-        tgt, c, mag = tgt[src], coef[src], np.abs(coef[src])
+        tgt = (jt * (jt + 1) + mt)[src]
+        c, mag = coef[src], np.abs(coef[src])
         lg = lm[src] + np.log(mag)
         # each band maps distinct sources to distinct targets
         top[tgt] = np.maximum(top[tgt], lg)

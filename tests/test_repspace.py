@@ -174,6 +174,19 @@ class TestInnerAndExpectation:
         plus = state_sum([basis_state(0, 0, 8), basis_state(1, 0, 8)])
         assert expectation("Jsq", plus) == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("j", [30, 45, 55])
+    @pytest.mark.parametrize("offset", [0.0, 5000.0, -3000.0, 12345.6])
+    def test_expectation_divides_out_the_rounded_norm(self, j, offset):
+        # one level, amplitudes of one magnitude e^offset: the log squared
+        # norm, about 2 offset, rounds at its own ulp, which the division by
+        # the rows' squared norm cancels
+        lm = np.full((j + 1) ** 2, -math.inf)
+        phase = np.zeros(lm.size)
+        lm[j * j:] = offset
+        phase[j * j:] = 0.7 * np.arange(-j, j + 1)
+        got = expectation("Jsq", StateVector(lm, phase, j))
+        assert abs(got - j * (j + 1)) <= 4 * math.ulp(j * (j + 1))
+
     def test_zero_norm_expectation_rejected(self):
         empty = state_scale(basis_state(0, 0, 8), 0j)
         for evaluate in (expectation,
@@ -541,6 +554,24 @@ class TestBandTables:
                                              restricted(image.down, 6))
                 assert math.log(norms[k]) == pytest.approx(
                     0.5 * inside.log_norm_sq(), abs=1e-14)
+
+    @pytest.mark.parametrize("j_cut", [3, 12, 30])
+    def test_coefficients_vanish_off_the_basis(self, j_cut):
+        # products and norms read only a target's level, so every table
+        # verify builds must be 0 wherever its target is not a basis vector
+        from cohstates.repspace import identity_table, jsq_tables
+        from cohstates.spinor import (exp_minus_k_table, k_table, v_table,
+                                      z_matrix_entries)
+        tables = ([operator_table(w, j_cut) for w in LABELS + ("J1", "J2")]
+                  + [*jsq_tables(j_cut), *z_matrix_entries(j_cut)]
+                  + [identity_table(j_cut, c) for c in (1, 2)]
+                  + [v_table(j_cut), k_table(j_cut), exp_minus_k_table(j_cut),
+                     exp_minus_k_table(j_cut) @ v_table(j_cut)])
+        j, m = grid(j_cut)
+        for t in tables:
+            for (dj, dm, row, col), c in t.bands.items():
+                off = (j + dj < 0) | (np.abs(m + dm) > j + dj)
+                assert not c[off].any(), (dj, dm, row, col)
 
     def test_tables_that_overflow_are_refused(self):
         # the suite turns RuntimeWarnings into errors, so an overflow

@@ -80,6 +80,13 @@ class TestDistribution:
         t = distribution_from_state(coherent_state(FIG1))
         assert t.total() == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("l_norm", [20, 100, 200, 355])
+    def test_total_probability_is_one_to_rounding(self, l_norm):
+        # the log squared norm, of size about |l|^2, must not round the total
+        t = distribution_from_state(coherent_state(
+            SpherePhasePoint([0.6, 0, 0.8], [0, l_norm, 0])))
+        assert abs(t.total() - 1) <= 1e-14
+
     def test_entries_nonnegative(self):
         p = SpherePhasePoint([0, 0, 1], [3, 1, 0], project_tangent=True)
         t = distribution_from_state(coherent_state(p))
