@@ -24,7 +24,7 @@ from .circle import (CirclePhasePoint, circle_coherent, circle_eigen_residual,
                      circle_uncertainty_report)
 from .repspace import (BandTable, grid, identity_table, jsq_tables,
                        operator_table, z_vector_form_tables)
-from .specfun import gegenbauer_column, hyp2f1_terminating, log_factorial
+from .specfun import gegenbauer_column, hyp2f1_terminating
 from .spinor import k_table, v_table, z_from_matrix_tables, z_matrix_entries
 from .sphere import (SpherePhasePoint, coherent_closed_form, coherent_state,
                      default_j_cut, eigen_residual, path_disagreement,
@@ -251,10 +251,8 @@ def check_hyp2f1_identity() -> CheckResult:
                     den = f[n + m] * f[n] * pow2
                     term_scale = max(abs(complex(re / den, im / den))
                                      for re, im in terms)
-                    lm, ph = hyp2f1_terminating(n, k + 1.0, m + 1.0, -z)
-                    rhs = cmath.rect(math.exp(
-                        lm + log_factorial(k) - log_factorial(m)
-                        - log_factorial(n)), ph)
+                    rhs = f[k] / (f[m] * f[n]) * hyp2f1_terminating(
+                        n, k + 1.0, m + 1.0, -z)
                     lhs_c = _exact_sum(terms, den)
                     scale = max(abs(lhs_c), abs(rhs), term_scale)
                     worst.add(abs(lhs_c - rhs) / scale,

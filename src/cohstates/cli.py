@@ -95,9 +95,9 @@ def _int_arg(flag: str, lo: int, hi: float, auto: bool = False):
 # A sphere state at cut n holds (n + 1)^2 amplitudes, and a report prints
 # every nonzero one.  The upper bound is the automatic cut at the largest
 # supported |l| (355), 730: there a sphere report at --l 355,0,0 (534,361
-# nonzero amplitudes) takes 2.2-3.4 s, about 1 s of it printing, and peaks
-# at 180 MB RSS as JSON and as CSV, the peak of the numbers alone, since the
-# amplitudes are printed a chunk at a time (one Xeon core, numpy 2.4).
+# nonzero amplitudes) takes 3.4-4.0 s in 7 runs on a 2-core Xeon (numpy
+# 2.4.6), about 1 s of it printing, and peaks at 179-181 MB RSS as JSON and
+# as CSV: the numbers' own peak, as the amplitudes print a chunk at a time.
 SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))
 
 # The identity sweeps need an interior level j <= j_cut - 2 above the ground

@@ -1,13 +1,13 @@
 """Special functions feeding the coherent-state amplitudes.
 
-Values come in the log domain: a plain log for log_factorial, a
-(log-magnitude, phase) pair for hyp2f1_terminating, and (log-magnitude,
-phase) arrays for gegenbauer_column.
+log_factorial gives a plain log and gegenbauer_column (log-magnitude,
+phase) arrays, since the amplitudes they build span far beyond the range of
+doubles.  hyp2f1_terminating returns a plain complex: its one caller, the
+identity check of `cohstates verify`, sums at most 9 terms of moderate size.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -27,36 +27,25 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def hyp2f1_terminating(n: int, b: float, c: float,
-                       z: complex) -> tuple[float, float]:
-    """2F1(-n, b, c; z) as the exact finite sum of n + 1 terms, returned as
-    a (log-magnitude, phase) pair.
+def hyp2f1_terminating(n: int, b: float, c: float, z: complex) -> complex:
+    """2F1(-n, b, c; z) as the exact finite sum of its n + 1 terms.
 
-    The first parameter -n makes the series terminate.  The terms are built
-    in the log domain by the ratio recurrence and summed around the largest,
-    so mixed-sign parameters and complex z are handled uniformly.  The sum
-    is plain Python, not logdomain.peak_sum: verify's series have at most 9
-    terms, and numpy's cost per call would outweigh them.
+    The first parameter -n makes the series terminate.  Each term is the
+    last times (-n + s)(b + s) / ((c + s)(s + 1)) z, and the terms are
+    summed as they come, in complex doubles.
 
     Raises ValueError when c is a nonpositive integer hit by the Pochhammer
     denominator before the series terminates (c = 0, -1, ..., -(n-1)).
     """
     if n < 0:
         raise ValueError(f"series order must be nonnegative, got {n}")
-    if c <= 0 and c == int(c) and -int(c) < n:
+    if c <= 0 and float(c).is_integer() and -c < n:
         raise ValueError(f"c={c} makes 2F1(-{n}, {b}, {c}; z) undefined")
-    logs, phases = [0.0], [0.0]
+    term = total = 1 + 0j
     for s in range(n):
-        ratio = (-n + s) * (b + s) / ((c + s) * (s + 1)) * complex(z)
-        if ratio == 0:
-            break    # every later term vanishes too
-        logs.append(logs[-1] + math.log(abs(ratio)))
-        phases.append(phases[-1] + cmath.phase(ratio))
-    top = max(logs)
-    acc = sum(cmath.rect(math.exp(lg - top), ph)
-              for lg, ph in zip(logs, phases))
-    return (top + math.log(abs(acc)), cmath.phase(acc)) if acc else (
-        -math.inf, 0.0)
+        term *= (-n + s) * (b + s) / ((c + s) * (s + 1)) * z
+        total += term
+    return total
 
 
 def gegenbauer_column(n_max: int, alpha, x: complex) -> tuple:

@@ -20,9 +20,10 @@ slices' references.  The spinor tests get their two-component states here:
 `SpinorState`, `spinor_basis`, the application of a spinor table block by
 block, and spinor sums, scalings, inner products and residuals.  Then come
 the Fraction-sum series oracles of `cohstates verify`, which the integer
-sums must match bit for bit.  Last is the CLI's first report writer, one
-dict per row through `json.dumps` and `csv.DictWriter`, which the chunked
-writer must match byte for byte.
+sums must match bit for bit, and the exact moments of a sphere state as
+one-dimensional series over its levels.  Last is the CLI's first report
+writer, one dict per row through `json.dumps` and `csv.DictWriter`, which
+the chunked writer must match byte for byte.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
+import mpmath
 import numpy as np
 
 from cohstates import __version__, checks, specfun
@@ -999,11 +1001,10 @@ def hyp2f1_identity() -> CheckResult:
                         term_scale = max(term_scale, abs(t.to_complex()))
                         lhs = lhs + t
                         zpow = zpow * zq
-                    lm, ph = specfun.hyp2f1_terminating(n, k + 1.0, m + 1.0,
-                                                        -z)
-                    rhs = cmath.rect(math.exp(
-                        lm + log_factorial(k) - log_factorial(m)
-                        - log_factorial(n)), ph)
+                    rhs = (math.factorial(k)
+                           / (math.factorial(m) * math.factorial(n))
+                           * specfun.hyp2f1_terminating(n, k + 1.0, m + 1.0,
+                                                        -z))
                     lhs_c = lhs.to_complex()
                     scale = max(abs(lhs_c), abs(rhs), term_scale)
                     worst.add(abs(lhs_c - rhs) / scale,
@@ -1038,6 +1039,45 @@ def gegenbauer_recurrence() -> CheckResult:
                           {"n": n, "alpha": alpha,
                            "x": [complex(x).real, complex(x).imag]})
     return worst.result("gegenbauer_recurrence_vs_series", checks.SERIES_TOL)
+
+
+# -- the exact moments of a sphere state --------------------------------------
+
+def moment_series(l_norm: float, j_cut: int) -> tuple:
+    """The moments of the coherent state at |l| = l_norm and cut j_cut, as
+    one-dimensional sums over its levels, in mpmath at 40 digits.
+
+    With c = cosh 2|l| and w_j = (2j+1) e^{-j(j+1)}, level j holds squared
+    norm in proportion to w_j P_j(c): the addition theorem
+    sum_m |Y_jm(z)|^2 = (2j+1)/(4 pi) P_j(conj(z).z), continued to the
+    complex label.  Then, with N = sum_j w_j P_j(c),
+        <J>   = l/|l| sinh(2|l|) sum_j w_j P_j'(c) / N,
+        <J^2> = sum_j j(j+1) w_j P_j(c) / N,
+        <X>/r = x/r sum_j (j+1) e^{-(j+1)^2} (P_j(c) + P_{j+1}(c))
+                / (cosh|l| N),
+    the last over the level pairs j, j+1 inside the cut.  P_j(c) comes from
+    the Legendre recurrence and P_j'(c) from
+    (c^2 - 1) P_j' = j (c P_j - P_{j-1}).  Returns |<J>|, <J^2>,
+    var_J = <J^2> - |<J>|^2 (taken before rounding) and |<X>|/r as floats.
+    """
+    with mpmath.workdps(40):
+        ln = mpmath.mpf(l_norm)
+        c = mpmath.cosh(2 * ln)
+        p = [mpmath.mpf(1), c]                   # P_0(c), P_1(c), ...
+        for j in range(1, j_cut + 1):
+            p.append(((2 * j + 1) * c * p[j] - j * p[j - 1]) / (j + 1))
+        dp = [0] + [j * (c * p[j] - p[j - 1]) / (c * c - 1)
+                    for j in range(1, j_cut + 1)]
+        w = [(2 * j + 1) * mpmath.exp(-j * (j + 1)) for j in range(j_cut + 1)]
+        levels = range(j_cut + 1)
+        norm = mpmath.fsum(w[j] * p[j] for j in levels)
+        j_mag = (mpmath.sinh(2 * ln)
+                 * mpmath.fsum(w[j] * dp[j] for j in levels) / norm)
+        jsq = mpmath.fsum(j * (j + 1) * w[j] * p[j] for j in levels) / norm
+        x_ratio = (mpmath.fsum((j + 1) * mpmath.exp(-(j + 1) ** 2)
+                               * (p[j] + p[j + 1]) for j in range(j_cut))
+                   / (mpmath.cosh(ln) * norm))
+        return tuple(map(float, (j_mag, jsq, jsq - j_mag ** 2, x_ratio)))
 
 
 # -- the CLI's first report writer ---------------------------------------------

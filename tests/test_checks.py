@@ -1,8 +1,6 @@
 """The verify checks: table identities against the per-vector sparse loops,
 and the integer series oracles against the Fraction sums."""
 
-import math
-
 import pytest
 
 import oracles
@@ -85,8 +83,7 @@ def test_perturbed_hyp2f1_fails_the_identity(monkeypatch):
     original = checks.hyp2f1_terminating
 
     def scaled(*args):
-        lm, ph = original(*args)
-        return lm + math.log1p(1e-10), ph
+        return original(*args) * (1 + 1e-10)
 
     monkeypatch.setattr(checks, "hyp2f1_terminating", scaled)
     r = checks.check_hyp2f1_identity()

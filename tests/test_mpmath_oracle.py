@@ -1,6 +1,7 @@
 """Closed-form amplitudes, the Gegenbauer kernel and the scalar weights of
 the operator tables against mpmath at 50 digits, independently of the three
-construction routes."""
+construction routes, and the state's moments against their exact
+one-dimensional series at 40 digits."""
 
 import math
 
@@ -8,11 +9,14 @@ import mpmath
 import numpy as np
 import pytest
 
+from cohstates.checks import _random_tangent_point
 from cohstates.repspace import jsq_tables
 from cohstates.specfun import gegenbauer_column
 from cohstates.sphere import (SpherePhasePoint, coherent_closed_form,
-                              default_j_cut, phase_to_z)
+                              coherent_state, default_j_cut, expect_J,
+                              expect_X, phase_to_z, uncertainty_J)
 from cohstates.spinor import _expk_entries
+from oracles import moment_series
 
 X = np.array([0.36, 0.48, 0.8])
 DIRECTION = np.cross(X, [1.0, 0.3, -0.2])    # generic tangent direction
@@ -105,3 +109,22 @@ def test_table_scalars_at_50_digits(j):
             gots = _expk_entries(np.array(float(j)), np.array(float(mu)))
             for got, want in zip(gots, wants):
                 assert abs(got - want) <= 1e-14 * abs(want), (j, mu)
+
+
+@pytest.mark.parametrize("l_norm", [0.5, 5.0, 25.0, 100.0, 354.0])
+def test_moments_match_exact_series(l_norm):
+    # The amplitudes' log-magnitudes near the peak are about |l|^2/2, and
+    # rounding them costs about |l|^2/2 eps relative; the sums add a few
+    # ulps.
+    bound = 8 * (1 + l_norm ** 2) * 2.0 ** -52
+    rng = np.random.default_rng(0)
+    for _ in range(3 if l_norm < 200 else 1):
+        p = _random_tangent_point(rng, l_norm)
+        s = coherent_state(p)
+        j_mag, _, var_want, x_ratio = moment_series(p.l_norm, s.j_cut)
+        j_want = j_mag * p.l / p.l_norm
+        x_want = x_ratio * p.x / p.r
+        gaps = (np.linalg.norm(expect_J(s) - j_want) / np.linalg.norm(j_want),
+                np.linalg.norm(expect_X(s) - x_want) / np.linalg.norm(x_want),
+                abs(uncertainty_J(s).var_j - var_want) / var_want)
+        assert max(gaps) <= bound, (p.x, p.l, gaps)

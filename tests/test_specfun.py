@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cohstates import checks
 from cohstates.specfun import (gegenbauer_column, hyp2f1_terminating,
                                log_factorial)
 from oracles import value
@@ -31,12 +32,12 @@ def test_log_factorial_rejects_negative():
 
 
 def test_hyp2f1_order_zero_is_one():
-    assert value(hyp2f1_terminating(0, 3.7, 1.2, 2 - 1j)) == 1.0
+    assert hyp2f1_terminating(0, 3.7, 1.2, 2 - 1j) == 1.0
 
 
 def test_hyp2f1_binomial_case():
     # 2F1(-n, b, b; z) = (1 - z)^n
-    got = value(hyp2f1_terminating(3, 2.0, 2.0, -1.0))
+    got = hyp2f1_terminating(3, 2.0, 2.0, -1.0)
     assert got == pytest.approx(8.0, rel=1e-14)
 
 
@@ -45,6 +46,16 @@ def test_hyp2f1_rejects_bad_c():
         hyp2f1_terminating(4, 1.0, -2.0, 0.5)
     # c = -n is outside the failing band: the series terminates first
     hyp2f1_terminating(3, 1.0, -3.0, 0.5)
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf])
+def test_hyp2f1_infinite_c_is_one(c):
+    # every term past the first carries 1/(c + s) = 0
+    assert hyp2f1_terminating(3, 1.0, c, 0.5) == 1
+
+
+def test_hyp2f1_identity_check_at_rounding_level():
+    assert checks.check_hyp2f1_identity().measured <= 1e-15
 
 
 def _factorial_sum(n, k, m, z):
@@ -63,7 +74,7 @@ def test_hyp2f1_matches_factorial_sum_oracle():
     lhs = _factorial_sum(4, 2, 1, Fraction(7, 10))
     assert lhs == Fraction(152303, 120000)
     pref = math.factorial(2) / (math.factorial(1) * math.factorial(4))
-    rhs = pref * value(hyp2f1_terminating(4, 3.0, 2.0, -0.7))
+    rhs = pref * hyp2f1_terminating(4, 3.0, 2.0, -0.7)
     assert rhs == pytest.approx(float(lhs), rel=1e-13)
 
 
