@@ -95,9 +95,11 @@ def _int_arg(flag: str, lo: int, hi: float, auto: bool = False):
 # A sphere state at cut n holds (n + 1)^2 amplitudes, and a report prints
 # every nonzero one.  The upper bound is the automatic cut at the largest
 # supported |l| (355), 730: there a sphere report at --l 355,0,0 (534,361
-# nonzero amplitudes) takes 3.4-4.0 s in 7 runs on a 2-core Xeon (numpy
-# 2.4.6), about 1 s of it printing, and peaks at 179-181 MB RSS as JSON and
-# as CSV: the numbers' own peak, as the amplitudes print a chunk at a time.
+# nonzero amplitudes) takes 2.4-4.5 s in 36 runs as JSON (medians of 2.8 to
+# 3.9 s in four batches, as the shared 2-core Xeon's speed varied) and
+# 3.5-3.8 s in 3 as CSV (numpy 2.4.6), about 1 s of it printing, and peaks
+# at 176-177 MB RSS: the numbers' own peak, as the amplitudes print a chunk
+# at a time.
 SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))
 
 # The identity sweeps need an interior level j <= j_cut - 2 above the ground

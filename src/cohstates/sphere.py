@@ -30,7 +30,7 @@ from .logdomain import peak_sum, polar_array, rect_array, wrap_phase
 from .repspace import (_LADDER_PAIR, StateVector, _dense_branches,
                        expectation, grid, residual_norm, state_scale,
                        state_sum)
-from .specfun import gegenbauer_column, log_factorial
+from .specfun import gegenbauer_column, log_factorial_table
 
 __all__ = [
     "ConstraintError",
@@ -219,7 +219,7 @@ def coherent_closed_form(zl: ZLabel, j_cut: int) -> StateVector:
     z1, z2, z3 = zl.z
     j, m = grid(j_cut)
     am = np.abs(m)
-    lf = np.array([log_factorial(n) for n in range(2 * j_cut + 1)])
+    lf = log_factorial_table(2 * j_cut)
     g_lm, g_ph = gegenbauer_column(j_cut, np.arange(j_cut + 1) + 0.5, z3)
     lm = (-0.5 * j * (j + 1) + 0.5 * np.log(2 * j + 1) + lf[2 * am] - lf[am]
           + 0.5 * (lf[j - am] - lf[j + am]) + g_lm[j - am, am])
@@ -266,7 +266,7 @@ def coherent_triple_sum(zl: ZLabel, j_cut: int) -> StateVector:
     its largest term.
     """
     mu, nu, gamma = generation_params(zl)
-    lf = np.array([log_factorial(n) for n in range(2 * j_cut + 1)])
+    lf = log_factorial_table(2 * j_cut)
     m = np.arange(j_cut + 1)
     k = m[:, None] - np.arange(-j_cut, j_cut + 1)[None, :]
     ok = k >= 0

@@ -6,7 +6,7 @@ import pytest
 
 from cohstates import checks
 from cohstates.specfun import (gegenbauer_column, hyp2f1_terminating,
-                               log_factorial)
+                               log_factorial, log_factorial_table)
 from oracles import value
 
 # ln(170!) by direct summation of logs (the independent oracle); 170! is the
@@ -24,6 +24,12 @@ def test_log_factorial_170_matches_direct_sum():
     direct = math.fsum(math.log(k) for k in range(1, 171))
     assert direct == pytest.approx(LNFACT_170, rel=1e-14)
     assert log_factorial(170) == pytest.approx(direct, rel=1e-13)
+
+
+def test_log_factorial_table_is_lgamma_bit_for_bit():
+    assert log_factorial_table(0).tolist() == [0.0]
+    assert log_factorial_table(1460).tolist() == [math.lgamma(n + 1)
+                                                  for n in range(1461)]
 
 
 def test_log_factorial_rejects_negative():
@@ -140,6 +146,12 @@ def test_gegenbauer_column_consistent():
         one_lm, one_ph = gegenbauer_column(12, alpha, 0.8 - 0.3j)
         assert np.allclose(lm[:, k], one_lm, rtol=1e-15, atol=1e-15)
         assert np.allclose(ph[:, k], one_ph, rtol=1e-15, atol=1e-15)
+
+
+def test_gegenbauer_column_degree_zero_over_parameters():
+    lm, ph = gegenbauer_column(0, np.array([0.5, 3.5, 7.5]), 2 + 1j)
+    assert lm.shape == ph.shape == (1, 3)
+    assert not lm.any() and not ph.any()
 
 
 def test_gegenbauer_huge_argument_stays_finite():
