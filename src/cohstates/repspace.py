@@ -5,12 +5,14 @@ and |m| <= j (the twist, i.e. the J.X/r Casimir, is fixed at zero, which
 forces the minimal j to be 0 and all labels integer).  A state is a pair of
 log-magnitude and phase arrays over every (j, m) up to the truncation level
 j_cut.  Each operator's matrix elements are written down once, as branches
-that shift (j, m) by at most one step in each index.  The image
-(O - value)|s> reads every branch as a shifted slice of the state laid out
-on a padded (j, m) array; expectation values, eigen-residuals and apply_*
-are read off it.  The identity sweeps act through banded tables built from
-the same branches.  What an operator raises past j_cut is dropped, and
-tail_fraction guards against it.
+that shift (j, m) by at most one step in each index, and one walk yields
+them a branch at a time.  On the state laid out on a padded (j, m) array
+every branch is a shifted slice: the image (O - value)|s>, which the
+eigen-residuals and apply_* read, adds them up, and an expectation value
+sums each branch's share of <s|O|s> without forming the image.  The
+identity sweeps act through banded tables built from the same walk.  What
+an operator raises past j_cut is dropped, and tail_fraction guards
+against it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -214,12 +217,14 @@ def state_sum(states: list[StateVector]) -> StateVector:
 #
 # The flat index j*j + j + m is laid out by grid(); logdomain's rect_array()
 # turns (log-magnitude, phase) arrays into values and polar_array() back.
-# The image (O - value)|s>, off which <s|O|s> and the residual are read,
-# takes the state on the padded (j_cut + 1) x (2 j_cut + 1) grid
-# [j, m + j_cut], zero where |m| > j.  Every branch of an operator moves
-# (j, m) by at most one step in each index, so on that grid it is a shifted
-# slice: its coefficients times the source slice land on the target slice,
-# and what it would raise past j_cut falls off the edge.  Each row j is
+# An operator acts on a state through one walk, _dense_branches, read on
+# the padded (j_cut + 1) x (2 j_cut + 1) grid [j, m + j_cut], zero where
+# |m| > j.  Every branch moves (j, m) by at most one step in each index, so
+# on that grid it is a shifted slice: its coefficients times the source
+# slice land on the target slice, and what it would raise past j_cut falls
+# off the edge.  _image adds the branches into (O - value)|s>, which the
+# residual and apply_* read; expectation sums each branch's share of
+# <s|O|s> row by row, without forming the image.  Each row j is
 # held relative to its own largest log-magnitude, and the row scales, the
 # branch weights e^{j} and e^{-j-1} of Z among them, are combined as logs,
 # so nothing overflows; terms below e^-745 of the largest in their row
@@ -237,51 +242,70 @@ def _root(x):
     return np.sqrt(np.maximum(x, 0))
 
 
-def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
-    """Branches (dj, dm, coef, log_weight) of an operator over the (j, m) grid.
+def _diagonal(j: np.ndarray, m: np.ndarray, f) -> np.ndarray:
+    """f(k) at k = j + m, gathered from a table of f over -J <= k <= 2 J
+    for J the largest j: a coefficient on one diagonal of either grid, where
+    |m| <= J."""
+    jmax = j.max()
+    return f(np.arange(-jmax, 2 * jmax + 1)).take((j + jmax) + m)
+
+
+def _dense_branches(which: str, j: np.ndarray, m: np.ndarray):
+    """Branches (dj, dm, coef, log_weight) of an operator over the (j, m) grid,
+    yielded one at a time, each coefficient formed when its branch is reached.
 
     O|j, m> = sum over branches of coef e^{log_weight} |j + dj, m + dm>, and
     each coefficient vanishes wherever its target is not a basis index.
     j and m are the flat grid(), or a j column and an m row, which give
     arrays that broadcast over the padded grid (0 off the basis); a log
-    weight depends on j only.  This is the one place the matrix elements
-    are written down (the tests hold them equal to the scalar formulas).
-    The position operators at zero twist are tridiagonal in j with no
-    diagonal term, so X strictly changes j.  X is the position operator at
-    unit radius: the radius r only scales <X>, which the sphere reports
-    multiply by r.  Z has the selection rules of X with the raising branch
-    weighted by e^{-j-1} and the lowering branch by e^{j}, kept in log form.
+    weight depends on j only, so an m row of width 0 reads the weights
+    without forming a coefficient.  This is the one place the matrix
+    elements are written down (the tests hold them equal to the scalar
+    formulas).  The position operators at zero twist are tridiagonal in j
+    with no diagonal term, so X strictly changes j.  X is the position
+    operator at unit radius: the radius r only scales <X>, which the sphere
+    reports multiply by r.  Z has the selection rules of X with the raising
+    branch weighted by e^{-j-1} and the lowering branch by e^{j}, kept in
+    log form.  A radicand on one diagonal of the grid is read off a table
+    over that diagonal; every radicand is the integer of the product of
+    the matrix element's two factors, so the roots are those of the
+    product.
     """
     if which in _Z_LABELS:
         weight = {1: -(j + 1.0), -1: j.astype(float)}
-        return [(dj, dm, c, weight[dj])
-                for dj, dm, c, _ in _dense_branches("X" + which[1], j, m)]
+        for dj, dm, c, _ in _dense_branches("X" + which[1], j, m):
+            yield dj, dm, c, weight[dj]
+        return
     w0 = np.zeros(j.shape)    # no log weight
     if which == "J3":
-        return [(0, 0, m.astype(float), w0)]
-    if which == "Jsq":
-        return [(0, 0, (j * (j + 1)).astype(float), w0)]
-    if which == "Jplus":
-        return [(0, 1, _root((j - m) * (j + m + 1)), w0)]
-    if which == "Jminus":
-        return [(0, -1, _root((j + m) * (j - m + 1)), w0)]
-    if which in ("J1", "J2", "X1", "X2"):
-        return [(dj, dm, f * c, w)
-                for f, side in zip(_LADDER_PAIR[which[1]], ("plus", "minus"))
-                for dj, dm, c, w in _dense_branches(which[0] + side, j, m)]
-    up = np.sqrt((2 * j + 1) * (2 * j + 3))
-    # j = 0 has no lowering branch: its numerators below vanish there
-    dn = np.sqrt(np.maximum((2 * j - 1) * (2 * j + 1), 1))
-    if which == "X3":
-        return [(1, 0, _root((j - m + 1) * (j + m + 1)) / up, w0),
-                (-1, 0, _root((j - m) * (j + m)) / dn, w0)]
-    if which == "Xplus":
-        return [(1, 1, -_root((j + m + 1) * (j + m + 2)) / up, w0),
-                (-1, 1, _root((j - m - 1) * (j - m)) / dn, w0)]
-    if which == "Xminus":
-        return [(1, -1, _root((j - m + 1) * (j - m + 2)) / up, w0),
-                (-1, -1, -_root((j + m - 1) * (j + m)) / dn, w0)]
-    raise ValueError(f"unknown operator label {which!r}")
+        yield 0, 0, m.astype(float), w0
+    elif which == "Jsq":
+        yield 0, 0, (j * (j + 1)).astype(float), w0
+    elif which == "Jplus":
+        yield 0, 1, _root(j * (j + 1) - m * (m + 1)), w0
+    elif which == "Jminus":
+        yield 0, -1, _root(j * (j + 1) - m * (m - 1)), w0
+    elif which in ("J1", "J2", "X1", "X2"):
+        for f, side in zip(_LADDER_PAIR[which[1]], ("plus", "minus")):
+            for dj, dm, c, w in _dense_branches(which[0] + side, j, m):
+                yield dj, dm, f * c, w
+    elif which in ("X3", "Xplus", "Xminus"):
+        up = np.sqrt((2 * j + 1) * (2 * j + 3))
+        # j = 0 has no lowering branch: its numerators below vanish there
+        dn = np.sqrt(np.maximum((2 * j - 1) * (2 * j + 1), 1))
+        if which == "X3":
+            yield 1, 0, _root((j + 1) ** 2 - m ** 2) / up, w0
+            yield -1, 0, _root(j ** 2 - m ** 2) / dn, w0
+        else:
+            # the raising radicand on the diagonal k = j + dm m, the lowering
+            # one on k = j - dm m
+            dm = 1 if which == "Xplus" else -1
+            yield 1, dm, _diagonal(j, dm * m, lambda k: -dm * _root(
+                (k + 1) * (k + 2))) / up, w0
+            yield -1, dm, _diagonal(j, -dm * m, lambda k: dm * _root(
+                (k - 1) * k)) / dn, w0
+    else:
+        raise ValueError(f"unknown operator label {which!r}")
 
 
 def _shift(d: int, n: int) -> tuple[slice, slice]:
@@ -289,47 +313,65 @@ def _shift(d: int, n: int) -> tuple[slice, slice]:
     return slice(max(-d, 0), n - max(d, 0)), slice(max(d, 0), n + min(d, 0))
 
 
-def _image(which: str, s: StateVector, value: complex) -> tuple:
-    """(O - value)|s> for the unit-norm s on the padded grid, as (shift, d):
-    row j of the image is e^{shift[j]} d[j].
-
-    Each target row is summed, branch by branch, relative to the largest
-    source row scale plus weight among its terms; not by peak_sum, whose
-    stacked form would hold one full array per branch.  A coefficient
-    spans each axis its branch shifts along, so it slices as the source."""
+def _padded(which: str, s: StateVector) -> tuple:
+    """(top, rows, norm_sq) of s._unit_rows, with the padded grid's j column
+    and m row, for a label apply_J, apply_X or apply_Z accepts and a
+    nonzero s."""
     if s.log_norm_sq() == -math.inf:
         raise ValueError("expectation value or residual of the zero state")
     if which not in _J_LABELS | _X_LABELS | _Z_LABELS:
         raise ValueError(f"unknown operator label {which!r}")
-    top, rows, _ = s._unit_rows
+    n = s.j_cut + 1
+    return (*s._unit_rows, np.arange(n)[:, None], np.arange(1 - n, n)[None])
+
+
+def _image(which: str, s: StateVector, value: complex) -> tuple:
+    """(O - value)|s> for the unit-norm s on the padded grid, as (shift, d):
+    row j of the image is e^{shift[j]} d[j].
+
+    Each target row is summed relative to the largest source row scale plus
+    weight among its terms, read first by a walk over an m row of width 0.
+    A second walk then adds each branch as it is formed, so one coefficient
+    is held at a time, where peak_sum's stacked form would hold one full
+    array per branch.  A coefficient spans each axis its branch shifts
+    along, so it slices as the source."""
+    top, rows, _, j, m = _padded(which, s)
     n = s.j_cut + 1
     # -value is one more branch, taken first, and only when it is nonzero
     lead = [(0, 0, np.full((1, 1), -value / abs(value)),
              np.full((n, 1), math.log(abs(value))))] if value else []
-    branches = [(*_shift(dj, n), *_shift(dm, 2 * n - 1), c, top + w[:, 0])
-                for dj, dm, c, w
-                in lead + _dense_branches(which, *np.ogrid[:n, 1 - n:n])]
     scale = np.full(n, -math.inf)
-    for sr, tr, _, _, _, lg in branches:
-        scale[tr] = np.maximum(scale[tr], lg[sr])
+    for dj, _, _, w in chain(lead, _dense_branches(which, j, m[:, :0])):
+        sr, tr = _shift(dj, n)
+        scale[tr] = np.maximum(scale[tr], top[sr] + w[sr, 0])
     shift = np.where(scale > -math.inf, scale, 0.0)
     d = np.zeros(rows.shape, dtype=complex)
-    for sr, tr, sc, tc, c, lg in branches:
-        d[tr, tc] += (c[sr, sc] * np.exp(lg[sr] - shift[tr])[:, None]
+    for dj, dm, c, w in chain(lead, _dense_branches(which, j, m)):
+        (sr, tr), (sc, tc) = _shift(dj, n), _shift(dm, 2 * n - 1)
+        d[tr, tc] += (c[sr, sc]
+                      * np.exp(top[sr] + w[sr, 0] - shift[tr])[:, None]
                       * rows[sr, sc])
     return shift, d
 
 
 def expectation(which: str, s: StateVector) -> complex:
     """<s|O|s> / <s|s> for any label apply_J, apply_X or apply_Z accepts,
-    read off the image: the sum over j of e^{top_j + shift_j} <rows_j|d_j>.
-    A state computes each expectation value once: the value is kept in its
+    summed branch by branch without forming O|s>: each branch gives, per
+    source row j with target row t, e^{top_j + weight_j + top_t} times the
+    sum over m of conj(rows_t) coef rows_j, and peak_sum adds them all.  A
+    state computes each expectation value once: the value is kept in its
     memo, and a later call with the same label reads it back."""
     memo = s._expectations
     if which not in memo:
-        shift, d = _image(which, s, 0)
-        top, rows, norm_sq = s._unit_rows
-        t, acc = peak_sum(top + shift, np.einsum("ij,ij->i", rows.conj(), d))
+        top, rows, norm_sq, j, m = _padded(which, s)
+        n, conj = s.j_cut + 1, rows.conj()
+        logs, sums = [], []
+        for dj, dm, c, w in _dense_branches(which, j, m):
+            (sr, tr), (sc, tc) = _shift(dj, n), _shift(dm, 2 * n - 1)
+            logs.append(top[sr] + w[sr, 0] + top[tr])
+            sums.append(np.einsum("ij,ij,ij->i", conj[tr, tc], c[sr, sc],
+                                  rows[sr, sc]))
+        t, acc = peak_sum(np.concatenate(logs), np.concatenate(sums))
         # norm_sq is 1 but for rounding: dividing by it cancels the rounding
         # of the absolute log_norm_sq that scaled the rows, some 1e-12
         # relative at a log-magnitude of 1e4

@@ -1,6 +1,7 @@
 """The verify checks: table identities against the per-vector sparse loops,
 and the integer series oracles against the Fraction sums."""
 
+import numpy as np
 import pytest
 
 import oracles
@@ -36,27 +37,39 @@ def test_identities_hold_over_the_accepted_cut_range(j_cut):
 
 
 def test_flipped_table_coefficient_fails_e3(monkeypatch):
-    """One wrong X3 matrix element breaks [J, X] = i eps X at its column."""
+    """One wrong X3 matrix element breaks [J, X] = i eps X at its column,
+    and moves the expectation value and the eigen-residual alike: the
+    tables and both state functions read the one branch walk."""
     original = repspace._dense_branches
     j_cut = 12
     j, m = repspace.grid(j_cut)
     col = int(j.size // 2)       # |9, -6>, inside the interior j <= 10
 
     def flipped(which, jj, mm):
-        out = original(which, jj, mm)
-        if which == "X3":
-            dj, dm, coef, weight = out[0]
-            coef = coef.copy()
-            coef[col] = -coef[col]
-            out[0] = (dj, dm, coef, weight)
-        return out
+        # the raising branch at (9, -6), on the flat grid and the padded one
+        for k, (dj, dm, coef, weight) in enumerate(original(which, jj, mm)):
+            if which == "X3" and k == 0:
+                at = (jj == j[col]) & (mm == m[col])
+                coef = np.where(at, -coef, coef)
+            yield dj, dm, coef, weight
+
+    def state_values():
+        # (|9, -6> + |10, -6>) / sqrt 2, built afresh: a state keeps its
+        # expectation values
+        s = repspace.state_sum([repspace.basis_state(9, -6, j_cut),
+                                repspace.basis_state(10, -6, j_cut)])
+        return (repspace.expectation("X3", s),
+                repspace.residual_norm("X3", s, 0.5))
 
     assert checks.check_e3_commutators(j_cut).passed
+    before = state_values()
     monkeypatch.setattr(repspace, "_dense_branches", flipped)
     r = checks.check_e3_commutators(j_cut)
     assert not r.passed
     assert r.measured > 1e-3
     assert r.worst_at[0] == j[col]
+    after = state_values()
+    assert all(abs(a - b) > 1e-3 for a, b in zip(after, before))
 
 
 def test_identity_case_counts():

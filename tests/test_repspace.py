@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -413,6 +414,32 @@ def test_z_residual_where_its_weight_overflows(which):
     assert image.amplitudes.keys() == sparse.amplitudes.keys()
     assert image.log_norm_sq() == pytest.approx(sparse.log_norm_sq(),
                                                 rel=1e-13)
+
+
+def test_z2_residual_holds_one_coefficient_at_a_time():
+    """The tracemalloc peak of the Z2 residual at cut 200, counted in padded
+    complex arrays of (j_cut + 1) x (2 j_cut + 1) entries.  What _image holds
+    at once, past the state's rows kept on it: the image d (1); the branch
+    being added, a coefficient made complex by the -+i/2 of X2 (1), and the
+    real X+- branch the ladder pair scaled it from (1/2); and that
+    coefficient times its row scales, and that product times the rows (2,
+    or 1 where numpy multiplies into the first product's buffer).  That is
+    at most 4.5 arrays; the bound of 5 leaves half an array for the
+    row-length arrays and the interpreter.  Holding the four coefficients
+    at once, with the image and a product, takes six."""
+    base, zl = _seeded_coherent(90.0)
+    s = StateVector(base.log_mag, base.phase, base.j_cut)
+    value = complex(zl.z[1])
+    residual_norm("Z2", s, value)      # builds the rows the state keeps
+    tracemalloc.start()
+    try:
+        residual_norm("Z2", s, value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.j_cut == 200
+    array = (s.j_cut + 1) * (2 * s.j_cut + 1) * 16
+    assert peak <= 5 * array, peak / array
 
 
 def _dense_terms(which, j_cut):
