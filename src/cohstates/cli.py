@@ -95,10 +95,10 @@ def _int_arg(flag: str, lo: int, hi: float, auto: bool = False):
 # A sphere state at cut n holds (n + 1)^2 amplitudes, and a report prints
 # every nonzero one.  The upper bound is the automatic cut at the largest
 # supported |l| (355), 730: there a sphere report at --l 355,0,0 (534,361
-# nonzero amplitudes) takes 2.0-2.7 s in 6 runs as JSON and 2.4 s in 2 as
-# CSV (a shared 2-core Xeon, numpy 2.4.6), about 0.8 s of it printing, and
-# peaks at 160-162 MB RSS: the numbers' own peak, set by relative_X's three
-# axis reference states, as the amplitudes print a chunk at a time.
+# nonzero amplitudes) takes 1.75-2.14 s in 11 runs as JSON and 1.83-1.94 s
+# in 3 as CSV (a shared 2-core Xeon, numpy 2.4.6), about half of it
+# printing, and peaks at 127-128 MB RSS: the numbers' own peak, set by the
+# eigen-residual, as the amplitudes print a chunk at a time.
 SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))
 
 # The identity sweeps need an interior level j <= j_cut - 2 above the ground

@@ -188,6 +188,12 @@ def axis_reference_label(l, k: int) -> ZLabel:
     by sinh^2|l| (l.e_k)^2 / |l|^2; the label is therefore built with
     check=False, and the caller is expected to treat the resulting state as
     a reference, not as a proper coherent state.
+
+    Its size, sum |z_i|^2 = cosh^2|l| + sinh^2|l| sin^2(angle(l, e_k)), is
+    at most cosh 2|l|, the size of a phase point's own label.  So the level
+    norms of its closed-form state fall off as a Gaussian about |l|, as the
+    coherent state's do, and relative_X builds it only up to
+    min(j_cut, ceil(|l|) + 10).
     """
     return ZLabel(_label_on(np.eye(3)[k], _vec(l)), check=False)
 
@@ -419,12 +425,20 @@ def relative_X(s: StateVector, p: SpherePhasePoint) -> np.ndarray:
     The ratio cancels the universal e^{-1/4} contraction and lands near the
     classical x.  Components whose reference average is below 1e-6 of the
     radius are reported as NaN (undefined), never as a huge ratio.
+
+    The references are built at cut min(s.j_cut, ceil(|l|) + 10), not at
+    s.j_cut: no reference label is larger than the state's (see
+    axis_reference_label), so the levels above that cut hold below 1e-56 of
+    a full-cut reference's squared norm (sampled over |l| from 0 to 355, the
+    most at |l| = 0), and the ratio moves by about 1e-14 of itself at most.
+    At a starved explicit cut the min keeps the reference at s.j_cut.
     """
     num = expect_X(s)
+    ref_cut = min(s.j_cut, math.ceil(p.l_norm) + 10)
     out = np.empty(3)
     for k in range(3):
         ref_label = axis_reference_label(p.l, k)
-        ref_state = coherent_closed_form(ref_label, s.j_cut)
+        ref_state = coherent_closed_form(ref_label, ref_cut)
         den = expect_X(ref_state)[k]
         out[k] = num[k] / den if abs(den) >= 1e-6 else math.nan
     return out

@@ -21,7 +21,9 @@ slices' references.  The spinor tests get their two-component states here:
 block, and spinor sums, scalings, inner products and residuals.  Then come
 the Fraction-sum series oracles of `cohstates verify`, which the integer
 sums must match bit for bit, and the exact moments of a sphere state as
-one-dimensional series over its levels.  Last is the CLI's first report
+one-dimensional series over its levels.  `relative_X_full_cut` is the
+sphere report's relative position with every axis reference state built at
+the state's own cut, as it was first defined.  Last is the CLI's first report
 writer, one dict per row through `json.dumps` and `csv.DictWriter`, which
 the chunked writer must match byte for byte.
 """
@@ -42,7 +44,7 @@ from typing import Iterable, NamedTuple
 import mpmath
 import numpy as np
 
-from cohstates import __version__, checks, specfun
+from cohstates import __version__, checks, specfun, sphere
 from cohstates.checks import CheckResult, _Worst
 from cohstates.logdomain import (log_sum_exp, polar_array, rect_array,
                                  wrap_phase)
@@ -1078,6 +1080,22 @@ def moment_series(l_norm: float, j_cut: int) -> tuple:
                                * (p[j] + p[j + 1]) for j in range(j_cut))
                    / (mpmath.cosh(ln) * norm))
         return tuple(map(float, (j_mag, jsq, jsq - j_mag ** 2, x_ratio)))
+
+
+# -- the sphere report's relative position at full cut ----------------------
+
+def relative_X_full_cut(s: StateVector, p) -> np.ndarray:
+    """`sphere.relative_X` with each k-axis reference state built at the
+    full cut s.j_cut: <X_k> over the same average in the reference, NaN
+    where that is below 1e-6."""
+    num = sphere.expect_X(s)
+    out = np.empty(3)
+    for k in range(3):
+        ref = sphere.coherent_closed_form(sphere.axis_reference_label(p.l, k),
+                                          s.j_cut)
+        den = sphere.expect_X(ref)[k]
+        out[k] = num[k] / den if abs(den) >= 1e-6 else math.nan
+    return out
 
 
 # -- the CLI's first report writer ---------------------------------------------

@@ -12,6 +12,7 @@ import oracles
 from oracles import BasisIndex, inner_log, restricted
 from cohstates import sphere
 from cohstates.checks import PATH_TOL
+from cohstates.logdomain import log_sum_exp
 from cohstates.repspace import (basis_state, expectation, grid,
                                 state_scale, state_sum)
 from cohstates.sphere import (L_NORM_MAX, LABEL_TOL, ConstraintError,
@@ -572,6 +573,58 @@ class TestExpectations:
         assert rel[2] == pytest.approx(1.0, rel=1e-12)
         assert rel[0] == pytest.approx(0.0, abs=1e-12)
         assert rel[1] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.fixture(scope="module",
+                params=[0.0, 1e-3, 0.5, 5.0, 12.0, 21.5, 25.0, 100.0, 200.0,
+                        354.9])
+def default_cut_point(request):
+    p = _tangent_point(13, request.param)
+    return p, coherent_state(p)
+
+
+class TestRelativeXReferenceCut:
+    """relative_X builds its axis references at min(j_cut, ceil|l| + 10)."""
+
+    def test_matches_full_cut_references(self, default_cut_point):
+        p, s = default_cut_point
+        got = relative_X(s, p)
+        want = oracles.relative_X_full_cut(s, p)
+        assert np.all(np.abs(got - want)
+                      <= 1e-13 * np.maximum(1.0, np.abs(want))), (got, want)
+
+    def test_levels_above_the_cut_are_negligible(self, default_cut_point):
+        # a reference label is no larger than the state's own, so its level
+        # norms fall off as a Gaussian about |l| as well
+        p, s = default_cut_point
+        cut = math.ceil(p.l_norm) + 10
+        for k in range(3):
+            ref = coherent_closed_form(axis_reference_label(p.l, k), s.j_cut)
+            tail = log_sum_exp(2 * ref.log_mag[(cut + 1) ** 2:])
+            assert tail - ref.log_norm_sq() < math.log(1e-40), (p.l_norm, k)
+
+    @pytest.mark.parametrize("l_norm, j_cut", [(100.0, 20), (12.0, 20)])
+    def test_starved_cut_keeps_the_full_cut_reference(self, l_norm, j_cut):
+        # all NaN at |l| = 100: every reference average is below 1e-6 there
+        p = _tangent_point(13, l_norm)
+        s = coherent_state(p, j_cut)
+        got = relative_X(s, p)
+        assert got.tobytes() == oracles.relative_X_full_cut(s, p).tobytes()
+        assert np.isnan(got).all() == (l_norm == 100.0)
+
+    def test_closed_form_sees_the_reference_cut(self, monkeypatch):
+        p = _tangent_point(13, 21.5)
+        s = coherent_state(p)
+        closed_form = sphere.coherent_closed_form
+        cuts = []
+
+        def traced(zl, j_cut):
+            cuts.append(j_cut)
+            return closed_form(zl, j_cut)
+
+        monkeypatch.setattr(sphere, "coherent_closed_form", traced)
+        relative_X(s, p)
+        assert s.j_cut == 63 and cuts == [32] * 3
 
 
 class TestUncertainty:
