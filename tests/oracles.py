@@ -1,31 +1,30 @@
 """Reference implementations kept for the tests.
 
 The library applies operators as shifted slices of a padded (j, m) array,
-evaluates operator identities on banded coefficient tables, and builds the
-triple-sum and ladder states on dense arrays.  `LogComplex` below is the
-scalar log-domain carrier the library was first written on, kept here as
-the reference, with its (j, m) label `BasisIndex`.  The loops after it are
-the earlier per-amplitude versions, written on that sparse carrier from the
-scalar matrix elements: the J, X and Z actions, every spinor operator, the
-J^2-function generator route, the per-basis-vector identity sweeps of
-`cohstates verify`, and the two sphere construction routes, followed by the
-ladder's earlier loop over every array entry at every step.  The tests hold
-the production code equal to them.  They read states through `amplitudes`
-and build them back with `state_from_amplitudes`.  Inner products, the
-projection onto the levels j <= j_max and the relative residual of an
-identity act on the array states.  `apply_table` applies a one-component
-table to a state, as the library did before it read operator images off the
-padded array, and `table_expectation` and `table_residual_norm` are the
-slices' references.  The spinor tests get their two-component states here:
-`SpinorState`, `spinor_basis`, the application of a spinor table block by
-block, and spinor sums, scalings, inner products and residuals.  Then come
-the Fraction-sum series oracles of `cohstates verify`, which the integer
-sums must match bit for bit, and the exact moments of a sphere state as
-one-dimensional series over its levels.  `relative_X_full_cut` is the
-sphere report's relative position with every axis reference state built at
-the state's own cut, as it was first defined.  Last is the CLI's first report
-writer, one dict per row through `json.dumps` and `csv.DictWriter`, which
-the chunked writer must match byte for byte.
+evaluates identities on banded tables and builds its states on dense
+arrays.  The per-amplitude references here are its earlier loops, written
+from the scalar matrix elements on one plain state type, a dict
+{(j, m): value}, a spinor being a pair (up, down) of them: the J, X and Z
+actions, the spinor operators, the J^2-function route, the identity sweeps
+of `cohstates verify`, and the closed-form, triple-sum and ladder
+constructions.  The loops are generic in the number type.  They run on
+Python complex where every value of a case is a normal double; a
+normalized quantity is read off the state scaled to its peak or to unit
+norm, where what falls below the smallest double drops out at a relative
+cost under 1e-300.  The three constructions at their default cuts and the
+Z image at cut 720 run on mpmath.mpc at `DPS` digits: their values leave
+the double range (e^{-j(j+1)/2} underflows near j = 38, and Z's weight
+e^{j} overflows past j = 709).  Z's weights and the J^2-function scalars
+stay logs until they meet an amplitude, in its number type.  `to_dict` and
+`from_dict` convert at the boundary, from a StateVector and back.
+
+Then come the array references: inner products, the projection onto
+j <= j_max, the relative residual, and the banded-table kernel with the
+shifted slices' references `table_expectation` and `table_residual_norm`;
+the ladder's loop over every array entry, which the library must match bit
+for bit; the Fraction-sum series oracles of `cohstates verify`; the exact
+moments of a sphere state as level series; the report's relative position
+with its axis references at full cut; and the CLI's first report writer.
 """
 
 from __future__ import annotations
@@ -37,20 +36,17 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
-from typing import Iterable, NamedTuple
 
 import mpmath
 import numpy as np
 
 from cohstates import __version__, checks, specfun, sphere
 from cohstates.checks import CheckResult, _Worst
-from cohstates.logdomain import (log_sum_exp, polar_array, rect_array,
-                                 wrap_phase)
-from cohstates.repspace import (BandTable, StateVector, basis_state, grid,
-                                operator_table, state_scale, state_sum)
-from cohstates.specfun import log_factorial
+from cohstates.logdomain import polar_array, rect_array, wrap_phase
+from cohstates.repspace import (BandTable, StateVector, grid, operator_table,
+                                state_scale, state_sum)
 from cohstates.sphere import generation_params, north_pole_state
 from cohstates.spinor import _entry
 
@@ -60,172 +56,75 @@ _JN = ("J1", "J2", "J3")
 _XN = ("X1", "X2", "X3")
 _ZN = ("Z1", "Z2", "Z3")
 
-
-# -- the scalar reference carrier ---------------------------------------------
-
-class BasisIndex(NamedTuple):
-    """Angular-momentum basis label (j, m); equal to, and hashed like, the
-    plain (j, m) keys of StateVector.amplitudes."""
-
-    j: int
-    m: int
+DPS = 30    # decimal digits of the mpmath references
 
 
-def _rect(mag: float, phase: float) -> complex:
-    """cmath.rect with the four quadrant phases kept exact.
+# -- the boundary: log-polar pairs and states to values and dicts -------------
 
-    Real and imaginary coefficients carry phases that are exactly 0, pi or
-    +-pi/2; evaluating sin/cos there would leave 1e-16-sized dust that stops
-    exact cancellations (opposite real amplitudes must sum to exactly zero).
-    """
-    if phase == 0.0:
-        return complex(mag, 0.0)
-    if phase == math.pi:
-        return complex(-mag, 0.0)
-    if phase == 0.5 * math.pi:
-        return complex(0.0, mag)
-    if phase == -0.5 * math.pi:
-        return complex(0.0, -mag)
-    return cmath.rect(mag, phase)
-
-
-@dataclass(frozen=True, slots=True)
-class LogComplex:
-    """A complex scalar stored as (log of magnitude, phase in (-pi, pi]).
-
-    log_mag = -inf encodes the exact zero, which is absorbing under
-    multiplication.  Instances are immutable values; all arithmetic returns
-    fresh objects.
-    """
-
-    log_mag: float
-    phase: float = 0.0
-
-    @classmethod
-    def from_complex(cls, w: complex) -> "LogComplex":
-        w = complex(w)
-        if w == 0:
-            return ZERO
-        return cls(math.log(abs(w)), math.atan2(w.imag, w.real))
-
-    @classmethod
-    def from_real(cls, x: float) -> "LogComplex":
-        if x == 0:
-            return ZERO
-        if x > 0:
-            return cls(math.log(x), 0.0)
-        return cls(math.log(-x), math.pi)
-
-    @classmethod
-    def from_polar(cls, log_mag: float, phase: float = 0.0) -> "LogComplex":
-        """Build directly from a log-magnitude and an (unwrapped) phase."""
-        if log_mag == -math.inf:
-            return ZERO
-        return cls(log_mag, wrap_phase(phase))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_mag == -math.inf
-
-    def to_complex(self) -> complex:
-        """Convert to an ordinary complex.
-
-        Exact whenever log_mag stays below the log of the largest finite
-        float (about 709.78); overflows to inf beyond that.
-        """
-        if self.is_zero:
-            return 0j
-        return _rect(math.exp(self.log_mag), self.phase)
-
-    def conj(self) -> "LogComplex":
-        if self.is_zero:
-            return ZERO
-        return LogComplex(self.log_mag, wrap_phase(-self.phase))
-
-    def scaled_log(self, dlog: float) -> "LogComplex":
-        """Multiply by exp(dlog) for a real dlog (no phase change)."""
-        if self.is_zero:
-            return ZERO
-        return LogComplex(self.log_mag + dlog, self.phase)
-
-    def __mul__(self, other: "LogComplex") -> "LogComplex":
-        if self.is_zero or other.is_zero:
-            return ZERO
-        return LogComplex(self.log_mag + other.log_mag,
-                          wrap_phase(self.phase + other.phase))
-
-    def __truediv__(self, other: "LogComplex") -> "LogComplex":
-        if other.is_zero:
-            raise ZeroDivisionError("division by log-domain zero")
-        if self.is_zero:
-            return ZERO
-        return LogComplex(self.log_mag - other.log_mag,
-                          wrap_phase(self.phase - other.phase))
-
-    def __neg__(self) -> "LogComplex":
-        if self.is_zero:
-            return ZERO
-        return LogComplex(self.log_mag, wrap_phase(self.phase + math.pi))
-
-    def __pow__(self, n: int) -> "LogComplex":
-        if self.is_zero:
-            if n == 0:
-                return ONE
-            if n < 0:
-                raise ZeroDivisionError("zero to a negative power")
-            return ZERO
-        return LogComplex(n * self.log_mag, wrap_phase(n * self.phase))
-
-
-ZERO = LogComplex(-math.inf, 0.0)
-ONE = LogComplex(0.0, 0.0)
+# rect_array's exact units at the quadrant phases of (-pi, pi]
+_QUADRANT = {0.0: 1, math.pi: -1, 0.5 * math.pi: 1j, -0.5 * math.pi: -1j}
 
 
 def value(pair) -> complex:
     """The complex value of a (log-magnitude, phase) pair."""
-    return LogComplex(*pair).to_complex()
+    return complex(rect_array(*pair))
 
 
-def amplitudes(s: StateVector) -> dict:
-    """{BasisIndex: LogComplex} of the nonzero amplitudes of s."""
-    return {BasisIndex(*k): LogComplex(*v) for k, v in s.amplitudes.items()}
+def mp_value(log_mag: float, phase: float) -> mpmath.mpc:
+    """exp(log_mag) e^{i phase} in mpmath at its working precision, the
+    quadrant phases exactly 1, -1 and +-i, as rect_array has them."""
+    unit = _QUADRANT.get(phase)
+    unit = (mpmath.expj(mpmath.mpf(phase)) if unit is None
+            else mpmath.mpc(unit))
+    return mpmath.exp(mpmath.mpf(log_mag)) * unit
 
 
-def log_complex_sum(terms) -> LogComplex:
-    """Sum of LogComplex terms, accurate across huge dynamic range.
-
-    The largest log-magnitude is factored out and the residuals are summed
-    as ordinary complex numbers, so relative accuracy follows the usual
-    floating-point conditioning of the sum regardless of overall scale.
-    Total cancellation returns the zero element.
-    """
-    terms = [t for t in terms if not t.is_zero]
-    if not terms:
-        return ZERO
-    m = max(t.log_mag for t in terms)
-    acc = 0j
-    for t in terms:
-        acc += _rect(math.exp(t.log_mag - m), t.phase)
-    if acc == 0:
-        return ZERO
-    return LogComplex(m + math.log(abs(acc)),
-                      math.atan2(acc.imag, acc.real))
+def mp_label(p) -> list:
+    """z = cosh|l| x + i (sinh|l|/|l|) l cross x from the double inputs."""
+    x = [mpmath.mpf(float(c)) for c in p.x]
+    l = [mpmath.mpf(float(c)) for c in p.l]
+    ln = mpmath.sqrt(sum(c * c for c in l))
+    sinhc = mpmath.sinh(ln) / ln if ln else mpmath.mpf(1)
+    cross = [l[1] * x[2] - l[2] * x[1], l[2] * x[0] - l[0] * x[2],
+             l[0] * x[1] - l[1] * x[0]]
+    return [mpmath.cosh(ln) * x[i] + 1j * sinhc * cross[i] for i in range(3)]
 
 
-def state_from_amplitudes(amps: dict, j_cut: int) -> StateVector:
-    """The state with the {(j, m): LogComplex} amplitudes `amps`."""
+def to_dict(s: StateVector, shift: float = 0.0, mp: bool = False) -> dict:
+    """{(j, m): e^{-shift} amplitude} over the nonzero amplitudes of s, as
+    Python complex, where what underflows drops out, or with mp as
+    mpmath.mpc at the working precision."""
+    j, m, lm, ph = s.nonzero()
+    if mp:
+        vals = [mp_value(a - shift, p)
+                for a, p in zip(lm.tolist(), ph.tolist())]
+    else:
+        vals = rect_array(lm - shift, ph).tolist()
+    return {k: v for k, v in zip(zip(j.tolist(), m.tolist()), vals) if v}
+
+
+def _log_polar(v) -> tuple:
+    """(log|v|, arg v) as doubles; an mpmath value is scaled into the double
+    range by a power of two 2^e first, and e ln 2 added back."""
+    lm = 0.0
+    if isinstance(v, mpmath.mpc):
+        e = mpmath.mag(v)
+        lm = float(e * mpmath.ln2)
+        v = complex(float(mpmath.ldexp(v.real, -e)),
+                    float(mpmath.ldexp(v.imag, -e)))
+    return lm + math.log(abs(v)), math.atan2(v.imag, v.real)
+
+
+def from_dict(d: dict, j_cut: int) -> StateVector:
+    """The state d at cut j_cut; a zero value is an exact zero."""
     lm = np.full((j_cut + 1) ** 2, -math.inf)
     ph = np.zeros(lm.size)
-    for (j, m), a in amps.items():
+    for (j, m), v in d.items():
         if not (0 <= j <= j_cut and abs(m) <= j):
             raise ValueError(f"invalid basis index (j={j}, m={m})")
-        lm[j * j + j + m], ph[j * j + j + m] = a.log_mag, a.phase
+        if v:
+            lm[j * j + j + m], ph[j * j + j + m] = _log_polar(v)
     return StateVector(lm, ph, j_cut)
-
-
-def with_amplitudes(s: StateVector, amps: dict) -> StateVector:
-    """s with its amplitudes replaced."""
-    return state_from_amplitudes(amps, s.j_cut)
 
 
 # -- inner products, projections and residuals on the array states -----------
@@ -332,86 +231,70 @@ def table_residual_norm(which: str, s: StateVector, value: complex,
     return 0.0 if sq == 0 else math.exp(t + 0.5 * math.log(sq))
 
 
-# -- spinor states and their arithmetic --------------------------------------
-
-@dataclass(frozen=True)
-class SpinorState:
-    """Pair of representation-space components against auxiliary spin
-    up/down."""
-
-    up: StateVector
-    down: StateVector
-
-    def __post_init__(self):
-        if self.up.j_cut != self.down.j_cut:
-            raise ValueError("spinor components must share j_cut")
-
-    def log_norm_sq(self) -> float:
-        return log_sum_exp([self.up.log_norm_sq(), self.down.log_norm_sq()])
-
-
-def spinor_basis(j: int, m: int, j_cut: int,
-                 component: str = "up") -> SpinorState:
-    full = basis_state(j, m, j_cut)
-    empty = state_scale(full, 0)
-    if component == "up":
-        return SpinorState(full, empty)
-    return SpinorState(empty, full)
-
-
-def apply_spinor_table(t: BandTable, s: SpinorState) -> SpinorState:
-    """A two-component table applied to s, one block at a time.
+def apply_spinor_table(t: BandTable, sp: tuple) -> tuple:
+    """A two-component table applied to the spinor sp, a pair (up, down) of
+    dict states, one block at a time.
 
     Output component `row` is the sum over `col` of block (row, col) applied
     to component `col`.
     """
-    comps = (s.up, s.down)
-    return SpinorState(*(
-        state_sum([apply_table(_entry(t, row, col), comps[col])
-                   for col in (0, 1)]) for row in (0, 1)))
+    comps = [from_dict(c, t.j_cut) for c in sp]
+    return tuple(to_dict(state_sum([apply_table(_entry(t, row, col),
+                                                comps[col])
+                                    for col in (0, 1)])) for row in (0, 1))
 
 
-def spinor_inner(a: SpinorState, b: SpinorState) -> complex:
-    return inner(a.up, b.up) + inner(a.down, b.down)
+# -- the dict states: sums, inner products and residuals ---------------------
+#
+# A state is a dict {(j, m): value}, a spinor a pair (up, down) of them; the
+# functions below take either and act on a spinor component by component.
+
+def _add(out: dict, key, v):
+    out[key] = out.get(key, 0) + v
 
 
-def spinor_sum(states: list[SpinorState]) -> SpinorState:
-    return SpinorState(state_sum([s.up for s in states]),
-                       state_sum([s.down for s in states]))
+def combine(*terms):
+    """The sum of c s over the (c, s) pairs."""
+    if isinstance(terms[0][1], tuple):
+        return tuple(combine(*((c, s[i]) for c, s in terms)) for i in (0, 1))
+    out: dict = {}
+    for c, s in terms:
+        for key, v in s.items():
+            _add(out, key, c * v)
+    return out
 
 
-def spinor_scale(s: SpinorState, c: complex) -> SpinorState:
-    return SpinorState(state_scale(s.up, c), state_scale(s.down, c))
+def dict_dot(a, b):
+    """<a|b>, conjugation on a."""
+    if isinstance(a, tuple):
+        return dict_dot(a[0], b[0]) + dict_dot(a[1], b[1])
+    return sum(v.conjugate() * b[k] for k, v in a.items() if k in b)
 
 
-def spinor_relative_residual(lhs: SpinorState, rhs: SpinorState,
-                             *scales: SpinorState) -> float:
-    """Norm of (lhs - rhs) over the largest participating spinor norm."""
-    d = spinor_sum([lhs, spinor_scale(rhs, -1.0)]).log_norm_sq()
-    ref = max(x.log_norm_sq() for x in (lhs, rhs, *scales))
-    return 0.0 if d == -math.inf else math.exp(0.5 * (d - ref))
+def dict_norm_sq(s, j_max: float = math.inf):
+    """The squared norm of s over the levels j <= j_max."""
+    if isinstance(s, tuple):
+        return dict_norm_sq(s[0], j_max) + dict_norm_sq(s[1], j_max)
+    return sum(abs(v) ** 2 for (j, _), v in s.items() if j <= j_max)
 
 
-# -- the sparse operator actions, one amplitude at a time -------------------
+def dict_residual(lhs, rhs, *scales, j_max: float = math.inf) -> float:
+    """relative_residual on dict states: the norm of lhs - rhs over the
+    levels j <= j_max relative to the largest participating norm, lhs and
+    rhs over those levels, the scales whole."""
+    d = dict_norm_sq(combine((1, lhs), (-1, rhs)), j_max)
+    ref = max([dict_norm_sq(lhs, j_max), dict_norm_sq(rhs, j_max)]
+              + [dict_norm_sq(x) for x in scales])
+    return 0.0 if d == 0 else float((d / ref) ** 0.5)
 
-def _emit(contribs: list, key: BasisIndex, amp: LogComplex):
-    if not amp.is_zero:
-        contribs.append((key, amp))
+
+def _times_exp(v, lw: float):
+    """v e^{lw}, the weight formed in v's number type: a weight past the
+    double range meets an mpmath amplitude, not a float."""
+    return v * (mpmath.exp(lw) if isinstance(v, mpmath.mpc) else math.exp(lw))
 
 
-def _collect(contribs: Iterable, s: StateVector) -> StateVector:
-    """Combine per-index contributions, dropping j > j_cut."""
-    buckets: dict = {}
-    for key, amp in contribs:
-        if key.j <= s.j_cut:
-            buckets.setdefault(key, []).append(amp)
-    amps = {}
-    for key, terms in buckets.items():
-        total = terms[0] if len(terms) == 1 else log_complex_sum(terms)
-        if not total.is_zero:
-            amps[key] = total
-    return with_amplitudes(s, amps)
-
+# -- the operator actions, one amplitude at a time ---------------------------
 
 def jplus_coef(j: int, m: int) -> float:
     return math.sqrt((j - m) * (j + m + 1))
@@ -421,26 +304,23 @@ def jminus_coef(j: int, m: int) -> float:
     return math.sqrt((j + m) * (j - m + 1))
 
 
-def apply_J(which: str, s: StateVector) -> StateVector:
+def apply_J(which: str, s: dict) -> dict:
     """Exact action of J3, J+/-, or J^2 (ladder shifts never change j)."""
-    contribs: list = []
-    for (j, m), a in amplitudes(s).items():
+    out = {}
+    for (j, m), a in s.items():
         if which == "J3":
-            _emit(contribs, BasisIndex(j, m), a * LogComplex.from_real(m))
+            key, c = (j, m), m
         elif which == "Jsq":
-            _emit(contribs, BasisIndex(j, m),
-                  a * LogComplex.from_real(j * (j + 1)))
+            key, c = (j, m), j * (j + 1)
         elif which == "Jplus":
-            if m < j:
-                _emit(contribs, BasisIndex(j, m + 1),
-                      a * LogComplex.from_real(jplus_coef(j, m)))
+            key, c = (j, m + 1), jplus_coef(j, m)
         elif which == "Jminus":
-            if m > -j:
-                _emit(contribs, BasisIndex(j, m - 1),
-                      a * LogComplex.from_real(jminus_coef(j, m)))
+            key, c = (j, m - 1), jminus_coef(j, m)
         else:
             raise ValueError(f"unknown J operator {which!r}")
-    return _collect(contribs, s)
+        if c:
+            out[key] = a * c
+    return out
 
 
 def x_terms(which: str, j: int, m: int, r: float):
@@ -453,126 +333,133 @@ def x_terms(which: str, j: int, m: int, r: float):
     """
     up = math.sqrt((2 * j + 1) * (2 * j + 3))
     if which == "X3":
-        yield BasisIndex(j + 1, m), r * math.sqrt((j - m + 1) * (j + m + 1)) / up
+        yield (j + 1, m), r * math.sqrt((j - m + 1) * (j + m + 1)) / up
         if j >= 1:
             dn = math.sqrt((2 * j - 1) * (2 * j + 1))
-            yield BasisIndex(j - 1, m), r * math.sqrt((j - m) * (j + m)) / dn
+            yield (j - 1, m), r * math.sqrt((j - m) * (j + m)) / dn
     elif which == "Xplus":
-        yield BasisIndex(j + 1, m + 1), -r * math.sqrt((j + m + 1) * (j + m + 2)) / up
+        yield (j + 1, m + 1), -r * math.sqrt((j + m + 1) * (j + m + 2)) / up
         if j >= 1:
             dn = math.sqrt((2 * j - 1) * (2 * j + 1))
-            yield BasisIndex(j - 1, m + 1), r * math.sqrt((j - m - 1) * (j - m)) / dn
+            yield (j - 1, m + 1), r * math.sqrt((j - m - 1) * (j - m)) / dn
     elif which == "Xminus":
-        yield BasisIndex(j + 1, m - 1), r * math.sqrt((j - m + 1) * (j - m + 2)) / up
+        yield (j + 1, m - 1), r * math.sqrt((j - m + 1) * (j - m + 2)) / up
         if j >= 1:
             dn = math.sqrt((2 * j - 1) * (2 * j + 1))
-            yield BasisIndex(j - 1, m - 1), -r * math.sqrt((j + m - 1) * (j + m)) / dn
+            yield (j - 1, m - 1), -r * math.sqrt((j + m - 1) * (j + m)) / dn
     else:
         raise ValueError(f"unknown X operator {which!r}")
 
 
-def apply_X(which: str, s: StateVector) -> StateVector:
-    """Position-operator action at unit radius; X1, X2 are the Hermitian
-    ladder combinations."""
+def apply_X(which: str, s: dict, j_cut: int) -> dict:
+    """Position-operator action at unit radius, dropping j > j_cut; X1, X2
+    are the Hermitian ladder combinations."""
     if which == "X1":
-        return state_sum([state_scale(apply_X("Xplus", s), complex(0.5)),
-                          state_scale(apply_X("Xminus", s), complex(0.5))])
+        return combine((0.5, apply_X("Xplus", s, j_cut)),
+                       (0.5, apply_X("Xminus", s, j_cut)))
     if which == "X2":
-        return state_sum([state_scale(apply_X("Xplus", s), complex(0, -0.5)),
-                          state_scale(apply_X("Xminus", s), complex(0, 0.5))])
-    contribs: list = []
-    for (j, m), a in amplitudes(s).items():
+        return combine((-0.5j, apply_X("Xplus", s, j_cut)),
+                       (0.5j, apply_X("Xminus", s, j_cut)))
+    out: dict = {}
+    for (j, m), a in s.items():
         for key, coef in x_terms(which, j, m, 1.0):
-            if coef != 0.0:
-                _emit(contribs, key, a * LogComplex.from_real(coef))
-    return _collect(contribs, s)
+            if coef != 0.0 and key[0] <= j_cut:
+                _add(out, key, a * coef)
+    return out
 
 
 def z_terms(which: str, j: int, m: int):
-    """Coherent-state generator matrix elements.
+    """Coherent-state generator matrix elements, as (target, coef,
+    log_weight) for the element coef e^{log_weight}.
 
     Same selection rules as X/r but with the raising branch weighted by
-    e^{-j-1} and the lowering branch by e^{j}; the weights are carried in
-    log form so arbitrarily large j never overflows.
+    e^{-j-1} and the lowering branch by e^{j}; the weights stay logs until
+    they meet an amplitude, so arbitrarily large j never overflows.
     """
     up = -(j + 1.0)          # log weight of the j -> j+1 branch
     dn = float(j)            # log weight of the j -> j-1 branch
-    lup = math.log((2 * j + 1) * (2 * j + 3)) / 2
-    ldn = math.log((2 * j - 1) * (2 * j + 1)) / 2 if j >= 1 else 0.0
-
-    def branch(sq: float, sign: float, phase_i: bool, lw: float, key):
-        if sq <= 0:
-            return None
-        lm = 0.5 * math.log(sq) + lw
-        ph = math.pi / 2 if phase_i else 0.0
-        if sign < 0:
-            ph += math.pi
-        return key, LogComplex.from_polar(lm, ph)
-
+    nup = math.sqrt((2 * j + 1) * (2 * j + 3))
+    ndn = math.sqrt((2 * j - 1) * (2 * j + 1)) if j >= 1 else 1.0
     if which == "Z3":
-        t = branch((j - m + 1) * (j + m + 1), +1, False, up - lup,
-                   BasisIndex(j + 1, m))
-        if t:
-            yield t
-        if j >= 1:
-            t = branch((j - m) * (j + m), +1, False, dn - ldn,
-                       BasisIndex(j - 1, m))
-            if t:
-                yield t
-        return
-    half = math.log(0.5)
-    if which == "Z1":
-        plan = [((j + m + 1) * (j + m + 2), -1, False, up - lup + half, (j + 1, m + 1)),
-                ((j - m - 1) * (j - m),     +1, False, dn - ldn + half, (j - 1, m + 1)),
-                ((j - m + 1) * (j - m + 2), +1, False, up - lup + half, (j + 1, m - 1)),
-                ((j + m - 1) * (j + m),     -1, False, dn - ldn + half, (j - 1, m - 1))]
+        plan = [((j - m + 1) * (j + m + 1), 1.0, up, nup, (j + 1, m)),
+                ((j - m) * (j + m),         1.0, dn, ndn, (j - 1, m))]
+    elif which == "Z1":
+        plan = [((j + m + 1) * (j + m + 2), -0.5, up, nup, (j + 1, m + 1)),
+                ((j - m - 1) * (j - m),     0.5,  dn, ndn, (j - 1, m + 1)),
+                ((j - m + 1) * (j - m + 2), 0.5,  up, nup, (j + 1, m - 1)),
+                ((j + m - 1) * (j + m),     -0.5, dn, ndn, (j - 1, m - 1))]
     elif which == "Z2":
-        plan = [((j + m + 1) * (j + m + 2), +1, True, up - lup + half, (j + 1, m + 1)),
-                ((j - m - 1) * (j - m),     -1, True, dn - ldn + half, (j - 1, m + 1)),
-                ((j - m + 1) * (j - m + 2), +1, True, up - lup + half, (j + 1, m - 1)),
-                ((j + m - 1) * (j + m),     -1, True, dn - ldn + half, (j - 1, m - 1))]
+        plan = [((j + m + 1) * (j + m + 2), 0.5j,  up, nup, (j + 1, m + 1)),
+                ((j - m - 1) * (j - m),     -0.5j, dn, ndn, (j - 1, m + 1)),
+                ((j - m + 1) * (j - m + 2), 0.5j,  up, nup, (j + 1, m - 1)),
+                ((j + m - 1) * (j + m),     -0.5j, dn, ndn, (j - 1, m - 1))]
     else:
         raise ValueError(f"unknown Z operator {which!r}")
-    for sq, sign, phase_i, lw, (jj, mm) in plan:
-        if jj < 0 or abs(mm) > jj:
-            continue
-        t = branch(sq, sign, phase_i, lw, BasisIndex(jj, mm))
-        if t:
-            yield t
+    for sq, unit, lw, norm, (jj, mm) in plan:
+        if jj >= 0 and abs(mm) <= jj and sq > 0:
+            yield (jj, mm), unit * math.sqrt(sq) / norm, lw
 
 
-def apply_Z(which: str, s: StateVector) -> StateVector:
-    """Coherent-state generator action from its explicit matrix elements."""
-    contribs: list = []
-    for (j, m), a in amplitudes(s).items():
-        for key, coef in z_terms(which, j, m):
-            _emit(contribs, key, a * coef)
-    return _collect(contribs, s)
+def apply_Z(which: str, s: dict, j_cut: int) -> dict:
+    """Coherent-state generator action from its explicit matrix elements,
+    dropping j > j_cut."""
+    out: dict = {}
+    for (j, m), a in s.items():
+        for key, coef, lw in z_terms(which, j, m):
+            if key[0] <= j_cut:
+                _add(out, key, _times_exp(a * coef, lw))
+    return out
 
 
 _J_LABELS = {"J3", "Jplus", "Jminus", "Jsq"}
 _X_LABELS = {"X1", "X2", "X3", "Xplus", "Xminus"}
 
 
-def apply_operator(which: str, s: StateVector) -> StateVector:
+def apply_operator(which: str, s: dict, j_cut: int) -> dict:
     if which in _J_LABELS:
         return apply_J(which, s)
     if which in _X_LABELS:
-        return apply_X(which, s)
-    return apply_Z(which, s)
+        return apply_X(which, s, j_cut)
+    return apply_Z(which, s, j_cut)
+
+
+def sparse_apply(which: str, s: StateVector, mp: bool = False) -> StateVector:
+    """The operator applied to the state s one amplitude at a time, on
+    mpmath.mpc values with mp."""
+    with mpmath.workdps(DPS):
+        return from_dict(apply_operator(which, to_dict(s, mp=mp), s.j_cut),
+                         s.j_cut)
+
+
+def sparse_expectation(which: str, s: StateVector) -> complex:
+    """<s|O|s> / <s|s> through the per-amplitude action, on s scaled to its
+    largest amplitude."""
+    d = to_dict(s, float(s.log_mag.max()))
+    return dict_dot(d, apply_operator(which, d, s.j_cut)) / dict_dot(d, d)
+
+
+def sparse_residual_norm(which: str, s: StateVector, value: complex,
+                         j_max: int, mp: bool = False) -> float:
+    """||(O - value)|s>|| / ||s|| over the levels j <= j_max through the
+    per-amplitude action, on s scaled to unit norm, on mpmath.mpc values
+    with mp."""
+    with mpmath.workdps(DPS):
+        d = to_dict(s, 0.5 * s.log_norm_sq(), mp)
+        diff = combine((1, apply_operator(which, d, s.j_cut)), (-value, d))
+        return float(dict_norm_sq(diff, j_max) ** 0.5)
 
 
 # -- Cartesian components and the J^2-function route ------------------------
 
-def cart(which: str, s: StateVector) -> StateVector:
+def cart(which: str, s: dict, j_cut: int) -> dict:
     if not which.startswith("J"):
-        return apply_X(which, s)
+        return apply_X(which, s, j_cut)
     if which == "J3":
         return apply_J("J3", s)
     p, m = apply_J("Jplus", s), apply_J("Jminus", s)
     if which == "J1":
-        return state_sum([state_scale(p, 0.5 + 0j), state_scale(m, 0.5 + 0j)])
-    return state_sum([state_scale(p, -0.5j), state_scale(m, 0.5j)])
+        return combine((0.5, p), (0.5, m))
+    return combine((-0.5j, p), (0.5j, m))
 
 
 def jsq_scalar_logs(j: int) -> tuple[float, float]:
@@ -583,107 +470,96 @@ def jsq_scalar_logs(j: int) -> tuple[float, float]:
     return logf, logg
 
 
-def diag_mul_logs(s: StateVector, log_by_j) -> StateVector:
-    amps = {k: a.scaled_log(log_by_j(k.j)) for k, a in amplitudes(s).items()}
-    return with_amplitudes(s, amps)
+def diag_mul_logs(s: dict, log_by_j) -> dict:
+    return {k: _times_exp(a, log_by_j(k[0])) for k, a in s.items()}
 
 
-def apply_Z_vector_form(which: str, s: StateVector) -> StateVector:
+def apply_Z_vector_form(which: str, s: dict, j_cut: int) -> dict:
     idx = _ZN.index(which)
-    t1 = diag_mul_logs(apply_X(_XN[idx], s), lambda j: jsq_scalar_logs(j)[0])
+    t1 = diag_mul_logs(apply_X(_XN[idx], s, j_cut),
+                       lambda j: jsq_scalar_logs(j)[0])
     jn, kn = (idx + 1) % 3, (idx + 2) % 3
-    cross = state_sum([
-        cart(_JN[jn], apply_X(_XN[kn], s)),
-        state_scale(cart(_JN[kn], apply_X(_XN[jn], s)), complex(-1.0)),
-    ])
-    t2 = state_scale(diag_mul_logs(cross, lambda j: jsq_scalar_logs(j)[1]),
-                     complex(0, 1))
-    return state_sum([t1, t2])
+    cross = combine(
+        (1, cart(_JN[jn], apply_X(_XN[kn], s, j_cut), j_cut)),
+        (-1, cart(_JN[kn], apply_X(_XN[jn], s, j_cut), j_cut)))
+    t2 = diag_mul_logs(cross, lambda j: jsq_scalar_logs(j)[1])
+    return combine((1, t1), (1j, t2))
 
 
 # -- spinor operators --------------------------------------------------------
 
-def apply_V(s: SpinorState) -> SpinorState:
+def spinor_basis(j: int, m: int, component: str = "up") -> tuple:
+    e = {(j, m): 1 + 0j}
+    return (e, {}) if component == "up" else ({}, e)
+
+
+def apply_V(sp: tuple, j_cut: int) -> tuple:
     """V = sigma.X / r, with X at unit radius."""
-    up = state_sum([apply_X("X3", s.up), apply_X("Xminus", s.down)])
-    down = state_sum([apply_X("Xplus", s.up),
-                      state_scale(apply_X("X3", s.down), -1 + 0j)])
-    return SpinorState(up, down)
+    up, down = sp
+    return (combine((1, apply_X("X3", up, j_cut)),
+                    (1, apply_X("Xminus", down, j_cut))),
+            combine((1, apply_X("Xplus", up, j_cut)),
+                    (-1, apply_X("X3", down, j_cut))))
 
 
-def apply_sigma_dot_J(s: SpinorState) -> SpinorState:
-    up = state_sum([apply_J("J3", s.up), apply_J("Jminus", s.down)])
-    down = state_sum([apply_J("Jplus", s.up),
-                      state_scale(apply_J("J3", s.down), -1 + 0j)])
-    return SpinorState(up, down)
+def apply_sigma_dot_J(sp: tuple) -> tuple:
+    up, down = sp
+    return (combine((1, apply_J("J3", up)), (1, apply_J("Jminus", down))),
+            combine((1, apply_J("Jplus", up)), (-1, apply_J("J3", down))))
 
 
-def apply_K(s: SpinorState) -> SpinorState:
-    sj = apply_sigma_dot_J(s)
-    up = state_scale(state_sum([sj.up, s.up]), -1 + 0j)
-    down = state_scale(state_sum([sj.down, s.down]), -1 + 0j)
-    return SpinorState(up, down)
+def apply_K(sp: tuple) -> tuple:
+    return combine((-1, apply_sigma_dot_J(sp)), (-1, sp))
 
 
 def expk_entries(j: int, mu: int) -> tuple:
+    """(uu, ud, dd) of e^{-K}'s block at label mu of level j, as doubles,
+    finite up to j = 708."""
     den = 2 * j + 1
 
-    def entry(w_plus: float, w_minus: float) -> LogComplex:
-        terms = []
-        if w_plus != 0.0:
-            terms.append(LogComplex.from_real(w_plus / den).scaled_log(j + 1.0))
-        if w_minus != 0.0:
-            terms.append(LogComplex.from_real(w_minus / den).scaled_log(-float(j)))
-        return log_complex_sum(terms)
+    def entry(w_plus: float, w_minus: float) -> float:
+        return (w_plus / den * math.exp(j + 1.0)
+                + w_minus / den * math.exp(-float(j)))
 
     c = math.sqrt((j - mu) * (j + mu + 1))
     return entry(j + 1 + mu, j - mu), entry(c, -c), entry(j - mu, j + 1 + mu)
 
 
-def apply_exp_minus_K(s: SpinorState) -> SpinorState:
-    up_contribs: list = []
-    down_contribs: list = []
-    for (j, m), a in amplitudes(s.up).items():
+def apply_exp_minus_K(sp: tuple) -> tuple:
+    up, down = {}, {}
+    for (j, m), a in sp[0].items():
         e_uu, e_ud, _ = expk_entries(j, m)
-        up_contribs.append((BasisIndex(j, m), a * e_uu))
+        _add(up, (j, m), a * e_uu)
         if m + 1 <= j:
-            down_contribs.append((BasisIndex(j, m + 1), a * e_ud))
-    for (j, m), a in amplitudes(s.down).items():
+            _add(down, (j, m + 1), a * e_ud)
+    for (j, m), a in sp[1].items():
         mu = m - 1
         _, e_ud, e_dd = expk_entries(j, mu)
-        down_contribs.append((BasisIndex(j, m), a * e_dd))
+        _add(down, (j, m), a * e_dd)
         if mu >= -j:
-            up_contribs.append((BasisIndex(j, mu), a * e_ud))
-
-    def build(contribs, template: StateVector) -> StateVector:
-        buckets: dict = {}
-        for key, amp in contribs:
-            if not amp.is_zero:
-                buckets.setdefault(key, []).append(amp)
-        amps = {k: (v[0] if len(v) == 1 else log_complex_sum(v))
-                for k, v in buckets.items()}
-        amps = {k: v for k, v in amps.items() if not v.is_zero}
-        return with_amplitudes(template, amps)
-
-    return SpinorState(build(up_contribs, s.up), build(down_contribs, s.down))
+            _add(up, (j, mu), a * e_ud)
+    return up, down
 
 
-def apply_Z_matrix(s: SpinorState) -> SpinorState:
-    return apply_exp_minus_K(apply_V(s))
+def apply_Z_matrix(sp: tuple, j_cut: int) -> tuple:
+    return apply_exp_minus_K(apply_V(sp, j_cut))
 
 
-def apply_Z_from_matrix(which: str, phi: StateVector) -> StateVector:
-    empty = with_amplitudes(phi, {})
-    col_up = apply_Z_matrix(SpinorState(phi, empty))
-    col_down = apply_Z_matrix(SpinorState(empty, phi))
-    a, c = col_up.up, col_up.down
-    b, d = col_down.up, col_down.down
+def z_columns(phi: dict, j_cut: int) -> tuple:
+    """The columns ((a, c), (b, d)) of e^{-K} V applied to phi: the spinors
+    (phi, 0) and (0, phi) mapped."""
+    return (apply_Z_matrix((phi, {}), j_cut),
+            apply_Z_matrix(({}, phi), j_cut))
+
+
+def apply_Z_from_matrix(which: str, columns: tuple) -> dict:
+    """Z_i from the 2x2 generator matrix [[a, b], [c, d]] of z_columns."""
+    (a, c), (b, d) = columns
     if which == "Z1":
-        return state_scale(state_sum([b, c]), complex(0.5))
+        return combine((0.5, b), (0.5, c))
     if which == "Z2":
-        return state_scale(state_sum([b, state_scale(c, -1 + 0j)]),
-                           complex(0, 0.5))
-    return state_scale(state_sum([a, state_scale(d, -1 + 0j)]), complex(0.5))
+        return combine((0.5j, b), (-0.5j, c))
+    return combine((0.5, a), (-0.5, d))
 
 
 # -- the identity sweeps, one basis vector at a time -------------------------
@@ -691,47 +567,39 @@ def apply_Z_from_matrix(which: str, phi: StateVector) -> StateVector:
 def _interior_vectors(j_cut: int):
     for j in range(0, j_cut - 1):
         for m in range(-j, j + 1):
-            yield basis_state(j, m, j_cut)
+            yield {(j, m): 1 + 0j}
 
 
 def _spinor_vectors(j_cut: int):
     for j in range(0, j_cut - 1):
         for m in range(-j, j + 1):
             for comp in ("up", "down"):
-                yield spinor_basis(j, m, j_cut, comp)
-
-
-def _spinor_restrict(sp: SpinorState, j_max: int) -> SpinorState:
-    return SpinorState(restricted(sp.up, j_max), restricted(sp.down, j_max))
-
-
-def _commutator(a: StateVector, b: StateVector) -> StateVector:
-    return state_sum([a, state_scale(b, -1 + 0j)])
+                yield spinor_basis(j, m, comp)
 
 
 def e3_commutators(j_cut: int) -> float:
     interior = j_cut - 2
     worst = 0.0
+
+    def c(which, s):
+        return cart(which, s, j_cut)
+
     for s in _interior_vectors(j_cut):
         for i, k in itertools.combinations(range(3), 2):
             for fam_a, fam_b, fam_rhs in ((_JN, _JN, _JN), (_JN, _XN, _XN)):
-                ab = cart(fam_a[i], cart(fam_b[k], s))
-                lhs = _commutator(ab, cart(fam_b[k], cart(fam_a[i], s)))
+                ab = c(fam_a[i], c(fam_b[k], s))
+                lhs = combine((1, ab), (-1, c(fam_b[k], c(fam_a[i], s))))
                 l = 3 - i - k
-                rhs = state_scale(cart(fam_rhs[l], s),
-                                  complex(0, _EPS[(i, k, l)]))
-                worst = max(worst, relative_residual(
-                    restricted(lhs, interior), restricted(rhs, interior), s,
-                    ab))
-            ab = cart(_XN[i], cart(_XN[k], s))
-            lhs = _commutator(ab, cart(_XN[k], cart(_XN[i], s)))
-            worst = max(worst, relative_residual(
-                restricted(lhs, interior), state_scale(s, 0j), s, ab))
+                rhs = combine((1j * _EPS[(i, k, l)], c(fam_rhs[l], s)))
+                worst = max(worst, dict_residual(lhs, rhs, s, ab,
+                                                 j_max=interior))
+            ab = c(_XN[i], c(_XN[k], s))
+            lhs = combine((1, ab), (-1, c(_XN[k], c(_XN[i], s))))
+            worst = max(worst, dict_residual(lhs, {}, s, ab, j_max=interior))
         for i in range(3):
-            ab = cart(_JN[i], cart(_XN[i], s))
-            lhs = _commutator(ab, cart(_XN[i], cart(_JN[i], s)))
-            worst = max(worst, relative_residual(
-                restricted(lhs, interior), state_scale(s, 0j), s, ab))
+            ab = c(_JN[i], c(_XN[i], s))
+            lhs = combine((1, ab), (-1, c(_XN[i], c(_JN[i], s))))
+            worst = max(worst, dict_residual(lhs, {}, s, ab, j_max=interior))
     return worst
 
 
@@ -739,13 +607,14 @@ def casimirs(j_cut: int) -> float:
     interior = j_cut - 2
     worst = 0.0
     for s in _interior_vectors(j_cut):
-        parts = [cart(x, cart(x, s)) for x in _XN]
-        worst = max(worst, relative_residual(
-            restricted(state_sum(parts), interior), s, s, *parts))
-        parts = [cart(_JN[i], cart(_XN[i], s)) for i in range(3)]
-        worst = max(worst, relative_residual(
-            restricted(state_sum(parts), interior), state_scale(s, 0j), s,
-            *parts))
+        parts = [cart(x, cart(x, s, j_cut), j_cut) for x in _XN]
+        worst = max(worst, dict_residual(
+            combine(*((1, p) for p in parts)), s, s, *parts, j_max=interior))
+        parts = [cart(_JN[i], cart(_XN[i], s, j_cut), j_cut)
+                 for i in range(3)]
+        worst = max(worst, dict_residual(
+            combine(*((1, p) for p in parts)), {}, s, *parts,
+            j_max=interior))
     return worst
 
 
@@ -753,9 +622,8 @@ def v_squared(j_cut: int) -> float:
     interior = j_cut - 2
     worst = 0.0
     for sp in _spinor_vectors(j_cut):
-        v2 = apply_V(apply_V(sp))
-        worst = max(worst, spinor_relative_residual(
-            _spinor_restrict(v2, interior), _spinor_restrict(sp, interior), sp))
+        v2 = apply_V(apply_V(sp, j_cut), j_cut)
+        worst = max(worst, dict_residual(v2, sp, sp, j_max=interior))
     return worst
 
 
@@ -763,10 +631,10 @@ def kv_anticommutator(j_cut: int) -> float:
     interior = j_cut - 2
     worst = 0.0
     for sp in _spinor_vectors(j_cut):
-        kv = apply_K(apply_V(sp))
-        acom = spinor_sum([kv, apply_V(apply_K(sp))])
-        worst = max(worst, spinor_relative_residual(
-            _spinor_restrict(acom, interior), spinor_scale(sp, 0j), sp, kv))
+        kv = apply_K(apply_V(sp, j_cut))
+        acom = combine((1, kv), (1, apply_V(apply_K(sp), j_cut)))
+        worst = max(worst, dict_residual(acom, ({}, {}), sp, kv,
+                                         j_max=interior))
     return worst
 
 
@@ -775,10 +643,10 @@ def z_commutativity(j_cut: int) -> float:
     worst = 0.0
     for s in _interior_vectors(j_cut):
         for i, k in itertools.combinations(range(3), 2):
-            ab = apply_Z(_ZN[i], apply_Z(_ZN[k], s))
-            lhs = _commutator(ab, apply_Z(_ZN[k], apply_Z(_ZN[i], s)))
-            worst = max(worst, relative_residual(
-                restricted(lhs, interior), state_scale(s, 0j), s, ab))
+            ab = apply_Z(_ZN[i], apply_Z(_ZN[k], s, j_cut), j_cut)
+            lhs = combine((1, ab), (-1, apply_Z(
+                _ZN[k], apply_Z(_ZN[i], s, j_cut), j_cut)))
+            worst = max(worst, dict_residual(lhs, {}, s, ab, j_max=interior))
     return worst
 
 
@@ -786,9 +654,9 @@ def z_normalization(j_cut: int) -> float:
     interior = j_cut - 2
     worst = 0.0
     for s in _interior_vectors(j_cut):
-        parts = [apply_Z(z, apply_Z(z, s)) for z in _ZN]
-        worst = max(worst, relative_residual(
-            restricted(state_sum(parts), interior), s, s, *parts))
+        parts = [apply_Z(z, apply_Z(z, s, j_cut), j_cut) for z in _ZN]
+        worst = max(worst, dict_residual(
+            combine(*((1, p) for p in parts)), s, s, *parts, j_max=interior))
     return worst
 
 
@@ -796,20 +664,16 @@ def z_route_equality(j_cut: int) -> float:
     interior = j_cut - 2
     worst = 0.0
     for s in _interior_vectors(j_cut):
-        empty = with_amplitudes(s, {})
-        col_u = apply_Z_matrix(SpinorState(s, empty))
-        col_d = apply_Z_matrix(SpinorState(empty, s))
+        cols = z_columns(s, j_cut)
         for idx, z in enumerate(_ZN):
-            a = apply_Z(z, s)
-            b = apply_Z_vector_form(z, s)
-            t1 = diag_mul_logs(apply_X(_XN[idx], s),
+            a = apply_Z(z, s, j_cut)
+            b = apply_Z_vector_form(z, s, j_cut)
+            t1 = diag_mul_logs(apply_X(_XN[idx], s, j_cut),
                                lambda jj: jsq_scalar_logs(jj)[0])
-            worst = max(worst, relative_residual(
-                restricted(a, interior), restricted(b, interior), s, t1))
-            c = apply_Z_from_matrix(z, s)
-            worst = max(worst, relative_residual(
-                restricted(a, interior), restricted(c, interior), s,
-                col_u.up, col_u.down, col_d.up, col_d.down))
+            worst = max(worst, dict_residual(a, b, s, t1, j_max=interior))
+            c = apply_Z_from_matrix(z, cols)
+            worst = max(worst, dict_residual(a, c, s, *cols[0], *cols[1],
+                                             j_max=interior))
     return worst
 
 
@@ -824,71 +688,125 @@ IDENTITY_SWEEPS = {
 }
 
 
-# -- the triple-sum and ladder constructions ---------------------------------
+# -- the three sphere constructions, on mpmath values ------------------------
+#
+# Each builds the state's amplitudes as mpmath.mpc at DPS digits from
+# per-level tables of factorials, powers and level weights, sums with
+# mpmath.fdot, and converts once at the end.
+
+def _tables(n: int) -> tuple:
+    """k! and sqrt(k!) for k = 0 .. n."""
+    fact = [mpmath.factorial(k) for k in range(n + 1)]
+    return fact, [mpmath.sqrt(f) for f in fact]
+
+
+def _level_weight(j: int):
+    """e^{-j(j+1)/2} sqrt(2j + 1)."""
+    return mpmath.exp(-mpmath.mpf(j * (j + 1)) / 2) * mpmath.sqrt(2 * j + 1)
+
+
+def gegenbauer_column(n_max: int, alpha: float, x) -> list:
+    """C_0^alpha(x) .. C_{n_max}^alpha(x) by the ascending recurrence, in
+    x's number type."""
+    col = [type(x)(1)]
+    if n_max >= 1:
+        col.append(2.0 * alpha * x)
+    for n in range(2, n_max + 1):
+        col.append((2.0 * (n + alpha - 1) / n) * x * col[n - 1]
+                   - ((n + 2.0 * alpha - 2.0) / n) * col[n - 2])
+    return col
+
+
+def coherent_closed_form(zl, j_cut: int) -> StateVector:
+    """<j, m| state> = e^{-j(j+1)/2} sqrt(2j+1) (2|m|)!/|m|!
+    sqrt((j-|m|)!/(j+|m|)!) w^|m| C_{j-|m|}^{|m|+1/2}(z3), with
+    w = (-sign(m) z1 + i z2)/2."""
+    with mpmath.workdps(DPS):
+        z1, z2, z3 = (mpmath.mpc(complex(c)) for c in zl.z)
+        fact, sqrt_fact = _tables(2 * j_cut)
+        weight = [_level_weight(j) for j in range(j_cut + 1)]
+        amps = {}
+        for am in range(j_cut + 1):
+            col = gegenbauer_column(j_cut - am, am + 0.5, z3)
+            powers = {m: w ** am for m, w in ((am, (-z1 + 1j * z2) / 2),
+                                              (-am, (z1 + 1j * z2) / 2))}
+            head = fact[2 * am] / fact[am]
+            for j in range(am, j_cut + 1):
+                mag = weight[j] * head * sqrt_fact[j - am] / sqrt_fact[j + am]
+                for m, power in powers.items():
+                    amps[(j, m)] = mag * power * col[j - am]
+        return from_dict(amps, j_cut)
+
 
 def coherent_triple_sum(zl, j_cut: int) -> StateVector:
-    mu, nu, gamma = generation_params(zl)
-    mu_l = LogComplex.from_complex(mu)
-    nu_l = LogComplex.from_complex(nu)
-    contribs: dict = {}
-    for j in range(j_cut + 1):
-        base = LogComplex.from_polar(-0.5 * j * (j + 1)
-                                     + 0.5 * math.log(2 * j + 1))
-        for m in range(0, j + 1):
-            fm = (base * (nu_l ** m)
-                  * LogComplex.from_polar(-log_factorial(m)
-                                          + log_factorial(j + m)
-                                          - log_factorial(j - m))
-                  * LogComplex.from_polar(m * gamma.real, m * gamma.imag))
-            if fm.is_zero:
-                continue
-            for k in range(0, j + m + 1):
-                mk = m - k
-                if abs(mk) > j:
-                    continue
-                term = (fm * (mu_l ** k)
-                        * LogComplex.from_polar(
-                            -log_factorial(k)
-                            + 0.5 * (log_factorial(j - m + k)
-                                     - log_factorial(j + m - k))))
-                if not term.is_zero:
-                    contribs.setdefault(BasisIndex(j, mk), []).append(term)
-    amps = {}
-    for key, terms in contribs.items():
-        t = log_complex_sum(terms)
-        if not t.is_zero:
-            amps[key] = t
-    return state_from_amplitudes(amps, j_cut)
+    """The sum over 0 <= m <= j and 0 <= k <= j + m of
+    e^{-j(j+1)/2} sqrt(2j+1) nu^m e^{m gamma} (j+m)!/(m! (j-m)!)
+    mu^k/k! sqrt((j-m+k)!/(j+m-k)!), landing on t = m - k.  The last
+    factor is sqrt((j-t)!/(j+t)!), so each target sums over m first."""
+    with mpmath.workdps(DPS):
+        mu, nu, gamma = (mpmath.mpc(v) for v in generation_params(zl))
+        fact, sqrt_fact = _tables(2 * j_cut)
+        mu_k = [mu ** k / fact[k] for k in range(2 * j_cut + 1)]
+        nu_m = [nu ** m * mpmath.exp(m * gamma) / fact[m]
+                for m in range(j_cut + 1)]
+        amps = {}
+        for j in range(j_cut + 1):
+            f_m = [fact[j + m] / fact[j - m] * nu_m[m] for m in range(j + 1)]
+            weight = _level_weight(j)
+            for t in range(-j, j + 1):
+                lo = max(t, 0)
+                amps[(j, t)] = (weight * sqrt_fact[j - t] / sqrt_fact[j + t]
+                                * mpmath.fdot(f_m[lo:],
+                                              mu_k[lo - t:j + 1 - t]))
+        return from_dict(amps, j_cut)
 
 
-def exp_ladder(which: str, coef: complex, s: StateVector) -> StateVector:
+def exp_ladder(which: str, coef, s: dict) -> dict:
+    """exp(coef J) s for J = J+ or J-, its series term by term until every
+    term has run off its level.  J keeps j, so each level runs on its own:
+    step k multiplies the live entries of the last term by coef times their
+    ladder coefficient, and each target sums its terms times 1/k! at the
+    end."""
     if coef == 0:
         return s
-    terms = [s]
-    term = s
-    k = 0
-    while True:
-        k += 1
-        term = state_scale(apply_J(which, term), coef / k)
-        if term.is_zero():
-            break
-        terms.append(term)
-    return state_sum(terms)
+    dm, ladder = (1, jplus_coef) if which == "Jplus" else (-1, jminus_coef)
+    levels: dict = {}
+    for (j, m), v in s.items():
+        levels.setdefault(j, {})[m] = v
+    inv_fact = [1 / mpmath.factorial(k) for k in range(2 * max(levels) + 2)]
+    out = {}
+    for j, term in levels.items():
+        step = {m: coef * ladder(j, m) for m in range(-j, j + 1)
+                if ladder(j, m)}
+        series = {m: [(v, 1)] for m, v in term.items()}
+        k = 0
+        while term:
+            k += 1
+            term = {m + dm: v * step[m] for m, v in term.items() if m in step}
+            for m, v in term.items():
+                series.setdefault(m, []).append((v, inv_fact[k]))
+        for m, pairs in series.items():
+            out[(j, m)] = mpmath.fdot(pairs)
+    return out
 
 
-def diag_exp_J3(gamma: complex, s: StateVector) -> StateVector:
-    amps = {k: (a * LogComplex.from_polar(k.m * gamma.real, k.m * gamma.imag))
-            for k, a in amplitudes(s).items()}
-    return with_amplitudes(s, amps)
+def diag_exp_J3(gamma, s: dict) -> dict:
+    e = {m: mpmath.exp(m * gamma) for m in {m for _, m in s}}
+    return {(j, m): a * e[m] for (j, m), a in s.items()}
 
 
 def coherent_ladder_generated(zl, j_cut: int) -> StateVector:
-    mu, nu, gamma = generation_params(zl)
-    s = north_pole_state(j_cut)
-    s = exp_ladder("Jplus", nu, s)
-    s = diag_exp_J3(gamma, s)
-    return exp_ladder("Jminus", mu, s)
+    """exp(mu J-) exp(gamma J3) exp(nu J+) applied to the north-pole
+    state."""
+    with mpmath.workdps(DPS):
+        mu, nu, gamma = (mpmath.mpc(v) for v in generation_params(zl))
+        s = to_dict(north_pole_state(j_cut), mp=True)
+        s = exp_ladder("Jplus", nu, s)
+        s = diag_exp_J3(gamma, s)
+        return from_dict(exp_ladder("Jminus", mu, s), j_cut)
 
+
+# -- the ladder's loop over every array entry --------------------------------
 
 def exp_ladder_dense(which: str, coef: complex, lm: np.ndarray,
                      ph: np.ndarray, j_cut: int) -> tuple:
@@ -916,43 +834,6 @@ def exp_ladder_dense(which: str, coef: complex, lm: np.ndarray,
         acc = acc * np.exp(top - shift) + np.exp(t_lm - shift) * t_u
         top = new_top
     return polar_array(top, acc)
-
-
-# -- the closed form, one amplitude at a time --------------------------------
-
-def gegenbauer_column(n_max: int, alpha: float, x: complex) -> list:
-    """C_0^alpha(x) .. C_{n_max}^alpha(x) by the ascending recurrence, every
-    value a LogComplex."""
-    xl = LogComplex.from_complex(x)
-    col = [LogComplex(0.0)]
-    if n_max >= 1:
-        col.append(LogComplex.from_real(2.0 * alpha) * xl)
-    for n in range(2, n_max + 1):
-        t1 = LogComplex.from_real(2.0 * (n + alpha - 1) / n) * xl * col[n - 1]
-        t2 = LogComplex.from_real(-(n + 2.0 * alpha - 2.0) / n) * col[n - 2]
-        col.append(log_complex_sum([t1, t2]))
-    return col
-
-
-def coherent_closed_form(zl, j_cut: int) -> StateVector:
-    z1, z2, z3 = zl.z
-    cols = [gegenbauer_column(j_cut - am, am + 0.5, z3)
-            for am in range(j_cut + 1)]
-    w_pos = LogComplex.from_complex((-z1 + 1j * z2) / 2.0)
-    w_neg = LogComplex.from_complex((z1 + 1j * z2) / 2.0)
-    amps = {}
-    for j in range(j_cut + 1):
-        for m in range(-j, j + 1):
-            am = abs(m)
-            lmag = (-0.5 * j * (j + 1) + 0.5 * math.log(2 * j + 1)
-                    + log_factorial(2 * am) - log_factorial(am)
-                    + 0.5 * (log_factorial(j - am) - log_factorial(j + am)))
-            w = w_pos if m > 0 else w_neg
-            val = (LogComplex.from_polar(lmag) * (w ** am)
-                   * cols[am][j - am])
-            if not val.is_zero:
-                amps[BasisIndex(j, m)] = val
-    return state_from_amplitudes(amps, j_cut)
 
 
 # -- the exact-rational series oracles of `cohstates verify` -----------------

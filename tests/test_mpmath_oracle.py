@@ -16,7 +16,7 @@ from cohstates.sphere import (SpherePhasePoint, coherent_closed_form,
                               coherent_state, default_j_cut, expect_J,
                               expect_X, phase_to_z, uncertainty_J)
 from cohstates.spinor import _expk_entries
-from oracles import moment_series
+from oracles import moment_series, mp_label, mp_value
 
 X = np.array([0.36, 0.48, 0.8])
 DIRECTION = np.cross(X, [1.0, 0.3, -0.2])    # generic tangent direction
@@ -26,17 +26,6 @@ def _point(l_norm):
     return SpherePhasePoint(X, l_norm * DIRECTION / np.linalg.norm(DIRECTION))
 
 
-def _mp_label(p):
-    """z = cosh|l| x + i (sinh|l|/|l|) l cross x from the double inputs."""
-    x = [mpmath.mpf(float(c)) for c in p.x]
-    l = [mpmath.mpf(float(c)) for c in p.l]
-    ln = mpmath.sqrt(sum(c * c for c in l))
-    sinhc = mpmath.sinh(ln) / ln if ln else mpmath.mpf(1)
-    cross = [l[1] * x[2] - l[2] * x[1], l[2] * x[0] - l[0] * x[2],
-             l[0] * x[1] - l[1] * x[0]]
-    return [mpmath.cosh(ln) * x[i] + 1j * sinhc * cross[i] for i in range(3)]
-
-
 def _mp_amplitude(z, j, m):
     am = abs(m)
     w = (-z[0] + 1j * z[1]) / 2 if m > 0 else (z[0] + 1j * z[1]) / 2
@@ -44,10 +33,6 @@ def _mp_amplitude(z, j, m):
     return (mpmath.exp(-mpmath.mpf(j * (j + 1)) / 2) * mpmath.sqrt(2 * j + 1)
             * f(2 * am) / f(am) * mpmath.sqrt(f(j - am) / f(j + am))
             * w ** am * mpmath.gegenbauer(j - am, am + mpmath.mpf(1) / 2, z[2]))
-
-
-def _mp_value(log_mag, phase):
-    return mpmath.exp(mpmath.mpf(log_mag)) * mpmath.expj(mpmath.mpf(phase))
 
 
 @pytest.mark.parametrize("l_norm", [0.0, 5.0, 12.0, 21.5])
@@ -61,12 +46,12 @@ def test_closed_form_amplitudes_at_50_digits(l_norm):
     sample = {peak} | {(j, m) for j in (0, 1, 2, j_peak + 3, j_peak + 6, cut)
                        for m in (-j, -1, 0, 1, j) if abs(m) <= j}
     with mpmath.workdps(50):
-        z = _mp_label(p)
+        z = mp_label(p)
         want = {jm: _mp_amplitude(z, *jm) for jm in sample}
         scale = abs(want[peak])
         for (j, m), w in want.items():
             i = j * j + j + m
-            err = abs(_mp_value(s.log_mag[i], s.phase[i]) - w)
+            err = abs(mp_value(s.log_mag[i], s.phase[i]) - w)
             assert err <= 1e-12 * scale, ((j, m), float(err / scale))
             if abs(w) >= 1e-8 * scale:
                 assert err <= 1e-11 * abs(w), ((j, m), float(err / abs(w)))
@@ -76,14 +61,14 @@ def test_gegenbauer_column_at_50_digits():
     # the z3 of the |l| = 21.5 point: about 1e9 in size, complex.  A value
     # near e^1300 carries a log-magnitude rounding of about 2e-13 relative.
     with mpmath.workdps(50):
-        z3 = _mp_label(_point(21.5))[2]
+        z3 = mp_label(_point(21.5))[2]
         alphas = np.array([0.5, 3.5, 20.5])
         lm, ph = gegenbauer_column(60, alphas, complex(z3))
         for n in (0, 1, 7, 30, 60):
             for k, alpha in enumerate(alphas):
                 want = mpmath.gegenbauer(n, mpmath.mpf(alpha),
                                          mpmath.mpc(complex(z3)))
-                got = _mp_value(lm[n, k], ph[n, k])
+                got = mp_value(lm[n, k], ph[n, k])
                 assert abs(got - want) <= 1e-12 * abs(want), (n, alpha)
 
 
@@ -198,7 +183,7 @@ def test_gegenbauer_column_triangle_at_50_digits(x, n_max):
                 continue
             exact = mpmath.gegenbauer(k, m + mpmath.mpf(1) / 2,
                                       mpmath.mpc(x))
-            ref = _mp_value(want_lm[k, m], want_ph[k, m])
+            ref = mp_value(want_lm[k, m], want_ph[k, m])
             tol = u * (abs(want_lm[k, m]) + 4)
             assert abs(ref - exact) <= tol * abs(exact), (k, m)
 
