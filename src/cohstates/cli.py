@@ -94,11 +94,9 @@ def _int_arg(flag: str, lo: int, hi: float, auto: bool = False):
 
 # A sphere state at cut n holds (n + 1)^2 amplitudes, and a report prints
 # every nonzero one.  The upper bound is the automatic cut at the largest
-# supported |l| (355), 730: there a sphere report at --l 355,0,0 (534,361
-# nonzero amplitudes) takes 1.75-2.14 s in 11 runs as JSON and 1.83-1.94 s
-# in 3 as CSV (a shared 2-core Xeon, numpy 2.4.6), about half of it
-# printing, and peaks at 127-128 MB RSS: the numbers' own peak, set by the
-# eigen-residual, as the amplitudes print a chunk at a time.
+# supported |l| (355), 730: there a report at --l 355,0,0 (534,361 nonzero
+# amplitudes) takes 1.31-1.89 s as JSON or CSV (6 runs each, a shared 2-core
+# Xeon), 30-40 % of it printing, and peaks at the eigen-residual's 127-128 MB.
 SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))
 
 # The identity sweeps need an interior level j <= j_cut - 2 above the ground
@@ -109,60 +107,66 @@ IDENTITY_J_CUT_RANGE = (3, 200)
 
 
 # Rows are formatted and written this many at a time, so that a report never
-# holds its whole text, or a Python object per printed number.
+# holds its whole text, or a Python object per printed number; and the JSON
+# encoder is built once, where json.dumps would build one per report.
 _CHUNK = 4096
-
-# One entry of the sphere report's JSON amplitude list, as json.dumps(indent=2,
-# sort_keys=True) writes it, for a row (j, log_mag, m, phase): keys in sorted
-# order, %d for an int and %r, float.__repr__, for a float, as json does.  The
-# leading comma separates entries; the first entry drops it.
-_JSON_AMPLITUDE = (',\n    {\n      "j": %d,\n      "log_mag": %r,\n'
-                   '      "m": %d,\n      "phase": %r\n    }')
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 
-def _array_rows(*columns):
-    """Rows of equal-length arrays, as tuples of Python numbers, converted
-    from the arrays a chunk at a time."""
+def _chunks(texts: list[str], columns: list[np.ndarray]):
+    """The rows of equal-length columns, texts[0], column 0's value, ...,
+    texts[-1], joined _CHUNK rows to a string, floats as json writes them."""
+    row, slots, before = [], [], texts[0]    # a row's fixed text and slots
+    for col, after in zip(columns, texts[1:]):
+        if col.dtype.kind == "i" and len(col):
+            # k with the text around it, from a table rolled so that k, even
+            # a negative k, which counts from the end, indexes its own entry
+            ks = range(min(col.min(), 0), max(col.max(), -1) + 1)
+            write, before = [f"{before}{k}{after}" for k in
+                             np.roll(ks, ks.start)].__getitem__, ""
+        else:
+            row += [before] if before else []
+            write, before = repr if col.dtype.kind == "f" else str, after
+        slots.append((len(row), col, write))
+        row.append(None)
+    row += [before] if before else []
     for i in range(0, len(columns[0]), _CHUNK):
-        yield from zip(*(c[i:i + _CHUNK].tolist() for c in columns))
+        parts = row * len(columns[0][i:i + _CHUNK])
+        for k, col, write in slots:
+            parts[k::len(row)] = map(write, col[i:i + _CHUNK].tolist())
+        yield "".join(parts)
 
 
-def _formatted(template: str, rows):
-    """The rows, tuples, formatted with template and joined, a chunk of
-    _CHUNK rows to a string."""
-    rows = iter(rows)
-    while chunk := "".join(map(template.__mod__,
-                               itertools.islice(rows, _CHUNK))):
-        yield chunk
-
-
-def _emit(args, payload: dict, fields: list[str], csv_row: str, rows,
-          amplitudes=None) -> None:
+def _emit(args, payload: dict, table: dict, json_key=None) -> None:
     """Write a report: the payload, tagged with its command and version, as
-    JSON, or for --format csv only the rows, tuples over fields formatted
-    with csv_row.  Where csv_row has %r it writes a float's repr, the text
-    json gives it; where %s, a name that RFC 4180 leaves unquoted.
-
-    `amplitudes`, rows (j, log_mag, m, phase), are the JSON payload's
-    "amplitudes" list.  They are written in chunks, spliced into the JSON
-    text of the rest, which json.dumps writes whole.  Every check is made
-    before the first byte is written."""
+    JSON, or for --format csv only the table, {field: column}, one row per
+    index of columns of numbers or of names RFC 4180 leaves unquoted.  JSON
+    holds a table of numbers under json_key, spliced into the rest's text.
+    Every check precedes the first byte; a non-finite table value is a bug."""
+    table = {name: np.asarray(col) for name, col in table.items()}
+    if bad := [k for k, c in table.items()
+               if c.dtype.kind == "f" and not np.isfinite(c).all()]:
+        raise AssertionError(f"a {bad[0]} value is not finite")
     if args.format == "csv":
-        parts = itertools.chain([",".join(fields) + "\r\n"],
-                                _formatted(csv_row, rows))
+        parts = itertools.chain([",".join(table) + "\r\n"], _chunks(
+            ["", *[","] * (len(table) - 1), "\r\n"], list(table.values())))
     else:
         payload = {"command": args.command, "version": __version__, **payload}
-        if amplitudes is not None:
-            payload["amplitudes"] = []
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-        entries = _formatted(_JSON_AMPLITUDE, amplitudes or ())
+        entries = iter(())
+        if json_key is not None:
+            # entries as json writes them, each after a comma the first drops
+            payload[json_key], names = [], sorted(table)
+            texts = [f",\n      {json.dumps(k)}: " for k in names]
+            entries = _chunks([",\n    {" + texts[0][1:], *texts[1:],
+                               "\n    }"], [table[k] for k in names])
+        text = _JSON.encode(payload)
         first = next(entries, None)
         if first is None:
             parts = [text, "\n"]
         else:
             # json escapes control characters inside strings, so a newline
             # and two spaces only ever start a member of the top-level object
-            head, key, tail = text.partition('\n  "amplitudes": []')
+            head, key, tail = text.partition(f"\n  {json.dumps(json_key)}: []")
             parts = itertools.chain([head, key[:-1], first[1:]], entries,
                                     ["\n  ]", tail, "\n"])
     if not args.out:
@@ -196,10 +200,9 @@ def cmd_circle(args) -> int:
         "eigen_residual": residual,
         "eigen_residual_rel": residual_rel,
     }
-    rows = zip(("expect_J", "expect_U_re", "expect_U_im", "var_J", "bound"),
-               map(float, (exp_j, exp_u.real, exp_u.imag, unc.var_j,
-                           unc.bound)))
-    _emit(args, payload, ["quantity", "value"], "%s,%r\r\n", rows)
+    names = ["expect_J", "expect_U_re", "expect_U_im", "var_J", "bound"]
+    _emit(args, payload, {"quantity": names, "value": [
+        exp_j, exp_u.real, exp_u.imag, unc.var_j, unc.bound]})
     return EXIT_OK
 
 
@@ -220,8 +223,6 @@ def cmd_sphere(args) -> int:
     unc = uncertainty_J(state)
     residual = eigen_residual(state, zl)
     js, ms, logs, phases = state.nonzero()
-    if not (np.isfinite(logs).all() and np.isfinite(phases).all()):
-        raise ValueError("the state has a non-finite amplitude")
     payload = {
         **_point_fields(point, state),
         "z_label": [_cnum(complex(v)) for v in zl.z],
@@ -244,9 +245,8 @@ def cmd_sphere(args) -> int:
                 "it their disagreement overflows a double")
             worst = None
         payload["path_disagreement"] = worst
-    _emit(args, payload, ["j", "m", "log_mag", "phase"], "%d,%d,%r,%r\r\n",
-          _array_rows(js, ms, logs, phases),
-          amplitudes=_array_rows(js, logs, ms, phases))
+    _emit(args, payload, {"j": js, "m": ms, "log_mag": logs,
+                          "phase": phases}, json_key="amplitudes")
     return EXIT_OK
 
 
@@ -265,8 +265,8 @@ def cmd_rotator(args) -> int:
         "argmax_m": {str(j): argmax_m(table, j) for j in args.fix_j},
         "peak_energy": rotator_energy(math.ceil(root - 0.5)),
     }
-    _emit(args, payload, ["j", "m", "p", "ln_p"], "%d,%d,%r,%r\r\n",
-          _array_rows(table.j, table.m, table.p, table.ln_p))
+    _emit(args, payload, {"j": table.j, "m": table.m, "p": table.p,
+                          "ln_p": table.ln_p})
     return EXIT_OK
 
 
@@ -287,10 +287,10 @@ def cmd_verify(args) -> int:
             for r in results
         ],
     }
-    rows = ((r.name, r.measured, r.tolerance, str(r.passed).lower(),
-             *(r.elapsed_s for _ in timed)) for r in results)
-    _emit(args, payload, ["check", "measured", "tolerance", "pass", *timed],
-          "%s,%r,%r,%s" + ",%r" * len(timed) + "\r\n", rows)
+    rows = [(r.name, r.measured, r.tolerance, str(r.passed).lower(),
+             *(r.elapsed_s for _ in timed)) for r in results]
+    _emit(args, payload, dict(zip(["check", "measured", "tolerance", "pass",
+                                   *timed], zip(*rows))))
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 

@@ -107,9 +107,10 @@ class SpherePhasePoint:
             if dev > 0:
                 x = x * (1.0 / math.sqrt(u @ u))
                 u = x / r
-            lnorm = math.sqrt(l @ l)
-            if lnorm > 0:
-                tang = abs(l @ u) / lnorm
+            # in units of its largest component, l's square cannot underflow
+            if (big := np.abs(l).max()) > 0:
+                v = l / big
+                tang = abs(v @ u) / math.sqrt(v @ v)
                 if tang > TANGENCY_TOL:
                     if not project_tangent:
                         raise ConstraintError(

@@ -981,18 +981,17 @@ def relative_X_full_cut(s: StateVector, p) -> np.ndarray:
 
 # -- the CLI's first report writer ---------------------------------------------
 
-def emit(args, payload: dict, fields: list[str], csv_row: str, rows,
-         amplitudes=None) -> None:
-    """`cli._emit` as first written, a drop-in for it: the amplitudes as one
-    dict each in the payload and the whole text from `json.dumps`, or the
-    rows as dicts through `csv.DictWriter`, which writes a float as its
-    repr.  `csv_row` is not used."""
+def emit(args, payload: dict, table: dict, json_key=None) -> None:
+    """`cli._emit` as first written, a drop-in for it: the rows of the
+    table, {field: column}, as one dict each in the payload under json_key
+    and the whole text from `json.dumps`, or as dicts through
+    `csv.DictWriter`, which writes a float as its repr."""
+    fields = list(table)
+    rows = zip(*(np.asarray(col).tolist() for col in table.values()))
     if args.format == "json":
         payload = {"command": args.command, "version": __version__, **payload}
-        if amplitudes is not None:
-            payload["amplitudes"] = [
-                {"j": j, "m": m, "log_mag": lg, "phase": ph}
-                for j, lg, m, ph in amplitudes]
+        if json_key is not None:
+            payload[json_key] = [dict(zip(fields, row)) for row in rows]
         text = json.dumps(payload, indent=2, sort_keys=True,
                           allow_nan=False) + "\n"
     else:

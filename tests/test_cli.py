@@ -303,6 +303,20 @@ class TestExitCodes:
         assert code == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("l, tangent", [("0,0,1e-170", 0.0),
+                                            ("1e-200,0,1e-170", 1e-200)])
+    def test_radial_l_whose_square_underflows_is_not_tangent(self, l,
+                                                               tangent):
+        # l @ l is 0 in doubles, yet l points off the tangent plane
+        argv = ["sphere", "--x", "0,0,1", "--l", l, "--j-cut", "10"]
+        code, out, err = output(argv)
+        assert (code, out) == (3, "")
+        assert err == ("constraint violation: l.x/(|l| r) = 1 exceeds 1e-09; "
+                       "pass project_tangent=True to project l onto the "
+                       "tangent plane\n")
+        code, out, _ = output([*argv, "--project-tangent"])
+        assert code == 0 and json.loads(out)["l"] == [tangent, 0.0, 0.0]
+
     @pytest.mark.parametrize("argv, flag, message", [
         (["circle", "--phi", "nan", "--l", "1"], "--phi",
          "expected a finite number, got 'nan'"),
@@ -498,6 +512,7 @@ class TestReportWriter:
         ["sphere", "--x", "0,0,-1", "--l", "0,0,0", "--check-paths"],
         ["sphere", "--x", "0,0,1", "--l", "100,0,0"],
         ["circle", "--phi", "0", "--l", "2"],
+        VERIFY_ARGV,
     ]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -512,23 +527,58 @@ class TestReportWriter:
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_boundaries_leave_no_trace(self, chunk, monkeypatch):
-        want = [output([*README_SPHERE, "--format", f]) for f in ("json",
-                                                                 "csv")]
+        # a report of one chunk, a rotator table, and one of 12 chunks
+        requests = [README_SPHERE, README_FIGURE1,
+                    ["sphere", "--x", "0,0,1", "--l", "100,0,0"]]
+        formats = [(argv, f) for argv in requests for f in ("json", "csv")]
+        want = [output([*argv, "--format", f]) for argv, f in formats]
         monkeypatch.setattr(cli, "_CHUNK", chunk)
-        assert [output([*README_SPHERE, "--format", f])
-                for f in ("json", "csv")] == want
+        assert [output([*argv, "--format", f]) for argv, f in formats] == want
 
-    def test_splice_ignores_a_string_that_looks_like_the_list(self, capsys):
+    @staticmethod
+    def written(writer, fmt, table, json_key=None):
+        args = SimpleNamespace(format=fmt, command="sphere", out=None)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            writer(args, {"a": '\n  "amplitudes": []', "b": '"amplitudes": [',
+                          "z": 1}, table, json_key)
+        return out.getvalue()
+
+    def test_splice_ignores_a_string_that_looks_like_the_list(self):
         # a payload string holding the list's own text, and an empty list
-        args = SimpleNamespace(format="json", command="sphere", out=None)
-        payload = {"a": '\n  "amplitudes": []', "b": '"amplitudes": [', "z": 1}
-        rows = [(0, -0.5, 0, 0.0), (1, -1.25, -1, 3.141592653589793)]
-        for amplitudes in (rows, []):
-            cli._emit(args, payload, [], "", [], amplitudes=amplitudes)
-            got = capsys.readouterr().out
-            oracles.emit(args, payload, [], "", [], amplitudes=amplitudes)
-            assert got == capsys.readouterr().out
-            assert len(json.loads(got)["amplitudes"]) == len(amplitudes)
+        table = {"j": np.array([0, 1]), "m": np.array([0, -1]),
+                 "log_mag": np.array([-0.5, -1.25]),
+                 "phase": np.array([0.0, 3.141592653589793])}
+        for n in (2, 0):
+            part = {k: col[:n] for k, col in table.items()}
+            got = self.written(cli._emit, "json", part, "amplitudes")
+            assert got == self.written(oracles.emit, "json", part,
+                                       "amplitudes")
+            assert len(json.loads(got)["amplitudes"]) == n
+
+    # floats that repr writes in exponent form, the smallest subnormal, -0.0
+    EDGE_FLOATS = [1e-05, 1e+16, 5e-324, -0.0, -1.5e-300, 2.0 ** 70]
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([0, 1, cli._CHUNK - 1, cli._CHUNK,
+                              cli._CHUNK + 1]),
+           j=st.lists(st.integers(0, 730), min_size=1, max_size=6),
+           m=st.lists(st.integers(-730, 730), min_size=1, max_size=6),
+           x=st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(
+               allow_nan=False, allow_infinity=False)), min_size=1,
+               max_size=6))
+    @example(n=cli._CHUNK + 1, j=[0, 730], m=[-730, 0, 730],
+             x=EDGE_FLOATS)
+    def test_table_matches_the_first_writer(self, n, j, m, x):
+        # rows tiled from the drawn values, in the sphere's column order: as
+        # its amplitude list and its CSV table, and in CSV with a string
+        # column, as circle's and verify's tables have
+        table = {"j": np.resize(j, n), "m": np.resize(m, n),
+                 "log_mag": np.resize(x, n), "phase": np.resize(x[::-1], n)}
+        named = {"check": np.resize(["a", "b_c"], n), **table}
+        for fmt, tab, key in (("json", table, "amplitudes"),
+                              ("csv", table, None), ("csv", named, None)):
+            assert (self.written(cli._emit, fmt, tab, key)
+                    == self.written(oracles.emit, fmt, tab, key))
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_amplitude_writes_nothing(self, fmt, monkeypatch,
@@ -536,18 +586,26 @@ class TestReportWriter:
         nonzero = StateVector.nonzero
 
         def spoiled(self):
-            j, m, lm, ph = nonzero(self)
-            return j, m, lm, np.where(j == 1, math.nan, ph)
+            j, m, *amp = nonzero(self)
+            amp[spoil] = np.where(j == 1, math.nan, amp[spoil])
+            return j, m, *amp
 
         monkeypatch.setattr(StateVector, "nonzero", spoiled)
-        argv = ["sphere", "--x", "0,0,1", "--l", "1,0,0", "--format", fmt]
-        code, out, err = output(argv)
-        assert (code, out) == (2, "")
-        assert err.splitlines() == [
-            "error: the state has a non-finite amplitude"]
-        target = tmp_path / "report"
-        assert output([*argv, "--out", str(target)])[:2] == (2, "")
-        assert not target.exists()
+        # a NaN log-magnitude or phase: the sphere prints both; the rotator
+        # prints, in CSV, the probabilities drawn from the log-magnitudes,
+        # and in JSON their maxima
+        for argv, spoil, column in (
+                (["sphere", "--x", "0,0,1", "--l", "1,0,0"], 1, "phase"),
+                (["sphere", "--x", "0,0,1", "--l", "1,0,0"], 0, "log_mag"),
+                (README_FIGURE1, 0, "ln_p")):
+            argv = [*argv, "--format", fmt]
+            code, out, err = output(argv)
+            assert (code, out) == (4, "")
+            assert err.splitlines() == [
+                f"internal error: a {column} value is not finite"]
+            target = tmp_path / "report"
+            assert output([*argv, "--out", str(target)])[:2] == (4, "")
+            assert not target.exists()
 
     def test_one_parser_serves_every_call(self):
         # flags given in one call (--fix-j 21, --fix-m 10) must not become
