@@ -20,8 +20,10 @@ import sys
 
 import numpy as np
 
-# lets "--l -17.49,7.49,10" parse as a value rather than an unknown flag
-_NEGATIVE_TOKEN = re.compile(r"^-\d+(\.\d+)?([,eE][-+\d.,eE]+)?$")
+# "--l -.5,0,0": a minus and numbers as float() reads them are not a flag
+_D = r"(\d(_?\d)*)"     # digits, an underscore allowed between two
+_NUM = rf"(({_D}(\.{_D}?)?|\.{_D})(e[-+]?{_D})?|inf(inity)?|nan)"
+_NEGATIVE_TOKEN = re.compile(rf"-{_NUM}(,[-+]?{_NUM})*$", re.IGNORECASE)
 
 from . import __version__
 from .checks import run_all

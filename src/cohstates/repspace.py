@@ -112,8 +112,8 @@ class StateVector:
         rows = np.zeros((n, 2 * n - 1), dtype=complex)
         rows[j, m + self.j_cut] = vals
         v = vals.view(float).reshape(-1, 2)
-        norm_sq = float(np.exp(2 * top) @ np.add.reduceat(
-            np.einsum("ij,ij->i", v, v), starts))
+        norm_sq = np.exp(2 * top) @ np.add.reduceat(
+            np.einsum("ij,ij->i", v, v), starts)
         return top, rows, norm_sq
 
     @cached_property
@@ -354,29 +354,43 @@ def _image(which: str, s: StateVector, value: complex) -> tuple:
     return shift, d
 
 
-def expectation(which: str, s: StateVector) -> complex:
-    """<s|O|s> / <s|s> for any label apply_J, apply_X or apply_Z accepts,
-    summed branch by branch without forming O|s>: each branch gives, per
-    source row j with target row t, e^{top_j + weight_j + top_t} times the
-    sum over m of conj(rows_t) coef rows_j, and peak_sum adds them all.  A
-    state computes each expectation value once: the value is kept in its
-    memo, and a later call with the same label reads it back."""
-    memo = s._expectations
-    if which not in memo:
-        top, rows, norm_sq, j, m = _padded(which, s)
-        n, conj = s.j_cut + 1, rows.conj()
+def _expect_stack(states: list, labels) -> None:
+    """Fill the memos of states sharing j_cut with the labels they lack:
+    each label's branches are walked once for the stack lacking some, and
+    peak_sum adds one state's terms e^{top_j + weight_j + top_t} sum_m
+    conj(rows_t) coef rows_j, per branch from row j to t, as for it alone.
+    A state holding every label passed the checks the others get first."""
+    todo = [s for s in states if not s._expectations.keys() >= set(labels)]
+    if not todo:
+        return
+    *_, j, m = [_padded(which, s) for s in todo for which in labels][-1]
+    # a stack of one is a view of the state's own rows
+    top, rows, norm_sq = (a[0][None] if len(todo) == 1 else np.stack(a)
+                          for a in zip(*(s._unit_rows for s in todo)))
+    conj = rows.conj()
+    for which in [k for k in labels if any(k not in s._expectations
+                                           for s in todo)]:
         logs, sums = [], []
         for dj, dm, c, w in _dense_branches(which, j, m):
-            (sr, tr), (sc, tc) = _shift(dj, n), _shift(dm, 2 * n - 1)
-            logs.append(top[sr] + w[sr, 0] + top[tr])
-            sums.append(np.einsum("ij,ij,ij->i", conj[tr, tc], c[sr, sc],
-                                  rows[sr, sc]))
-        t, acc = peak_sum(np.concatenate(logs), np.concatenate(sums))
-        # norm_sq is 1 but for rounding: dividing by it cancels the rounding
-        # of the absolute log_norm_sq that scaled the rows, some 1e-12
-        # relative at a log-magnitude of 1e4
-        memo[which] = complex(acc / norm_sq) * math.exp(t)
-    return memo[which]
+            (sr, tr), (sc, tc) = _shift(dj, len(j)), _shift(dm, m.size)
+            logs.append(top[:, sr] + w[sr, 0] + top[:, tr])
+            sums.append(np.einsum("bij,ij,bij->bi", conj[:, tr, tc],
+                                  c[sr, sc], rows[:, sr, sc]))
+        for s, lg, sm, n in zip(todo, np.concatenate(logs, axis=1),
+                                np.concatenate(sums, axis=1), norm_sq):
+            t, acc = peak_sum(lg, sm)
+            # n = norm_sq is 1 but for rounding: dividing by it cancels the
+            # rounding of the log_norm_sq that scaled the rows (1e-12 at 1e4)
+            s._expectations.setdefault(which, complex(acc / n) * math.exp(t))
+
+
+def expectation(which: str, s: StateVector) -> complex:
+    """<s|O|s> / <s|s> for a label apply_J, apply_X or apply_Z accepts: the
+    one-state case of _expect_stack, which walks each label's branches once
+    for a stack of states and a list of labels; s's memo keeps the value."""
+    if which not in s._expectations:
+        _expect_stack([s], [which])
+    return s._expectations[which]
 
 
 def residual_norm(which: str, s: StateVector, value: complex) -> float:

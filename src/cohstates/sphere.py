@@ -28,8 +28,8 @@ import numpy as np
 from .errors import ConstraintError
 from .logdomain import peak_sum, polar_array, rect_array, wrap_phase
 from .repspace import (_LADDER_PAIR, StateVector, _dense_branches,
-                       expectation, grid, residual_norm, state_scale,
-                       state_sum)
+                       _expect_stack, expectation, grid, residual_norm,
+                       state_scale, state_sum)
 from .specfun import gegenbauer_column, log_factorial_table
 
 __all__ = [
@@ -400,13 +400,14 @@ def _assert_real(v: complex) -> float:
 def _expect_vector(name: str, s: StateVector) -> np.ndarray:
     """Real Cartesian <A> of the vector operator A = J or X: A1 and A2 from
     the ladder pair A+, A-, which must be each other's adjoint, and A3."""
-    ep = expectation(name + "plus", s)
-    em = expectation(name + "minus", s)
+    labels = [name + "plus", name + "minus", name + "3"]
+    _expect_stack([s], labels)
+    ep, em, a3 = (expectation(which, s) for which in labels)
     herm = abs(em - ep.conjugate())
     if herm > 1e-9 * max(1.0, abs(ep)):
         raise AssertionError(f"hermiticity residue {herm} too large")
     a1, a2 = ((fp * ep + fm * em).real for fp, fm in _LADDER_PAIR.values())
-    return np.array([a1, a2, _assert_real(expectation(name + "3", s))])
+    return np.array([a1, a2, _assert_real(a3)])
 
 
 def expect_J(s: StateVector) -> np.ndarray:
@@ -427,22 +428,20 @@ def relative_X(s: StateVector, p: SpherePhasePoint) -> np.ndarray:
     classical x.  Components whose reference average is below 1e-6 of the
     radius are reported as NaN (undefined), never as a huge ratio.
 
-    The references are built at cut min(s.j_cut, ceil(|l|) + 10), not at
-    s.j_cut: no reference label is larger than the state's (see
-    axis_reference_label), so the levels above that cut hold below 1e-56 of
-    a full-cut reference's squared norm (sampled over |l| from 0 to 355, the
-    most at |l| = 0), and the ratio moves by about 1e-14 of itself at most.
-    At a starved explicit cut the min keeps the reference at s.j_cut.
+    The references are built at cut min(s.j_cut, ceil(|l|) + 10): no
+    reference label is larger than the state's (axis_reference_label), so
+    the levels above that cut hold below 1e-56 of a full-cut reference's
+    squared norm (sampled over |l| from 0 to 355, most at |l| = 0), and the
+    ratio moves by ~1e-14 of itself at most.  A starved explicit cut keeps
+    s.j_cut.  The three are averaged as one stack, each X label walked once.
     """
-    num = expect_X(s)
     ref_cut = min(s.j_cut, math.ceil(p.l_norm) + 10)
-    out = np.empty(3)
-    for k in range(3):
-        ref_label = axis_reference_label(p.l, k)
-        ref_state = coherent_closed_form(ref_label, ref_cut)
-        den = expect_X(ref_state)[k]
-        out[k] = num[k] / den if abs(den) >= 1e-6 else math.nan
-    return out
+    refs = [coherent_closed_form(axis_reference_label(p.l, k), ref_cut)
+            for k in range(3)]
+    _expect_stack(refs, ["Xplus", "Xminus", "X3"])
+    dens = [expect_X(ref)[k] for k, ref in enumerate(refs)]
+    return np.array([a / d if abs(d) >= 1e-6 else math.nan
+                     for a, d in zip(expect_X(s), dens)])
 
 
 @dataclass(frozen=True, slots=True)

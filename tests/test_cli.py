@@ -281,6 +281,53 @@ class TestRotatorCommand:
         assert target.read_text().startswith("j,m,p,ln_p")
 
 
+class TestNegativeNumbers:
+    """A minus and a number are a value, not a flag."""
+
+    @pytest.mark.parametrize("argv, flag, want", [
+        (["circle", "--phi", "-.5", "--l", "1"], "phi", -0.5),
+        (["circle", "--phi", "0", "--l", "-5."], "l", -5.0),
+        (["circle", "--phi", "0", "--l", "-5.e-1"], "l", -0.5),
+        (["sphere", "--x", "0,0,1", "--l", "-.5,0,0"], "l", [-0.5, 0, 0]),
+        (["circle", "--phi", "0", "--l", "-1_0.5"], "l", -10.5),
+        (README_FIGURE2, "l", [-17.49, 7.49, 10.0]),
+    ])
+    def test_negative_numbers_are_values(self, run, argv, flag, want):
+        # a minus before ".5" or after "5." made the number read as a flag
+        assert np.array_equal(getattr(cli.build_parser().parse_args(argv),
+                                      flag), want)
+        if argv[0] != "rotator":
+            assert np.array_equal(run_json(run, argv)[flag], want)
+
+    @pytest.mark.parametrize("token", [
+        "-.5", "-5.", "-5.e-1", "-1E+05", "-1_000", "-5,+3,.5e-3", "-inf",
+        "-Infinity", "-nan,0,0", "-.", "-e5", "-5,", "-5,,1", "-5e", "-1__0",
+        "-1_", "-5._5", "-nanx", "-5.5.5", "-0x10", "-h", "--l"])
+    def test_a_value_is_a_list_float_reads(self, token):
+        # a minus and a comma list float() reads; argparse reads the rest,
+        # "-h" and "--l" among them, as flags
+        try:
+            list(map(float, token.split(",")))
+            readable = True
+        except ValueError:
+            readable = False
+        assert bool(cli._NEGATIVE_TOKEN.match(token)) == readable
+
+    def test_flags_stay_flags(self, capsys):
+        parser = cli.build_parser()
+        subs = parser._subparsers._group_actions[0].choices.values()
+        flags = {f for p in [parser, *subs] for f in p._option_string_actions}
+        assert "-h" in flags
+        assert not any(cli._NEGATIVE_TOKEN.match(f) for f in flags)
+        with pytest.raises(SystemExit) as exc:
+            main(["circle", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cohstates circle")
+        code, _, err = output(["circle", "--phi", "--l", "1"])
+        assert code == 2
+        assert err.endswith("argument --phi: expected one argument\n")
+
+
 class TestExitCodes:
     def test_flag_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -332,7 +379,11 @@ class TestExitCodes:
          "expected a number, got 'x'"),
         (["circle", "--phi", "abc", "--l", "1"], "--phi",
          "expected a number, got 'abc'"),
-    ], ids=[f"argv{i}" for i in range(7)])
+        (["circle", "--phi", "0", "--l", "-inf"], "--l",
+         "expected a finite number, got '-inf'"),
+        (["sphere", "--x", "0,0,1", "--l", "-nan,0,0"], "--l",
+         "expected a finite number, got '-nan'"),
+    ], ids=[f"argv{i}" for i in range(9)])
     def test_non_finite_number_is_a_flag_error(self, argv, flag, message,
                                                capsys):
         # a number that is not finite, or not a number at all: one line

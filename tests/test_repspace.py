@@ -15,7 +15,9 @@ from cohstates.repspace import (StateVector, apply_J, apply_X, apply_Z,
                                 basis_state, expectation, grid,
                                 operator_table, residual_norm, state_scale,
                                 state_sum, z_vector_form_tables)
-from cohstates.sphere import SpherePhasePoint, coherent_state, phase_to_z
+from cohstates.sphere import (SpherePhasePoint, axis_reference_label,
+                              coherent_closed_form, coherent_state,
+                              phase_to_z)
 
 LABELS = ("J3", "Jplus", "Jminus", "Jsq", "X1", "X2", "X3", "Xplus",
           "Xminus", "Z1", "Z2", "Z3")
@@ -261,7 +263,7 @@ class TestMemo:
 
     def test_zero_state_and_unknown_labels_raise_every_time(self):
         empty = state_scale(basis_state(0, 0, 8), 0j)
-        s = basis_state(1, 0, 8)
+        s, other = basis_state(1, 0, 8), basis_state(2, 1, 8)
         expectation("J3", s)
         for _ in range(2):
             with pytest.raises(ValueError):
@@ -272,8 +274,51 @@ class TestMemo:
                              lambda which, s: residual_norm(which, s, 1.0)):
                 with pytest.raises(ValueError):
                     evaluate("J1", s)
+            # anywhere in a stack, before any value is written
+            for states, labels in (([other, s, empty], ["Jsq"]),
+                                   ([empty, other], ["X3", "Jsq"]),
+                                   ([other, s], ["Jsq", "X3", "J1"]),
+                                   ([other], ["J1", "Jsq"])):
+                with pytest.raises(ValueError):
+                    repspace._expect_stack(states, labels)
         assert self.memo(empty)["_expectations"] == {}
         assert self.memo(s)["_expectations"].keys() == {"J3"}
+        assert self.memo(other).get("_expectations", {}) == {}
+
+    @pytest.mark.parametrize("l_norm, j_cut", [(0.0, None), (5.0, None),
+                                               (21.5, None), (12.0, 20)])
+    def test_a_stack_has_the_bits_of_each_state_alone(self, l_norm, j_cut):
+        # relative_X's three axis references at their cut; the explicit cut
+        # 20 at |l| = 12 starves the state, and the references share it
+        p = SpherePhasePoint([0.6, 0.0, 0.8],
+                             [0.48 * l_norm, 0.8 * l_norm, -0.36 * l_norm])
+        cut = min(coherent_state(p, j_cut).j_cut, math.ceil(l_norm) + 10)
+        refs = [coherent_closed_form(axis_reference_label(p.l, k), cut)
+                for k in range(3)]
+        repspace._expect_stack(refs, self.ALL_LABELS)
+        for ref in refs:
+            alone = self.fresh(ref)
+            assert ref._expectations.keys() == set(self.ALL_LABELS)
+            for which in self.ALL_LABELS:
+                assert self.bits(ref._expectations[which]) == self.bits(
+                    expectation(which, alone)), (l_norm, which)
+
+    def test_a_stack_keeps_the_entries_a_memo_holds(self):
+        s, t = random_sparse_state(1), random_sparse_state(2)
+        first = expectation("X3", s)
+        repspace._expect_stack([s, t], ["X3", "Z1"])
+        assert s._expectations["X3"] is first
+        assert s._expectations.keys() == t._expectations.keys() == {"X3",
+                                                                     "Z1"}
+        for which in ("X3", "Z1"):
+            assert self.bits(t._expectations[which]) == self.bits(
+                expectation(which, self.fresh(t)))
+
+    def test_a_stack_of_one_is_a_view_of_the_rows(self, monkeypatch):
+        s = random_sparse_state(3)
+        monkeypatch.setattr(np, "stack", None)     # a copy would call it
+        repspace._expect_stack([s], ["Z2", "Jplus"])
+        assert s._expectations.keys() == {"Z2", "Jplus"}
 
 
 def _assert_close(got, want, rel):

@@ -618,6 +618,21 @@ class TestRelativeXReferenceCut:
         relative_X(s, p)
         assert s.j_cut == 63 and cuts == [32] * 3
 
+    def test_references_hold_only_their_x_averages(self, monkeypatch):
+        p = _tangent_point(13, 5.0)
+        s = coherent_state(p)
+        closed_form, refs = sphere.coherent_closed_form, []
+
+        def traced(zl, j_cut):
+            refs.append(closed_form(zl, j_cut))
+            return refs[-1]
+
+        monkeypatch.setattr(sphere, "coherent_closed_form", traced)
+        relative_X(s, p)
+        assert len(refs) == 3
+        for ref in refs:
+            assert ref._expectations.keys() == {"Xplus", "Xminus", "X3"}
+
 
 class TestUncertainty:
     def test_basis_state_degenerate_bound(self):
