@@ -3,8 +3,8 @@
 All reports are deterministic for a fixed seed and configuration (but for
 the times of `verify --timings`); JSON is emitted with sorted keys and CSV
 follows RFC 4180.  Exit codes: 0 success, 1 verification failure, 2 flag
-error (or an unwritable --out path), 3 phase-space constraint violation,
-4 internal invariant failure.
+error or an output that cannot be written (an --out path or standard
+output), 3 phase-space constraint violation, 4 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 
@@ -171,15 +172,20 @@ def _emit(args, payload: dict, table: dict, json_key=None) -> None:
             head, key, tail = text.partition(f"\n  {json.dumps(json_key)}: []")
             parts = itertools.chain([head, key[:-1], first[1:]], entries,
                                     ["\n  ]", tail, "\n"])
-    if not args.out:
-        sys.stdout.writelines(parts)
-        return
     try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(parts)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(parts)
+        else:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()
     except OSError as exc:
-        raise ValueError(
-            f"cannot write {args.out}: {exc.strerror or exc}") from None
+        if not args.out:
+            # what is left in the buffer then goes nowhere at exit
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise ValueError(f"cannot write {args.out or 'standard output'}: "
+                         f"{exc.strerror or exc}") from None
 
 
 def cmd_circle(args) -> int:

@@ -124,9 +124,6 @@ class StateVector:
     def log_norm_sq(self) -> float:
         return self._log_norm_sq
 
-    def is_zero(self) -> bool:
-        return self.log_mag.max() == -math.inf
-
     def tail_fraction(self) -> float:
         """Fraction of squared norm carried by the top two j levels."""
         total = self.log_norm_sq()
@@ -162,7 +159,7 @@ def _apply(which: str, s: StateVector, labels: set) -> StateVector:
     the norm of s; what O raises past j_cut is dropped."""
     if which not in labels:
         raise ValueError(f"unknown operator label {which!r}")
-    if s.is_zero():
+    if s.log_norm_sq() == -math.inf:
         return s
     shift, d = _image(which, s, 0)
     j, m = grid(s.j_cut)

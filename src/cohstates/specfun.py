@@ -1,6 +1,6 @@
 """Special functions feeding the coherent-state amplitudes.
 
-log_factorial and log_factorial_table give plain logs.  gegenbauer_column
+log_factorial_table gives the plain logs ln(n!).  gegenbauer_column
 gives (log-magnitude, phase) arrays, since the amplitudes it builds span far
 beyond the range of doubles: its recurrence runs in plain complex doubles,
 rescaled by exact powers of two only when a growth bound says the next steps
@@ -17,7 +17,6 @@ import numpy as np
 
 
 __all__ = [
-    "log_factorial",
     "log_factorial_table",
     "hyp2f1_terminating",
     "gegenbauer_column",
@@ -36,16 +35,9 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 
 
-def log_factorial(n: int) -> float:
-    """ln(n!) via lgamma."""
-    if n < 0:
-        raise ValueError(f"factorial of negative integer {n}")
-    return math.lgamma(n + 1)
-
-
 def log_factorial_table(n_max: int) -> np.ndarray:
-    """ln(n!) for n = 0 .. n_max, as an array of log_factorial values."""
-    return np.array([log_factorial(n) for n in range(n_max + 1)])
+    """ln(n!) for n = 0 .. n_max, each lgamma(n + 1) as math computes it."""
+    return np.array([math.lgamma(n + 1) for n in range(n_max + 1)])
 
 
 def hyp2f1_terminating(n: int, b: float, c: float, z: complex) -> complex:

@@ -476,11 +476,12 @@ def max_amplitude_rel_diff(a: StateVector, b: StateVector) -> float:
     cancelling.  Each difference is taken around the larger of its two
     amplitudes, as state_sum does.  A ratio past the double range is inf.
     """
-    if a.is_zero():
+    top = a.log_mag.max()
+    if top == -math.inf:
         raise ValueError("reference state has no amplitudes")
     d = state_sum([a, state_scale(b, -1.0)])
     try:
-        return math.exp(d.log_mag.max() - a.log_mag.max())
+        return math.exp(d.log_mag.max() - top)
     except OverflowError:
         return math.inf
 

@@ -712,6 +712,26 @@ class TestOutFile:
         assert err.splitlines() == [f"error: cannot write {target}: {reason}"]
         assert not (tmp_path / "no").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["circle", "--phi", "0", "--l", "2"],
+        ["sphere", "--x", "0,0,1", "--l", "100,0,0"],
+        ["verify", "--format", "csv"]])
+    def test_closed_stdout_is_a_flag_error(self, argv):
+        # the reader's end of the pipe is closed before the child writes
+        read, write = os.pipe()
+        os.close(read)
+        env = {**os.environ, "PYTHONPATH": str(
+            Path(cohstates.__file__).resolve().parents[1])}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cohstates.cli", *argv], stdout=write,
+                stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        [line] = proc.stderr.decode().splitlines()
+        assert line.startswith("error: cannot write standard output: ")
+
 
 def _assert_reports_or_exits_documented(argv) -> None:
     """A JSON report and nothing on stderr, or exit 2 or 3 with one line."""

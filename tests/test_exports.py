@@ -31,6 +31,15 @@ def test_exported_names_and_annotations_resolve():
         typing.get_type_hints(cls)
 
 
+def test_the_package_holds_only_its_error_and_version():
+    # every other name is imported from its module, e.g.
+    # `from cohstates.sphere import coherent_state`
+    public = {name for name, value in vars(cohstates).items()
+              if (not name.startswith("_") or name == "__version__")
+              and not inspect.ismodule(value)}
+    assert public == {"ConstraintError", "__version__"}
+
+
 def _unreferenced_public_names() -> set:
     """`__all__` names of the library's modules that no code in the library
     refers to outside the name's own top-level definition; imports,
