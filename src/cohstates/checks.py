@@ -268,17 +268,16 @@ def check_gegenbauer_recurrence() -> CheckResult:
     over n <= 20, a in {1/2, 3/2, 9/2}, x in {0.3, 1, 2+5j}.  2a and
     c = a + 1/2 are integers on this grid, so the series times (c)_n n! has
     integer coefficients and is summed exactly over the dyadic common
-    denominator.  The recurrence values are the rows of one column per
-    (a, x).
+    denominator.  The recurrence values are entry [n, a - 1/2] of one
+    sweep per x over the family C_n^{k+1/2} that the closed form reads, to
+    n, k = 24.
     """
-    alphas, xs = (0.5, 1.5, 4.5), (0.3, 1.0, 2 + 5j)
-    cols = {(alpha, x): gegenbauer_column(20, alpha, x)
-            for alpha in alphas for x in xs}
+    xs = (0.3, 1.0, 2 + 5j)
+    sweeps = {x: gegenbauer_column(24, x) for x in xs}
     worst = _Worst()
     for n in range(0, 21):
-        for alpha in alphas:
-            two_a = int(round(2 * alpha))
-            c_int = (two_a + 1) // 2
+        for k in (0, 1, 4):
+            two_a, c_int = 2 * k + 1, k + 1
             # term s is C(n+2a-1, n) (-n)_s (n+2a)_s / ((c)_s s!) w^s; times
             # (c)_n n! each coefficient is an integer, so each ratio divides
             mult = math.prod(range(c_int, c_int + n)) * math.factorial(n)
@@ -287,12 +286,12 @@ def check_gegenbauer_recurrence() -> CheckResult:
                 // ((c_int + s) * (s + 1)),
                 initial=math.comb(n + two_a - 1, n) * mult))
             for x in xs:
-                lm, ph = cols[alpha, x]
-                rec = cmath.rect(math.exp(lm[n]), ph[n])
+                lm, ph = sweeps[x]
+                rec = cmath.rect(math.exp(lm[n, k]), ph[n, k])
                 terms, pow2 = _dyadic_terms(coefs, (1 - complex(x)) / 2)
                 ser = _exact_sum(terms, mult * pow2)
                 worst.add(abs(rec - ser) / abs(ser),
-                          {"n": n, "alpha": alpha,
+                          {"n": n, "alpha": k + 0.5,
                            "x": [complex(x).real, complex(x).imag]})
     return worst.result("gegenbauer_recurrence_vs_series", SERIES_TOL)
 

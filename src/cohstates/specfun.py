@@ -1,8 +1,9 @@
 """Special functions feeding the coherent-state amplitudes.
 
 log_factorial_table gives the plain logs ln(n!).  gegenbauer_column
-gives (log-magnitude, phase) arrays, since the amplitudes it builds span far
-beyond the range of doubles: its recurrence runs in plain complex doubles,
+gives the one family the closed form reads, C_n^{k+1/2} for n, k up to the
+cut, as (log-magnitude, phase) arrays, since the amplitudes it builds span
+far beyond the range of doubles: its recurrence runs in plain complex doubles,
 rescaled by exact powers of two only when a growth bound says the next steps
 could overflow, with the scale kept as an integer binary exponent.
 hyp2f1_terminating returns a plain complex: its one caller, the identity
@@ -61,40 +62,37 @@ def hyp2f1_terminating(n: int, b: float, c: float, z: complex) -> complex:
     return total
 
 
-def gegenbauer_column(n_max: int, alpha, x: complex) -> tuple:
-    """(log-magnitude, phase) arrays of C_0^alpha(x) .. C_{n_max}^alpha(x).
+def gegenbauer_column(n_max: int, x: complex) -> tuple:
+    """(log-magnitude, phase) arrays of C_n^{k+1/2}(x), degree n at row n
+    and parameter k + 1/2 at column k, for n, k = 0 .. n_max.
 
-    alpha may be an array; row n then holds degree n for every alpha.  One
-    sweep of the ascending three-term recurrence
+    One sweep of the ascending three-term recurrence
         C_n = a_n C_{n-1} - b_n C_{n-2},
-        a_n = 2x(n + alpha - 1)/n,  b_n = (n + 2 alpha - 2)/n,
+        a_n = 2x(n + k - 1/2)/n,  b_n = (n + 2k - 1)/n,
     from C_{-1} = 0 and C_0 = 1 runs in complex doubles, with a_n and b_n
     formed once as arrays, so that a step is two products and a difference.
     A step grows the larger of the last two values by at most g_n, the
-    largest |a_n| + |b_n| over alpha (or 1).  Before the sum of log g_n
-    since the last rescale would pass _HEADROOM, each parameter's last two
+    largest |a_n| + |b_n| over the columns (or 1).  Before the sum of log g_n
+    since the last rescale would pass _HEADROOM, each column's last two
     values are multiplied by 2^-e, e the binary exponent of the larger of
-    their moduli.  That is exact, and e adds up to an integer k, so log|C_n|
-    is k ln 2 plus the log of the value held, added once at the end, not a
-    running sum of rounded logs.  The values may thus lie far beyond the
-    range of doubles as long as every g_n is a finite double.  Ascending
-    recursion is benign here because the dominant solution grows
-    monotonically.
+    their moduli.  That is exact, and the e add up to an integer exponent,
+    so log|C_n| is that exponent times ln 2 plus the log of the value held,
+    added once at the end, not a running sum of rounded logs.  The values
+    may thus lie far beyond the range of doubles as long as every g_n is a
+    finite double.  Ascending recursion is benign here because the dominant
+    solution grows monotonically.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha <= 0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
     if n_max < 0:
         raise ValueError(f"degree must be nonnegative, got {n_max}")
-    al = alpha.ravel()
+    al = np.arange(n_max + 1) + 0.5
     n = np.arange(1, n_max + 1)[:, None]
     a = (n + al - 1) * (2 * x / n)
     b = (n + 2 * al - 2) / n
-    # |a_n| + |b_n| is convex in alpha, so its largest is at an end
-    ends = np.array([al.min(), al.max()]) if al.size else al
+    # |a_n| + |b_n| is convex in k, so its largest is at column 0 or n_max
+    ends = al[[0, -1]]
     log_g = np.log(((2 * abs(x) * (n + ends - 1) + abs(n + 2 * ends - 2)) / n)
                    .max(axis=1, initial=1.0)).tolist()
-    vals = np.zeros((n_max + 2, al.size), dtype=complex)
+    vals = np.zeros((n_max + 2, n_max + 1), dtype=complex)
     vals[1] = 1
     rows = list(vals)
     # each rescale's exponents; summed down the rows, C_n = 2^k[n+1] vals[n+1]
@@ -116,5 +114,4 @@ def gegenbauer_column(n_max: int, alpha, x: complex) -> tuple:
         np.log(log_mag, out=log_mag)
     log_mag += k * _LN2_LO
     log_mag += k * _LN2_HI
-    shape = (n_max + 1,) + alpha.shape
-    return log_mag[1:].reshape(shape), np.angle(vals[1:]).reshape(shape)
+    return log_mag[1:], np.angle(vals[1:])

@@ -170,7 +170,10 @@ def _label_on(u: np.ndarray, l: np.ndarray) -> np.ndarray:
     """cosh|l| u + i (sinh|l|/|l|) (l cross u) for a unit vector u."""
     ln = math.sqrt(l @ l)
     sinhc = math.sinh(ln) / ln if ln != 0.0 else 1.0
-    return math.cosh(ln) * u + 1j * sinhc * np.cross(l, u)
+    # l cross u as np.cross rounds it, without its cost on two 3-vectors
+    (l1, l2, l3), (u1, u2, u3) = l.tolist(), u.tolist()
+    cross = np.array([l2 * u3 - l3 * u2, l3 * u1 - l1 * u3, l1 * u2 - l2 * u1])
+    return math.cosh(ln) * u + 1j * sinhc * cross
 
 
 def phase_to_z(p: SpherePhasePoint) -> ZLabel:
@@ -227,7 +230,7 @@ def coherent_closed_form(zl: ZLabel, j_cut: int) -> StateVector:
     j, m = grid(j_cut)
     am = np.abs(m)
     lf = log_factorial_table(2 * j_cut)
-    g_lm, g_ph = gegenbauer_column(j_cut, np.arange(j_cut + 1) + 0.5, z3)
+    g_lm, g_ph = gegenbauer_column(j_cut, z3)
     lm = (-0.5 * j * (j + 1) + 0.5 * np.log(2 * j + 1) + lf[2 * am] - lf[am]
           + 0.5 * (lf[j - am] - lf[j + am]) + g_lm[j - am, am])
     ph = g_ph[j - am, am]

@@ -897,16 +897,15 @@ def hyp2f1_identity() -> CheckResult:
 
 
 def gegenbauer_recurrence() -> CheckResult:
-    """check_gegenbauer_recurrence with one recurrence per degree and the
-    series summed term by term in Fractions."""
+    """check_gegenbauer_recurrence with one sweep per entry [n, k], to
+    n + k, and the series summed term by term in Fractions."""
     worst = _Worst()
     for n in range(0, 21):
-        for alpha in (0.5, 1.5, 4.5):
-            two_a = int(round(2 * alpha))
-            c_int = (two_a + 1) // 2  # alpha + 1/2 is an integer on this grid
+        for k in (0, 1, 4):
+            two_a, c_int = 2 * k + 1, k + 1  # alpha = k + 1/2
             for x in (0.3, 1.0, 2 + 5j):
-                lm, ph = specfun.gegenbauer_column(n, alpha, x)
-                rec = cmath.rect(math.exp(lm[n]), ph[n])
+                lm, ph = specfun.gegenbauer_column(n + k, x)
+                rec = cmath.rect(math.exp(lm[n, k]), ph[n, k])
                 wq = _QC.from_complex((1 - complex(x)) / 2)
                 acc = _QC(0)
                 term = _QC(Fraction(
@@ -919,7 +918,7 @@ def gegenbauer_recurrence() -> CheckResult:
                     term = term * _QC(ratio) * wq
                 ser = acc.to_complex()
                 worst.add(abs(rec - ser) / abs(ser),
-                          {"n": n, "alpha": alpha,
+                          {"n": n, "alpha": k + 0.5,
                            "x": [complex(x).real, complex(x).imag]})
     return worst.result("gegenbauer_recurrence_vs_series", checks.SERIES_TOL)
 

@@ -146,6 +146,24 @@ class TestLabel:
             scale = max(1.0, float(np.sum(np.abs(z) ** 2)))
             assert abs(z @ z - 1.0) / scale < 1e-12
 
+    def test_label_cross_product_rounds_as_np_cross(self):
+        # _label_on writes l cross u out; every label, and so every report,
+        # keeps its bits only if that form rounds as np.cross does
+        rng = np.random.default_rng(11)
+        norms = np.concatenate([[0.0, 1.0, L_NORM_MAX],
+                                rng.uniform(0.0, L_NORM_MAX, 2000)])
+        for i, ln in enumerate(norms):
+            u = np.eye(3)[i % 3] if i % 4 == 0 else rng.normal(size=3)
+            u = u / np.linalg.norm(u)
+            v = rng.normal(size=3)
+            if i % 2:
+                v -= (v @ u) * u    # tangent, as for a phase point
+            l = ln * v / np.linalg.norm(v)
+            n = math.sqrt(l @ l)
+            sinhc = math.sinh(n) / n if n != 0.0 else 1.0
+            want = math.cosh(n) * u + 1j * sinhc * np.cross(l, u)
+            assert sphere._label_on(u, l).tobytes() == want.tobytes(), (u, l)
+
     def test_invalid_label_rejected_unless_unchecked(self):
         bad = [1.0, 1.0, 1.0]
         with pytest.raises(ConstraintError):
