@@ -145,11 +145,9 @@ def circle_expect_U(p: CirclePhasePoint) -> complex:
 
 
 def circle_relative_U(p: CirclePhasePoint) -> complex:
-    """<U>_p / <U> at (0, l), which is e^{i phi} to roundoff."""
-    ref = circle_expect_U(CirclePhasePoint(0.0, p.l))
-    if ref == 0:
-        raise ZeroDivisionError("reference state has vanishing <U>")
-    return circle_expect_U(p) / ref
+    """<U>_p / <U> at (0, l), which is e^{i phi} to roundoff.  The divisor's
+    modulus is at least 0.7786, its value at integer l."""
+    return circle_expect_U(p) / circle_expect_U(CirclePhasePoint(0.0, p.l))
 
 
 @dataclass(frozen=True, slots=True)

@@ -255,11 +255,12 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray):
     each coefficient vanishes wherever its target is not a basis index.
     j and m are the flat grid(), or a j column and an m row, which give
     arrays that broadcast over the padded grid (0 off the basis); a log
-    weight depends on j only, so an m row of width 0 reads the weights
-    without forming a coefficient.  This is the one place the matrix
-    elements are written down (the tests hold them equal to the scalar
-    formulas).  The position operators at zero twist are tridiagonal in j
-    with no diagonal term, so X strictly changes j.  X is the position
+    weight depends on j only, so an m row of width 0 reads the weights with
+    empty coefficients, though each branch still builds the j-column and
+    diagonal tables behind them (up, dn, _diagonal).  This is the one place
+    the matrix elements are written down (the tests hold them equal to the
+    scalar formulas).  The position operators at zero twist are tridiagonal
+    in j with no diagonal term, so X strictly changes j.  X is the position
     operator at unit radius: the radius r only scales <X>, which the sphere
     reports multiply by r.  Z has the selection rules of X with the raising
     branch weighted by e^{-j-1} and the lowering branch by e^{j}, kept in
@@ -353,38 +354,37 @@ def _image(which: str, s: StateVector, value: complex) -> tuple:
 
 def _expect_stack(states: list, labels) -> None:
     """Fill the memos of states sharing j_cut with the labels they lack:
-    each label's branches are walked once for the stack lacking some, and
-    peak_sum adds one state's terms e^{top_j + weight_j + top_t} sum_m
-    conj(rows_t) coef rows_j, per branch from row j to t, as for it alone.
-    A state holding every label passed the checks the others get first."""
+    each label's branches are walked once for all the states lacking some,
+    each branch read against every state's own rows in place, and peak_sum
+    adds one state's terms e^{top_j + weight_j + top_t} sum_m conj(rows_t)
+    coef rows_j, per branch from row j to t.  A state holding every label
+    passed the checks the others get first."""
     todo = [s for s in states if not s._expectations.keys() >= set(labels)]
     if not todo:
         return
     *_, j, m = [_padded(which, s) for s in todo for which in labels][-1]
-    # a stack of one is a view of the state's own rows
-    top, rows, norm_sq = (a[0][None] if len(todo) == 1 else np.stack(a)
-                          for a in zip(*(s._unit_rows for s in todo)))
-    conj = rows.conj()
     for which in [k for k in labels if any(k not in s._expectations
                                            for s in todo)]:
-        logs, sums = [], []
+        terms = [([], []) for _ in todo]
         for dj, dm, c, w in _dense_branches(which, j, m):
             (sr, tr), (sc, tc) = _shift(dj, len(j)), _shift(dm, m.size)
-            logs.append(top[:, sr] + w[sr, 0] + top[:, tr])
-            sums.append(np.einsum("bij,ij,bij->bi", conj[:, tr, tc],
-                                  c[sr, sc], rows[:, sr, sc]))
-        for s, lg, sm, n in zip(todo, np.concatenate(logs, axis=1),
-                                np.concatenate(sums, axis=1), norm_sq):
-            t, acc = peak_sum(lg, sm)
-            # n = norm_sq is 1 but for rounding: dividing by it cancels the
+            for s, (logs, sums) in zip(todo, terms):
+                top, rows, _ = s._unit_rows
+                logs.append(top[sr] + w[sr, 0] + top[tr])
+                sums.append(np.einsum("ij,ij,ij->i", rows[tr, tc].conj(),
+                                      c[sr, sc], rows[sr, sc]))
+        for s, (logs, sums) in zip(todo, terms):
+            t, acc = peak_sum(np.concatenate(logs), np.concatenate(sums))
+            # norm_sq is 1 but for rounding: dividing by it cancels the
             # rounding of the log_norm_sq that scaled the rows (1e-12 at 1e4)
-            s._expectations.setdefault(which, complex(acc / n) * math.exp(t))
+            s._expectations.setdefault(
+                which, complex(acc / s._unit_rows[2]) * math.exp(t))
 
 
 def expectation(which: str, s: StateVector) -> complex:
-    """<s|O|s> / <s|s> for a label apply_J, apply_X or apply_Z accepts: the
-    one-state case of _expect_stack, which walks each label's branches once
-    for a stack of states and a list of labels; s's memo keeps the value."""
+    """<s|O|s> / <s|s> for a label apply_J, apply_X or apply_Z accepts, by
+    _expect_stack, which walks each label's branches once for a list of
+    states and a list of labels; s's memo keeps the value."""
     if which not in s._expectations:
         _expect_stack([s], [which])
     return s._expectations[which]

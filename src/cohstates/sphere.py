@@ -436,7 +436,8 @@ def relative_X(s: StateVector, p: SpherePhasePoint) -> np.ndarray:
     the levels above that cut hold below 1e-56 of a full-cut reference's
     squared norm (sampled over |l| from 0 to 355, most at |l| = 0), and the
     ratio moves by ~1e-14 of itself at most.  A starved explicit cut keeps
-    s.j_cut.  The three are averaged as one stack, each X label walked once.
+    s.j_cut.  The three are averaged in one call, each X label walked once
+    for all three.
     """
     ref_cut = min(s.j_cut, math.ceil(p.l_norm) + 10)
     refs = [coherent_closed_form(axis_reference_label(p.l, k), ref_cut)

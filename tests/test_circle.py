@@ -106,6 +106,14 @@ class TestRelativeU:
         got = circle_relative_U(CirclePhasePoint(-1.8, 2.2))
         assert abs(got) == pytest.approx(1.0, rel=1e-13)
 
+    def test_reference_modulus_is_bounded_away_from_zero(self):
+        # |<U>| at (0, l) has period 1 in l and its least value, the rest
+        # value, at integer l, so the division never nears zero
+        mods = [abs(circle_expect_U(CirclePhasePoint(0.0, l)))
+                for l in np.linspace(0.0, 1.0, 65)]
+        assert min(mods) >= 0.7786
+        assert min(mods) == pytest.approx(EXPECT_U_AT_REST, rel=1e-14)
+
 
 class TestUncertainty:
     def test_eigenstate_degenerates_to_zero_equals_zero(self):

@@ -314,11 +314,30 @@ class TestMemo:
             assert self.bits(t._expectations[which]) == self.bits(
                 expectation(which, self.fresh(t)))
 
-    def test_a_stack_of_one_is_a_view_of_the_rows(self, monkeypatch):
-        s = random_sparse_state(3)
+    def test_the_states_are_read_in_place(self, monkeypatch):
+        """The tracemalloc peak of relative_X's call, its three cut-110 axis
+        references at |l| = 100 with their rows built, counted in one
+        reference's padded rows.  Reading a branch holds its real
+        coefficient (1/2), one state's conjugated target slice (1) and the
+        einsum's buffers (1/3); forming X3's coefficients, while the last
+        one is held, sets the peak (2.2).  The bound of 3 is one stacked
+        copy of the three states' rows, which a copy and its conjugate (6)
+        would exceed."""
+        p = SpherePhasePoint([0.6, 0.0, 0.8], [48.0, 80.0, -36.0])
+        refs = [coherent_closed_form(axis_reference_label(p.l, k), 110)
+                for k in range(3)]
+        # builds the rows each state keeps, all of one size
+        (rows,) = {ref._unit_rows[1].nbytes for ref in refs}
         monkeypatch.setattr(np, "stack", None)     # a copy would call it
-        repspace._expect_stack([s], ["Z2", "Jplus"])
-        assert s._expectations.keys() == {"Z2", "Jplus"}
+        tracemalloc.start()
+        try:
+            repspace._expect_stack(refs, ["Xplus", "Xminus", "X3"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(ref._expectations.keys() == {"Xplus", "Xminus", "X3"}
+                   for ref in refs)
+        assert peak <= 3 * rows, peak / rows
 
 
 def _assert_close(got, want, rel):
