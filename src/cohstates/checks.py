@@ -300,14 +300,12 @@ def _random_tangent_point(rng: np.random.Generator,
                           l_norm: float) -> SpherePhasePoint:
     x = rng.normal(size=3)
     x /= np.linalg.norm(x)
-    v = rng.normal(size=3)
-    v -= (v @ x) * x
-    n = np.linalg.norm(v)
-    while n < 1e-6:
+    while True:
         v = rng.normal(size=3)
         v -= (v @ x) * x
         n = np.linalg.norm(v)
-    return SpherePhasePoint(x, l_norm * (v / n))
+        if n >= 1e-6:
+            return SpherePhasePoint(x, l_norm * (v / n))
 
 
 def check_three_paths(seed: int) -> CheckResult:

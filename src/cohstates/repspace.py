@@ -235,8 +235,9 @@ def grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _root(x):
     """sqrt(x) for a product that is >= 0 at every basis index; 0 off the
-    basis, where the padded grid evaluates it too."""
-    return np.sqrt(np.maximum(x, 0))
+    basis, where the padded grid evaluates it too.  x is a fresh integer
+    array, clipped in place."""
+    return np.sqrt(np.maximum(x, 0, out=x))
 
 
 def _diagonal(j: np.ndarray, m: np.ndarray, f) -> np.ndarray:
@@ -292,8 +293,11 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray):
         # j = 0 has no lowering branch: its numerators below vanish there
         dn = np.sqrt(np.maximum((2 * j - 1) * (2 * j + 1), 1))
         if which == "X3":
-            yield 1, 0, _root((j + 1) ** 2 - m ** 2) / up, w0
-            yield -1, 0, _root(j ** 2 - m ** 2) / dn, w0
+            # divided in place, so that forming c holds one full grid
+            for dj, k, den in ((1, j + 1, up), (-1, j, dn)):
+                c = _root(k ** 2 - m ** 2)
+                c /= den
+                yield dj, 0, c, w0
         else:
             # the raising radicand on the diagonal k = j + dm m, the lowering
             # one on k = j - dm m
@@ -352,41 +356,37 @@ def _image(which: str, s: StateVector, value: complex) -> tuple:
     return shift, d
 
 
-def _expect_stack(states: list, labels) -> None:
-    """Fill the memos of states sharing j_cut with the labels they lack:
-    each label's branches are walked once for all the states lacking some,
-    each branch read against every state's own rows in place, and peak_sum
-    adds one state's terms e^{top_j + weight_j + top_t} sum_m conj(rows_t)
-    coef rows_j, per branch from row j to t.  A state holding every label
-    passed the checks the others get first."""
-    todo = [s for s in states if not s._expectations.keys() >= set(labels)]
+def _expect_stack(states: list, which: str) -> None:
+    """Fill the memos of states sharing j_cut that lack the label: its
+    branches are walked once for all of them, each branch read against
+    every state's own rows in place, and peak_sum adds one state's terms
+    e^{top_j + weight_j + top_t} sum_m conj(rows_t) coef rows_j, per branch
+    from row j to t.  A state holding the label passed the checks the
+    others get first."""
+    todo = [s for s in states if which not in s._expectations]
     if not todo:
         return
-    *_, j, m = [_padded(which, s) for s in todo for which in labels][-1]
-    for which in [k for k in labels if any(k not in s._expectations
-                                           for s in todo)]:
-        terms = [([], []) for _ in todo]
-        for dj, dm, c, w in _dense_branches(which, j, m):
-            (sr, tr), (sc, tc) = _shift(dj, len(j)), _shift(dm, m.size)
-            for s, (logs, sums) in zip(todo, terms):
-                top, rows, _ = s._unit_rows
-                logs.append(top[sr] + w[sr, 0] + top[tr])
-                sums.append(np.einsum("ij,ij,ij->i", rows[tr, tc].conj(),
-                                      c[sr, sc], rows[sr, sc]))
+    *_, j, m = [_padded(which, s) for s in todo][-1]
+    terms = [([], []) for _ in todo]
+    for dj, dm, c, w in _dense_branches(which, j, m):
+        (sr, tr), (sc, tc) = _shift(dj, len(j)), _shift(dm, m.size)
         for s, (logs, sums) in zip(todo, terms):
-            t, acc = peak_sum(np.concatenate(logs), np.concatenate(sums))
-            # norm_sq is 1 but for rounding: dividing by it cancels the
-            # rounding of the log_norm_sq that scaled the rows (1e-12 at 1e4)
-            s._expectations.setdefault(
-                which, complex(acc / s._unit_rows[2]) * math.exp(t))
+            top, rows, _ = s._unit_rows
+            logs.append(top[sr] + w[sr, 0] + top[tr])
+            sums.append(np.einsum("ij,ij,ij->i", rows[tr, tc].conj(),
+                                  c[sr, sc], rows[sr, sc]))
+    for s, (logs, sums) in zip(todo, terms):
+        t, acc = peak_sum(np.concatenate(logs), np.concatenate(sums))
+        # norm_sq is 1 but for rounding: dividing by it cancels the
+        # rounding of the log_norm_sq that scaled the rows (1e-12 at 1e4)
+        s._expectations[which] = complex(acc / s._unit_rows[2]) * math.exp(t)
 
 
 def expectation(which: str, s: StateVector) -> complex:
     """<s|O|s> / <s|s> for a label apply_J, apply_X or apply_Z accepts, by
-    _expect_stack, which walks each label's branches once for a list of
-    states and a list of labels; s's memo keeps the value."""
-    if which not in s._expectations:
-        _expect_stack([s], [which])
+    _expect_stack, which walks the label's branches once for a list of
+    states; s's memo keeps the value."""
+    _expect_stack([s], which)
     return s._expectations[which]
 
 

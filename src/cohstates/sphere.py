@@ -403,9 +403,7 @@ def _assert_real(v: complex) -> float:
 def _expect_vector(name: str, s: StateVector) -> np.ndarray:
     """Real Cartesian <A> of the vector operator A = J or X: A1 and A2 from
     the ladder pair A+, A-, which must be each other's adjoint, and A3."""
-    labels = [name + "plus", name + "minus", name + "3"]
-    _expect_stack([s], labels)
-    ep, em, a3 = (expectation(which, s) for which in labels)
+    ep, em, a3 = (expectation(name + k, s) for k in ("plus", "minus", "3"))
     herm = abs(em - ep.conjugate())
     if herm > 1e-9 * max(1.0, abs(ep)):
         raise AssertionError(f"hermiticity residue {herm} too large")
@@ -436,13 +434,14 @@ def relative_X(s: StateVector, p: SpherePhasePoint) -> np.ndarray:
     the levels above that cut hold below 1e-56 of a full-cut reference's
     squared norm (sampled over |l| from 0 to 355, most at |l| = 0), and the
     ratio moves by ~1e-14 of itself at most.  A starved explicit cut keeps
-    s.j_cut.  The three are averaged in one call, each X label walked once
-    for all three.
+    s.j_cut.  Each X label is averaged in one call for all three, its
+    branches walked once.
     """
     ref_cut = min(s.j_cut, math.ceil(p.l_norm) + 10)
     refs = [coherent_closed_form(axis_reference_label(p.l, k), ref_cut)
             for k in range(3)]
-    _expect_stack(refs, ["Xplus", "Xminus", "X3"])
+    for which in ("Xplus", "Xminus", "X3"):
+        _expect_stack(refs, which)
     dens = [expect_X(ref)[k] for k, ref in enumerate(refs)]
     return np.array([a / d if abs(d) >= 1e-6 else math.nan
                      for a, d in zip(expect_X(s), dens)])

@@ -63,10 +63,11 @@ def _unreferenced_public_names() -> set:
 
 def test_every_public_name_has_a_caller_in_the_library():
     assert _unreferenced_public_names() == {
-        # operator actions on a state that the CLI and verify never call;
-        # the benchmark's tracer hooks all three and its self-test calls
-        # apply_X, so they leave the library together when the benchmark
-        # stops tracing them
+        # operator actions on a state that the CLI and verify never call.
+        # The benchmark's self-test calls apply_X; its tracer hooks the
+        # other two by name only and skips a name the library lacks.
+        # apply_J and apply_Z stay as the library's O|s>, which the tests
+        # read, e.g. test_spinor's reference for the matrix route.
         "apply_J", "apply_X", "apply_Z",
         # builds the self-test's input state
         "basis_state",

@@ -275,12 +275,12 @@ class TestMemo:
                 with pytest.raises(ValueError):
                     evaluate("J1", s)
             # anywhere in a stack, before any value is written
-            for states, labels in (([other, s, empty], ["Jsq"]),
-                                   ([empty, other], ["X3", "Jsq"]),
-                                   ([other, s], ["Jsq", "X3", "J1"]),
-                                   ([other], ["J1", "Jsq"])):
+            for states, which in (([other, s, empty], "Jsq"),
+                                  ([empty, other], "X3"),
+                                  ([other, s], "J1"),
+                                  ([other], "X4")):
                 with pytest.raises(ValueError):
-                    repspace._expect_stack(states, labels)
+                    repspace._expect_stack(states, which)
         assert self.memo(empty)["_expectations"] == {}
         assert self.memo(s)["_expectations"].keys() == {"J3"}
         assert self.memo(other).get("_expectations", {}) == {}
@@ -295,7 +295,8 @@ class TestMemo:
         cut = min(coherent_state(p, j_cut).j_cut, math.ceil(l_norm) + 10)
         refs = [coherent_closed_form(axis_reference_label(p.l, k), cut)
                 for k in range(3)]
-        repspace._expect_stack(refs, self.ALL_LABELS)
+        for which in self.ALL_LABELS:
+            repspace._expect_stack(refs, which)
         for ref in refs:
             alone = self.fresh(ref)
             assert ref._expectations.keys() == set(self.ALL_LABELS)
@@ -306,7 +307,8 @@ class TestMemo:
     def test_a_stack_keeps_the_entries_a_memo_holds(self):
         s, t = random_sparse_state(1), random_sparse_state(2)
         first = expectation("X3", s)
-        repspace._expect_stack([s, t], ["X3", "Z1"])
+        for which in ("X3", "Z1"):
+            repspace._expect_stack([s, t], which)
         assert s._expectations["X3"] is first
         assert s._expectations.keys() == t._expectations.keys() == {"X3",
                                                                      "Z1"}
@@ -319,10 +321,10 @@ class TestMemo:
         references at |l| = 100 with their rows built, counted in one
         reference's padded rows.  Reading a branch holds its real
         coefficient (1/2), one state's conjugated target slice (1) and the
-        einsum's buffers (1/3); forming X3's coefficients, while the last
-        one is held, sets the peak (2.2).  The bound of 3 is one stacked
-        copy of the three states' rows, which a copy and its conjugate (6)
-        would exceed."""
+        einsum's buffers (1/3); forming the next coefficient, an integer
+        radicand and its root while the last one is held, sets the peak
+        (1.9 for each X label).  One stacked copy of the three states'
+        rows (3) would exceed the bound of 2."""
         p = SpherePhasePoint([0.6, 0.0, 0.8], [48.0, 80.0, -36.0])
         refs = [coherent_closed_form(axis_reference_label(p.l, k), 110)
                 for k in range(3)]
@@ -331,13 +333,14 @@ class TestMemo:
         monkeypatch.setattr(np, "stack", None)     # a copy would call it
         tracemalloc.start()
         try:
-            repspace._expect_stack(refs, ["Xplus", "Xminus", "X3"])
+            for which in ("Xplus", "Xminus", "X3"):
+                repspace._expect_stack(refs, which)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert all(ref._expectations.keys() == {"Xplus", "Xminus", "X3"}
                    for ref in refs)
-        assert peak <= 3 * rows, peak / rows
+        assert peak <= 2 * rows, peak / rows
 
 
 def _assert_close(got, want, rel):
