@@ -6,20 +6,23 @@ c_j = xi^{-j} e^{-j^2/2} over integer angular momenta j (boson sector only,
 mirroring the zero-twist sphere representation).  A state is held on the
 2 WINDOW + 1 sites about round(l), outside which no coefficient is a
 double, so there is no cut to choose: every function takes only the phase
-point.  Angular-momentum and position expectation values track the
-classical labels (phi, l) up to small lattice corrections, which is the
-quantitative content this module exposes.
+point.  The phase of c_j is linear in j, so a state is one real array of
+amplitudes, and phi enters each average <U^n> as the single factor
+e^{i n phi} on a real lattice ratio.  Angular-momentum and position
+expectation values track the classical labels (phi, l) up to small lattice
+corrections, which is the quantitative content this module exposes.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstraintError
-from .logdomain import rect_array, wrap_phase
+from .logdomain import wrap_phase
 
 __all__ = [
     "CirclePhasePoint",
@@ -39,6 +42,7 @@ L_MIN = -709.0
 # the peak amplitude, below e^-800 for every dropped one, so the window is
 # the whole lattice to every double.
 WINDOW = 40
+_K = np.arange(-WINDOW, WINDOW + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,37 +66,28 @@ class CirclePhasePoint:
 
 @dataclass(frozen=True, eq=False)
 class CircleState:
-    """Coefficients on the 2 WINDOW + 1 sites j0 + k, |k| <= WINDOW, about
-    j0 = round(l).
-
-    c_{j0+k} = e^{l^2/2 - i phi j0} e^{log_mag + i phase} elementwise over
-    the offsets k, with log_mag = -(k - d)^2 / 2 for d = l - j0 (exact) and
-    phase = -phi k.  The common factor cancels in every reported ratio, so
-    it is never formed.
+    """Real amplitudes on the 2 WINDOW + 1 sites j0 + k, k in _K, about
+    j0 = round(l): c_{j0+k} = e^{l^2/2 - i phi j0} amp e^{-i phi k}, with
+    amp = e^{-(k - d)^2 / 2} for d = l - j0 (exact).  The common factor
+    cancels in every reported ratio, so it is never formed.  The amplitudes
+    lie in [e^-820, 1], plain doubles (those below e^-745 are 0), not logs.
     """
 
     point: CirclePhasePoint
     j0: int
-    k: np.ndarray
-    log_mag: np.ndarray
-    phase: np.ndarray
+    amp: np.ndarray
 
     @property
     def coeffs(self) -> np.ndarray:
         """The coefficients without the common factor, as complex values,
-        for tests and tracing; the module reads log_mag and phase."""
-        return np.exp(self.log_mag + 1j * self.phase)
-
-    def weights(self) -> np.ndarray:
-        """|c_j|^2 without the common factor; the largest is about 1."""
-        return np.exp(2.0 * self.log_mag)
+        for tests and tracing; the module reads amp."""
+        return self.amp * np.exp(-1j * self.point.phi * _K)
 
 
 def circle_coherent(p: CirclePhasePoint) -> CircleState:
     """Unnormalized coherent state c_j = xi^{-j} e^{-j^2/2}."""
     j0 = round(p.l)
-    k = np.arange(-WINDOW, WINDOW + 1)
-    return CircleState(p, j0, k, -0.5 * (k - (p.l - j0)) ** 2, -p.phi * k)
+    return CircleState(p, j0, np.exp(-0.5 * (_K - (p.l - j0)) ** 2))
 
 
 def circle_eigen_residual(state: CircleState) -> tuple[float, float]:
@@ -100,33 +95,32 @@ def circle_eigen_residual(state: CircleState) -> tuple[float, float]:
     Z = e^{-J + 1/2} U: (Z c)_j = e^{-j + 1/2} c_{j-1}, as (absolute,
     relative to |xi| = e^{-l}).
 
-    The relative one is formed first, from (Z c / xi)_{j0+k} =
-    e^{d - k + 1/2 - i phi} c_{j0+k-1}, so it stays meaningful where the
-    absolute one underflows or overflows.
+    The relative one is formed first, from (Z c / xi)_{j0+k+1} =
+    e^{d - k - 1/2 - i phi} c_{j0+k}, so it stays meaningful where the
+    absolute one underflows or overflows.  Both terms at site j0 + k + 1
+    carry the phase e^{-i phi (k + 1)}, so their difference is a real one
+    times it: amp_k e^{d - k - 1/2} - amp_{k+1}, zero but for rounding.
+    The lowest site's image would come from below the window, so is 0.
     """
-    p = state.point
-    c = rect_array(state.log_mag, state.phase)
-    k = state.k[:-1]
-    image = rect_array(state.log_mag[:-1] + (p.l - state.j0) - k - 0.5,
-                       state.phase[:-1] - p.phi)
-    diff = np.append(-c[:1], image - c[1:])
-    rel = math.sqrt(float(np.vdot(diff, diff).real / state.weights().sum()))
+    p, a = state.point, state.amp
+    image = a[:-1] * np.exp((p.l - state.j0) - _K[:-1] - 0.5)
+    diff = np.append(-a[:1], image - a[1:])
+    rel = math.sqrt(float(diff @ diff / (a @ a)))
     return rel * math.exp(-p.l), rel
 
 
 def _k_moments(state: CircleState) -> tuple[float, float]:
     """Mean and variance of the site offset k under the weights |c_j|^2."""
-    w = state.weights()
-    k = state.k
-    mean = float(np.dot(k, w) / w.sum())
-    return mean, float(np.dot((k - mean) ** 2, w) / w.sum())
+    w = state.amp ** 2
+    mean = float(_K @ w / w.sum())
+    return mean, float((_K - mean) ** 2 @ w / w.sum())
 
 
 def _shift_overlap(state: CircleState, n: int) -> complex:
-    """<U^n> = sum_j conj(c_{j+n}) c_j / sum_j |c_j|^2."""
-    lm, ph = state.log_mag, state.phase
-    terms = rect_array(lm[:-n] + lm[n:], ph[:-n] - ph[n:])
-    return complex(terms.sum() / state.weights().sum())
+    """<U^n> = sum_j conj(c_{j+n}) c_j / sum_j |c_j|^2, which is the real
+    lattice ratio sum_k amp_k amp_{k+n} / sum_k amp_k^2 times e^{i n phi}."""
+    a = state.amp
+    return cmath.rect(float(a[:-n] @ a[n:] / (a @ a)), n * state.point.phi)
 
 
 def circle_expect_J(p: CirclePhasePoint) -> float:
@@ -173,9 +167,11 @@ def circle_uncertainty_report(p: CirclePhasePoint) -> CircleUncertainty:
 
     For angular-momentum eigenstates both sides degenerate to 0 = 0; on the
     coherent family the variance sits strictly above the bound and is flat
-    in l to better than a percent.
+    in l to better than a percent.  Phi enters <U^n> only as e^{i n phi},
+    so all three are those of (0, l), where <U> and <U^2> are real.
     """
-    state = circle_coherent(p)
-    exp_u = circle_expect_U(p)
+    rest = CirclePhasePoint(0.0, p.l)
+    state = circle_coherent(rest)
+    exp_u = circle_expect_U(rest)
     ratio = _shift_overlap(state, 2) / exp_u ** 2
     return uncertainty_from_moments(_k_moments(state)[1], exp_u, ratio)

@@ -98,14 +98,15 @@ def _int_arg(flag: str, lo: int, hi: float, auto: bool = False):
 # A sphere state at cut n holds (n + 1)^2 amplitudes, and a report prints
 # every nonzero one.  The upper bound is the automatic cut at the largest
 # supported |l| (355), 730: there a report at --l 355,0,0 (534,361 nonzero
-# amplitudes) takes 1.31-1.89 s as JSON or CSV (6 runs each, a shared 2-core
-# Xeon), 30-40 % of it printing, and peaks at the eigen-residual's 127-128 MB.
+# amplitudes) takes 1.2-1.6 s as a child process, JSON or CSV (3 runs each,
+# a shared 2-core Xeon), and peaks at 128-129 MB.
 SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))
 
 # The identity sweeps need an interior level j <= j_cut - 2 above the ground
 # multiplet, and hold each operator as a table of at most 12 bands of
 # (j_cut + 1)^2 finite coefficients each, under 6 MB per table at 200, where
-# the 7 checks take 0.5-0.6 s and 72 MB on a 2-core Xeon.
+# the 7 checks take 0.70-0.74 s (verify --timings, 3 runs on a shared 2-core
+# Xeon) and the process peaks at 73-74 MB.
 IDENTITY_J_CUT_RANGE = (3, 200)
 
 

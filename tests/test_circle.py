@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohstates import circle
 from cohstates.circle import (WINDOW, CirclePhasePoint, circle_coherent,
                               circle_eigen_residual, circle_expect_J,
                               circle_expect_U, circle_relative_U,
@@ -25,15 +26,15 @@ def test_rest_coefficients_are_gaussian():
     # at l = phi = 0 the common factor e^{l^2/2 - i phi j0} is 1
     state = circle_coherent(CirclePhasePoint(0.0, 0.0))
     for j in (-3, 0, 2, 7):
-        assert state.coeffs[j - state.j0 - state.k[0]] == pytest.approx(
+        assert state.coeffs[j - state.j0 + WINDOW] == pytest.approx(
             math.exp(-j * j / 2), rel=1e-14)
 
 
 def test_rest_coefficients_symmetric():
     # at rest the window is symmetric about j = 0
     state = circle_coherent(CirclePhasePoint(0.0, 0.0))
-    assert (state.j0 + state.k).tolist() == list(range(-WINDOW, WINDOW + 1))
-    assert np.array_equal(state.log_mag, state.log_mag[::-1])
+    assert (state.j0 + circle._K).tolist() == list(range(-WINDOW, WINDOW + 1))
+    assert np.array_equal(state.amp, state.amp[::-1])
 
 
 def test_window_size_does_not_grow_with_l():
@@ -45,8 +46,8 @@ def test_window_size_does_not_grow_with_l():
 @pytest.mark.parametrize("l", [-709.0, -512.86, 0.0, 2.0, 1e5])
 def test_state_holds_the_whole_window(l):
     state = circle_coherent(CirclePhasePoint(0.3, l))
-    assert len(state.coeffs) == 2 * WINDOW + 1
-    assert state.k.tolist() == list(range(-WINDOW, WINDOW + 1))
+    assert len(state.coeffs) == len(state.amp) == 2 * WINDOW + 1
+    assert circle._K.tolist() == list(range(-WINDOW, WINDOW + 1))
 
 
 def test_eigen_residual_small():
@@ -88,9 +89,20 @@ class TestExpectU:
         assert cmath.phase(u) == pytest.approx(2.1, abs=1e-12)
 
     def test_modulus_independent_of_phi(self):
-        a = abs(circle_expect_U(CirclePhasePoint(0.0, 1.3)))
-        b = abs(circle_expect_U(CirclePhasePoint(2.9, 1.3)))
-        assert a == pytest.approx(b, rel=1e-14)
+        # phi enters only as the factor e^{i phi} on a real lattice ratio,
+        # which is <U> at phi = 0, so this holds bit for bit
+        rng = np.random.default_rng(3)
+        ls = np.concatenate([-10 ** rng.uniform(-3, math.log10(709), 100),
+                             10 ** rng.uniform(-3, 4, 100),
+                             [-709.0, 0.0, 1e4, 1e300]])
+        phis = rng.uniform(-math.pi, math.pi, ls.size)
+        for phi, l in zip(phis.tolist(), ls.tolist()):
+            p, rest = CirclePhasePoint(phi, l), CirclePhasePoint(0.0, l)
+            assert circle_expect_U(p) == cmath.rect(
+                circle_expect_U(rest).real, p.phi), (phi, l)
+            got, want = (circle_uncertainty_report(p),
+                         circle_uncertainty_report(rest))
+            assert (got.var_j, got.bound) == (want.var_j, want.bound), (phi, l)
 
 
 class TestRelativeU:
@@ -164,6 +176,41 @@ def test_argument_exact_at_large_l():
 def test_relative_residual_at_negative_l():
     state = circle_coherent(CirclePhasePoint(-2.73, -512.86))
     assert circle_eigen_residual(state)[1] <= 1e-15
+
+
+def _residual_bound(d: float) -> float:
+    """The relative eigen-residual that rounding alone can give at
+    d = l - round(l), where every difference term is zero in exact
+    arithmetic.  With u = 2^-53, t = k - d, x = t^2 / 2 and exp within one
+    ulp (2u): amp_k is off by at most 3u x_k + 2u relative (its argument is
+    off by 3u x_k), e^{d - k - 1/2} by u (|t_k| + |t_k + 1/2|) + 2u, and
+    their product adds u; the two terms of the difference at k + 1 subtract
+    exactly, and the term at the lowest site is its own amplitude.  The
+    two dot products and the root move the ratio by at most ~100u of
+    itself, which is negligible beside it."""
+    t = circle._K - d
+    amp = np.exp(-0.5 * t * t)
+    x = 0.5 * t * t
+    per_term = 2.0 ** -53 * (3 * (x[:-1] + x[1:]) + np.abs(t[:-1])
+                             + np.abs(t[:-1] + 0.5) + 7)
+    terms = np.append(amp[:1], amp[1:] * per_term)
+    return math.sqrt(terms @ terms / (amp @ amp))
+
+
+def test_relative_residual_is_rounding_alone():
+    # the README's sample: |l| log-uniform from 1e-3 to 1e6 for positive l
+    # and to 709 for negative l, and l = -709, 1e12, 1e300
+    bound = max(_residual_bound(d) for d in np.linspace(-0.5, 0.5, 101))
+    assert bound <= 1.4e-15    # the figure the README states
+    rng = np.random.default_rng(0)
+    ls = np.concatenate([10 ** rng.uniform(-3, 6, 1500),
+                         -10 ** rng.uniform(-3, math.log10(709), 1500),
+                         [-709.0, 1e12, 1e300]])
+    phis = rng.uniform(-math.pi, math.pi, ls.size)
+    worst = max(circle_eigen_residual(circle_coherent(
+        CirclePhasePoint(phi, l)))[1]
+        for phi, l in zip(phis.tolist(), ls.tolist()))
+    assert worst <= bound
 
 
 def test_phi_wraps_into_principal_interval():
