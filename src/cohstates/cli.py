@@ -98,8 +98,8 @@ def _int_arg(flag: str, lo: int, hi: float, auto: bool = False):
 # A sphere state at cut n holds (n + 1)^2 amplitudes, and a report prints
 # every nonzero one.  The upper bound is the automatic cut at the largest
 # supported |l| (355), 730: there a report at --l 355,0,0 (534,361 nonzero
-# amplitudes) takes 1.2-1.6 s as a child process, JSON or CSV (3 runs each,
-# a shared 2-core Xeon), and peaks at 128-129 MB.
+# amplitudes) takes 1.14-1.35 s as a child process, JSON or CSV (3 runs
+# each, a shared 2-core Xeon), and peaks at 120-121 MB.
 SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))
 
 # The identity sweeps need an interior level j <= j_cut - 2 above the ground

@@ -4,14 +4,14 @@ Basis vectors |j, m> are joint eigenvectors of J^2 and J3 with integer j >= 0
 and |m| <= j (the twist, i.e. the J.X/r Casimir, is fixed at zero, which
 forces the minimal j to be 0 and all labels integer).  A state is a pair of
 log-magnitude and phase arrays over every (j, m) up to the truncation level
-j_cut.  Each operator's matrix elements are written down once, as branches
-that shift (j, m) by at most one step in each index, and one walk yields
-them a branch at a time.  On the state laid out on a padded (j, m) array
-every branch is a shifted slice: the image (O - value)|s>, which the
-eigen-residuals and apply_* read, adds them up, and an expectation value
-sums each branch's share of <s|O|s> without forming the image.  The
-identity sweeps act through banded tables built from the same walk.  What
-an operator raises past j_cut is dropped, and tail_fraction guards
+j_cut.  Each operator's matrix elements are written down once, as a list
+of branches that shift (j, m) by at most one step in each index and form
+their coefficients on call.  On the state laid out on a padded (j, m)
+array every branch is a shifted slice: the image (O - value)|s>, which
+the eigen-residuals and apply_* read, adds them up, and an expectation
+value sums each branch's share of <s|O|s> without forming the image.
+The identity sweeps act through banded tables built from the same list.
+What an operator raises past j_cut is dropped, and tail_fraction guards
 against it.
 """
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -214,14 +213,14 @@ def state_sum(states: list[StateVector]) -> StateVector:
 #
 # The flat index j*j + j + m is laid out by grid(); logdomain's rect_array()
 # turns (log-magnitude, phase) arrays into values and polar_array() back.
-# An operator acts on a state through one walk, _dense_branches, read on
-# the padded (j_cut + 1) x (2 j_cut + 1) grid [j, m + j_cut], zero where
-# |m| > j.  Every branch moves (j, m) by at most one step in each index, so
-# on that grid it is a shifted slice: its coefficients times the source
-# slice land on the target slice, and what it would raise past j_cut falls
-# off the edge.  _image adds the branches into (O - value)|s>, which the
-# residual and apply_* read; expectation sums each branch's share of
-# <s|O|s> row by row, without forming the image.  Each row j is
+# An operator acts on a state through one branch list, _dense_branches,
+# read on the padded (j_cut + 1) x (2 j_cut + 1) grid [j, m + j_cut], zero
+# where |m| > j.  Every branch moves (j, m) by at most one step in each
+# index, so on that grid it is a shifted slice: its coefficients times the
+# source slice land on the target slice, and what it would raise past
+# j_cut falls off the edge.  _image adds the branches into (O - value)|s>,
+# which the residual and apply_* read; expectation sums each branch's
+# share of <s|O|s> row by row, without forming the image.  Each row j is
 # held relative to its own largest log-magnitude, and the row scales, the
 # branch weights e^{j} and e^{-j-1} of Z among them, are combined as logs,
 # so nothing overflows; terms below e^-745 of the largest in their row
@@ -248,20 +247,20 @@ def _diagonal(j: np.ndarray, m: np.ndarray, f) -> np.ndarray:
     return f(np.arange(-jmax, 2 * jmax + 1)).take((j + jmax) + m)
 
 
-def _dense_branches(which: str, j: np.ndarray, m: np.ndarray):
+def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
     """Branches (dj, dm, coef, log_weight) of an operator over the (j, m) grid,
-    yielded one at a time, each coefficient formed when its branch is reached.
+    as a list in which coef() forms the branch's coefficient array.
 
-    O|j, m> = sum over branches of coef e^{log_weight} |j + dj, m + dm>, and
-    each coefficient vanishes wherever its target is not a basis index.
+    O|j, m> = sum over branches of coef() e^{log_weight} |j + dj, m + dm>,
+    and each coefficient vanishes wherever its target is not a basis index.
     j and m are the flat grid(), or a j column and an m row, which give
-    arrays that broadcast over the padded grid (0 off the basis); a log
-    weight depends on j only, so an m row of width 0 reads the weights with
-    empty coefficients, though each branch still builds the j-column and
-    diagonal tables behind them (up, dn, _diagonal).  This is the one place
-    the matrix elements are written down (the tests hold them equal to the
-    scalar formulas).  The position operators at zero twist are tridiagonal
-    in j with no diagonal term, so X strictly changes j.  X is the position
+    arrays that broadcast over the padded grid (0 off the basis).  A log
+    weight depends on j only, so the shifts and weights are read with no
+    coefficient formed, and a caller that calls coef() where it uses it
+    holds no coefficient past its branch.  This is the one place the matrix
+    elements are written down (the tests hold them equal to the scalar
+    formulas).  The position operators at zero twist are tridiagonal in j
+    with no diagonal term, so X strictly changes j.  X is the position
     operator at unit radius: the radius r only scales <X>, which the sphere
     reports multiply by r.  Z has the selection rules of X with the raising
     branch weighted by e^{-j-1} and the lowering branch by e^{j}, kept in
@@ -272,42 +271,40 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray):
     """
     if which in _Z_LABELS:
         weight = {1: -(j + 1.0), -1: j.astype(float)}
-        for dj, dm, c, _ in _dense_branches("X" + which[1], j, m):
-            yield dj, dm, c, weight[dj]
-        return
+        return [(dj, dm, c, weight[dj])
+                for dj, dm, c, _ in _dense_branches("X" + which[1], j, m)]
     w0 = np.zeros(j.shape)    # no log weight
     if which == "J3":
-        yield 0, 0, m.astype(float), w0
-    elif which == "Jsq":
-        yield 0, 0, (j * (j + 1)).astype(float), w0
-    elif which == "Jplus":
-        yield 0, 1, _root(j * (j + 1) - m * (m + 1)), w0
-    elif which == "Jminus":
-        yield 0, -1, _root(j * (j + 1) - m * (m - 1)), w0
-    elif which in ("J1", "J2", "X1", "X2"):
-        for f, side in zip(_LADDER_PAIR[which[1]], ("plus", "minus")):
-            for dj, dm, c, w in _dense_branches(which[0] + side, j, m):
-                yield dj, dm, f * c, w
-    elif which in ("X3", "Xplus", "Xminus"):
-        up = np.sqrt((2 * j + 1) * (2 * j + 3))
-        # j = 0 has no lowering branch: its numerators below vanish there
-        dn = np.sqrt(np.maximum((2 * j - 1) * (2 * j + 1), 1))
-        if which == "X3":
-            # divided in place, so that forming c holds one full grid
-            for dj, k, den in ((1, j + 1, up), (-1, j, dn)):
-                c = _root(k ** 2 - m ** 2)
-                c /= den
-                yield dj, 0, c, w0
-        else:
-            # the raising radicand on the diagonal k = j + dm m, the lowering
-            # one on k = j - dm m
-            dm = 1 if which == "Xplus" else -1
-            yield 1, dm, _diagonal(j, dm * m, lambda k: -dm * _root(
-                (k + 1) * (k + 2))) / up, w0
-            yield -1, dm, _diagonal(j, -dm * m, lambda k: dm * _root(
-                (k - 1) * k)) / dn, w0
-    else:
+        return [(0, 0, lambda: m.astype(float), w0)]
+    if which == "Jsq":
+        return [(0, 0, lambda: (j * (j + 1)).astype(float), w0)]
+    if which == "Jplus":
+        return [(0, 1, lambda: _root(j * (j + 1) - m * (m + 1)), w0)]
+    if which == "Jminus":
+        return [(0, -1, lambda: _root(j * (j + 1) - m * (m - 1)), w0)]
+    if which in ("J1", "J2", "X1", "X2"):
+        return [(dj, dm, lambda f=f, c=c: f * c(), w)
+                for f, side in zip(_LADDER_PAIR[which[1]], ("plus", "minus"))
+                for dj, dm, c, w in _dense_branches(which[0] + side, j, m)]
+    if which not in ("X3", "Xplus", "Xminus"):
         raise ValueError(f"unknown operator label {which!r}")
+    up = np.sqrt((2 * j + 1) * (2 * j + 3))
+    # j = 0 has no lowering branch: its numerators below vanish there
+    dn = np.sqrt(np.maximum((2 * j - 1) * (2 * j + 1), 1))
+    if which == "X3":
+        def x3(k, den):     # divided in place: forming it holds one grid
+            c = _root(k ** 2 - m ** 2)
+            c /= den
+            return c
+        return [(1, 0, lambda: x3(j + 1, up), w0),
+                (-1, 0, lambda: x3(j, dn), w0)]
+    # the raising radicand on the diagonal k = j + dm m, the lowering one on
+    # k = j - dm m
+    dm = 1 if which == "Xplus" else -1
+    return [(1, dm, lambda: _diagonal(j, dm * m, lambda k: -dm * _root(
+                (k + 1) * (k + 2))) / up, w0),
+            (-1, dm, lambda: _diagonal(j, -dm * m, lambda k: dm * _root(
+                (k - 1) * k)) / dn, w0)]
 
 
 def _shift(d: int, n: int) -> tuple[slice, slice]:
@@ -332,25 +329,26 @@ def _image(which: str, s: StateVector, value: complex) -> tuple:
     row j of the image is e^{shift[j]} d[j].
 
     Each target row is summed relative to the largest source row scale plus
-    weight among its terms, read first by a walk over an m row of width 0.
-    A second walk then adds each branch as it is formed, so one coefficient
-    is held at a time, where peak_sum's stacked form would hold one full
-    array per branch.  A coefficient spans each axis its branch shifts
-    along, so it slices as the source."""
+    weight among its terms, read first off the branches' shifts and log
+    weights.  Each branch's coefficient is then formed inside the sum that
+    adds it, so one is held at a time, where peak_sum's stacked form would
+    hold one full array per branch.  A coefficient spans each axis its
+    branch shifts along, so it slices as the source."""
     top, rows, _, j, m = _padded(which, s)
     n = s.j_cut + 1
     # -value is one more branch, taken first, and only when it is nonzero
-    lead = [(0, 0, np.full((1, 1), -value / abs(value)),
-             np.full((n, 1), math.log(abs(value))))] if value else []
+    branches = [(0, 0, lambda: np.full((1, 1), -value / abs(value)),
+                 np.full((n, 1), math.log(abs(value))))] if value else []
+    branches += _dense_branches(which, j, m)
     scale = np.full(n, -math.inf)
-    for dj, _, _, w in chain(lead, _dense_branches(which, j, m[:, :0])):
+    for dj, _, _, w in branches:
         sr, tr = _shift(dj, n)
         scale[tr] = np.maximum(scale[tr], top[sr] + w[sr, 0])
     shift = np.where(scale > -math.inf, scale, 0.0)
     d = np.zeros(rows.shape, dtype=complex)
-    for dj, dm, c, w in chain(lead, _dense_branches(which, j, m)):
+    for dj, dm, coef, w in branches:
         (sr, tr), (sc, tc) = _shift(dj, n), _shift(dm, 2 * n - 1)
-        d[tr, tc] += (c[sr, sc]
+        d[tr, tc] += (coef()[sr, sc]
                       * np.exp(top[sr] + w[sr, 0] - shift[tr])[:, None]
                       * rows[sr, sc])
     return shift, d
@@ -358,18 +356,19 @@ def _image(which: str, s: StateVector, value: complex) -> tuple:
 
 def _expect_stack(states: list, which: str) -> None:
     """Fill the memos of states sharing j_cut that lack the label: its
-    branches are walked once for all of them, each branch read against
-    every state's own rows in place, and peak_sum adds one state's terms
-    e^{top_j + weight_j + top_t} sum_m conj(rows_t) coef rows_j, per branch
-    from row j to t.  A state holding the label passed the checks the
-    others get first."""
+    branches are walked once for all of them, each coefficient formed once
+    and read against every state's own rows in place, and peak_sum adds one
+    state's terms e^{top_j + weight_j + top_t} sum_m conj(rows_t) coef
+    rows_j, per branch from row j to t.  A state holding the label passed
+    the checks the others get first."""
     todo = [s for s in states if which not in s._expectations]
     if not todo:
         return
     *_, j, m = [_padded(which, s) for s in todo][-1]
     terms = [([], []) for _ in todo]
-    for dj, dm, c, w in _dense_branches(which, j, m):
+    for dj, dm, coef, w in _dense_branches(which, j, m):
         (sr, tr), (sc, tc) = _shift(dj, len(j)), _shift(dm, m.size)
+        c = coef()
         for s, (logs, sums) in zip(todo, terms):
             top, rows, _ = s._unit_rows
             logs.append(top[sr] + w[sr, 0] + top[tr])
@@ -503,7 +502,7 @@ class BandTable:
 def operator_table(which: str, j_cut: int) -> BandTable:
     """Table of J1, J2 or any label apply_J, apply_X or apply_Z accepts: one
     band per dense branch."""
-    return BandTable({(dj, dm, 0, 0): c * np.exp(w) for dj, dm, c, w
+    return BandTable({(dj, dm, 0, 0): c() * np.exp(w) for dj, dm, c, w
                       in _dense_branches(which, *grid(j_cut))}, j_cut)
 
 

@@ -332,7 +332,7 @@ def _exp_ladder(which: str, coef: complex, lm: np.ndarray, ph: np.ndarray,
         return lm, ph
     ((_, dm, c, _),) = _dense_branches(which, *grid(j_cut))
     with np.errstate(divide="ignore"):
-        lc = np.log(c) + math.log(abs(coef))
+        lc = np.log(c()) + math.log(abs(coef))
     turn = complex(coef) / abs(coef)    # exact on the axes, unlike numpy's
     top, unit = lm.copy(), rect_array(0.0, ph)
     acc = np.where(lm > -math.inf, unit, 0)

@@ -39,7 +39,7 @@ def test_identities_hold_over_the_accepted_cut_range(j_cut):
 def test_flipped_table_coefficient_fails_e3(monkeypatch):
     """One wrong X3 matrix element breaks [J, X] = i eps X at its column,
     and moves the expectation value and the eigen-residual alike: the
-    tables and both state functions read the one branch walk."""
+    tables and both state functions read the one branch list."""
     original = repspace._dense_branches
     j_cut = 12
     j, m = repspace.grid(j_cut)
@@ -47,11 +47,13 @@ def test_flipped_table_coefficient_fails_e3(monkeypatch):
 
     def flipped(which, jj, mm):
         # the raising branch at (9, -6), on the flat grid and the padded one
-        for k, (dj, dm, coef, weight) in enumerate(original(which, jj, mm)):
-            if which == "X3" and k == 0:
-                at = (jj == j[col]) & (mm == m[col])
-                coef = np.where(at, -coef, coef)
-            yield dj, dm, coef, weight
+        branches = original(which, jj, mm)
+        if which == "X3":
+            dj, dm, coef, weight = branches[0]
+            at = (jj == j[col]) & (mm == m[col])
+            branches[0] = (dj, dm, lambda: np.where(at, -1, 1) * coef(),
+                           weight)
+        return branches
 
     def state_values():
         # (|9, -6> + |10, -6>) / sqrt 2, built afresh: a state keeps its

@@ -476,30 +476,57 @@ def test_z_residual_where_its_weight_overflows(which):
                                                 rel=1e-13)
 
 
-def test_z2_residual_holds_one_coefficient_at_a_time():
-    """The tracemalloc peak of the Z2 residual at cut 200, counted in padded
+@pytest.mark.parametrize("which", ["Z1", "Z2", "Z3"])
+def test_z_residual_holds_one_coefficient_at_a_time(which):
+    """The tracemalloc peak of a Z residual at cut 200, counted in padded
     complex arrays of (j_cut + 1) x (2 j_cut + 1) entries.  What _image holds
-    at once, past the state's rows kept on it: the image d (1); the branch
-    being added, a coefficient made complex by the -+i/2 of X2 (1), and the
-    real X+- branch the ladder pair scaled it from (1/2); and that
-    coefficient times its row scales, and that product times the rows (2,
-    or 1 where numpy multiplies into the first product's buffer).  That is
-    at most 4.5 arrays; the bound of 5 leaves half an array for the
-    row-length arrays and the interpreter.  Holding the four coefficients
-    at once, with the image and a product, takes six."""
+    at once, past the state's rows kept on it, is the image d (1) and the
+    branch being added: each coefficient is formed inside the sum that adds
+    it, so the last one is gone by then.  Z2's coefficient is made complex
+    by the -+i/2 of X2 (1), next to the real X+- branch it is scaled from
+    (1/2) while it is formed; times its row scales, it is held with that
+    product (2), and it is freed before the product times the rows (1, or 0
+    where numpy multiplies in place) is formed.  Z1's and Z3's coefficients
+    are real (1/2), and so is their product with the row scales (1/2), whose
+    product with the rows is complex (1).  That is at most 3 arrays for Z2
+    and 2.5 for Z1 and Z3; each bound leaves half an array more for the
+    row-length arrays, numpy's casting buffers and the interpreter.  A
+    coefficient kept alive while the next branch is formed, as by generator
+    frames that held the last branch (3.71, 3.71 and 3.11), exceeds it."""
     base, zl = _seeded_coherent(90.0)
     s = StateVector(base.log_mag, base.phase, base.j_cut)
-    value = complex(zl.z[1])
-    residual_norm("Z2", s, value)      # builds the rows the state keeps
+    value = complex(zl.z[int(which[1]) - 1])
+    residual_norm(which, s, value)     # builds the rows the state keeps
     tracemalloc.start()
     try:
-        residual_norm("Z2", s, value)
+        residual_norm(which, s, value)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert s.j_cut == 200
     array = (s.j_cut + 1) * (2 * s.j_cut + 1) * 16
-    assert peak <= 5 * array, peak / array
+    bound = 3.5 if which == "Z2" else 3
+    assert peak <= bound * array, peak / array
+
+
+@pytest.mark.parametrize("which, diagonals, roots", [("Z1", 4, 4),
+                                                     ("Z2", 4, 4),
+                                                     ("Z3", 0, 2)])
+def test_residual_forms_each_coefficient_once(monkeypatch, which,
+                                              diagonals, roots):
+    """The row scales are read off the branch list's shifts and weights, so
+    a residual forms each branch's coefficient once, in the sum: Z1 and Z2
+    have four branches, each a _diagonal table of one _root, and Z3 two,
+    each one _root."""
+    s = random_sparse_state(3)
+    calls = dict.fromkeys(("_diagonal", "_root"), 0)
+    for name in calls:
+        def counted(*args, name=name, original=getattr(repspace, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(repspace, name, counted)
+    residual_norm(which, s, 0.5)
+    assert calls == {"_diagonal": diagonals, "_root": roots}
 
 
 def _dense_terms(which, j_cut):
@@ -508,6 +535,7 @@ def _dense_terms(which, j_cut):
     j, m = grid(j_cut)
     out = {}
     for dj, dm, coef, weight in _dense_branches(which, j, m):
+        coef = coef()
         for k in np.flatnonzero(coef != 0):
             key = ((j[k], m[k]), (j[k] + dj, m[k] + dm))
             out[key] = out.get(key, 0) + coef[k] * math.exp(weight[k])
