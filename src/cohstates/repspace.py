@@ -5,11 +5,17 @@ and |m| <= j (the twist, i.e. the J.X/r Casimir, is fixed at zero, which
 forces the minimal j to be 0 and all labels integer).  A state is a pair of
 log-magnitude and phase arrays over every (j, m) up to the truncation level
 j_cut.  Each operator's matrix elements are written down once, as a list
-of branches that shift (j, m) by at most one step in each index and form
-their coefficients on call.  On the state laid out on a padded (j, m)
-array every branch is a shifted slice: the image (O - value)|s>, which
-the eigen-residuals and apply_* read, adds them up, and an expectation
-value sums each branch's share of <s|O|s> without forming the image.
+of branches that shift (j, m) by at most one step in each index and give
+their coefficients on call.  A coefficient is an elementwise function of
+(j, m) alone, so on the padded grid at a cut up to 64, which holds every
+state of |l| <= 22 at its default cut, J3, Jsq, J+-, X3 and X+- read
+views of one read-only table per label, formed at cut 64 once per
+process (0.54 MB for all of them), with the bits that forming them at
+the cut gives; larger cuts and the flat grid form them on call.  On the
+state laid out on a padded (j, m) array every branch is a shifted slice:
+the image (O - value)|s>, which the eigen-residuals and apply_* read,
+adds them up, and an expectation value sums each branch's share of
+<s|O|s> without forming the image.
 The identity sweeps act through banded tables built from the same list.
 What an operator raises past j_cut is dropped, and tail_fraction guards
 against it.
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -247,32 +253,79 @@ def _diagonal(j: np.ndarray, m: np.ndarray, f) -> np.ndarray:
     return f(np.arange(-jmax, 2 * jmax + 1)).take((j + jmax) + m)
 
 
+# The largest padded cut read off _leaf_tables: default_j_cut(|l|) <= 64 for
+# |l| <= 22, which covers the README's examples and every sphere report the
+# benchmark sends (state cuts 40, 44 and 63, reference cuts 10 to 32).
+_TABLE_CUT = 64
+
+
 def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
     """Branches (dj, dm, coef, log_weight) of an operator over the (j, m) grid,
-    as a list in which coef() forms the branch's coefficient array.
+    as a list in which coef() returns the branch's coefficient array.
 
     O|j, m> = sum over branches of coef() e^{log_weight} |j + dj, m + dm>,
     and each coefficient vanishes wherever its target is not a basis index.
-    j and m are the flat grid(), or a j column and an m row, which give
-    arrays that broadcast over the padded grid (0 off the basis).  A log
+    j and m are the flat grid(), or the padded grid's j column and m row,
+    which give arrays that broadcast over it (0 off the basis).  A log
     weight depends on j only, so the shifts and weights are read with no
     coefficient formed, and a caller that calls coef() where it uses it
-    holds no coefficient past its branch.  This is the one place the matrix
-    elements are written down (the tests hold them equal to the scalar
-    formulas).  The position operators at zero twist are tridiagonal in j
-    with no diagonal term, so X strictly changes j.  X is the position
-    operator at unit radius: the radius r only scales <X>, which the sphere
-    reports multiply by r.  Z has the selection rules of X with the raising
-    branch weighted by e^{-j-1} and the lowering branch by e^{j}, kept in
-    log form.  A radicand on one diagonal of the grid is read off a table
-    over that diagonal; every radicand is the integer of the product of
-    the matrix element's two factors, so the roots are those of the
-    product.
+    holds no coefficient past its branch.  _leaf_branches is the one place
+    the matrix elements are written down (the tests hold them equal to the
+    scalar formulas); Z, J1, J2, X1 and X2 are read off its labels here.
+    Z has the selection rules of X with the raising branch weighted by
+    e^{-j-1} and the lowering branch by e^{j}, kept in log form.
+
+    On the padded grid at a cut up to _TABLE_CUT, a leaf label's coef()
+    returns a read-only view of its _leaf_tables entry, [:cut + 1,
+    _TABLE_CUT - cut:_TABLE_CUT + cut + 1], formed once per process: the
+    ten tables take 0.54 MB.  The view holds the bits that forming it at
+    the cut gives, as each coefficient is an elementwise function of (j, m)
+    alone: roots of integer radicands, a diagonal's f(j + m), and the
+    factors up and dn of j.  Above that cut, and on the flat grid, every
+    coef() forms its array on call; Z and the ladder pairs scale theirs on
+    call either way, so no table is held twice.
     """
     if which in _Z_LABELS:
         weight = {1: -(j + 1.0), -1: j.astype(float)}
         return [(dj, dm, c, weight[dj])
                 for dj, dm, c, _ in _dense_branches("X" + which[1], j, m)]
+    if which in ("J1", "J2", "X1", "X2"):
+        return [(dj, dm, lambda f=f, c=c: f * c(), w)
+                for f, side in zip(_LADDER_PAIR[which[1]], ("plus", "minus"))
+                for dj, dm, c, w in _dense_branches(which[0] + side, j, m)]
+    if j.ndim == 1 or len(j) > _TABLE_CUT + 1:
+        return _leaf_branches(which, j, m)
+    cut, w0 = len(j) - 1, np.zeros(j.shape)
+    rows, cols = slice(cut + 1), slice(_TABLE_CUT - cut, _TABLE_CUT + cut + 1)
+    # Jsq's coefficient is a j column, whole along m
+    return [(dj, dm, lambda t=t: t[rows, cols] if t.shape[1] > 1 else t[rows],
+             w0) for dj, dm, t in _leaf_tables(which)]
+
+
+@cache
+def _leaf_tables(which: str) -> tuple:
+    """(dj, dm, coefficient) of each branch of a leaf label on the padded
+    grid at _TABLE_CUT, formed on first use and read-only."""
+    n = _TABLE_CUT + 1
+    tables = []
+    for dj, dm, coef, _ in _leaf_branches(which, np.arange(n)[:, None],
+                                          np.arange(1 - n, n)[None]):
+        c = coef()
+        c.flags.writeable = False
+        tables.append((dj, dm, c))
+    return tuple(tables)
+
+
+def _leaf_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
+    """_dense_branches of J3, Jsq, J+-, X3 and X+-, each coef() forming its
+    array on call.  The position operators at zero twist are tridiagonal in
+    j with no diagonal term, so X strictly changes j.  X is the position
+    operator at unit radius: the radius r only scales <X>, which the sphere
+    reports multiply by r.  A radicand on one diagonal of the grid is read
+    off a table over that diagonal; every radicand is the integer of the
+    product of the matrix element's two factors, so the roots are those of
+    the product.
+    """
     w0 = np.zeros(j.shape)    # no log weight
     if which == "J3":
         return [(0, 0, lambda: m.astype(float), w0)]
@@ -282,10 +335,6 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
         return [(0, 1, lambda: _root(j * (j + 1) - m * (m + 1)), w0)]
     if which == "Jminus":
         return [(0, -1, lambda: _root(j * (j + 1) - m * (m - 1)), w0)]
-    if which in ("J1", "J2", "X1", "X2"):
-        return [(dj, dm, lambda f=f, c=c: f * c(), w)
-                for f, side in zip(_LADDER_PAIR[which[1]], ("plus", "minus"))
-                for dj, dm, c, w in _dense_branches(which[0] + side, j, m)]
     if which not in ("X3", "Xplus", "Xminus"):
         raise ValueError(f"unknown operator label {which!r}")
     up = np.sqrt((2 * j + 1) * (2 * j + 3))
@@ -330,9 +379,9 @@ def _image(which: str, s: StateVector, value: complex) -> tuple:
 
     Each target row is summed relative to the largest source row scale plus
     weight among its terms, read first off the branches' shifts and log
-    weights.  Each branch's coefficient is then formed inside the sum that
-    adds it, so one is held at a time, where peak_sum's stacked form would
-    hold one full array per branch.  A coefficient spans each axis its
+    weights.  Each branch's coefficient is then formed, or read off its
+    table, inside the sum that adds it, so one is held at a time, where
+    peak_sum's stacked form would hold one full array per branch.  A coefficient spans each axis its
     branch shifts along, so it slices as the source."""
     top, rows, _, j, m = _padded(which, s)
     n = s.j_cut + 1
@@ -356,7 +405,7 @@ def _image(which: str, s: StateVector, value: complex) -> tuple:
 
 def _expect_stack(states: list, which: str) -> None:
     """Fill the memos of states sharing j_cut that lack the label: its
-    branches are walked once for all of them, each coefficient formed once
+    branches are walked once for all of them, each coefficient got once
     and read against every state's own rows in place, and peak_sum adds one
     state's terms e^{top_j + weight_j + top_t} sum_m conj(rows_t) coef
     rows_j, per branch from row j to t.  A state holding the label passed
@@ -374,6 +423,7 @@ def _expect_stack(states: list, which: str) -> None:
             logs.append(top[sr] + w[sr, 0] + top[tr])
             sums.append(np.einsum("ij,ij,ij->i", rows[tr, tc].conj(),
                                   c[sr, sc], rows[sr, sc]))
+        del c       # freed before the next branch's coefficient is formed
     for s, (logs, sums) in zip(todo, terms):
         t, acc = peak_sum(np.concatenate(logs), np.concatenate(sums))
         # norm_sq is 1 but for rounding: dividing by it cancels the

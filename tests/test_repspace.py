@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import tracemalloc
 import warnings
@@ -11,6 +12,7 @@ import oracles
 from oracles import (from_dict, inner, relative_residual, restricted,
                      sparse_expectation, to_dict)
 from cohstates import repspace
+from cohstates.cli import main
 from cohstates.repspace import (StateVector, apply_J, apply_X, apply_Z,
                                 basis_state, expectation, grid,
                                 operator_table, residual_norm, state_scale,
@@ -509,24 +511,89 @@ def test_z_residual_holds_one_coefficient_at_a_time(which):
     assert peak <= bound * array, peak / array
 
 
+def test_z2_expectation_holds_one_coefficient_at_a_time():
+    """The tracemalloc peak of <Z2> at cut 200, above the cut of the leaf
+    tables, counted in padded complex arrays as the residual's test does.
+    Past the state's rows, _expect_stack holds the branch's complex
+    coefficient (1) and the conjugated target slice its einsum reads (1);
+    the last branch's coefficient is freed before the next one is formed
+    from its real X+- branch (1/2).  The bound leaves half an array more
+    for the row-length arrays, einsum's buffers and the interpreter.  A
+    coefficient kept while the next is formed (2.63) exceeds it."""
+    base, _ = _seeded_coherent(90.0)
+    s = StateVector(base.log_mag, base.phase, base.j_cut)
+    s._unit_rows        # builds the rows the state keeps
+    tracemalloc.start()
+    try:
+        expectation("Z2", s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.j_cut == 200
+    array = (s.j_cut + 1) * (2 * s.j_cut + 1) * 16
+    assert peak <= 2.5 * array, peak / array
+
+
 @pytest.mark.parametrize("which, diagonals, roots", [("Z1", 4, 4),
                                                      ("Z2", 4, 4),
                                                      ("Z3", 0, 2)])
 def test_residual_forms_each_coefficient_once(monkeypatch, which,
                                               diagonals, roots):
     """The row scales are read off the branch list's shifts and weights, so
-    a residual forms each branch's coefficient once, in the sum: Z1 and Z2
-    have four branches, each a _diagonal table of one _root, and Z3 two,
-    each one _root."""
-    s = random_sparse_state(3)
+    a residual above the tables' cut forms each branch's coefficient once,
+    in the sum: Z1 and Z2 have four branches, each a _diagonal table of one
+    _root, and Z3 two, each one _root.  At a cut up to the tables' cut, a
+    residual whose tables are formed forms no coefficient."""
+    low, high = random_sparse_state(3), random_sparse_state(3, j_cut=70)
+    assert low.j_cut <= repspace._TABLE_CUT < high.j_cut
+    residual_norm(which, low, 0.5)      # forms the tables, if not yet
     calls = dict.fromkeys(("_diagonal", "_root"), 0)
     for name in calls:
         def counted(*args, name=name, original=getattr(repspace, name)):
             calls[name] += 1
             return original(*args)
         monkeypatch.setattr(repspace, name, counted)
-    residual_norm(which, s, 0.5)
+    residual_norm(which, low, 0.5)
+    assert calls == {"_diagonal": 0, "_root": 0}
+    residual_norm(which, high, 0.5)
     assert calls == {"_diagonal": diagonals, "_root": roots}
+
+
+LEAF_LABELS = ("J3", "Jsq", "Jplus", "Jminus", "X3", "Xplus", "Xminus")
+
+
+@pytest.mark.parametrize("which", LEAF_LABELS)
+def test_leaf_tables_hold_the_coefficients_formed_on_call(which):
+    """At every padded cut up to the tables' cut, a leaf label's branches
+    read read-only views of its tables, equal bit for bit and in shape to
+    the arrays formed at that cut."""
+    tables = [t for *_, t in repspace._leaf_tables(which)]
+    for cut in range(repspace._TABLE_CUT + 1):
+        j, m = np.arange(cut + 1)[:, None], np.arange(-cut, cut + 1)[None]
+        read = repspace._dense_branches(which, j, m)
+        formed = repspace._leaf_branches(which, j, m)
+        assert len(read) == len(formed) == len(tables)
+        for (dj, dm, view, w), (dj0, dm0, coef, w0), t in zip(read, formed,
+                                                               tables):
+            got, want = view(), coef()
+            assert (dj, dm) == (dj0, dm0) and np.array_equal(w, w0)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+            assert np.shares_memory(got, t)
+            with pytest.raises(ValueError, match="read-only"):
+                got[...] = 0.0
+
+
+def test_a_report_above_the_tables_cut_forms_on_call(capsys):
+    """A sphere report at |l| = 55 reads cut 130 and axis references at
+    cut 65, all above the tables' cut: it forms every coefficient on call
+    and neither reads nor adds a table.  (At |l| = 30 the references stop
+    at cut 40 and read the X tables.)"""
+    before = repspace._leaf_tables.cache_info()
+    assert main(["sphere", "--x", "0,0,1", "--l", "55,0,0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["j_cut"] == 130
+    assert repspace._leaf_tables.cache_info() == before
 
 
 def _dense_terms(which, j_cut):
