@@ -6,12 +6,16 @@ forces the minimal j to be 0 and all labels integer).  A state is a pair of
 log-magnitude and phase arrays over every (j, m) up to the truncation level
 j_cut.  Each operator's matrix elements are written down once, as a list
 of branches that shift (j, m) by at most one step in each index and give
-their coefficients on call.  A coefficient is an elementwise function of
-(j, m) alone, so on the padded grid at a cut up to 64, which holds every
-state of |l| <= 22 at its default cut, J3, Jsq, J+-, X3 and X+- read
-views of one read-only table per label, formed at cut 64 once per
-process (0.54 MB for all of them), with the bits that forming them at
-the cut gives; larger cuts and the flat grid form them on call.  On the
+their coefficients on call.  Every array that depends on the cut alone
+is an elementwise function of its index: the flat grid, the padded grid's
+axes and level starts, and the coefficients of J3, Jsq, J+-, X3 and X+- on
+the padded grid.  So at a cut up to 64, which holds every state of
+|l| <= 22 at its default cut, each is read as a view of one read-only
+table formed at cut 64 once per process (_at_cut and _table), with the
+bits that forming it at the cut gives; the closed form's prefactor and
+the Gegenbauer recurrence's factors are read the same way.  Larger cuts
+form them on call, and the coefficients on the flat grid, which the banded
+tables read, are formed on call at every cut.  On the
 state laid out on a padded (j, m) array every branch is a shifted slice:
 the image (O - value)|s>, which the eigen-residuals and apply_* read,
 adds them up, and an expectation value sums each branch's share of
@@ -109,7 +113,7 @@ class StateVector:
         scaled by e^{-top[j]}, and norm_sq the squared norm they add up to.
         Callers check first that the state is nonzero."""
         lm, n = self.log_mag - 0.5 * self._log_norm_sq, self.j_cut + 1
-        starts = np.arange(n) ** 2
+        starts = _at_cut(_levels, self.j_cut, _padded_view)[2]
         top = np.maximum.reduceat(lm, starts)
         j, m = grid(self.j_cut)
         vals = rect_array(lm - np.where(top > -math.inf, top, 0.0)[j],
@@ -154,6 +158,7 @@ def basis_state(j: int, m: int, j_cut: int) -> StateVector:
 _J_LABELS = {"J3", "Jplus", "Jminus", "Jsq"}
 _X_LABELS = {"X1", "X2", "X3", "Xplus", "Xminus"}
 _Z_LABELS = {"Z1", "Z2", "Z3"}
+_LABELS = _J_LABELS | _X_LABELS | _Z_LABELS
 # A1 = fp A+ + fm A- for the factors (fp, fm) under "1", and A2 under "2":
 # the Hermitian Cartesian components of a ladder pair, for J and X alike
 _LADDER_PAIR = {"1": (0.5, 0.5), "2": (-0.5j, 0.5j)}
@@ -232,10 +237,64 @@ def state_sum(states: list[StateVector]) -> StateVector:
 # so nothing overflows; terms below e^-745 of the largest in their row
 # underflow to zero.  The sums over rows are logdomain.peak_sum.
 
+# The largest cut whose cut-only arrays are read off tables:
+# default_j_cut(|l|) <= 64 for |l| <= 22, which covers the README's examples
+# and every sphere report the benchmark sends (state cuts 40, 44 and 63,
+# reference cuts 10 to 32).
+_TABLE_CUT = 64
+
+
+@cache
+def _table(form, *args) -> tuple:
+    """The arrays form(*args) returns, formed on first use, once per
+    process, and read-only."""
+    arrays = form(*args)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _at_cut(form, cut: int, view) -> tuple:
+    """form(cut), a tuple of arrays that depend on the cut alone.  Up to
+    _TABLE_CUT, the views view(a, cut) of the arrays of _table(form,
+    _TABLE_CUT), with the bits that forming them at the cut gives, as each
+    entry is an elementwise function of its index; above it, formed on
+    call."""
+    if cut > _TABLE_CUT:
+        return form(cut)
+    return tuple([view(a, cut) for a in _table(form, _TABLE_CUT)])
+
+
+def _flat_view(a: np.ndarray, cut: int) -> np.ndarray:
+    """a over the flat grid at cut, read off a over a larger flat grid: the
+    index j*j + j + m is a prefix in j."""
+    return a[:(cut + 1) ** 2]
+
+
+def _padded_view(a: np.ndarray, cut: int) -> np.ndarray:
+    """a at j <= cut, |m| <= cut, read off a at _TABLE_CUT: a level array
+    or a j column is a prefix, and an m axis is centred on m = 0."""
+    if a.ndim == 1 or a.shape[1] == 1:
+        return a[:cut + 1]
+    return a[:cut + 1, _TABLE_CUT - cut:_TABLE_CUT + cut + 1]
+
+
 def grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """j and m at every flat index j*j + j + m up to j_cut."""
+    """j and m at every flat index j*j + j + m up to j_cut, read-only views
+    of one table up to _TABLE_CUT."""
+    return _at_cut(_grid, j_cut, _flat_view)
+
+
+def _grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
     j = np.repeat(np.arange(j_cut + 1), 2 * np.arange(j_cut + 1) + 1)
     return j, np.arange(j.size) - j * (j + 1)
+
+
+def _levels(j_cut: int) -> tuple:
+    """The padded grid's j column and m row, and the flat index j*j at which
+    each level starts."""
+    n = j_cut + 1
+    return np.arange(n)[:, None], np.arange(1 - n, n)[None], np.arange(n) ** 2
 
 
 def _root(x):
@@ -251,12 +310,6 @@ def _diagonal(j: np.ndarray, m: np.ndarray, f) -> np.ndarray:
     |m| <= J."""
     jmax = j.max()
     return f(np.arange(-jmax, 2 * jmax + 1)).take((j + jmax) + m)
-
-
-# The largest padded cut read off _leaf_tables: default_j_cut(|l|) <= 64 for
-# |l| <= 22, which covers the README's examples and every sphere report the
-# benchmark sends (state cuts 40, 44 and 63, reference cuts 10 to 32).
-_TABLE_CUT = 64
 
 
 def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
@@ -276,14 +329,14 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
     e^{-j-1} and the lowering branch by e^{j}, kept in log form.
 
     On the padded grid at a cut up to _TABLE_CUT, a leaf label's coef()
-    returns a read-only view of its _leaf_tables entry, [:cut + 1,
-    _TABLE_CUT - cut:_TABLE_CUT + cut + 1], formed once per process: the
-    ten tables take 0.54 MB.  The view holds the bits that forming it at
-    the cut gives, as each coefficient is an elementwise function of (j, m)
-    alone: roots of integer radicands, a diagonal's f(j + m), and the
-    factors up and dn of j.  Above that cut, and on the flat grid, every
-    coef() forms its array on call; Z and the ladder pairs scale theirs on
-    call either way, so no table is held twice.
+    returns a read-only _padded_view of its coefficient on the padded grid
+    at _TABLE_CUT, formed once per process by _table: the ten coefficients
+    take 0.54 MB.  The view holds the bits that forming it at the cut
+    gives, as each coefficient is an elementwise function of (j, m) alone:
+    roots of integer radicands, a diagonal's f(j + m), and the factors up
+    and dn of j.  Above that cut, and on the flat grid, every coef() forms
+    its array on call; Z and the ladder pairs scale theirs on call either
+    way, so no table is held twice.
     """
     if which in _Z_LABELS:
         weight = {1: -(j + 1.0), -1: j.astype(float)}
@@ -293,27 +346,19 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
         return [(dj, dm, lambda f=f, c=c: f * c(), w)
                 for f, side in zip(_LADDER_PAIR[which[1]], ("plus", "minus"))
                 for dj, dm, c, w in _dense_branches(which[0] + side, j, m)]
+    branches = _leaf_branches(which, j, m)
     if j.ndim == 1 or len(j) > _TABLE_CUT + 1:
-        return _leaf_branches(which, j, m)
-    cut, w0 = len(j) - 1, np.zeros(j.shape)
-    rows, cols = slice(cut + 1), slice(_TABLE_CUT - cut, _TABLE_CUT + cut + 1)
-    # Jsq's coefficient is a j column, whole along m
-    return [(dj, dm, lambda t=t: t[rows, cols] if t.shape[1] > 1 else t[rows],
-             w0) for dj, dm, t in _leaf_tables(which)]
+        return branches
+    cut = len(j) - 1
+    return [(dj, dm, lambda t=t: _padded_view(t, cut), w) for (dj, dm, _, w), t
+            in zip(branches, _table(_leaf_coefficients, which))]
 
 
-@cache
-def _leaf_tables(which: str) -> tuple:
-    """(dj, dm, coefficient) of each branch of a leaf label on the padded
-    grid at _TABLE_CUT, formed on first use and read-only."""
-    n = _TABLE_CUT + 1
-    tables = []
-    for dj, dm, coef, _ in _leaf_branches(which, np.arange(n)[:, None],
-                                          np.arange(1 - n, n)[None]):
-        c = coef()
-        c.flags.writeable = False
-        tables.append((dj, dm, c))
-    return tuple(tables)
+def _leaf_coefficients(which: str) -> tuple:
+    """The coefficient of each branch of a leaf label on the padded grid at
+    _TABLE_CUT."""
+    j, m, _ = _levels(_TABLE_CUT)
+    return tuple(coef() for _, _, coef, _ in _leaf_branches(which, j, m))
 
 
 def _leaf_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
@@ -337,23 +382,28 @@ def _leaf_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
         return [(0, -1, lambda: _root(j * (j + 1) - m * (m - 1)), w0)]
     if which not in ("X3", "Xplus", "Xminus"):
         raise ValueError(f"unknown operator label {which!r}")
-    up = np.sqrt((2 * j + 1) * (2 * j + 3))
-    # j = 0 has no lowering branch: its numerators below vanish there
-    dn = np.sqrt(np.maximum((2 * j - 1) * (2 * j + 1), 1))
+    # each formed by the one branch that divides by it, so that listing the
+    # branches forms nothing
+    def up():
+        return np.sqrt((2 * j + 1) * (2 * j + 3))
+
+    def dn():   # j = 0 has no lowering branch: its numerators vanish there
+        return np.sqrt(np.maximum((2 * j - 1) * (2 * j + 1), 1))
+
     if which == "X3":
         def x3(k, den):     # divided in place: forming it holds one grid
             c = _root(k ** 2 - m ** 2)
             c /= den
             return c
-        return [(1, 0, lambda: x3(j + 1, up), w0),
-                (-1, 0, lambda: x3(j, dn), w0)]
+        return [(1, 0, lambda: x3(j + 1, up()), w0),
+                (-1, 0, lambda: x3(j, dn()), w0)]
     # the raising radicand on the diagonal k = j + dm m, the lowering one on
     # k = j - dm m
     dm = 1 if which == "Xplus" else -1
     return [(1, dm, lambda: _diagonal(j, dm * m, lambda k: -dm * _root(
-                (k + 1) * (k + 2))) / up, w0),
+                (k + 1) * (k + 2))) / up(), w0),
             (-1, dm, lambda: _diagonal(j, -dm * m, lambda k: dm * _root(
-                (k - 1) * k)) / dn, w0)]
+                (k - 1) * k)) / dn(), w0)]
 
 
 def _shift(d: int, n: int) -> tuple[slice, slice]:
@@ -367,10 +417,10 @@ def _padded(which: str, s: StateVector) -> tuple:
     nonzero s."""
     if s.log_norm_sq() == -math.inf:
         raise ValueError("expectation value or residual of the zero state")
-    if which not in _J_LABELS | _X_LABELS | _Z_LABELS:
+    if which not in _LABELS:
         raise ValueError(f"unknown operator label {which!r}")
-    n = s.j_cut + 1
-    return (*s._unit_rows, np.arange(n)[:, None], np.arange(1 - n, n)[None])
+    j, m, _ = _at_cut(_levels, s.j_cut, _padded_view)
+    return (*s._unit_rows, j, m)
 
 
 def _image(which: str, s: StateVector, value: complex) -> tuple:

@@ -8,6 +8,9 @@ rescaled by exact powers of two only when a growth bound says the next steps
 could overflow, with the scale kept as an integer binary exponent.
 hyp2f1_terminating returns a plain complex: its one caller, the identity
 check of `cohstates verify`, sums at most 9 terms of moderate size.
+The log-factorials and the recurrence's label-free factors depend on the
+size alone, so up to the closed form's cut 64 (repspace._TABLE_CUT) both
+are read-only views of one table formed once per process.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 
 import numpy as np
 
+from .repspace import _TABLE_CUT, _at_cut, _table
 
 __all__ = [
     "log_factorial_table",
@@ -37,8 +41,16 @@ _LN2_LO = 1.90821492927058770002e-10
 
 
 def log_factorial_table(n_max: int) -> np.ndarray:
-    """ln(n!) for n = 0 .. n_max, each lgamma(n + 1) as math computes it."""
-    return np.array([math.lgamma(n + 1) for n in range(n_max + 1)])
+    """ln(n!) for n = 0 .. n_max, each lgamma(n + 1) as math computes it.
+    Up to n_max = 2 _TABLE_CUT, what the closed form and the triple sum read
+    at a cut up to _TABLE_CUT, a read-only view of one table."""
+    if n_max > 2 * _TABLE_CUT:
+        return _log_factorials(n_max)[0]
+    return _table(_log_factorials, 2 * _TABLE_CUT)[0][:n_max + 1]
+
+
+def _log_factorials(n_max: int) -> tuple:
+    return (np.array([math.lgamma(n + 1) for n in range(n_max + 1)]),)
 
 
 def hyp2f1_terminating(n: int, b: float, c: float, z: complex) -> complex:
@@ -70,7 +82,9 @@ def gegenbauer_column(n_max: int, x: complex) -> tuple:
         C_n = a_n C_{n-1} - b_n C_{n-2},
         a_n = 2x(n + k - 1/2)/n,  b_n = (n + 2k - 1)/n,
     from C_{-1} = 0 and C_0 = 1 runs in complex doubles, with a_n and b_n
-    formed once as arrays, so that a step is two products and a difference.
+    formed once as arrays, so that a step is two products and a difference;
+    n + k - 1/2 and b_n are views of one table up to n_max = 64, and a_n
+    multiplies the first by 2x/n on call.
     A step grows the larger of the last two values by at most g_n, the
     largest |a_n| + |b_n| over the columns (or 1).  Before the sum of log g_n
     since the last rescale would pass _HEADROOM, each column's last two
@@ -84,12 +98,10 @@ def gegenbauer_column(n_max: int, x: complex) -> tuple:
     """
     if n_max < 0:
         raise ValueError(f"degree must be nonnegative, got {n_max}")
-    al = np.arange(n_max + 1) + 0.5
-    n = np.arange(1, n_max + 1)[:, None]
-    a = (n + al - 1) * (2 * x / n)
-    b = (n + 2 * al - 2) / n
+    n, n_al, b = _at_cut(_recurrence_factors, n_max, _degrees_view)
+    a = n_al * (2 * x / n)
     # |a_n| + |b_n| is convex in k, so its largest is at column 0 or n_max
-    ends = al[[0, -1]]
+    ends = np.array([0.5, n_max + 0.5])
     log_g = np.log(((2 * abs(x) * (n + ends - 1) + abs(n + 2 * ends - 2)) / n)
                    .max(axis=1, initial=1.0)).tolist()
     vals = np.zeros((n_max + 2, n_max + 1), dtype=complex)
@@ -115,3 +127,17 @@ def gegenbauer_column(n_max: int, x: complex) -> tuple:
     log_mag += k * _LN2_LO
     log_mag += k * _LN2_HI
     return log_mag[1:], np.angle(vals[1:])
+
+
+def _recurrence_factors(n_max: int) -> tuple:
+    """The label-free factors of the recurrence at degree n (row n - 1) and
+    parameter k + 1/2 (column k): the degree column n, n + k - 1/2 and b_n."""
+    al = np.arange(n_max + 1) + 0.5
+    n = np.arange(1, n_max + 1)[:, None]
+    return n, n + al - 1, (n + 2 * al - 2) / n
+
+
+def _degrees_view(t: np.ndarray, n_max: int) -> np.ndarray:
+    """t at degrees 1 .. n_max and columns 0 .. n_max, read off t at a
+    larger n_max."""
+    return t[:n_max, :n_max + 1]

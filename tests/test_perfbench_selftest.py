@@ -1,9 +1,22 @@
 """The benchmark's tracer self-test, run against the library as it stands.
 
-It pins call structure no unit test watches: the number of
-``circle_coherent`` calls per circle report, the lengths the tracer reads
-from ``circle_coherent(...).coeffs`` and ``StateVector.amplitudes``, and the
-three ``apply_X`` calls behind ``apply_X("X1", s)``.
+It pins what ``perfbench/selftest.py`` checks, which no unit test watches:
+
+* a traced request prints byte for byte what the untraced one prints, for
+  the sphere report ``sphere --x 0,0,1 --l 0,0,0`` and the README circle
+  example; the tracer's hooks read the lengths of
+  ``coherent_closed_form(...).amplitudes``, ``circle_coherent(...).coeffs``
+  and the ``amplitudes`` of an ``apply_*`` input, so each must exist;
+* the tracer's call count of every wrapped function equals the count
+  ``sys.setprofile`` takes of the same code object, on those two requests;
+* that sphere report makes 4 ``coherent_closed_form`` calls (the state and
+  ``relative_X``'s three axis references) and 6 ``expect_X`` calls;
+* that circle report makes 7 ``circle_coherent`` calls;
+* the README sphere and rotator examples never reach the ``spinor``
+  module;
+* ``repspace.apply.amps_in`` counts the input of ``apply_X("X1", s)`` once
+  over its 3 ``apply_X`` calls, although ``X1`` calls ``apply_X`` for
+  ``Xplus`` and ``Xminus``.
 """
 
 import subprocess

@@ -11,7 +11,7 @@ import pytest
 import oracles
 from oracles import (from_dict, inner, relative_residual, restricted,
                      sparse_expectation, to_dict)
-from cohstates import repspace
+from cohstates import repspace, specfun, sphere
 from cohstates.cli import main
 from cohstates.repspace import (StateVector, apply_J, apply_X, apply_Z,
                                 basis_state, expectation, grid,
@@ -215,8 +215,7 @@ class TestMemo:
     value once, and keeps them for as long as it lives."""
 
     MEMO = ("_log_norm_sq", "_unit_rows", "_expectations")
-    ALL_LABELS = sorted(repspace._J_LABELS | repspace._X_LABELS
-                        | repspace._Z_LABELS)
+    ALL_LABELS = sorted(repspace._LABELS)
 
     def memo(self, s):
         return {k: v for k, v in vars(s).items() if k in self.MEMO}
@@ -560,40 +559,79 @@ def test_residual_forms_each_coefficient_once(monkeypatch, which,
 
 
 LEAF_LABELS = ("J3", "Jsq", "Jplus", "Jminus", "X3", "Xplus", "Xminus")
+# The other arrays that depend on the cut alone, as (form, view): what the
+# library reads at a cut up to the tables' cut is view(table, cut)
+CUT_TABLES = {
+    "grid": (repspace._grid, repspace._flat_view),
+    "levels": (repspace._levels, repspace._padded_view),
+    "recurrence": (specfun._recurrence_factors, specfun._degrees_view),
+    "closed_form": (sphere._closed_form_parts, repspace._flat_view),
+}
 
 
-@pytest.mark.parametrize("which", LEAF_LABELS)
+def _read_formed_table(name, cut):
+    """(read, formed, table) of each array of a table at a cut up to the
+    tables' cut: what the library reads, what forming it at the cut gives,
+    and the table the first is read off."""
+    if name in CUT_TABLES:
+        form, view = CUT_TABLES[name]
+        return zip(repspace._at_cut(form, cut, view), form(cut),
+                   repspace._table(form, repspace._TABLE_CUT))
+    if name == "log_factorials":   # every n_max up to 2 _TABLE_CUT
+        (table,) = repspace._table(specfun._log_factorials,
+                                   2 * repspace._TABLE_CUT)
+        return [(specfun.log_factorial_table(n),
+                 specfun._log_factorials(n)[0], table)
+                for n in {max(2 * cut - 1, 0), 2 * cut}]
+    j, m = np.arange(cut + 1)[:, None], np.arange(-cut, cut + 1)[None]
+    read = repspace._dense_branches(name, j, m)
+    formed = repspace._leaf_branches(name, j, m)
+    tables = repspace._table(repspace._leaf_coefficients, name)
+    assert len(read) == len(formed) == len(tables)
+    for (dj, dm, _, w), (dj0, dm0, _, w0) in zip(read, formed):
+        assert (dj, dm) == (dj0, dm0) and np.array_equal(w, w0)
+    return [(r[2](), f[2](), t) for r, f, t in zip(read, formed, tables)]
+
+
+@pytest.mark.parametrize("which", LEAF_LABELS + tuple(CUT_TABLES)
+                         + ("log_factorials",))
 def test_leaf_tables_hold_the_coefficients_formed_on_call(which):
-    """At every padded cut up to the tables' cut, a leaf label's branches
-    read read-only views of its tables, equal bit for bit and in shape to
-    the arrays formed at that cut."""
-    tables = [t for *_, t in repspace._leaf_tables(which)]
+    """At every cut up to the tables' cut, a leaf label's branch
+    coefficients, and every other array that depends on the cut alone, are
+    read-only views of one table, equal bit for bit and in shape and dtype
+    to the arrays formed at that cut."""
     for cut in range(repspace._TABLE_CUT + 1):
-        j, m = np.arange(cut + 1)[:, None], np.arange(-cut, cut + 1)[None]
-        read = repspace._dense_branches(which, j, m)
-        formed = repspace._leaf_branches(which, j, m)
-        assert len(read) == len(formed) == len(tables)
-        for (dj, dm, view, w), (dj0, dm0, coef, w0), t in zip(read, formed,
-                                                               tables):
-            got, want = view(), coef()
-            assert (dj, dm) == (dj0, dm0) and np.array_equal(w, w0)
-            assert got.shape == want.shape and np.array_equal(got, want)
+        for got, want, table in _read_formed_table(which, cut):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
             assert np.ascontiguousarray(got).tobytes() == want.tobytes()
-            assert np.shares_memory(got, t)
+            assert got.size == 0 or np.shares_memory(got, table)
             with pytest.raises(ValueError, match="read-only"):
-                got[...] = 0.0
+                got[...] = 0
 
 
-def test_a_report_above_the_tables_cut_forms_on_call(capsys):
-    """A sphere report at |l| = 55 reads cut 130 and axis references at
-    cut 65, all above the tables' cut: it forms every coefficient on call
-    and neither reads nor adds a table.  (At |l| = 30 the references stop
-    at cut 40 and read the X tables.)"""
-    before = repspace._leaf_tables.cache_info()
+def test_a_report_above_the_tables_cut_forms_on_call(monkeypatch, capsys):
+    """On both sides of the tables' cut, the closed form is the one
+    assembled with every array formed on call.  A sphere report at
+    |l| = 55 reads cut 130 and axis references at cut 65, all above the
+    tables' cut: it forms every array on call and neither reads nor adds a
+    table.  (At |l| = 30 the references stop at cut 40 and read the
+    tables.)"""
+    p = SpherePhasePoint([0.6, 0.0, 0.8], [0.0, 10.0, 0.0])
+    for zl in (phase_to_z(p), axis_reference_label(p.l, 0)):
+        for cut in (63, 64, 65):
+            read = coherent_closed_form(zl, cut)
+            with monkeypatch.context() as no_tables:
+                for module in (repspace, specfun):
+                    no_tables.setattr(module, "_TABLE_CUT", -1)
+                formed = coherent_closed_form(zl, cut)
+            assert read.log_mag.tobytes() == formed.log_mag.tobytes()
+            assert read.phase.tobytes() == formed.phase.tobytes()
+    before = repspace._table.cache_info()
     assert main(["sphere", "--x", "0,0,1", "--l", "55,0,0"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["j_cut"] == 130
-    assert repspace._leaf_tables.cache_info() == before
+    assert repspace._table.cache_info() == before
 
 
 def _dense_terms(which, j_cut):
