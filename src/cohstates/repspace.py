@@ -11,7 +11,7 @@ is an elementwise function of its index: the flat grid, the padded grid's
 axes and level starts, and the coefficients of J3, Jsq, J+-, X3 and X+- on
 the padded grid.  So at a cut up to 64, which holds every state of
 |l| <= 22 at its default cut, each is read as a view of one read-only
-table formed at cut 64 once per process (_at_cut and _table), with the
+table formed at cut 64 once per process (specfun._at_cut), with the
 bits that forming it at the cut gives; the closed form's prefactor and
 the Gegenbauer recurrence's factors are read the same way.  Larger cuts
 form them on call, and the coefficients on the flat grid, which the banded
@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
 from .logdomain import (log_sum_exp, peak_sum, polar_array, rect_array,
                         wrap_phase)
+from .specfun import _at_cut, _cut_table
 
 __all__ = [
     "StateVector",
@@ -113,7 +114,7 @@ class StateVector:
         scaled by e^{-top[j]}, and norm_sq the squared norm they add up to.
         Callers check first that the state is nonzero."""
         lm, n = self.log_mag - 0.5 * self._log_norm_sq, self.j_cut + 1
-        starts = _at_cut(_levels, self.j_cut, _padded_view)[2]
+        (starts,) = _at_cut(_level_starts, self.j_cut, _column_view)
         top = np.maximum.reduceat(lm, starts)
         j, m = grid(self.j_cut)
         vals = rect_array(lm - np.where(top > -math.inf, top, 0.0)[j],
@@ -237,52 +238,29 @@ def state_sum(states: list[StateVector]) -> StateVector:
 # so nothing overflows; terms below e^-745 of the largest in their row
 # underflow to zero.  The sums over rows are logdomain.peak_sum.
 
-# The largest cut whose cut-only arrays are read off tables:
-# default_j_cut(|l|) <= 64 for |l| <= 22, which covers the README's examples
-# and every sphere report the benchmark sends (state cuts 40, 44 and 63,
-# reference cuts 10 to 32).
-_TABLE_CUT = 64
-
-
-@cache
-def _table(form, *args) -> tuple:
-    """The arrays form(*args) returns, formed on first use, once per
-    process, and read-only."""
-    arrays = form(*args)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _at_cut(form, cut: int, view) -> tuple:
-    """form(cut), a tuple of arrays that depend on the cut alone.  Up to
-    _TABLE_CUT, the views view(a, cut) of the arrays of _table(form,
-    _TABLE_CUT), with the bits that forming them at the cut gives, as each
-    entry is an elementwise function of its index; above it, formed on
-    call."""
-    if cut > _TABLE_CUT:
-        return form(cut)
-    return tuple([view(a, cut) for a in _table(form, _TABLE_CUT)])
-
-
 def _flat_view(a: np.ndarray, cut: int) -> np.ndarray:
     """a over the flat grid at cut, read off a over a larger flat grid: the
     index j*j + j + m is a prefix in j."""
     return a[:(cut + 1) ** 2]
 
 
-def _padded_view(a: np.ndarray, cut: int) -> np.ndarray:
-    """a at j <= cut, |m| <= cut, read off a at _TABLE_CUT: a level array
-    or a j column is a prefix, and an m axis is centred on m = 0."""
-    if a.ndim == 1 or a.shape[1] == 1:
-        return a[:cut + 1]
-    return a[:cut + 1, _TABLE_CUT - cut:_TABLE_CUT + cut + 1]
+def _column_view(a: np.ndarray, cut: int) -> np.ndarray:
+    """a at j <= cut, read off a level array or j column over a larger range
+    of j, of which it is a prefix."""
+    return a[:cut + 1]
+
+
+def _centred_view(a: np.ndarray, cut: int) -> np.ndarray:
+    """a at j <= cut, |m| <= cut, read off a on a larger padded grid, whose m
+    axis is centred on m = 0."""
+    mid = a.shape[1] // 2
+    return a[:cut + 1, mid - cut:mid + cut + 1]
 
 
 def grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
     """j and m at every flat index j*j + j + m up to j_cut, read-only views
-    of one table up to _TABLE_CUT."""
-    return _at_cut(_grid, j_cut, _flat_view)
+    of one table up to specfun._TABLE_CUT."""
+    return _at_cut(_grid, j_cut, _flat_view, _flat_view)
 
 
 def _grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,11 +268,15 @@ def _grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
     return j, np.arange(j.size) - j * (j + 1)
 
 
-def _levels(j_cut: int) -> tuple:
-    """The padded grid's j column and m row, and the flat index j*j at which
-    each level starts."""
+def _padded_axes(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """The padded grid's j column and m row."""
     n = j_cut + 1
-    return np.arange(n)[:, None], np.arange(1 - n, n)[None], np.arange(n) ** 2
+    return np.arange(n)[:, None], np.arange(1 - n, n)[None]
+
+
+def _level_starts(j_cut: int) -> tuple[np.ndarray]:
+    """The flat index j*j at which each level starts."""
+    return (np.arange(j_cut + 1) ** 2,)
 
 
 def _root(x):
@@ -328,15 +310,15 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
     Z has the selection rules of X with the raising branch weighted by
     e^{-j-1} and the lowering branch by e^{j}, kept in log form.
 
-    On the padded grid at a cut up to _TABLE_CUT, a leaf label's coef()
-    returns a read-only _padded_view of its coefficient on the padded grid
-    at _TABLE_CUT, formed once per process by _table: the ten coefficients
-    take 0.54 MB.  The view holds the bits that forming it at the cut
-    gives, as each coefficient is an elementwise function of (j, m) alone:
-    roots of integer radicands, a diagonal's f(j + m), and the factors up
-    and dn of j.  Above that cut, and on the flat grid, every coef() forms
-    its array on call; Z and the ladder pairs scale theirs on call either
-    way, so no table is held twice.
+    On the padded grid at a cut up to specfun._TABLE_CUT = 64, a leaf
+    label's coef() returns a read-only view of its coefficient in
+    _cut_table(_leaf_coefficients, cut, which), formed once per process:
+    the ten coefficients take 0.54 MB.  The view holds the bits that
+    forming it at the cut gives, as each coefficient is an elementwise
+    function of (j, m) alone: roots of integer radicands, a diagonal's
+    f(j + m), and the factors up and dn of j.  Above that cut, and on the
+    flat grid, every coef() forms its array on call; Z and the ladder pairs
+    scale theirs on call either way, so no table is held twice.
     """
     if which in _Z_LABELS:
         weight = {1: -(j + 1.0), -1: j.astype(float)}
@@ -347,17 +329,22 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
                 for f, side in zip(_LADDER_PAIR[which[1]], ("plus", "minus"))
                 for dj, dm, c, w in _dense_branches(which[0] + side, j, m)]
     branches = _leaf_branches(which, j, m)
-    if j.ndim == 1 or len(j) > _TABLE_CUT + 1:
+    if j.ndim == 1:
         return branches
     cut = len(j) - 1
-    return [(dj, dm, lambda t=t: _padded_view(t, cut), w) for (dj, dm, _, w), t
-            in zip(branches, _table(_leaf_coefficients, which))]
+    tables = _cut_table(_leaf_coefficients, cut, which)
+    if tables is None:
+        return branches
+    # Jsq's coefficient is a j column, whole along m
+    view = _column_view if which == "Jsq" else _centred_view
+    return [(dj, dm, lambda t=t: view(t, cut), w)
+            for (dj, dm, _, w), t in zip(branches, tables)]
 
 
-def _leaf_coefficients(which: str) -> tuple:
+def _leaf_coefficients(j_cut: int, which: str) -> tuple:
     """The coefficient of each branch of a leaf label on the padded grid at
-    _TABLE_CUT."""
-    j, m, _ = _levels(_TABLE_CUT)
+    j_cut."""
+    j, m = _padded_axes(j_cut)
     return tuple(coef() for _, _, coef, _ in _leaf_branches(which, j, m))
 
 
@@ -419,8 +406,8 @@ def _padded(which: str, s: StateVector) -> tuple:
         raise ValueError("expectation value or residual of the zero state")
     if which not in _LABELS:
         raise ValueError(f"unknown operator label {which!r}")
-    j, m, _ = _at_cut(_levels, s.j_cut, _padded_view)
-    return (*s._unit_rows, j, m)
+    return (*s._unit_rows, *_at_cut(_padded_axes, s.j_cut, _column_view,
+                                    _centred_view))
 
 
 def _image(which: str, s: StateVector, value: complex) -> tuple:

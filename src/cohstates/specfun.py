@@ -8,18 +8,20 @@ rescaled by exact powers of two only when a growth bound says the next steps
 could overflow, with the scale kept as an integer binary exponent.
 hyp2f1_terminating returns a plain complex: its one caller, the identity
 check of `cohstates verify`, sums at most 9 terms of moderate size.
-The log-factorials and the recurrence's label-free factors depend on the
-size alone, so up to the closed form's cut 64 (repspace._TABLE_CUT) both
-are read-only views of one table formed once per process.
+The arrays that depend on the cut alone, here the recurrence's label-free
+factors and in repspace and sphere the grids, the operator coefficients
+and the closed form's prefactor, are read at a cut up to _TABLE_CUT = 64
+as views of one read-only table formed at that cut once per process
+(_at_cut, _cut_table and _table).
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
-from .repspace import _TABLE_CUT, _at_cut, _table
 
 __all__ = [
     "log_factorial_table",
@@ -40,17 +42,47 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 
 
+# The largest cut whose cut-only arrays are read off tables:
+# default_j_cut(|l|) <= 64 for |l| <= 22, which covers the README's examples
+# and every sphere report the benchmark sends (state cuts 40, 44 and 63,
+# reference cuts 10 to 32).
+_TABLE_CUT = 64
+
+
+@cache
+def _table(form, *args) -> tuple:
+    """The arrays form(*args) returns, formed on first use, once per
+    process, and read-only."""
+    arrays = form(*args)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _cut_table(form, cut: int, *args) -> tuple | None:
+    """_table(form, _TABLE_CUT, *args) for a cut up to _TABLE_CUT, else
+    None.  Each entry of form's arrays is an elementwise function of its
+    index, so a view of the table holds the bits that form(cut, *args)
+    gives."""
+    if cut > _TABLE_CUT:
+        return None
+    return _table(form, _TABLE_CUT, *args)
+
+
+def _at_cut(form, cut: int, *views) -> tuple:
+    """form(cut), a tuple of arrays that depend on the cut alone: up to
+    _TABLE_CUT, views[i](a, cut) of the i-th array a of its _cut_table;
+    above it, formed on call."""
+    tables = _cut_table(form, cut)
+    if tables is None:
+        return form(cut)
+    return tuple([view(a, cut) for view, a in zip(views, tables,
+                                                   strict=True)])
+
+
 def log_factorial_table(n_max: int) -> np.ndarray:
-    """ln(n!) for n = 0 .. n_max, each lgamma(n + 1) as math computes it.
-    Up to n_max = 2 _TABLE_CUT, what the closed form and the triple sum read
-    at a cut up to _TABLE_CUT, a read-only view of one table."""
-    if n_max > 2 * _TABLE_CUT:
-        return _log_factorials(n_max)[0]
-    return _table(_log_factorials, 2 * _TABLE_CUT)[0][:n_max + 1]
-
-
-def _log_factorials(n_max: int) -> tuple:
-    return (np.array([math.lgamma(n + 1) for n in range(n_max + 1)]),)
+    """ln(n!) for n = 0 .. n_max, each lgamma(n + 1) as math computes it."""
+    return np.array([math.lgamma(n + 1) for n in range(n_max + 1)])
 
 
 def hyp2f1_terminating(n: int, b: float, c: float, z: complex) -> complex:
@@ -98,8 +130,9 @@ def gegenbauer_column(n_max: int, x: complex) -> tuple:
     """
     if n_max < 0:
         raise ValueError(f"degree must be nonnegative, got {n_max}")
-    n, n_al, b = _at_cut(_recurrence_factors, n_max, _degrees_view)
+    n, n_al, b = _at_cut(_recurrence_factors, n_max, *[_degrees_view] * 3)
     a = n_al * (2 * x / n)
+    del n_al    # formed on call above the tables' cut, and spent
     # |a_n| + |b_n| is convex in k, so its largest is at column 0 or n_max
     ends = np.array([0.5, n_max + 0.5])
     log_g = np.log(((2 * abs(x) * (n + ends - 1) + abs(n + 2 * ends - 2)) / n)

@@ -27,10 +27,10 @@ import numpy as np
 
 from .errors import ConstraintError
 from .logdomain import peak_sum, polar_array, rect_array, wrap_phase
-from .repspace import (_LADDER_PAIR, StateVector, _at_cut, _dense_branches,
+from .repspace import (_LADDER_PAIR, StateVector, _dense_branches,
                        _expect_stack, _flat_view, expectation, grid,
                        residual_norm, state_scale, state_sum)
-from .specfun import gegenbauer_column, log_factorial_table
+from .specfun import _at_cut, gegenbauer_column, log_factorial_table
 
 __all__ = [
     "ConstraintError",
@@ -231,35 +231,31 @@ def coherent_closed_form(zl: ZLabel, j_cut: int) -> StateVector:
     before the polynomial's log-magnitude.
     """
     z1, z2, z3 = zl.z
-    # the sweep first: its working arrays are freed before the label-free
-    # ones are formed on call, which kept the |l| = 355 report's peak RSS
-    # about 2 MB lower than the other order did
     g_lm, g_ph = gegenbauer_column(j_cut, z3)
-    pre, jam, am, pos, neg = _at_cut(_closed_form_parts, j_cut, _flat_view)
+    pre, jam, am, sign = _at_cut(_closed_form_parts, j_cut, *[_flat_view] * 4)
     lm = pre + g_lm[jam, am]
     ph = g_ph[jam, am]
-    for w, side in (((-z1 + 1j * z2) / 2.0, pos),
-                    ((z1 + 1j * z2) / 2.0, neg)):
+    for w, side in (((-z1 + 1j * z2) / 2.0, 1), ((z1 + 1j * z2) / 2.0, -1)):
         # |m| arg(w) for a quadrant angle arg(w) is reduced mod 2 pi first,
         # so that real and imaginary amplitudes keep exact quadrant phases
         q = cmath.phase(w) / (0.5 * math.pi)
         w_ph = (am * q % 4 * (0.5 * math.pi) if q == round(q)
                 else am * cmath.phase(w))
-        lm = lm + np.where(side, _log_power(w, am), 0.0)
-        ph = ph + np.where(side, w_ph, 0.0)
+        lm = lm + np.where(sign == side, _log_power(w, am), 0.0)
+        ph = ph + np.where(sign == side, w_ph, 0.0)
     return StateVector(lm, ph, j_cut)
 
 
 def _closed_form_parts(j_cut: int) -> tuple:
     """The closed form's label-free arrays over the flat grid: the log of
     e^{-j(j+1)/2} sqrt(2j+1) times the factorial weight, the Gegenbauer
-    gather indices j - |m| and |m|, and the masks m > 0 and m < 0."""
+    gather indices j - |m| and |m|, and sign(m) in one byte."""
     j, m = grid(j_cut)
     am = np.abs(m)
     lf = log_factorial_table(2 * j_cut)
     pre = (-0.5 * j * (j + 1) + 0.5 * np.log(2 * j + 1) + lf[2 * am] - lf[am]
            + 0.5 * (lf[j - am] - lf[j + am]))
-    return pre, j - am, am, m > 0, m < 0
+    return pre, j - am, am, np.sign(m).astype(np.int8)
 
 
 def generation_params(zl: ZLabel) -> tuple[complex, complex, complex]:

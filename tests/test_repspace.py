@@ -544,7 +544,7 @@ def test_residual_forms_each_coefficient_once(monkeypatch, which,
     _root, and Z3 two, each one _root.  At a cut up to the tables' cut, a
     residual whose tables are formed forms no coefficient."""
     low, high = random_sparse_state(3), random_sparse_state(3, j_cut=70)
-    assert low.j_cut <= repspace._TABLE_CUT < high.j_cut
+    assert low.j_cut <= specfun._TABLE_CUT < high.j_cut
     residual_norm(which, low, 0.5)      # forms the tables, if not yet
     calls = dict.fromkeys(("_diagonal", "_root"), 0)
     for name in calls:
@@ -559,13 +559,15 @@ def test_residual_forms_each_coefficient_once(monkeypatch, which,
 
 
 LEAF_LABELS = ("J3", "Jsq", "Jplus", "Jminus", "X3", "Xplus", "Xminus")
-# The other arrays that depend on the cut alone, as (form, view): what the
-# library reads at a cut up to the tables' cut is view(table, cut)
+# The other arrays that depend on the cut alone, as (form, views): what the
+# library reads at a cut up to the tables' cut is views[i](table i, cut)
 CUT_TABLES = {
-    "grid": (repspace._grid, repspace._flat_view),
-    "levels": (repspace._levels, repspace._padded_view),
-    "recurrence": (specfun._recurrence_factors, specfun._degrees_view),
-    "closed_form": (sphere._closed_form_parts, repspace._flat_view),
+    "grid": (repspace._grid, [repspace._flat_view] * 2),
+    "padded_axes": (repspace._padded_axes,
+                    [repspace._column_view, repspace._centred_view]),
+    "level_starts": (repspace._level_starts, [repspace._column_view]),
+    "recurrence": (specfun._recurrence_factors, [specfun._degrees_view] * 3),
+    "closed_form": (sphere._closed_form_parts, [repspace._flat_view] * 4),
 }
 
 
@@ -574,33 +576,26 @@ def _read_formed_table(name, cut):
     tables' cut: what the library reads, what forming it at the cut gives,
     and the table the first is read off."""
     if name in CUT_TABLES:
-        form, view = CUT_TABLES[name]
-        return zip(repspace._at_cut(form, cut, view), form(cut),
-                   repspace._table(form, repspace._TABLE_CUT))
-    if name == "log_factorials":   # every n_max up to 2 _TABLE_CUT
-        (table,) = repspace._table(specfun._log_factorials,
-                                   2 * repspace._TABLE_CUT)
-        return [(specfun.log_factorial_table(n),
-                 specfun._log_factorials(n)[0], table)
-                for n in {max(2 * cut - 1, 0), 2 * cut}]
+        form, views = CUT_TABLES[name]
+        return zip(specfun._at_cut(form, cut, *views), form(cut),
+                   specfun._cut_table(form, cut), strict=True)
     j, m = np.arange(cut + 1)[:, None], np.arange(-cut, cut + 1)[None]
     read = repspace._dense_branches(name, j, m)
     formed = repspace._leaf_branches(name, j, m)
-    tables = repspace._table(repspace._leaf_coefficients, name)
+    tables = specfun._cut_table(repspace._leaf_coefficients, cut, name)
     assert len(read) == len(formed) == len(tables)
     for (dj, dm, _, w), (dj0, dm0, _, w0) in zip(read, formed):
         assert (dj, dm) == (dj0, dm0) and np.array_equal(w, w0)
     return [(r[2](), f[2](), t) for r, f, t in zip(read, formed, tables)]
 
 
-@pytest.mark.parametrize("which", LEAF_LABELS + tuple(CUT_TABLES)
-                         + ("log_factorials",))
+@pytest.mark.parametrize("which", LEAF_LABELS + tuple(CUT_TABLES))
 def test_leaf_tables_hold_the_coefficients_formed_on_call(which):
     """At every cut up to the tables' cut, a leaf label's branch
     coefficients, and every other array that depends on the cut alone, are
     read-only views of one table, equal bit for bit and in shape and dtype
     to the arrays formed at that cut."""
-    for cut in range(repspace._TABLE_CUT + 1):
+    for cut in range(specfun._TABLE_CUT + 1):
         for got, want, table in _read_formed_table(which, cut):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got, want)
@@ -622,16 +617,15 @@ def test_a_report_above_the_tables_cut_forms_on_call(monkeypatch, capsys):
         for cut in (63, 64, 65):
             read = coherent_closed_form(zl, cut)
             with monkeypatch.context() as no_tables:
-                for module in (repspace, specfun):
-                    no_tables.setattr(module, "_TABLE_CUT", -1)
+                no_tables.setattr(specfun, "_TABLE_CUT", -1)
                 formed = coherent_closed_form(zl, cut)
             assert read.log_mag.tobytes() == formed.log_mag.tobytes()
             assert read.phase.tobytes() == formed.phase.tobytes()
-    before = repspace._table.cache_info()
+    before = specfun._table.cache_info()
     assert main(["sphere", "--x", "0,0,1", "--l", "55,0,0"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["j_cut"] == 130
-    assert repspace._table.cache_info() == before
+    assert specfun._table.cache_info() == before
 
 
 def _dense_terms(which, j_cut):
