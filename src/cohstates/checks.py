@@ -313,7 +313,7 @@ def check_three_paths(seed: int) -> CheckResult:
 
     Fourteen phase points: two generic orientations at each momentum
     magnitude in {0, 1, 5, 10, 12, 18, 25}, each at the default cut for its
-    |l| (up to 70 at |l| = 25).
+    |l| (up to 55 at |l| = 25).
     """
     rng = np.random.default_rng(seed)
     worst = _Worst()

@@ -34,10 +34,9 @@ from .circle import (CirclePhasePoint, circle_coherent, circle_eigen_residual,
 from .rotator import (argmax_j, argmax_m, classical_peak_j,
                       distribution_from_state, rotator_energy)
 from .errors import ConstraintError
-from .sphere import (L_NORM_MAX, SpherePhasePoint, coherent_state,
-                     default_j_cut, eigen_residual, expect_J, expect_X,
-                     path_disagreement, phase_to_z, relative_X,
-                     uncertainty_J)
+from .sphere import (SpherePhasePoint, coherent_state, eigen_residual,
+                     expect_J, expect_X, path_disagreement, phase_to_z,
+                     relative_X, uncertainty_J)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -96,11 +95,13 @@ def _int_arg(flag: str, lo: int, hi: float, auto: bool = False):
 
 
 # A sphere state at cut n holds (n + 1)^2 amplitudes, and a report prints
-# every nonzero one.  The upper bound is the automatic cut at the largest
-# supported |l| (355), 730: there a report at --l 355,0,0 (534,361 nonzero
-# amplitudes) takes 1.14-1.35 s as a child process, JSON or CSV (3 runs
-# each, a shared 2-core Xeon), and peaks at 120-121 MB.
-SPHERE_J_CUT_RANGE = (10, default_j_cut(L_NORM_MAX))
+# every nonzero one.  The upper bound, 730 = 2 * 355 + 20, lets an explicit
+# cut reach far past the automatic cut at the largest supported |l| (355),
+# which is 385, and past every level that carries a state there: a report
+# at --l 355,0,0 --j-cut 730 (534,361 nonzero amplitudes) takes 1.14-1.35 s
+# as a child process, JSON or CSV (3 runs each, a shared 2-core Xeon), and
+# peaks at 120-121 MB.
+SPHERE_J_CUT_RANGE = (10, 730)
 
 # The identity sweeps need an interior level j <= j_cut - 2 above the ground
 # multiplet, and hold each operator as a table of at most 12 bands of
@@ -250,8 +251,7 @@ def cmd_sphere(args) -> int:
         worst = path_disagreement(state, zl)
         if worst == math.inf:
             payload["path_disagreement_reason"] = (
-                "the generation routes are singular at z3 = -1, and beside "
-                "it their disagreement overflows a double")
+                "the generation routes' disagreement overflows a double")
             worst = None
         payload["path_disagreement"] = worst
     _emit(args, payload, {"j": js, "m": ms, "log_mag": logs,

@@ -10,7 +10,7 @@ their coefficients on call.  Every array that depends on the cut alone
 is an elementwise function of its index: the flat grid, the padded grid's
 axes and level starts, and the coefficients of J3, Jsq, J+-, X3 and X+- on
 the padded grid.  So at a cut up to 64, which holds every state of
-|l| <= 22 at its default cut, each is read as a view of one read-only
+|l| <= 34 at its default cut, each is read as a view of one read-only
 table formed at cut 64 once per process (specfun._at_cut), with the
 bits that forming it at the cut gives; the closed form's prefactor and
 the Gegenbauer recurrence's factors are read the same way.  Larger cuts

@@ -43,9 +43,9 @@ _LN2_LO = 1.90821492927058770002e-10
 
 
 # The largest cut whose cut-only arrays are read off tables:
-# default_j_cut(|l|) <= 64 for |l| <= 22, which covers the README's examples
-# and every sphere report the benchmark sends (state cuts 40, 44 and 63,
-# reference cuts 10 to 32).
+# default_j_cut(|l|) <= 64 for |l| <= 34, which covers the README's examples,
+# every sphere report the benchmark sends (state cuts 40 to 52, reference
+# cuts 10 to 32) and verify's states up to |l| = 25 (cut 55).
 _TABLE_CUT = 64
 
 

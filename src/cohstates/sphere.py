@@ -118,10 +118,11 @@ class SpherePhasePoint:
                             f"{TANGENCY_TOL}; pass project_tangent=True to "
                             "project l onto the tangent plane")
                     l = l - (l @ u) * u
-            if not math.sqrt(l @ l) <= L_NORM_MAX:
+            # repr: a norm one ulp past the bound prints as past it
+            if not (norm := math.sqrt(l @ l)) <= L_NORM_MAX:
                 raise ConstraintError(
-                    f"|l| = {math.sqrt(l @ l):.6g} is above the supported "
-                    f"{L_NORM_MAX:g}, where cosh(2|l|) overflows a double")
+                    f"|l| = {norm!r} is above the supported {L_NORM_MAX:g}, "
+                    "where cosh(2|l|) overflows a double")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "r", float(r))
@@ -203,8 +204,10 @@ def axis_reference_label(l, k: int) -> ZLabel:
 
 
 def default_j_cut(l_norm: float) -> int:
-    """Coefficients peak near j = |l| and die off super-exponentially."""
-    return max(math.ceil(2.0 * l_norm) + 20, 40)
+    """max(ceil|l| + 30, 40): level j holds about e^{-(j + 1/2 - |l|)^2} of
+    the squared norm, so every level from j_cut - 1 up lies at least 29.5
+    above the peak (coherent_state)."""
+    return max(math.ceil(l_norm) + 30, 40)
 
 
 def north_pole_state(j_cut: int) -> StateVector:
@@ -235,6 +238,7 @@ def coherent_closed_form(zl: ZLabel, j_cut: int) -> StateVector:
     pre, jam, am, sign = _at_cut(_closed_form_parts, j_cut, *[_flat_view] * 4)
     lm = pre + g_lm[jam, am]
     ph = g_ph[jam, am]
+    del g_lm, g_ph, pre, jam    # spent: not held through StateVector's copy
     for w, side in (((-z1 + 1j * z2) / 2.0, 1), ((z1 + 1j * z2) / 2.0, -1)):
         # |m| arg(w) for a quadrant angle arg(w) is reduced mod 2 pi first,
         # so that real and imaginary amplitudes keep exact quadrant phases
@@ -393,8 +397,9 @@ def coherent_state(p: SpherePhasePoint,
     The squared norm in level j is e^{-j(j+1)} sinh((2j+1)|l|) up to a
     factor growing like sqrt(j): a Gaussian e^{-(j + 1/2 - |l|)^2} about its
     peak.  At the default cut the top two levels therefore hold about
-    e^{-(j_cut - 1/2 - |l|)^2} <= e^{-870} (the least at |l| = 10) of it,
-    below the e^-745 underflow of a double, so tail_fraction is exactly 0.
+    e^{-(j_cut - 1/2 - |l|)^2} <= e^{-870} of it at every |l|, with
+    equality at every integer |l| >= 10, below the e^-745 underflow of a
+    double, so tail_fraction is exactly 0.
     """
     cut = default_j_cut(p.l_norm) if j_cut is None else int(j_cut)
     return coherent_closed_form(phase_to_z(p), cut)
@@ -501,12 +506,31 @@ def max_amplitude_rel_diff(a: StateVector, b: StateVector) -> float:
         return math.inf
 
 
+def _other_chart(s: StateVector) -> StateVector:
+    """The state of the label (z1, -z2, -z3) from that of (z1, z2, z3), or
+    back: amp(j, m) -> (-1)^j amp(j, -m), log-magnitudes moved bit for bit.
+    (z1, -z2, -z3) is z turned by pi about the first axis: the closed form's
+    |m|-th powers swap sides with a sign (-1)^|m| and its Gegenbauer
+    polynomial of degree j - |m| is odd or even in z3."""
+    j, m = grid(s.j_cut)
+    flip = np.arange(m.size) - 2 * m        # j*j + j + m -> j*j + j - m
+    return StateVector(s.log_mag[flip], s.phase[flip] + math.pi * (j & 1),
+                       s.j_cut)
+
+
 def path_disagreement(s: StateVector, zl: ZLabel) -> float:
     """The worst max_amplitude_rel_diff against s of the triple sum and of
-    the ladder route, each built from zl at the cut of s; inf where their
-    parametrization is singular (z3 = -1) or their difference overflows."""
-    try:
-        return max(max_amplitude_rel_diff(s, route(zl, s.j_cut)) for route
-                   in (coherent_triple_sum, coherent_ladder_generated))
-    except ConstraintError:
-        return math.inf
+    the ladder route, each built at the cut of s; inf where a difference
+    overflows.
+
+    The routes generate from the north pole, with max(|mu|, |nu|) of
+    generation_params growing like 1/|1 + z3|, and lose digits where it is
+    large.  Where |1 - z3| > |1 + z3|, the label (z1, -z2, -z3) has the
+    smaller max(|mu|, |nu|), by the factor |1 + z3|/|1 - z3|, so the routes
+    are built there and compared with s carried over by _other_chart.  In
+    the chart used |1 + z3| >= 1, so the routes are never singular."""
+    z1, z2, z3 = zl.z
+    if abs(1.0 - z3) > abs(1.0 + z3):
+        s, zl = _other_chart(s), ZLabel([z1, -z2, -z3], check=False)
+    return max(max_amplitude_rel_diff(s, route(zl, s.j_cut))
+               for route in (coherent_triple_sum, coherent_ladder_generated))

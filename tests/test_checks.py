@@ -74,6 +74,14 @@ def test_flipped_table_coefficient_fails_e3(monkeypatch):
     assert all(abs(a - b) > 1e-3 for a, b in zip(after, before))
 
 
+def test_three_paths_pass_at_seed_114():
+    """verify --seed 114 samples a point of |l| = 1 at |1 + z3| = 0.050,
+    where the routes built in the north pole's chart read 1.18e-10 against
+    the 1e-10 gate; path_disagreement builds them in the other chart."""
+    r = checks.check_three_paths(114)
+    assert r.passed and r.measured < 1e-12, r
+
+
 def test_identity_case_counts():
     # 841 interior vectors at j_cut 30 (j <= 28), 12 identities each
     assert checks.check_e3_commutators(30).n_cases == 12 * 29 ** 2

@@ -172,22 +172,30 @@ class TestSphereCommand:
         assert d["amplitude_log_range"] > 100
 
     def test_check_paths_at_the_south_pole(self, run):
-        # a valid phase point where the generation routes are singular
+        # z3 = -1, where the north pole's generation parameters are
+        # singular: the routes run from the other chart
         d = run_json(run, ["sphere", "--x", "0,0,-1", "--l", "0,0,0",
                            "--check-paths"])
-        assert d["path_disagreement"] is None
-        assert "z3 = -1" in d["path_disagreement_reason"]
+        assert d["path_disagreement"] <= 1e-10
+        assert "path_disagreement_reason" not in d
         assert d["eigen_residual"] <= 1e-12
 
     def test_check_paths_beside_z3_minus_one(self, run):
-        # x3 = -1/cosh|l|: z3 is -1 to 4e-8, and the routes' sums cancel
-        # past the double range, which is reported, not raised
+        # x3 = -1/cosh|l|: z3 is -1 to 4e-8, where the routes' sums from the
+        # north pole cancel past the double range
         d = run_json(run, ["sphere", "--x", "1.0,0,-8.496708510583178e-18",
                            "--l", "-3.3986834076319546e-16,0,-40.00000004",
                            "--check-paths"])
+        assert d["path_disagreement"] <= 1e-10
+        assert d["eigen_residual_rel"] <= 1e-13
+
+    def test_check_paths_overflow_is_reported(self, run):
+        # z3 = 0, so both charts give |mu| = e^150: the routes' sums
+        # cancel past the double range, which is reported, not raised
+        d = run_json(run, ["sphere", "--x", "1,0,0", "--l", "0,0,-150",
+                           "--check-paths"])
         assert d["path_disagreement"] is None
         assert "overflows" in d["path_disagreement_reason"]
-        assert d["eigen_residual_rel"] <= 1e-13
 
     def test_equator_at_rest_keeps_exact_zeros(self, run):
         # C_n(0) = 0 for odd n: the rows are exactly the j - |m| even ones
@@ -428,6 +436,22 @@ class TestExitCodes:
                    f"must be 'auto' or an integer in [10, 730], got "
                    f"{value!r}\n")
 
+    @pytest.mark.parametrize("command", ["sphere", "rotator", "verify"])
+    def test_j_cut_at_the_bound_is_accepted(self, command):
+        # 730 is past the automatic cut at every supported |l|
+        argv = [command, "--j-cut", "730"]
+        if command != "verify":
+            argv += ["--x", "0,0,1", "--l", "0,0,0"]
+        assert cli.build_parser().parse_args(argv).j_cut == 730
+
+    def test_label_one_ulp_past_the_bound_names_its_norm(self):
+        code, out, err = output(["sphere", "--x", "0,0,1",
+                                 "--l", "355.00000000000006,0,0"])
+        assert (code, out) == (3, "")
+        assert err == ("constraint violation: |l| = 355.00000000000006 is "
+                       "above the supported 355, where cosh(2|l|) overflows "
+                       "a double\n")
+
     def test_internal_invariant_failure_exits_4(self, monkeypatch, capsys):
         original = sphere.expectation
 
@@ -553,14 +577,16 @@ class TestVerifyCommand:
 
 
 class TestReportWriter:
-    # the README sphere and rotator examples, a report that carries
-    # path_disagreement_reason, one at |l| = 100 (over 4,096 amplitudes, so
-    # several chunks), and a circle report
+    # the README sphere and rotator examples, the south pole with its
+    # routes, a report that carries path_disagreement_reason, one at
+    # |l| = 100 (over 4,096 amplitudes, so several chunks), and a circle
+    # report
     REQUESTS = [
         README_SPHERE,
         [*README_FIGURE1, "--fix-m", "0"],
         README_FIGURE2,
         ["sphere", "--x", "0,0,-1", "--l", "0,0,0", "--check-paths"],
+        ["sphere", "--x", "1,0,0", "--l", "0,0,-150", "--check-paths"],
         ["sphere", "--x", "0,0,1", "--l", "100,0,0"],
         ["circle", "--phi", "0", "--l", "2"],
         VERIFY_ARGV,

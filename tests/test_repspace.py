@@ -494,7 +494,7 @@ def test_z_residual_holds_one_coefficient_at_a_time(which):
     row-length arrays, numpy's casting buffers and the interpreter.  A
     coefficient kept alive while the next branch is formed, as by generator
     frames that held the last branch (3.71, 3.71 and 3.11), exceeds it."""
-    base, zl = _seeded_coherent(90.0)
+    base, zl = _seeded_coherent(90.0, 200)
     s = StateVector(base.log_mag, base.phase, base.j_cut)
     value = complex(zl.z[int(which[1]) - 1])
     residual_norm(which, s, value)     # builds the rows the state keeps
@@ -519,7 +519,7 @@ def test_z2_expectation_holds_one_coefficient_at_a_time():
     from its real X+- branch (1/2).  The bound leaves half an array more
     for the row-length arrays, einsum's buffers and the interpreter.  A
     coefficient kept while the next is formed (2.63) exceeds it."""
-    base, _ = _seeded_coherent(90.0)
+    base, _ = _seeded_coherent(90.0, 200)
     s = StateVector(base.log_mag, base.phase, base.j_cut)
     s._unit_rows        # builds the rows the state keeps
     tracemalloc.start()
@@ -608,7 +608,7 @@ def test_leaf_tables_hold_the_coefficients_formed_on_call(which):
 def test_a_report_above_the_tables_cut_forms_on_call(monkeypatch, capsys):
     """On both sides of the tables' cut, the closed form is the one
     assembled with every array formed on call.  A sphere report at
-    |l| = 55 reads cut 130 and axis references at cut 65, all above the
+    |l| = 55 reads cut 85 and axis references at cut 65, all above the
     tables' cut: it forms every array on call and neither reads nor adds a
     table.  (At |l| = 30 the references stop at cut 40 and read the
     tables.)"""
@@ -624,7 +624,7 @@ def test_a_report_above_the_tables_cut_forms_on_call(monkeypatch, capsys):
     before = specfun._table.cache_info()
     assert main(["sphere", "--x", "0,0,1", "--l", "55,0,0"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["j_cut"] == 130
+    assert report["j_cut"] == 85
     assert specfun._table.cache_info() == before
 
 

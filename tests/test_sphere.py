@@ -12,7 +12,7 @@ import oracles
 from oracles import inner_log
 from cohstates import sphere
 from cohstates.checks import PATH_TOL
-from cohstates.logdomain import log_sum_exp
+from cohstates.logdomain import log_sum_exp, wrap_phase
 from cohstates.repspace import basis_state, expectation, grid, state_sum
 from cohstates.sphere import (L_NORM_MAX, LABEL_TOL, ConstraintError,
                               SpherePhasePoint, ZLabel, axis_reference_label,
@@ -285,10 +285,40 @@ class TestTripleSum:
         with pytest.raises(ConstraintError):
             coherent_triple_sum(ZLabel([0, 0, -1]), 15)
 
-    def test_path_disagreement_infinite_at_south_pole(self):
-        # the routes are singular there, which reads as no agreement at all
-        s = coherent_state(SpherePhasePoint([0, 0, -1], [0, 0, 0]))
-        assert path_disagreement(s, ZLabel([0, 0, -1])) == math.inf
+    @pytest.mark.parametrize("x, l", [
+        ([0, 0, -1], [0, 0, 0]),                    # z3 = -1
+        ([1.0, 0, -8.496708510583178e-18],          # z3 = -1.00000004
+         [-3.3986834076319546e-16, 0, -40.00000004]),
+    ], ids=["south_pole", "beside_it"])
+    def test_path_disagreement_finite_beside_south_pole(self, x, l):
+        # the routes run from the other chart, where 1 + z3 is about 2
+        p = SpherePhasePoint(x, l)
+        assert path_disagreement(coherent_state(p), phase_to_z(p)) <= PATH_TOL
+
+
+class TestSecondChart:
+    """The label (z1, -z2, -z3) and its state, carried over by
+    sphere._other_chart, which path_disagreement reads where it makes the
+    generation parameters smaller."""
+
+    @pytest.mark.parametrize("l_norm", [0.0, 1.0, 25.0, 100.0, 354.9,
+                                        L_NORM_MAX])
+    def test_closed_form_maps_bit_for_bit_in_magnitude(self, l_norm):
+        # C_n(-x) = (-1)^n C_n(x) holds bit for bit in the recurrence, and
+        # the other chart's |m|-th powers are of -w: the magnitudes are the
+        # same doubles, and the phases move by pi j up to the rounding of
+        # |m| arg(w) and of the sweep's phases
+        zl = phase_to_z(_tangent_point(41, l_norm))
+        cut = default_j_cut(l_norm)
+        a = coherent_closed_form(zl, cut)
+        other = ZLabel(zl.z * np.array([1, -1, -1]), check=False)
+        b = sphere._other_chart(coherent_closed_form(other, cut))
+        assert a.log_mag.tobytes() == b.log_mag.tobytes()
+        j, _ = grid(cut)
+        turn = np.abs(wrap_phase(a.phase - b.phase))
+        assert (turn <= 8 * np.finfo(float).eps * (1 + j)).all()
+        back = sphere._other_chart(sphere._other_chart(a))
+        assert back.log_mag.tobytes() == a.log_mag.tobytes()
 
 
 @functools.cache
@@ -634,7 +664,7 @@ class TestRelativeXReferenceCut:
 
         monkeypatch.setattr(sphere, "coherent_closed_form", traced)
         relative_X(s, p)
-        assert s.j_cut == 63 and cuts == [32] * 3
+        assert s.j_cut == 52 and cuts == [32] * 3
 
     def test_references_hold_only_their_x_averages(self, monkeypatch):
         p = _tangent_point(13, 5.0)
@@ -677,14 +707,31 @@ def test_adaptive_truncation_reaches_tail_target(fig1_point):
     assert s.j_cut >= default_j_cut(fig1_point.l_norm)
 
 
+def test_default_cut_margin_over_the_range():
+    # level j peaks at j + 1/2 = |l|, so the top two lie at least 29.5
+    # above it, with equality at each integer |l| >= 10; above |l| = 10 no
+    # level past |l| + 31 is kept
+    norms = np.concatenate([np.linspace(0.0, L_NORM_MAX, 71001),
+                            np.arange(356.0)])
+    for l_norm in norms.tolist():
+        cut = default_j_cut(l_norm)
+        assert (cut - 0.5 - l_norm) ** 2 >= 870, l_norm
+        assert cut <= max(l_norm + 31, 40), l_norm
+
+
 def test_default_cut_tail_underflows_over_the_range():
     # the top two levels hold about e^{-(j_cut - 1/2 - |l|)^2} <= e^{-870}
-    # of the squared norm at the default cut, the least at |l| = 10
+    # of the squared norm at the default cut, the least at integer |l| >= 10
     rng = np.random.default_rng(5)
     norms = [0.0, 10.0, L_NORM_MAX - 0.01, *rng.uniform(0.0, 354.99, 13)]
     for seed, l_norm in enumerate(norms):
         s = coherent_state(_tangent_point(seed, l_norm))
         assert s.j_cut == default_j_cut(l_norm)
+        assert s.tail_fraction() == 0.0, l_norm
+    for l_norm in (100, 354):
+        # an exact integer norm, where j_cut - 1/2 - |l| is 29.5
+        s = coherent_state(SpherePhasePoint([0, 0, 1], [l_norm, 0, 0]))
+        assert s.j_cut == l_norm + 30
         assert s.tail_fraction() == 0.0, l_norm
 
 
