@@ -34,6 +34,7 @@ from .circle import (CirclePhasePoint, circle_coherent, circle_eigen_residual,
 from .rotator import (argmax_j, argmax_m, classical_peak_j,
                       distribution_from_state, rotator_energy)
 from .errors import ConstraintError
+from .floattext import reprs
 from .sphere import (SpherePhasePoint, coherent_state, eigen_residual,
                      expect_J, expect_X, path_disagreement, phase_to_z,
                      relative_X, uncertainty_J)
@@ -120,8 +121,11 @@ _JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 def _chunks(texts: list[str], columns: list[np.ndarray]):
     """The rows of equal-length columns, texts[0], column 0's value, ...,
-    texts[-1], joined _CHUNK rows to a string, floats as json writes them."""
-    row, slots, before = [], [], texts[0]    # a row's fixed text and slots
+    texts[-1], joined _CHUNK rows to a string, floats as json writes them:
+    a chunk's float columns are converted together by floattext.reprs, the
+    text of float.__repr__ a block of values at a time."""
+    # a row's fixed text, its slots, and those of floats
+    row, slots, floats, before = [], [], [], texts[0]
     for col, after in zip(columns, texts[1:]):
         if col.dtype.kind == "i" and len(col):
             # k with the text around it, from a table rolled so that k, even
@@ -131,14 +135,22 @@ def _chunks(texts: list[str], columns: list[np.ndarray]):
                              np.roll(ks, ks.start)].__getitem__, ""
         else:
             row += [before] if before else []
-            write, before = repr if col.dtype.kind == "f" else str, after
-        slots.append((len(row), col, write))
+            write, before = str, after
+        if col.dtype.kind == "f":
+            floats.append((len(row), col))
+        else:
+            slots.append((len(row), col, write))
         row.append(None)
     row += [before] if before else []
     for i in range(0, len(columns[0]), _CHUNK):
-        parts = row * len(columns[0][i:i + _CHUNK])
+        n = len(columns[0][i:i + _CHUNK])
+        parts = row * n
         for k, col, write in slots:
             parts[k::len(row)] = map(write, col[i:i + _CHUNK].tolist())
+        if floats:
+            text = reprs(np.concatenate([c[i:i + _CHUNK] for _, c in floats]))
+            for j, (k, _) in enumerate(floats):
+                parts[k::len(row)] = text[j * n:(j + 1) * n]
         yield "".join(parts)
 
 
