@@ -17,9 +17,13 @@ the phase point x = (0, 0, 1), l = (L, 0, 0) for each L of --norms (default
 The writer is timed as well: floattext.reprs and repr on the floats that
 pass 0 of the sphere_report workload at seed 1 prints
 (perfbench/workloads.py, read only), and cli._chunks on the CSV table of
-`sphere --x 0,0,1 --l <--writer-l>,0,0`; and the circle report through
-cli.main.  The file records the machine, Python and numpy; the script
-imports the cohstates of its own checkout's src.
+`sphere --x 0,0,1 --l <--writer-l>,0,0`; cli._json against json's indent
+encoder, json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False), on
+the payloads of the README circle and sphere reports, the two alternated
+in every round; the circle report through cli.main; and pass 0 of the
+circle_sweep workload at seed 1 through cli.main.  The file records the
+machine, Python and numpy; the script imports the cohstates of its own
+checkout's src.
 """
 
 import argparse
@@ -49,24 +53,36 @@ from cohstates.sphere import (SpherePhasePoint, _exp_ladder,  # noqa: E402
                               coherent_triple_sum, default_j_cut,
                               eigen_residual, generation_params,
                               north_pole_state, phase_to_z, relative_X)
-from workloads import requests  # noqa: E402
+from workloads import (README_CIRCLE, README_SPHERE,  # noqa: E402
+                       requests)
 
 LABELS = ("Jplus", "Jminus", "J3", "Xplus", "Xminus", "X3")
 
 
-def best(f, repeat: int) -> float:
-    """The shortest of repeat runs of f, in seconds per call; a run loops
-    about 10 ms' worth of calls, measured on one call first."""
-    start = time.perf_counter()
-    f()
-    number = max(1, int(0.01 / max(time.perf_counter() - start, 1e-9)))
-    runs = []
-    for _ in range(repeat):
+def alternated(fs, repeat: int) -> list[float]:
+    """The shortest of repeat runs of each of fs, in seconds per call, one
+    run of each in turn per round, so that a drift in the machine's speed
+    reaches all of them alike; a run loops about 10 ms' worth of calls,
+    measured on one call first."""
+    numbers = []
+    for f in fs:
         start = time.perf_counter()
-        for _ in range(number):
-            f()
-        runs.append((time.perf_counter() - start) / number)
-    return min(runs)
+        f()
+        numbers.append(
+            max(1, int(0.01 / max(time.perf_counter() - start, 1e-9))))
+    runs = [[] for _ in fs]
+    for _ in range(repeat):
+        for f, number, run in zip(fs, numbers, runs):
+            start = time.perf_counter()
+            for _ in range(number):
+                f()
+            run.append((time.perf_counter() - start) / number)
+    return [min(run) for run in runs]
+
+
+def best(f, repeat: int) -> float:
+    """The shortest of repeat runs of f, in seconds per call."""
+    return alternated([f], repeat)[0]
 
 
 def layers(norm: float, repeat: int) -> dict:
@@ -123,6 +139,50 @@ def pass_floats() -> np.ndarray:
     return np.concatenate(seen)
 
 
+def report_payload(argv: list) -> dict:
+    """The payload the report of argv hands to cli._emit, tagged with its
+    command and version as _emit tags it."""
+    seen, emit = [], cli._emit
+    cli._emit = lambda args, payload, *_, **kw: seen.append(
+        {"command": args.command, "version": cli.__version__, **payload})
+    try:
+        cli.main(argv)
+    finally:
+        cli._emit = emit
+    return seen[0]
+
+
+def json_writers(repeat: int) -> dict:
+    """cli._json and json's indent encoder on the README circle and sphere
+    payloads, alternated in every round."""
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+
+    def written(payload):
+        out = []
+        cli._json(payload, out)
+        return "".join(out)
+    result = {}
+    for name, argv in (("circle", README_CIRCLE), ("sphere", README_SPHERE)):
+        payload = report_payload(argv)
+        assert written(payload) == encoder.encode(payload), name
+        result[f"json_writer_{name}_s"], result[f"json_encoder_{name}_s"] = (
+            alternated([lambda: written(payload),
+                        lambda: encoder.encode(payload)], repeat))
+    return result
+
+
+def circle_pass(repeat: int) -> dict:
+    """Pass 0 of the circle_sweep workload at seed 1, through cli.main."""
+    argvs = requests("circle_sweep", 1, 0)
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in argvs:
+                cli.main(argv)
+    return {"circle_pass_requests": len(argvs),
+            "circle_pass_s": best(run, repeat)}
+
+
 def writer(norm: float, repeat: int) -> dict:
     x = pass_floats()
     point = SpherePhasePoint([0.0, 0.0, 1.0], [norm, 0.0, 0.0])
@@ -141,6 +201,8 @@ def writer(norm: float, repeat: int) -> dict:
         "chunks_s": best(lambda: "".join(cli._chunks(
             ["", ",", ",", ",", "\r\n"], columns)), repeat),
         "circle_report_s": best(circle, repeat),
+        **json_writers(repeat),
+        **circle_pass(repeat),
     }
 
 

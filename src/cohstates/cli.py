@@ -13,11 +13,12 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import math
 import os
 import re
 import sys
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -113,10 +114,48 @@ IDENTITY_J_CUT_RANGE = (3, 200)
 
 
 # Rows are formatted and written this many at a time, so that a report never
-# holds its whole text, or a Python object per printed number; and the JSON
-# encoder is built once, where json.dumps would build one per report.
+# holds its whole text, or a Python object per printed number.
 _CHUNK = 4096
-_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+
+
+def _json(v, out: list, field=None, pad="\n") -> None:
+    """Append to out the text of v as json.dumps(v, indent=2, sort_keys=True,
+    allow_nan=False) writes it at the depth pad indents, where json runs its
+    pure-Python encoder, which took 1.7 times as long on report payloads.
+    An iterator, the texts of a table's rows, each after a comma, goes into
+    out itself, to be written in place.  A value json would not write is a
+    defect: AssertionError names its top-level field."""
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise AssertionError(f"a {field} value is not finite")
+        out.append(float.__repr__(v))
+    elif isinstance(v, dict):
+        sep = "{"
+        for k in sorted(v):
+            out.append(f"{sep}{pad}  {encode_basestring_ascii(k)}: ")
+            sep = ","
+            _json(v[k], out, k if field is None else field, pad + "  ")
+        out.append(pad + "}" if v else "{}")
+    elif isinstance(v, (list, tuple)):
+        sep = "["
+        for x in v:
+            out.append(f"{sep}{pad}  ")
+            sep = ","
+            _json(x, out, field, pad + "  ")
+        out.append(pad + "]" if v else "[]")
+    elif isinstance(v, str):
+        out.append(encode_basestring_ascii(v))
+    elif v is None or v is True or v is False:
+        out.append("null" if v is None else "true" if v else "false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, Iterator):
+        # the first row's comma becomes the bracket that opens the list
+        first = next(v, None)
+        out += ["[]"] if first is None else [
+            first.replace(",", "[", 1), v, pad + "]"]
+    else:
+        raise AssertionError(f"a {field} value has no JSON form: {v!r}")
 
 
 def _chunks(texts: list[str], columns: list[np.ndarray]):
@@ -158,8 +197,10 @@ def _emit(args, payload: dict, table: dict, json_key=None) -> None:
     """Write a report: the payload, tagged with its command and version, as
     JSON, or for --format csv only the table, {field: column}, one row per
     index of columns of numbers or of names RFC 4180 leaves unquoted.  JSON
-    holds a table of numbers under json_key, spliced into the rest's text.
-    Every check precedes the first byte; a non-finite table value is a bug."""
+    holds a table of numbers under json_key, which _json writes in place, a
+    chunk of rows at a time.  Every check precedes the first byte; a
+    non-finite table value, like a payload value json would not write, is a
+    bug."""
     table = {name: np.asarray(col) for name, col in table.items()}
     if bad := [k for k, c in table.items()
                if c.dtype.kind == "f" and not np.isfinite(c).all()]:
@@ -169,23 +210,20 @@ def _emit(args, payload: dict, table: dict, json_key=None) -> None:
             ["", *[","] * (len(table) - 1), "\r\n"], list(table.values())))
     else:
         payload = {"command": args.command, "version": __version__, **payload}
-        entries = iter(())
+        rows = None
         if json_key is not None:
-            # entries as json writes them, each after a comma the first drops
-            payload[json_key], names = [], sorted(table)
-            texts = [f",\n      {json.dumps(k)}: " for k in names]
-            entries = _chunks([",\n    {" + texts[0][1:], *texts[1:],
-                               "\n    }"], [table[k] for k in names])
-        text = _JSON.encode(payload)
-        first = next(entries, None)
-        if first is None:
-            parts = [text, "\n"]
-        else:
-            # json escapes control characters inside strings, so a newline
-            # and two spaces only ever start a member of the top-level object
-            head, key, tail = text.partition(f"\n  {json.dumps(json_key)}: []")
-            parts = itertools.chain([head, key[:-1], first[1:]], entries,
-                                    ["\n  ]", tail, "\n"])
+            names = sorted(table)
+            keys = [f",\n      {encode_basestring_ascii(k)}: " for k in names]
+            rows = payload[json_key] = _chunks(
+                [",\n    {" + keys[0][1:], *keys[1:], "\n    }"],
+                [table[k] for k in names])
+        out = []
+        _json(payload, out)
+        out.append("\n")
+        # a table's text, which is long, streams from the iterator _json left
+        # in out, each piece as it is; the rest of the text is joined
+        parts = ["".join(out)] if rows is None else itertools.chain(
+            *[p if p is rows else [p] for p in out])
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -39,8 +39,11 @@ def test_bench_layers_writes_every_layer(tmp_path):
     assert writer.pop("pass_floats") > 10_000
     assert writer.pop("chunks_l") == 5.0
     assert writer.pop("chunks_rows") > 0
+    assert writer.pop("circle_pass_requests") > 0
     assert set(writer) == {"reprs_s", "repr_s", "chunks_s",
-                           "circle_report_s"}
+                           "circle_report_s", "json_writer_circle_s",
+                           "json_encoder_circle_s", "json_writer_sphere_s",
+                           "json_encoder_sphere_s", "circle_pass_s"}
     timings = [*writer.values(), *(v for layer in result["layers"].values()
                                    for v in layer.values())]
     assert all(0 < t < 10 and math.isfinite(t) for t in timings)

@@ -576,6 +576,28 @@ class TestVerifyCommand:
         assert tail["measured"] > tail["tolerance"]
 
 
+# floats that repr writes in exponent form, the smallest subnormal, -0.0
+EDGE_FLOATS = [1e-05, 1e+16, 5e-324, -0.0, -1.5e-300, 2.0 ** 70]
+
+# keys and strings with quotes, backslashes, control characters and
+# non-ASCII text; edge floats, as Python and numpy floats; big and negative
+# integers; and containers of them, empty ones included, 3 deep
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
+                              st.characters()), max_size=6)
+JSON_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
+                        st.floats(allow_nan=False, allow_infinity=False))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), JSON_TEXT, JSON_FLOATS,
+    JSON_FLOATS.map(np.float64), st.integers(),
+    st.sampled_from([2**80, -2**80, -1]))
+
+
+def _nested(inner):
+    return st.one_of(inner, st.lists(inner, max_size=4),
+                     st.lists(inner, max_size=4).map(tuple),
+                     st.dictionaries(JSON_TEXT, inner, max_size=4))
+
+
 class TestReportWriter:
     # the README sphere and rotator examples, the south pole with its
     # routes, a report that carries path_disagreement_reason, one at
@@ -632,9 +654,6 @@ class TestReportWriter:
                                        "amplitudes")
             assert len(json.loads(got)["amplitudes"]) == n
 
-    # floats that repr writes in exponent form, the smallest subnormal, -0.0
-    EDGE_FLOATS = [1e-05, 1e+16, 5e-324, -0.0, -1.5e-300, 2.0 ** 70]
-
     @settings(max_examples=30, deadline=None)
     @given(n=st.sampled_from([0, 1, cli._CHUNK - 1, cli._CHUNK,
                               cli._CHUNK + 1]),
@@ -683,6 +702,70 @@ class TestReportWriter:
             target = tmp_path / "report"
             assert output([*argv, "--out", str(target)])[:2] == (4, "")
             assert not target.exists()
+
+    @pytest.mark.parametrize("spoil", ["expect_J", "j_cut"])
+    def test_payload_value_json_would_not_write_exits_4(self, spoil,
+                                                        monkeypatch,
+                                                        tmp_path):
+        # an infinite <J> and a numpy integer cut, each a defect of the
+        # report's payload, which CSV does not print
+        if spoil == "expect_J":
+            monkeypatch.setattr(cli, "expect_J",
+                                lambda state: np.array([math.inf, 0.0, 0.0]))
+            message = "a expect_J value is not finite"
+        else:
+            fields = cli._point_fields
+            monkeypatch.setattr(cli, "_point_fields", lambda point, state: {
+                **fields(point, state), "j_cut": np.int64(state.j_cut)})
+            message = f"a j_cut value has no JSON form: {np.int64(40)!r}"
+        argv = ["sphere", "--x", "0,0,1", "--l", "1,0,0"]
+        assert output(argv) == (4, "", f"internal error: {message}\n")
+        target = tmp_path / "report"
+        assert output([*argv, "--out", str(target)]) == (
+            4, "", f"internal error: {message}\n")
+        assert not target.exists()
+        assert output([*argv, "--format", "csv"])[0] == 0
+
+    @staticmethod
+    def dumped(value):
+        out = []
+        cli._json(value, out)
+        return "".join(out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_nested(_nested(_nested(JSON_SCALARS))))
+    @example(value={"é\"\\\n\x01": [[], {}, ()], "a": (
+        -0.0, 5e-324, 1e-05, 1e+16, 2.0**70, np.float64(0.1), 2**80, -7,
+        True, False, None, "☃\x1f")})
+    def test_json_writer_matches_json(self, value):
+        assert self.dumped(value) == json.dumps(
+            value, indent=2, sort_keys=True, allow_nan=False)
+
+    # each command's payload, as _emit receives it: --check-paths with and
+    # without its reason, and --fix-m and --fix-j
+    PAYLOAD_REQUESTS = [
+        ["circle", "--phi", "0", "--l", "2"],
+        ["sphere", "--x", "0,0,1", "--l", "1,0,0"],
+        README_SPHERE,
+        ["sphere", "--x", "1,0,0", "--l", "0,0,-150", "--check-paths"],
+        [*README_FIGURE1, "--fix-m", "0", "3"],
+        [*README_FIGURE2, "--fix-m", "10"],
+        [*VERIFY_ARGV, "--timings"],
+    ]
+
+    @pytest.mark.parametrize("argv", PAYLOAD_REQUESTS, ids=" ".join)
+    def test_json_writer_matches_json_on_report_payloads(self, argv,
+                                                         monkeypatch):
+        payloads = []
+        monkeypatch.setattr(cli, "_emit", lambda args, payload, *_, **kw: (
+            payloads.append({"command": args.command,
+                             "version": cohstates.__version__, **payload})))
+        assert output(argv) == (0, "", "")
+        [payload] = payloads
+        if "-150" in argv:
+            assert "path_disagreement_reason" in payload
+        assert self.dumped(payload) == json.dumps(
+            payload, indent=2, sort_keys=True, allow_nan=False)
 
     def test_one_parser_serves_every_call(self):
         # flags given in one call (--fix-j 21, --fix-m 10) must not become
