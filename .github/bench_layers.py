@@ -22,7 +22,11 @@ encoder, json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False), on
 the payloads of the README circle and sphere reports, the two alternated
 in every round; the circle report through cli.main; and pass 0 of the
 circle_sweep workload at seed 1 through cli.main.  The file records the
-machine, Python and numpy; the script imports the cohstates of its own
+machine, Python and numpy, and the machine's speed: the median time of
+perfbench/calibrate.py's kernel over 3 runs before the layers and 3 after
+the writer, and the speed factor, the reference kernel time over the
+median of all 6, so that two files read in different states of a shared
+machine can be told apart.  The script imports the cohstates of its own
 checkout's src.
 """
 
@@ -33,6 +37,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -42,6 +47,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from calibrate import Calibrator  # noqa: E402
 from cohstates import cli  # noqa: E402
 from cohstates.floattext import reprs  # noqa: E402
 from cohstates.logdomain import peak_sum  # noqa: E402
@@ -229,9 +235,17 @@ def main(argv=None) -> int:
     norms = [float(v) for v in args.norms.split(",")]
     if args.repeat < 1 or not all(map(math.isfinite, norms)):
         ap.error("--repeat must be positive and --norms finite")
+    speed = Calibrator()
+    speed.sample(3)
     result = {"machine": machine(), "repeat": args.repeat,
               "layers": {repr(n): layers(n, args.repeat) for n in norms},
               "writer": writer(args.writer_l, args.repeat)}
+    speed.sample(3)
+    kernel = [dt for _, dt in speed.samples]
+    result["machine_speed"] = {
+        "kernel_before_s": statistics.median(kernel[:3]),
+        "kernel_after_s": statistics.median(kernel[3:]),
+        "speed_factor": speed.factor()}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -123,13 +123,16 @@ def _json(v, out: list, field=None, pad="\n") -> None:
     allow_nan=False) writes it at the depth pad indents, where json runs its
     pure-Python encoder, which took 1.7 times as long on report payloads.
     An iterator, the texts of a table's rows, each after a comma, goes into
-    out itself, to be written in place.  A value json would not write is a
-    defect: AssertionError names its top-level field."""
+    out itself, to be written in place.  A value or key json would not
+    write as it is is a defect: AssertionError names its top-level field."""
     if isinstance(v, float):
         if not math.isfinite(v):
             raise AssertionError(f"a {field} value is not finite")
         out.append(float.__repr__(v))
     elif isinstance(v, dict):
+        if bad := [k for k in v if not isinstance(k, str)]:
+            raise AssertionError(
+                f"a {field or 'payload'} key is not a string: {bad[0]!r}")
         sep = "{"
         for k in sorted(v):
             out.append(f"{sep}{pad}  {encode_basestring_ascii(k)}: ")

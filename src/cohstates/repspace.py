@@ -6,20 +6,18 @@ forces the minimal j to be 0 and all labels integer).  A state is a pair of
 log-magnitude and phase arrays over every (j, m) up to the truncation level
 j_cut.  Each operator's matrix elements are written down once, as a list
 of branches that shift (j, m) by at most one step in each index and give
-their coefficients on call.  Every array that depends on the cut alone
-is an elementwise function of its index: the flat grid, the padded grid's
-axes and level starts, and the coefficients of J3, Jsq, J+-, X3 and X+- on
-the padded grid.  So at a cut up to 64, which holds every state of
-|l| <= 34 at its default cut, each is read as a view of one read-only
-table formed at cut 64 once per process (specfun._at_cut), with the
-bits that forming it at the cut gives; the closed form's prefactor and
-the Gegenbauer recurrence's factors are read the same way.  Larger cuts
-form them on call, and the coefficients on the flat grid, which the banded
-tables read, are formed on call at every cut.  On the
-state laid out on a padded (j, m) array every branch is a shifted slice:
-the image (O - value)|s>, which the eigen-residuals and apply_* read,
-adds them up, and an expectation value sums each branch's share of
-<s|O|s> without forming the image.
+their coefficients on call.  The arrays that depend on the cut alone, the
+flat grid, the padded grid's axes and level starts, and the coefficients
+of J3, Jsq, J+-, X3 and X+- on the padded grid, are kept per cut up to 64,
+which holds every state of |l| <= 34 at its default cut: each is formed
+once per process at the cut it is read at (specfun._at_cut), as are the
+closed form's prefactor and the Gegenbauer recurrence's factors.  Larger
+cuts form them on call, and the coefficients on the flat grid, which the
+banded tables read, are formed on call at every cut.  On the state laid
+out on a padded (j, m) array every branch is a shifted slice: the image
+(O - value)|s>, which the eigen-residuals and apply_* read, adds them up,
+and an expectation value sums each branch's share of <s|O|s> for one
+state without forming the image.
 The identity sweeps act through banded tables built from the same list.
 What an operator raises past j_cut is dropped, and tail_fraction guards
 against it.
@@ -36,7 +34,7 @@ import numpy as np
 
 from .logdomain import (log_sum_exp, peak_sum, polar_array, rect_array,
                         wrap_phase)
-from .specfun import _at_cut, _cut_table
+from .specfun import _TABLE_CUT, _at_cut, _table
 
 __all__ = [
     "StateVector",
@@ -114,7 +112,7 @@ class StateVector:
         scaled by e^{-top[j]}, and norm_sq the squared norm they add up to.
         Callers check first that the state is nonzero."""
         lm, n = self.log_mag - 0.5 * self._log_norm_sq, self.j_cut + 1
-        (starts,) = _at_cut(_level_starts, self.j_cut, _column_view)
+        (starts,) = _at_cut(_level_starts, self.j_cut)
         top = np.maximum.reduceat(lm, starts)
         j, m = grid(self.j_cut)
         vals = rect_array(lm - np.where(top > -math.inf, top, 0.0)[j],
@@ -238,29 +236,10 @@ def state_sum(states: list[StateVector]) -> StateVector:
 # so nothing overflows; terms below e^-745 of the largest in their row
 # underflow to zero.  The sums over rows are logdomain.peak_sum.
 
-def _flat_view(a: np.ndarray, cut: int) -> np.ndarray:
-    """a over the flat grid at cut, read off a over a larger flat grid: the
-    index j*j + j + m is a prefix in j."""
-    return a[:(cut + 1) ** 2]
-
-
-def _column_view(a: np.ndarray, cut: int) -> np.ndarray:
-    """a at j <= cut, read off a level array or j column over a larger range
-    of j, of which it is a prefix."""
-    return a[:cut + 1]
-
-
-def _centred_view(a: np.ndarray, cut: int) -> np.ndarray:
-    """a at j <= cut, |m| <= cut, read off a on a larger padded grid, whose m
-    axis is centred on m = 0."""
-    mid = a.shape[1] // 2
-    return a[:cut + 1, mid - cut:mid + cut + 1]
-
-
 def grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """j and m at every flat index j*j + j + m up to j_cut, read-only views
-    of one table up to specfun._TABLE_CUT."""
-    return _at_cut(_grid, j_cut, _flat_view, _flat_view)
+    """j and m at every flat index j*j + j + m up to j_cut, kept read-only
+    per cut up to specfun._TABLE_CUT."""
+    return _at_cut(_grid, j_cut)
 
 
 def _grid(j_cut: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,14 +290,11 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
     e^{-j-1} and the lowering branch by e^{j}, kept in log form.
 
     On the padded grid at a cut up to specfun._TABLE_CUT = 64, a leaf
-    label's coef() returns a read-only view of its coefficient in
-    _cut_table(_leaf_coefficients, cut, which), formed once per process:
-    the ten coefficients take 0.54 MB.  The view holds the bits that
-    forming it at the cut gives, as each coefficient is an elementwise
-    function of (j, m) alone: roots of integer radicands, a diagonal's
-    f(j + m), and the factors up and dn of j.  Above that cut, and on the
-    flat grid, every coef() forms its array on call; Z and the ladder pairs
-    scale theirs on call either way, so no table is held twice.
+    label's coef() returns its read-only coefficient in
+    _table(_leaf_coefficients, cut, which), formed once per process at that
+    cut.  Above that cut, and on the flat grid, every coef() forms its
+    array on call; Z and the ladder pairs scale theirs on call either way,
+    so no table is held twice.
     """
     if which in _Z_LABELS:
         weight = {1: -(j + 1.0), -1: j.astype(float)}
@@ -329,16 +305,11 @@ def _dense_branches(which: str, j: np.ndarray, m: np.ndarray) -> list:
                 for f, side in zip(_LADDER_PAIR[which[1]], ("plus", "minus"))
                 for dj, dm, c, w in _dense_branches(which[0] + side, j, m)]
     branches = _leaf_branches(which, j, m)
-    if j.ndim == 1:
-        return branches
     cut = len(j) - 1
-    tables = _cut_table(_leaf_coefficients, cut, which)
-    if tables is None:
+    if j.ndim == 1 or cut > _TABLE_CUT:
         return branches
-    # Jsq's coefficient is a j column, whole along m
-    view = _column_view if which == "Jsq" else _centred_view
-    return [(dj, dm, lambda t=t: view(t, cut), w)
-            for (dj, dm, _, w), t in zip(branches, tables)]
+    return [(dj, dm, lambda t=t: t, w) for (dj, dm, _, w), t
+            in zip(branches, _table(_leaf_coefficients, cut, which))]
 
 
 def _leaf_coefficients(j_cut: int, which: str) -> tuple:
@@ -406,8 +377,7 @@ def _padded(which: str, s: StateVector) -> tuple:
         raise ValueError("expectation value or residual of the zero state")
     if which not in _LABELS:
         raise ValueError(f"unknown operator label {which!r}")
-    return (*s._unit_rows, *_at_cut(_padded_axes, s.j_cut, _column_view,
-                                    _centred_view))
+    return (*s._unit_rows, *_at_cut(_padded_axes, s.j_cut))
 
 
 def _image(which: str, s: StateVector, value: complex) -> tuple:
@@ -440,40 +410,27 @@ def _image(which: str, s: StateVector, value: complex) -> tuple:
     return shift, d
 
 
-def _expect_stack(states: list, which: str) -> None:
-    """Fill the memos of states sharing j_cut that lack the label: its
-    branches are walked once for all of them, each coefficient got once
-    and read against every state's own rows in place, and peak_sum adds one
-    state's terms e^{top_j + weight_j + top_t} sum_m conj(rows_t) coef
-    rows_j, per branch from row j to t.  A state holding the label passed
-    the checks the others get first."""
-    todo = [s for s in states if which not in s._expectations]
-    if not todo:
-        return
-    *_, j, m = [_padded(which, s) for s in todo][-1]
-    terms = [([], []) for _ in todo]
+def expectation(which: str, s: StateVector) -> complex:
+    """<s|O|s> / <s|s> for a label apply_J, apply_X or apply_Z accepts,
+    kept in s's memo.  peak_sum adds the terms e^{top_j + weight_j + top_t}
+    sum_m conj(rows_t) coef rows_j, per branch from row j to t, each branch
+    read against the rows in place, one coefficient held at a time."""
+    if which in s._expectations:
+        return s._expectations[which]
+    top, rows, norm_sq, j, m = _padded(which, s)
+    logs, sums = [], []
     for dj, dm, coef, w in _dense_branches(which, j, m):
         (sr, tr), (sc, tc) = _shift(dj, len(j)), _shift(dm, m.size)
-        c = coef()
-        for s, (logs, sums) in zip(todo, terms):
-            top, rows, _ = s._unit_rows
-            logs.append(top[sr] + w[sr, 0] + top[tr])
-            sums.append(np.einsum("ij,ij,ij->i", rows[tr, tc].conj(),
-                                  c[sr, sc], rows[sr, sc]))
+        c = coef()  # formed before the conjugated slice, not beside it
+        logs.append(top[sr] + w[sr, 0] + top[tr])
+        sums.append(np.einsum("ij,ij,ij->i", rows[tr, tc].conj(), c[sr, sc],
+                              rows[sr, sc]))
         del c       # freed before the next branch's coefficient is formed
-    for s, (logs, sums) in zip(todo, terms):
-        t, acc = peak_sum(np.concatenate(logs), np.concatenate(sums))
-        # norm_sq is 1 but for rounding: dividing by it cancels the
-        # rounding of the log_norm_sq that scaled the rows (1e-12 at 1e4)
-        s._expectations[which] = complex(acc / s._unit_rows[2]) * math.exp(t)
-
-
-def expectation(which: str, s: StateVector) -> complex:
-    """<s|O|s> / <s|s> for a label apply_J, apply_X or apply_Z accepts, by
-    _expect_stack, which walks the label's branches once for a list of
-    states; s's memo keeps the value."""
-    _expect_stack([s], which)
-    return s._expectations[which]
+    t, acc = peak_sum(np.concatenate(logs), np.concatenate(sums))
+    # norm_sq is 1 but for rounding: dividing by it cancels the rounding of
+    # the log_norm_sq that scaled the rows (1e-12 at 1e4)
+    value = s._expectations[which] = complex(acc / norm_sq) * math.exp(t)
+    return value
 
 
 def residual_norm(which: str, s: StateVector, value: complex) -> float:

@@ -10,9 +10,9 @@ hyp2f1_terminating returns a plain complex: its one caller, the identity
 check of `cohstates verify`, sums at most 9 terms of moderate size.
 The arrays that depend on the cut alone, here the recurrence's label-free
 factors and in repspace and sphere the grids, the operator coefficients
-and the closed form's prefactor, are read at a cut up to _TABLE_CUT = 64
-as views of one read-only table formed at that cut once per process
-(_at_cut, _cut_table and _table).
+and the closed form's prefactor, are kept read-only per cut up to
+_TABLE_CUT = 64, each formed once per process at its own cut (_at_cut and
+_table), and formed on call above it.
 """
 
 from __future__ import annotations
@@ -42,10 +42,13 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 
 
-# The largest cut whose cut-only arrays are read off tables:
-# default_j_cut(|l|) <= 64 for |l| <= 34, which covers the README's examples,
-# every sphere report the benchmark sends (state cuts 40 to 52, reference
-# cuts 10 to 32) and verify's states up to |l| = 25 (cut 55).
+# The largest cut whose cut-only arrays are kept: default_j_cut(|l|) <= 64
+# for |l| <= 34, which covers the README's examples, every sphere report the
+# benchmark sends (state cuts 40 to 52, reference cuts 10 to 32) and
+# verify's states up to |l| = 25 (cut 55).  Each form is kept once per cut
+# it is read at, so the memo is bounded by every form at every cut 0-64:
+# 17.3 MB (16.5 MiB).  The benchmark's traffic reads 11 cuts, 2.0 MB
+# (1.9 MiB), on sphere_report and 8 cuts, 1.6 MB (1.5 MiB), on verify.
 _TABLE_CUT = 64
 
 
@@ -59,25 +62,12 @@ def _table(form, *args) -> tuple:
     return arrays
 
 
-def _cut_table(form, cut: int, *args) -> tuple | None:
-    """_table(form, _TABLE_CUT, *args) for a cut up to _TABLE_CUT, else
-    None.  Each entry of form's arrays is an elementwise function of its
-    index, so a view of the table holds the bits that form(cut, *args)
-    gives."""
+def _at_cut(form, cut: int) -> tuple:
+    """form(cut), a tuple of arrays that depend on the cut alone: kept by
+    _table up to _TABLE_CUT, formed on call above it."""
     if cut > _TABLE_CUT:
-        return None
-    return _table(form, _TABLE_CUT, *args)
-
-
-def _at_cut(form, cut: int, *views) -> tuple:
-    """form(cut), a tuple of arrays that depend on the cut alone: up to
-    _TABLE_CUT, views[i](a, cut) of the i-th array a of its _cut_table;
-    above it, formed on call."""
-    tables = _cut_table(form, cut)
-    if tables is None:
         return form(cut)
-    return tuple([view(a, cut) for view, a in zip(views, tables,
-                                                   strict=True)])
+    return _table(form, cut)
 
 
 def log_factorial_table(n_max: int) -> np.ndarray:
@@ -115,8 +105,8 @@ def gegenbauer_column(n_max: int, x: complex) -> tuple:
         a_n = 2x(n + k - 1/2)/n,  b_n = (n + 2k - 1)/n,
     from C_{-1} = 0 and C_0 = 1 runs in complex doubles, with a_n and b_n
     formed once as arrays, so that a step is two products and a difference;
-    n + k - 1/2 and b_n are views of one table up to n_max = 64, and a_n
-    multiplies the first by 2x/n on call.
+    n + k - 1/2 and b_n are kept per cut up to n_max = 64 (_at_cut), and
+    a_n multiplies the first by 2x/n on call.
     A step grows the larger of the last two values by at most g_n, the
     largest |a_n| + |b_n| over the columns (or 1).  Before the sum of log g_n
     since the last rescale would pass _HEADROOM, each column's last two
@@ -130,7 +120,7 @@ def gegenbauer_column(n_max: int, x: complex) -> tuple:
     """
     if n_max < 0:
         raise ValueError(f"degree must be nonnegative, got {n_max}")
-    n, n_al, b = _at_cut(_recurrence_factors, n_max, *[_degrees_view] * 3)
+    n, n_al, b = _at_cut(_recurrence_factors, n_max)
     a = n_al * (2 * x / n)
     del n_al    # formed on call above the tables' cut, and spent
     # |a_n| + |b_n| is convex in k, so its largest is at column 0 or n_max
@@ -169,8 +159,3 @@ def _recurrence_factors(n_max: int) -> tuple:
     n = np.arange(1, n_max + 1)[:, None]
     return n, n + al - 1, (n + 2 * al - 2) / n
 
-
-def _degrees_view(t: np.ndarray, n_max: int) -> np.ndarray:
-    """t at degrees 1 .. n_max and columns 0 .. n_max, read off t at a
-    larger n_max."""
-    return t[:n_max, :n_max + 1]

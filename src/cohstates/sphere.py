@@ -28,8 +28,8 @@ import numpy as np
 from .errors import ConstraintError
 from .logdomain import peak_sum, polar_array, rect_array, wrap_phase
 from .repspace import (_LADDER_PAIR, StateVector, _dense_branches,
-                       _expect_stack, _flat_view, expectation, grid,
-                       residual_norm, state_scale, state_sum)
+                       expectation, grid, residual_norm, state_scale,
+                       state_sum)
 from .specfun import _at_cut, gegenbauer_column, log_factorial_table
 
 __all__ = [
@@ -229,13 +229,11 @@ def coherent_closed_form(zl: ZLabel, j_cut: int) -> StateVector:
     (j, m) grid is assembled at once in the log domain, its polynomial
     values from one recurrence sweep over every parameter |m| + 1/2.  The
     label-free part, _closed_form_parts, depends on the cut alone: up to
-    cut 64 it is read off one table formed once per process, bit for bit
-    what forming it gives, since the prefactor is the sum stopped one term
-    before the polynomial's log-magnitude.
+    cut 64 it is kept per cut, formed once per process (specfun._at_cut).
     """
     z1, z2, z3 = zl.z
     g_lm, g_ph = gegenbauer_column(j_cut, z3)
-    pre, jam, am, sign = _at_cut(_closed_form_parts, j_cut, *[_flat_view] * 4)
+    pre, jam, am, sign = _at_cut(_closed_form_parts, j_cut)
     lm = pre + g_lm[jam, am]
     ph = g_ph[jam, am]
     del g_lm, g_ph, pre, jam    # spent: not held through StateVector's copy
@@ -451,15 +449,12 @@ def relative_X(s: StateVector, p: SpherePhasePoint) -> np.ndarray:
     the levels above that cut hold below 1e-56 of a full-cut reference's
     squared norm (sampled over |l| from 0 to 355, most at |l| = 0), and the
     ratio moves by ~1e-14 of itself at most.  A starved explicit cut keeps
-    s.j_cut.  Each X label is averaged in one call for all three, its
-    branches walked once.
+    s.j_cut.  Each reference is built and averaged alone, so one is held
+    at a time.
     """
     ref_cut = min(s.j_cut, math.ceil(p.l_norm) + 10)
-    refs = [coherent_closed_form(axis_reference_label(p.l, k), ref_cut)
-            for k in range(3)]
-    for which in ("Xplus", "Xminus", "X3"):
-        _expect_stack(refs, which)
-    dens = [expect_X(ref)[k] for k, ref in enumerate(refs)]
+    dens = [expect_X(coherent_closed_form(axis_reference_label(p.l, k),
+                                          ref_cut))[k] for k in range(3)]
     return np.array([a / d if abs(d) >= 1e-6 else math.nan
                      for a, d in zip(expect_X(s), dens)])
 

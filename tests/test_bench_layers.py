@@ -1,6 +1,6 @@
 """The per-layer timing script, .github/bench_layers.py, on a tiny
 configuration: it writes every layer's figure, and the writer's, with the
-machine they were read on."""
+machine they were read on and its speed."""
 
 import json
 import math
@@ -26,9 +26,14 @@ def test_bench_layers_writes_every_layer(tmp_path):
          "--writer-l", "5"], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
-    assert set(result) == {"machine", "repeat", "layers", "writer"}
+    assert set(result) == {"machine", "machine_speed", "repeat", "layers",
+                           "writer"}
     assert set(result["machine"]) == {"cpu", "cpus", "system", "python",
                                       "numpy"}
+    speed = result["machine_speed"]
+    assert set(speed) == {"kernel_before_s", "kernel_after_s",
+                          "speed_factor"}
+    assert all(0 < v < 100 and math.isfinite(v) for v in speed.values())
     assert result["repeat"] == 1
     assert list(result["layers"]) == ["0.0", "5.0"]
     for norm, layer in result["layers"].items():

@@ -703,21 +703,25 @@ class TestReportWriter:
             assert output([*argv, "--out", str(target)])[:2] == (4, "")
             assert not target.exists()
 
-    @pytest.mark.parametrize("spoil", ["expect_J", "j_cut"])
+    @pytest.mark.parametrize("spoil", ["expect_J", "j_cut", "key"])
     def test_payload_value_json_would_not_write_exits_4(self, spoil,
                                                         monkeypatch,
                                                         tmp_path):
-        # an infinite <J> and a numpy integer cut, each a defect of the
-        # report's payload, which CSV does not print
+        # an infinite <J>, a numpy integer cut and an integer key, each a
+        # defect of the report's payload, which CSV does not print
+        fields = cli._point_fields
         if spoil == "expect_J":
             monkeypatch.setattr(cli, "expect_J",
                                 lambda state: np.array([math.inf, 0.0, 0.0]))
             message = "a expect_J value is not finite"
-        else:
-            fields = cli._point_fields
+        elif spoil == "j_cut":
             monkeypatch.setattr(cli, "_point_fields", lambda point, state: {
                 **fields(point, state), "j_cut": np.int64(state.j_cut)})
             message = f"a j_cut value has no JSON form: {np.int64(40)!r}"
+        else:
+            monkeypatch.setattr(cli, "_point_fields", lambda point, state: {
+                **fields(point, state), "levels": {state.j_cut: 1}})
+            message = "a levels key is not a string: 40"
         argv = ["sphere", "--x", "0,0,1", "--l", "1,0,0"]
         assert output(argv) == (4, "", f"internal error: {message}\n")
         target = tmp_path / "report"
@@ -725,6 +729,18 @@ class TestReportWriter:
             4, "", f"internal error: {message}\n")
         assert not target.exists()
         assert output([*argv, "--format", "csv"])[0] == 0
+
+    @pytest.mark.parametrize("value, message", [
+        ({1: 0}, "a payload key is not a string: 1"),
+        ({"a": {"b": 0, None: 0}}, "a a key is not a string: None"),
+        ({"a": [{(1, 2): 0}]}, "a a key is not a string: (1, 2)")])
+    def test_a_key_json_would_not_write_is_an_assertion(self, value,
+                                                         message):
+        # json.dumps would write 1 and None as strings, and sorting mixed
+        # keys is a TypeError: either way, a defect named by its field
+        with pytest.raises(AssertionError) as exc:
+            cli._json(value, [])
+        assert str(exc.value) == message
 
     @staticmethod
     def dumped(value):

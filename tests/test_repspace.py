@@ -264,7 +264,7 @@ class TestMemo:
 
     def test_zero_state_and_unknown_labels_raise_every_time(self):
         empty = state_scale(basis_state(0, 0, 8), 0j)
-        s, other = basis_state(1, 0, 8), basis_state(2, 1, 8)
+        s = basis_state(1, 0, 8)
         expectation("J3", s)
         for _ in range(2):
             with pytest.raises(ValueError):
@@ -275,57 +275,18 @@ class TestMemo:
                              lambda which, s: residual_norm(which, s, 1.0)):
                 with pytest.raises(ValueError):
                     evaluate("J1", s)
-            # anywhere in a stack, before any value is written
-            for states, which in (([other, s, empty], "Jsq"),
-                                  ([empty, other], "X3"),
-                                  ([other, s], "J1"),
-                                  ([other], "X4")):
-                with pytest.raises(ValueError):
-                    repspace._expect_stack(states, which)
         assert self.memo(empty)["_expectations"] == {}
         assert self.memo(s)["_expectations"].keys() == {"J3"}
-        assert self.memo(other).get("_expectations", {}) == {}
-
-    @pytest.mark.parametrize("l_norm, j_cut", [(0.0, None), (5.0, None),
-                                               (21.5, None), (12.0, 20)])
-    def test_a_stack_has_the_bits_of_each_state_alone(self, l_norm, j_cut):
-        # relative_X's three axis references at their cut; the explicit cut
-        # 20 at |l| = 12 starves the state, and the references share it
-        p = SpherePhasePoint([0.6, 0.0, 0.8],
-                             [0.48 * l_norm, 0.8 * l_norm, -0.36 * l_norm])
-        cut = min(coherent_state(p, j_cut).j_cut, math.ceil(l_norm) + 10)
-        refs = [coherent_closed_form(axis_reference_label(p.l, k), cut)
-                for k in range(3)]
-        for which in self.ALL_LABELS:
-            repspace._expect_stack(refs, which)
-        for ref in refs:
-            alone = self.fresh(ref)
-            assert ref._expectations.keys() == set(self.ALL_LABELS)
-            for which in self.ALL_LABELS:
-                assert self.bits(ref._expectations[which]) == self.bits(
-                    expectation(which, alone)), (l_norm, which)
-
-    def test_a_stack_keeps_the_entries_a_memo_holds(self):
-        s, t = random_sparse_state(1), random_sparse_state(2)
-        first = expectation("X3", s)
-        for which in ("X3", "Z1"):
-            repspace._expect_stack([s, t], which)
-        assert s._expectations["X3"] is first
-        assert s._expectations.keys() == t._expectations.keys() == {"X3",
-                                                                     "Z1"}
-        for which in ("X3", "Z1"):
-            assert self.bits(t._expectations[which]) == self.bits(
-                expectation(which, self.fresh(t)))
 
     def test_the_states_are_read_in_place(self, monkeypatch):
-        """The tracemalloc peak of relative_X's call, its three cut-110 axis
-        references at |l| = 100 with their rows built, counted in one
-        reference's padded rows.  Reading a branch holds its real
-        coefficient (1/2), one state's conjugated target slice (1) and the
-        einsum's buffers (1/3); forming the next coefficient, an integer
-        radicand and its root while the last one is held, sets the peak
-        (1.9 for each X label).  One stacked copy of the three states'
-        rows (3) would exceed the bound of 2."""
+        """The tracemalloc peak of relative_X's averages, its three cut-110
+        axis references at |l| = 100 with their rows built, each averaged in
+        turn, counted in one reference's padded rows.  Reading a branch
+        holds its real coefficient (1/2), the state's conjugated target
+        slice (1) and the einsum's buffers (1/3); forming the next
+        coefficient, an integer radicand and its root while the last one is
+        held, sets the peak (1.9 for each X label).  One stacked copy of the
+        three states' rows (3) would exceed the bound of 2."""
         p = SpherePhasePoint([0.6, 0.0, 0.8], [48.0, 80.0, -36.0])
         refs = [coherent_closed_form(axis_reference_label(p.l, k), 110)
                 for k in range(3)]
@@ -334,8 +295,9 @@ class TestMemo:
         monkeypatch.setattr(np, "stack", None)     # a copy would call it
         tracemalloc.start()
         try:
-            for which in ("Xplus", "Xminus", "X3"):
-                repspace._expect_stack(refs, which)
+            for ref in refs:
+                for which in ("Xplus", "Xminus", "X3"):
+                    expectation(which, ref)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -513,7 +475,7 @@ def test_z_residual_holds_one_coefficient_at_a_time(which):
 def test_z2_expectation_holds_one_coefficient_at_a_time():
     """The tracemalloc peak of <Z2> at cut 200, above the cut of the leaf
     tables, counted in padded complex arrays as the residual's test does.
-    Past the state's rows, _expect_stack holds the branch's complex
+    Past the state's rows, expectation holds the branch's complex
     coefficient (1) and the conjugated target slice its einsum reads (1);
     the last branch's coefficient is freed before the next one is formed
     from its real X+- branch (1/2).  The bound leaves half an array more
@@ -559,50 +521,61 @@ def test_residual_forms_each_coefficient_once(monkeypatch, which,
 
 
 LEAF_LABELS = ("J3", "Jsq", "Jplus", "Jminus", "X3", "Xplus", "Xminus")
-# The other arrays that depend on the cut alone, as (form, views): what the
-# library reads at a cut up to the tables' cut is views[i](table i, cut)
-CUT_TABLES = {
-    "grid": (repspace._grid, [repspace._flat_view] * 2),
-    "padded_axes": (repspace._padded_axes,
-                    [repspace._column_view, repspace._centred_view]),
-    "level_starts": (repspace._level_starts, [repspace._column_view]),
-    "recurrence": (specfun._recurrence_factors, [specfun._degrees_view] * 3),
-    "closed_form": (sphere._closed_form_parts, [repspace._flat_view] * 4),
+# The other arrays that depend on the cut alone, by the form that
+# specfun._at_cut keeps per cut up to the tables' cut
+CUT_FORMS = {
+    "grid": repspace._grid,
+    "padded_axes": repspace._padded_axes,
+    "level_starts": repspace._level_starts,
+    "recurrence": specfun._recurrence_factors,
+    "closed_form": sphere._closed_form_parts,
 }
 
 
-def _read_formed_table(name, cut):
-    """(read, formed, table) of each array of a table at a cut up to the
-    tables' cut: what the library reads, what forming it at the cut gives,
-    and the table the first is read off."""
-    if name in CUT_TABLES:
-        form, views = CUT_TABLES[name]
-        return zip(specfun._at_cut(form, cut, *views), form(cut),
-                   specfun._cut_table(form, cut), strict=True)
-    j, m = np.arange(cut + 1)[:, None], np.arange(-cut, cut + 1)[None]
-    read = repspace._dense_branches(name, j, m)
+def _read_twice_and_formed(name, cut):
+    """(read, read again, formed) of each array at a cut up to the tables'
+    cut: what the library reads, what it reads on a second call, and what
+    forming it at the cut gives."""
+    if name in CUT_FORMS:
+        form = CUT_FORMS[name]
+        return zip(specfun._at_cut(form, cut), specfun._at_cut(form, cut),
+                   form(cut), strict=True)
+    j, m = repspace._padded_axes(cut)
+    read, again = (repspace._dense_branches(name, j, m) for _ in range(2))
     formed = repspace._leaf_branches(name, j, m)
-    tables = specfun._cut_table(repspace._leaf_coefficients, cut, name)
-    assert len(read) == len(formed) == len(tables)
+    assert len(read) == len(again) == len(formed)
     for (dj, dm, _, w), (dj0, dm0, _, w0) in zip(read, formed):
         assert (dj, dm) == (dj0, dm0) and np.array_equal(w, w0)
-    return [(r[2](), f[2](), t) for r, f, t in zip(read, formed, tables)]
+    return [(r[2](), a[2](), f[2]()) for r, a, f in zip(read, again, formed)]
 
 
-@pytest.mark.parametrize("which", LEAF_LABELS + tuple(CUT_TABLES))
+@pytest.mark.parametrize("which", LEAF_LABELS + tuple(CUT_FORMS))
 def test_leaf_tables_hold_the_coefficients_formed_on_call(which):
     """At every cut up to the tables' cut, a leaf label's branch
     coefficients, and every other array that depends on the cut alone, are
-    read-only views of one table, equal bit for bit and in shape and dtype
-    to the arrays formed at that cut."""
+    read-only, the same object on a second read, and equal in bytes, shape
+    and dtype to the arrays formed at that cut."""
     for cut in range(specfun._TABLE_CUT + 1):
-        for got, want, table in _read_formed_table(which, cut):
+        for got, again, want in _read_twice_and_formed(which, cut):
+            assert got is again
             assert got.shape == want.shape and got.dtype == want.dtype
-            assert np.array_equal(got, want)
-            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
-            assert got.size == 0 or np.shares_memory(got, table)
+            assert got.tobytes() == want.tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 got[...] = 0
+
+
+def test_the_memo_at_every_cut_stays_within_its_stated_bound():
+    """Every form the library keeps per cut, filled at every cut up to the
+    tables' cut, holds at most the 17.3 MB that the comment above
+    specfun._TABLE_CUT states."""
+    reads = [functools.partial(specfun._at_cut, form)
+             for form in CUT_FORMS.values()] + [
+        lambda cut, which=which: specfun._table(repspace._leaf_coefficients,
+                                                cut, which)
+        for which in LEAF_LABELS]
+    total = sum(a.nbytes for read in reads
+                for cut in range(specfun._TABLE_CUT + 1) for a in read(cut))
+    assert total <= 17.3e6, total
 
 
 def test_a_report_above_the_tables_cut_forms_on_call(monkeypatch, capsys):
