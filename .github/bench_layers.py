@@ -22,12 +22,17 @@ encoder, json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False), on
 the payloads of the README circle and sphere reports, the two alternated
 in every round; the circle report through cli.main; and pass 0 of the
 circle_sweep workload at seed 1 through cli.main.  The file records the
-machine, Python and numpy, and the machine's speed: the median time of
-perfbench/calibrate.py's kernel over 3 runs before the layers and 3 after
-the writer, and the speed factor, the reference kernel time over the
-median of all 6, so that two files read in different states of a shared
-machine can be told apart.  The script imports the cohstates of its own
-checkout's src.
+machine, Python and numpy, and the machine's speed: perfbench/calibrate.py's
+kernel runs 3 times before the layers, after each group of them (one
+group per |l|) and after the writer.  Each group carries speed_factor,
+Calibrator.factor_during over its own time (the reference kernel time over
+the median of the 5 kernel runs nearest its midpoint, exponent 1), and
+each of its times <name>_s again as <name>_ref_s, in reference seconds:
+times the factor.  A shared machine drifts between groups, so two files,
+or two groups of one file, compare by their _ref_s.  machine_speed holds
+the median kernel time of the first 3 runs and of the last 3, and the
+speed factor over all of them.  The script imports the cohstates of its
+own checkout's src.
 """
 
 import argparse
@@ -212,6 +217,20 @@ def writer(norm: float, repeat: int) -> dict:
     }
 
 
+def calibrated(group, speed: Calibrator, *args) -> dict:
+    """The figures group(*args) returns, with the speed factor of its own
+    time and each time <name>_s also in reference seconds, <name>_ref_s;
+    the kernel runs 3 times after it."""
+    start = time.perf_counter()
+    figures = group(*args)
+    end = time.perf_counter()
+    speed.sample(3)
+    factor = speed.factor_during(start, end)
+    return {**figures, "speed_factor": factor,
+            **{f"{name[:-2]}_ref_s": t * factor
+               for name, t in figures.items() if name.endswith("_s")}}
+
+
 def machine() -> dict:
     model = platform.processor()
     with contextlib.suppress(OSError):
@@ -238,13 +257,14 @@ def main(argv=None) -> int:
     speed = Calibrator()
     speed.sample(3)
     result = {"machine": machine(), "repeat": args.repeat,
-              "layers": {repr(n): layers(n, args.repeat) for n in norms},
-              "writer": writer(args.writer_l, args.repeat)}
-    speed.sample(3)
+              "layers": {repr(n): calibrated(layers, speed, n, args.repeat)
+                         for n in norms},
+              "writer": calibrated(writer, speed, args.writer_l,
+                                   args.repeat)}
     kernel = [dt for _, dt in speed.samples]
     result["machine_speed"] = {
         "kernel_before_s": statistics.median(kernel[:3]),
-        "kernel_after_s": statistics.median(kernel[3:]),
+        "kernel_after_s": statistics.median(kernel[-3:]),
         "speed_factor": speed.factor()}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)

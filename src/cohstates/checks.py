@@ -73,7 +73,8 @@ class CheckResult:
 
 class _Worst:
     """Largest residual of a sweep, where it occurred, and the case count;
-    as with max() from 0, a NaN residual is never the largest."""
+    as with max() from 0, a NaN residual is never the largest.  Given keys,
+    result names the fields of the worst case's tuple by them."""
 
     def __init__(self):
         self.value, self.at, self.n = -math.inf, None, 0
@@ -83,9 +84,9 @@ class _Worst:
         if value > self.value:
             self.value, self.at = value, at
 
-    def result(self, name: str, tolerance: float) -> CheckResult:
-        return CheckResult(name, max(self.value, 0.0), tolerance, self.n,
-                           self.at)
+    def result(self, name: str, tolerance: float, keys=()) -> CheckResult:
+        at = dict(zip(keys, self.at)) if keys and self.at else self.at
+        return CheckResult(name, max(self.value, 0.0), tolerance, self.n, at)
 
 
 def _point(p: SpherePhasePoint) -> dict:
@@ -207,25 +208,26 @@ def check_z_routes(j_cut: int) -> CheckResult:
     return sweep.result("z_route_equality")
 
 
-def _dyadic_terms(coefs: list[int], w: complex) -> tuple[list, int]:
-    """The Gaussian integers c_s w^s 2^(e n), s = 0..n, and 2^(e n), where
-    w = (a + b i) / 2^e exactly, as every double is dyadic."""
+def _dyadic_powers(w: complex, n_max: int) -> list:
+    """Per degree n <= n_max, the Gaussian integers w^s 2^(e n), s <= n, and
+    2^(e n), for w = (a + b i) / 2^e exactly, as every double is dyadic."""
     (ra, rd), (ia, id_) = (float(v).as_integer_ratio()
                            for v in (w.real, w.imag))
     e = max(rd, id_).bit_length() - 1
     a, b = ra * ((1 << e) // rd), ia * ((1 << e) // id_)
-    n = len(coefs) - 1
-    p, q, terms = 1, 0, []                  # p + q i = (a + b i)^s
-    for s, c in enumerate(coefs):
-        terms.append(((c * p) << (e * (n - s)), (c * q) << (e * (n - s))))
-        p, q = p * a - q * b, p * b + q * a
-    return terms, 1 << (e * n)
+    powers = list(itertools.accumulate(     # (a + b i)^s
+        range(n_max), lambda w, _: (w[0] * a - w[1] * b, w[0] * b + w[1] * a),
+        initial=(1, 0)))
+    return [([(p << e * (n - s), q << e * (n - s))
+              for s, (p, q) in enumerate(powers[:n + 1])], 1 << e * n)
+            for n in range(n_max + 1)]
 
 
-def _exact_sum(terms: list, den: int) -> complex:
-    """sum(terms) / den, correctly rounded, as float(Fraction) is."""
-    return complex(sum(t[0] for t in terms) / den,
-                   sum(t[1] for t in terms) / den)
+def _exact_sum(coefs: list[int], powers: list, den: int) -> tuple:
+    """c_s w^s 2^(e n), and their sum over den as float(Fraction) rounds it."""
+    terms = [(c * p, c * q) for c, (p, q) in zip(coefs, powers)]
+    return terms, complex(sum(t[0] for t in terms) / den,
+                          sum(t[1] for t in terms) / den)
 
 
 def check_hyp2f1_identity() -> CheckResult:
@@ -239,26 +241,25 @@ def check_hyp2f1_identity() -> CheckResult:
     grid points.
     """
     f = [math.factorial(i) for i in range(17)]
+    zs = [(z, [complex(z).real, complex(z).imag],
+           _dyadic_powers(complex(z), 8)) for z in (-0.5, 0.7, 1 + 1j)]
     worst = _Worst()
-    for n in range(0, 9):
-        for k in range(0, 9):
-            for m in range(0, 9):
-                # the coefficients times (n+m)! n! are integers for s <= n
-                coefs = [f[s + k] * (f[n + m] // f[s + m]) * math.comb(n, s)
-                         for s in range(n + 1)]
-                for z in (-0.5, 0.7, 1 + 1j):
-                    terms, pow2 = _dyadic_terms(coefs, complex(z))
-                    den = f[n + m] * f[n] * pow2
-                    term_scale = max(abs(complex(re / den, im / den))
-                                     for re, im in terms)
-                    rhs = f[k] / (f[m] * f[n]) * hyp2f1_terminating(
-                        n, k + 1.0, m + 1.0, -z)
-                    lhs_c = _exact_sum(terms, den)
-                    scale = max(abs(lhs_c), abs(rhs), term_scale)
-                    worst.add(abs(lhs_c - rhs) / scale,
-                              {"n": n, "k": k, "m": m,
-                               "z": [complex(z).real, complex(z).imag]})
-    return worst.result("hyp2f1_identity_grid", IDENTITY_TOL)
+    for n, k, m in itertools.product(range(9), repeat=3):
+        # the coefficients times (n+m)! n! are integers for s <= n
+        coefs = [f[s + k] * (f[n + m] // f[s + m]) * math.comb(n, s)
+                 for s in range(n + 1)]
+        for z, at, by_degree in zs:
+            powers, pow2 = by_degree[n]
+            den = f[n + m] * f[n] * pow2
+            terms, lhs_c = _exact_sum(coefs, powers, den)
+            term_scale = max(abs(complex(re / den, im / den))
+                             for re, im in terms)
+            rhs = f[k] / (f[m] * f[n]) * hyp2f1_terminating(
+                n, k + 1.0, m + 1.0, -z)
+            scale = max(abs(lhs_c), abs(rhs), term_scale)
+            worst.add(abs(lhs_c - rhs) / scale, (n, k, m, at))
+    return worst.result("hyp2f1_identity_grid", IDENTITY_TOL,
+                        ("n", "k", "m", "z"))
 
 
 def check_gegenbauer_recurrence() -> CheckResult:
@@ -272,28 +273,26 @@ def check_gegenbauer_recurrence() -> CheckResult:
     sweep per x over the family C_n^{k+1/2} that the closed form reads, to
     n, k = 24.
     """
-    xs = (0.3, 1.0, 2 + 5j)
-    sweeps = {x: gegenbauer_column(24, x) for x in xs}
+    xs = [([complex(x).real, complex(x).imag], gegenbauer_column(24, x),
+           _dyadic_powers((1 - complex(x)) / 2, 20))
+          for x in (0.3, 1.0, 2 + 5j)]
     worst = _Worst()
-    for n in range(0, 21):
-        for k in (0, 1, 4):
-            two_a, c_int = 2 * k + 1, k + 1
-            # term s is C(n+2a-1, n) (-n)_s (n+2a)_s / ((c)_s s!) w^s; times
-            # (c)_n n! each coefficient is an integer, so each ratio divides
-            mult = math.prod(range(c_int, c_int + n)) * math.factorial(n)
-            coefs = list(itertools.accumulate(
-                range(n), lambda c, s: c * (s - n) * (n + two_a + s)
-                // ((c_int + s) * (s + 1)),
-                initial=math.comb(n + two_a - 1, n) * mult))
-            for x in xs:
-                lm, ph = sweeps[x]
-                rec = cmath.rect(math.exp(lm[n, k]), ph[n, k])
-                terms, pow2 = _dyadic_terms(coefs, (1 - complex(x)) / 2)
-                ser = _exact_sum(terms, mult * pow2)
-                worst.add(abs(rec - ser) / abs(ser),
-                          {"n": n, "alpha": k + 0.5,
-                           "x": [complex(x).real, complex(x).imag]})
-    return worst.result("gegenbauer_recurrence_vs_series", SERIES_TOL)
+    for n, k in itertools.product(range(21), (0, 1, 4)):
+        two_a, c_int = 2 * k + 1, k + 1
+        # term s is C(n+2a-1, n) (-n)_s (n+2a)_s / ((c)_s s!) w^s; times
+        # (c)_n n! each coefficient is an integer, so each ratio divides
+        mult = math.prod(range(c_int, c_int + n)) * math.factorial(n)
+        coefs = list(itertools.accumulate(
+            range(n), lambda c, s: c * (s - n) * (n + two_a + s)
+            // ((c_int + s) * (s + 1)),
+            initial=math.comb(n + two_a - 1, n) * mult))
+        for at, (lm, ph), by_degree in xs:
+            rec = cmath.rect(math.exp(lm[n, k]), ph[n, k])
+            powers, pow2 = by_degree[n]
+            _, ser = _exact_sum(coefs, powers, mult * pow2)
+            worst.add(abs(rec - ser) / abs(ser), (n, k + 0.5, at))
+    return worst.result("gegenbauer_recurrence_vs_series", SERIES_TOL,
+                        ("n", "alpha", "x"))
 
 
 def _random_tangent_point(rng: np.random.Generator,
@@ -313,7 +312,7 @@ def check_three_paths(seed: int) -> CheckResult:
 
     Fourteen phase points: two generic orientations at each momentum
     magnitude in {0, 1, 5, 10, 12, 18, 25}, each at the default cut for its
-    |l| (up to 55 at |l| = 25).
+    |l| (30 at |l| = 0, up to 55 at |l| = 25).
     """
     rng = np.random.default_rng(seed)
     worst = _Worst()

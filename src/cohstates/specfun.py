@@ -44,11 +44,11 @@ _LN2_LO = 1.90821492927058770002e-10
 
 # The largest cut whose cut-only arrays are kept: default_j_cut(|l|) <= 64
 # for |l| <= 34, which covers the README's examples, every sphere report the
-# benchmark sends (state cuts 40 to 52, reference cuts 10 to 32) and
+# benchmark sends (state cuts 30 to 52, reference cuts 10 to 32) and
 # verify's states up to |l| = 25 (cut 55).  Each form is kept once per cut
 # it is read at, so the memo is bounded by every form at every cut 0-64:
-# 17.3 MB (16.5 MiB).  The benchmark's traffic reads 11 cuts, 2.0 MB
-# (1.9 MiB), on sphere_report and 8 cuts, 1.6 MB (1.5 MiB), on verify.
+# 17.3 MB (16.5 MiB).  The benchmark's traffic reads 14 cuts, 2.5 MB
+# (2.4 MiB), on sphere_report and 11 cuts, 2.3 MB (2.2 MiB), on verify.
 _TABLE_CUT = 64
 
 

@@ -204,10 +204,10 @@ def axis_reference_label(l, k: int) -> ZLabel:
 
 
 def default_j_cut(l_norm: float) -> int:
-    """max(ceil|l| + 30, 40): level j holds about e^{-(j + 1/2 - |l|)^2} of
-    the squared norm, so every level from j_cut - 1 up lies at least 29.5
+    """ceil|l| + 30: level j holds about e^{-(j + 1/2 - |l|)^2} of the
+    squared norm, so every level from j_cut - 1 up lies at least 29.5
     above the peak (coherent_state)."""
-    return max(math.ceil(l_norm) + 30, 40)
+    return math.ceil(l_norm) + 30
 
 
 def north_pole_state(j_cut: int) -> StateVector:
@@ -395,9 +395,9 @@ def coherent_state(p: SpherePhasePoint,
     The squared norm in level j is e^{-j(j+1)} sinh((2j+1)|l|) up to a
     factor growing like sqrt(j): a Gaussian e^{-(j + 1/2 - |l|)^2} about its
     peak.  At the default cut the top two levels therefore hold about
-    e^{-(j_cut - 1/2 - |l|)^2} <= e^{-870} of it at every |l|, with
-    equality at every integer |l| >= 10, below the e^-745 underflow of a
-    double, so tail_fraction is exactly 0.
+    e^{-(j_cut - 1/2 - |l|)^2} <= e^{-870} of it, with equality at every
+    integer |l|; the factor raises it to e^-866.3 at |l| = 0.  Either is
+    below the e^-745 underflow of a double, so tail_fraction is exactly 0.
     """
     cut = default_j_cut(p.l_norm) if j_cut is None else int(j_cut)
     return coherent_closed_form(phase_to_z(p), cut)

@@ -1,12 +1,15 @@
 """The per-layer timing script, .github/bench_layers.py, on a tiny
 configuration: it writes every layer's figure, and the writer's, with the
-machine they were read on and its speed."""
+machine they were read on and its speed, each time also in reference
+seconds at its group's own speed factor."""
 
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
+
+from cohstates.sphere import default_j_cut
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,6 +19,22 @@ LAYERS = {
     "expectation_Xplus", "expectation_Xminus", "expectation_X3",
     "residual_norm_Z1", "eigen_residual", "relative_X", "apply_J3",
     "apply_X3", "apply_Z3", "peak_sum", "band_table_matmul"}
+WRITER = {"reprs", "repr", "chunks", "circle_report", "json_writer_circle",
+          "json_encoder_circle", "json_writer_sphere", "json_encoder_sphere",
+          "circle_pass"}
+
+
+def times(group: dict, names: set) -> list:
+    """The group's times, after checking that each name has its seconds
+    and its reference seconds at the group's speed factor, and nothing
+    else is left."""
+    factor = group.pop("speed_factor")
+    assert 0 < factor < 100 and math.isfinite(factor)
+    assert set(group) == ({f"{name}_s" for name in names}
+                          | {f"{name}_ref_s" for name in names})
+    for name in names:
+        assert group[f"{name}_ref_s"] == group[f"{name}_s"] * factor
+    return list(group.values())
 
 
 def test_bench_layers_writes_every_layer(tmp_path):
@@ -36,19 +55,16 @@ def test_bench_layers_writes_every_layer(tmp_path):
     assert all(0 < v < 100 and math.isfinite(v) for v in speed.values())
     assert result["repeat"] == 1
     assert list(result["layers"]) == ["0.0", "5.0"]
+    timings = []
     for norm, layer in result["layers"].items():
-        assert layer.pop("j_cut") == 40
-        assert layer.pop("amplitudes") == 41**2
-        assert set(layer) == {f"{name}_s" for name in LAYERS}, norm
+        cut = default_j_cut(float(norm))
+        assert layer.pop("j_cut") == cut
+        assert layer.pop("amplitudes") == (cut + 1)**2
+        timings += times(layer, LAYERS)
     writer = result["writer"]
     assert writer.pop("pass_floats") > 10_000
     assert writer.pop("chunks_l") == 5.0
     assert writer.pop("chunks_rows") > 0
     assert writer.pop("circle_pass_requests") > 0
-    assert set(writer) == {"reprs_s", "repr_s", "chunks_s",
-                           "circle_report_s", "json_writer_circle_s",
-                           "json_encoder_circle_s", "json_writer_sphere_s",
-                           "json_encoder_sphere_s", "circle_pass_s"}
-    timings = [*writer.values(), *(v for layer in result["layers"].values()
-                                   for v in layer.values())]
+    timings += times(writer, WRITER)
     assert all(0 < t < 10 and math.isfinite(t) for t in timings)

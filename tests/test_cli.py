@@ -717,11 +717,13 @@ class TestReportWriter:
         elif spoil == "j_cut":
             monkeypatch.setattr(cli, "_point_fields", lambda point, state: {
                 **fields(point, state), "j_cut": np.int64(state.j_cut)})
-            message = f"a j_cut value has no JSON form: {np.int64(40)!r}"
+            cut = np.int64(sphere.default_j_cut(1.0))
+            message = f"a j_cut value has no JSON form: {cut!r}"
         else:
             monkeypatch.setattr(cli, "_point_fields", lambda point, state: {
                 **fields(point, state), "levels": {state.j_cut: 1}})
-            message = "a levels key is not a string: 40"
+            message = ("a levels key is not a string: "
+                       f"{sphere.default_j_cut(1.0)}")
         argv = ["sphere", "--x", "0,0,1", "--l", "1,0,0"]
         assert output(argv) == (4, "", f"internal error: {message}\n")
         target = tmp_path / "report"

@@ -709,19 +709,45 @@ def test_adaptive_truncation_reaches_tail_target(fig1_point):
 
 def test_default_cut_margin_over_the_range():
     # level j peaks at j + 1/2 = |l|, so the top two lie at least 29.5
-    # above it, with equality at each integer |l| >= 10; above |l| = 10 no
-    # level past |l| + 31 is kept
+    # above it, with equality at each integer |l|; no level past |l| + 31
+    # is kept
     norms = np.concatenate([np.linspace(0.0, L_NORM_MAX, 71001),
                             np.arange(356.0)])
     for l_norm in norms.tolist():
         cut = default_j_cut(l_norm)
         assert (cut - 0.5 - l_norm) ** 2 >= 870, l_norm
-        assert cut <= max(l_norm + 31, 40), l_norm
+        assert cut <= l_norm + 31, l_norm
+
+
+def test_default_cut_at_small_momentum_holds_its_own_tail():
+    # below |l| = 10 the cut is ceil|l| + 30 as above it, 30 to 40: the top
+    # two levels hold e^-866.3 of the squared norm at |l| = 0 and about
+    # e^-870 from |l| = 1, below the e^-745 underflow of a double
+    norms = sorted({*(np.arange(201) / 20).tolist(), *map(float, range(11))})
+    for seed, l_norm in enumerate(norms):
+        p = _tangent_point(seed, l_norm)
+        s = coherent_state(p)
+        assert s.j_cut == default_j_cut(p.l_norm) == math.ceil(p.l_norm) + 30
+        assert s.tail_fraction() == 0.0, l_norm
+        top = s.log_mag[(s.j_cut - 1) ** 2:]
+        assert log_sum_exp(2 * top) - s.log_norm_sq() <= -860, l_norm
+
+
+@pytest.mark.parametrize("l_norm", [0.0, 1.0, 5.0])
+def test_expectations_at_small_momentum_match_cut_40(l_norm):
+    # the levels ceil|l| + 31 to 40, which cut 40 adds, carry nothing a
+    # double can hold
+    for seed in range(3):
+        p = _tangent_point(seed, l_norm)
+        s, wide = coherent_state(p), coherent_state(p, 40)
+        assert s.j_cut < 40
+        for f in (expect_J, expect_X):
+            assert np.max(np.abs(f(s) - f(wide))) <= 2.2e-16, (seed, f)
 
 
 def test_default_cut_tail_underflows_over_the_range():
     # the top two levels hold about e^{-(j_cut - 1/2 - |l|)^2} <= e^{-870}
-    # of the squared norm at the default cut, the least at integer |l| >= 10
+    # of the squared norm at the default cut, the least at integer |l|
     rng = np.random.default_rng(5)
     norms = [0.0, 10.0, L_NORM_MAX - 0.01, *rng.uniform(0.0, 354.99, 13)]
     for seed, l_norm in enumerate(norms):
